@@ -9,7 +9,7 @@ from .simplicial import (
     standard_simplex, boundary_simplex, horn_complex, sphere, product,
     disjoint_union, quotient_by_subcomplex, enumerate_maps, find_isomorphism,
     SimplicialError, DimensionOutOfRange, BadHornIndex, NotCoskeletal,
-    NotSubcomplex, NotKan, SearchBudgetExceeded,
+    NotSubcomplex, NotKan, SearchBudgetExceeded, MalformedBudget,
 )
 from .catalg import (
     FinCategory, FinGroupoid, MonoidalStructure, TwoGroup, LaxUnitaryFunctor,

@@ -3,7 +3,7 @@
 Exit codes: 0 = every requested check passed, 1 = a mathematical check
 failed (the violation is printed), 2 = input or usage error.  Reports
 are deterministic byte-for-byte for identical inputs; KANFORGE_BUDGET
-overrides the enumeration cap.
+overrides the enumeration cap, and a malformed value exits 2.
 """
 
 import argparse
@@ -48,19 +48,9 @@ def _emit(obj, out_path):
 
 def cmd_validate(args):
     obj, kind = _load(args.file)
+    violations = obj.validate()
     if kind == "sset":
-        rep = obj.validate()
-        violations = rep.violations
-    elif kind in ("category", "groupoid"):
-        violations = obj.validate()
-    elif kind in ("two_group", "monoidal"):
-        violations = obj.validate()
-    elif kind == "bisimplicial":
-        violations = obj.validate()
-    elif kind == "group":
-        violations = obj.validate()
-    else:
-        raise UsageError("nothing to validate for kind %r" % kind)
+        violations = violations.violations
     if violations:
         for v in violations:
             print("violation: %s" % v)
@@ -360,8 +350,9 @@ def main(argv=None):
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        sp.enumeration_budget()
         return args.fn(args)
-    except UsageError as exc:
+    except (UsageError, sp.MalformedBudget) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except sp.SearchBudgetExceeded as exc:

@@ -553,6 +553,21 @@ class BisimplicialTrunc:
         self.vface = {k: dict(v) for k, v in vface.items()}
         self.hdegen = {k: dict(v) for k, v in hdegen.items()}
         self.vdegen = {k: dict(v) for k, v in vdegen.items()}
+        self._face_tables = {}
+
+    def face_table(self, p, q, direction):
+        """dict id -> (d_0 x, .., d_n x) over level (p, q) for the
+        horizontal ("h", n = p) or vertical ("v", n = q) faces, built once
+        (the object is immutable); empty where n == 0."""
+        key = (p, q, direction)
+        table = self._face_tables.get(key)
+        if table is None:
+            n, ops = (p, self.hface) if direction == "h" else (q, self.vface)
+            maps = [ops[(p, q, i)] for i in range(n + 1)] if n else []
+            table = {x: tuple(mp[x] for mp in maps)
+                     for x in self.levels[(p, q)]} if maps else {}
+            self._face_tables[key] = table
+        return table
 
     @property
     def P(self):
@@ -801,99 +816,129 @@ def _fam_id(src_id, fam):
 
 
 class _SegalLevels:
-    """Chains in the groupoids of q-simplices, built lazily per level."""
+    """Chains in the groupoids of q-simplices, built lazily per level.
+
+    Every object id (ids[q], the keys of sid[q]) and morphism id (the keys
+    of mor[q]) exists once, and the operator tables below return those
+    very objects.  Each table is built once per (operator, q) over all
+    objects or morphisms of q, with _phi_star applied once per object.
+    """
 
     def __init__(self, g, qmax):
         self.g = g
         self.qmax = qmax
         self.structs = {q: monoidal_simplices(g, q) for q in range(qmax + 1)}
-        self.sid = {q: {_struct_id(st): st for st in self.structs[q]}
+        self.ids = {q: [_struct_id(st) for st in self.structs[q]]
+                    for q in range(qmax + 1)}
+        self.sid = {q: dict(zip(self.ids[q], self.structs[q]))
                     for q in range(qmax + 1)}
         self.fams = {q: q_simplex_morphisms(g, q, self.structs[q])
                      for q in range(qmax + 1)}
-        # morphism tables per q: id -> (src_struct, fam, tgt_struct)
-        self.mor = {}
+        # morphism tables per q: id -> (src_struct, fam, tgt_struct), and
+        # the source and target object ids
+        self.mor, self.src, self.tgt = {}, {}, {}
+        self._own_mid = {}
         for q in range(qmax + 1):
-            table = {}
-            for st in self.structs[q]:
+            sid_of = dict(zip(self.structs[q], self.ids[q]))
+            table, src, tgt = {}, {}, {}
+            for st, sid_ in zip(self.structs[q], self.ids[q]):
                 for fam, tst in self.fams[q][st]:
-                    table[_fam_id(_struct_id(st), fam)] = (st, fam, tst)
-            self.mor[q] = table
+                    mid = _fam_id(sid_, fam)
+                    table[mid] = (st, fam, tst)
+                    src[mid] = sid_
+                    tgt[mid] = sid_of[tst]
+            self.mor[q], self.src[q], self.tgt[q] = table, src, tgt
+            self._own_mid[q] = {mid: mid for mid in table}
+        self._own_sid = {q: {sid_: sid_ for sid_ in self.ids[q]}
+                         for q in range(qmax + 1)}
+        self._identity = {}
+        self._vmap_obj = {}
+        self._vmap_mor = {}
 
     def level_size(self, p, q):
         """|p-chains| via counting, no materialization: c_p(x) = number of
         p-chains ending at x."""
-        if p == 0:
-            return len(self.structs[q])
-        ends = {}
-        for mid, (_, _, tst) in self.mor[q].items():
-            ends[_struct_id(tst)] = ends.get(_struct_id(tst), 0) + 1
-        counts = {_struct_id(st): 1 for st in self.structs[q]}
+        counts = dict.fromkeys(self.ids[q], 1)
         for _ in range(p):
-            nxt = {_struct_id(st): 0 for st in self.structs[q]}
-            for mid, (st, _, tst) in self.mor[q].items():
-                nxt[_struct_id(tst)] += counts[_struct_id(st)]
+            nxt = dict.fromkeys(self.ids[q], 0)
+            for mid, src in self.src[q].items():
+                nxt[self.tgt[q][mid]] += counts[src]
             counts = nxt
         return sum(counts.values())
 
-    def chain_level(self, p, q):
-        """Ids of p-chains in the q-simplex groupoid."""
-        if p == 0:
-            return [_struct_id(st) for st in self.structs[q]]
-        cur = [(mid,) for mid in sorted(self.mor[q])]
+    def chains(self, p, q):
+        """The p-chains (p >= 1) of the q-simplex groupoid as tuples of
+        morphism ids, in level order."""
+        mids = sorted(self.mor[q])
         out_by_src = {}
-        for mid, (st, _, tst) in self.mor[q].items():
-            out_by_src.setdefault(_struct_id(st), []).append(mid)
-        for v in out_by_src.values():
-            v.sort()
+        for mid in mids:
+            out_by_src.setdefault(self.src[q][mid], []).append(mid)
+        cur = [(mid,) for mid in mids]
         for _ in range(p - 1):
-            nxt = []
-            for c in cur:
-                tst = self.mor[q][c[-1]][2]
-                for mid in out_by_src.get(_struct_id(tst), []):
-                    nxt.append(c + (mid,))
-            cur = nxt
-        return [_chain_id(c) if p > 1 else c[0] for c in cur]
+            cur = [c + (mid,) for c in cur
+                   for mid in out_by_src.get(self.tgt[q][c[-1]], ())]
+        return cur
 
     def compose(self, q, m2, m1):
-        st1, fam1, _ = self.mor[q][m1]
-        st2, fam2, _ = self.mor[q][m2]
+        fam1 = self.mor[q][m1][1]
+        fam2 = self.mor[q][m2][1]
         c = self.g.base
         fam = {p: c.comp(fam2[p], fam1[p]) for p in fam1}
-        return _fam_id(_struct_id(st1), fam)
+        return self._own_mid[q][_fam_id(self.src[q][m1], fam)]
 
-    def identity_of(self, q, sid_):
-        st = self.sid[q][sid_]
-        objs, _ = _struct_to_dict(self.g, q, st)
-        c = self.g.base
-        fam = {p: c.id_of(objs[p]) for p in objs}
-        return _fam_id(sid_, fam)
+    def identity_table(self, q):
+        """object id -> id of its identity morphism, in level q."""
+        table = self._identity.get(q)
+        if table is None:
+            c = self.g.base
+            table = {}
+            for sid_, st in self.sid[q].items():
+                objs, _ = _struct_to_dict(self.g, q, st)
+                fam = {p: c.id_of(objs[p]) for p in objs}
+                table[sid_] = self._own_mid[q][_fam_id(sid_, fam)]
+            self._identity[q] = table
+        return table
 
-    def vmap_obj(self, phi, q_from, q_to, sid_):
-        st = self.sid[q_from][sid_]
-        return _struct_id(_phi_star(self.g, phi, q_from, q_to, st))
+    def vmap_obj_table(self, phi, q_from, q_to):
+        """object id -> object id under the reindexing along phi."""
+        key = (phi, q_from, q_to)
+        table = self._vmap_obj.get(key)
+        if table is None:
+            own = self._own_sid[q_to]
+            table = {sid_: own[_struct_id(_phi_star(self.g, phi, q_from,
+                                                    q_to, st))]
+                     for sid_, st in self.sid[q_from].items()}
+            self._vmap_obj[key] = table
+        return table
 
-    def vmap_mor(self, phi, q_from, q_to, mid):
-        st, fam, tst = self.mor[q_from][mid]
-        new_src = _phi_star(self.g, phi, q_from, q_to, st)
-        objs, _ = _struct_to_dict(self.g, q_to, new_src)
-        c = self.g.base
-        new_fam = {}
-        for (i, j) in objs:
-            if phi[i] == phi[j]:
-                new_fam[(i, j)] = c.id_of(self.g.unit)
-            else:
-                new_fam[(i, j)] = fam[(phi[i], phi[j])]
-        return _fam_id(_struct_id(new_src), new_fam)
+    def vmap_mor_table(self, phi, q_from, q_to):
+        """morphism id -> morphism id under the reindexing along phi:
+        components on collapsed pairs become the unit's identity."""
+        key = (phi, q_from, q_to)
+        table = self._vmap_mor.get(key)
+        if table is None:
+            objs = self.vmap_obj_table(phi, q_from, q_to)
+            unit_id = self.g.base.id_of(self.g.unit)
+            pairs = [(i, j) for i in range(q_to + 1)
+                     for j in range(i + 1, q_to + 1)]
+            own = self._own_mid[q_to]
+            src = self.src[q_from]
+            table = {}
+            for mid, (_, fam, _) in self.mor[q_from].items():
+                new_fam = {(i, j): unit_id if phi[i] == phi[j]
+                           else fam[(phi[i], phi[j])] for (i, j) in pairs}
+                table[mid] = own[_fam_id(objs[src[mid]], new_fam)]
+            self._vmap_mor[key] = table
+        return table
 
 
 def segal_nerve(g, pmax, qmax, level_budget=50000):
     """Materialize the Segal nerve over the largest downward-closed
     region inside the (pmax, qmax) rectangle whose levels fit the
-    budget."""
+    budget.  Every face and degeneracy value is the target level's own
+    id object."""
     lv = _SegalLevels(g, qmax)
     region = set()
-    cache = {}
     for q in range(qmax + 1):
         for p in range(pmax + 1):
             try:
@@ -907,77 +952,73 @@ def segal_nerve(g, pmax, qmax, level_budget=50000):
             if not down_ok:
                 break
             region.add((p, q))
-            cache[(p, q)] = lv.chain_level(p, q)
-    levels = {k: cache[k] for k in region}
+    # levels as ids and, for p >= 1, as chains of morphism ids; for
+    # p >= 2 the chain -> id lookup of the level
+    levels, chains, id_of = {}, {}, {}
+    for (p, q) in region:
+        if p == 0:
+            levels[(p, q)] = list(lv.ids[q])
+            continue
+        cs = lv.chains(p, q)
+        chains[(p, q)] = cs
+        if p == 1:
+            levels[(p, q)] = [c[0] for c in cs]
+        else:
+            levels[(p, q)] = ids = [_chain_id(c) for c in cs]
+            id_of[(p, q)] = dict(zip(cs, ids))
     hface, vface, hdegen, vdegen = {}, {}, {}, {}
 
-    def chain_parts(p, cid):
+    def vmap(p, q, phi, q_to):
+        if p == 0:
+            objs = lv.vmap_obj_table(phi, q, q_to)
+            return {x: objs[x] for x in levels[(p, q)]}
+        mors = lv.vmap_mor_table(phi, q, q_to)
         if p == 1:
-            return (cid,)
-        return tuple(cid[1:-1].split(";"))
+            return {x: mors[x] for x in levels[(p, q)]}
+        own = id_of[(p, q_to)]
+        return {x: own[tuple([mors[m] for m in c])]
+                for x, c in zip(levels[(p, q)], chains[(p, q)])}
 
     for (p, q) in region:
+        ids = levels[(p, q)]
         if p >= 1 and (p - 1, q) in region:
             for i in range(p + 1):
+                if p == 1:
+                    ends = lv.tgt[q] if i == 0 else lv.src[q]
+                    hface[(p, q, i)] = {x: ends[x] for x in ids}
+                    continue
                 mp = {}
-                for cid in levels[(p, q)]:
-                    parts = chain_parts(p, cid)
-                    if p == 1:
-                        st, fam, tst = lv.mor[q][cid]
-                        mp[cid] = _struct_id(tst) if i == 0 else _struct_id(st)
+                for x, c in zip(ids, chains[(p, q)]):
+                    if i == 0:
+                        nc = c[1:]
+                    elif i == p:
+                        nc = c[:-1]
                     else:
-                        if i == 0:
-                            nc = parts[1:]
-                        elif i == p:
-                            nc = parts[:-1]
-                        else:
-                            nc = parts[:i - 1] + \
-                                (lv.compose(q, parts[i], parts[i - 1]),) + \
-                                parts[i + 1:]
-                        mp[cid] = _chain_id(nc) if p > 2 else \
-                            (_chain_id(nc) if len(nc) > 1 else nc[0])
+                        nc = c[:i - 1] + (lv.compose(q, c[i], c[i - 1]),) \
+                            + c[i + 1:]
+                    mp[x] = nc[0] if p == 2 else id_of[(p - 1, q)][nc]
                 hface[(p, q, i)] = mp
         if q >= 1 and (p, q - 1) in region:
             for i in range(q + 1):
-                phi = _delta(i, q)
-                mp = {}
-                for cid in levels[(p, q)]:
-                    if p == 0:
-                        mp[cid] = lv.vmap_obj(phi, q, q - 1, cid)
-                    else:
-                        parts = chain_parts(p, cid)
-                        nparts = tuple(lv.vmap_mor(phi, q, q - 1, m) for m in parts)
-                        mp[cid] = _chain_id(nparts) if p > 1 else nparts[0]
-                vface[(p, q, i)] = mp
+                vface[(p, q, i)] = vmap(p, q, _delta(i, q), q - 1)
         if (p + 1, q) in region:
+            ident = lv.identity_table(q)
             for j in range(p + 1):
+                if p == 0:
+                    hdegen[(p, q, j)] = {x: ident[x] for x in ids}
+                    continue
+                own = id_of[(p + 1, q)]
                 mp = {}
-                for cid in levels[(p, q)]:
-                    if p == 0:
-                        mp[cid] = lv.identity_of(q, cid)
+                for x, c in zip(ids, chains[(p, q)]):
+                    if j == 0:
+                        nc = (ident[lv.src[q][c[0]]],) + c
                     else:
-                        parts = chain_parts(p, cid)
-                        if j == 0:
-                            st = lv.mor[q][parts[0]][0]
-                            nc = (lv.identity_of(q, _struct_id(st)),) + parts
-                        else:
-                            tst = lv.mor[q][parts[j - 1]][2]
-                            nc = parts[:j] + \
-                                (lv.identity_of(q, _struct_id(tst)),) + parts[j:]
-                        mp[cid] = _chain_id(nc)
+                        nc = c[:j] + (ident[lv.tgt[q][c[j - 1]]],) + c[j:]
+                    mp[x] = own[nc]
                 hdegen[(p, q, j)] = mp
         if (p, q + 1) in region:
             for j in range(q + 1):
-                phi = _sigma(j, q)
-                mp = {}
-                for cid in levels[(p, q)]:
-                    if p == 0:
-                        mp[cid] = lv.vmap_obj(phi, q, q + 1, cid)
-                    else:
-                        parts = chain_parts(p, cid)
-                        nparts = tuple(lv.vmap_mor(phi, q, q + 1, m) for m in parts)
-                        mp[cid] = _chain_id(nparts) if p > 1 else nparts[0]
-                vdegen[(p, q, j)] = mp
+                vdegen[(p, q, j)] = vmap(p, q, _sigma(j, q), q + 1)
     out = BisimplicialTrunc(region, levels, hface, vface, hdegen, vdegen)
     out._segal_levels = lv
     return out
@@ -986,7 +1027,7 @@ def segal_nerve(g, pmax, qmax, level_budget=50000):
 # -- bisimplicial maps --------------------------------------------------------
 
 
-def enumerate_bimaps(x_bx, y_bx, region=None, budget=None, limit=None):
+def enumerate_bimaps(x_bx, y_bx, region=None, budget=None):
     """All bisimplicial maps over the region (default: region of X,
     intersected with that of Y).  Same strategy as the simplicial
     enumerator: degenerate cells are forced, nondegenerate ones filtered
@@ -1039,7 +1080,7 @@ def enumerate_bimaps(x_bx, y_bx, region=None, budget=None, limit=None):
     def assign(idx_lvl):
         if idx_lvl == len(order):
             results.append({k: dict(v) for k, v in comps.items()})
-            return limit is not None and len(results) >= limit
+            return
         pq = order[idx_lvl]
         p, q = pq
         forced = {}
@@ -1054,10 +1095,10 @@ def enumerate_bimaps(x_bx, y_bx, region=None, budget=None, limit=None):
                     else:
                         vals.add(y_bx.sv(src_pq[0], src_pq[1], j, img))
                 if len(vals) != 1:
-                    return False
+                    return
                 v = vals.pop()
                 if _bi_face_key(y_bx, p, q, v, region) != level_key(pq, s):
-                    return False
+                    return
                 forced[s] = v
             else:
                 frees.append(s)
@@ -1068,32 +1109,30 @@ def enumerate_bimaps(x_bx, y_bx, region=None, budget=None, limit=None):
             cands = index[pq].get(level_key(pq, s), [])
             if not cands:
                 comps[pq] = {}
-                return False
+                return
             cand.append(cands)
 
         def choose(i):
             if i == len(frees):
-                return assign(idx_lvl + 1)
+                assign(idx_lvl + 1)
+                return
             for v in cand[i]:
                 tick()
                 comps[pq][frees[i]] = v
-                if choose(i + 1):
-                    return True
+                choose(i + 1)
                 del comps[pq][frees[i]]
-            return False
 
-        stop = choose(0)
+        choose(0)
         comps[pq] = {}
-        return stop
 
     assign(0)
     return results
 
 
 def _bi_face_key(bx, p, q, s, region):
-    hk = tuple(bx.dh(p, q, i, s) for i in range(p + 1)) \
+    hk = bx.face_table(p, q, "h")[s] \
         if (p >= 1 and (p - 1, q) in region) else ()
-    vk = tuple(bx.dv(p, q, i, s) for i in range(q + 1)) \
+    vk = bx.face_table(p, q, "v")[s] \
         if (q >= 1 and (p, q - 1) in region) else ()
     return (hk, vk)
 
@@ -1193,27 +1232,8 @@ def segal_fibrancy_check(x_bx, n=2, budget=None):
 def _h_boundary_tuples(x_bx, p, q):
     """Maps boundary(Delta^p) (box) Delta^q -> X: (p+1)-tuples in
     X_{p-1,q} with the horizontal compatibility relations."""
-    lvl = x_bx.level(p - 1, q)
-    out = []
-    def rec(partial):
-        j = len(partial)
-        if j == p + 1:
-            out.append(tuple(partial))
-            return
-        for cand in lvl:
-            ok = True
-            if p - 1 >= 1:
-                for i in range(j):
-                    if x_bx.dh(p - 1, q, i, cand) != \
-                       x_bx.dh(p - 1, q, j - 1, partial[i]):
-                        ok = False
-                        break
-            if ok:
-                partial.append(cand)
-                rec(partial)
-                partial.pop()
-    rec([])
-    return out
+    return sp.compatible_tuples(x_bx.level(p - 1, q),
+                                x_bx.face_table(p - 1, q, "h"), p - 1)
 
 
 def _v_horn_key(x_bx, p, q, k, x):
@@ -1225,87 +1245,43 @@ def _boundary_horn_extension(x_bx, p, q, k):
     Hom(bd Delta^p (x) Lambda^{q,k}, X)."""
     if (p - 1, q) not in x_bx.region or (p - 1, q - 1) not in x_bx.region:
         return True     # outside the stored region
-    # index level (p-1, q) by vertical horn key
+    # index level (p-1, q) by vertical horn key (None in slot k)
+    vq = x_bx.face_table(p - 1, q, "v")
     idx = {}
     for x in x_bx.level(p - 1, q):
-        idx.setdefault(_v_horn_key(x_bx, p - 1, q, k, x), []).append(x)
+        fx = vq[x]
+        idx.setdefault(fx[:k] + (None,) + fx[k + 1:], []).append(x)
     # targets: (p+1)-tuples of vertical horn tuples at (p-1, q-1) with
-    # horizontal compatibility; realized as tuples of q-long lists
-    lvl = x_bx.level(p - 1, q - 1)
-    slots = [j for j in range(q + 1) if j != k]
+    # horizontal compatibility, read componentwise
+    horns = sp.compatible_tuples(x_bx.level(p - 1, q - 1),
+                                 x_bx.face_table(p - 1, q - 1, "v"), q - 1,
+                                 skip=k)
+    row_faces = {}
+    if p - 1 >= 1:
+        hf = x_bx.face_table(p - 1, q - 1, "h")
+        row_faces = {row: tuple(tuple(None if a is None else hf[a][i]
+                                      for a in row) for i in range(p))
+                     for row in horns}
+    targets = sp.compatible_tuples(horns, row_faces, p - 1)
 
-    def horn_tuples_at():
-        res = []
-        def rec(partial):
-            m = len(partial)
-            if m == q:
-                res.append(tuple(partial))
-                return
-            j = slots[m]
-            for cand in lvl:
-                ok = True
-                if q - 1 >= 1:
-                    for mi in range(m):
-                        i = slots[mi]
-                        if x_bx.dv(p - 1, q - 1, i, cand) != \
-                           x_bx.dv(p - 1, q - 1, j - 1, partial[mi]):
-                            ok = False
-                            break
-                if ok:
-                    partial.append(cand)
-                    rec(partial)
-                    partial.pop()
-        rec([])
-        return res
-
-    horns = horn_tuples_at()
-
-    def h_compatible(rows_partial, cand_row):
-        j = len(rows_partial)
-        if p - 1 >= 1:
-            for i in range(j):
-                for c_idx in range(q):
-                    if x_bx.dh(p - 1, q - 1, i, cand_row[c_idx]) != \
-                       x_bx.dh(p - 1, q - 1, j - 1, rows_partial[i][c_idx]):
-                        return False
-        return True
-
-    targets = []
-    def rec_rows(partial):
-        if len(partial) == p + 1:
-            targets.append(tuple(partial))
-            return
-        for row in horns:
-            if h_compatible(partial, row):
-                partial.append(row)
-                rec_rows(partial)
-                partial.pop()
-    rec_rows([])
-
+    hq = x_bx.face_table(p - 1, q, "h")
     for tgt in targets:
         # lift each row to level (p-1, q) with matching horn and keep the
         # horizontal boundary relations
         found = [False]
         def lift(i, partial):
-            if found[0]:
-                return
             if i == p + 1:
                 found[0] = True
                 return
             for cand in idx.get(tgt[i], []):
-                ok = True
-                if p - 1 >= 1:
-                    for a in range(i):
-                        if x_bx.dh(p - 1, q, a, cand) != \
-                           x_bx.dh(p - 1, q, i - 1, partial[a]):
-                            ok = False
-                            break
-                if ok:
-                    partial.append(cand)
-                    lift(i + 1, partial)
-                    partial.pop()
-                    if found[0]:
-                        return
+                if p - 1 >= 1 and any(hq[cand][a] != hq[partial[a]][i - 1]
+                                      for a in range(i)):
+                    continue
+                partial.append(cand)
+                lift(i + 1, partial)
+                partial.pop()
+                if found[0]:
+                    return
         lift(0, [])
         if not found[0]:
             return False
@@ -1363,45 +1339,39 @@ def _relative_horn_extension(x_bx, p, q, k):
 
 
 def _row_map(x_bx, phi, k, l):
-    """Components of X_{k,*} -> X_{l,*} induced by a monotone [l]->[k]."""
-    # factor phi into faces and degeneracies on chains via the stored ops:
-    # apply the horizontal operators step by step.
+    """Components of X_{k,*} -> X_{l,*} induced by a monotone [l]->[k],
+    over the vertical depth the two rows share."""
+    depth = min(max(q for (pp, q) in x_bx.region if pp == r) for r in (k, l))
+    steps = _h_operator_steps(phi, k)
     comp = {}
-    row_k = x_bx.row(k)
-    row_l = x_bx.row(l)
-    for q in range(min(row_k.dim, row_l.dim) + 1):
-        mp = {}
-        for s in x_bx.level(k, q):
-            cur, cp, cq = s, k, q
-            # phi = (phi(0)..phi(l)); realize as a composite of d/s ops
-            target = list(phi)
-            # remove repeated values via degeneracies? use generic: express
-            # the induced operator through face/degeneracy factorization.
-            mp[s] = _apply_h_operator(x_bx, target, cp, cq, cur)
+    for q in range(depth + 1):
+        mp = {s: s for s in x_bx.level(k, q)}
+        for kind, p, i in steps:
+            op = (x_bx.hface if kind == "d" else x_bx.hdegen)[(p, q, i)]
+            mp = {s: op[t] for s, t in mp.items()}
         comp[q] = mp
     return comp
 
 
-def _apply_h_operator(x_bx, phi, p_from, q, s):
-    """Apply the horizontal operator induced by a monotone map
-    phi : [l] -> [p_from] to a cell of X_{p_from, q}."""
-    # epi-mono factorization: phi = delta-composites . sigma-composites
+def _h_operator_steps(phi, p_from):
+    """The horizontal operator induced by a monotone map
+    phi : [l] -> [p_from], as the ("d" or "s", p, index) steps of its
+    epi-mono factorization in the order they apply."""
     image = sorted(set(phi))
-    cur = s
+    steps = []
     p = p_from
     # faces first: remove indices not in the image, from the top down
     for v in range(p_from, -1, -1):
         if v not in image:
-            cur = x_bx.dh(p, q, v, cur)
+            steps.append(("d", p, v))
             p -= 1
-    # now the cell lives in dimension len(image)-1; insert degeneracies
+    # the cell now lives in dimension len(image)-1; insert degeneracies
     # wherever phi repeats
     for i in range(len(phi) - 2, -1, -1):
         if phi[i] == phi[i + 1]:
-            j = image.index(phi[i])
-            cur = x_bx.sh(p, q, j, cur)
+            steps.append(("s", p, image.index(phi[i])))
             p += 1
-    return cur
+    return steps
 
 
 def _pi_iso_under_map(pik, pil, comp, m):

@@ -48,17 +48,27 @@ class SearchBudgetExceeded(SimplicialError):
     pass
 
 
+class MalformedBudget(SimplicialError):
+    pass
+
+
 DEFAULT_BUDGET = 10 ** 7
 
 
 def enumeration_budget():
+    """The enumeration cap: KANFORGE_BUDGET if set, else DEFAULT_BUDGET.
+    A value that is not a non-negative integer raises MalformedBudget."""
     raw = os.environ.get("KANFORGE_BUDGET")
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            pass
-    return DEFAULT_BUDGET
+    if not raw:
+        return DEFAULT_BUDGET
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = -1
+    if cap < 0:
+        raise MalformedBudget(
+            "KANFORGE_BUDGET=%r is not a non-negative integer" % raw)
+    return cap
 
 
 class ValidationReport:
@@ -94,6 +104,7 @@ class TruncatedSSet:
         self.coskeletal_at = coskeletal_at
         self.base = base
         self._index = [set(l) for l in self.levels]
+        self._face_tables = {}
 
     # -- basic access ----------------------------------------------------
 
@@ -109,7 +120,18 @@ class TruncatedSSet:
         return self.degen[(k, j)][x]
 
     def faces(self, k, x):
-        return tuple(self.d(k, i, x) for i in range(k + 1))
+        return self.face_table(k)[x]
+
+    def face_table(self, k):
+        """dict id -> (d_0 x, .., d_k x) over level k, built once (the
+        object is immutable); empty at level 0, which has no faces."""
+        table = self._face_tables.get(k)
+        if table is None:
+            maps = [self.face[(k, i)] for i in range(k + 1)] if k else []
+            table = {x: tuple(mp[x] for mp in maps) for x in self.levels[k]} \
+                if maps else {}
+            self._face_tables[k] = table
+        return table
 
     def deg_base(self, n, a=None):
         """The totally degenerate n-simplex s_0^n(a)."""
@@ -213,87 +235,83 @@ class TruncatedSSet:
 # -- boundary / horn tuples ---------------------------------------------
 
 
+def compatible_tuples(cells, faces, m, skip=None):
+    """All (m+2)-tuples (a_0..a_{m+1}) of cells with d_i a_j = d_{j-1} a_i
+    for i < j, slot `skip` (if given) left out and set to None.
+
+    faces maps each cell to (d_0 a, .., d_m a) and is not read when
+    m == 0, where there are no conditions.  The candidates for each slot
+    are bucketed by the faces the earlier slots force, each bucket in
+    the order of `cells`, so the tuples come out in lexicographic level
+    order.
+    """
+    slots = [j for j in range(m + 2) if j != skip]
+    earlier = [slots[:pos] if m else [] for pos in range(len(slots))]
+    index = []
+    for prior in earlier:
+        if not prior:
+            index.append({(): cells})
+            continue
+        bucket = {}
+        for a in cells:
+            fa = faces[a]
+            bucket.setdefault(tuple([fa[i] for i in prior]), []).append(a)
+        index.append(bucket)
+    # what follows each slot: None when the next slot is the skipped one
+    pad = [(None,) if j + 1 == skip else () for j in slots]
+    last = len(slots) - 1
+    out = []
+
+    def extend(prefix, pos):
+        j = slots[pos]
+        key = tuple(faces[prefix[i]][j - 1] for i in earlier[pos])
+        tail = pad[pos]
+        bucket = index[pos].get(key, ())
+        if pos == last:
+            out.extend([prefix + (a,) + tail for a in bucket])
+        else:
+            for a in bucket:
+                extend(prefix + (a,) + tail, pos + 1)
+
+    extend((None,) if skip == 0 else (), 0)
+    return out
+
+
 def boundary_tuples(x_sset, m):
     """All (m+2)-tuples (a_0..a_{m+1}) of m-simplices with
     d_i a_j = d_{j-1} a_i for i < j; the maps from the boundary of the
-    (m+1)-simplex."""
+    (m+1)-simplex.  Tuples come out in lexicographic level order; the
+    face table of level m is built once per (immutable) complex."""
     if not (0 <= m <= x_sset.dim):
         raise DimensionOutOfRange("boundary tuples need level %d" % m)
-    lvl = x_sset.level(m)
-    if m == 0:
-        return [(a, b) for a in lvl for b in lvl]
-    out = []
-    # backtracking with incremental compatibility checks
-    def extend(partial):
-        j = len(partial)
-        if j == m + 2:
-            out.append(tuple(partial))
-            return
-        for cand in lvl:
-            ok = True
-            for i in range(j):
-                if x_sset.d(m, i, cand) != x_sset.d(m, j - 1, partial[i]):
-                    ok = False
-                    break
-            if ok:
-                partial.append(cand)
-                extend(partial)
-                partial.pop()
-    extend([])
-    return out
+    return compatible_tuples(x_sset.level(m), x_sset.face_table(m), m)
 
 
 def horn_tuples(x_sset, m, k):
     """Maps out of the k-horn of the (m+1)-simplex, as tuples of length
-    m+2 with None in slot k."""
+    m+2 with None in slot k.  Tuples come out in lexicographic level
+    order; the face table of level m is built once per (immutable)
+    complex."""
     if not (0 <= m <= x_sset.dim):
         raise DimensionOutOfRange("horn tuples need level %d" % m)
     if not (0 <= k <= m + 1):
         raise BadHornIndex("horn index %d out of range for m=%d" % (k, m))
-    lvl = x_sset.level(m)
-    slots = [j for j in range(m + 2) if j != k]
-    out = []
-    def extend(partial, idx):
-        if idx == len(slots):
-            full = [None] * (m + 2)
-            for pos, val in zip(slots, partial):
-                full[pos] = val
-            out.append(tuple(full))
-            return
-        j = slots[idx]
-        for cand in lvl:
-            ok = True
-            if m >= 1:
-                for pos in range(idx):
-                    i = slots[pos]
-                    if x_sset.d(m, i, cand) != x_sset.d(m, j - 1, partial[pos]):
-                        ok = False
-                        break
-            if ok:
-                partial.append(cand)
-                extend(partial, idx + 1)
-                partial.pop()
-    extend([], 0)
-    return out
+    return compatible_tuples(x_sset.level(m), x_sset.face_table(m), m, skip=k)
 
 
 def boundary_alpha(x_sset, m):
     """alpha^m: level[m+1] -> boundary tuples, x -> (d_0 x, .., d_{m+1} x)."""
     if m + 1 > x_sset.dim:
         raise DimensionOutOfRange("alpha^%d needs level %d" % (m, m + 1))
-    return {x: x_sset.faces(m + 1, x) for x in x_sset.level(m + 1)}
+    return dict(x_sset.face_table(m + 1))
 
 
 def horn_alpha(x_sset, m, k):
     """alpha^{m,k}: level[m+1] -> horn tuples (None in slot k)."""
     if m + 1 > x_sset.dim:
         raise DimensionOutOfRange("alpha^{%d,%d} needs level %d" % (m, k, m + 1))
-    out = {}
-    for x in x_sset.level(m + 1):
-        t = list(x_sset.faces(m + 1, x))
-        t[k] = None
-        out[x] = tuple(t)
-    return out
+    return {x: t[:k] + (None,) + t[k + 1:]
+            for x, t in x_sset.face_table(m + 1).items()}
 
 
 def horn_fillers(x_sset, m, k, horn):
@@ -402,13 +420,12 @@ def minimality_at(x_sset, m):
     """Minimality condition in dimension m: simplices of level m+1 whose
     faces agree away from slot k also agree at slot k."""
     x = _ensure_depth(x_sset, m + 1)
+    table = x.face_table(m + 1)
     for k in range(m + 2):
         seen = {}
-        for s in x.level(m + 1):
-            t = list(x.faces(m + 1, s))
+        for t in table.values():
             missing = t[k]
-            t[k] = None
-            key = tuple(t)
+            key = t[:k] + (None,) + t[k + 1:]
             if key in seen and seen[key] != missing:
                 return False
             seen.setdefault(key, missing)
@@ -1131,7 +1148,7 @@ def _candidate_index(y_sset, k):
     return idx
 
 
-def enumerate_maps(x_sset, y_sset, upto=None, budget=None, limit=None):
+def enumerate_maps(x_sset, y_sset, upto=None, budget=None):
     """All simplicial maps tau_d(X) -> tau_d(Y) at d = min dim (or `upto`).
 
     Deterministic order; degenerate simplices are forced, nondegenerate
@@ -1198,7 +1215,7 @@ def enumerate_maps(x_sset, y_sset, upto=None, budget=None, limit=None):
         if k > d:
             results.append(SSetMap(x_sset, y_sset,
                                    {kk: dict(comps[kk]) for kk in range(d + 1)}))
-            return limit is not None and len(results) >= limit
+            return
         level = x_sset.level(k)
         forced = {}
         frees = []
@@ -1222,11 +1239,11 @@ def enumerate_maps(x_sset, y_sset, upto=None, budget=None, limit=None):
             else:
                 frees.append(s)
         if not ok:
-            return False
+            return
         comps[k].update(forced)
         if k < d and not all(forward_ok(k, s) for s in forced):
             comps[k] = {}
-            return False
+            return
         cand_lists = []
         for s in frees:
             tick()
@@ -1237,26 +1254,23 @@ def enumerate_maps(x_sset, y_sset, upto=None, budget=None, limit=None):
                 cands = indices[k].get(want, [])
             if not cands:
                 comps[k] = {}
-                return False
+                return
             cand_lists.append(cands)
 
         def choose(idx):
             if idx == len(frees):
-                stop = assign_level(k + 1)
-                return stop
+                assign_level(k + 1)
+                return
             s = frees[idx]
             for v in cand_lists[idx]:
                 tick()
                 comps[k][s] = v
                 if k >= d or forward_ok(k, s):
-                    if choose(idx + 1):
-                        return True
+                    choose(idx + 1)
                 del comps[k][s]
-            return False
 
-        stop = choose(0)
+        choose(0)
         comps[k] = {}
-        return stop
 
     # pointed/reduced compatibility is a consequence when both are reduced;
     # base preservation is enforced when both carry explicit bases.

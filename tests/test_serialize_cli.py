@@ -150,3 +150,12 @@ def test_cli_bad_input_exit_two(tmp_path, capsys):
     assert cli.main(["validate", str(path)]) == 2
     assert cli.main(["examples", "dump", "no-such-id"]) == 2
     assert cli.main(["classify", "--n", "1", str(tmp_path / "missing.json")]) == 2
+
+
+def test_cli_malformed_budget_exit_two(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("KANFORGE_BUDGET", "10k")
+    assert cli.main(["add", dump(tmp_path, "s1"), dump(tmp_path, "z2")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "KANFORGE_BUDGET='10k'" in captured.err
+    assert cli.main(["validate", dump(tmp_path, "delta1")]) == 2

@@ -295,6 +295,13 @@ def test_enumeration_budget_env(monkeypatch):
     assert sp.enumeration_budget() == sp.DEFAULT_BUDGET
 
 
+@pytest.mark.parametrize("raw", ["lots", "1e6", "-3"])
+def test_enumeration_budget_malformed(monkeypatch, raw):
+    monkeypatch.setenv("KANFORGE_BUDGET", raw)
+    with pytest.raises(sp.MalformedBudget, match=repr(raw)):
+        sp.enumeration_budget()
+
+
 def test_budget_exceeded_raises():
     n3 = nv.nerve_category(ca.one_object_groupoid(gr.cyclic(3)), 3)
     with pytest.raises(sp.SearchBudgetExceeded):
