@@ -165,30 +165,26 @@ def enumerate_additive(x_sset, group, budget=None):
     assign = {loop0: group.unit}
     frees = [e for e in edges if e != loop0]
 
-    def touched(e, partial_set):
-        cs = []
-        for (m, l, r) in cons:
-            if e in (m, l, r) and all(t in partial_set or t == e for t in (m, l, r)):
-                cs.append((m, l, r))
-        return cs
+    # each 2-simplex is tested once, right after its last free edge is set
+    checks = sp.completion_schedule(frees, ((con, con) for con in cons))
+
+    def holds(con):
+        m, l, r = con
+        return assign[m] == group.mul(assign[l], assign[r])
 
     def rec(i):
         counter[0] += 1
         if counter[0] > cap:
             raise sp.SearchBudgetExceeded("additive enumeration exceeded cap")
+        if i == 0 and not all(holds(con) for con in checks[None]):
+            return
         if i == len(frees):
             out.append(dict(assign))
             return
         e = frees[i]
         for val in group.elements:
             assign[e] = val
-            ok = True
-            for (m, l, r) in cons:
-                if m in assign and l in assign and r in assign:
-                    if assign[m] != group.mul(assign[l], assign[r]):
-                        ok = False
-                        break
-            if ok:
+            if all(holds(con) for con in checks[e]):
                 rec(i + 1)
             del assign[e]
 
@@ -243,8 +239,13 @@ def additive_vs_hom(x_sset, group, budget=None):
 def enumerate_determinants(x_sset, g, budget=None):
     """All (D, T) on a reduced complex of dim >= 3: D on edges valued in
     objects, T on triangles valued in morphisms, subject to the
-    compatibility, unit and associativity conditions.  The degeneracy
-    forcing (T(s_i A) = s_i(D A)) is re-derived, then asserted."""
+    compatibility, unit and associativity conditions.  D is chosen edge
+    by edge, then T triangle by triangle in level order; the
+    associativity square of a tetrahedron is tested once, right after
+    its last free face is assigned (sp.completion_schedule), and the
+    tetrahedra with no free face once, before the first triangle.  The
+    degeneracy forcing (T(s_i A) = s_i(D A)) is re-derived, then
+    asserted."""
     if not x_sset.is_reduced():
         raise DeterminantError("determinants need a reduced complex")
     if x_sset.dim < 3:
@@ -272,9 +273,14 @@ def enumerate_determinants(x_sset, g, budget=None):
 
     tri_faces = {t: x_sset.faces(2, t) for t in x_sset.level(2)}
     tet_faces = {h: x_sset.faces(3, h) for h in tetra}
-    # A_01 = d2 d2 eta and A_23 = d0 d0 eta for the associativity square
+    # A_01 = d2 d2 eta, A_12 = d0 d3 eta and A_23 = d0 d0 eta for the
+    # associativity square
     tet_corner = {h: (x_sset.d(2, 2, x_sset.d(3, 2, h)),
+                      x_sset.d(2, 0, tet_faces[h][3]),
                       x_sset.d(2, 0, x_sset.d(3, 1, h))) for h in tetra}
+    # each tetrahedron is tested once, right after its last free face is set
+    tet_checks = sp.completion_schedule(tris,
+                                        ((h, tet_faces[h]) for h in tetra))
 
     def tick():
         counter[0] += 1
@@ -282,15 +288,9 @@ def enumerate_determinants(x_sset, g, budget=None):
             raise sp.SearchBudgetExceeded("determinant enumeration exceeded cap")
 
     def assoc_ok(h):
-        xi0, xi1, xi2, xi3 = (t_assign.get(tet_faces[h][0]),
-                              t_assign.get(tet_faces[h][1]),
-                              t_assign.get(tet_faces[h][2]),
-                              t_assign.get(tet_faces[h][3]))
-        if None in (xi0, xi1, xi2, xi3):
-            return True
-        a01, a23 = tet_corner[h]
-        x01, x23 = d_assign[a01], d_assign[a23]
-        x12 = d_assign[x_sset.d(2, 0, tet_faces[h][3])]
+        xi0, xi1, xi2, xi3 = [t_assign[f] for f in tet_faces[h]]
+        a01, a12, a23 = tet_corner[h]
+        x01, x12, x23 = d_assign[a01], d_assign[a12], d_assign[a23]
         lhs = c.comp(xi2, c.comp(g.tm(c.id_of(x01), xi0), g.a(x01, x12, x23)))
         rhs = c.comp(xi1, g.tm(xi3, c.id_of(x23)))
         return lhs == rhs
@@ -303,13 +303,16 @@ def enumerate_determinants(x_sset, g, budget=None):
 
     def rec_t(i):
         tick()
+        if i == 0 and not all(assoc_ok(h) for h in tet_checks[None]):
+            return
         if i == len(tris):
             results.append((dict(d_assign), dict(t_assign)))
             return
         t = tris[i]
+        checks = tet_checks[t]
         for m in t_candidates(t):
             t_assign[t] = m
-            if all(assoc_ok(h) for h in tetra):
+            if all(assoc_ok(h) for h in checks):
                 rec_t(i + 1)
             del t_assign[t]
 
@@ -373,28 +376,30 @@ def det_morphisms(x_sset, g, det1, det2, budget=None):
     cap = budget if budget is not None else sp.enumeration_budget()
     counter = [0]
 
+    tri_faces = x_sset.face_table(2)
+    # each triangle is tested once, right after its last free edge is set
+    tri_checks = sp.completion_schedule(edges, tri_faces.items())
+
     def nat_ok(t):
-        f0, f1, f2 = x_sset.faces(2, t)
-        h0, h1, h2 = assign.get(f0), assign.get(f1), assign.get(f2)
-        if None in (h0, h1, h2):
-            return True
+        h0, h1, h2 = [assign[f] for f in tri_faces[t]]
         lhs = c.comp(h1, t1[t])
         rhs = c.comp(t2[t], g.tm(h2, h0))
         return lhs == rhs
-
-    tris = list(x_sset.level(2))
 
     def rec(i):
         counter[0] += 1
         if counter[0] > cap:
             raise sp.SearchBudgetExceeded("determinant morphism search exceeded cap")
+        if i == 0 and not all(nat_ok(t) for t in tri_checks[None]):
+            return
         if i == len(edges):
             out.append(dict(assign))
             return
         e = edges[i]
+        checks = tri_checks[e]
         for h in c.hom(d1[e], d2[e]):
             assign[e] = h
-            if all(nat_ok(t) for t in tris):
+            if all(nat_ok(t) for t in checks):
                 rec(i + 1)
             del assign[e]
 
@@ -517,6 +522,14 @@ def enumerate_segal_determinants(x_bx, g, budget=None):
     x03 = list(x_bx.level(0, 3)) if (0, 3) in x_bx.region else []
     cap = budget if budget is not None else sp.enumeration_budget()
     counter = [0]
+    # the doubly degenerate 2-cell is forced to the unit; each naturality
+    # square and associativity cell is tested once, right after its last
+    # free 2-cell is set
+    frees = [xi for xi in x02 if xi != v_deg2]
+    nat_checks = sp.completion_schedule(
+        frees, ((z, (x_bx.dh(1, 2, 1, z), x_bx.dh(1, 2, 0, z))) for z in x12))
+    assoc_checks = sp.completion_schedule(
+        frees, ((h, tuple(x_bx.dv(0, 3, i, h) for i in range(4))) for h in x03))
 
     for dm in d_maps:
         if dm(0, v_deg1) != g.unit:
@@ -529,10 +542,6 @@ def enumerate_segal_determinants(x_bx, g, budget=None):
             return nsg._mor1[dm(1, e1)]
 
         t_assign = {}
-        tv2 = v_deg2
-        ok0 = True
-        # forced unit on the doubly degenerate 2-cell
-        forced = {tv2: l_unit_inv}
 
         def t_candidates(xi):
             srcobj = g.t(dobj(x_bx.dv(0, 2, 2, xi)), dobj(x_bx.dv(0, 2, 0, xi)))
@@ -543,8 +552,6 @@ def enumerate_segal_determinants(x_bx, g, budget=None):
         def nat_ok(z):
             xi_top = x_bx.dh(1, 2, 1, z)
             xi_bot = x_bx.dh(1, 2, 0, z)
-            if xi_top not in t_assign or xi_bot not in t_assign:
-                return True
             h2 = dmor(x_bx.dv(1, 2, 2, z))
             h0 = dmor(x_bx.dv(1, 2, 0, z))
             h1 = dmor(x_bx.dv(1, 2, 1, z))
@@ -557,8 +564,6 @@ def enumerate_segal_determinants(x_bx, g, budget=None):
             f1 = x_bx.dv(0, 3, 1, h)
             f2 = x_bx.dv(0, 3, 2, h)
             f3 = x_bx.dv(0, 3, 3, h)
-            if any(f not in t_assign for f in (f0, f1, f2, f3)):
-                return True
             a01 = x_bx.dv(0, 2, 2, f3)
             a12 = x_bx.dv(0, 2, 0, f3)
             a23 = x_bx.dv(0, 2, 0, f1)
@@ -569,22 +574,27 @@ def enumerate_segal_determinants(x_bx, g, budget=None):
             rhs = c.comp(t_assign[f1], g.tm(t_assign[f3], c.id_of(x23)))
             return lhs == rhs
 
-        frees = [xi for xi in x02 if xi != tv2]
-        if forced[tv2] not in t_candidates(tv2):
+        def checks_ok(xi):
+            return all(nat_ok(z) for z in nat_checks[xi]) and \
+                all(assoc_ok(h) for h in assoc_checks[xi])
+
+        if l_unit_inv not in t_candidates(v_deg2):
             continue
-        t_assign.update(forced)
+        t_assign[v_deg2] = l_unit_inv
 
         def rec(i):
             counter[0] += 1
             if counter[0] > cap:
                 raise sp.SearchBudgetExceeded("segal determinant search exceeded cap")
+            if i == 0 and not checks_ok(None):
+                return
             if i == len(frees):
                 results.append((dm, dict(t_assign)))
                 return
             xi = frees[i]
             for m in t_candidates(xi):
                 t_assign[xi] = m
-                if all(nat_ok(z) for z in x12) and all(assoc_ok(h) for h in x03):
+                if checks_ok(xi):
                     rec(i + 1)
                 del t_assign[xi]
 

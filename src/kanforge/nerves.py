@@ -826,7 +826,8 @@ class _SegalLevels:
 
     def __init__(self, g, qmax):
         self.g = g
-        self.qmax = qmax
+        # monoidal_simplices stops at dimension 3
+        self.qmax = qmax = min(qmax, 3)
         self.structs = {q: monoidal_simplices(g, q) for q in range(qmax + 1)}
         self.ids = {q: [_struct_id(st) for st in self.structs[q]]
                     for q in range(qmax + 1)}
@@ -934,18 +935,14 @@ class _SegalLevels:
 
 def segal_nerve(g, pmax, qmax, level_budget=50000):
     """Materialize the Segal nerve over the largest downward-closed
-    region inside the (pmax, qmax) rectangle whose levels fit the
-    budget.  Every face and degeneracy value is the target level's own
+    region inside the (pmax, min(qmax, 3)) rectangle whose levels fit
+    the budget.  Every face and degeneracy value is the target level's own
     id object."""
     lv = _SegalLevels(g, qmax)
     region = set()
-    for q in range(qmax + 1):
+    for q in range(lv.qmax + 1):
         for p in range(pmax + 1):
-            try:
-                size = lv.level_size(p, q)
-            except NerveError:
-                size = None
-            if size is None or size > level_budget:
+            if lv.level_size(p, q) > level_budget:
                 break
             down_ok = (p == 0 or (p - 1, q) in region) and \
                       (q == 0 or (p, q - 1) in region)
@@ -1223,9 +1220,10 @@ def segal_fibrancy_check(x_bx, n=2, budget=None):
     for k in range(3):
         rep.add("(iii)-k%d" % k, _boundary_horn_extension(x_bx, 2, 2, k))
     for p in (1, 2):
+        tables = _relative_horn_tables(x_bx, p, 2)
         for k in range(3):
             rep.add("(iv)-p%d-k%d" % (p, k),
-                    _relative_horn_extension(x_bx, p, 2, k))
+                    _relative_horn_extension(x_bx, p, 2, k, tables))
     return rep
 
 
@@ -1288,23 +1286,32 @@ def _boundary_horn_extension(x_bx, p, q, k):
     return True
 
 
-def _relative_horn_extension(x_bx, p, q, k):
+def _relative_horn_tables(x_bx, p, q):
+    """What _relative_horn_extension needs for every horn index k: the
+    maps bd Delta^p (x) Delta^q -> X and the cells of X_{p,q-1} by
+    horizontal faces; None outside the stored region."""
+    if any(t not in x_bx.region for t in [(p, q), (p - 1, q), (p, q - 1)]):
+        return None
+    bidx = {}
+    for b, hkey in x_bx.face_table(p, q - 1, "h").items():
+        bidx.setdefault(hkey, []).append(b)
+    return _h_boundary_tuples(x_bx, p, q), bidx
+
+
+def _relative_horn_extension(x_bx, p, q, k, tables):
     """Surjectivity of Hom(Delta^p (x) Delta^q, X) onto the fibre product
-    of Hom(bd Delta^p (x) Delta^q, X) and Hom(Delta^p (x) Lambda^{q,k}, X)."""
-    need = [(p, q), (p - 1, q), (p, q - 1)]
-    if any(t not in x_bx.region for t in need):
-        return True
+    of Hom(bd Delta^p (x) Delta^q, X) and Hom(Delta^p (x) Lambda^{q,k}, X);
+    `tables` is _relative_horn_tables(x_bx, p, q)."""
+    if tables is None:
+        return True     # outside the stored region
+    a_tuples, bidx = tables
     full_idx = {}
     for x in x_bx.level(p, q):
         hkey = tuple(x_bx.dh(p, q, i, x) for i in range(p + 1))
         vkey = _v_horn_key(x_bx, p, q, k, x)
         full_idx.setdefault((hkey, vkey), []).append(x)
-    bidx = {}
-    for b in x_bx.level(p, q - 1):
-        bidx.setdefault(tuple(x_bx.dh(p, q - 1, i, b) for i in range(p + 1)),
-                        []).append(b)
     slots = [j for j in range(q + 1) if j != k]
-    for a_tuple in _h_boundary_tuples(x_bx, p, q):
+    for a_tuple in a_tuples:
         # candidate vertical data: b_j in X_{p,q-1} with
         # dh_i b_j = dv_j a_i for all i, plus the vertical horn relations
         cand_lists = []

@@ -1138,6 +1138,30 @@ class SSetMap:
         return True
 
 
+def completion_schedule(order, constraints):
+    """The forward-checking schedule of a backtracking search.
+
+    `order` lists the free variables in the order the search assigns
+    them; `constraints` yields (constraint, variables) pairs, and a
+    variable not in `order` counts as assigned before the search.
+    Returns a dict that maps each variable of `order` to the constraints
+    whose last variable it is, and None to the constraints with no free
+    variable, each list in the order given.  A search that tests
+    schedule[v] right after assigning v, and schedule[None] once before
+    its first choice, tests every constraint once, when it first becomes
+    decidable (Haralick & Elliott, AI 14, 1980).  It prunes the same
+    tree as a search that retests every complete constraint after every
+    assignment.
+    """
+    rank = {v: i for i, v in enumerate(order)}
+    schedule = {v: [] for v in order}
+    schedule[None] = []
+    for con, variables in constraints:
+        last = max((rank[v] for v in variables if v in rank), default=None)
+        schedule[None if last is None else order[last]].append(con)
+    return schedule
+
+
 def _candidate_index(y_sset, k):
     """dict full-face-tuple -> sorted ids at level k of Y."""
     idx = {}
@@ -1151,11 +1175,14 @@ def _candidate_index(y_sset, k):
 def enumerate_maps(x_sset, y_sset, upto=None, budget=None):
     """All simplicial maps tau_d(X) -> tau_d(Y) at d = min dim (or `upto`).
 
-    Deterministic order; degenerate simplices are forced, nondegenerate
-    ones are chosen from face-compatible candidates, with forward
-    checking: as soon as all faces of a higher simplex are assigned its
-    fillability in Y is tested.  Raises SearchBudgetExceeded past the
-    evaluation cap.
+    Deterministic order.  Level by level, degenerate simplices are
+    forced and nondegenerate ones are chosen, in level order, from the
+    candidates in Y with the faces assigned so far; when both complexes
+    carry a base point, X's base vertex is pinned to Y's.  Forward
+    checking follows a completion schedule: a level-(k+1) simplex is
+    tested for a candidate in Y once, right after the last of its faces
+    is assigned (the forced faces first, then the free ones in level
+    order).  Raises SearchBudgetExceeded past the evaluation cap.
     """
     d = min(x_sset.dim, y_sset.dim) if upto is None else upto
     if y_sset.dim < d:
@@ -1166,8 +1193,10 @@ def enumerate_maps(x_sset, y_sset, upto=None, budget=None):
     counter = [0]
     indices = {k: _candidate_index(y_sset, k) for k in range(1, d + 1)}
 
-    # per level: degeneracy presentations for forcing
-    deg_presentations = []
+    # per level: degeneracy presentations for forcing, the forced and the
+    # free simplices in level order, and the completion schedule of the
+    # next level's face tuples over the free ones
+    deg_presentations, forced_at, frees_at, schedules = [], [], [], []
     for k in range(d + 1):
         pres = {}
         if k >= 1:
@@ -1175,17 +1204,16 @@ def enumerate_maps(x_sset, y_sset, upto=None, budget=None):
                 for a, sa in x_sset.degen[(k - 1, j)].items():
                     pres.setdefault(sa, []).append((j, a))
         deg_presentations.append(pres)
-
-    # forward-check bookkeeping: for each simplex of level k+1, its faces;
-    # for each level-k simplex, the higher cells it supports
-    faces_of = {}
-    supports = [dict() for _ in range(d + 1)]
-    for k in range(1, d + 1):
-        for s in x_sset.level(k):
-            fs = x_sset.faces(k, s)
-            faces_of[(k, s)] = fs
-            for f in set(fs):
-                supports[k - 1].setdefault(f, []).append((k, s))
+        level = x_sset.level(k)
+        forced_at.append([s for s in level if s in pres])
+        frees_at.append([s for s in level if s not in pres])
+        higher = x_sset.face_table(k + 1).values() if k < d else ()
+        schedules.append(completion_schedule(frees_at[k],
+                                             ((fs, fs) for fs in higher)))
+    y0 = list(y_sset.level(0))
+    level0 = {s: y0 for s in frees_at[0]}
+    if x_sset.base is not None and y_sset.base is not None:
+        level0[x_sset.base] = [v for v in y0 if v == y_sset.base]
 
     results = []
     comps = [dict() for _ in range(d + 1)]
@@ -1195,65 +1223,45 @@ def enumerate_maps(x_sset, y_sset, upto=None, budget=None):
         if counter[0] > cap:
             raise SearchBudgetExceeded("map enumeration exceeded %d evaluations" % cap)
 
-    def fillable(k, s):
-        """Face tuple of the level-k cell s is complete; is there a
-        candidate in Y?"""
-        want = tuple(comps[k - 1].get(f) for f in faces_of[(k, s)])
-        if any(w is None for w in want):
-            return True
-        return want in indices[k]
-
-    def forward_ok(k, s):
-        for (k2, hi) in supports[k].get(s, ()):
-            if k2 > d:
-                continue
-            if not fillable(k2, hi):
-                return False
-        return True
-
     def assign_level(k):
         if k > d:
             results.append(SSetMap(x_sset, y_sset,
                                    {kk: dict(comps[kk]) for kk in range(d + 1)}))
             return
-        level = x_sset.level(k)
-        forced = {}
-        frees = []
+        comp = comps[k]
+        try:
+            fill_level(k, comp)
+        finally:
+            comp.clear()
+
+    def fill_level(k, comp):
+        """Force the degenerate simplices of level k, choose the free
+        ones, and go on to level k + 1 after each complete choice."""
+        prev = comps[k - 1] if k else None
+        x_faces = x_sset.face_table(k)
         pres = deg_presentations[k]
-        ok = True
-        for s in level:
-            if s in pres:
-                vals = set()
-                for (j, a) in pres[s]:
-                    vals.add(y_sset.s(k - 1, j, comps[k - 1][a]))
-                if len(vals) != 1:
-                    ok = False
-                    break
-                v = vals.pop()
-                if k >= 1:
-                    want = tuple(comps[k - 1][x_sset.d(k, i, s)] for i in range(k + 1))
-                    if y_sset.faces(k, v) != want:
-                        ok = False
-                        break
-                forced[s] = v
-            else:
-                frees.append(s)
-        if not ok:
+        for s in forced_at[k]:
+            vals = {y_sset.s(k - 1, j, prev[a]) for (j, a) in pres[s]}
+            if len(vals) != 1:
+                return
+            v = vals.pop()
+            if y_sset.faces(k, v) != tuple([prev[f] for f in x_faces[s]]):
+                return
+            comp[s] = v
+        schedule = schedules[k]
+        upper = indices.get(k + 1)
+        if not all(tuple([comp[f] for f in fs]) in upper
+                   for fs in schedule[None]):
             return
-        comps[k].update(forced)
-        if k < d and not all(forward_ok(k, s) for s in forced):
-            comps[k] = {}
-            return
+        frees = frees_at[k]
         cand_lists = []
         for s in frees:
             tick()
             if k == 0:
-                cands = list(y_sset.level(0))
+                cands = level0[s]
             else:
-                want = tuple(comps[k - 1][x_sset.d(k, i, s)] for i in range(k + 1))
-                cands = indices[k].get(want, [])
+                cands = indices[k].get(tuple([prev[f] for f in x_faces[s]]), [])
             if not cands:
-                comps[k] = {}
                 return
             cand_lists.append(cands)
 
@@ -1262,21 +1270,17 @@ def enumerate_maps(x_sset, y_sset, upto=None, budget=None):
                 assign_level(k + 1)
                 return
             s = frees[idx]
+            checks = schedule[s]
             for v in cand_lists[idx]:
                 tick()
-                comps[k][s] = v
-                if k >= d or forward_ok(k, s):
+                comp[s] = v
+                if all(tuple([comp[f] for f in fs]) in upper for fs in checks):
                     choose(idx + 1)
-                del comps[k][s]
+                del comp[s]
 
         choose(0)
-        comps[k] = {}
 
-    # pointed/reduced compatibility is a consequence when both are reduced;
-    # base preservation is enforced when both carry explicit bases.
     assign_level(0)
-    if x_sset.base is not None and y_sset.base is not None:
-        results = [f for f in results if f(0, x_sset.base) == y_sset.base]
     return results
 
 

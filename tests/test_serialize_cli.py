@@ -117,6 +117,17 @@ def test_cli_segal_nerve(tmp_path, capsys):
     assert cli.main(["validate", out]) == 0
 
 
+def test_cli_segal_nerve_clips_qmax_past_three(tmp_path, capsys):
+    # structural simplices stop at dimension 3: the region is clipped
+    g = dump(tmp_path, "disc-z2")
+    capsys.readouterr()
+    docs = []
+    for qmax in ("3", "4"):
+        assert cli.main(["segal-nerve", g, "--qmax", qmax]) == 0
+        docs.append(capsys.readouterr().out)
+    assert docs[0] and docs[0] == docs[1]
+
+
 def test_cli_examples_list(capsys):
     assert cli.main(["examples", "list"]) == 0
     out = capsys.readouterr().out.split()
