@@ -610,7 +610,16 @@ def segal_determinants_vs_hom(x_bx, g, ns=None, budget=None):
     mu = nv.mu3_region() & set(x_bx.region) & set(ns.region)
     maps = nv.enumerate_bimaps(x_bx, ns, region=mu, budget=budget)
     dets = enumerate_segal_determinants(x_bx, g, budget=budget)
+    # the objects of level (0, q) as structural simplices, and the cells
+    # of level (p, 1), p >= 1, as chains of base-groupoid morphisms, read
+    # from the nerve's int tables (which give its level order)
     lv = ns._segal_levels
+    structs = {q: dict(zip(ns.level(0, q), lv.structs[q]))
+               for q in (1, 2) if (0, q) in mu}
+    chains = {p: dict(zip(ns.level(p, 1),
+                          [tuple(lv.base_mor[lv.fam[1][m][0]] for m in c)
+                           for c in lv.chains(p, 1)]))
+              for p in (1, 2) if (p, 1) in mu}
     ok = len(maps) == len(dets)
     det_keys = set()
     for dm, t_fun in dets:
@@ -631,21 +640,13 @@ def segal_determinants_vs_hom(x_bx, g, ns=None, budget=None):
             for e in x_bx.level(p, 1):
                 img = f[(p, 1)][e]
                 if p == 0:
-                    st = lv.sid[1][img]
-                    sub[e] = st[1]
-                elif p == 1:
-                    st, fam, _ = lv.mor[1][img]
-                    sub[e] = nv._chain_id((fam[(0, 1)],))
+                    sub[e] = structs[1][img][1]
                 else:
-                    m1, m2 = img[1:-1].split(";")
-                    f1 = lv.mor[1][m1][1][(0, 1)]
-                    f2 = lv.mor[1][m2][1][(0, 1)]
-                    sub[e] = nv._chain_id((f1, f2))
+                    sub[e] = nv._chain_id(chains[p][img])
             parts.append(tuple(sorted(sub.items())))
         tmap = {}
         for xi in x_bx.level(0, 2):
-            st = lv.sid[2][f[(0, 2)][xi]]
-            tmap[xi] = st[3]
+            tmap[xi] = structs[2][f[(0, 2)][xi]][3]
         parts.append(tuple(sorted(tmap.items())))
         key = tuple(parts)
         if key in seen or key not in det_keys:

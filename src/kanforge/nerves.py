@@ -9,6 +9,9 @@ groupoid of q-simplices: N_S(G)_{p,q} = (p-chains in the groupoid of
 q-simplices of G).
 """
 
+import itertools
+import operator
+
 from . import simplicial as sp
 from . import catalg as ca
 
@@ -451,87 +454,26 @@ def _is_simplicial_map(x, y, comps, top):
 # -- groupoid of q-simplices and the Segal nerve ----------------------------
 
 
-def q_simplex_morphisms(g, q, structs):
-    """Morphisms of the groupoid of q-simplices: families f_ij with the
-    commuting squares f_ik . al = be . (f_ij (x) f_jk).
-
-    Returned as dicts src-struct -> list of (family, tgt-struct)."""
-    c = g.base
-    out = {}
-    for st in structs:
-        objs, als = _struct_to_dict(g, q, st)
-        pairs = sorted(objs)
-        fams = []
-        cand = [[f for f in c.morphisms if c.src[f] == objs[p]] for p in pairs]
-        def rec(i, fam):
-            if i == len(pairs):
-                new_objs = {p: c.tgt[fam[p]] for p in pairs}
-                new_als = {}
-                ok = True
-                for (a, b, k2) in als:
-                    f_ik = fam[(a, k2)]
-                    f_ij = fam[(a, b)]
-                    f_jk = fam[(b, k2)]
-                    be = c.comp(c.comp(f_ik, als[(a, b, k2)]),
-                                g.mor_inverse(g.tm(f_ij, f_jk)))
-                    if c.src[be] != g.t(new_objs[(a, b)], new_objs[(b, k2)]) or \
-                       c.tgt[be] != new_objs[(a, k2)]:
-                        ok = False
-                        break
-                    new_als[(a, b, k2)] = be
-                if ok:
-                    fams.append((dict(fam),
-                                 _dict_to_struct(g, q, new_objs, new_als)))
-                return
-            for f in cand[i]:
-                fam[pairs[i]] = f
-                rec(i + 1, fam)
-                del fam[pairs[i]]
-        rec(0, {})
-        out[st] = fams
-    return out
-
-
 def q_simplex_groupoid(g, q):
-    """The groupoid of q-simplices of a 2-group, as a FinCategory table."""
-    structs = monoidal_simplices(g, q)
-    fams = q_simplex_morphisms(g, q, structs)
-    c = g.base
-    objects = [_struct_id(st) for st in structs]
-    by_id = {_struct_id(st): st for st in structs}
-    morphs = []
-    src, tgt, comp = {}, {}, {}
-    code = {}
-    for st in structs:
-        for fam, tst in fams[st]:
-            mid = "f(%s|%s)" % (_struct_id(st),
-                                ",".join("%s" % (fam[p],) for p in sorted(fam)))
-            morphs.append(mid)
-            src[mid] = _struct_id(st)
-            tgt[mid] = _struct_id(tst)
-            code[mid] = (st, fam, tst)
-    ident = {}
-    for st in structs:
-        objs, _ = _struct_to_dict(g, q, st)
-        fam = {p: c.id_of(objs[p]) for p in objs}
-        ident[_struct_id(st)] = "f(%s|%s)" % (_struct_id(st),
-                                              ",".join("%s" % (fam[p],)
-                                                       for p in sorted(fam)))
-    for m2 in morphs:
-        st2, fam2, _ = code[m2]
-        for m1 in morphs:
-            st1, fam1, t1 = code[m1]
-            if tgt[m1] != src[m2]:
-                continue
-            fam = {p: c.comp(fam2[p], fam1[p]) for p in fam1}
-            comp[(m2, m1)] = "f(%s|%s)" % (src[m1],
-                                           ",".join("%s" % (fam[p],)
-                                                    for p in sorted(fam)))
-    grpd = ca.FinGroupoid(objects, morphs, src, tgt, ident, comp,
+    """The groupoid of q-simplices of a 2-group, as a FinCategory table,
+    read off the int tables of _SegalLevels."""
+    lv = _SegalLevels(g, q)
+    if q > lv.qmax:
+        raise NerveError("structural simplices stop at dimension 3")
+    objects, names = lv.obj_names[q], lv.mor_names[q]
+    src, tgt, fam = lv.src[q], lv.tgt[q], lv.fam[q]
+    # morphisms in the order they are enumerated: by source, then family
+    morphs = [names[m] for m in sorted(range(len(names)),
+                                       key=lambda m: (src[m], fam[m]))]
+    ident = dict(zip(objects, [names[m] for m in lv.identity_table(q)]))
+    comp = {(names[m2], names[m1]): names[lv.compose(q, m2, m1)]
+            for m1, m2 in lv.chains(2, q)}
+    inv = {names[m]: names[lv.inverse(q, m)] for m in range(len(names))}
+    return ca.FinGroupoid(objects, morphs,
+                          {names[m]: objects[s] for m, s in enumerate(src)},
+                          {names[m]: objects[t] for m, t in enumerate(tgt)},
+                          ident, comp, inv=inv,
                           name="simplex-groupoid-%d" % q)
-    grpd._code = code
-    grpd._struct_by_id = by_id
-    return grpd
 
 
 # -- bisimplicial sets -------------------------------------------------------
@@ -554,6 +496,7 @@ class BisimplicialTrunc:
         self.hdegen = {k: dict(v) for k, v in hdegen.items()}
         self.vdegen = {k: dict(v) for k, v in vdegen.items()}
         self._face_tables = {}
+        self._face_indexes = {}
 
     def face_table(self, p, q, direction):
         """dict id -> (d_0 x, .., d_n x) over level (p, q) for the
@@ -568,6 +511,25 @@ class BisimplicialTrunc:
                      for x in self.levels[(p, q)]} if maps else {}
             self._face_tables[key] = table
         return table
+
+    def face_index(self, p, q, has_h, has_v):
+        """dict (horizontal faces, vertical faces) -> the cells of level
+        (p, q) with those faces, each list sorted; a direction whose has_
+        flag is False contributes ().  Built once per key (the object is
+        immutable)."""
+        key = (p, q, has_h, has_v)
+        index = self._face_indexes.get(key)
+        if index is None:
+            hf = self.face_table(p, q, "h") if has_h else None
+            vf = self.face_table(p, q, "v") if has_v else None
+            index = {}
+            for s in self.levels[(p, q)]:
+                faces = (hf[s] if has_h else (), vf[s] if has_v else ())
+                index.setdefault(faces, []).append(s)
+            for cells in index.values():
+                cells.sort()
+            self._face_indexes[key] = index
+        return index
 
     @property
     def P(self):
@@ -811,124 +773,180 @@ def p2_star(k_sset, pmax):
 # -- the Segal nerve ---------------------------------------------------------
 
 
-def _fam_id(src_id, fam):
-    return "f(%s|%s)" % (src_id, ",".join("%s" % (fam[p],) for p in sorted(fam)))
+def _pairs(q):
+    """The pairs i < j of [q], in sorted order: the slots of a family."""
+    return [(i, j) for i in range(q + 1) for j in range(i + 1, q + 1)]
 
 
 class _SegalLevels:
-    """Chains in the groupoids of q-simplices, built lazily per level.
+    """The groupoids of q-simplices of a 2-group (q <= 3) on dense ints.
 
-    Every object id (ids[q], the keys of sid[q]) and morphism id (the keys
-    of mor[q]) exists once, and the operator tables below return those
-    very objects.  Each table is built once per (operator, q) over all
-    objects or morphisms of q, with _phi_star applied once per object.
+    Objects of q are numbered in monoidal_simplices order.  A morphism of
+    q is its source object and its family, one base-groupoid morphism int
+    per pair i < j (pairs in sorted order).  Morphisms are numbered in the
+    string order of their ids, so the p-chains of morphism ints in
+    lexicographic order are level (p, q) of the Segal nerve in level
+    order.  String ids are made once per object and morphism; composition
+    and the operator tables map ints to ints, each table built once per
+    (operator, q).
     """
 
     def __init__(self, g, qmax):
         self.g = g
         # monoidal_simplices stops at dimension 3
         self.qmax = qmax = min(qmax, 3)
-        self.structs = {q: monoidal_simplices(g, q) for q in range(qmax + 1)}
-        self.ids = {q: [_struct_id(st) for st in self.structs[q]]
-                    for q in range(qmax + 1)}
-        self.sid = {q: dict(zip(self.ids[q], self.structs[q]))
-                    for q in range(qmax + 1)}
-        self.fams = {q: q_simplex_morphisms(g, q, self.structs[q])
-                     for q in range(qmax + 1)}
-        # morphism tables per q: id -> (src_struct, fam, tgt_struct), and
-        # the source and target object ids
-        self.mor, self.src, self.tgt = {}, {}, {}
-        self._own_mid = {}
+        c = g.base
+        # the base groupoid on ints, morphisms in c.morphisms order
+        self.base_mor = list(c.morphisms)
+        mi = {f: i for i, f in enumerate(self.base_mor)}
+        oi = {x: i for i, x in enumerate(c.objects)}
+        self._msrc = [oi[c.src[f]] for f in self.base_mor]
+        self._mtgt = [oi[c.tgt[f]] for f in self.base_mor]
+        self._comp = {(mi[b], mi[a]): mi[ba]
+                      for (b, a), ba in c.comp_table.items()}
+        self._inv = [mi[g.mor_inverse(f)] for f in self.base_mor]
+        self._tm = {(mi[a], mi[b]): mi[ab]
+                    for (a, b), ab in g.tensor_mor.items()}
+        self._tobj = {(oi[x], oi[y]): oi[xy]
+                      for (x, y), xy in g.tensor_obj.items()}
+        self._obj_ident = [mi[c.id_of(x)] for x in c.objects]
+        self._unit_ident = mi[c.id_of(g.unit)]
+        # per q: objects (structs, obj_names, the object int of each pair
+        # slot) and morphisms (src, tgt, fam, mor_names, (src, fam) -> int)
+        self.structs, self.obj_names, self._objs = {}, {}, {}
+        self.src, self.tgt, self.fam, self.mor_names = {}, {}, {}, {}
+        self._mor_of = {}
         for q in range(qmax + 1):
-            sid_of = dict(zip(self.structs[q], self.ids[q]))
-            table, src, tgt = {}, {}, {}
-            for st, sid_ in zip(self.structs[q], self.ids[q]):
-                for fam, tst in self.fams[q][st]:
-                    mid = _fam_id(sid_, fam)
-                    table[mid] = (st, fam, tst)
-                    src[mid] = sid_
-                    tgt[mid] = sid_of[tst]
-            self.mor[q], self.src[q], self.tgt[q] = table, src, tgt
-            self._own_mid[q] = {mid: mid for mid in table}
-        self._own_sid = {q: {sid_: sid_ for sid_ in self.ids[q]}
-                         for q in range(qmax + 1)}
+            self._build(q, mi, oi)
         self._identity = {}
         self._vmap_obj = {}
         self._vmap_mor = {}
 
+    def _build(self, q, mi, oi):
+        """Objects and morphisms of q: families f_ij with the commuting
+        squares f_ik . al = be . (f_ij (x) f_jk)."""
+        g = self.g
+        structs = self.structs[q] = monoidal_simplices(g, q)
+        obj_names = self.obj_names[q] = [_struct_id(st) for st in structs]
+        pairs = _pairs(q)
+        slot = {pr: n for n, pr in enumerate(pairs)}
+        triples = [(i, j, k) for (i, j) in pairs for k in range(j + 1, q + 1)]
+        squares = [(slot[(i, j)], slot[(j, k)], slot[(i, k)])
+                   for (i, j, k) in triples]
+        # a structural simplex as (object per pair, al per triple) ints
+        keys = []
+        for st in structs:
+            objs, als = _struct_to_dict(g, q, st)
+            keys.append((tuple([oi[objs[pr]] for pr in pairs]),
+                         tuple([mi[als[t]] for t in triples])))
+        obj_of_key = {key: s for s, key in enumerate(keys)}
+        self._objs[q] = [objs for objs, _ in keys]
+        msrc, mtgt, comp = self._msrc, self._mtgt, self._comp
+        inv, tm, tobj = self._inv, self._tm, self._tobj
+        out_of = [[] for _ in oi]
+        for f, x in enumerate(msrc):
+            out_of[x].append(f)
+        src, tgt, fams = [], [], []
+        for s, (objs, als) in enumerate(keys):
+            for fam in itertools.product(*[out_of[x] for x in objs]):
+                new_objs = tuple([mtgt[f] for f in fam])
+                new_als = []
+                for (ij, jk, ik), al in zip(squares, als):
+                    be = comp[(comp[(fam[ik], al)],
+                               inv[tm[(fam[ij], fam[jk])]])]
+                    if msrc[be] != tobj[(new_objs[ij], new_objs[jk])] or \
+                       mtgt[be] != new_objs[ik]:
+                        break
+                    new_als.append(be)
+                else:
+                    src.append(s)
+                    tgt.append(obj_of_key[(new_objs, tuple(new_als))])
+                    fams.append(fam)
+        base_names = ["%s" % (f,) for f in self.base_mor]
+        names = ["f(%s|%s)" % (obj_names[s],
+                               ",".join([base_names[f] for f in fam]))
+                 for s, fam in zip(src, fams)]
+        order = sorted(range(len(names)), key=names.__getitem__)
+        self.src[q] = [src[m] for m in order]
+        self.tgt[q] = [tgt[m] for m in order]
+        self.fam[q] = [fams[m] for m in order]
+        self.mor_names[q] = [names[m] for m in order]
+        self._mor_of[q] = {key: m for m, key in
+                           enumerate(zip(self.src[q], self.fam[q]))}
+
     def level_size(self, p, q):
         """|p-chains| via counting, no materialization: c_p(x) = number of
         p-chains ending at x."""
-        counts = dict.fromkeys(self.ids[q], 1)
+        counts = [1] * len(self.structs[q])
         for _ in range(p):
-            nxt = dict.fromkeys(self.ids[q], 0)
-            for mid, src in self.src[q].items():
-                nxt[self.tgt[q][mid]] += counts[src]
+            nxt = [0] * len(counts)
+            for s, t in zip(self.src[q], self.tgt[q]):
+                nxt[t] += counts[s]
             counts = nxt
-        return sum(counts.values())
+        return sum(counts)
 
     def chains(self, p, q):
         """The p-chains (p >= 1) of the q-simplex groupoid as tuples of
-        morphism ids, in level order."""
-        mids = sorted(self.mor[q])
-        out_by_src = {}
-        for mid in mids:
-            out_by_src.setdefault(self.src[q][mid], []).append(mid)
-        cur = [(mid,) for mid in mids]
+        morphism ints, in level order."""
+        out_of = [[] for _ in self.structs[q]]
+        for m, s in enumerate(self.src[q]):
+            out_of[s].append(m)
+        tgt = self.tgt[q]
+        cur = [(m,) for m in range(len(tgt))]
         for _ in range(p - 1):
-            cur = [c + (mid,) for c in cur
-                   for mid in out_by_src.get(self.tgt[q][c[-1]], ())]
+            cur = [c + (m,) for c in cur for m in out_of[tgt[c[-1]]]]
         return cur
 
     def compose(self, q, m2, m1):
-        fam1 = self.mor[q][m1][1]
-        fam2 = self.mor[q][m2][1]
-        c = self.g.base
-        fam = {p: c.comp(fam2[p], fam1[p]) for p in fam1}
-        return self._own_mid[q][_fam_id(self.src[q][m1], fam)]
+        """m2 after m1, componentwise."""
+        fam = self.fam[q]
+        return self._mor_of[q][(self.src[q][m1],
+                                tuple(map(self._comp.__getitem__,
+                                          zip(fam[m2], fam[m1]))))]
+
+    def inverse(self, q, m):
+        return self._mor_of[q][(self.tgt[q][m],
+                                tuple([self._inv[f] for f in self.fam[q][m]]))]
 
     def identity_table(self, q):
-        """object id -> id of its identity morphism, in level q."""
+        """object int -> int of its identity morphism, in level q."""
         table = self._identity.get(q)
         if table is None:
-            c = self.g.base
-            table = {}
-            for sid_, st in self.sid[q].items():
-                objs, _ = _struct_to_dict(self.g, q, st)
-                fam = {p: c.id_of(objs[p]) for p in objs}
-                table[sid_] = self._own_mid[q][_fam_id(sid_, fam)]
+            ident, mor_of = self._obj_ident, self._mor_of[q]
+            table = [mor_of[(s, tuple([ident[x] for x in objs]))]
+                     for s, objs in enumerate(self._objs[q])]
             self._identity[q] = table
         return table
 
     def vmap_obj_table(self, phi, q_from, q_to):
-        """object id -> object id under the reindexing along phi."""
+        """object int -> object int under the reindexing along phi."""
         key = (phi, q_from, q_to)
         table = self._vmap_obj.get(key)
         if table is None:
-            own = self._own_sid[q_to]
-            table = {sid_: own[_struct_id(_phi_star(self.g, phi, q_from,
-                                                    q_to, st))]
-                     for sid_, st in self.sid[q_from].items()}
+            obj_of = {st: s for s, st in enumerate(self.structs[q_to])}
+            table = [obj_of[_phi_star(self.g, phi, q_from, q_to, st)]
+                     for st in self.structs[q_from]]
             self._vmap_obj[key] = table
         return table
 
     def vmap_mor_table(self, phi, q_from, q_to):
-        """morphism id -> morphism id under the reindexing along phi:
+        """morphism int -> morphism int under the reindexing along phi:
         components on collapsed pairs become the unit's identity."""
         key = (phi, q_from, q_to)
         table = self._vmap_mor.get(key)
         if table is None:
             objs = self.vmap_obj_table(phi, q_from, q_to)
-            unit_id = self.g.base.id_of(self.g.unit)
-            pairs = [(i, j) for i in range(q_to + 1)
-                     for j in range(i + 1, q_to + 1)]
-            own = self._own_mid[q_to]
-            src = self.src[q_from]
-            table = {}
-            for mid, (_, fam, _) in self.mor[q_from].items():
-                new_fam = {(i, j): unit_id if phi[i] == phi[j]
-                           else fam[(phi[i], phi[j])] for (i, j) in pairs}
-                table[mid] = own[_fam_id(objs[src[mid]], new_fam)]
+            # the source slot of each target pair; a collapsed pair reads
+            # the unit's identity from an extra last slot
+            slot = {pr: n for n, pr in enumerate(_pairs(q_from))}
+            spec = [len(slot) if phi[i] == phi[j] else slot[(phi[i], phi[j])]
+                    for (i, j) in _pairs(q_to)]
+            gather = operator.itemgetter(*spec) if len(spec) >= 2 else \
+                (lambda ext: tuple([ext[n] for n in spec]))
+            unit = (self._unit_ident,)
+            mor_of = self._mor_of[q_to]
+            table = [mor_of[(objs[s], gather(fam + unit))]
+                     for s, fam in zip(self.src[q_from], self.fam[q_from])]
             self._vmap_mor[key] = table
         return table
 
@@ -936,8 +954,9 @@ class _SegalLevels:
 def segal_nerve(g, pmax, qmax, level_budget=50000):
     """Materialize the Segal nerve over the largest downward-closed
     region inside the (pmax, min(qmax, 3)) rectangle whose levels fit
-    the budget.  Every face and degeneracy value is the target level's own
-    id object."""
+    the budget.  The levels and operators are computed on the int tables
+    of _SegalLevels; string ids are made once per cell, and every face
+    and degeneracy value is the target level's own id object."""
     lv = _SegalLevels(g, qmax)
     region = set()
     for q in range(lv.qmax + 1):
@@ -949,73 +968,82 @@ def segal_nerve(g, pmax, qmax, level_budget=50000):
             if not down_ok:
                 break
             region.add((p, q))
-    # levels as ids and, for p >= 1, as chains of morphism ids; for
-    # p >= 2 the chain -> id lookup of the level
-    levels, chains, id_of = {}, {}, {}
+    # the cells of each level in level order: object ints at p = 0,
+    # chains of morphism ints at p >= 1; where[(p, q)] (p >= 2) gives a
+    # chain's place in its level, and at p = 1 the place is the morphism
+    cells, where, levels = {}, {}, {}
     for (p, q) in region:
         if p == 0:
-            levels[(p, q)] = list(lv.ids[q])
-            continue
-        cs = lv.chains(p, q)
-        chains[(p, q)] = cs
-        if p == 1:
-            levels[(p, q)] = [c[0] for c in cs]
+            cells[(p, q)] = range(len(lv.structs[q]))
+            levels[(p, q)] = lv.obj_names[q]
+        elif p == 1:
+            cells[(p, q)] = lv.chains(p, q)
+            levels[(p, q)] = lv.mor_names[q]
         else:
-            levels[(p, q)] = ids = [_chain_id(c) for c in cs]
-            id_of[(p, q)] = dict(zip(cs, ids))
-    hface, vface, hdegen, vdegen = {}, {}, {}, {}
+            cells[(p, q)] = cs = lv.chains(p, q)
+            where[(p, q)] = {c: n for n, c in enumerate(cs)}
+            names = lv.mor_names[q]
+            levels[(p, q)] = [_chain_id([names[m] for m in c]) for c in cs]
+        if len(set(levels[(p, q)])) != len(levels[(p, q)]):
+            raise NerveError("ids of level (%d,%d) of the Segal nerve clash: "
+                             "the 2-group's ids run together" % (p, q))
+
+    def places(p, q, chains):
+        if p == 1:
+            return [c[0] for c in chains]
+        w = where[(p, q)]
+        return [w[c] for c in chains]
 
     def vmap(p, q, phi, q_to):
         if p == 0:
-            objs = lv.vmap_obj_table(phi, q, q_to)
-            return {x: objs[x] for x in levels[(p, q)]}
+            return lv.vmap_obj_table(phi, q, q_to)
         mors = lv.vmap_mor_table(phi, q, q_to)
         if p == 1:
-            return {x: mors[x] for x in levels[(p, q)]}
-        own = id_of[(p, q_to)]
-        return {x: own[tuple([mors[m] for m in c])]
-                for x, c in zip(levels[(p, q)], chains[(p, q)])}
+            return mors
+        return places(p, q_to, [tuple([mors[m] for m in c])
+                                for c in cells[(p, q)]])
 
+    def emit(p, q, dst, targets):
+        to = levels[dst]
+        return dict(zip(levels[(p, q)], [to[n] for n in targets]))
+
+    hface, vface, hdegen, vdegen = {}, {}, {}, {}
     for (p, q) in region:
-        ids = levels[(p, q)]
+        cs = cells[(p, q)]
         if p >= 1 and (p - 1, q) in region:
             for i in range(p + 1):
                 if p == 1:
-                    ends = lv.tgt[q] if i == 0 else lv.src[q]
-                    hface[(p, q, i)] = {x: ends[x] for x in ids}
-                    continue
-                mp = {}
-                for x, c in zip(ids, chains[(p, q)]):
-                    if i == 0:
-                        nc = c[1:]
-                    elif i == p:
-                        nc = c[:-1]
-                    else:
-                        nc = c[:i - 1] + (lv.compose(q, c[i], c[i - 1]),) \
-                            + c[i + 1:]
-                    mp[x] = nc[0] if p == 2 else id_of[(p - 1, q)][nc]
-                hface[(p, q, i)] = mp
+                    targets = lv.tgt[q] if i == 0 else lv.src[q]
+                elif i == 0:
+                    targets = places(p - 1, q, [c[1:] for c in cs])
+                elif i == p:
+                    targets = places(p - 1, q, [c[:-1] for c in cs])
+                else:
+                    targets = places(p - 1, q, [
+                        c[:i - 1] + (lv.compose(q, c[i], c[i - 1]),) + c[i + 1:]
+                        for c in cs])
+                hface[(p, q, i)] = emit(p, q, (p - 1, q), targets)
         if q >= 1 and (p, q - 1) in region:
             for i in range(q + 1):
-                vface[(p, q, i)] = vmap(p, q, _delta(i, q), q - 1)
+                vface[(p, q, i)] = emit(p, q, (p, q - 1),
+                                        vmap(p, q, _delta(i, q), q - 1))
         if (p + 1, q) in region:
             ident = lv.identity_table(q)
             for j in range(p + 1):
                 if p == 0:
-                    hdegen[(p, q, j)] = {x: ident[x] for x in ids}
-                    continue
-                own = id_of[(p + 1, q)]
-                mp = {}
-                for x, c in zip(ids, chains[(p, q)]):
-                    if j == 0:
-                        nc = (ident[lv.src[q][c[0]]],) + c
-                    else:
-                        nc = c[:j] + (ident[lv.tgt[q][c[j - 1]]],) + c[j:]
-                    mp[x] = own[nc]
-                hdegen[(p, q, j)] = mp
+                    targets = ident
+                elif j == 0:
+                    targets = places(p + 1, q, [(ident[lv.src[q][c[0]]],) + c
+                                                for c in cs])
+                else:
+                    targets = places(p + 1, q, [
+                        c[:j] + (ident[lv.tgt[q][c[j - 1]]],) + c[j:]
+                        for c in cs])
+                hdegen[(p, q, j)] = emit(p, q, (p + 1, q), targets)
         if (p, q + 1) in region:
             for j in range(q + 1):
-                vdegen[(p, q, j)] = vmap(p, q, _sigma(j, q), q + 1)
+                vdegen[(p, q, j)] = emit(p, q, (p, q + 1),
+                                         vmap(p, q, _sigma(j, q), q + 1))
     out = BisimplicialTrunc(region, levels, hface, vface, hdegen, vdegen)
     out._segal_levels = lv
     return out
@@ -1040,24 +1068,19 @@ def enumerate_bimaps(x_bx, y_bx, region=None, budget=None):
         if counter[0] > cap:
             raise sp.SearchBudgetExceeded("bisimplicial enumeration exceeded cap")
 
-    index = {}
-    for (p, q) in order:
-        idx = {}
-        for s in y_bx.level(p, q):
-            key = _bi_face_key(y_bx, p, q, s, region)
-            idx.setdefault(key, []).append(s)
-        for v in idx.values():
-            v.sort()
-        index[(p, q)] = idx
+    # which faces of level (p, q) stay inside the region
+    has = {(p, q): (p >= 1 and (p - 1, q) in region,
+                    q >= 1 and (p, q - 1) in region) for (p, q) in order}
+    index = {pq: y_bx.face_index(*pq, *has[pq]) for pq in order}
 
     pres = {}
     for (p, q) in order:
         pr = {}
-        if p >= 1 and (p - 1, q) in region:
+        if has[(p, q)][0]:
             for j in range(p):
                 for a, sa in x_bx.hdegen[(p - 1, q, j)].items():
                     pr.setdefault(sa, []).append(("h", j, (p - 1, q), a))
-        if q >= 1 and (p, q - 1) in region:
+        if has[(p, q)][1]:
             for j in range(q):
                 for a, sa in x_bx.vdegen[(p, q - 1, j)].items():
                     pr.setdefault(sa, []).append(("v", j, (p, q - 1), a))
@@ -1068,10 +1091,11 @@ def enumerate_bimaps(x_bx, y_bx, region=None, budget=None):
 
     def level_key(pq, s):
         p, q = pq
+        has_h, has_v = has[pq]
         hk = tuple(comps[(p - 1, q)][x_bx.dh(p, q, i, s)]
-                   for i in range(p + 1)) if (p >= 1 and (p - 1, q) in region) else ()
+                   for i in range(p + 1)) if has_h else ()
         vk = tuple(comps[(p, q - 1)][x_bx.dv(p, q, i, s)]
-                   for i in range(q + 1)) if (q >= 1 and (p, q - 1) in region) else ()
+                   for i in range(q + 1)) if has_v else ()
         return (hk, vk)
 
     def assign(idx_lvl):
@@ -1080,6 +1104,9 @@ def enumerate_bimaps(x_bx, y_bx, region=None, budget=None):
             return
         pq = order[idx_lvl]
         p, q = pq
+        has_h, has_v = has[pq]
+        y_hf = y_bx.face_table(p, q, "h") if has_h else None
+        y_vf = y_bx.face_table(p, q, "v") if has_v else None
         forced = {}
         frees = []
         for s in x_bx.level(p, q):
@@ -1093,10 +1120,12 @@ def enumerate_bimaps(x_bx, y_bx, region=None, budget=None):
                         vals.add(y_bx.sv(src_pq[0], src_pq[1], j, img))
                 if len(vals) != 1:
                     return
-                v = vals.pop()
-                if _bi_face_key(y_bx, p, q, v, region) != level_key(pq, s):
+                img = vals.pop()
+                if (y_hf[img] if has_h else (),
+                        y_vf[img] if has_v else ()) != \
+                        level_key(pq, s):
                     return
-                forced[s] = v
+                forced[s] = img
             else:
                 frees.append(s)
         comps[pq].update(forced)
@@ -1124,14 +1153,6 @@ def enumerate_bimaps(x_bx, y_bx, region=None, budget=None):
 
     assign(0)
     return results
-
-
-def _bi_face_key(bx, p, q, s, region):
-    hk = bx.face_table(p, q, "h")[s] \
-        if (p >= 1 and (p - 1, q) in region) else ()
-    vk = bx.face_table(p, q, "v")[s] \
-        if (q >= 1 and (p, q - 1) in region) else ()
-    return (hk, vk)
 
 
 def mu3_determined(x_bx, y_bx, budget=None):

@@ -105,6 +105,7 @@ class TruncatedSSet:
         self.base = base
         self._index = [set(l) for l in self.levels]
         self._face_tables = {}
+        self._kan_rows = {}
 
     # -- basic access ----------------------------------------------------
 
@@ -346,8 +347,12 @@ def kan_status(x_sset, m):
     """Decide surjectivity/injectivity of alpha^{m,k} for 0 <= k <= m+1.
 
     If level m+1 is not stored but the complex carries a coskeletal flag,
-    the complex is extended first.
+    the complex is extended first.  The row is computed once per (immutable)
+    complex and m; later calls return the same KanRow.
     """
+    row = x_sset._kan_rows.get(m)
+    if row is not None:
+        return row
     x = _ensure_depth(x_sset, m + 1)
     flags, witness = {}, {}
     for k in range(m + 2):
@@ -368,7 +373,8 @@ def kan_status(x_sset, m):
                 witness[(k, "surj")] = h
                 break
         flags[k] = (surj, inj)
-    return KanRow(m, flags, witness)
+    row = x_sset._kan_rows[m] = KanRow(m, flags, witness)
+    return row
 
 
 class KanReport:

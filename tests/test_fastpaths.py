@@ -80,16 +80,18 @@ def test_h_boundary_tuples_match_brute_force(name):
             reference_tuples(ns.level(p - 1, q), face, p - 1)
 
 
-def reference_vmap_mor(lv, phi, q_from, q_to, mid):
-    """Reindex one morphism of the q_from-simplex groupoid directly
-    through _phi_star."""
-    st, fam, _ = lv.mor[q_from][mid]
+def reference_vmap_mor(lv, phi, q_from, q_to, m):
+    """Reindex morphism m of the q_from-simplex groupoid directly
+    through _phi_star; its string id."""
+    st = lv.structs[q_from][lv.src[q_from][m]]
+    fam = dict(zip(nv._pairs(q_from),
+                   [lv.base_mor[f] for f in lv.fam[q_from][m]]))
     new_src = nv._phi_star(lv.g, phi, q_from, q_to, st)
     objs, _ = nv._struct_to_dict(lv.g, q_to, new_src)
     unit = lv.g.base.id_of(lv.g.unit)
     new_fam = {(i, j): unit if phi[i] == phi[j] else fam[(phi[i], phi[j])]
                for (i, j) in objs}
-    return nv._fam_id(nv._struct_id(new_src), new_fam)
+    return reference_fam_id(nv._struct_id(new_src), new_fam)
 
 
 @pytest.mark.parametrize("name", ["oneobj-z2", "disc-z2-x-oneobj-z2"])
@@ -100,9 +102,10 @@ def test_vmap_tables_match_phi_star(name):
                 [(nv._delta(i, q), q, q - 1) for i in range(q + 1)] + \
                 [(nv._sigma(j, q - 1), q - 1, q) for j in range(q)]:
             table = lv.vmap_mor_table(phi, q_from, q_to)
-            assert set(table) == set(lv.mor[q_from])
-            for mid, img in table.items():
-                assert img == reference_vmap_mor(lv, phi, q_from, q_to, mid)
+            assert len(table) == len(lv.mor_names[q_from])
+            for m, img in enumerate(table):
+                assert lv.mor_names[q_to][img] == \
+                    reference_vmap_mor(lv, phi, q_from, q_to, m)
 
 
 @pytest.mark.parametrize("name", [n for n, _ in ex.canned_two_groups()])
@@ -122,6 +125,481 @@ def test_segal_nerve_levels_and_operators(name):
             assert set(mp) == set(ns.level(p, q))
             # each value is the target level's own id object
             assert all(id(v) in own[dst] for v in mp.values())
+
+
+# -- the Segal nerve against the string-keyed build it replaces ----------------
+#
+# reference_q_simplex_morphisms, ReferenceSegalLevels, reference_segal_nerve
+# and reference_q_simplex_groupoid keep the construction on string ids:
+# every morphism is composed and reindexed through its "f(src|m0,m1,..)" id.
+
+
+def reference_q_simplex_morphisms(g, q, structs):
+    c = g.base
+    out = {}
+    for st in structs:
+        objs, als = nv._struct_to_dict(g, q, st)
+        pairs = sorted(objs)
+        fams = []
+        cand = [[f for f in c.morphisms if c.src[f] == objs[p]] for p in pairs]
+
+        def rec(i, fam):
+            if i == len(pairs):
+                new_objs = {p: c.tgt[fam[p]] for p in pairs}
+                new_als = {}
+                for (a, b, k2) in als:
+                    f_ik, f_ij, f_jk = fam[(a, k2)], fam[(a, b)], fam[(b, k2)]
+                    be = c.comp(c.comp(f_ik, als[(a, b, k2)]),
+                                g.mor_inverse(g.tm(f_ij, f_jk)))
+                    if c.src[be] != g.t(new_objs[(a, b)], new_objs[(b, k2)]) \
+                            or c.tgt[be] != new_objs[(a, k2)]:
+                        return
+                    new_als[(a, b, k2)] = be
+                fams.append((dict(fam),
+                             nv._dict_to_struct(g, q, new_objs, new_als)))
+                return
+            for f in cand[i]:
+                fam[pairs[i]] = f
+                rec(i + 1, fam)
+                del fam[pairs[i]]
+
+        rec(0, {})
+        out[st] = fams
+    return out
+
+
+def reference_fam_id(src_id, fam):
+    return "f(%s|%s)" % (src_id, ",".join("%s" % (fam[p],) for p in sorted(fam)))
+
+
+class ReferenceSegalLevels:
+    def __init__(self, g, qmax):
+        self.g = g
+        self.qmax = qmax = min(qmax, 3)
+        self.structs = {q: nv.monoidal_simplices(g, q) for q in range(qmax + 1)}
+        self.ids = {q: [nv._struct_id(st) for st in self.structs[q]]
+                    for q in range(qmax + 1)}
+        self.sid = {q: dict(zip(self.ids[q], self.structs[q]))
+                    for q in range(qmax + 1)}
+        self.mor, self.src, self.tgt = {}, {}, {}
+        for q in range(qmax + 1):
+            fams = reference_q_simplex_morphisms(g, q, self.structs[q])
+            sid_of = dict(zip(self.structs[q], self.ids[q]))
+            table, src, tgt = {}, {}, {}
+            for st, sid_ in zip(self.structs[q], self.ids[q]):
+                for fam, tst in fams[st]:
+                    mid = reference_fam_id(sid_, fam)
+                    table[mid] = (st, fam, tst)
+                    src[mid] = sid_
+                    tgt[mid] = sid_of[tst]
+            self.mor[q], self.src[q], self.tgt[q] = table, src, tgt
+        self._vmap_mor = {}
+
+    def level_size(self, p, q):
+        counts = dict.fromkeys(self.ids[q], 1)
+        for _ in range(p):
+            nxt = dict.fromkeys(self.ids[q], 0)
+            for mid, src in self.src[q].items():
+                nxt[self.tgt[q][mid]] += counts[src]
+            counts = nxt
+        return sum(counts.values())
+
+    def chains(self, p, q):
+        mids = sorted(self.mor[q])
+        out_by_src = {}
+        for mid in mids:
+            out_by_src.setdefault(self.src[q][mid], []).append(mid)
+        cur = [(mid,) for mid in mids]
+        for _ in range(p - 1):
+            cur = [c + (mid,) for c in cur
+                   for mid in out_by_src.get(self.tgt[q][c[-1]], ())]
+        return cur
+
+    def compose(self, q, m2, m1):
+        fam1, fam2 = self.mor[q][m1][1], self.mor[q][m2][1]
+        c = self.g.base
+        fam = {p: c.comp(fam2[p], fam1[p]) for p in fam1}
+        mid = reference_fam_id(self.src[q][m1], fam)
+        assert mid in self.mor[q]
+        return mid
+
+    def identity(self, q, sid_):
+        objs, _ = nv._struct_to_dict(self.g, q, self.sid[q][sid_])
+        c = self.g.base
+        return reference_fam_id(sid_, {p: c.id_of(objs[p]) for p in objs})
+
+    def vmap_obj(self, phi, q_from, q_to, sid_):
+        return nv._struct_id(nv._phi_star(self.g, phi, q_from, q_to,
+                                          self.sid[q_from][sid_]))
+
+    def vmap_mor(self, phi, q_from, q_to, mid):
+        key = (phi, q_from, q_to, mid)
+        if key not in self._vmap_mor:
+            fam = self.mor[q_from][mid][1]
+            unit_id = self.g.base.id_of(self.g.unit)
+            new_fam = {(i, j): unit_id if phi[i] == phi[j]
+                       else fam[(phi[i], phi[j])]
+                       for i in range(q_to + 1) for j in range(i + 1, q_to + 1)}
+            self._vmap_mor[key] = reference_fam_id(
+                self.vmap_obj(phi, q_from, q_to, self.src[q_from][mid]),
+                new_fam)
+        return self._vmap_mor[key]
+
+
+def reference_segal_nerve(g, pmax, qmax, level_budget=50000):
+    lv = ReferenceSegalLevels(g, qmax)
+    region = set()
+    for q in range(lv.qmax + 1):
+        for p in range(pmax + 1):
+            if lv.level_size(p, q) > level_budget:
+                break
+            if not ((p == 0 or (p - 1, q) in region) and
+                    (q == 0 or (p, q - 1) in region)):
+                break
+            region.add((p, q))
+    levels, chains = {}, {}
+    for (p, q) in region:
+        if p == 0:
+            levels[(p, q)] = list(lv.ids[q])
+            continue
+        chains[(p, q)] = cs = lv.chains(p, q)
+        levels[(p, q)] = [c[0] if p == 1 else nv._chain_id(c) for c in cs]
+
+    def cell(p, c):
+        return c[0] if p == 1 else nv._chain_id(c)
+
+    def vmap(p, q, phi, q_to):
+        if p == 0:
+            return {x: lv.vmap_obj(phi, q, q_to, x) for x in levels[(p, q)]}
+        return {x: cell(p, tuple(lv.vmap_mor(phi, q, q_to, m) for m in c))
+                for x, c in zip(levels[(p, q)], chains[(p, q)])}
+
+    hface, vface, hdegen, vdegen = {}, {}, {}, {}
+    for (p, q) in region:
+        ids = levels[(p, q)]
+        if p >= 1 and (p - 1, q) in region:
+            for i in range(p + 1):
+                mp = {}
+                for x, c in zip(ids, chains[(p, q)]):
+                    if p == 1:
+                        mp[x] = lv.tgt[q][x] if i == 0 else lv.src[q][x]
+                        continue
+                    if i == 0:
+                        nc = c[1:]
+                    elif i == p:
+                        nc = c[:-1]
+                    else:
+                        nc = c[:i - 1] + (lv.compose(q, c[i], c[i - 1]),) \
+                            + c[i + 1:]
+                    mp[x] = cell(p - 1, nc)
+                hface[(p, q, i)] = mp
+        if q >= 1 and (p, q - 1) in region:
+            for i in range(q + 1):
+                vface[(p, q, i)] = vmap(p, q, nv._delta(i, q), q - 1)
+        if (p + 1, q) in region:
+            for j in range(p + 1):
+                mp = {}
+                if p == 0:
+                    for x in ids:
+                        mp[x] = lv.identity(q, x)
+                else:
+                    for x, c in zip(ids, chains[(p, q)]):
+                        if j == 0:
+                            nc = (lv.identity(q, lv.src[q][c[0]]),) + c
+                        else:
+                            nc = c[:j] + (lv.identity(q, lv.tgt[q][c[j - 1]]),) \
+                                + c[j:]
+                        mp[x] = cell(p + 1, nc)
+                hdegen[(p, q, j)] = mp
+        if (p, q + 1) in region:
+            for j in range(q + 1):
+                vdegen[(p, q, j)] = vmap(p, q, nv._sigma(j, q), q + 1)
+    return nv.BisimplicialTrunc(region, levels, hface, vface, hdegen, vdegen)
+
+
+def reference_q_simplex_groupoid(g, q):
+    lv = ReferenceSegalLevels(g, q)
+    objects = list(lv.ids[q])
+    morphs = [reference_fam_id(sid_, fam)
+              for st, sid_ in zip(lv.structs[q], lv.ids[q])
+              for fam, _ in reference_q_simplex_morphisms(g, q, [st])[st]]
+    comp = {(m2, m1): lv.compose(q, m2, m1)
+            for m2 in morphs for m1 in morphs if lv.tgt[q][m1] == lv.src[q][m2]}
+    ident = {x: lv.identity(q, x) for x in objects}
+    return ca.FinGroupoid(objects, morphs, lv.src[q], lv.tgt[q], ident, comp)
+
+
+def assert_same_bisimplicial(got, want):
+    """Equal regions, level lists and operator dicts, orders included."""
+    assert got.region == want.region
+    assert sorted(got.levels) == sorted(want.levels)
+    for key, ids in want.levels.items():
+        assert got.levels[key] == ids
+    for attr in ("hface", "vface", "hdegen", "vdegen"):
+        ops, want_ops = getattr(got, attr), getattr(want, attr)
+        assert sorted(ops) == sorted(want_ops)
+        for key, mp in want_ops.items():
+            assert list(ops[key].items()) == list(mp.items())
+
+
+SEGAL_CASES = [pytest.param(name, 2, 3, 50000, id="%s-2-3" % name)
+               for name, _ in ex.canned_two_groups()] + [
+    pytest.param("inflated-disc-z2", 2, 2, 50000, id="inflated-disc-z2-2-2"),
+    # level budgets that clip the region
+    pytest.param("oneobj-z2", 2, 3, 5000, id="oneobj-z2-budget-5000"),
+    pytest.param("oneobj-z3", 2, 3, 100, id="oneobj-z3-budget-100"),
+    pytest.param("disc-z2-x-oneobj-z2", 3, 3, 100,
+                 id="disc-z2-x-oneobj-z2-3-3-budget-100"),
+    pytest.param("oneobj-z2", 3, 2, 50000, id="oneobj-z2-3-2")]
+
+
+@pytest.mark.parametrize("name,pmax,qmax,budget", SEGAL_CASES)
+def test_segal_nerve_matches_string_keyed_reference(name, pmax, qmax, budget):
+    g = ex.build(name)
+    assert_same_bisimplicial(nv.segal_nerve(g, pmax, qmax, level_budget=budget),
+                             reference_segal_nerve(g, pmax, qmax,
+                                                   level_budget=budget))
+
+
+@pytest.mark.parametrize("name", [n for n, _ in ex.canned_two_groups()])
+def test_q_simplex_groupoid_matches_reference(name):
+    g = ex.build(name)
+    # q = 3 only where the reference's all-pairs composition loop is small
+    for q in range(4 if name in ("disc-z2", "disc-z3", "oneobj-z2") else 3):
+        got, want = nv.q_simplex_groupoid(g, q), reference_q_simplex_groupoid(g, q)
+        assert got.objects == want.objects
+        assert got.morphisms == want.morphisms
+        assert (got.src, got.tgt, got.ident) == (want.src, want.tgt, want.ident)
+        assert got.comp_table == want.comp_table
+        assert got.inv_table == want.inv_table
+
+
+def relabelled_two_group(g, obj_id, mor_id):
+    """g with its i-th object renamed obj_id(i) and its i-th morphism
+    mor_id(i)."""
+    c = g.base
+    obj = {x: obj_id(i) for i, x in enumerate(c.objects)}
+    mor = {f: mor_id(i) for i, f in enumerate(c.morphisms)}
+    base = ca.FinGroupoid(
+        [obj[x] for x in c.objects], [mor[f] for f in c.morphisms],
+        {mor[f]: obj[c.src[f]] for f in c.morphisms},
+        {mor[f]: obj[c.tgt[f]] for f in c.morphisms},
+        {obj[x]: mor[c.id_of(x)] for x in c.objects},
+        {(mor[b], mor[a]): mor[ba] for (b, a), ba in c.comp_table.items()})
+    mon = ca.MonoidalStructure(
+        base,
+        {(obj[x], obj[y]): obj[xy] for (x, y), xy in g.tensor_obj.items()},
+        {(mor[a], mor[b]): mor[ab] for (a, b), ab in g.tensor_mor.items()},
+        obj[g.unit],
+        {(obj[x], obj[y], obj[z]): mor[a]
+         for (x, y, z), a in g.assoc.items()},
+        {obj[x]: mor[l] for x, l in g.lunit.items()},
+        {obj[x]: mor[r] for x, r in g.runit.items()})
+    return ca.certify_two_group(mon)
+
+
+@pytest.mark.parametrize("name", ["oneobj-z3", "disc-z2-x-oneobj-z2"])
+def test_segal_determinants_vs_hom_ids_with_separators(name):
+    g = ex.build(name)
+    # ';' and ',' separate the parts of the Segal nerve's chain and
+    # family ids
+    h = relabelled_two_group(g, lambda i: "o;%d," % i,
+                             lambda i: "m,%d;%d" % (i, i))
+    # the rows of p2_star are constant; those of a Segal nerve carry
+    # morphisms of order 3
+    for x in (nv.p2_star(ex.build("s1"), 2),
+              nv.restrict_region(nv.segal_nerve(ex.build("oneobj-z3"), 2, 3),
+                                 nv.mu3_region())):
+        dets, maps, ok = dt.segal_determinants_vs_hom(x, g)
+        dets2, maps2, ok2 = dt.segal_determinants_vs_hom(x, h)
+        assert ok and ok2
+        assert (len(dets2), len(maps2)) == (len(dets), len(maps))
+
+
+def test_segal_nerve_rejects_ids_that_run_together():
+    # the families (x, x, "x,x") and ("x,x", x, x) of one 2-simplex would
+    # both be named f(..|x,x,x,x)
+    g = relabelled_two_group(ex.build("oneobj-z3"), lambda i: "o",
+                             lambda i: ["x", "x,x", "y"][i])
+    with pytest.raises(nv.NerveError):
+        nv.segal_nerve(g, 2, 2)
+
+
+# -- the bimap face index and the Kan-row memo against per-call rebuilds ------
+
+
+def reference_bimaps(x_bx, y_bx, region=None):
+    """enumerate_bimaps with its face index of Y rebuilt on every call;
+    returns the maps and the budget ticks used."""
+    region = set(region) if region is not None else set(x_bx.region)
+    region &= set(y_bx.region)
+    order = sorted(region, key=lambda pq: (pq[0] + pq[1], pq[0]))
+    ticks = [0]
+
+    def face_key(bx, p, q, s):
+        hk = tuple(bx.dh(p, q, i, s) for i in range(p + 1)) \
+            if (p >= 1 and (p - 1, q) in region) else ()
+        vk = tuple(bx.dv(p, q, i, s) for i in range(q + 1)) \
+            if (q >= 1 and (p, q - 1) in region) else ()
+        return (hk, vk)
+
+    index = {}
+    for (p, q) in order:
+        idx = {}
+        for s in y_bx.level(p, q):
+            idx.setdefault(face_key(y_bx, p, q, s), []).append(s)
+        for v in idx.values():
+            v.sort()
+        index[(p, q)] = idx
+    pres = {}
+    for (p, q) in order:
+        pr = {}
+        if p >= 1 and (p - 1, q) in region:
+            for j in range(p):
+                for a, sa in x_bx.hdegen[(p - 1, q, j)].items():
+                    pr.setdefault(sa, []).append(("h", j, (p - 1, q), a))
+        if q >= 1 and (p, q - 1) in region:
+            for j in range(q):
+                for a, sa in x_bx.vdegen[(p, q - 1, j)].items():
+                    pr.setdefault(sa, []).append(("v", j, (p, q - 1), a))
+        pres[(p, q)] = pr
+    comps = {k: {} for k in order}
+    results = []
+
+    def level_key(pq, s):
+        p, q = pq
+        hk = tuple(comps[(p - 1, q)][x_bx.dh(p, q, i, s)]
+                   for i in range(p + 1)) if (p >= 1 and (p - 1, q) in region) else ()
+        vk = tuple(comps[(p, q - 1)][x_bx.dv(p, q, i, s)]
+                   for i in range(q + 1)) if (q >= 1 and (p, q - 1) in region) else ()
+        return (hk, vk)
+
+    def assign(idx_lvl):
+        if idx_lvl == len(order):
+            results.append({k: dict(v) for k, v in comps.items()})
+            return
+        pq = order[idx_lvl]
+        p, q = pq
+        forced, frees = {}, []
+        for s in x_bx.level(p, q):
+            if s in pres[pq]:
+                vals = set()
+                for (hv, j, src_pq, a) in pres[pq][s]:
+                    img = comps[src_pq][a]
+                    op = y_bx.sh if hv == "h" else y_bx.sv
+                    vals.add(op(src_pq[0], src_pq[1], j, img))
+                if len(vals) != 1:
+                    return
+                v = vals.pop()
+                if face_key(y_bx, p, q, v) != level_key(pq, s):
+                    return
+                forced[s] = v
+            else:
+                frees.append(s)
+        comps[pq].update(forced)
+        cand = []
+        for s in frees:
+            ticks[0] += 1
+            cands = index[pq].get(level_key(pq, s), [])
+            if not cands:
+                comps[pq] = {}
+                return
+            cand.append(cands)
+
+        def choose(i):
+            if i == len(frees):
+                assign(idx_lvl + 1)
+                return
+            for v in cand[i]:
+                ticks[0] += 1
+                comps[pq][frees[i]] = v
+                choose(i + 1)
+                del comps[pq][frees[i]]
+
+        choose(0)
+        comps[pq] = {}
+
+    assign(0)
+    return results, ticks[0]
+
+
+def reversed_ids(g):
+    """g renamed so that monoidal_simplices order is not id order."""
+    return relabelled_two_group(g, lambda i: "o%d" % (99 - i),
+                                lambda i: "m%d" % (99 - i))
+
+
+@pytest.mark.parametrize("g", [pytest.param(g, id=n) for n, g in
+                               ex.canned_two_groups()] +
+                         [pytest.param(
+                             reversed_ids(ex.build("disc-z2-x-oneobj-z2")),
+                             id="disc-z2-x-oneobj-z2-reversed-ids")])
+def test_bimaps_with_cached_index_match_reference(g):
+    x = nv.p2_star(ex.build("s1"), 2)
+    ns = nv.segal_nerve(g, 2, 3)
+    mu = nv.mu3_region() & x.region & ns.region
+    # mu - {(1, 0)} is not downward closed: level (1, 1) loses its
+    # vertical faces from the index key
+    for region in (mu, mu - {(1, 0)}, None, mu):
+        want, ticks = reference_bimaps(x, ns, region)
+        # the second call on a region reads the index cached on ns
+        for _ in range(2):
+            assert nv.enumerate_bimaps(x, ns, region=region) == want
+        assert_ticks(lambda b: nv.enumerate_bimaps(x, ns, region=region,
+                                                   budget=b), ticks)
+
+
+def reference_kan_status(x_sset, m):
+    """kan_status without the memo."""
+    x = sp._ensure_depth(x_sset, m + 1)
+    flags, witness = {}, {}
+    for k in range(m + 2):
+        seen = {}
+        inj = True
+        for s, t in sp.horn_alpha(x, m, k).items():
+            if t in seen:
+                inj = False
+                witness[(k, "inj")] = (seen[t], s)
+            else:
+                seen[t] = s
+        surj = True
+        for h in sp.horn_tuples(x, m, k):
+            if h not in seen:
+                surj = False
+                witness[(k, "surj")] = h
+                break
+        flags[k] = (surj, inj)
+    return flags, witness
+
+
+def kan_cases():
+    out = [(name, x, m) for name, x in complexes() if x.coskeletal_at is None
+           for m in range(x.dim)]
+    # m = dim needs the coskeletal extension
+    out += [("nerve4-%s" % name, nv.nerve_2group(g, 3), m)
+            for name, g in ex.canned_two_groups()[:3] for m in range(4)]
+    out += [("segal-row2-oneobj-z2",
+             nv.segal_nerve(ex.build("oneobj-z2"), 2, 3).row(2), 2)]
+    return [pytest.param(x, m, id="%s-m%d" % (name, m)) for name, x, m in out]
+
+
+@pytest.mark.parametrize("x,m", kan_cases())
+def test_kan_status_memo_matches_reference(x, m, monkeypatch):
+    want = reference_kan_status(x, m)
+    calls = {"horn_tuples": 0, "coskeletal_extend": 0}
+    for fn in calls:
+        def counted(*args, _fn=fn, _orig=getattr(sp, fn)):
+            calls[_fn] += 1
+            return _orig(*args)
+        monkeypatch.setattr(sp, fn, counted)
+    row = sp.kan_status(x, m)
+    assert (row.m, row.flags, row.witness) == (m,) + want
+    assert calls["horn_tuples"] == m + 2
+    assert calls["coskeletal_extend"] == (1 if x.dim <= m else 0)
+    # a hit returns the same row and neither enumerates horns nor extends
+    assert sp.kan_status(x, m) is row
+    assert calls["horn_tuples"] == m + 2
+    assert calls["coskeletal_extend"] == (1 if x.dim <= m else 0)
 
 
 # -- the searches against references that recheck every constraint ------------
