@@ -1056,7 +1056,10 @@ def enumerate_bimaps(x_bx, y_bx, region=None, budget=None):
     """All bisimplicial maps over the region (default: region of X,
     intersected with that of Y).  Same strategy as the simplicial
     enumerator: degenerate cells are forced, nondegenerate ones filtered
-    through a face-key index."""
+    through a face-key index.  Y's index is built only for levels where X
+    has a free cell; a forced cell is checked against Y's face maps at
+    that cell alone, so a level of Y whose source cells are all forced is
+    never tabulated."""
     region = set(region) if region is not None else set(x_bx.region)
     region &= set(y_bx.region)
     order = sorted(region, key=lambda pq: (pq[0] + pq[1], pq[0]))
@@ -1071,7 +1074,6 @@ def enumerate_bimaps(x_bx, y_bx, region=None, budget=None):
     # which faces of level (p, q) stay inside the region
     has = {(p, q): (p >= 1 and (p - 1, q) in region,
                     q >= 1 and (p, q - 1) in region) for (p, q) in order}
-    index = {pq: y_bx.face_index(*pq, *has[pq]) for pq in order}
 
     pres = {}
     for (p, q) in order:
@@ -1085,6 +1087,8 @@ def enumerate_bimaps(x_bx, y_bx, region=None, budget=None):
                 for a, sa in x_bx.vdegen[(p, q - 1, j)].items():
                     pr.setdefault(sa, []).append(("v", j, (p, q - 1), a))
         pres[(p, q)] = pr
+    index = {pq: y_bx.face_index(*pq, *has[pq]) for pq in order
+             if any(s not in pres[pq] for s in x_bx.level(*pq))}
 
     comps = {k: {} for k in order}
     results = []
@@ -1105,8 +1109,8 @@ def enumerate_bimaps(x_bx, y_bx, region=None, budget=None):
         pq = order[idx_lvl]
         p, q = pq
         has_h, has_v = has[pq]
-        y_hf = y_bx.face_table(p, q, "h") if has_h else None
-        y_vf = y_bx.face_table(p, q, "v") if has_v else None
+        y_hmaps = [y_bx.hface[(p, q, i)] for i in range(p + 1)] if has_h else []
+        y_vmaps = [y_bx.vface[(p, q, i)] for i in range(q + 1)] if has_v else []
         forced = {}
         frees = []
         for s in x_bx.level(p, q):
@@ -1121,9 +1125,8 @@ def enumerate_bimaps(x_bx, y_bx, region=None, budget=None):
                 if len(vals) != 1:
                     return
                 img = vals.pop()
-                if (y_hf[img] if has_h else (),
-                        y_vf[img] if has_v else ()) != \
-                        level_key(pq, s):
+                if (tuple(mp[img] for mp in y_hmaps),
+                        tuple(mp[img] for mp in y_vmaps)) != level_key(pq, s):
                     return
                 forced[s] = img
             else:
@@ -1193,10 +1196,15 @@ def segal_fibrancy_check(x_bx, n=2, budget=None):
     stored region:
 
     (i)   every simplex-map-induced row map is a weak equivalence
-          (pi_1 always, pi_2 where rows reach vertical depth 3),
+          (pi_1 always, pi_2 where rows reach vertical depth 3); the map
+          is applied only to the pi_m representatives of the source row,
     (ii)  every row is an n-Kan-groupoid (within range),
     (iii) boundary(p) x horn(q) extension at p = q = 2,
     (iv)  relative box-horn surjectivity at p in {1,2}, q = 2.
+
+    The searches of (iii) and (iv) share one budget (`budget`, else
+    sp.enumeration_budget()), ticked once per candidate tried; past it
+    SearchBudgetExceeded names the search.
     """
     rep = FibrancyReport()
     if not x_bx.is_pre_monoid():
@@ -1229,22 +1237,33 @@ def segal_fibrancy_check(x_bx, n=2, budget=None):
     for k in range(pmax + 1):
         for l in range(pmax + 1):
             for phi in sp._monotone_maps(l, k):
-                comp = _row_map(x_bx, phi, k, l)
+                steps = _h_operator_steps(phi, k)
                 for m in (1, 2):
                     if pis[k][m] is None or pis[l][m] is None:
                         continue
-                    ok = _pi_iso_under_map(pis[k][m], pis[l][m], comp, m)
+                    image = _h_operator_image(x_bx, steps, m,
+                                              pis[k][m][0].elements)
+                    ok = _pi_iso_under_map(pis[k][m], pis[l][m], image)
                     rep.add("weq-phi%s-pi%d" % (phi, m), ok)
 
     # (iii) and (iv) via the explicit prism-tuple descriptions of the
     # corner Hom sets
+    cap = budget if budget is not None else sp.enumeration_budget()
+    counter = [0]
+
+    def tick(search):
+        counter[0] += 1
+        if counter[0] > cap:
+            raise sp.SearchBudgetExceeded(
+                "fibrancy %s search exceeded %d evaluations" % (search, cap))
+
     for k in range(3):
-        rep.add("(iii)-k%d" % k, _boundary_horn_extension(x_bx, 2, 2, k))
+        rep.add("(iii)-k%d" % k, _boundary_horn_extension(x_bx, 2, 2, k, tick))
     for p in (1, 2):
         tables = _relative_horn_tables(x_bx, p, 2)
         for k in range(3):
             rep.add("(iv)-p%d-k%d" % (p, k),
-                    _relative_horn_extension(x_bx, p, 2, k, tables))
+                    _relative_horn_extension(x_bx, p, 2, k, tables, tick))
     return rep
 
 
@@ -1255,13 +1274,10 @@ def _h_boundary_tuples(x_bx, p, q):
                                 x_bx.face_table(p - 1, q, "h"), p - 1)
 
 
-def _v_horn_key(x_bx, p, q, k, x):
-    return tuple(x_bx.dv(p, q, j, x) for j in range(q + 1) if j != k)
-
-
-def _boundary_horn_extension(x_bx, p, q, k):
+def _boundary_horn_extension(x_bx, p, q, k, tick):
     """Surjectivity of Hom(bd Delta^p (x) Delta^q, X) ->
-    Hom(bd Delta^p (x) Lambda^{q,k}, X)."""
+    Hom(bd Delta^p (x) Lambda^{q,k}, X); tick(search) is called once per
+    candidate tried."""
     if (p - 1, q) not in x_bx.region or (p - 1, q - 1) not in x_bx.region:
         return True     # outside the stored region
     # index level (p-1, q) by vertical horn key (None in slot k)
@@ -1293,6 +1309,7 @@ def _boundary_horn_extension(x_bx, p, q, k):
                 found[0] = True
                 return
             for cand in idx.get(tgt[i], []):
+                tick("boundary-horn lift")
                 if p - 1 >= 1 and any(hq[cand][a] != hq[partial[a]][i - 1]
                                       for a in range(i)):
                     continue
@@ -1309,43 +1326,46 @@ def _boundary_horn_extension(x_bx, p, q, k):
 
 def _relative_horn_tables(x_bx, p, q):
     """What _relative_horn_extension needs for every horn index k: the
-    maps bd Delta^p (x) Delta^q -> X and the cells of X_{p,q-1} by
-    horizontal faces; None outside the stored region."""
+    maps a = (a_0..a_p) from bd Delta^p (x) Delta^q to X, each with, per
+    vertical slot j, the cells b of X_{p,q-1} with dh_i b = dv_j a_i for
+    all i; and per k the set of (horizontal faces, vertical faces without
+    slot k) of the cells of X_{p,q}.  None outside the stored region."""
     if any(t not in x_bx.region for t in [(p, q), (p - 1, q), (p, q - 1)]):
         return None
     bidx = {}
     for b, hkey in x_bx.face_table(p, q - 1, "h").items():
         bidx.setdefault(hkey, []).append(b)
-    return _h_boundary_tuples(x_bx, p, q), bidx
+    va = x_bx.face_table(p - 1, q, "v")
+    a_cands = [(a, [bidx.get(tuple(va[ai][j] for ai in a), [])
+                    for j in range(q + 1)])
+               for a in _h_boundary_tuples(x_bx, p, q)]
+    hf = x_bx.face_table(p, q, "h")
+    vf = x_bx.face_table(p, q, "v")
+    horn_keys = [{(hf[x], vf[x][:k] + vf[x][k + 1:]) for x in x_bx.level(p, q)}
+                 for k in range(q + 1)]
+    return a_cands, horn_keys
 
 
-def _relative_horn_extension(x_bx, p, q, k, tables):
+def _relative_horn_extension(x_bx, p, q, k, tables, tick):
     """Surjectivity of Hom(Delta^p (x) Delta^q, X) onto the fibre product
     of Hom(bd Delta^p (x) Delta^q, X) and Hom(Delta^p (x) Lambda^{q,k}, X);
-    `tables` is _relative_horn_tables(x_bx, p, q)."""
+    `tables` is _relative_horn_tables(x_bx, p, q), and tick(search) is
+    called once per candidate tried."""
     if tables is None:
         return True     # outside the stored region
-    a_tuples, bidx = tables
-    full_idx = {}
-    for x in x_bx.level(p, q):
-        hkey = tuple(x_bx.dh(p, q, i, x) for i in range(p + 1))
-        vkey = _v_horn_key(x_bx, p, q, k, x)
-        full_idx.setdefault((hkey, vkey), []).append(x)
+    a_cands, horn_keys = tables
+    filled = horn_keys[k]
     slots = [j for j in range(q + 1) if j != k]
-    for a_tuple in a_tuples:
+    for a_tuple, cands in a_cands:
         # candidate vertical data: b_j in X_{p,q-1} with
         # dh_i b_j = dv_j a_i for all i, plus the vertical horn relations
-        cand_lists = []
-        for j in slots:
-            want = tuple(x_bx.dv(p - 1, q, j, a_tuple[i]) for i in range(p + 1))
-            cand_lists.append(bidx.get(want, []))
+        cand_lists = [cands[j] for j in slots]
         def rec(m, partial):
             if m == q:
-                hkey = a_tuple
-                vkey = tuple(partial)
-                return bool(full_idx.get((hkey, vkey), []))
+                return (a_tuple, tuple(partial)) in filled
             j = slots[m]
             for cand in cand_lists[m]:
+                tick("relative box-horn")
                 ok = True
                 if q - 1 >= 1:
                     for mi in range(m):
@@ -1364,21 +1384,6 @@ def _relative_horn_extension(x_bx, p, q, k, tables):
         if not rec(0, []):
             return False
     return True
-
-
-def _row_map(x_bx, phi, k, l):
-    """Components of X_{k,*} -> X_{l,*} induced by a monotone [l]->[k],
-    over the vertical depth the two rows share."""
-    depth = min(max(q for (pp, q) in x_bx.region if pp == r) for r in (k, l))
-    steps = _h_operator_steps(phi, k)
-    comp = {}
-    for q in range(depth + 1):
-        mp = {s: s for s in x_bx.level(k, q)}
-        for kind, p, i in steps:
-            op = (x_bx.hface if kind == "d" else x_bx.hdegen)[(p, q, i)]
-            mp = {s: op[t] for s, t in mp.items()}
-        comp[q] = mp
-    return comp
 
 
 def _h_operator_steps(phi, p_from):
@@ -1402,13 +1407,28 @@ def _h_operator_steps(phi, p_from):
     return steps
 
 
-def _pi_iso_under_map(pik, pil, comp, m):
+def _h_operator_image(x_bx, steps, q, cells):
+    """dict cell -> its image under the horizontal operator `steps`
+    (from _h_operator_steps), for the given cells of one level at
+    vertical level q."""
+    ops = [(x_bx.hface if kind == "d" else x_bx.hdegen)[(p, q, i)]
+           for kind, p, i in steps]
+    image = {}
+    for s in cells:
+        t = s
+        for op in ops:
+            t = op[t]
+        image[s] = t
+    return image
+
+
+def _pi_iso_under_map(pik, pil, image):
     """Given precomputed (group, sphere->class) data on source and target
-    rows and the component maps of a row map, decide whether the induced
-    map on pi_m is a group isomorphism."""
+    rows and the images of the source representatives under a row map,
+    decide whether the induced map on pi_m is a group isomorphism."""
     gk, _ = pik
     gl, cls_l = pil
-    mapping = {s: cls_l[comp[m][s]] for s in gk.elements}
+    mapping = {s: cls_l[image[s]] for s in gk.elements}
     if len(set(mapping.values())) != len(gl.elements) or \
             set(mapping.values()) != set(gl.elements):
         return False

@@ -354,18 +354,19 @@ def kan_status(x_sset, m):
     if row is not None:
         return row
     x = _ensure_depth(x_sset, m + 1)
+    table = x.face_table(m + 1)
     flags, witness = {}, {}
     for k in range(m + 2):
         horns = horn_tuples(x, m, k)
-        alpha = horn_alpha(x, m, k)
         seen = {}
         inj = True
-        for s, t in alpha.items():
-            if t in seen:
+        for s, t in table.items():
+            h = t[:k] + (None,) + t[k + 1:]
+            if h in seen:
                 inj = False
-                witness[(k, "inj")] = (seen[t], s)
+                witness[(k, "inj")] = (seen[h], s)
             else:
-                seen[t] = s
+                seen[h] = s
         surj = True
         for h in horns:
             if h not in seen:
@@ -467,11 +468,13 @@ def classify(x_sset, n):
     top = x.dim - 1      # largest m with level m+1 stored
 
     def alpha_bij(m):
-        alpha = boundary_alpha(x, m)
+        # alpha^m is x -> (d_0 x, .., d_{m+1} x); boundary tuples are
+        # distinct, so "onto" is an equal count plus membership
+        table = x.face_table(m + 1)
         tuples = boundary_tuples(x, m)
-        image = list(alpha.values())
-        inj = len(set(image)) == len(image)
-        surj = set(image) == set(tuples)
+        image = set(table.values())
+        inj = len(image) == len(table)
+        surj = len(image) == len(tuples) and all(t in image for t in tuples)
         return surj, inj
 
     cosk = True

@@ -602,6 +602,267 @@ def test_kan_status_memo_matches_reference(x, m, monkeypatch):
     assert calls["coskeletal_extend"] == (1 if x.dim <= m else 0)
 
 
+def reference_classify(x, n):
+    """classify with alpha^m read from boundary_alpha and the Kan rows
+    from reference_kan_status; returns the report's fields."""
+    detail = {}
+    top = x.dim - 1
+
+    def alpha_bij(m):
+        image = list(sp.boundary_alpha(x, m).values())
+        tuples = sp.boundary_tuples(x, m)
+        return set(image) == set(tuples), len(set(image)) == len(image)
+
+    for m in range(n, top + 1):
+        detail[("alpha", m)] = alpha_bij(m)
+    cosk = all(s and i for s, i in detail.values())
+    weak = (n > top or detail[("alpha", n)][1]) and \
+        all(s and i for (_, m), (s, i) in detail.items() if m > n)
+    for m in range(n, top + 1):
+        detail[("minimal", m)] = sp.minimality_at(x, m)
+    minimal = all(detail[("minimal", m)] for m in range(n, top + 1))
+    kan_ok = True
+    for m in range(1, min(n + 1, top) + 1):
+        flags, _ = reference_kan_status(x, m)
+        detail[("kan", m)] = flags
+        kan_ok = kan_ok and all(s for s, _ in flags.values())
+    groupoid = weak and kan_ok and detail.get(("minimal", n)) is not False
+    checked = "alpha on %d..%d, kan on 1..%d" % (n, top, min(n + 1, top))
+    return cosk, weak, minimal, groupoid, checked, detail
+
+
+def classify_fields(x, n):
+    rep = sp.classify(x, n)
+    return (rep.n_coskeletal, rep.weakly_n_coskeletal, rep.n_minimal,
+            rep.n_kan_groupoid, rep.checked_dims, rep.detail)
+
+
+@pytest.mark.parametrize("x,m", kan_cases())
+def test_classify_matches_alpha_reference(x, m):
+    assert classify_fields(x, m) == reference_classify(x, m)
+
+
+@pytest.mark.parametrize("name", [n for n, _ in ex.canned_two_groups()])
+def test_kan_rows_and_classify_on_segal_rows_match_reference(name):
+    ns = nv.segal_nerve(ex.build(name), 2, 3)
+    for p in range(3):
+        row = ns.row(p)
+        for m in range(row.dim):
+            got = sp.kan_status(row, m)
+            assert (got.flags, got.witness) == reference_kan_status(row, m)
+        for n in (1, 2):
+            assert classify_fields(row, n) == reference_classify(row, n)
+
+
+# -- the Segal checks against references that read every cell -----------------
+
+
+def reference_row_map(x_bx, phi, k, l):
+    """Components of X_{k,*} -> X_{l,*} induced by a monotone [l]->[k],
+    on every cell of every vertical level the two rows share."""
+    depth = min(max(q for (pp, q) in x_bx.region if pp == r) for r in (k, l))
+    steps = nv._h_operator_steps(phi, k)
+    comp = {}
+    for q in range(depth + 1):
+        mp = {s: s for s in x_bx.level(k, q)}
+        for kind, p, i in steps:
+            op = (x_bx.hface if kind == "d" else x_bx.hdegen)[(p, q, i)]
+            mp = {s: op[t] for s, t in mp.items()}
+        comp[q] = mp
+    return comp
+
+
+def reference_pi_iso(pik, pil, comp, m):
+    gk, _ = pik
+    gl, cls_l = pil
+    mapping = {s: cls_l[comp[m][s]] for s in gk.elements}
+    if len(set(mapping.values())) != len(gl.elements) or \
+            set(mapping.values()) != set(gl.elements):
+        return False
+    return all(mapping[gk.mul(a, b)] == gl.mul(mapping[a], mapping[b])
+               for a in gk.elements for b in gk.elements)
+
+
+def reference_boundary_horn_extension(x_bx, p, q, k, tick):
+    """The boundary-horn search with per-cell face calls, ticking once
+    per candidate tried."""
+    if (p - 1, q) not in x_bx.region or (p - 1, q - 1) not in x_bx.region:
+        return True
+    idx = {}
+    for x in x_bx.level(p - 1, q):
+        fx = tuple(x_bx.dv(p - 1, q, j, x) for j in range(q + 1))
+        idx.setdefault(fx[:k] + (None,) + fx[k + 1:], []).append(x)
+    horns = sp.compatible_tuples(x_bx.level(p - 1, q - 1),
+                                 x_bx.face_table(p - 1, q - 1, "v"), q - 1,
+                                 skip=k)
+    row_faces = {row: tuple(tuple(None if a is None
+                                  else x_bx.dh(p - 1, q - 1, i, a)
+                                  for a in row) for i in range(p))
+                 for row in horns} if p - 1 >= 1 else {}
+    targets = sp.compatible_tuples(horns, row_faces, p - 1)
+
+    def lift(tgt, i, partial):
+        if i == p + 1:
+            return True
+        for cand in idx.get(tgt[i], []):
+            tick("boundary-horn lift")
+            if p - 1 >= 1 and any(
+                    x_bx.dh(p - 1, q, i - 1, partial[a]) !=
+                    x_bx.dh(p - 1, q, a, cand) for a in range(i)):
+                continue
+            if lift(tgt, i + 1, partial + [cand]):
+                return True
+        return False
+
+    return all(lift(tgt, 0, []) for tgt in targets)
+
+
+def reference_relative_horn_extension(x_bx, p, q, k, tick):
+    """The relative box-horn search with its index of level (p, q) and
+    every a-tuple's candidate lists rebuilt per horn index k."""
+    if any(t not in x_bx.region for t in [(p, q), (p - 1, q), (p, q - 1)]):
+        return True
+    bidx = {}
+    for b, hkey in x_bx.face_table(p, q - 1, "h").items():
+        bidx.setdefault(hkey, []).append(b)
+    full_idx = {}
+    for x in x_bx.level(p, q):
+        hkey = tuple(x_bx.dh(p, q, i, x) for i in range(p + 1))
+        vkey = tuple(x_bx.dv(p, q, j, x) for j in range(q + 1) if j != k)
+        full_idx.setdefault((hkey, vkey), []).append(x)
+    slots = [j for j in range(q + 1) if j != k]
+    for a_tuple in nv._h_boundary_tuples(x_bx, p, q):
+        cand_lists = []
+        for j in slots:
+            want = tuple(x_bx.dv(p - 1, q, j, a_tuple[i]) for i in range(p + 1))
+            cand_lists.append(bidx.get(want, []))
+
+        def rec(m, partial):
+            if m == q:
+                return bool(full_idx.get((a_tuple, tuple(partial)), []))
+            j = slots[m]
+            for cand in cand_lists[m]:
+                tick("relative box-horn")
+                if q - 1 >= 1 and any(
+                        x_bx.dv(p, q - 1, slots[mi], cand) !=
+                        x_bx.dv(p, q - 1, j - 1, partial[mi])
+                        for mi in range(m)):
+                    continue
+                partial.append(cand)
+                good = rec(m + 1, partial)
+                partial.pop()
+                if not good:
+                    return False
+            return True
+        if not rec(0, []):
+            return False
+    return True
+
+
+def reference_fibrancy(x_bx, n=2):
+    """segal_fibrancy_check with full row maps and per-k relative-horn
+    indices; returns the report items and the search ticks."""
+    items = []
+    if not x_bx.is_pre_monoid():
+        return [("pre-monoid", False, "row 0 is not a point")], 0
+    pmax = max(p for p, q in x_bx.region if q == 0)
+    rows = {p: x_bx.row(p) for p in range(pmax + 1)}
+    for p, r in rows.items():
+        cls = sp.classify(r, n)
+        items.append(("row-%d-kan-groupoid" % p, bool(cls.n_kan_groupoid),
+                      "dims %s" % cls.checked_dims))
+    pis = {}
+    for p, r in rows.items():
+        pis[p] = {}
+        for m in (1, 2):
+            try:
+                pis[p][m] = sp.pi_with_classes(r, m)
+            except sp.SimplicialError as exc:
+                pis[p][m] = None
+                items.append(("row-%d-pi%d-available" % (p, m), True,
+                              "skipped: %s" % exc))
+    for k in range(pmax + 1):
+        for l in range(pmax + 1):
+            for phi in sp._monotone_maps(l, k):
+                comp = reference_row_map(x_bx, phi, k, l)
+                for m in (1, 2):
+                    if pis[k][m] is None or pis[l][m] is None:
+                        continue
+                    ok = reference_pi_iso(pis[k][m], pis[l][m], comp, m)
+                    items.append(("weq-phi%s-pi%d" % (phi, m), bool(ok), ""))
+    ticks = [0]
+
+    def tick(search):
+        ticks[0] += 1
+
+    for k in range(3):
+        items.append(("(iii)-k%d" % k, bool(
+            reference_boundary_horn_extension(x_bx, 2, 2, k, tick)), ""))
+    for p in (1, 2):
+        for k in range(3):
+            items.append(("(iv)-p%d-k%d" % (p, k), bool(
+                reference_relative_horn_extension(x_bx, p, 2, k, tick)), ""))
+    return items, ticks[0]
+
+
+def fibrancy_cases():
+    out = [pytest.param(lambda g=g: nv.segal_nerve(g, 2, 3), id=name)
+           for name, g in ex.canned_two_groups()]
+    # level (2, 3) dropped: pi_2 of row 2 is not checked
+    out.append(pytest.param(
+        lambda: nv.segal_nerve(ex.build("oneobj-z2"), 2, 3, level_budget=5000),
+        id="oneobj-z2-clipped"))
+    out.append(pytest.param(lambda: nv.p2_star(sp.sphere(1, 3), 2),
+                            id="p2-star-s1-not-fibrant"))
+    return out
+
+
+@pytest.mark.parametrize("build", fibrancy_cases())
+def test_fibrancy_matches_full_row_map_reference(build):
+    x_bx = build()
+    want, ticks = reference_fibrancy(x_bx)
+    rep = nv.segal_fibrancy_check(x_bx)
+    assert rep.items == want
+    assert ticks > 0
+    assert_ticks(lambda b: nv.segal_fibrancy_check(x_bx, budget=b), ticks)
+
+
+def test_fibrancy_reference_cases_cover_skips_and_failures():
+    clipped = nv.segal_nerve(ex.build("oneobj-z2"), 2, 3, level_budget=5000)
+    items, _ = reference_fibrancy(clipped)
+    assert ("row-2-pi2-available", True, "skipped: pi_2 needs level 3") in items
+    items, _ = reference_fibrancy(nv.p2_star(sp.sphere(1, 3), 2))
+    assert not all(ok for _, ok, _ in items)
+
+
+def test_bimap_index_skips_levels_without_free_cells():
+    x = nv.p2_star(ex.build("s1"), 2)
+    ns = nv.segal_nerve(ex.build("oneobj-z2"), 2, 3)
+    assert (2, 3) in x.region & ns.region
+    assert nv.mu3_determined(x, ns)
+    # every cell of X_{2,3} is degenerate, so Y's 32,768-cell level
+    # (2, 3) is read only at the forced images
+    assert [key for key in ns._face_tables if key[:2] == (2, 3)] == []
+    assert [key for key in ns._face_indexes if key[:2] == (2, 3)] == []
+
+
+@pytest.mark.parametrize("name", [n for n, _ in ex.canned_two_groups()])
+def test_bimaps_from_p1_products_match_reference(name):
+    # the sources hom1_enriched builds: X x p1*(Delta^n) has free cells
+    # at (n', q) for n' <= n and q <= 1
+    x = nv.p2_star(ex.build("s1"), 2)
+    ns = nv.segal_nerve(ex.build(name), 2, 3)
+    region = x.region & ns.region
+    for n in (1, 2):
+        dn = sp.standard_simplex(n, max(p for p, _ in region))
+        prod, _ = dt._bi_product_p1(x, dn, region)
+        want, ticks = reference_bimaps(prod, ns, region)
+        assert want
+        assert nv.enumerate_bimaps(prod, ns, region=region) == want
+        assert_ticks(lambda b: nv.enumerate_bimaps(prod, ns, region=region,
+                                                   budget=b), ticks)
+
+
 # -- the searches against references that recheck every constraint ------------
 #
 # Each reference is the search as it stood before completion schedules:

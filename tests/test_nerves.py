@@ -135,6 +135,18 @@ def test_fibrancy_disc_z2():
     assert rep.ok, [l for l, o, _ in rep.items if not o]
 
 
+def test_fibrancy_searches_under_the_budget(monkeypatch):
+    monkeypatch.delenv("KANFORGE_BUDGET", raising=False)
+    ns = nv.segal_nerve(ex.build("oneobj-z2"), 2, 3)
+    with pytest.raises(sp.SearchBudgetExceeded, match="boundary-horn lift"):
+        nv.segal_fibrancy_check(ns, budget=1)
+    monkeypatch.setenv("KANFORGE_BUDGET", "10")
+    with pytest.raises(sp.SearchBudgetExceeded, match="exceeded 10 "):
+        nv.segal_fibrancy_check(ns)
+    monkeypatch.delenv("KANFORGE_BUDGET")
+    assert nv.segal_fibrancy_check(ns).ok
+
+
 def test_fibrancy_fails_on_nonfibrant_premonoid():
     # the circle pre-monoid has rows that are not 2-Kan groupoids
     s1 = sp.sphere(1, 3)

@@ -170,3 +170,10 @@ def test_cli_malformed_budget_exit_two(tmp_path, capsys, monkeypatch):
     assert captured.out == ""
     assert "KANFORGE_BUDGET='10k'" in captured.err
     assert cli.main(["validate", dump(tmp_path, "delta1")]) == 2
+
+
+def test_cli_verify_fibrancy_budget_exit_two(capsys, monkeypatch):
+    monkeypatch.setenv("KANFORGE_BUDGET", "10")
+    assert cli.main(["verify", "fibrancy"]) == 2
+    assert "budget exceeded: fibrancy boundary-horn lift search" in \
+        capsys.readouterr().out
