@@ -37,6 +37,16 @@ def _load(path, want=None):
     return obj, kind
 
 
+def _load_valid_sset(path):
+    """A simplicial set document that satisfies the simplicial
+    identities, which the map searches take as given."""
+    x, _ = _load(path, want={"sset"})
+    report = x.validate()
+    if not report.ok:
+        raise UsageError("%s: %s" % (path, report.violations[0]))
+    return x
+
+
 def _emit(obj, out_path):
     text = io.dumps(obj)
     if out_path:
@@ -164,7 +174,7 @@ def cmd_loop(args):
 
 
 def cmd_det(args):
-    x, _ = _load(args.space, want={"sset"})
+    x = _load_valid_sset(args.space)
     g, _ = _load(args.group, want={"two_group"})
     try:
         dets, homs, ok = dt.determinants_vs_hom(x, g)
@@ -182,7 +192,7 @@ def cmd_det(args):
 
 
 def cmd_add(args):
-    x, _ = _load(args.space, want={"sset"})
+    x = _load_valid_sset(args.space)
     h, _ = _load(args.group, want={"group"})
     try:
         adds, homs, ok = dt.additive_vs_hom(x, h)

@@ -48,95 +48,87 @@ class EnrichedHom:
         self.x = x_sset
         self.y = y_sset
         d = x_sset.dim
-        quots = []
-        reps = []
-        pair_of = []
-        pid_of = []
+        sub = sp.sq0_subcomplex(x_sset)
+        self.quots = []
+        self._pairs = []        # per n: id (a|b) of X x Delta^n -> (a, b)
+        self._collapsed = []    # per n, k: collapsed id -> its class id
         for n in range(n_max + 1):
             dn = sp.standard_simplex(n, d)
-            prod = sp.product(x_sset, dn)
-            pairs = {}
-            byxy = {}
-            for k in range(d + 1):
-                for a in x_sset.level(k):
-                    for b in dn.level(k):
-                        pid = "(%s|%s)" % (a, b)
-                        pairs[pid] = (a, b)
-                        byxy[(a, b)] = pid
-            sub = sp.sq0_subcomplex(x_sset)
-            ids = [["(%s|%s)" % (a, b) for a in sub[k] for b in dn.level(k)]
+            self._pairs.append({_pair_id(a, b): (a, b) for k in range(d + 1)
+                                for a in x_sset.level(k) for b in dn.level(k)})
+            ids = [[_pair_id(a, b) for a in sub[k] for b in dn.level(k)]
                    for k in range(d + 1)]
-            q = sp.quotient_by_subcomplex(prod, ids)
+            self.quots.append(sp.quotient_by_subcomplex(
+                sp.product(x_sset, dn), ids))
             # the quotient relabels every collapsed cell to the least id
-            # of its level; record the full projection map
-            subsets = [set(l) for l in ids]
-            proj = {}
-            for k in range(d + 1):
-                collapsed = min(subsets[k]) if subsets[k] else None
-                for a in x_sset.level(k):
-                    for b in dn.level(k):
-                        pid = byxy[(a, b)]
-                        proj[(k, pid)] = collapsed if pid in subsets[k] else pid
-            quots.append(q)
-            reps.append(proj)
-            pair_of.append(pairs)
-            pid_of.append(byxy)
-        self.quots = quots
-        self._proj = reps
-        self._pairs = pair_of
-        self._byxy = pid_of
+            # of its level
+            self._collapsed.append([dict.fromkeys(l, min(l, default=None))
+                                    for l in ids])
 
-        # cross maps Q_{n-1} -> Q_n induced by X x delta_i, and
-        # Q_{n+1} -> Q_n by X x sigma_j
         self.maps = []
-        keys = []
         for n in range(n_max + 1):
-            found = sp.enumerate_maps(quots[n], y_sset, upto=d, budget=budget)
+            found = sp.enumerate_maps(self.quots[n], y_sset, upto=d,
+                                      budget=budget)
             found.sort(key=lambda f: f.key())
             self.maps.append(found)
-            keys.append({f.key(): i for i, f in enumerate(found)})
+        self.sset = _transported_hom(
+            [[f.components for f in found] for found in self.maps],
+            self._pull, "h")
 
-        levels = [["h%d_%d" % (n, i) for i in range(len(self.maps[n]))]
-                  for n in range(n_max + 1)]
-        face = {}
-        degen = {}
-        for n in range(1, n_max + 1):
-            for i in range(n + 1):
-                cross = self._cross_map(n - 1, n, lambda phi: _post_delta(i, phi))
-                mp = {}
-                for idx, f in enumerate(self.maps[n]):
-                    comps = {k: {qid: f(k, cross[(k, qid)])
-                                 for qid in quots[n - 1].level(k)}
-                             for k in range(d + 1)}
-                    key = tuple(tuple(sorted(comps[k].items()))
-                                for k in sorted(comps))
-                    mp["h%d_%d" % (n, idx)] = "h%d_%d" % (n - 1, keys[n - 1][key])
-                face[(n, i)] = mp
-        for n in range(n_max):
-            for j in range(n + 1):
-                cross = self._cross_map(n + 1, n, lambda phi: _post_sigma(j, phi))
-                mp = {}
-                for idx, f in enumerate(self.maps[n]):
-                    comps = {k: {qid: f(k, cross[(k, qid)])
-                                 for qid in quots[n + 1].level(k)}
-                             for k in range(d + 1)}
-                    key = tuple(tuple(sorted(comps[k].items()))
-                                for k in sorted(comps))
-                    mp["h%d_%d" % (n, idx)] = "h%d_%d" % (n + 1, keys[n + 1][key])
-                degen[(n, j)] = mp
-        self.sset = sp.TruncatedSSet(n_max, levels, face, degen)
-
-    def _cross_map(self, n_from, n_to, post):
-        """Map Q_{n_from} -> Q_{n_to}: class of (x, phi) -> class of
-        (x, post(phi))."""
-        d = self.x.dim
+    def _pull(self, n_to, n, post):
+        """dict level -> dict cell of Q_{n_to} -> cell of Q_n: the class
+        of (x, phi) goes to the class of (x, post(phi)), the map
+        Q_{n_to} -> Q_n that X x post induces."""
         out = {}
-        for k in range(d + 1):
-            for qid in self.quots[n_from].level(k):
-                a, b = self._pairs[n_from][qid]
-                target_pid = self._byxy[n_to][(a, post(b))]
-                out[(k, qid)] = self._proj[n_to][(k, target_pid)]
+        for k in range(self.x.dim + 1):
+            row = out[k] = {}
+            collapsed = self._collapsed[n][k]
+            for qid in self.quots[n_to].level(k):
+                a, b = self._pairs[n_to][qid]
+                pid = _pair_id(a, post(b))
+                row[qid] = collapsed.get(pid, pid)
         return out
+
+
+def _pair_id(a, b):
+    """The id of the pair (a, b) in sp.product."""
+    return "(%s|%s)" % (a, b)
+
+
+def _canon(comps):
+    """A map given as dict level -> dict cell -> image, as a sortable
+    key that does not depend on dict order."""
+    return tuple((lvl, tuple(sorted(cells.items())))
+                 for lvl, cells in sorted(comps.items()))
+
+
+def _transported_hom(maps, pull, prefix):
+    """An enriched hom as a TruncatedSSet.
+
+    Level n names the maps of maps[n] (each a dict level -> dict cell ->
+    image) prefix + "n_i", in list order.  d_i (s_j) sends a map f of
+    level n to the map of level n - 1 (n + 1) that is f precomposed with
+    pull(n_to, n, post), post = delta_i (sigma_j) acting on the simplex
+    coordinate; pull returns a dict level -> dict cell -> cell.
+    """
+    n_max = len(maps) - 1
+    levels = [["%s%d_%d" % (prefix, n, i) for i in range(len(maps[n]))]
+              for n in range(n_max + 1)]
+    ranks = [{_canon(f): i for i, f in enumerate(found)} for found in maps]
+    face = {}
+    degen = {}
+    for n in range(n_max + 1):
+        ops = [(face, i, n - 1, _post_delta) for i in range(n + 1) if n > 0]
+        ops += [(degen, j, n + 1, _post_sigma) for j in range(n + 1)
+                if n < n_max]
+        for table, i, n_to, post in ops:
+            moved = pull(n_to, n, lambda phi: post(i, phi))
+            table[(n, i)] = {
+                levels[n][idx]: levels[n_to][ranks[n_to][_canon(
+                    {lvl: {cell: f[lvl][img] for cell, img in row.items()}
+                     for lvl, row in moved.items()})]]
+                for idx, f in enumerate(maps[n])}
+    return sp.TruncatedSSet(n_max, levels, face, degen)
 
 
 def enriched_hom0(x_sset, y_sset, n_max, budget=None):
@@ -149,7 +141,9 @@ def enriched_hom0(x_sset, y_sset, n_max, budget=None):
 
 def enumerate_additive(x_sset, group, budget=None):
     """All D : level 1 -> H with D(degenerate loop) = e and
-    D(d1 a) = D(d2 a) * D(d0 a) for every 2-simplex a."""
+    D(d1 a) = D(d2 a) * D(d0 a) for every 2-simplex a, by
+    sp.scheduled_search over the free edges; each 2-simplex is tested
+    once, right after its last free edge is set."""
     if not x_sset.is_reduced():
         raise DeterminantError("additive functions need a reduced complex")
     if x_sset.dim < 2:
@@ -159,36 +153,19 @@ def enumerate_additive(x_sset, group, budget=None):
     edges = list(x_sset.level(1))
     cons = [(x_sset.d(2, 1, a), x_sset.d(2, 2, a), x_sset.d(2, 0, a))
             for a in x_sset.level(2)]
-    cap = budget if budget is not None else sp.enumeration_budget()
-    counter = [0]
+    tick = sp.budget_ticker(budget, "additive enumeration exceeded cap")
     out = []
     assign = {loop0: group.unit}
     frees = [e for e in edges if e != loop0]
 
-    # each 2-simplex is tested once, right after its last free edge is set
     checks = sp.completion_schedule(frees, ((con, con) for con in cons))
 
     def holds(con):
         m, l, r = con
         return assign[m] == group.mul(assign[l], assign[r])
 
-    def rec(i):
-        counter[0] += 1
-        if counter[0] > cap:
-            raise sp.SearchBudgetExceeded("additive enumeration exceeded cap")
-        if i == 0 and not all(holds(con) for con in checks[None]):
-            return
-        if i == len(frees):
-            out.append(dict(assign))
-            return
-        e = frees[i]
-        for val in group.elements:
-            assign[e] = val
-            if all(holds(con) for con in checks[e]):
-                rec(i + 1)
-            del assign[e]
-
-    rec(0)
+    sp.scheduled_search(frees, lambda e: group.elements, checks, holds, assign,
+                        lambda: out.append(dict(assign)), tick)
     return out
 
 
@@ -239,13 +216,13 @@ def additive_vs_hom(x_sset, group, budget=None):
 def enumerate_determinants(x_sset, g, budget=None):
     """All (D, T) on a reduced complex of dim >= 3: D on edges valued in
     objects, T on triangles valued in morphisms, subject to the
-    compatibility, unit and associativity conditions.  D is chosen edge
-    by edge, then T triangle by triangle in level order; the
-    associativity square of a tetrahedron is tested once, right after
-    its last free face is assigned (sp.completion_schedule), and the
-    tetrahedra with no free face once, before the first triangle.  The
-    degeneracy forcing (T(s_i A) = s_i(D A)) is re-derived, then
-    asserted."""
+    compatibility, unit and associativity conditions.  Two stages of
+    sp.scheduled_search: D edge by edge, and at each of its leaves T
+    triangle by triangle in level order, where the associativity square
+    of a tetrahedron is tested once, right after its last free face is
+    assigned (sp.completion_schedule), and the tetrahedra with no free
+    face once, before the first triangle.  The degeneracy forcing
+    (T(s_i A) = s_i(D A)) is re-derived, then asserted."""
     if not x_sset.is_reduced():
         raise DeterminantError("determinants need a reduced complex")
     if x_sset.dim < 3:
@@ -258,15 +235,8 @@ def enumerate_determinants(x_sset, g, budget=None):
     edges = [e for e in x_sset.level(1) if e != loop0]
     tris = [t for t in x_sset.level(2) if t != loop1]
     tetra = list(x_sset.level(3))
-    cap = budget if budget is not None else sp.enumeration_budget()
-    counter = [0]
-
-    hom_by_src = {}
-    for f in c.morphisms:
-        hom_by_src.setdefault(c.src[f], []).append(f)
-    for v in hom_by_src.values():
-        v.sort()
-
+    tick = sp.budget_ticker(budget, "determinant enumeration exceeded cap")
+    tri_morphisms = _triangle_morphisms(g)
     results = []
     d_assign = {loop0: g.unit}
     t_assign = {loop1: l_unit_inv}
@@ -282,11 +252,6 @@ def enumerate_determinants(x_sset, g, budget=None):
     tet_checks = sp.completion_schedule(tris,
                                         ((h, tet_faces[h]) for h in tetra))
 
-    def tick():
-        counter[0] += 1
-        if counter[0] > cap:
-            raise sp.SearchBudgetExceeded("determinant enumeration exceeded cap")
-
     def assoc_ok(h):
         xi0, xi1, xi2, xi3 = [t_assign[f] for f in tet_faces[h]]
         a01, a12, a23 = tet_corner[h]
@@ -297,37 +262,17 @@ def enumerate_determinants(x_sset, g, budget=None):
 
     def t_candidates(t):
         f0, f1, f2 = tri_faces[t]
-        srcobj = g.t(d_assign[f2], d_assign[f0])
-        return [m for m in hom_by_src.get(srcobj, [])
-                if c.tgt[m] == d_assign[f1]]
+        return tri_morphisms(d_assign[f0], d_assign[f1], d_assign[f2])
 
-    def rec_t(i):
-        tick()
-        if i == 0 and not all(assoc_ok(h) for h in tet_checks[None]):
-            return
-        if i == len(tris):
-            results.append((dict(d_assign), dict(t_assign)))
-            return
-        t = tris[i]
-        checks = tet_checks[t]
-        for m in t_candidates(t):
-            t_assign[t] = m
-            if all(assoc_ok(h) for h in checks):
-                rec_t(i + 1)
-            del t_assign[t]
+    def t_stage():
+        sp.scheduled_search(
+            tris, t_candidates, tet_checks, assoc_ok, t_assign,
+            lambda: results.append((dict(d_assign), dict(t_assign))), tick)
 
-    def rec_d(i):
-        tick()
-        if i == len(edges):
-            rec_t(0)
-            return
-        e = edges[i]
-        for obj in c.objects:
-            d_assign[e] = obj
-            rec_d(i + 1)
-            del d_assign[e]
-
-    rec_d(0)
+    # D has no constraint of its own: every choice of objects goes on to T
+    sp.scheduled_search(edges, lambda e: c.objects,
+                        sp.completion_schedule(edges, ()), None, d_assign,
+                        t_stage, tick)
     # assert the degeneracy forcing on every result
     for d_fun, t_fun in results:
         for e in x_sset.level(1):
@@ -364,7 +309,9 @@ def determinants_vs_hom(x_sset, g, budget=None):
 
 def det_morphisms(x_sset, g, det1, det2, budget=None):
     """All H : level 1 -> morphisms with H(A) : D(A) -> D'(A),
-    H(degenerate loop) = id and naturality over every triangle."""
+    H(degenerate loop) = id and naturality over every triangle, by
+    sp.scheduled_search over the free edges; each triangle is tested
+    once, right after its last free edge is set."""
     c = g.base
     d1, t1 = det1
     d2, t2 = det2
@@ -373,11 +320,9 @@ def det_morphisms(x_sset, g, det1, det2, budget=None):
     edges = [e for e in x_sset.level(1) if e != loop0]
     assign = {loop0: c.id_of(g.unit)}
     out = []
-    cap = budget if budget is not None else sp.enumeration_budget()
-    counter = [0]
+    tick = sp.budget_ticker(budget, "determinant morphism search exceeded cap")
 
     tri_faces = x_sset.face_table(2)
-    # each triangle is tested once, right after its last free edge is set
     tri_checks = sp.completion_schedule(edges, tri_faces.items())
 
     def nat_ok(t):
@@ -386,24 +331,8 @@ def det_morphisms(x_sset, g, det1, det2, budget=None):
         rhs = c.comp(t2[t], g.tm(h2, h0))
         return lhs == rhs
 
-    def rec(i):
-        counter[0] += 1
-        if counter[0] > cap:
-            raise sp.SearchBudgetExceeded("determinant morphism search exceeded cap")
-        if i == 0 and not all(nat_ok(t) for t in tri_checks[None]):
-            return
-        if i == len(edges):
-            out.append(dict(assign))
-            return
-        e = edges[i]
-        checks = tri_checks[e]
-        for h in c.hom(d1[e], d2[e]):
-            assign[e] = h
-            if all(nat_ok(t) for t in checks):
-                rec(i + 1)
-            del assign[e]
-
-    rec(0)
+    sp.scheduled_search(edges, lambda e: c.hom(d1[e], d2[e]), tri_checks,
+                        nat_ok, assign, lambda: out.append(dict(assign)), tick)
     return out
 
 
@@ -412,32 +341,38 @@ def pi0_det(x_sset, g, dets=None, budget=None):
     symmetry and transitivity are verified, not assumed."""
     if dets is None:
         dets = enumerate_determinants(x_sset, g, budget=budget)
-    n = len(dets)
-    related = [[False] * n for _ in range(n)]
+    classes = _relation_classes(
+        len(dets), lambda i, j: det_morphisms(x_sset, g, dets[i], dets[j],
+                                              budget=budget), "determinant")
+    return classes, dets
+
+
+def _relation_classes(n, related, what):
+    """The classes of the relation related(i, j) on range(n), each the
+    sorted indices related to its least member, once the relation is
+    verified reflexive, symmetric and transitive (else DeterminantError,
+    naming the relation by `what`)."""
+    rel = [[bool(related(i, j)) for j in range(n)] for i in range(n)]
     for i in range(n):
+        if not rel[i][i]:
+            raise DeterminantError("%s relation not reflexive" % what)
         for j in range(n):
-            related[i][j] = bool(det_morphisms(x_sset, g, dets[i], dets[j],
-                                               budget=budget))
-    for i in range(n):
-        if not related[i][i]:
-            raise DeterminantError("determinant relation not reflexive")
-        for j in range(n):
-            if related[i][j] != related[j][i]:
-                raise DeterminantError("determinant relation not symmetric")
+            if rel[i][j] != rel[j][i]:
+                raise DeterminantError("%s relation not symmetric" % what)
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                if related[i][j] and related[j][k] and not related[i][k]:
-                    raise DeterminantError("determinant relation not transitive")
+                if rel[i][j] and rel[j][k] and not rel[i][k]:
+                    raise DeterminantError("%s relation not transitive" % what)
     classes = []
     seen = set()
     for i in range(n):
         if i in seen:
             continue
-        cls = [j for j in range(n) if related[i][j]]
+        cls = [j for j in range(n) if rel[i][j]]
         seen.update(cls)
         classes.append(cls)
-    return classes, dets
+    return classes
 
 
 # -- the homotopy group comparison -------------------------------------------
@@ -494,42 +429,35 @@ def _obj_simplex_id(x):
 def enumerate_segal_determinants(x_bx, g, budget=None):
     """All (D, T): D a simplicial map X_{*,1} -> N(sG) (2-truncated), T on
     X_{0,2} valued in morphisms, with the compatibility, unit,
-    naturality and associativity conditions."""
+    naturality and associativity conditions.  D comes from
+    sp.enumerate_maps; for each D, T is found by sp.scheduled_search
+    over the free 2-cells, where each naturality square and then each
+    associativity cell is tested once, right after its last free 2-cell
+    is set."""
     c = g.base
     nsg = nv.nerve_category(g.base, 2)
-    col1 = x_bx.column(1)
-    col1_t = sp.TruncatedSSet(min(col1.dim, 2),
-                              [col1.level(k) for k in range(min(col1.dim, 2) + 1)],
-                              {k: v for k, v in col1.face.items() if k[0] <= 2},
-                              {k: v for k, v in col1.degen.items() if k[0] <= 1},
-                              base=col1.base)
+    col1_t = _column1_2trunc(x_bx)
     d_maps = sp.enumerate_maps(col1_t, nsg, upto=col1_t.dim, budget=budget)
     d_maps.sort(key=lambda f: f.key())
     star = x_bx.level(0, 0)[0]
     v_deg1 = x_bx.vdegen[(0, 0, 0)][star]
     v_deg2 = x_bx.vdegen[(0, 1, 0)][v_deg1]
     l_unit_inv = g.mor_inverse(g.l(g.unit))
-
-    hom_by_src = {}
-    for f in c.morphisms:
-        hom_by_src.setdefault(c.src[f], []).append(f)
-    for v in hom_by_src.values():
-        v.sort()
+    tri_morphisms = _triangle_morphisms(g)
 
     results = []
     x02 = list(x_bx.level(0, 2))
     x12 = list(x_bx.level(1, 2)) if (1, 2) in x_bx.region else []
     x03 = list(x_bx.level(0, 3)) if (0, 3) in x_bx.region else []
-    cap = budget if budget is not None else sp.enumeration_budget()
-    counter = [0]
-    # the doubly degenerate 2-cell is forced to the unit; each naturality
-    # square and associativity cell is tested once, right after its last
-    # free 2-cell is set
+    tick = sp.budget_ticker(budget, "segal determinant search exceeded cap")
+    # the doubly degenerate 2-cell is forced to the unit; one schedule
+    # holds the naturality squares, then the associativity cells
     frees = [xi for xi in x02 if xi != v_deg2]
-    nat_checks = sp.completion_schedule(
-        frees, ((z, (x_bx.dh(1, 2, 1, z), x_bx.dh(1, 2, 0, z))) for z in x12))
-    assoc_checks = sp.completion_schedule(
-        frees, ((h, tuple(x_bx.dv(0, 3, i, h) for i in range(4))) for h in x03))
+    checks = sp.completion_schedule(frees, [
+        (("nat", z), (x_bx.dh(1, 2, 1, z), x_bx.dh(1, 2, 0, z))) for z in x12
+    ] + [
+        (("assoc", h), tuple(x_bx.dv(0, 3, i, h) for i in range(4)))
+        for h in x03])
 
     for dm in d_maps:
         if dm(0, v_deg1) != g.unit:
@@ -544,10 +472,7 @@ def enumerate_segal_determinants(x_bx, g, budget=None):
         t_assign = {}
 
         def t_candidates(xi):
-            srcobj = g.t(dobj(x_bx.dv(0, 2, 2, xi)), dobj(x_bx.dv(0, 2, 0, xi)))
-            tgtobj = dobj(x_bx.dv(0, 2, 1, xi))
-            return [m for m in hom_by_src.get(srcobj, [])
-                    if c.tgt[m] == tgtobj]
+            return tri_morphisms(*[dobj(x_bx.dv(0, 2, i, xi)) for i in range(3)])
 
         def nat_ok(z):
             xi_top = x_bx.dh(1, 2, 1, z)
@@ -574,32 +499,40 @@ def enumerate_segal_determinants(x_bx, g, budget=None):
             rhs = c.comp(t_assign[f1], g.tm(t_assign[f3], c.id_of(x23)))
             return lhs == rhs
 
-        def checks_ok(xi):
-            return all(nat_ok(z) for z in nat_checks[xi]) and \
-                all(assoc_ok(h) for h in assoc_checks[xi])
+        def holds(con):
+            kind, cell = con
+            return nat_ok(cell) if kind == "nat" else assoc_ok(cell)
 
         if l_unit_inv not in t_candidates(v_deg2):
             continue
         t_assign[v_deg2] = l_unit_inv
-
-        def rec(i):
-            counter[0] += 1
-            if counter[0] > cap:
-                raise sp.SearchBudgetExceeded("segal determinant search exceeded cap")
-            if i == 0 and not checks_ok(None):
-                return
-            if i == len(frees):
-                results.append((dm, dict(t_assign)))
-                return
-            xi = frees[i]
-            for m in t_candidates(xi):
-                t_assign[xi] = m
-                if checks_ok(xi):
-                    rec(i + 1)
-                del t_assign[xi]
-
-        rec(0)
+        sp.scheduled_search(frees, t_candidates, checks, holds, t_assign,
+                            lambda: results.append((dm, dict(t_assign))), tick)
     return results
+
+
+def _column1_2trunc(x_bx):
+    """The column X_{*,1}, truncated at dimension 2."""
+    col1 = x_bx.column(1)
+    top = min(col1.dim, 2)
+    return sp.TruncatedSSet(top, col1.levels[:top + 1],
+                            {k: v for k, v in col1.face.items() if k[0] <= top},
+                            {k: v for k, v in col1.degen.items() if k[0] < top},
+                            base=col1.base)
+
+
+def _triangle_morphisms(g):
+    """cands(o0, o1, o2): the morphisms t(o2, o0) -> o1 of g's base
+    groupoid, sorted; the values T may take on a triangle whose faces
+    d_0, d_1, d_2 have D-values o0, o1, o2."""
+    c = g.base
+    by_src = {}
+    for f in sorted(c.morphisms):
+        by_src.setdefault(c.src[f], []).append(f)
+
+    def cands(o0, o1, o2):
+        return [m for m in by_src.get(g.t(o2, o0), ()) if c.tgt[m] == o1]
+    return cands
 
 
 def segal_determinants_vs_hom(x_bx, g, ns=None, budget=None):
@@ -662,13 +595,8 @@ def segal_det_morphisms(x_bx, g, det1, det2, budget=None):
     and compatible with the T data over X_{1,2}."""
     c = g.base
     nsg = nv.nerve_category(g.base, 2)
-    col1 = x_bx.column(1)
-    top = min(col1.dim, 2)
-    col1_t = sp.TruncatedSSet(top, [col1.level(k) for k in range(top + 1)],
-                              {k: v for k, v in col1.face.items() if k[0] <= top},
-                              {k: v for k, v in col1.degen.items()
-                               if k[0] <= top - 1},
-                              base=col1.base)
+    col1_t = _column1_2trunc(x_bx)
+    top = col1_t.dim
     d1 = sp.standard_simplex(1, top)
     prod = sp.product(col1_t, d1)
     dm1, t1 = det1
@@ -726,31 +654,9 @@ def segal_pi0(x_bx, g, budget=None):
     """Classes of Segal determinants under the exists-a-morphism
     relation, with symmetry/transitivity verified."""
     dets = enumerate_segal_determinants(x_bx, g, budget=budget)
-    n = len(dets)
-    related = [[False] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            related[i][j] = bool(segal_det_morphisms(x_bx, g, dets[i], dets[j],
-                                                     budget=budget))
-    for i in range(n):
-        if not related[i][i]:
-            raise DeterminantError("segal determinant relation not reflexive")
-        for j in range(n):
-            if related[i][j] != related[j][i]:
-                raise DeterminantError("segal determinant relation not symmetric")
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if related[i][j] and related[j][k] and not related[i][k]:
-                    raise DeterminantError("segal determinant relation not transitive")
-    classes = []
-    seen = set()
-    for i in range(n):
-        if i in seen:
-            continue
-        cls = [j for j in range(n) if related[i][j]]
-        seen.update(cls)
-        classes.append(cls)
+    classes = _relation_classes(
+        len(dets), lambda i, j: segal_det_morphisms(
+            x_bx, g, dets[i], dets[j], budget=budget), "segal determinant")
     return classes, dets
 
 
@@ -767,50 +673,21 @@ def hom1_enriched(x_bx, g, n_max=2, ns=None, budget=None):
         prod, pairs = _bi_product_p1(x_bx, dn, region)
         prods.append(prod)
         pair_tables.append(pairs)
-    maps = []
-    keys = []
-    for n in range(n_max + 1):
-        found = nv.enumerate_bimaps(prods[n], ns, region=region, budget=budget)
-        canon = []
-        for f in found:
-            canon.append(tuple((k, tuple(sorted(f[k].items())))
-                               for k in sorted(region)))
-        order = sorted(range(len(found)), key=lambda i: canon[i])
-        maps.append([found[i] for i in order])
-        keys.append({canon[i]: rank for rank, i in enumerate(order)})
+    maps = [sorted(nv.enumerate_bimaps(prods[n], ns, region=region,
+                                       budget=budget), key=_canon)
+            for n in range(n_max + 1)]
 
-    levels = [["H%d_%d" % (n, i) for i in range(len(maps[n]))]
-              for n in range(n_max + 1)]
-    face = {}
-    degen = {}
-
-    def transported(n_from, n_to, post, f):
+    def pull(n_to, n, post):
+        # the cell (x|phi) of the level-n_to source goes to (x|post(phi))
         out = {}
-        for k in sorted(region):
-            p, q = k
-            sub = {}
+        for (p, q) in sorted(region):
+            row = out[(p, q)] = {}
             for cell in prods[n_to].level(p, q):
                 x, phi = pair_tables[n_to][(p, q, cell)]
-                img_cell = "(%s|%s)" % (x, post(phi))
-                sub[cell] = f[k][img_cell]
-            out[k] = sub
-        return tuple((k, tuple(sorted(out[k].items()))) for k in sorted(region))
+                row[cell] = _pair_id(x, post(phi))
+        return out
 
-    for n in range(1, n_max + 1):
-        for i in range(n + 1):
-            mp = {}
-            for idx, f in enumerate(maps[n]):
-                key = transported(n, n - 1, lambda phi: _post_delta(i, phi), f)
-                mp["H%d_%d" % (n, idx)] = "H%d_%d" % (n - 1, keys[n - 1][key])
-            face[(n, i)] = mp
-    for n in range(n_max):
-        for j in range(n + 1):
-            mp = {}
-            for idx, f in enumerate(maps[n]):
-                key = transported(n, n + 1, lambda phi: _post_sigma(j, phi), f)
-                mp["H%d_%d" % (n, idx)] = "H%d_%d" % (n + 1, keys[n + 1][key])
-            degen[(n, j)] = mp
-    return sp.TruncatedSSet(n_max, levels, face, degen)
+    return _transported_hom(maps, pull, "H")
 
 
 def _bi_product_p1(x_bx, dn, region):

@@ -513,10 +513,12 @@ class BisimplicialTrunc:
         return table
 
     def face_index(self, p, q, has_h, has_v):
-        """dict (horizontal faces, vertical faces) -> the cells of level
-        (p, q) with those faces, each list sorted; a direction whose has_
-        flag is False contributes ().  Built once per key (the object is
-        immutable)."""
+        """dict face key -> the cells of level (p, q) with that key, each
+        list sorted.  The key is the flat tuple of the horizontal faces
+        followed by the vertical ones; a direction whose has_ flag is
+        False contributes no faces, so the flags fix both lengths and the
+        key is unambiguous.  Built once per (p, q, has_h, has_v) (the
+        object is immutable)."""
         key = (p, q, has_h, has_v)
         index = self._face_indexes.get(key)
         if index is None:
@@ -524,7 +526,7 @@ class BisimplicialTrunc:
             vf = self.face_table(p, q, "v") if has_v else None
             index = {}
             for s in self.levels[(p, q)]:
-                faces = (hf[s] if has_h else (), vf[s] if has_v else ())
+                faces = (hf[s] if has_h else ()) + (vf[s] if has_v else ())
                 index.setdefault(faces, []).append(s)
             for cells in index.values():
                 cells.sort()
@@ -1054,108 +1056,50 @@ def segal_nerve(g, pmax, qmax, level_budget=50000):
 
 def enumerate_bimaps(x_bx, y_bx, region=None, budget=None):
     """All bisimplicial maps over the region (default: region of X,
-    intersected with that of Y).  Same strategy as the simplicial
-    enumerator: degenerate cells are forced, nondegenerate ones filtered
-    through a face-key index.  Y's index is built only for levels where X
-    has a free cell; a forced cell is checked against Y's face maps at
-    that cell alone, so a level of Y whose source cells are all forced is
-    never tabulated."""
+    intersected with that of Y), by sp.map_search over the levels in
+    (p + q, p) order.
+
+    Precondition: X and Y satisfy the simplicial identities.  A
+    degenerate cell is forced from its first presentation (horizontal
+    before vertical, least index first); the others are chosen from Y's
+    face_index, keyed by the images of their faces that stay inside the
+    region, with map_search's forward checking.  On a region that is not
+    downward closed, the operators that leave it constrain nothing, and
+    the first presentation alone decides a degenerate cell's image.
+    Y's index is built only for levels where X has a free cell, so a
+    level of Y whose source cells are all forced is read only at the
+    forced images."""
     region = set(region) if region is not None else set(x_bx.region)
     region &= set(y_bx.region)
     order = sorted(region, key=lambda pq: (pq[0] + pq[1], pq[0]))
-    cap = budget if budget is not None else sp.enumeration_budget()
-    counter = [0]
-
-    def tick():
-        counter[0] += 1
-        if counter[0] > cap:
-            raise sp.SearchBudgetExceeded("bisimplicial enumeration exceeded cap")
-
-    # which faces of level (p, q) stay inside the region
-    has = {(p, q): (p >= 1 and (p - 1, q) in region,
-                    q >= 1 and (p, q - 1) in region) for (p, q) in order}
-
-    pres = {}
+    tick = sp.budget_ticker(budget, "bisimplicial enumeration exceeded cap")
+    levels = []
+    index = {}
     for (p, q) in order:
-        pr = {}
-        if has[(p, q)][0]:
-            for j in range(p):
-                for a, sa in x_bx.hdegen[(p - 1, q, j)].items():
-                    pr.setdefault(sa, []).append(("h", j, (p - 1, q), a))
-        if has[(p, q)][1]:
-            for j in range(q):
-                for a, sa in x_bx.vdegen[(p, q - 1, j)].items():
-                    pr.setdefault(sa, []).append(("v", j, (p, q - 1), a))
-        pres[(p, q)] = pr
-    index = {pq: y_bx.face_index(*pq, *has[pq]) for pq in order
-             if any(s not in pres[pq] for s in x_bx.level(*pq))}
-
-    comps = {k: {} for k in order}
-    results = []
-
-    def level_key(pq, s):
-        p, q = pq
-        has_h, has_v = has[pq]
-        hk = tuple(comps[(p - 1, q)][x_bx.dh(p, q, i, s)]
-                   for i in range(p + 1)) if has_h else ()
-        vk = tuple(comps[(p, q - 1)][x_bx.dv(p, q, i, s)]
-                   for i in range(q + 1)) if has_v else ()
-        return (hk, vk)
-
-    def assign(idx_lvl):
-        if idx_lvl == len(order):
-            results.append({k: dict(v) for k, v in comps.items()})
-            return
-        pq = order[idx_lvl]
-        p, q = pq
-        has_h, has_v = has[pq]
-        y_hmaps = [y_bx.hface[(p, q, i)] for i in range(p + 1)] if has_h else []
-        y_vmaps = [y_bx.vface[(p, q, i)] for i in range(q + 1)] if has_v else []
+        # per direction whose faces stay inside the region: the level
+        # below, the number of degeneracies from it, the operator dicts
+        has_h = p >= 1 and (p - 1, q) in region
+        has_v = q >= 1 and (p, q - 1) in region
+        dirs = []
+        if has_h:
+            dirs.append(((p - 1, q), p, "h", x_bx.hdegen, y_bx.hdegen))
+        if has_v:
+            dirs.append(((p, q - 1), q, "v", x_bx.vdegen, y_bx.vdegen))
         forced = {}
-        frees = []
-        for s in x_bx.level(p, q):
-            if s in pres[pq]:
-                vals = set()
-                for (hv, j, src_pq, a) in pres[pq][s]:
-                    img = comps[src_pq][a]
-                    if hv == "h":
-                        vals.add(y_bx.sh(src_pq[0], src_pq[1], j, img))
-                    else:
-                        vals.add(y_bx.sv(src_pq[0], src_pq[1], j, img))
-                if len(vals) != 1:
-                    return
-                img = vals.pop()
-                if (tuple(mp[img] for mp in y_hmaps),
-                        tuple(mp[img] for mp in y_vmaps)) != level_key(pq, s):
-                    return
-                forced[s] = img
-            else:
-                frees.append(s)
-        comps[pq].update(forced)
-        cand = []
-        for s in frees:
-            tick()
-            cands = index[pq].get(level_key(pq, s), [])
-            if not cands:
-                comps[pq] = {}
-                return
-            cand.append(cands)
-
-        def choose(i):
-            if i == len(frees):
-                assign(idx_lvl + 1)
-                return
-            for v in cand[i]:
-                tick()
-                comps[pq][frees[i]] = v
-                choose(i + 1)
-                del comps[pq][frees[i]]
-
-        choose(0)
-        comps[pq] = {}
-
-    assign(0)
-    return results
+        for src, n, _, x_deg, y_deg in dirs:
+            for j in range(n):
+                y_map = y_deg[src + (j,)]
+                for a, sa in x_deg[src + (j,)].items():
+                    forced.setdefault(sa, (sa, src, a, y_map))
+        tables = [(src, x_bx.face_table(p, q, hv)) for src, _, hv, _, _ in dirs]
+        cells = x_bx.level(p, q)
+        free = [(s, tuple([(src, f) for src, table in tables
+                           for f in table[s]]))
+                for s in cells if s not in forced]
+        levels.append(((p, q), [forced[s] for s in cells if s in forced], free))
+        if free:
+            index[(p, q)] = y_bx.face_index(p, q, has_h, has_v)
+    return sp.map_search(levels, index, tick)
 
 
 def mu3_determined(x_bx, y_bx, budget=None):
@@ -1248,15 +1192,8 @@ def segal_fibrancy_check(x_bx, n=2, budget=None):
 
     # (iii) and (iv) via the explicit prism-tuple descriptions of the
     # corner Hom sets
-    cap = budget if budget is not None else sp.enumeration_budget()
-    counter = [0]
-
-    def tick(search):
-        counter[0] += 1
-        if counter[0] > cap:
-            raise sp.SearchBudgetExceeded(
-                "fibrancy %s search exceeded %d evaluations" % (search, cap))
-
+    tick = sp.budget_ticker(budget,
+                            "fibrancy {} search exceeded {cap} evaluations")
     for k in range(3):
         rep.add("(iii)-k%d" % k, _boundary_horn_extension(x_bx, 2, 2, k, tick))
     for p in (1, 2):

@@ -826,11 +826,11 @@ def pi_with_classes(x_sset, m, base=None):
     spheres = [s for s in x.level(m)
                if all(x.d(m, i, s) == bm1 for i in range(m + 1))]
     sset = set(spheres)
+    upper = x.face_table(m + 1).values()
 
     # identification relation via level m+1
     rel = set()
-    for w in x.level(m + 1):
-        fs = x.faces(m + 1, w)
+    for fs in upper:
         if all(fs[i] == bm for i in range(m)) and fs[m] in sset and fs[m + 1] in sset:
             rel.add((fs[m + 1], fs[m]))
     for s in spheres:
@@ -852,8 +852,7 @@ def pi_with_classes(x_sset, m, base=None):
     # d_{m+1} z = x, d_{m-1} z = y and lower faces at the base,
     # x*y = d_m z.
     table = {}
-    for z in x.level(m + 1):
-        fs = x.faces(m + 1, z)
+    for fs in upper:
         if any(fs[i] != bm for i in range(m - 1)):
             continue
         if fs[m + 1] in sset and fs[m - 1] in sset and fs[m] in sset:
@@ -1147,6 +1146,22 @@ class SSetMap:
         return True
 
 
+def budget_ticker(budget, message):
+    """The budget guard of one search: a tick(*fields) that counts one
+    evaluation per call and raises SearchBudgetExceeded once the count
+    passes `budget` (None: enumeration_budget()), with the text
+    message.format(*fields, cap=<the cap>)."""
+    cap = enumeration_budget() if budget is None else budget
+    count = 0
+
+    def tick(*fields):
+        nonlocal count
+        count += 1
+        if count > cap:
+            raise SearchBudgetExceeded(message.format(*fields, cap=cap))
+    return tick
+
+
 def completion_schedule(order, constraints):
     """The forward-checking schedule of a backtracking search.
 
@@ -1171,6 +1186,134 @@ def completion_schedule(order, constraints):
     return schedule
 
 
+def scheduled_search(order, candidates, schedule, holds, assign, emit, tick):
+    """The backtracking core of the determinant searches.
+
+    Assigns the variables of `order` in turn, each value of
+    candidates(v) stored as assign[v] while the subtree below it runs.
+    `schedule` is a completion_schedule over `order` and holds(con)
+    tests one of its constraints: schedule[None] at the root, schedule[v]
+    right after each value of v.  tick() is called once per node entered
+    and emit() once per leaf, i.e. per complete assignment that passed
+    every constraint.
+    """
+    last = len(order)
+
+    def rec(i):
+        tick()
+        if i == 0 and not all(holds(con) for con in schedule[None]):
+            return
+        if i == last:
+            emit()
+            return
+        v = order[i]
+        checks = schedule[v]
+        for val in candidates(v):
+            assign[v] = val
+            if all(holds(con) for con in checks):
+                rec(i + 1)
+            del assign[v]
+
+    rec(0)
+
+
+def map_search(levels, index, tick, pins=None):
+    """The one forced/free search for simplicial and bisimplicial maps.
+
+    `levels` lists the source's levels in assignment order, each as
+    (level, forced, free).  A forced cell comes as (cell, source level,
+    a, degen): one fixed degeneracy presentation of it, from the earlier
+    level holding a, and its image is degen[image of a].  A free cell
+    comes as (cell, faces), `faces` a tuple of (level, cell) pairs of
+    earlier levels, and takes each cell of index[level][images of its
+    faces] in turn, or of pins[(level, cell)] when it is pinned.
+
+    Precondition: source and target satisfy the simplicial identities,
+    and the faces of every level lie in levels of the search.  Then every
+    degeneracy presentation of a cell gives the same image, and the faces
+    of a forced image are the images of the cell's faces, by induction
+    on the level (if s_j a = s_i b with j < i, then a = s_{i-1} d_j b
+    and b = s_j d_{i-1} a), so neither is checked.
+
+    Forward checking: the face key of each free cell with faces is a
+    constraint, filed by completion_schedule under the last of its faces
+    in the assignment order, where each level's forced cells come before
+    its free ones.  It is tested once, right after that face is set (a
+    forced face: once its level's forced cells are set).  tick() is
+    called once per free cell as its level's candidate lists are drawn
+    up, and once per candidate tried.
+
+    Returns the maps in search order, each a dict level -> dict cell ->
+    image with the levels in the order given, forced cells first.
+    """
+    pins = pins or {}
+    comps = {lvl: {} for lvl, _, _ in levels}
+    order = [(lvl, cell[0]) for lvl, forced, free in levels
+             for cell in forced + free]
+
+    def key_of(faces):
+        # the faces as (that level's image dict, cell), read at run time
+        return tuple([(comps[lvl], cell) for lvl, cell in faces])
+
+    schedule = completion_schedule(
+        order, (((index[lvl], key_of(faces)), faces)
+                for lvl, _, free in levels for _, faces in free if faces))
+    plan = []
+    for lvl, forced, free in levels:
+        plan.append((
+            comps[lvl],
+            [(cell, comps[src], a, degen) for cell, src, a, degen in forced],
+            [(cell, pins.get((lvl, cell)), index.get(lvl), key_of(faces))
+             for cell, faces in free],
+            [con for cell, _, _, _ in forced for con in schedule[(lvl, cell)]],
+            [schedule[(lvl, cell)] for cell, _ in free]))
+    results = []
+    last = len(plan)
+
+    def holds(checks):
+        return all(tuple([comp[cell] for comp, cell in key]) in idx
+                   for idx, key in checks)
+
+    def enter(li):
+        if li == last:
+            results.append({lvl: dict(comp) for lvl, comp in comps.items()})
+            return
+        comp, forced, free, forced_checks, _ = plan[li]
+        try:
+            for cell, src, a, degen in forced:
+                comp[cell] = degen[src[a]]
+            if not holds(forced_checks):
+                return
+            cand_lists = []
+            for _, pin, idx, key in free:
+                tick()
+                cands = pin if pin is not None else idx.get(
+                    tuple([c[f] for c, f in key]), ())
+                if not cands:
+                    return
+                cand_lists.append(cands)
+            choose(li, 0, cand_lists)
+        finally:
+            comp.clear()
+
+    def choose(li, pos, cand_lists):
+        comp, _, free, _, free_checks = plan[li]
+        if pos == len(free):
+            enter(li + 1)
+            return
+        cell = free[pos][0]
+        checks = free_checks[pos]
+        for v in cand_lists[pos]:
+            tick()
+            comp[cell] = v
+            if holds(checks):
+                choose(li, pos + 1, cand_lists)
+            del comp[cell]
+
+    enter(0)
+    return results
+
+
 def _candidate_index(y_sset, k):
     """dict full-face-tuple -> sorted ids at level k of Y."""
     idx = {}
@@ -1182,115 +1325,44 @@ def _candidate_index(y_sset, k):
 
 
 def enumerate_maps(x_sset, y_sset, upto=None, budget=None):
-    """All simplicial maps tau_d(X) -> tau_d(Y) at d = min dim (or `upto`).
+    """All simplicial maps tau_d(X) -> tau_d(Y) at d = min dim (or `upto`),
+    in deterministic order, by map_search over the levels 0..d.
 
-    Deterministic order.  Level by level, degenerate simplices are
-    forced and nondegenerate ones are chosen, in level order, from the
-    candidates in Y with the faces assigned so far; when both complexes
-    carry a base point, X's base vertex is pinned to Y's.  Forward
-    checking follows a completion schedule: a level-(k+1) simplex is
-    tested for a candidate in Y once, right after the last of its faces
-    is assigned (the forced faces first, then the free ones in level
-    order).  Raises SearchBudgetExceeded past the evaluation cap.
+    Precondition: X and Y satisfy the simplicial identities (the CLI
+    validates a loaded source first).  Each degenerate simplex of X is
+    forced from its first presentation s_j a (least j); the others are
+    chosen in level order from the simplices of Y with the faces
+    assigned so far.  When both complexes carry a base point, X's base
+    vertex is pinned to Y's.  Forward checking follows map_search's
+    completion schedule: a free level-(k+1) simplex is tested for a
+    candidate in Y once, right after the last of its faces is assigned.
+    Raises SearchBudgetExceeded past the evaluation cap.
     """
     d = min(x_sset.dim, y_sset.dim) if upto is None else upto
     if y_sset.dim < d:
         y_sset = _ensure_depth(y_sset, d)
     if x_sset.dim < d:
         raise DimensionOutOfRange("source truncation too shallow")
-    cap = budget if budget is not None else enumeration_budget()
-    counter = [0]
-    indices = {k: _candidate_index(y_sset, k) for k in range(1, d + 1)}
-
-    # per level: degeneracy presentations for forcing, the forced and the
-    # free simplices in level order, and the completion schedule of the
-    # next level's face tuples over the free ones
-    deg_presentations, forced_at, frees_at, schedules = [], [], [], []
+    tick = budget_ticker(budget, "map enumeration exceeded {cap} evaluations")
+    index = {k: _candidate_index(y_sset, k) for k in range(1, d + 1)}
+    index[0] = {(): list(y_sset.level(0))}
+    levels = []
     for k in range(d + 1):
-        pres = {}
-        if k >= 1:
-            for j in range(k):
-                for a, sa in x_sset.degen[(k - 1, j)].items():
-                    pres.setdefault(sa, []).append((j, a))
-        deg_presentations.append(pres)
+        forced = {}
+        for j in range(k):
+            y_deg = y_sset.degen[(k - 1, j)]
+            for a, sa in x_sset.degen[(k - 1, j)].items():
+                forced.setdefault(sa, (sa, k - 1, a, y_deg))
+        faces = x_sset.face_table(k)
         level = x_sset.level(k)
-        forced_at.append([s for s in level if s in pres])
-        frees_at.append([s for s in level if s not in pres])
-        higher = x_sset.face_table(k + 1).values() if k < d else ()
-        schedules.append(completion_schedule(frees_at[k],
-                                             ((fs, fs) for fs in higher)))
-    y0 = list(y_sset.level(0))
-    level0 = {s: y0 for s in frees_at[0]}
+        levels.append((k, [forced[s] for s in level if s in forced],
+                       [(s, tuple([(k - 1, f) for f in faces[s]]) if k else ())
+                        for s in level if s not in forced]))
+    pins = {}
     if x_sset.base is not None and y_sset.base is not None:
-        level0[x_sset.base] = [v for v in y0 if v == y_sset.base]
-
-    results = []
-    comps = [dict() for _ in range(d + 1)]
-
-    def tick():
-        counter[0] += 1
-        if counter[0] > cap:
-            raise SearchBudgetExceeded("map enumeration exceeded %d evaluations" % cap)
-
-    def assign_level(k):
-        if k > d:
-            results.append(SSetMap(x_sset, y_sset,
-                                   {kk: dict(comps[kk]) for kk in range(d + 1)}))
-            return
-        comp = comps[k]
-        try:
-            fill_level(k, comp)
-        finally:
-            comp.clear()
-
-    def fill_level(k, comp):
-        """Force the degenerate simplices of level k, choose the free
-        ones, and go on to level k + 1 after each complete choice."""
-        prev = comps[k - 1] if k else None
-        x_faces = x_sset.face_table(k)
-        pres = deg_presentations[k]
-        for s in forced_at[k]:
-            vals = {y_sset.s(k - 1, j, prev[a]) for (j, a) in pres[s]}
-            if len(vals) != 1:
-                return
-            v = vals.pop()
-            if y_sset.faces(k, v) != tuple([prev[f] for f in x_faces[s]]):
-                return
-            comp[s] = v
-        schedule = schedules[k]
-        upper = indices.get(k + 1)
-        if not all(tuple([comp[f] for f in fs]) in upper
-                   for fs in schedule[None]):
-            return
-        frees = frees_at[k]
-        cand_lists = []
-        for s in frees:
-            tick()
-            if k == 0:
-                cands = level0[s]
-            else:
-                cands = indices[k].get(tuple([prev[f] for f in x_faces[s]]), [])
-            if not cands:
-                return
-            cand_lists.append(cands)
-
-        def choose(idx):
-            if idx == len(frees):
-                assign_level(k + 1)
-                return
-            s = frees[idx]
-            checks = schedule[s]
-            for v in cand_lists[idx]:
-                tick()
-                comp[s] = v
-                if all(tuple([comp[f] for f in fs]) in upper for fs in checks):
-                    choose(idx + 1)
-                del comp[s]
-
-        choose(0)
-
-    assign_level(0)
-    return results
+        pins[(0, x_sset.base)] = [v for v in index[0][()] if v == y_sset.base]
+    return [SSetMap(x_sset, y_sset, comps)
+            for comps in map_search(levels, index, tick, pins)]
 
 
 def find_isomorphism(x_sset, y_sset, budget=None):

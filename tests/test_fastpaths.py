@@ -429,8 +429,11 @@ def test_segal_nerve_rejects_ids_that_run_together():
 
 
 def reference_bimaps(x_bx, y_bx, region=None):
-    """enumerate_bimaps with its face index of Y rebuilt on every call;
-    returns the maps and the budget ticks used."""
+    """enumerate_bimaps with its face index of Y rebuilt on every call,
+    every degeneracy presentation and the faces of every forced cell
+    checked, and after every assignment every free cell of a later level
+    whose faces are all assigned retested against the index; returns the
+    maps and the budget ticks used."""
     region = set(region) if region is not None else set(x_bx.region)
     region &= set(y_bx.region)
     order = sorted(region, key=lambda pq: (pq[0] + pq[1], pq[0]))
@@ -466,13 +469,23 @@ def reference_bimaps(x_bx, y_bx, region=None):
     comps = {k: {} for k in order}
     results = []
 
-    def level_key(pq, s):
+    def level_key(pq, s, get=dict.__getitem__):
         p, q = pq
-        hk = tuple(comps[(p - 1, q)][x_bx.dh(p, q, i, s)]
+        hk = tuple(get(comps[(p - 1, q)], x_bx.dh(p, q, i, s))
                    for i in range(p + 1)) if (p >= 1 and (p - 1, q) in region) else ()
-        vk = tuple(comps[(p, q - 1)][x_bx.dv(p, q, i, s)]
+        vk = tuple(get(comps[(p, q - 1)], x_bx.dv(p, q, i, s))
                    for i in range(q + 1)) if (q >= 1 and (p, q - 1) in region) else ()
         return (hk, vk)
+
+    def forward_ok(idx_lvl):
+        for pq in order[idx_lvl + 1:]:
+            for s in x_bx.level(*pq):
+                if s in pres[pq]:
+                    continue
+                hk, vk = level_key(pq, s, get=dict.get)
+                if None not in hk + vk and (hk, vk) not in index[pq]:
+                    return False
+        return True
 
     def assign(idx_lvl):
         if idx_lvl == len(order):
@@ -497,6 +510,9 @@ def reference_bimaps(x_bx, y_bx, region=None):
             else:
                 frees.append(s)
         comps[pq].update(forced)
+        if not forward_ok(idx_lvl):
+            comps[pq] = {}
+            return
         cand = []
         for s in frees:
             ticks[0] += 1
@@ -513,7 +529,8 @@ def reference_bimaps(x_bx, y_bx, region=None):
             for v in cand[i]:
                 ticks[0] += 1
                 comps[pq][frees[i]] = v
-                choose(i + 1)
+                if forward_ok(idx_lvl):
+                    choose(i + 1)
                 del comps[pq][frees[i]]
 
         choose(0)
@@ -1233,3 +1250,128 @@ def test_search_budgets_pinned():
     assert_ticks(lambda b: dt.enumerate_determinants(t12, g, budget=b), 2210)
     ng = nv.nerve_2group(g, 3)
     assert_ticks(lambda b: dt.hom_sset(t12, ng, budget=b), 3382)
+
+
+# -- both kinds of map against their definition -------------------------------
+#
+# Independent of map_search and of the references above: every levelwise
+# function, kept when it commutes with every face and degeneracy.
+
+
+def definitional_maps(levels, targets, ops):
+    """The set of canonical keys of all levelwise functions from
+    levels[l] to targets[l] (l in sorted order) that commute with every
+    (src level, dst level, x operator, y operator) of ops, by filtering
+    itertools.product."""
+    names = sorted(levels)
+    size = 1
+    for l in names:
+        size *= len(targets[l]) ** len(levels[l])
+    assert size <= PRODUCT_CAP
+    out = set()
+    for combo in itertools.product(*[
+            itertools.product(targets[l], repeat=len(levels[l]))
+            for l in names]):
+        comp = {l: dict(zip(levels[l], images))
+                for l, images in zip(names, combo)}
+        if all(y_op[comp[src][s]] == comp[dst][x_op[s]]
+               for src, dst, x_op, y_op in ops for s in levels[src]):
+            out.add(tuple((l, tuple(sorted(comp[l].items())))
+                          for l in names))
+    return out
+
+
+def definitional_sset_maps(x, y, d):
+    """The maps tau_d X -> tau_d Y by definition, base to base when both
+    complexes have one."""
+    ops = [(k, k - 1, x.face[(k, i)], y.face[(k, i)])
+           for k in range(1, d + 1) for i in range(k + 1)]
+    ops += [(k, k + 1, x.degen[(k, j)], y.degen[(k, j)])
+            for k in range(d) for j in range(k + 1)]
+    maps = definitional_maps({k: x.level(k) for k in range(d + 1)},
+                             {k: y.level(k) for k in range(d + 1)}, ops)
+    if x.base is not None and y.base is not None:
+        maps = {key for key in maps if dict(key[0][1])[x.base] == y.base}
+    return maps
+
+
+def definitional_bimaps(x_bx, y_bx):
+    """The bisimplicial maps X -> Y over their common region, by
+    definition: every operator between two levels of the region."""
+    region = x_bx.region & y_bx.region
+    ops = []
+    for (p, q) in region:
+        for i in range(p + 1):
+            if p >= 1 and (p - 1, q) in region:
+                ops.append(((p, q), (p - 1, q), x_bx.hface[(p, q, i)],
+                            y_bx.hface[(p, q, i)]))
+            if (p + 1, q) in region:
+                ops.append(((p, q), (p + 1, q), x_bx.hdegen[(p, q, i)],
+                            y_bx.hdegen[(p, q, i)]))
+        for i in range(q + 1):
+            if q >= 1 and (p, q - 1) in region:
+                ops.append(((p, q), (p, q - 1), x_bx.vface[(p, q, i)],
+                            y_bx.vface[(p, q, i)]))
+            if (p, q + 1) in region:
+                ops.append(((p, q), (p, q + 1), x_bx.vdegen[(p, q, i)],
+                            y_bx.vdegen[(p, q, i)]))
+    return definitional_maps({l: x_bx.level(*l) for l in region},
+                             {l: y_bx.level(*l) for l in region}, ops)
+
+
+def group_nerve(n, dim):
+    return nv.nerve_category(ca.one_object_groupoid(gr.cyclic(n)), dim)
+
+
+def definitional_sset_cases():
+    # two copies of N(Z/2), based at the second copy's vertex
+    two = sp.disjoint_union(group_nerve(2, 2), group_nerve(2, 2))
+    two = sp.TruncatedSSet(two.dim, two.levels, two.face, two.degen,
+                           base="R:*")
+    return [pytest.param(sp.sphere(1, 2), group_nerve(2, 2), id="s1-nz2"),
+            pytest.param(sp.standard_simplex(1, 2), group_nerve(2, 2),
+                         id="delta1-nz2"),
+            pytest.param(sp.sphere(1, 2), group_nerve(3, 2), id="s1-nz3"),
+            # a free 2-simplex, with faces at the degenerate edge
+            pytest.param(sp.sphere(2, 2),
+                         nv.nerve_2group(ex.build("oneobj-z3"), 2),
+                         id="s2-nerve-oneobj-z3"),
+            pytest.param(sp.sphere(1, 2), two, id="s1-two-nz2-based")]
+
+
+@pytest.mark.parametrize("x,y", definitional_sset_cases())
+def test_sset_maps_match_their_definition(x, y):
+    want = definitional_sset_maps(x, y, 2)
+    got = [tuple(enumerate(f.key())) for f in sp.enumerate_maps(x, y)]
+    # several maps, and degenerate edges whose images the search forces
+    assert len(want) > 1 and x.degenerate_ids(1)
+    assert len(got) == len(set(got))
+    assert set(got) == want
+
+
+def definitional_bimap_cases():
+    nz2 = group_nerve(2, 1)
+    return [
+        pytest.param(nv.box(sp.standard_simplex(1, 1),
+                            sp.standard_simplex(0, 1)),
+                     nv.box(nz2, nz2), id="box-delta1-delta0"),
+        pytest.param(nv.p2_star(sp.sphere(1, 2), 1),
+                     nv.segal_nerve(ex.build("disc-z2"), 1, 2),
+                     id="p2star-s1-segal-disc-z2"),
+        pytest.param(nv.box(sp.sphere(1, 1), sp.sphere(1, 1)),
+                     nv.box(nz2, group_nerve(3, 1)), id="box-s1-s1"),
+    ]
+
+
+def bimap_key(f):
+    return tuple((l, tuple(sorted(cells.items())))
+                 for l, cells in sorted(f.items()))
+
+
+@pytest.mark.parametrize("x_bx,y_bx", definitional_bimap_cases())
+def test_bimaps_match_their_definition(x_bx, y_bx):
+    want = definitional_bimaps(x_bx, y_bx)
+    got = [bimap_key(f) for f in nv.enumerate_bimaps(x_bx, y_bx)]
+    assert len(want) > 1
+    assert len(got) == len(set(got))
+    assert set(got) == want

@@ -177,3 +177,23 @@ def test_cli_verify_fibrancy_budget_exit_two(capsys, monkeypatch):
     assert cli.main(["verify", "fibrancy"]) == 2
     assert "budget exceeded: fibrancy boundary-horn lift search" in \
         capsys.readouterr().out
+
+
+def test_cli_add_and_det_reject_a_space_that_breaks_the_identities(
+        tmp_path, capsys):
+    # one face entry of t11 rewired: d_0 of a 2-simplex now names another
+    # edge, so d_0 d_0 != d_0 d_1 there; the map searches take the
+    # simplicial identities as given, so the space is refused up front
+    doc = json.loads(io.dumps(ex.build("t11")))
+    face = doc["face"]["2.0"]
+    slot = next(i for i, e in enumerate(face) if e != face[0])
+    face[slot] = face[0]
+    path = tmp_path / "t11-broken.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert not io.loads(path.read_text(encoding="utf-8"))[0].validate().ok
+    for verb, group in (("add", "z2"), ("det", "disc-z2")):
+        assert cli.main([verb, str(path), dump(tmp_path, group)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: %s: " % path)
+        assert "identity fails" in captured.err
