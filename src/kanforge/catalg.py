@@ -6,6 +6,8 @@ src(f) and tgt(g.f) = tgt(g).  Unitor directions follow the coherence
 diagrams used throughout: l_X : X -> unit (x) X and r_X : X -> X (x) unit.
 """
 
+import functools
+
 from .groups import FiniteGroup
 
 
@@ -183,6 +185,13 @@ class MonoidalStructure:
                 return g
         raise CatError("%s is not invertible" % f)
 
+    @functools.cached_property
+    def int_index(self):
+        """The structure on dense ints, built on first use (IntIndex).
+        A structure is never changed once made, so one index serves
+        every later search and nerve."""
+        return IntIndex(self)
+
     def validate(self):
         c = self.base
         errs = list(c.validate())
@@ -304,6 +313,78 @@ class MonoidalStructure:
                 if lhs != self.l(self.t(x, y)):
                     errs.append("derived left-unit triangle fails at (%s,%s)" % (x, y))
         return errs
+
+
+class IntIndex:
+    """A monoidal groupoid on dense ints.
+
+    Objects are numbered in base.objects order and morphisms in
+    base.morphisms order (`objects`, `morphisms` and the inverse maps
+    `obj_int`, `mor_int`).  `src`, `tgt`, `inv` and `ident` (the
+    identity of each object) are lists; `comp` maps (g, f) to g.f for
+    composable pairs, `tm` maps (f, g) to f (x) g and `tobj` (x, y) to
+    x (x) y; `unit` is the unit object and `unit_ident` its identity.
+    The row tables of the determinant searches (`comp_rows`, `left`,
+    `right`, `assoc`, `tri_cands`) are built on first use.
+    """
+
+    def __init__(self, m):
+        c = m.base
+        self.objects = list(c.objects)
+        self.morphisms = list(c.morphisms)
+        oi = self.obj_int = {x: i for i, x in enumerate(self.objects)}
+        mi = self.mor_int = {f: i for i, f in enumerate(self.morphisms)}
+        self.src = [oi[c.src[f]] for f in self.morphisms]
+        self.tgt = [oi[c.tgt[f]] for f in self.morphisms]
+        self.comp = {(mi[b], mi[a]): mi[ba]
+                     for (b, a), ba in c.comp_table.items()}
+        self.inv = [mi[m.mor_inverse(f)] for f in self.morphisms]
+        self.tm = {(mi[a], mi[b]): mi[ab]
+                   for (a, b), ab in m.tensor_mor.items()}
+        self.tobj = {(oi[x], oi[y]): oi[xy]
+                     for (x, y), xy in m.tensor_obj.items()}
+        self.ident = [mi[c.id_of(x)] for x in self.objects]
+        self.unit = oi[m.unit]
+        self.unit_ident = self.ident[self.unit]
+        self._assoc = m.assoc
+
+    @functools.cached_property
+    def comp_rows(self):
+        """comp_rows[h][f] = h.f, None where h and f do not compose."""
+        mors = range(len(self.morphisms))
+        return [[self.comp.get((h, f)) for f in mors] for h in mors]
+
+    @functools.cached_property
+    def left(self):
+        """left[x][f] = id_x (x) f."""
+        return [[self.tm[(i, f)] for f in range(len(self.morphisms))]
+                for i in self.ident]
+
+    @functools.cached_property
+    def right(self):
+        """right[x][f] = f (x) id_x."""
+        return [[self.tm[(f, i)] for f in range(len(self.morphisms))]
+                for i in self.ident]
+
+    @functools.cached_property
+    def assoc(self):
+        """assoc[x][y][z] = a_{x,y,z} : (x (x) y) (x) z -> x (x) (y (x) z)."""
+        objs, mi = self.objects, self.mor_int
+        return [[[mi[self._assoc[(x, y, z)]] for z in objs] for y in objs]
+                for x in objs]
+
+    @functools.cached_property
+    def tri_cands(self):
+        """tri_cands[o0][o1][o2]: the morphisms t(o2, o0) -> o1 in id
+        order, the values T may take on a triangle whose faces d_0, d_1,
+        d_2 have D-values o0, o1, o2."""
+        by_ends = {}
+        for f in sorted(range(len(self.morphisms)),
+                        key=self.morphisms.__getitem__):
+            by_ends.setdefault((self.src[f], self.tgt[f]), []).append(f)
+        objs = range(len(self.objects))
+        return [[[by_ends.get((self.tobj[(o2, o0)], o1), []) for o2 in objs]
+                 for o1 in objs] for o0 in objs]
 
 
 class TwoGroup(MonoidalStructure):

@@ -39,7 +39,8 @@ def _load(path, want=None):
 
 def _load_valid_sset(path):
     """A simplicial set document that satisfies the simplicial
-    identities, which the map searches take as given."""
+    identities, which the map searches and the constructions of cosq
+    and loop take as given."""
     x, _ = _load(path, want={"sset"})
     report = x.validate()
     if not report.ok:
@@ -101,7 +102,7 @@ def cmd_kan(args):
 
 
 def cmd_cosq(args):
-    obj, _ = _load(args.file, want={"sset"})
+    obj = _load_valid_sset(args.file)
     if args.prime is not None:
         try:
             out, _maps = sp.csq_prime(obj, args.prime)
@@ -164,7 +165,7 @@ def cmd_pi(args):
 
 
 def cmd_loop(args):
-    obj, _ = _load(args.file, want={"sset"})
+    obj = _load_valid_sset(args.file)
     try:
         out = sp.loop_space(obj, variant=args.variant, base=args.base)
     except sp.SimplicialError as exc:

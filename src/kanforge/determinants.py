@@ -216,63 +216,81 @@ def additive_vs_hom(x_sset, group, budget=None):
 def enumerate_determinants(x_sset, g, budget=None):
     """All (D, T) on a reduced complex of dim >= 3: D on edges valued in
     objects, T on triangles valued in morphisms, subject to the
-    compatibility, unit and associativity conditions.  Two stages of
-    sp.scheduled_search: D edge by edge, and at each of its leaves T
-    triangle by triangle in level order, where the associativity square
-    of a tetrahedron is tested once, right after its last free face is
-    assigned (sp.completion_schedule), and the tetrahedra with no free
-    face once, before the first triangle.  The degeneracy forcing
+    compatibility (T(A) : D(d_2 A) (x) D(d_0 A) -> D(d_1 A)), unit
+    (D(s_0 *) = 1, T(s_0 s_0 *) = l_1^{-1}) and associativity conditions
+    (one square per tetrahedron).
+
+    Two stages of sp.scheduled_search on the ints of g.int_index.  D
+    goes edge by edge, and each free triangle is tested once, right
+    after its last free edge is set (sp.completion_schedule), for a
+    morphism t(D d_2, D d_0) -> D d_1: a D that fails it has no T, so
+    only D-assignments without a determinant are cut.  At each leaf of
+    D, T goes triangle by triangle in level order over those hom-sets,
+    and the associativity square of a tetrahedron is tested once, right
+    after its last free face is set, and the tetrahedra with no free
+    face once, before the first triangle.  Each result is mapped back to
+    the ids of X and g at its leaf.  The degeneracy forcing
     (T(s_i A) = s_i(D A)) is re-derived, then asserted."""
     if not x_sset.is_reduced():
         raise DeterminantError("determinants need a reduced complex")
     if x_sset.dim < 3:
         raise sp.DimensionOutOfRange("determinants need dim >= 3")
-    c = g.base
+    ix = g.int_index
+    objs, mors = ix.objects, ix.morphisms
+    comp, left, right = ix.comp_rows, ix.left, ix.right
+    assoc, cands = ix.assoc, ix.tri_cands
+    obj_ints = range(len(objs))
+
     star = x_sset.level(0)[0]
     loop0 = x_sset.s(0, 0, star)
     loop1 = x_sset.s(1, 0, loop0)
-    l_unit_inv = g.mor_inverse(g.l(g.unit))
     edges = [e for e in x_sset.level(1) if e != loop0]
     tris = [t for t in x_sset.level(2) if t != loop1]
     tetra = list(x_sset.level(3))
     tick = sp.budget_ticker(budget, "determinant enumeration exceeded cap")
-    tri_morphisms = _triangle_morphisms(g)
     results = []
-    d_assign = {loop0: g.unit}
-    t_assign = {loop1: l_unit_inv}
+    d_assign = {loop0: ix.unit}
+    t_assign = {loop1: ix.mor_int[g.mor_inverse(g.l(g.unit))]}
 
     tri_faces = {t: x_sset.faces(2, t) for t in x_sset.level(2)}
-    tet_faces = {h: x_sset.faces(3, h) for h in tetra}
-    # A_01 = d2 d2 eta, A_12 = d0 d3 eta and A_23 = d0 d0 eta for the
-    # associativity square
-    tet_corner = {h: (x_sset.d(2, 2, x_sset.d(3, 2, h)),
-                      x_sset.d(2, 0, tet_faces[h][3]),
-                      x_sset.d(2, 0, x_sset.d(3, 1, h))) for h in tetra}
-    # each tetrahedron is tested once, right after its last free face is set
-    tet_checks = sp.completion_schedule(tris,
-                                        ((h, tet_faces[h]) for h in tetra))
-
-    def assoc_ok(h):
-        xi0, xi1, xi2, xi3 = [t_assign[f] for f in tet_faces[h]]
-        a01, a12, a23 = tet_corner[h]
-        x01, x12, x23 = d_assign[a01], d_assign[a12], d_assign[a23]
-        lhs = c.comp(xi2, c.comp(g.tm(c.id_of(x01), xi0), g.a(x01, x12, x23)))
-        rhs = c.comp(xi1, g.tm(xi3, c.id_of(x23)))
-        return lhs == rhs
+    # per tetrahedron its faces, then A_01 = d2 d2 eta, A_12 = d0 d3 eta
+    # and A_23 = d0 d0 eta for the associativity square
+    tet_cells = {}
+    for h in tetra:
+        faces = x_sset.faces(3, h)
+        tet_cells[h] = faces + (x_sset.d(2, 2, faces[2]),
+                                x_sset.d(2, 0, faces[3]),
+                                x_sset.d(2, 0, faces[1]))
+    # each triangle is tested once, right after its last free edge is
+    # set, and each tetrahedron right after its last free face
+    tri_checks = sp.completion_schedule(
+        edges, ((t, tri_faces[t]) for t in tris))
+    tet_checks = sp.completion_schedule(
+        tris, ((h, cells[:4]) for h, cells in tet_cells.items()))
 
     def t_candidates(t):
         f0, f1, f2 = tri_faces[t]
-        return tri_morphisms(d_assign[f0], d_assign[f1], d_assign[f2])
+        return cands[d_assign[f0]][d_assign[f1]][d_assign[f2]]
+
+    def assoc_ok(h):
+        f0, f1, f2, f3, a01, a12, a23 = tet_cells[h]
+        x01, x23 = d_assign[a01], d_assign[a23]
+        lhs = comp[t_assign[f2]][comp[left[x01][t_assign[f0]]]
+                                     [assoc[x01][d_assign[a12]][x23]]]
+        return lhs == comp[t_assign[f1]][right[x23][t_assign[f3]]]
+
+    def emit():
+        results.append(({e: objs[x] for e, x in d_assign.items()},
+                        {t: mors[f] for t, f in t_assign.items()}))
 
     def t_stage():
-        sp.scheduled_search(
-            tris, t_candidates, tet_checks, assoc_ok, t_assign,
-            lambda: results.append((dict(d_assign), dict(t_assign))), tick)
+        sp.scheduled_search(tris, t_candidates, tet_checks, assoc_ok,
+                            t_assign, emit, tick)
 
-    # D has no constraint of its own: every choice of objects goes on to T
-    sp.scheduled_search(edges, lambda e: c.objects,
-                        sp.completion_schedule(edges, ()), None, d_assign,
-                        t_stage, tick)
+    # a triangle holds when its hom-set, its list of T candidates, is
+    # not empty
+    sp.scheduled_search(edges, lambda e: obj_ints, tri_checks, t_candidates,
+                        d_assign, t_stage, tick)
     # assert the degeneracy forcing on every result
     for d_fun, t_fun in results:
         for e in x_sset.level(1):
@@ -443,7 +461,8 @@ def enumerate_segal_determinants(x_bx, g, budget=None):
     v_deg1 = x_bx.vdegen[(0, 0, 0)][star]
     v_deg2 = x_bx.vdegen[(0, 1, 0)][v_deg1]
     l_unit_inv = g.mor_inverse(g.l(g.unit))
-    tri_morphisms = _triangle_morphisms(g)
+    ix = g.int_index
+    oi, mors, tri_cands = ix.obj_int, ix.morphisms, ix.tri_cands
 
     results = []
     x02 = list(x_bx.level(0, 2))
@@ -472,7 +491,8 @@ def enumerate_segal_determinants(x_bx, g, budget=None):
         t_assign = {}
 
         def t_candidates(xi):
-            return tri_morphisms(*[dobj(x_bx.dv(0, 2, i, xi)) for i in range(3)])
+            o0, o1, o2 = [oi[dobj(x_bx.dv(0, 2, i, xi))] for i in range(3)]
+            return [mors[f] for f in tri_cands[o0][o1][o2]]
 
         def nat_ok(z):
             xi_top = x_bx.dh(1, 2, 1, z)
@@ -519,20 +539,6 @@ def _column1_2trunc(x_bx):
                             {k: v for k, v in col1.face.items() if k[0] <= top},
                             {k: v for k, v in col1.degen.items() if k[0] < top},
                             base=col1.base)
-
-
-def _triangle_morphisms(g):
-    """cands(o0, o1, o2): the morphisms t(o2, o0) -> o1 of g's base
-    groupoid, sorted; the values T may take on a triangle whose faces
-    d_0, d_1, d_2 have D-values o0, o1, o2."""
-    c = g.base
-    by_src = {}
-    for f in sorted(c.morphisms):
-        by_src.setdefault(c.src[f], []).append(f)
-
-    def cands(o0, o1, o2):
-        return [m for m in by_src.get(g.t(o2, o0), ()) if c.tgt[m] == o1]
-    return cands
 
 
 def segal_determinants_vs_hom(x_bx, g, ns=None, budget=None):

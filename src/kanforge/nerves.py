@@ -790,44 +790,32 @@ class _SegalLevels:
     lexicographic order are level (p, q) of the Segal nerve in level
     order.  String ids are made once per object and morphism; composition
     and the operator tables map ints to ints, each table built once per
-    (operator, q).
+    (operator, q).  The base groupoid's ints are the 2-group's shared
+    g.int_index (catalg.IntIndex).
     """
 
     def __init__(self, g, qmax):
         self.g = g
         # monoidal_simplices stops at dimension 3
         self.qmax = qmax = min(qmax, 3)
-        c = g.base
-        # the base groupoid on ints, morphisms in c.morphisms order
-        self.base_mor = list(c.morphisms)
-        mi = {f: i for i, f in enumerate(self.base_mor)}
-        oi = {x: i for i, x in enumerate(c.objects)}
-        self._msrc = [oi[c.src[f]] for f in self.base_mor]
-        self._mtgt = [oi[c.tgt[f]] for f in self.base_mor]
-        self._comp = {(mi[b], mi[a]): mi[ba]
-                      for (b, a), ba in c.comp_table.items()}
-        self._inv = [mi[g.mor_inverse(f)] for f in self.base_mor]
-        self._tm = {(mi[a], mi[b]): mi[ab]
-                    for (a, b), ab in g.tensor_mor.items()}
-        self._tobj = {(oi[x], oi[y]): oi[xy]
-                      for (x, y), xy in g.tensor_obj.items()}
-        self._obj_ident = [mi[c.id_of(x)] for x in c.objects]
-        self._unit_ident = mi[c.id_of(g.unit)]
+        self._ix = g.int_index
+        self.base_mor = self._ix.morphisms
         # per q: objects (structs, obj_names, the object int of each pair
         # slot) and morphisms (src, tgt, fam, mor_names, (src, fam) -> int)
         self.structs, self.obj_names, self._objs = {}, {}, {}
         self.src, self.tgt, self.fam, self.mor_names = {}, {}, {}, {}
         self._mor_of = {}
         for q in range(qmax + 1):
-            self._build(q, mi, oi)
+            self._build(q)
         self._identity = {}
         self._vmap_obj = {}
         self._vmap_mor = {}
 
-    def _build(self, q, mi, oi):
+    def _build(self, q):
         """Objects and morphisms of q: families f_ij with the commuting
         squares f_ik . al = be . (f_ij (x) f_jk)."""
-        g = self.g
+        g, ix = self.g, self._ix
+        mi, oi = ix.mor_int, ix.obj_int
         structs = self.structs[q] = monoidal_simplices(g, q)
         obj_names = self.obj_names[q] = [_struct_id(st) for st in structs]
         pairs = _pairs(q)
@@ -843,8 +831,8 @@ class _SegalLevels:
                          tuple([mi[als[t]] for t in triples])))
         obj_of_key = {key: s for s, key in enumerate(keys)}
         self._objs[q] = [objs for objs, _ in keys]
-        msrc, mtgt, comp = self._msrc, self._mtgt, self._comp
-        inv, tm, tobj = self._inv, self._tm, self._tobj
+        msrc, mtgt, comp = ix.src, ix.tgt, ix.comp
+        inv, tm, tobj = ix.inv, ix.tm, ix.tobj
         out_of = [[] for _ in oi]
         for f, x in enumerate(msrc):
             out_of[x].append(f)
@@ -903,18 +891,19 @@ class _SegalLevels:
         """m2 after m1, componentwise."""
         fam = self.fam[q]
         return self._mor_of[q][(self.src[q][m1],
-                                tuple(map(self._comp.__getitem__,
+                                tuple(map(self._ix.comp.__getitem__,
                                           zip(fam[m2], fam[m1]))))]
 
     def inverse(self, q, m):
+        inv = self._ix.inv
         return self._mor_of[q][(self.tgt[q][m],
-                                tuple([self._inv[f] for f in self.fam[q][m]]))]
+                                tuple([inv[f] for f in self.fam[q][m]]))]
 
     def identity_table(self, q):
         """object int -> int of its identity morphism, in level q."""
         table = self._identity.get(q)
         if table is None:
-            ident, mor_of = self._obj_ident, self._mor_of[q]
+            ident, mor_of = self._ix.ident, self._mor_of[q]
             table = [mor_of[(s, tuple([ident[x] for x in objs]))]
                      for s, objs in enumerate(self._objs[q])]
             self._identity[q] = table
@@ -945,7 +934,7 @@ class _SegalLevels:
                     for (i, j) in _pairs(q_to)]
             gather = operator.itemgetter(*spec) if len(spec) >= 2 else \
                 (lambda ext: tuple([ext[n] for n in spec]))
-            unit = (self._unit_ident,)
+            unit = (self._ix.unit_ident,)
             mor_of = self._mor_of[q_to]
             table = [mor_of[(objs[s], gather(fam + unit))]
                      for s, fam in zip(self.src[q_from], self.fam[q_from])]

@@ -1210,7 +1210,10 @@ def scheduled_search(order, candidates, schedule, holds, assign, emit, tick):
         checks = schedule[v]
         for val in candidates(v):
             assign[v] = val
-            if all(holds(con) for con in checks):
+            for con in checks:
+                if not holds(con):
+                    break
+            else:
                 rec(i + 1)
             del assign[v]
 

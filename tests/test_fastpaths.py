@@ -1031,6 +1031,16 @@ def reference_determinants(x, g):
                 rec_t(i + 1)
             del t_assign[tris[i]]
 
+    def forward_ok():
+        # every free triangle whose edges are all assigned has a morphism
+        # t(D d2, D d0) -> D d1
+        for t in tris:
+            fs = x.faces(2, t)
+            if all(f in d_assign for f in fs) and not c.hom(
+                    g.t(d_assign[fs[2]], d_assign[fs[0]]), d_assign[fs[1]]):
+                return False
+        return True
+
     def rec_d(i):
         ticks[0] += 1
         if i == len(edges):
@@ -1038,7 +1048,8 @@ def reference_determinants(x, g):
             return
         for obj in c.objects:
             d_assign[edges[i]] = obj
-            rec_d(i + 1)
+            if forward_ok():
+                rec_d(i + 1)
             del d_assign[edges[i]]
 
     rec_d(0)
@@ -1161,9 +1172,12 @@ def group_cases():
 
 
 def two_group_cases():
+    # the canned 2-groups are all symmetric; in Disc(S3) the order of the
+    # factors of a tensor and of the associator's arguments shows
+    groups = ex.canned_two_groups() + [
+        ("disc-s3", ca.discrete_two_group(gr.symmetric(3)))]
     return [pytest.param(x, g, id="%s-%s" % (sn, gn))
-            for sn, x in ex.reduced_test_spaces()
-            for gn, g in ex.canned_two_groups()]
+            for sn, x in ex.reduced_test_spaces() for gn, g in groups]
 
 
 @pytest.mark.parametrize("x,h", group_cases())
@@ -1372,6 +1386,70 @@ def bimap_key(f):
 def test_bimaps_match_their_definition(x_bx, y_bx):
     want = definitional_bimaps(x_bx, y_bx)
     got = [bimap_key(f) for f in nv.enumerate_bimaps(x_bx, y_bx)]
+    assert len(want) > 1
+    assert len(got) == len(set(got))
+    assert set(got) == want
+
+
+# -- determinants against their definition ------------------------------------
+#
+# Independent of scheduled_search and of reference_determinants: every pair
+# of an object per free edge and a morphism per free triangle, kept when it
+# meets the conditions of the enumerate_determinants docstring.
+
+
+def definitional_determinants(x, g):
+    """The set of (D, T) keys of the determinants on X in g, by filtering
+    itertools.product over D (objects on the free edges) x T (morphisms on
+    the free triangles)."""
+    c = g.base
+    loop0 = x.s(0, 0, x.level(0)[0])
+    loop1 = x.s(1, 0, loop0)
+    edges = [e for e in x.level(1) if e != loop0]
+    tris = [t for t in x.level(2) if t != loop1]
+    size = len(c.objects) ** len(edges) * len(c.morphisms) ** len(tris)
+    assert size <= PRODUCT_CAP
+    # the edges i -> j of a tetrahedron, read off its last face [0, 1, 2]
+    # and its first face [1, 2, 3]
+    corners = [(x.d(2, 2, x.d(3, 3, h)), x.d(2, 0, x.d(3, 3, h)),
+                x.d(2, 0, x.d(3, 0, h)), x.faces(3, h))
+               for h in x.level(3)]
+    out = set()
+    for d_vals, t_vals in itertools.product(
+            itertools.product(c.objects, repeat=len(edges)),
+            itertools.product(c.morphisms, repeat=len(tris))):
+        d_fun = dict(zip(edges, d_vals))
+        d_fun[loop0] = g.unit                                # unit
+        t_fun = dict(zip(tris, t_vals))
+        t_fun[loop1] = g.mor_inverse(g.l(g.unit))
+        # compatibility: T(A) : D(d2 A) (x) D(d0 A) -> D(d1 A)
+        if not all(c.src[t_fun[a]] == g.t(d_fun[f2], d_fun[f0]) and
+                   c.tgt[t_fun[a]] == d_fun[f1]
+                   for a, (f0, f1, f2) in x.face_table(2).items()):
+            continue
+        # associativity: T(d2) . (id (x) T(d0)) . a = T(d1) . (T(d3) (x) id)
+        if all(c.comp(t_fun[h2], c.comp(
+                   g.tm(c.id_of(d_fun[e01]), t_fun[h0]),
+                   g.a(d_fun[e01], d_fun[e12], d_fun[e23]))) ==
+               c.comp(t_fun[h1], g.tm(t_fun[h3], c.id_of(d_fun[e23])))
+               for e01, e12, e23, (h0, h1, h2, h3) in corners):
+            out.add(det_key(d_fun, t_fun))
+    return out
+
+
+def det_key(d_fun, t_fun):
+    return (tuple(sorted(d_fun.items())), tuple(sorted(t_fun.items())))
+
+
+@pytest.mark.parametrize("x,g", [
+    pytest.param(ex.build(xn), ex.build(gn), id="%s-%s" % (xn, gn))
+    for xn, gn in (("delta2-reduced", "disc-z3"),
+                   ("delta2-reduced", "disc-z2-x-oneobj-z2"),
+                   ("t11", "disc-z2"), ("t11", "oneobj-z3"),
+                   ("s1", "disc-z2"))])
+def test_determinants_match_their_definition(x, g):
+    want = definitional_determinants(x, g)
+    got = [det_key(d, t) for d, t in dt.enumerate_determinants(x, g)]
     assert len(want) > 1
     assert len(got) == len(set(got))
     assert set(got) == want

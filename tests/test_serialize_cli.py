@@ -179,11 +179,9 @@ def test_cli_verify_fibrancy_budget_exit_two(capsys, monkeypatch):
         capsys.readouterr().out
 
 
-def test_cli_add_and_det_reject_a_space_that_breaks_the_identities(
-        tmp_path, capsys):
-    # one face entry of t11 rewired: d_0 of a 2-simplex now names another
-    # edge, so d_0 d_0 != d_0 d_1 there; the map searches take the
-    # simplicial identities as given, so the space is refused up front
+def broken_t11(tmp_path):
+    """t11 with one face entry rewired: d_0 of a 2-simplex now names
+    another edge, so d_0 d_0 != d_0 d_1 there."""
     doc = json.loads(io.dumps(ex.build("t11")))
     face = doc["face"]["2.0"]
     slot = next(i for i, e in enumerate(face) if e != face[0])
@@ -191,9 +189,55 @@ def test_cli_add_and_det_reject_a_space_that_breaks_the_identities(
     path = tmp_path / "t11-broken.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert not io.loads(path.read_text(encoding="utf-8"))[0].validate().ok
+    return path
+
+
+def assert_refused(path, capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: %s: " % path)
+    assert "identity fails" in captured.err
+
+
+def test_cli_add_and_det_reject_a_space_that_breaks_the_identities(
+        tmp_path, capsys):
+    # the map searches take the simplicial identities as given, so the
+    # space is refused up front
+    path = broken_t11(tmp_path)
     for verb, group in (("add", "z2"), ("det", "disc-z2")):
         assert cli.main([verb, str(path), dump(tmp_path, group)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: %s: " % path)
-        assert "identity fails" in captured.err
+        assert_refused(path, capsys)
+
+
+def test_cli_cosq_and_loop_reject_a_space_that_breaks_the_identities(
+        tmp_path, capsys):
+    # both constructions read faces and degeneracies as a simplicial set's,
+    # so neither writes a document for a space that is not one
+    path = broken_t11(tmp_path)
+    out = tmp_path / "out.json"
+    for argv in (["cosq", "--prime", "1"], ["cosq", "--to-dim", "4"],
+                 ["loop"], ["loop", "--variant", "reduced"]):
+        assert cli.main(argv + ["-o", str(out), str(path)]) == 2
+        assert_refused(path, capsys)
+        assert not out.exists()
+
+
+def test_cli_main_is_reentrant(tmp_path, capsys):
+    # many calls in one process: no call's options, defaults or errors
+    # reach the next
+    g = dump(tmp_path, "disc-z2")
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert cli.main(["nerve", "--to-dim", "4", "-o", str(a), g]) == 0
+    assert cli.main(["det", g]) == 2                 # one file short
+    assert "usage: kanforge det" in capsys.readouterr().err
+    assert cli.main(["nerve", "-o", str(b), g]) == 0
+    for _ in range(2):
+        assert cli.main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: kanforge")
+    assert cli.main(["validate", str(b)]) == 0
+    assert capsys.readouterr().out == "valid sset\n"
+    levels_a = io.loads(a.read_text(encoding="utf-8"))[0].levels
+    levels_b = io.loads(b.read_text(encoding="utf-8"))[0].levels
+    # the default --to-dim 3 holds again after --to-dim 4
+    assert (len(levels_a), len(levels_b)) == (5, 4)
+    assert levels_b == levels_a[:4]
