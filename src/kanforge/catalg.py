@@ -325,7 +325,8 @@ class IntIndex:
     composable pairs, `tm` maps (f, g) to f (x) g and `tobj` (x, y) to
     x (x) y; `unit` is the unit object and `unit_ident` its identity.
     The row tables of the determinant searches (`comp_rows`, `left`,
-    `right`, `assoc`, `tri_cands`) are built on first use.
+    `right`, `assoc`, `tri_cands`) and the inverse unitors of the nerve's
+    reindexing (`lunit_inv`, `runit_inv`) are built on first use.
     """
 
     def __init__(self, m):
@@ -347,6 +348,7 @@ class IntIndex:
         self.unit = oi[m.unit]
         self.unit_ident = self.ident[self.unit]
         self._assoc = m.assoc
+        self._lunit, self._runit = m.lunit, m.runit
 
     @functools.cached_property
     def comp_rows(self):
@@ -372,6 +374,16 @@ class IntIndex:
         objs, mi = self.objects, self.mor_int
         return [[[mi[self._assoc[(x, y, z)]] for z in objs] for y in objs]
                 for x in objs]
+
+    @functools.cached_property
+    def lunit_inv(self):
+        """lunit_inv[x] = l_x^-1 : 1 (x) x -> x."""
+        return [self.inv[self.mor_int[self._lunit[x]]] for x in self.objects]
+
+    @functools.cached_property
+    def runit_inv(self):
+        """runit_inv[x] = r_x^-1 : x (x) 1 -> x."""
+        return [self.inv[self.mor_int[self._runit[x]]] for x in self.objects]
 
     @functools.cached_property
     def tri_cands(self):

@@ -272,6 +272,17 @@ def cmd_roundtrip(args):
     return 0
 
 
+def _dimension(text):
+    """argparse type of a dimension: an int that is not negative."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("dimension %d is negative" % value)
+    return value
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="kanforge",
@@ -284,37 +295,37 @@ def build_parser():
     q.set_defaults(fn=cmd_validate)
 
     q = sub.add_parser("classify", help="coskeletal/minimal/Kan-groupoid flags")
-    q.add_argument("--n", type=int, required=True)
+    q.add_argument("--n", type=_dimension, required=True)
     q.add_argument("file")
     q.set_defaults(fn=cmd_classify)
 
     q = sub.add_parser("kan", help="horn extension status in one dimension")
-    q.add_argument("--dim", type=int, required=True)
+    q.add_argument("--dim", type=_dimension, required=True)
     q.add_argument("file")
     q.set_defaults(fn=cmd_kan)
 
     q = sub.add_parser("cosq", help="coskeletal extension or the weak-coskeletal quotient")
-    q.add_argument("--to-dim", type=int, default=None)
-    q.add_argument("--prime", type=int, default=None)
+    q.add_argument("--to-dim", type=_dimension, default=None)
+    q.add_argument("--prime", type=_dimension, default=None)
     q.add_argument("-o", "--output", default=None)
     q.add_argument("file")
     q.set_defaults(fn=cmd_cosq)
 
     q = sub.add_parser("nerve", help="nerve of a category, groupoid or 2-group")
-    q.add_argument("--to-dim", type=int, default=3)
+    q.add_argument("--to-dim", type=_dimension, default=3)
     q.add_argument("-o", "--output", default=None)
     q.add_argument("file")
     q.set_defaults(fn=cmd_nerve)
 
     q = sub.add_parser("segal-nerve", help="Segal nerve of a 2-group")
-    q.add_argument("--pmax", type=int, default=2)
-    q.add_argument("--qmax", type=int, default=2)
+    q.add_argument("--pmax", type=_dimension, default=2)
+    q.add_argument("--qmax", type=_dimension, default=2)
     q.add_argument("-o", "--output", default=None)
     q.add_argument("file")
     q.set_defaults(fn=cmd_segal_nerve)
 
     q = sub.add_parser("pi", help="combinatorial homotopy group")
-    q.add_argument("--m", type=int, required=True)
+    q.add_argument("--m", type=_dimension, required=True)
     q.add_argument("--base", default=None)
     q.add_argument("file")
     q.set_defaults(fn=cmd_pi)

@@ -130,64 +130,128 @@ def _q2_struct(m, x01, x12, xi):
     return ("q2", x01, x12, xi)
 
 
-def _struct_to_dict(m, q, st):
-    c = m.base
+def _pairs(q):
+    """The pairs i < j of [q], in sorted order: the slots of a family."""
+    return [(i, j) for i in range(q + 1) for j in range(i + 1, q + 1)]
+
+
+def _triples(q):
+    """The triples i < j < k of [q], in sorted order."""
+    return [(i, j, k) for (i, j) in _pairs(q) for k in range(j + 1, q + 1)]
+
+
+def _simplex_keys(g, q):
+    """The structural q-simplices of a 2-group (q <= 3) on g.int_index:
+    objects X_ij and pairing morphisms al_ijk : X_ij (x) X_jk -> X_ik
+    whose associativity squares commute.  Each is (object int per pair,
+    al int per triple), pairs and triples in sorted order; they come
+    ordered by X_01, X_12, X_23, al_012, al_123, al_023, al_013."""
+    ix = g.int_index
+    objs = range(len(ix.objects))
     if q == 0:
-        return {}, {}
+        return [((), ())]
     if q == 1:
-        return {(0, 1): st[1]}, {}
+        return [((x,), ()) for x in objs]
+    tobj, tgt = ix.tobj, ix.tgt
+    out_of = [[] for _ in objs]
+    for f, x in enumerate(ix.src):
+        out_of[x].append(f)
     if q == 2:
-        _, x01, x12, xi = st
-        objs = {(0, 1): x01, (1, 2): x12, (0, 2): c.tgt[xi]}
-        return objs, {(0, 1, 2): xi}
-    if q == 3:
-        _, x01, x12, x23, xi0, xi1, xi2, xi3 = st
-        objs = {(0, 1): x01, (1, 2): x12, (2, 3): x23,
-                (0, 2): c.tgt[xi3], (1, 3): c.tgt[xi0], (0, 3): c.tgt[xi1]}
-        return objs, {(1, 2, 3): xi0, (0, 2, 3): xi1, (0, 1, 3): xi2, (0, 1, 2): xi3}
-    raise NerveError("structural simplices stop at dimension 3")
+        return [((x01, tgt[al], x12), (al,))
+                for x01 in objs for x12 in objs
+                for al in out_of[tobj[(x01, x12)]]]
+    if q != 3:
+        raise NerveError("structural simplices stop at dimension 3")
+    comp, tm, ident = ix.comp, ix.tm, ix.ident
+    out = []
+    for x01 in objs:
+        for x12 in objs:
+            for x23 in objs:
+                a = ix.assoc[x01][x12][x23]
+                for al012 in out_of[tobj[(x01, x12)]]:
+                    x02 = tgt[al012]
+                    rhs_right = tm[(al012, ident[x23])]
+                    for al123 in out_of[tobj[(x12, x23)]]:
+                        x13 = tgt[al123]
+                        lhs_right = comp[(tm[(ident[x01], al123)], a)]
+                        for al023 in out_of[tobj[(x02, x23)]]:
+                            x03 = tgt[al023]
+                            rhs = comp[(al023, rhs_right)]
+                            # equal composites also have equal targets
+                            for al013 in out_of[tobj[(x01, x13)]]:
+                                if comp[(al013, lhs_right)] == rhs:
+                                    out.append(((x01, x02, x03, x12, x13, x23),
+                                                (al012, al013, al023, al123)))
+    return out
 
 
-def _dict_to_struct(m, q, objs, als):
-    c = m.base
+def _key_structs(g, q, keys):
+    """The structural simplices of keys on ids: ("q0",), ("q1", X_01),
+    ("q2", X_01, X_12, al_012) and
+    ("q3", X_01, X_12, X_23, al_123, al_023, al_013, al_012)."""
+    ix = g.int_index
+    ob, mo = ix.objects, ix.morphisms
     if q == 0:
-        return ("q0",)
+        return [("q0",)]
     if q == 1:
-        return ("q1", objs[(0, 1)])
+        return [("q1", ob[x[0]]) for x, _ in keys]
     if q == 2:
-        return _q2_struct(m, objs[(0, 1)], objs[(1, 2)], als[(0, 1, 2)])
-    if q == 3:
-        return ("q3", objs[(0, 1)], objs[(1, 2)], objs[(2, 3)],
-                als[(1, 2, 3)], als[(0, 2, 3)], als[(0, 1, 3)], als[(0, 1, 2)])
-    raise NerveError("structural simplices stop at dimension 3")
+        return [("q2", ob[x[0]], ob[x[2]], mo[al[0]]) for x, al in keys]
+    return [("q3", ob[x[0]], ob[x[3]], ob[x[5]],
+             mo[al[3]], mo[al[2]], mo[al[1]], mo[al[0]]) for x, al in keys]
 
 
-def _phi_star(m, phi, q_from, q_to, st):
-    """Reindex a structural simplex along a monotone map [q_to] -> [q_from]."""
-    c = m.base
-    objs, als = _struct_to_dict(m, q_from, st)
+def _key_index(keys):
+    """The simplex int of each key, keyed by objects + als in one tuple;
+    in simplex order."""
+    return {objs + als: s for s, (objs, als) in enumerate(keys)}
 
-    def obj(i, j):
-        if phi[i] == phi[j]:
-            return m.unit
-        return objs[(phi[i], phi[j])]
 
-    new_objs = {}
-    new_als = {}
-    for i in range(q_to + 1):
-        for j in range(i + 1, q_to + 1):
-            new_objs[(i, j)] = obj(i, j)
-    for i in range(q_to + 1):
-        for j in range(i + 1, q_to + 1):
-            for k in range(j + 1, q_to + 1):
-                yik = obj(i, k)
-                if phi[i] == phi[j]:
-                    new_als[(i, j, k)] = m.mor_inverse(m.l(yik))
-                elif phi[j] == phi[k]:
-                    new_als[(i, j, k)] = m.mor_inverse(m.r(yik))
-                else:
-                    new_als[(i, j, k)] = als[(phi[i], phi[j], phi[k])]
-    return _dict_to_struct(m, q_to, new_objs, new_als)
+def _gather(spec):
+    """ext -> tuple(ext[n] for n in spec), by itemgetter where it returns
+    a tuple."""
+    if len(spec) >= 2:
+        return operator.itemgetter(*spec)
+    return lambda ext: tuple([ext[n] for n in spec])
+
+
+def _reindex_table(ix, index_from, index_to, phi, q_from, q_to):
+    """Simplex int -> simplex int under the reindexing along the monotone
+    phi : [q_to] -> [q_from], between the levels whose _key_index are
+    index_from and index_to.
+
+    A target pair (i, j) reads the source pair (phi i, phi j), or the unit
+    where phi i = phi j.  A target triple (i, j, k) reads the source
+    triple, or the inverse unitor of its (i, k) object: l^-1 where
+    phi i = phi j, r^-1 where phi j = phi k.  So each cell is one gather
+    over (objects, als, unit, inverse unitors) and one lookup."""
+    pairs_from, triples_from = _pairs(q_from), _triples(q_from)
+    pslot = {pr: n for n, pr in enumerate(pairs_from)}
+    tslot = {t: len(pairs_from) + n for n, t in enumerate(triples_from)}
+    unit_slot = len(pairs_from) + len(triples_from)
+
+    def pair(i, j):
+        return unit_slot if phi[i] == phi[j] else pslot[(phi[i], phi[j])]
+
+    spec = [pair(i, j) for (i, j) in _pairs(q_to)]
+    unitors = []        # (inverse-unitor table, ext slot of its object)
+    for (i, j, k) in _triples(q_to):
+        if phi[i] == phi[j] or phi[j] == phi[k]:
+            spec.append(unit_slot + 1 + len(unitors))
+            unitors.append((ix.lunit_inv if phi[i] == phi[j]
+                            else ix.runit_inv, pair(i, k)))
+        else:
+            spec.append(tslot[(phi[i], phi[j], phi[k])])
+    gather = _gather(spec)
+    unit = (ix.unit,)
+    if not unitors:
+        return [index_to[gather(key + unit)] for key in index_from]
+    table = []
+    for key in index_from:
+        ext = key + unit
+        ext += tuple([inv[ext[n]] for inv, n in unitors])
+        table.append(index_to[gather(ext)])
+    return table
 
 
 def _delta(i, q):
@@ -201,82 +265,39 @@ def _sigma(j, q):
 
 
 def monoidal_simplices(m, q):
-    """Structural q-simplices of a monoidal category, for q <= 3."""
-    c = m.base
-    if q == 0:
-        return [("q0",)]
-    if q == 1:
-        return [("q1", x) for x in c.objects]
-    if q == 2:
-        out = []
-        for x01 in c.objects:
-            for x12 in c.objects:
-                srcobj = m.t(x01, x12)
-                for xi in c.morphisms:
-                    if c.src[xi] == srcobj:
-                        out.append(_q2_struct(m, x01, x12, xi))
-        return out
-    if q == 3:
-        out = []
-        two = {}
-        for st in monoidal_simplices(m, 2):
-            two.setdefault((st[1], st[2]), []).append(st[3])
-        for x01 in c.objects:
-            for x12 in c.objects:
-                for x23 in c.objects:
-                    for xi3 in two.get((x01, x12), []):       # al_012
-                        x02 = c.tgt[xi3]
-                        for xi0 in two.get((x12, x23), []):   # al_123
-                            x13 = c.tgt[xi0]
-                            for xi1 in two.get((x02, x23), []):   # al_023
-                                x03 = c.tgt[xi1]
-                                for xi2 in two.get((x01, x13), []):   # al_013
-                                    if c.tgt[xi2] != x03:
-                                        continue
-                                    lhs = c.comp(xi2,
-                                                 c.comp(m.tm(c.id_of(x01), xi0),
-                                                        m.a(x01, x12, x23)))
-                                    rhs = c.comp(xi1, m.tm(xi3, c.id_of(x23)))
-                                    if lhs == rhs:
-                                        out.append(("q3", x01, x12, x23,
-                                                    xi0, xi1, xi2, xi3))
-        return out
-    raise NerveError("structural simplices stop at dimension 3")
+    """Structural q-simplices of a 2-group, for q <= 3 (_key_structs of
+    _simplex_keys)."""
+    return _key_structs(m, q, _simplex_keys(m, q))
 
 
 def _struct_id(st):
     if st[0] == "q0":
         return "*"
-    return "%s(%s)" % (st[0], ",".join(str(p) for p in st[1:]))
+    return "%s(%s)" % (st[0], ",".join(map(str, st[1:])))
 
 
 def nerve_2group(g, to_dim):
     """The reduced nerve of a monoidal groupoid, 3-coskeletal; levels
-    above 3 come from the coskeletal extension."""
+    above 3 come from the coskeletal extension.  Up to level 3 each face
+    and degeneracy is one _reindex_table on g.int_index, and every value
+    is the target level's own id object."""
     cap = min(to_dim, 3)
-    structs = {q: monoidal_simplices(g, q) for q in range(cap + 1)}
-    ids = {q: [_struct_id(st) for st in structs[q]] for q in range(cap + 1)}
-    lookup = {q: {st: _struct_id(st) for st in structs[q]} for q in range(cap + 1)}
-    levels = [["*"] if q == 0 else ids[q] for q in range(cap + 1)]
-    face = {}
-    degen = {}
-    for q in range(1, cap + 1):
-        for i in range(q + 1):
-            phi = _delta(i, q)
-            mp = {}
-            for st in structs[q]:
-                img = _phi_star(g, phi, q, q - 1, st)
-                mp[_struct_id(st)] = "*" if q == 1 else lookup[q - 1][img]
-            face[(q, i)] = mp
-    for q in range(cap):
-        for j in range(q + 1):
-            phi = _sigma(j, q)
-            mp = {}
-            for st in structs[q]:
-                img = _phi_star(g, phi, q, q + 1, st)
-                mp[_struct_id(st)] = lookup[q + 1][img]
-            degen[(q, j)] = mp
-    out = sp.TruncatedSSet(cap, levels, face, degen, coskeletal_at=3, base="*")
+    ix = g.int_index
+    keys = [_simplex_keys(g, q) for q in range(cap + 1)]
+    structs = [_key_structs(g, q, keys[q]) for q in range(cap + 1)]
+    ids = [[_struct_id(st) for st in structs[q]] for q in range(cap + 1)]
+    index = [_key_index(k) for k in keys]
+
+    def operator_map(q, phi, q_to):
+        to = ids[q_to]
+        return dict(zip(ids[q], [to[n] for n in _reindex_table(
+            ix, index[q], index[q_to], phi, q, q_to)]))
+
+    face = {(q, i): operator_map(q, _delta(i, q), q - 1)
+            for q in range(1, cap + 1) for i in range(q + 1)}
+    degen = {(q, j): operator_map(q, _sigma(j, q), q + 1)
+             for q in range(cap) for j in range(q + 1)}
+    out = sp.TruncatedSSet(cap, ids, face, degen, coskeletal_at=3, base="*")
     if to_dim > cap:
         out = sp.coskeletal_extend(out, to_dim)
     out._struct = {q: dict(zip(ids[q], structs[q])) for q in range(cap + 1)}
@@ -775,11 +796,6 @@ def p2_star(k_sset, pmax):
 # -- the Segal nerve ---------------------------------------------------------
 
 
-def _pairs(q):
-    """The pairs i < j of [q], in sorted order: the slots of a family."""
-    return [(i, j) for i in range(q + 1) for j in range(i + 1, q + 1)]
-
-
 class _SegalLevels:
     """The groupoids of q-simplices of a 2-group (q <= 3) on dense ints.
 
@@ -800,9 +816,10 @@ class _SegalLevels:
         self.qmax = qmax = min(qmax, 3)
         self._ix = g.int_index
         self.base_mor = self._ix.morphisms
-        # per q: objects (structs, obj_names, the object int of each pair
-        # slot) and morphisms (src, tgt, fam, mor_names, (src, fam) -> int)
-        self.structs, self.obj_names, self._objs = {}, {}, {}
+        # per q: objects (structs, obj_names, _simplex_keys, _key_index)
+        # and morphisms (src, tgt, fam, mor_names, (src, fam) -> int)
+        self.structs, self.obj_names = {}, {}
+        self._keys, self._key_index = {}, {}
         self.src, self.tgt, self.fam, self.mor_names = {}, {}, {}, {}
         self._mor_of = {}
         for q in range(qmax + 1):
@@ -815,25 +832,16 @@ class _SegalLevels:
         """Objects and morphisms of q: families f_ij with the commuting
         squares f_ik . al = be . (f_ij (x) f_jk)."""
         g, ix = self.g, self._ix
-        mi, oi = ix.mor_int, ix.obj_int
-        structs = self.structs[q] = monoidal_simplices(g, q)
+        keys = self._keys[q] = _simplex_keys(g, q)
+        structs = self.structs[q] = _key_structs(g, q, keys)
         obj_names = self.obj_names[q] = [_struct_id(st) for st in structs]
-        pairs = _pairs(q)
-        slot = {pr: n for n, pr in enumerate(pairs)}
-        triples = [(i, j, k) for (i, j) in pairs for k in range(j + 1, q + 1)]
+        slot = {pr: n for n, pr in enumerate(_pairs(q))}
         squares = [(slot[(i, j)], slot[(j, k)], slot[(i, k)])
-                   for (i, j, k) in triples]
-        # a structural simplex as (object per pair, al per triple) ints
-        keys = []
-        for st in structs:
-            objs, als = _struct_to_dict(g, q, st)
-            keys.append((tuple([oi[objs[pr]] for pr in pairs]),
-                         tuple([mi[als[t]] for t in triples])))
-        obj_of_key = {key: s for s, key in enumerate(keys)}
-        self._objs[q] = [objs for objs, _ in keys]
+                   for (i, j, k) in _triples(q)]
+        obj_of_key = self._key_index[q] = _key_index(keys)
         msrc, mtgt, comp = ix.src, ix.tgt, ix.comp
         inv, tm, tobj = ix.inv, ix.tm, ix.tobj
-        out_of = [[] for _ in oi]
+        out_of = [[] for _ in ix.objects]
         for f, x in enumerate(msrc):
             out_of[x].append(f)
         src, tgt, fams = [], [], []
@@ -850,7 +858,7 @@ class _SegalLevels:
                     new_als.append(be)
                 else:
                     src.append(s)
-                    tgt.append(obj_of_key[(new_objs, tuple(new_als))])
+                    tgt.append(obj_of_key[new_objs + tuple(new_als)])
                     fams.append(fam)
         base_names = ["%s" % (f,) for f in self.base_mor]
         names = ["f(%s|%s)" % (obj_names[s],
@@ -905,7 +913,7 @@ class _SegalLevels:
         if table is None:
             ident, mor_of = self._ix.ident, self._mor_of[q]
             table = [mor_of[(s, tuple([ident[x] for x in objs]))]
-                     for s, objs in enumerate(self._objs[q])]
+                     for s, (objs, _) in enumerate(self._keys[q])]
             self._identity[q] = table
         return table
 
@@ -914,9 +922,8 @@ class _SegalLevels:
         key = (phi, q_from, q_to)
         table = self._vmap_obj.get(key)
         if table is None:
-            obj_of = {st: s for s, st in enumerate(self.structs[q_to])}
-            table = [obj_of[_phi_star(self.g, phi, q_from, q_to, st)]
-                     for st in self.structs[q_from]]
+            table = _reindex_table(self._ix, self._key_index[q_from],
+                                   self._key_index[q_to], phi, q_from, q_to)
             self._vmap_obj[key] = table
         return table
 
@@ -932,8 +939,7 @@ class _SegalLevels:
             slot = {pr: n for n, pr in enumerate(_pairs(q_from))}
             spec = [len(slot) if phi[i] == phi[j] else slot[(phi[i], phi[j])]
                     for (i, j) in _pairs(q_to)]
-            gather = operator.itemgetter(*spec) if len(spec) >= 2 else \
-                (lambda ext: tuple([ext[n] for n in spec]))
+            gather = _gather(spec)
             unit = (self._ix.unit_ident,)
             mor_of = self._mor_of[q_to]
             table = [mor_of[(objs[s], gather(fam + unit))]

@@ -34,6 +34,14 @@ def _need(doc, key, where):
     return doc[key]
 
 
+def _need_dim(doc, key, where):
+    dim = _need(doc, key, where)
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
+        raise ParseError("%s %r in %s is not a dimension >= 0"
+                         % (key, dim, where))
+    return dim
+
+
 # -- truncated simplicial sets ----------------------------------------------
 
 
@@ -60,7 +68,7 @@ def sset_from_doc(doc):
                           "coskeletal_at", "base"}, "sset")
     if doc.get("format") != 1 or doc.get("kind") != "sset":
         raise ParseError("not a format-1 sset document")
-    dim = _need(doc, "dim", "sset")
+    dim = _need_dim(doc, "dim", "sset")
     levels = _need(doc, "levels", "sset")
     if len(levels) != dim + 1:
         raise ParseError("levels length disagrees with dim")
@@ -220,7 +228,7 @@ def bisimplicial_from_doc(doc):
                           "vface", "hdegen", "vdegen"}, "bisimplicial")
     if doc.get("kind") != "bisimplicial":
         raise ParseError("not a bisimplicial document")
-    pmax, qmax = _need(doc, "P", "bi"), _need(doc, "Q", "bi")
+    pmax, qmax = _need_dim(doc, "P", "bi"), _need_dim(doc, "Q", "bi")
     rows = _need(doc, "levels", "bi")
     region = nv.rectangle(pmax, qmax)
     levels = {(p, q): rows[p][q] for (p, q) in region}

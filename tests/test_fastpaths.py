@@ -11,6 +11,7 @@ from kanforge import catalg as ca
 from kanforge import determinants as dt
 from kanforge import examples as ex
 from kanforge import groups as gr
+from kanforge import serialize as io
 
 # brute force walks |level|^(slots) candidates; larger cases are left out
 PRODUCT_CAP = 300000
@@ -80,14 +81,181 @@ def test_h_boundary_tuples_match_brute_force(name):
             reference_tuples(ns.level(p - 1, q), face, p - 1)
 
 
+# -- the 2-group nerve against the struct-keyed reindexing it replaces --------
+
+
+def reference_monoidal_simplices(m, q):
+    """Structural q-simplices, enumerated on ids."""
+    c = m.base
+    if q == 0:
+        return [("q0",)]
+    if q == 1:
+        return [("q1", x) for x in c.objects]
+    if q == 2:
+        out = []
+        for x01 in c.objects:
+            for x12 in c.objects:
+                srcobj = m.t(x01, x12)
+                for xi in c.morphisms:
+                    if c.src[xi] == srcobj:
+                        out.append(("q2", x01, x12, xi))
+        return out
+    out = []
+    two = {}
+    for st in reference_monoidal_simplices(m, 2):
+        two.setdefault((st[1], st[2]), []).append(st[3])
+    for x01 in c.objects:
+        for x12 in c.objects:
+            for x23 in c.objects:
+                for xi3 in two.get((x01, x12), []):       # al_012
+                    x02 = c.tgt[xi3]
+                    for xi0 in two.get((x12, x23), []):   # al_123
+                        x13 = c.tgt[xi0]
+                        for xi1 in two.get((x02, x23), []):   # al_023
+                            x03 = c.tgt[xi1]
+                            for xi2 in two.get((x01, x13), []):   # al_013
+                                if c.tgt[xi2] != x03:
+                                    continue
+                                lhs = c.comp(xi2,
+                                             c.comp(m.tm(c.id_of(x01), xi0),
+                                                    m.a(x01, x12, x23)))
+                                rhs = c.comp(xi1, m.tm(xi3, c.id_of(x23)))
+                                if lhs == rhs:
+                                    out.append(("q3", x01, x12, x23,
+                                                xi0, xi1, xi2, xi3))
+    return out
+
+
+def reference_struct_to_dict(m, q, st):
+    c = m.base
+    if q == 0:
+        return {}, {}
+    if q == 1:
+        return {(0, 1): st[1]}, {}
+    if q == 2:
+        _, x01, x12, xi = st
+        objs = {(0, 1): x01, (1, 2): x12, (0, 2): c.tgt[xi]}
+        return objs, {(0, 1, 2): xi}
+    _, x01, x12, x23, xi0, xi1, xi2, xi3 = st
+    objs = {(0, 1): x01, (1, 2): x12, (2, 3): x23,
+            (0, 2): c.tgt[xi3], (1, 3): c.tgt[xi0], (0, 3): c.tgt[xi1]}
+    return objs, {(1, 2, 3): xi0, (0, 2, 3): xi1, (0, 1, 3): xi2,
+                  (0, 1, 2): xi3}
+
+
+def reference_dict_to_struct(m, q, objs, als):
+    if q == 0:
+        return ("q0",)
+    if q == 1:
+        return ("q1", objs[(0, 1)])
+    if q == 2:
+        return ("q2", objs[(0, 1)], objs[(1, 2)], als[(0, 1, 2)])
+    return ("q3", objs[(0, 1)], objs[(1, 2)], objs[(2, 3)],
+            als[(1, 2, 3)], als[(0, 2, 3)], als[(0, 1, 3)], als[(0, 1, 2)])
+
+
+def reference_phi_star(m, phi, q_from, q_to, st):
+    """Reindex a structural simplex along a monotone map [q_to] -> [q_from]."""
+    objs, als = reference_struct_to_dict(m, q_from, st)
+
+    def obj(i, j):
+        if phi[i] == phi[j]:
+            return m.unit
+        return objs[(phi[i], phi[j])]
+
+    new_objs = {}
+    new_als = {}
+    for i in range(q_to + 1):
+        for j in range(i + 1, q_to + 1):
+            new_objs[(i, j)] = obj(i, j)
+    for i in range(q_to + 1):
+        for j in range(i + 1, q_to + 1):
+            for k in range(j + 1, q_to + 1):
+                yik = obj(i, k)
+                if phi[i] == phi[j]:
+                    new_als[(i, j, k)] = m.mor_inverse(m.l(yik))
+                elif phi[j] == phi[k]:
+                    new_als[(i, j, k)] = m.mor_inverse(m.r(yik))
+                else:
+                    new_als[(i, j, k)] = als[(phi[i], phi[j], phi[k])]
+    return reference_dict_to_struct(m, q_to, new_objs, new_als)
+
+
+def reference_nerve_2group(g, to_dim):
+    cap = min(to_dim, 3)
+    structs = {q: reference_monoidal_simplices(g, q) for q in range(cap + 1)}
+    ids = {q: [nv._struct_id(st) for st in structs[q]] for q in range(cap + 1)}
+    lookup = {q: {st: nv._struct_id(st) for st in structs[q]}
+              for q in range(cap + 1)}
+    levels = [["*"] if q == 0 else ids[q] for q in range(cap + 1)]
+    face = {}
+    degen = {}
+    for q in range(1, cap + 1):
+        for i in range(q + 1):
+            phi = nv._delta(i, q)
+            mp = {}
+            for st in structs[q]:
+                img = reference_phi_star(g, phi, q, q - 1, st)
+                mp[nv._struct_id(st)] = "*" if q == 1 else lookup[q - 1][img]
+            face[(q, i)] = mp
+    for q in range(cap):
+        for j in range(q + 1):
+            phi = nv._sigma(j, q)
+            mp = {}
+            for st in structs[q]:
+                img = reference_phi_star(g, phi, q, q + 1, st)
+                mp[nv._struct_id(st)] = lookup[q + 1][img]
+            degen[(q, j)] = mp
+    out = sp.TruncatedSSet(cap, levels, face, degen, coskeletal_at=3, base="*")
+    if to_dim > cap:
+        out = sp.coskeletal_extend(out, to_dim)
+    out._struct = {q: dict(zip(ids[q], structs[q])) for q in range(cap + 1)}
+    return out
+
+
+def unitor_twisted_two_group():
+    """K(Z/2, Z/2) with the coboundary associator w = dc of the 2-cochain
+    c(x, y) = [x != 0 and y == 0]: l_x = c(0, x) = id and r_x = c(x, 0),
+    so r_1 is not an identity while l_1 is."""
+    els = (0, 1)
+
+    def mor(x, a):
+        return "k%d_%d" % (x, a)
+
+    def c(x, y):
+        return int(x != 0 and y == 0)
+
+    def dc(x, y, z):
+        return (c(y, z) + c((x + y) % 2, z) + c(x, (y + z) % 2) + c(x, y)) % 2
+
+    objs = ["o%d" % x for x in els]
+    morphs = [mor(x, a) for x in els for a in els]
+    src = {mor(x, a): objs[x] for x in els for a in els}
+    comp = {(mor(x, b), mor(x, a)): mor(x, (a + b) % 2)
+            for x in els for a in els for b in els}
+    base = ca.FinGroupoid(objs, morphs, src, dict(src),
+                          {objs[x]: mor(x, 0) for x in els}, comp,
+                          inv={f: f for f in morphs}, name="K(Z2,Z2)")
+    tobj = {(objs[x], objs[y]): objs[(x + y) % 2] for x in els for y in els}
+    tmor = {(mor(x, a), mor(y, b)): mor((x + y) % 2, (a + b) % 2)
+            for x in els for a in els for y in els for b in els}
+    assoc = {(objs[x], objs[y], objs[z]): mor((x + y + z) % 2, dc(x, y, z))
+             for x in els for y in els for z in els}
+    lunit = {objs[x]: mor(x, c(0, x)) for x in els}
+    runit = {objs[x]: mor(x, c(x, 0)) for x in els}
+    m = ca.MonoidalStructure(base, tobj, tmor, objs[0], assoc, lunit, runit,
+                             name="K(Z2,Z2)-dc")
+    return ca.certify_two_group(m)
+
+
 def reference_vmap_mor(lv, phi, q_from, q_to, m):
     """Reindex morphism m of the q_from-simplex groupoid directly
     through _phi_star; its string id."""
     st = lv.structs[q_from][lv.src[q_from][m]]
     fam = dict(zip(nv._pairs(q_from),
                    [lv.base_mor[f] for f in lv.fam[q_from][m]]))
-    new_src = nv._phi_star(lv.g, phi, q_from, q_to, st)
-    objs, _ = nv._struct_to_dict(lv.g, q_to, new_src)
+    new_src = reference_phi_star(lv.g, phi, q_from, q_to, st)
+    objs, _ = reference_struct_to_dict(lv.g, q_to, new_src)
     unit = lv.g.base.id_of(lv.g.unit)
     new_fam = {(i, j): unit if phi[i] == phi[j] else fam[(phi[i], phi[j])]
                for (i, j) in objs}
@@ -138,7 +306,7 @@ def reference_q_simplex_morphisms(g, q, structs):
     c = g.base
     out = {}
     for st in structs:
-        objs, als = nv._struct_to_dict(g, q, st)
+        objs, als = reference_struct_to_dict(g, q, st)
         pairs = sorted(objs)
         fams = []
         cand = [[f for f in c.morphisms if c.src[f] == objs[p]] for p in pairs]
@@ -156,7 +324,7 @@ def reference_q_simplex_morphisms(g, q, structs):
                         return
                     new_als[(a, b, k2)] = be
                 fams.append((dict(fam),
-                             nv._dict_to_struct(g, q, new_objs, new_als)))
+                             reference_dict_to_struct(g, q, new_objs, new_als)))
                 return
             for f in cand[i]:
                 fam[pairs[i]] = f
@@ -176,7 +344,8 @@ class ReferenceSegalLevels:
     def __init__(self, g, qmax):
         self.g = g
         self.qmax = qmax = min(qmax, 3)
-        self.structs = {q: nv.monoidal_simplices(g, q) for q in range(qmax + 1)}
+        self.structs = {q: reference_monoidal_simplices(g, q)
+                        for q in range(qmax + 1)}
         self.ids = {q: [nv._struct_id(st) for st in self.structs[q]]
                     for q in range(qmax + 1)}
         self.sid = {q: dict(zip(self.ids[q], self.structs[q]))
@@ -224,12 +393,12 @@ class ReferenceSegalLevels:
         return mid
 
     def identity(self, q, sid_):
-        objs, _ = nv._struct_to_dict(self.g, q, self.sid[q][sid_])
+        objs, _ = reference_struct_to_dict(self.g, q, self.sid[q][sid_])
         c = self.g.base
         return reference_fam_id(sid_, {p: c.id_of(objs[p]) for p in objs})
 
     def vmap_obj(self, phi, q_from, q_to, sid_):
-        return nv._struct_id(nv._phi_star(self.g, phi, q_from, q_to,
+        return nv._struct_id(reference_phi_star(self.g, phi, q_from, q_to,
                                           self.sid[q_from][sid_]))
 
     def vmap_mor(self, phi, q_from, q_to, mid):
@@ -564,6 +733,58 @@ def test_bimaps_with_cached_index_match_reference(g):
             assert nv.enumerate_bimaps(x, ns, region=region) == want
         assert_ticks(lambda b: nv.enumerate_bimaps(x, ns, region=region,
                                                    budget=b), ticks)
+
+
+def nerve_fixtures():
+    """(name, 2-group, largest to_dim compared)."""
+    out = [(name, g, 4) for name, g in ex.canned_two_groups()]
+    out += [("disc-z4", ex.build("disc-z4"), 4),
+            ("inflated-disc-z2", ex.build("inflated-disc-z2"), 3),
+            ("disc-s3", ca.discrete_two_group(gr.symmetric(3)), 4),
+            ("disc-z2-x-oneobj-z2-reversed-ids",
+             reversed_ids(ex.build("disc-z2-x-oneobj-z2")), 4),
+            ("unitor-twisted", unitor_twisted_two_group(), 4)]
+    return [pytest.param(g, d, id=name) for name, g, d in out]
+
+
+def test_unitor_twisted_fixture_tells_l_from_r():
+    g = unitor_twisted_two_group()
+    assert g.validate() == []
+    assert all(g.l(x) == g.base.id_of(x) for x in g.base.objects)
+    assert g.r("o1") != g.base.id_of("o1")
+    assert g.int_index.lunit_inv != g.int_index.runit_inv
+    ng = nv.nerve_2group(g, 4)
+    assert ng.validate().ok
+    assert sp.classify(ng, 2).n_kan_groupoid
+
+
+@pytest.mark.parametrize("g,top", nerve_fixtures())
+def test_simplex_keys_match_monoidal_simplices_reference(g, top):
+    ix = g.int_index
+    for q in range(4):
+        want = reference_monoidal_simplices(g, q)
+        assert nv.monoidal_simplices(g, q) == want
+        keys = []
+        for st in want:
+            objs, als = reference_struct_to_dict(g, q, st)
+            keys.append((tuple(ix.obj_int[objs[pr]] for pr in nv._pairs(q)),
+                         tuple(ix.mor_int[als[t]] for t in nv._triples(q))))
+        assert nv._simplex_keys(g, q) == keys
+
+
+@pytest.mark.parametrize("g,top", nerve_fixtures())
+def test_nerve_2group_matches_phi_star_reference(g, top):
+    for to_dim in range(1, top + 1):
+        got, want = nv.nerve_2group(g, to_dim), reference_nerve_2group(g, to_dim)
+        assert got.levels == want.levels
+        for ops in ("face", "degen"):
+            assert list(getattr(got, ops)) == list(getattr(want, ops))
+            for key, mp in getattr(want, ops).items():
+                assert list(getattr(got, ops)[key].items()) == list(mp.items())
+        assert got._struct == want._struct
+        assert (got.dim, got.coskeletal_at, got.base) == \
+            (want.dim, want.coskeletal_at, want.base)
+        assert io.dumps(got) == io.dumps(want)
 
 
 def reference_kan_status(x_sset, m):
@@ -1245,10 +1466,23 @@ def test_base_pinned_before_the_map_search():
     sp.enumerate_maps(x, y, budget=ticks - 1)
 
 
-@pytest.mark.parametrize("name", [n for n, _ in ex.canned_two_groups()])
-def test_segal_determinants_match_reference(name):
-    g = ex.build(name)
-    x_bx = nv.p2_star(ex.build("s1"), 2)
+def segal_determinant_cases():
+    out = [pytest.param("s1", g, id=name)
+           for name, g in ex.canned_two_groups()]
+    # the reduced 2-simplex has two independent edges, so D takes values
+    # that need not commute in Disc(S3) (in s1 and t11 all edges have one
+    # D value there); in the unitor-twisted 2-group l and r differ
+    out += [pytest.param("delta2-reduced",
+                         ca.discrete_two_group(gr.symmetric(3)),
+                         id="delta2-reduced-disc-s3"),
+            pytest.param("delta2-reduced", unitor_twisted_two_group(),
+                         id="delta2-reduced-unitor-twisted")]
+    return out
+
+
+@pytest.mark.parametrize("space,g", segal_determinant_cases())
+def test_segal_determinants_match_reference(space, g):
+    x_bx = nv.p2_star(ex.build(space), 2)
     want, ticks = reference_segal_determinants(x_bx, g)
     got = dt.enumerate_segal_determinants(x_bx, g)
     assert [(dm.key(), t) for dm, t in got] == \

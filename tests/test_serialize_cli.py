@@ -5,6 +5,7 @@ import pytest
 from kanforge import serialize as io
 from kanforge import examples as ex
 from kanforge import cli
+from kanforge import nerves as nv
 
 
 @pytest.mark.parametrize("name", ex.example_ids())
@@ -241,3 +242,51 @@ def test_cli_main_is_reentrant(tmp_path, capsys):
     # the default --to-dim 3 holds again after --to-dim 4
     assert (len(levels_a), len(levels_b)) == (5, 4)
     assert levels_b == levels_a[:4]
+
+
+@pytest.mark.parametrize("argv,option", [
+    (["nerve", "--to-dim", "-1"], "--to-dim"),
+    (["segal-nerve", "--pmax", "-1"], "--pmax"),
+    (["segal-nerve", "--qmax", "-1"], "--qmax"),
+    (["classify", "--n", "-1"], "--n"),
+    (["kan", "--dim", "-1"], "--dim"),
+    (["pi", "--m", "-1"], "--m"),
+    (["cosq", "--to-dim", "-1"], "--to-dim"),
+    (["cosq", "--prime", "-1"], "--prime")])
+def test_cli_negative_dimension_exit_two(tmp_path, capsys, argv, option):
+    src = dump(tmp_path, "disc-z2" if argv[0] in ("nerve", "segal-nerve")
+               else "s1")
+    out = tmp_path / "out.json"
+    extra = ["-o", str(out)] if argv[0] in ("nerve", "segal-nerve", "cosq") \
+        else []
+    assert cli.main(argv + extra + [src]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument %s: dimension -1 is negative" % option in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind,key,value", [
+    ("s1", "dim", -1), ("s1", "dim", "2"),
+    ("bisimplicial", "P", -1), ("bisimplicial", "Q", -1)])
+def test_loads_rejects_a_negative_dimension(tmp_path, capsys, kind, key,
+                                            value):
+    if kind == "bisimplicial":
+        doc = json.loads(io.dumps(nv.p2_star(ex.build("s1"), 1)))
+    else:
+        doc = json.loads(io.dumps(ex.build(kind)))
+    doc[key] = value
+    with pytest.raises(io.ParseError, match="not a dimension >= 0"):
+        io.loads(json.dumps(doc))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["validate", str(path)]) == 2
+    assert "not a dimension >= 0" in capsys.readouterr().err
+
+
+def test_nerve_of_dimension_zero_validates(tmp_path, capsys):
+    out = tmp_path / "n0.json"
+    assert cli.main(["nerve", "--to-dim", "0", "-o", str(out),
+                     dump(tmp_path, "disc-z2")]) == 0
+    assert cli.main(["validate", str(out)]) == 0
+    assert capsys.readouterr().out == "valid sset\n"
