@@ -324,9 +324,11 @@ class IntIndex:
     identity of each object) are lists; `comp` maps (g, f) to g.f for
     composable pairs, `tm` maps (f, g) to f (x) g and `tobj` (x, y) to
     x (x) y; `unit` is the unit object and `unit_ident` its identity.
-    The row tables of the determinant searches (`comp_rows`, `left`,
-    `right`, `assoc`, `tri_cands`) and the inverse unitors of the nerve's
-    reindexing (`lunit_inv`, `runit_inv`) are built on first use.
+    Built on first use: the tables of the determinant searches
+    (`comp_rows`, the whiskerings `left` and `right`, `assoc`, `homs`,
+    each hom-set in id order, and `tri_cands`, the hom-sets of triangles)
+    and the inverse unitors of the nerve's reindexing (`lunit_inv`,
+    `runit_inv`).
     """
 
     def __init__(self, m):
@@ -386,17 +388,25 @@ class IntIndex:
         return [self.inv[self.mor_int[self._runit[x]]] for x in self.objects]
 
     @functools.cached_property
-    def tri_cands(self):
-        """tri_cands[o0][o1][o2]: the morphisms t(o2, o0) -> o1 in id
-        order, the values T may take on a triangle whose faces d_0, d_1,
-        d_2 have D-values o0, o1, o2."""
-        by_ends = {}
+    def homs(self):
+        """homs[x][y]: the morphisms x -> y in id order, as base.hom
+        lists them."""
+        objs = range(len(self.objects))
+        out = [[[] for _ in objs] for _ in objs]
         for f in sorted(range(len(self.morphisms)),
                         key=self.morphisms.__getitem__):
-            by_ends.setdefault((self.src[f], self.tgt[f]), []).append(f)
+            out[self.src[f]][self.tgt[f]].append(f)
+        return out
+
+    @functools.cached_property
+    def tri_cands(self):
+        """tri_cands[o0][o1][o2] = homs[o2 (x) o0][o1], the values T may
+        take on a triangle whose faces d_0, d_1, d_2 have D-values o0,
+        o1, o2."""
+        homs, tobj = self.homs, self.tobj
         objs = range(len(self.objects))
-        return [[[by_ends.get((self.tobj[(o2, o0)], o1), []) for o2 in objs]
-                 for o1 in objs] for o0 in objs]
+        return [[[homs[tobj[(o2, o0)]][o1] for o2 in objs] for o1 in objs]
+                for o0 in objs]
 
 
 class TwoGroup(MonoidalStructure):

@@ -176,41 +176,108 @@ def additive_vs_hom(x_sset, group, budget=None):
     ner = nv.nerve_category(h_grpd, max(2, x_sset.dim))
     adds = enumerate_additive(x_sset, group, budget=budget)
     homs = hom_sset(x_sset, ner, budget=budget)
-    code = {e: ner._chain1[h_grpd.ident["*"]] if e == group.unit else None
-            for e in group.elements}
-    mor_code = {e: "m%s" % (e,) for e in group.elements}
-    # build f^D from D and check it lands in the enumerated set
-    hom_keys = {f.key() for f in homs}
-    images = set()
-    ok = len(adds) == len(homs)
-    for d_fun in adds:
-        comps = {0: {x_sset.level(0)[0]: "*"}}
-        comps[1] = {e: ner._chain1[mor_code[d_fun[e]]] for e in x_sset.level(1)}
-        complete = True
+    star = x_sset.level(0)[0]
+    by_faces = {k: {ner.faces(k, s): s for s in ner.level(k)}
+                for k in range(2, x_sset.dim + 1)}
+
+    def image(d_fun):
+        # f^D level by level, as a map key; None if a simplex has no image
+        comps = {0: {star: "*"},
+                 1: {e: ner._chain1["m%s" % (d_fun[e],)]
+                     for e in x_sset.level(1)}}
         for k in range(2, x_sset.dim + 1):
-            idxk = {ner.faces(k, s): s for s in ner.level(k)}
             comps[k] = {}
             for a in x_sset.level(k):
-                want = tuple(comps[k - 1][x_sset.d(k, i, a)] for i in range(k + 1))
-                if want not in idxk:
-                    complete = False
-                    break
-                comps[k][a] = idxk[want]
-            if not complete:
-                break
-        if not complete:
-            ok = False
-            continue
-        key = tuple(tuple(sorted(comps[k].items())) for k in sorted(comps))
-        if key not in hom_keys or key in images:
-            ok = False
-        images.add(key)
-    if images != hom_keys:
-        ok = False
-    return adds, homs, ok
+                img = by_faces[k].get(tuple(
+                    comps[k - 1][x_sset.d(k, i, a)] for i in range(k + 1)))
+                if img is None:
+                    return None
+                comps[k][a] = img
+        return tuple(tuple(sorted(comps[k].items())) for k in sorted(comps))
+
+    return adds, homs, _bijective([image(d) for d in adds],
+                                  [f.key() for f in homs])
+
+
+def _bijective(images, keys):
+    """Whether images, the key of each source element's image (None
+    where none could be built), is a bijection onto the oracle's keys:
+    both lists free of duplicates and equal as sets."""
+    distinct = set(images)
+    return (None not in distinct and len(distinct) == len(images) == len(keys)
+            and distinct == set(keys))
 
 
 # -- determinants into a 2-group ---------------------------------------------
+
+
+def _natural(ix, h0, h1, h2, s, t):
+    """The naturality square over a 2-cell A, on the ints of ix: edge
+    morphisms h_i : D(d_i A) -> D'(d_i A) carry s = T(A) to t = T'(A)
+    when h_1 . s = t . (h_2 (x) h_0)."""
+    comp = ix.comp_rows
+    return comp[h1][s] == comp[t][ix.tm[(h2, h0)]]
+
+
+def _associative(ix, x01, x12, x23, t0, t1, t2, t3):
+    """The associativity square over a 3-simplex, on the ints of ix: its
+    edges A_01, A_12, A_23 have D-values x01, x12, x23 and its faces d_i
+    have T-values t_i, and t_2 . (id_x01 (x) t_0) . a_{x01,x12,x23} =
+    t_1 . (t_3 (x) id_x23)."""
+    comp = ix.comp_rows
+    return (comp[t2][comp[ix.left[x01][t0]][ix.assoc[x01][x12][x23]]]
+            == comp[t1][ix.right[x23][t3]])
+
+
+class _TStage:
+    """The T stage of both determinant searches, planned once on a
+    reduced simplicial set: X itself, or the row X_{0,*} of a
+    bisimplicial X.
+
+    T(s_0 s_0 *) is forced to l_1^{-1}; the other 2-cells are free, in
+    level order, each valued in its hom-set t(D d_2, D d_0) -> D d_1 of
+    g.int_index.tri_cands.  One sp.completion_schedule over the free
+    2-cells holds the associativity square of each 3-simplex (its faces,
+    then its edges A_01 = d_2 d_2, A_12 = d_0 d_3, A_23 = d_0 d_1) and
+    the naturality squares `squares`, each (top, bottom, e_0, e_1, e_2):
+    T(top) carried to T(bottom) by the morphisms on the edges e_i."""
+
+    def __init__(self, row, ix, squares=()):
+        self.ix = ix
+        self.forced = row.s(1, 0, row.s(0, 0, row.level(0)[0]))
+        self.frees = [t for t in row.level(2) if t != self.forced]
+        self.faces = faces = row.face_table(2)
+        cons = []
+        for h in (row.level(3) if row.dim >= 3 else ()):
+            f0, f1, f2, f3 = row.faces(3, h)
+            cons.append(((False, (f0, f1, f2, f3, faces[f2][2], faces[f3][0],
+                                  faces[f1][0])), (f0, f1, f2, f3)))
+        cons += [((True, sq), sq[:2]) for sq in squares]
+        self.schedule = sp.completion_schedule(self.frees, cons)
+
+    def hom_set(self, d, cell):
+        """The T candidates of a 2-cell under the int D-assignment d."""
+        f0, f1, f2 = self.faces[cell]
+        return self.ix.tri_cands[d[f0]][d[f1]][d[f2]]
+
+    def run(self, d, h, emit, tick):
+        """Search T for the int D-assignment d (1-cells -> objects) and
+        h (square edges -> morphisms); emit(t) at each determinant, t
+        the int T-assignment, forced cell first."""
+        ix = self.ix
+        t = {self.forced: ix.lunit_inv[ix.unit]}
+
+        def holds(con):
+            square, cells = con
+            if square:
+                top, bot, e0, e1, e2 = cells
+                return _natural(ix, h[e0], h[e1], h[e2], t[top], t[bot])
+            f0, f1, f2, f3, a01, a12, a23 = cells
+            return _associative(ix, d[a01], d[a12], d[a23],
+                                t[f0], t[f1], t[f2], t[f3])
+
+        sp.scheduled_search(self.frees, lambda c: self.hom_set(d, c),
+                            self.schedule, holds, t, lambda: emit(t), tick)
 
 
 def enumerate_determinants(x_sset, g, budget=None):
@@ -223,74 +290,33 @@ def enumerate_determinants(x_sset, g, budget=None):
     Two stages of sp.scheduled_search on the ints of g.int_index.  D
     goes edge by edge, and each free triangle is tested once, right
     after its last free edge is set (sp.completion_schedule), for a
-    morphism t(D d_2, D d_0) -> D d_1: a D that fails it has no T, so
-    only D-assignments without a determinant are cut.  At each leaf of
-    D, T goes triangle by triangle in level order over those hom-sets,
-    and the associativity square of a tetrahedron is tested once, right
-    after its last free face is set, and the tetrahedra with no free
-    face once, before the first triangle.  Each result is mapped back to
-    the ids of X and g at its leaf.  The degeneracy forcing
-    (T(s_i A) = s_i(D A)) is re-derived, then asserted."""
+    non-empty hom-set: a D that fails it has no T, so only
+    D-assignments without a determinant are cut.  At each leaf of D the
+    shared _TStage searches T.  Each result is mapped back to the ids of
+    X and g at its leaf.  The degeneracy forcing (T(s_i A) = s_i(D A))
+    is re-derived, then asserted."""
     if not x_sset.is_reduced():
         raise DeterminantError("determinants need a reduced complex")
     if x_sset.dim < 3:
         raise sp.DimensionOutOfRange("determinants need dim >= 3")
     ix = g.int_index
     objs, mors = ix.objects, ix.morphisms
-    comp, left, right = ix.comp_rows, ix.left, ix.right
-    assoc, cands = ix.assoc, ix.tri_cands
-    obj_ints = range(len(objs))
-
-    star = x_sset.level(0)[0]
-    loop0 = x_sset.s(0, 0, star)
-    loop1 = x_sset.s(1, 0, loop0)
+    stage = _TStage(x_sset, ix)
+    loop0 = x_sset.s(0, 0, x_sset.level(0)[0])
     edges = [e for e in x_sset.level(1) if e != loop0]
-    tris = [t for t in x_sset.level(2) if t != loop1]
-    tetra = list(x_sset.level(3))
     tick = sp.budget_ticker(budget, "determinant enumeration exceeded cap")
     results = []
     d_assign = {loop0: ix.unit}
-    t_assign = {loop1: ix.mor_int[g.mor_inverse(g.l(g.unit))]}
-
-    tri_faces = {t: x_sset.faces(2, t) for t in x_sset.level(2)}
-    # per tetrahedron its faces, then A_01 = d2 d2 eta, A_12 = d0 d3 eta
-    # and A_23 = d0 d0 eta for the associativity square
-    tet_cells = {}
-    for h in tetra:
-        faces = x_sset.faces(3, h)
-        tet_cells[h] = faces + (x_sset.d(2, 2, faces[2]),
-                                x_sset.d(2, 0, faces[3]),
-                                x_sset.d(2, 0, faces[1]))
-    # each triangle is tested once, right after its last free edge is
-    # set, and each tetrahedron right after its last free face
     tri_checks = sp.completion_schedule(
-        edges, ((t, tri_faces[t]) for t in tris))
-    tet_checks = sp.completion_schedule(
-        tris, ((h, cells[:4]) for h, cells in tet_cells.items()))
+        edges, ((t, stage.faces[t]) for t in stage.frees))
 
-    def t_candidates(t):
-        f0, f1, f2 = tri_faces[t]
-        return cands[d_assign[f0]][d_assign[f1]][d_assign[f2]]
-
-    def assoc_ok(h):
-        f0, f1, f2, f3, a01, a12, a23 = tet_cells[h]
-        x01, x23 = d_assign[a01], d_assign[a23]
-        lhs = comp[t_assign[f2]][comp[left[x01][t_assign[f0]]]
-                                     [assoc[x01][d_assign[a12]][x23]]]
-        return lhs == comp[t_assign[f1]][right[x23][t_assign[f3]]]
-
-    def emit():
+    def emit(t_assign):
         results.append(({e: objs[x] for e, x in d_assign.items()},
                         {t: mors[f] for t, f in t_assign.items()}))
 
-    def t_stage():
-        sp.scheduled_search(tris, t_candidates, tet_checks, assoc_ok,
-                            t_assign, emit, tick)
-
-    # a triangle holds when its hom-set, its list of T candidates, is
-    # not empty
-    sp.scheduled_search(edges, lambda e: obj_ints, tri_checks, t_candidates,
-                        d_assign, t_stage, tick)
+    sp.scheduled_search(edges, lambda e: range(len(objs)), tri_checks,
+                        lambda t: stage.hom_set(d_assign, t), d_assign,
+                        lambda: stage.run(d_assign, {}, emit, tick), tick)
     # assert the degeneracy forcing on every result
     for d_fun, t_fun in results:
         for e in x_sset.level(1):
@@ -302,41 +328,39 @@ def enumerate_determinants(x_sset, g, budget=None):
     return results
 
 
+def _det_key(d_fun, t_fun):
+    """A determinant (D, T) as a key that does not depend on dict order."""
+    return tuple(sorted(d_fun.items())), tuple(sorted(t_fun.items()))
+
+
 def determinants_vs_hom(x_sset, g, budget=None):
     """The bijection f -> (f_1, f_2) between maps into the 2-group nerve
     and determinants; returns (dets, homs, ok)."""
     ng = nv.nerve_2group(g, max(3, x_sset.dim))
     dets = enumerate_determinants(x_sset, g, budget=budget)
     homs = hom_sset(x_sset, ng, budget=budget)
-    struct2 = ng._struct[2]
-    ok = len(dets) == len(homs)
-    seen = set()
-    det_keys = {(tuple(sorted(d.items())), tuple(sorted(t.items())))
-                for d, t in dets}
-    for f in homs:
-        d_fun = {e: ng._struct[1][f(1, e)][1] for e in x_sset.level(1)}
-        t_fun = {t: struct2[f(2, t)][3] for t in x_sset.level(2)}
-        key = (tuple(sorted(d_fun.items())), tuple(sorted(t_fun.items())))
-        if key in seen or key not in det_keys:
-            ok = False
-        seen.add(key)
-    if seen != det_keys:
-        ok = False
-    return dets, homs, ok
+    struct1, struct2 = ng._struct[1], ng._struct[2]
+    images = [_det_key({e: struct1[f(1, e)][1] for e in x_sset.level(1)},
+                       {t: struct2[f(2, t)][3] for t in x_sset.level(2)})
+              for f in homs]
+    return dets, homs, _bijective(images, [_det_key(*det) for det in dets])
 
 
 def det_morphisms(x_sset, g, det1, det2, budget=None):
     """All H : level 1 -> morphisms with H(A) : D(A) -> D'(A),
-    H(degenerate loop) = id and naturality over every triangle, by
-    sp.scheduled_search over the free edges; each triangle is tested
-    once, right after its last free edge is set."""
-    c = g.base
-    d1, t1 = det1
-    d2, t2 = det2
-    star = x_sset.level(0)[0]
-    loop0 = x_sset.s(0, 0, star)
+    H(degenerate loop) = id and the naturality square over every
+    triangle, by sp.scheduled_search over the free edges on the ints of
+    g.int_index: each edge ranges over its hom-set (IntIndex.homs, id
+    order) and each triangle is tested once, right after its last free
+    edge is set.  Each result is mapped back to ids."""
+    ix = g.int_index
+    oi, mi, mors, homs = ix.obj_int, ix.mor_int, ix.morphisms, ix.homs
+    (d1, t1), (d2, t2) = det1, det2
+    s1 = {t: mi[f] for t, f in t1.items()}
+    s2 = {t: mi[f] for t, f in t2.items()}
+    loop0 = x_sset.s(0, 0, x_sset.level(0)[0])
     edges = [e for e in x_sset.level(1) if e != loop0]
-    assign = {loop0: c.id_of(g.unit)}
+    assign = {loop0: ix.unit_ident}
     out = []
     tick = sp.budget_ticker(budget, "determinant morphism search exceeded cap")
 
@@ -345,12 +369,12 @@ def det_morphisms(x_sset, g, det1, det2, budget=None):
 
     def nat_ok(t):
         h0, h1, h2 = [assign[f] for f in tri_faces[t]]
-        lhs = c.comp(h1, t1[t])
-        rhs = c.comp(t2[t], g.tm(h2, h0))
-        return lhs == rhs
+        return _natural(ix, h0, h1, h2, s1[t], s2[t])
 
-    sp.scheduled_search(edges, lambda e: c.hom(d1[e], d2[e]), tri_checks,
-                        nat_ok, assign, lambda: out.append(dict(assign)), tick)
+    sp.scheduled_search(
+        edges, lambda e: homs[oi[d1[e]]][oi[d2[e]]], tri_checks, nat_ok,
+        assign, lambda: out.append({e: mors[h] for e, h in assign.items()}),
+        tick)
     return out
 
 
@@ -448,87 +472,41 @@ def enumerate_segal_determinants(x_bx, g, budget=None):
     """All (D, T): D a simplicial map X_{*,1} -> N(sG) (2-truncated), T on
     X_{0,2} valued in morphisms, with the compatibility, unit,
     naturality and associativity conditions.  D comes from
-    sp.enumerate_maps; for each D, T is found by sp.scheduled_search
-    over the free 2-cells, where each naturality square and then each
-    associativity cell is tested once, right after its last free 2-cell
-    is set."""
-    c = g.base
+    sp.enumerate_maps; for each D with D(s_0 *) = 1 the shared _TStage,
+    planned once on the row X_{0,*} with the naturality square of each
+    cell of X_{1,2} added, searches T on the ints of g.int_index."""
+    ix = g.int_index
+    oi, mi, mors = ix.obj_int, ix.mor_int, ix.morphisms
     nsg = nv.nerve_category(g.base, 2)
     col1_t = _column1_2trunc(x_bx)
     d_maps = sp.enumerate_maps(col1_t, nsg, upto=col1_t.dim, budget=budget)
     d_maps.sort(key=lambda f: f.key())
-    star = x_bx.level(0, 0)[0]
-    v_deg1 = x_bx.vdegen[(0, 0, 0)][star]
-    v_deg2 = x_bx.vdegen[(0, 1, 0)][v_deg1]
-    l_unit_inv = g.mor_inverse(g.l(g.unit))
-    ix = g.int_index
-    oi, mors, tri_cands = ix.obj_int, ix.morphisms, ix.tri_cands
-
-    results = []
-    x02 = list(x_bx.level(0, 2))
-    x12 = list(x_bx.level(1, 2)) if (1, 2) in x_bx.region else []
-    x03 = list(x_bx.level(0, 3)) if (0, 3) in x_bx.region else []
+    row = x_bx.row(0)
+    squares = _x12_squares(x_bx)
+    stage = _TStage(row, ix, squares)
+    square_edges = {e for sq in squares for e in sq[2:]}
+    v_deg1 = row.s(0, 0, row.level(0)[0])
     tick = sp.budget_ticker(budget, "segal determinant search exceeded cap")
-    # the doubly degenerate 2-cell is forced to the unit; one schedule
-    # holds the naturality squares, then the associativity cells
-    frees = [xi for xi in x02 if xi != v_deg2]
-    checks = sp.completion_schedule(frees, [
-        (("nat", z), (x_bx.dh(1, 2, 1, z), x_bx.dh(1, 2, 0, z))) for z in x12
-    ] + [
-        (("assoc", h), tuple(x_bx.dv(0, 3, i, h) for i in range(4)))
-        for h in x03])
-
+    results = []
     for dm in d_maps:
         if dm(0, v_deg1) != g.unit:
             continue
-
-        def dobj(e):
-            return dm(0, e)
-
-        def dmor(e1):
-            return nsg._mor1[dm(1, e1)]
-
-        t_assign = {}
-
-        def t_candidates(xi):
-            o0, o1, o2 = [oi[dobj(x_bx.dv(0, 2, i, xi))] for i in range(3)]
-            return [mors[f] for f in tri_cands[o0][o1][o2]]
-
-        def nat_ok(z):
-            xi_top = x_bx.dh(1, 2, 1, z)
-            xi_bot = x_bx.dh(1, 2, 0, z)
-            h2 = dmor(x_bx.dv(1, 2, 2, z))
-            h0 = dmor(x_bx.dv(1, 2, 0, z))
-            h1 = dmor(x_bx.dv(1, 2, 1, z))
-            lhs = c.comp(h1, t_assign[xi_top])
-            rhs = c.comp(t_assign[xi_bot], g.tm(h2, h0))
-            return lhs == rhs
-
-        def assoc_ok(h):
-            f0 = x_bx.dv(0, 3, 0, h)
-            f1 = x_bx.dv(0, 3, 1, h)
-            f2 = x_bx.dv(0, 3, 2, h)
-            f3 = x_bx.dv(0, 3, 3, h)
-            a01 = x_bx.dv(0, 2, 2, f3)
-            a12 = x_bx.dv(0, 2, 0, f3)
-            a23 = x_bx.dv(0, 2, 0, f1)
-            x01, x12v, x23 = dobj(a01), dobj(a12), dobj(a23)
-            lhs = c.comp(t_assign[f2],
-                         c.comp(g.tm(c.id_of(x01), t_assign[f0]),
-                                g.a(x01, x12v, x23)))
-            rhs = c.comp(t_assign[f1], g.tm(t_assign[f3], c.id_of(x23)))
-            return lhs == rhs
-
-        def holds(con):
-            kind, cell = con
-            return nat_ok(cell) if kind == "nat" else assoc_ok(cell)
-
-        if l_unit_inv not in t_candidates(v_deg2):
-            continue
-        t_assign[v_deg2] = l_unit_inv
-        sp.scheduled_search(frees, t_candidates, checks, holds, t_assign,
-                            lambda: results.append((dm, dict(t_assign))), tick)
+        stage.run({e: oi[dm(0, e)] for e in row.level(1)},
+                  {e: mi[nsg._mor1[dm(1, e)]] for e in square_edges},
+                  lambda t: results.append(
+                      (dm, {c: mors[f] for c, f in t.items()})), tick)
     return results
+
+
+def _x12_squares(x_bx):
+    """The naturality square of each cell z of X_{1,2}, as (top, bottom,
+    e_0, e_1, e_2): T(d^h_1 z) is carried to T(d^h_0 z) by D on the
+    vertical faces e_j = d^v_j z."""
+    if (1, 2) not in x_bx.region:
+        return []
+    return [(x_bx.dh(1, 2, 1, z), x_bx.dh(1, 2, 0, z))
+            + tuple(x_bx.dv(1, 2, j, z) for j in range(3))
+            for z in x_bx.level(1, 2)]
 
 
 def _column1_2trunc(x_bx):
@@ -559,47 +537,31 @@ def segal_determinants_vs_hom(x_bx, g, ns=None, budget=None):
                           [tuple(lv.base_mor[lv.fam[1][m][0]] for m in c)
                            for c in lv.chains(p, 1)]))
               for p in (1, 2) if (p, 1) in mu}
-    ok = len(maps) == len(dets)
-    det_keys = set()
-    for dm, t_fun in dets:
-        # canonical key: the chain assignment on columns p <= 2 plus T
-        parts = []
-        for p in (0, 1, 2):
-            if p in dm.components:
-                parts.append(tuple(sorted(dm.components[p].items())))
-        parts.append(tuple(sorted(t_fun.items())))
-        det_keys.add(tuple(parts))
-    seen = set()
-    for f in maps:
-        parts = []
-        for p in (0, 1, 2):
-            if (p, 1) not in mu:
-                continue
-            sub = {}
-            for e in x_bx.level(p, 1):
-                img = f[(p, 1)][e]
-                if p == 0:
-                    sub[e] = structs[1][img][1]
-                else:
-                    sub[e] = nv._chain_id(chains[p][img])
-            parts.append(tuple(sorted(sub.items())))
-        tmap = {}
-        for xi in x_bx.level(0, 2):
-            tmap[xi] = structs[2][f[(0, 2)][xi]][3]
-        parts.append(tuple(sorted(tmap.items())))
-        key = tuple(parts)
-        if key in seen or key not in det_keys:
-            ok = False
-        seen.add(key)
-    if seen != det_keys:
-        ok = False
-    return dets, maps, ok
+    # canonical key: the chain assignment on columns p <= 2, then T
+    det_keys = [tuple(tuple(sorted(dm.components[p].items()))
+                      for p in (0, 1, 2) if p in dm.components)
+                + (tuple(sorted(t_fun.items())),) for dm, t_fun in dets]
+
+    def d_value(p, img):
+        # a cell of level (p, 1) of the nerve as a value of D
+        return structs[1][img][1] if p == 0 else nv._chain_id(chains[p][img])
+
+    def image(f):
+        parts = tuple(tuple(sorted((e, d_value(p, f[(p, 1)][e]))
+                                   for e in x_bx.level(p, 1)))
+                      for p in (0, 1, 2) if (p, 1) in mu)
+        return parts + (tuple(sorted((xi, structs[2][f[(0, 2)][xi]][3])
+                                     for xi in x_bx.level(0, 2))),)
+
+    return dets, maps, _bijective([image(f) for f in maps], det_keys)
 
 
 def segal_det_morphisms(x_bx, g, det1, det2, budget=None):
     """Homotopies X_{*,1} x Delta^1 -> N(sG) from det1 to det2, pointed
-    and compatible with the T data over X_{1,2}."""
-    c = g.base
+    and compatible with the T data: the naturality square of each cell
+    of X_{1,2}, on the ints of g.int_index."""
+    ix = g.int_index
+    mi = ix.mor_int
     nsg = nv.nerve_category(g.base, 2)
     col1_t = _column1_2trunc(x_bx)
     top = col1_t.dim
@@ -611,49 +573,24 @@ def segal_det_morphisms(x_bx, g, det1, det2, budget=None):
     base_cell = {k: x_bx.sv(k, 0, 0, x_bx.level(k, 0)[0])
                  for k in range(top + 1)}
     unit_chain = {k: nsg.deg_base(k, g.unit) for k in range(top + 1)}
-    out = []
-    for h in homotopies:
+    squares = [(mi[t1[top]], mi[t2[bot]], edges)
+               for top, bot, *edges in _x12_squares(x_bx)]
+
+    def good(h):
         def ev(k, e, phi):
             return h(k, "(%s|%s)" % (e, phi))
-        # endpoints: the delta_1 end restricts to det1, the delta_0 end
-        # to det2
-        good = True
-        for k in range(top + 1):
-            end1 = "1" * (k + 1)
-            end0 = "0" * (k + 1)
-            for e in col1_t.level(k):
-                if ev(k, e, end1) != dm1(k, e) or ev(k, e, end0) != dm2(k, e):
-                    good = False
-                    break
-            if not good:
-                break
-        if not good:
-            continue
-        # pointedness: the degenerate-base cylinder maps to identity chains
-        for k in range(top + 1):
-            for phi in d1.level(k):
-                if ev(k, base_cell[k], phi) != unit_chain[k]:
-                    good = False
-                    break
-            if not good:
-                break
-        if not good:
-            continue
-        # compatibility over X_{1,2}
-        if (1, 2) in x_bx.region:
-            for z in x_bx.level(1, 2):
-                xi_top = x_bx.dh(1, 2, 1, z)
-                xi_bot = x_bx.dh(1, 2, 0, z)
-                hmor = {j: nsg._mor1[ev(1, x_bx.dv(1, 2, j, z), "01")]
-                        for j in (0, 1, 2)}
-                lhs = c.comp(hmor[1], t1[xi_top])
-                rhs = c.comp(t2[xi_bot], g.tm(hmor[2], hmor[0]))
-                if lhs != rhs:
-                    good = False
-                    break
-        if good:
-            out.append(h)
-    return out
+        # the delta_1 end restricts to det1 and the delta_0 end to det2;
+        # the degenerate-base cylinder maps to identity chains
+        return (all(ev(k, e, "1" * (k + 1)) == dm1(k, e)
+                    and ev(k, e, "0" * (k + 1)) == dm2(k, e)
+                    for k in range(top + 1) for e in col1_t.level(k))
+                and all(ev(k, base_cell[k], phi) == unit_chain[k]
+                        for k in range(top + 1) for phi in d1.level(k))
+                and all(_natural(ix, *[mi[nsg._mor1[ev(1, e, "01")]]
+                                       for e in edges], s, t)
+                        for s, t, edges in squares))
+
+    return [h for h in homotopies if good(h)]
 
 
 def segal_pi0(x_bx, g, budget=None):

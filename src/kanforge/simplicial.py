@@ -97,6 +97,8 @@ class TruncatedSSet:
     """
 
     def __init__(self, dim, levels, face, degen, coskeletal_at=None, base=None):
+        if dim < 0:
+            raise DimensionOutOfRange("dimension %d is negative" % dim)
         self.dim = dim
         self.levels = [list(l) for l in levels]
         self.face = {k: dict(v) for k, v in face.items()}

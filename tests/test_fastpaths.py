@@ -1307,14 +1307,19 @@ def reference_det_morphisms(x, g, det1, det2):
     return out, ticks[0]
 
 
+def reference_column1(x_bx):
+    """The column X_{*,1}, truncated at dimension 2."""
+    col1 = x_bx.column(1)
+    return sp.TruncatedSSet(2, [col1.level(k) for k in range(3)],
+                            {k: v for k, v in col1.face.items() if k[0] <= 2},
+                            {k: v for k, v in col1.degen.items() if k[0] <= 1},
+                            base=col1.base)
+
+
 def reference_segal_determinants(x_bx, g):
     c = g.base
     nsg = nv.nerve_category(c, 2)
-    col1 = x_bx.column(1)
-    col1_t = sp.TruncatedSSet(2, [col1.level(k) for k in range(3)],
-                              {k: v for k, v in col1.face.items() if k[0] <= 2},
-                              {k: v for k, v in col1.degen.items() if k[0] <= 1},
-                              base=col1.base)
+    col1_t = reference_column1(x_bx)
     d_maps, map_ticks = reference_maps(col1_t, nsg, 2)
     d_maps.sort(key=lambda f: f.key())
     v_deg1 = x_bx.vdegen[(0, 0, 0)][x_bx.level(0, 0)[0]]
@@ -1374,6 +1379,38 @@ def reference_segal_determinants(x_bx, g):
         rec(0)
     # the map search counts its own ticks against the same cap
     return out, max(ticks[0], map_ticks)
+
+
+def reference_segal_det_morphisms(x_bx, g, det1, det2):
+    # every homotopy of the column, then the endpoint, pointedness and
+    # id-level naturality filters
+    c = g.base
+    nsg = nv.nerve_category(c, 2)
+    col1_t = reference_column1(x_bx)
+    d1 = sp.standard_simplex(1, 2)
+    (dm1, t1), (dm2, t2) = det1, det2
+    out = []
+    for h in sp.enumerate_maps(sp.product(col1_t, d1), nsg, upto=2):
+        def ev(k, e, phi):
+            return h(k, "(%s|%s)" % (e, phi))
+        if any(ev(k, e, "1" * (k + 1)) != dm1(k, e) or
+               ev(k, e, "0" * (k + 1)) != dm2(k, e)
+               for k in range(3) for e in col1_t.level(k)):
+            continue
+        if any(ev(k, x_bx.sv(k, 0, 0, x_bx.level(k, 0)[0]), phi) !=
+               nsg.deg_base(k, g.unit) for k in range(3) for phi in d1.level(k)):
+            continue
+        good = True
+        for z in x_bx.level(1, 2):
+            top, bot = x_bx.dh(1, 2, 1, z), x_bx.dh(1, 2, 0, z)
+            h0, h1, h2 = [nsg._mor1[ev(1, x_bx.dv(1, 2, j, z), "01")]
+                          for j in range(3)]
+            if c.comp(h1, t1[top]) != c.comp(t2[bot], g.tm(h2, h0)):
+                good = False
+                break
+        if good:
+            out.append(h)
+    return out
 
 
 def assert_ticks(run, ticks):
@@ -1489,6 +1526,33 @@ def test_segal_determinants_match_reference(space, g):
         [(dm.key(), t) for dm, t in want]
     assert_ticks(lambda b: dt.enumerate_segal_determinants(x_bx, g, budget=b),
                  ticks)
+
+
+def segal_det_morphism_cases():
+    # Disc(S3): every fourth determinant with itself (from the ninth on,
+    # some have D values that do not commute, so the order of tm's
+    # factors shows) and a few with their neighbour; the unitor-twisted
+    # 2-group has homotopies between distinct determinants
+    return [pytest.param(ca.discrete_two_group(gr.symmetric(3)),
+                         lambda n: [(i, i) for i in range(0, n, 4)]
+                         + [(i, i + 1) for i in range(0, n - 1, 12)],
+                         id="delta2-reduced-disc-s3"),
+            pytest.param(unitor_twisted_two_group(),
+                         lambda n: itertools.product(range(n), repeat=2),
+                         id="delta2-reduced-unitor-twisted")]
+
+
+@pytest.mark.parametrize("g,pairs", segal_det_morphism_cases())
+def test_segal_det_morphisms_match_reference(g, pairs):
+    x_bx = nv.p2_star(ex.build("delta2-reduced"), 2)
+    dets, _ = reference_segal_determinants(x_bx, g)
+    found = 0
+    for i, j in pairs(len(dets)):
+        got = dt.segal_det_morphisms(x_bx, g, dets[i], dets[j])
+        want = reference_segal_det_morphisms(x_bx, g, dets[i], dets[j])
+        assert map_keys(got) == map_keys(want)
+        found += len(got)
+    assert found
 
 
 def test_search_budgets_pinned():

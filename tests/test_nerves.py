@@ -160,3 +160,12 @@ def test_loop_gamma_all_canned():
         comps, om, nsg = nv.loop_gamma(g)
         for k in range(om.dim + 1):
             assert len(om.level(k)) == len(nsg.level(k))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: nv.nerve_2group(ex.build("disc-z2"), -1),
+    lambda: nv.nerve_category(ca.one_object_groupoid(gr.cyclic(2)), -1)],
+    ids=["nerve_2group", "nerve_category"])
+def test_nerves_reject_a_negative_dimension(build):
+    with pytest.raises(sp.DimensionOutOfRange, match="-1 is negative"):
+        build()
