@@ -559,7 +559,9 @@ def segal_determinants_vs_hom(x_bx, g, ns=None, budget=None):
 def segal_det_morphisms(x_bx, g, det1, det2, budget=None):
     """Homotopies X_{*,1} x Delta^1 -> N(sG) from det1 to det2, pointed
     and compatible with the T data: the naturality square of each cell
-    of X_{1,2}, on the ints of g.int_index."""
+    of X_{1,2}, on the ints of g.int_index.  The map search is pinned at
+    the two ends and the base cylinder, and every map it returns is still
+    checked in full."""
     ix = g.int_index
     mi = ix.mor_int
     nsg = nv.nerve_category(g.base, 2)
@@ -569,10 +571,25 @@ def segal_det_morphisms(x_bx, g, det1, det2, budget=None):
     prod = sp.product(col1_t, d1)
     dm1, t1 = det1
     dm2, t2 = det2
-    homotopies = sp.enumerate_maps(prod, nsg, upto=top, budget=budget)
     base_cell = {k: x_bx.sv(k, 0, 0, x_bx.level(k, 0)[0])
                  for k in range(top + 1)}
     unit_chain = {k: nsg.deg_base(k, g.unit) for k in range(top + 1)}
+    # the ends and the base cylinder are pinned to the values `good`
+    # demands, so the search skips the homotopies it would reject
+    pins = {}
+
+    def pin(k, e, phi, value):
+        cell = (k, "(%s|%s)" % (e, phi))
+        pins[cell] = {value}.intersection(pins.get(cell, (value,)))
+
+    for k in range(top + 1):
+        for e in col1_t.level(k):
+            pin(k, e, "1" * (k + 1), dm1(k, e))
+            pin(k, e, "0" * (k + 1), dm2(k, e))
+        for phi in d1.level(k):
+            pin(k, base_cell[k], phi, unit_chain[k])
+    homotopies = sp.enumerate_maps(prod, nsg, upto=top, budget=budget,
+                                   pins=pins)
     squares = [(mi[t1[top]], mi[t2[bot]], edges)
                for top, bot, *edges in _x12_squares(x_bx)]
 

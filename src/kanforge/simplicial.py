@@ -107,6 +107,7 @@ class TruncatedSSet:
         self.base = base
         self._index = [set(l) for l in self.levels]
         self._face_tables = {}
+        self._faces_compatible = {}
         self._kan_rows = {}
 
     # -- basic access ----------------------------------------------------
@@ -225,12 +226,14 @@ class TruncatedSSet:
         if self.base is not None and self.base not in self._index[0]:
             errs.append("base %s is not a 0-simplex" % self.base)
         if self.coskeletal_at is not None and not errs:
+            # the identities hold, so every face tuple is a boundary tuple
+            # and alpha^m is onto iff its image is as large as their count
             c = self.coskeletal_at
             for m in range(max(c, 0), self.dim):
-                alpha = boundary_alpha(self, m)
-                tuples = boundary_tuples(self, m)
-                image = set(alpha.values())
-                if len(image) != len(alpha) or image != set(tuples):
+                table = self.face_table(m + 1)
+                image = set(table.values())
+                if len(image) != len(table) or len(image) != compatible_tuples(
+                        self.levels[m], self.face_table(m), m, count=True):
                     errs.append("coskeletal_at=%d violated: alpha^%d not bijective" % (c, m))
         return ValidationReport(errs, "identities in dims <= %d" % self.dim)
 
@@ -238,46 +241,48 @@ class TruncatedSSet:
 # -- boundary / horn tuples ---------------------------------------------
 
 
-def compatible_tuples(cells, faces, m, skip=None):
+def compatible_tuples(cells, faces, m, skip=None, count=False):
     """All (m+2)-tuples (a_0..a_{m+1}) of cells with d_i a_j = d_{j-1} a_i
-    for i < j, slot `skip` (if given) left out and set to None.
+    for i < j, slot `skip` (if given) left out and set to None; with
+    count=True only their number, and no tuple is built.
 
     faces maps each cell to (d_0 a, .., d_m a) and is not read when
-    m == 0, where there are no conditions.  The candidates for each slot
-    are bucketed by the faces the earlier slots force, each bucket in
-    the order of `cells`, so the tuples come out in lexicographic level
-    order.
+    m == 0, where there are no conditions.  The candidates for slot j
+    are bucketed by the faces the earlier slots force on them, each
+    bucket in the order of `cells`.  Every prefix is extended one slot
+    at a time, so the tuples come out in lexicographic level order; in
+    count mode the last slot adds up the sizes of the prefixes' buckets.
     """
     slots = [j for j in range(m + 2) if j != skip]
-    earlier = [slots[:pos] if m else [] for pos in range(len(slots))]
-    index = []
-    for prior in earlier:
+    last = slots[-1]
+    cell_faces = [faces[a] for a in cells] if m else []
+    prefixes = [(None,) if skip == 0 else ()]
+    for pos, j in enumerate(slots):
+        if not prefixes:
+            break
+        prior = slots[:pos] if m else []
+        # what a cell adds to a prefix: itself, then None when the next
+        # slot is the skipped one
+        tail = (None,) if j + 1 == skip else ()
         if not prior:
-            index.append({(): cells})
+            if count and j == last:
+                return len(prefixes) * len(cells)
+            ext = [(a,) + tail for a in cells]
+            prefixes = [p + e for p in prefixes for e in ext]
             continue
+        # keys are zipped from columns, one comprehension per earlier
+        # slot rather than one per cell or prefix
         bucket = {}
-        for a in cells:
-            fa = faces[a]
-            bucket.setdefault(tuple([fa[i] for i in prior]), []).append(a)
-        index.append(bucket)
-    # what follows each slot: None when the next slot is the skipped one
-    pad = [(None,) if j + 1 == skip else () for j in slots]
-    last = len(slots) - 1
-    out = []
-
-    def extend(prefix, pos):
-        j = slots[pos]
-        key = tuple(faces[prefix[i]][j - 1] for i in earlier[pos])
-        tail = pad[pos]
-        bucket = index[pos].get(key, ())
-        if pos == last:
-            out.extend([prefix + (a,) + tail for a in bucket])
-        else:
-            for a in bucket:
-                extend(prefix + (a,) + tail, pos + 1)
-
-    extend((None,) if skip == 0 else (), 0)
-    return out
+        for key, a in zip(zip(*[[fa[i] for fa in cell_faces] for i in prior]),
+                          cells):
+            bucket.setdefault(key, []).append((a,) + tail)
+        keys = zip(*[[faces[p[i]][j - 1] for p in prefixes] for i in prior])
+        if count and j == last:
+            sizes = {key: len(v) for key, v in bucket.items()}
+            return sum([sizes.get(key, 0) for key in keys])
+        prefixes = [p + e for p, key in zip(prefixes, keys)
+                    for e in bucket.get(key, ())]
+    return len(prefixes) if count else prefixes
 
 
 def boundary_tuples(x_sset, m):
@@ -325,12 +330,14 @@ def horn_fillers(x_sset, m, k, horn):
 
 class KanRow:
     """Kan status of one dimension: per horn index k, surjectivity and
-    injectivity of alpha^{m,k}."""
+    injectivity of alpha^{m,k}, and the minimality condition in
+    dimension m."""
 
-    def __init__(self, m, flags, witness=None):
+    def __init__(self, m, flags, witness, minimal):
         self.m = m
         self.flags = flags          # k -> (surjective, injective)
-        self.witness = witness or {}
+        self.witness = witness
+        self.minimal = minimal
 
     @property
     def kan(self):
@@ -345,8 +352,38 @@ class KanRow:
         return all(i for _, i in self.flags.values())
 
 
+def faces_compatible(x_sset, m):
+    """Whether every face tuple of level m+1 is a boundary tuple of
+    level m: its entries lie in level m and d_i a_j = d_{j-1} a_i for
+    i < j (the dd identities on level m+1).  Then the image of alpha^m,
+    and with slot k dropped that of alpha^{m,k}, lies among the
+    compatible tuples, so alpha is onto iff the image is as large as
+    their count.  Decided once per (immutable) complex and m."""
+    ok = x_sset._faces_compatible.get(m)
+    if ok is None:
+        # column j holds the j-th faces; each identity compares two
+        # columns of faces of faces
+        cols = list(zip(*x_sset.face_table(m + 1).values()))
+        ok = all(x_sset._index[m].issuperset(col) for col in cols)
+        if ok and m:
+            faces = x_sset.face_table(m)
+            rows = [[faces[a] for a in col] for col in cols]
+            ok = all([f[i] for f in rows[j]] == [f[j - 1] for f in rows[i]]
+                     for j in range(1, m + 2) for i in range(j))
+        x_sset._faces_compatible[m] = ok
+    return ok
+
+
 def kan_status(x_sset, m):
-    """Decide surjectivity/injectivity of alpha^{m,k} for 0 <= k <= m+1.
+    """Decide surjectivity/injectivity of alpha^{m,k} for 0 <= k <= m+1,
+    and minimality in dimension m.
+
+    Per k, the cells of level m+1 are keyed by their horn (faces with
+    None in slot k): a repeated key breaks injectivity, and, if the two
+    cells' k-th faces differ, minimality.  When faces_compatible holds,
+    alpha^{m,k} is onto iff the count of horn tuples equals the number
+    of keys; the horns are listed, to name the first one without a
+    filler, only when the count is larger or the condition fails.
 
     If level m+1 is not stored but the complex carries a coskeletal flag,
     the complex is extended first.  The row is computed once per (immutable)
@@ -357,26 +394,36 @@ def kan_status(x_sset, m):
         return row
     x = _ensure_depth(x_sset, m + 1)
     table = x.face_table(m + 1)
+    cols = list(zip(*table.values())) or [()] * (m + 2)
+    nones = (None,) * len(table)
+    counted = faces_compatible(x, m)
     flags, witness = {}, {}
+    minimal = True
     for k in range(m + 2):
-        horns = horn_tuples(x, m, k)
-        seen = {}
-        inj = True
-        for s, t in table.items():
-            h = t[:k] + (None,) + t[k + 1:]
-            if h in seen:
-                inj = False
-                witness[(k, "inj")] = (seen[h], s)
-            else:
-                seen[h] = s
-        surj = True
-        for h in horns:
-            if h not in seen:
-                surj = False
-                witness[(k, "surj")] = h
-                break
+        horns = list(zip(*cols[:k], nones, *cols[k + 1:]))
+        seen = set(horns)
+        inj = len(seen) == len(horns)
+        if not inj:
+            # each repeat against the first cell with its horn; the
+            # witness is the last repeat
+            first = {}
+            for (s, t), h in zip(table.items(), horns):
+                f = first.setdefault(h, s)
+                if f != s:
+                    witness[(k, "inj")] = (f, s)
+                    if t[k] != table[f][k]:
+                        minimal = False
+        surj = counted and len(seen) == compatible_tuples(
+            x.level(m), x.face_table(m), m, skip=k, count=True)
+        if not surj:
+            surj = True
+            for h in horn_tuples(x, m, k):
+                if h not in seen:
+                    surj = False
+                    witness[(k, "surj")] = h
+                    break
         flags[k] = (surj, inj)
-    row = x_sset._kan_rows[m] = KanRow(m, flags, witness)
+    row = x_sset._kan_rows[m] = KanRow(m, flags, witness, minimal)
     return row
 
 
@@ -427,18 +474,9 @@ def _ensure_depth(x_sset, depth):
 
 def minimality_at(x_sset, m):
     """Minimality condition in dimension m: simplices of level m+1 whose
-    faces agree away from slot k also agree at slot k."""
-    x = _ensure_depth(x_sset, m + 1)
-    table = x.face_table(m + 1)
-    for k in range(m + 2):
-        seen = {}
-        for t in table.values():
-            missing = t[k]
-            key = t[:k] + (None,) + t[k + 1:]
-            if key in seen and seen[key] != missing:
-                return False
-            seen.setdefault(key, missing)
-    return True
+    faces agree away from slot k also agree at slot k.  Read from the
+    memoised Kan row, whose pass over each alpha^{m,k} decides it."""
+    return kan_status(x_sset, m).minimal
 
 
 class ClassifyReport:
@@ -471,12 +509,17 @@ def classify(x_sset, n):
 
     def alpha_bij(m):
         # alpha^m is x -> (d_0 x, .., d_{m+1} x); boundary tuples are
-        # distinct, so "onto" is an equal count plus membership
+        # distinct, so "onto" is an equal count plus membership, and
+        # membership holds when the face tuples are boundary tuples
         table = x.face_table(m + 1)
-        tuples = boundary_tuples(x, m)
         image = set(table.values())
         inj = len(image) == len(table)
-        surj = len(image) == len(tuples) and all(t in image for t in tuples)
+        if faces_compatible(x, m):
+            surj = len(image) == compatible_tuples(
+                x.level(m), x.face_table(m), m, count=True)
+        else:
+            tuples = boundary_tuples(x, m)
+            surj = len(image) == len(tuples) and all(t in image for t in tuples)
         return surj, inj
 
     cosk = True
@@ -536,31 +579,31 @@ def coskeletal_extend(x_sset, to_dim):
         raise NotCoskeletal("flag %d exceeds stored dim+1" % x_sset.coskeletal_at)
     if to_dim <= x_sset.dim:
         return x_sset
-    levels = [list(l) for l in x_sset.levels]
-    face = {k: dict(v) for k, v in x_sset.face.items()}
-    degen = {k: dict(v) for k, v in x_sset.degen.items()}
-
-    cur = TruncatedSSet(x_sset.dim, levels, face, degen,
-                        coskeletal_at=x_sset.coskeletal_at, base=x_sset.base)
+    # the constructor copies, so the new levels and maps are added to
+    # shallow copies of the input's
+    levels = list(x_sset.levels)
+    face = dict(x_sset.face)
+    degen = dict(x_sset.degen)
+    cur = x_sset
     for new_dim in range(x_sset.dim + 1, to_dim + 1):
         m = new_dim - 1
         tuples = boundary_tuples(cur, m)
         ids = [_tuple_id(t) for t in tuples]
         levels.append(ids)
         for i in range(new_dim + 1):
-            face[(new_dim, i)] = {_tuple_id(t): t[i] for t in tuples}
+            face[(new_dim, i)] = {x: t[i] for x, t in zip(ids, tuples)}
+        # s_j a is a boundary tuple when the identities hold; its id is
+        # spelled out only when it is not
+        id_of = dict(zip(tuples, ids))
+        faces = cur.face_table(m)
         for j in range(m + 1):
+            below, above = degen.get((m - 1, j - 1)), degen.get((m - 1, j))
             mapping = {}
-            for a in cur.level(m):
-                parts = []
-                for k in range(new_dim + 1):
-                    if k <= j - 1:
-                        parts.append(cur.s(m - 1, j - 1, cur.d(m, k, a)))
-                    elif k <= j + 1:
-                        parts.append(a)
-                    else:
-                        parts.append(cur.s(m - 1, j, cur.d(m, k - 1, a)))
-                mapping[a] = _tuple_id(tuple(parts))
+            for a in levels[m]:
+                fa = faces[a] if m else ()
+                parts = tuple([below[f] for f in fa[:j]]) + (a, a) + \
+                    tuple([above[f] for f in fa[j + 1:]])
+                mapping[a] = id_of.get(parts) or _tuple_id(parts)
             degen[(m, j)] = mapping
         cur = TruncatedSSet(new_dim, levels, face, degen,
                             coskeletal_at=x_sset.coskeletal_at, base=x_sset.base)
@@ -1231,7 +1274,8 @@ def map_search(levels, index, tick, pins=None):
     level holding a, and its image is degen[image of a].  A free cell
     comes as (cell, faces), `faces` a tuple of (level, cell) pairs of
     earlier levels, and takes each cell of index[level][images of its
-    faces] in turn, or of pins[(level, cell)] when it is pinned.
+    faces] in turn; when it is pinned, only those in the collection
+    pins[(level, cell)], still in index order.
 
     Precondition: source and target satisfy the simplicial identities,
     and the faces of every level lie in levels of the search.  Then every
@@ -1292,8 +1336,9 @@ def map_search(levels, index, tick, pins=None):
             cand_lists = []
             for _, pin, idx, key in free:
                 tick()
-                cands = pin if pin is not None else idx.get(
-                    tuple([c[f] for c, f in key]), ())
+                cands = idx.get(tuple([c[f] for c, f in key]), ())
+                if pin is not None:
+                    cands = [v for v in cands if v in pin]
                 if not cands:
                     return
                 cand_lists.append(cands)
@@ -1329,7 +1374,7 @@ def _candidate_index(y_sset, k):
     return idx
 
 
-def enumerate_maps(x_sset, y_sset, upto=None, budget=None):
+def enumerate_maps(x_sset, y_sset, upto=None, budget=None, pins=None):
     """All simplicial maps tau_d(X) -> tau_d(Y) at d = min dim (or `upto`),
     in deterministic order, by map_search over the levels 0..d.
 
@@ -1337,10 +1382,13 @@ def enumerate_maps(x_sset, y_sset, upto=None, budget=None):
     validates a loaded source first).  Each degenerate simplex of X is
     forced from its first presentation s_j a (least j); the others are
     chosen in level order from the simplices of Y with the faces
-    assigned so far.  When both complexes carry a base point, X's base
-    vertex is pinned to Y's.  Forward checking follows map_search's
-    completion schedule: a free level-(k+1) simplex is tested for a
-    candidate in Y once, right after the last of its faces is assigned.
+    assigned so far.  `pins` maps (level, simplex of X) to the images
+    allowed for it, as in map_search (a degenerate simplex follows its
+    presentation and ignores a pin); when both complexes carry a base
+    point, X's base vertex is also pinned to Y's.  Forward checking
+    follows map_search's completion schedule: a free level-(k+1) simplex
+    is tested for a candidate in Y once, right after the last of its
+    faces is assigned.
     Raises SearchBudgetExceeded past the evaluation cap.
     """
     d = min(x_sset.dim, y_sset.dim) if upto is None else upto
@@ -1363,9 +1411,10 @@ def enumerate_maps(x_sset, y_sset, upto=None, budget=None):
         levels.append((k, [forced[s] for s in level if s in forced],
                        [(s, tuple([(k - 1, f) for f in faces[s]]) if k else ())
                         for s in level if s not in forced]))
-    pins = {}
+    pins = dict(pins or {})
     if x_sset.base is not None and y_sset.base is not None:
-        pins[(0, x_sset.base)] = [v for v in index[0][()] if v == y_sset.base]
+        key = (0, x_sset.base)
+        pins[key] = {y_sset.base}.intersection(pins.get(key, (y_sset.base,)))
     return [SSetMap(x_sset, y_sset, comps)
             for comps in map_search(levels, index, tick, pins)]
 

@@ -33,6 +33,16 @@ def reference_tuples(cells, face, m, skip=None):
     return out
 
 
+def dd_broken_delta2():
+    """standard_simplex(2, 3) with d_0(012) rewired to 01: the face
+    tuples of levels 2 and 3 break the dd identity, so the Kan rows and
+    classify cannot decide onto-ness by counting."""
+    x = sp.standard_simplex(2, 3)
+    face = dict(x.face)
+    face[(2, 0)] = dict(face[(2, 0)], **{"012": "01"})
+    return sp.TruncatedSSet(x.dim, x.levels, face, x.degen)
+
+
 def complexes():
     out = [("delta%d" % n, sp.standard_simplex(n, 2)) for n in range(4)]
     out += [("delta1-3", sp.standard_simplex(1, 3)),
@@ -43,7 +53,8 @@ def complexes():
             ("delta1xdelta1", sp.product(sp.standard_simplex(1, 2),
                                          sp.standard_simplex(1, 2))),
             ("delta1xdelta2", sp.product(sp.standard_simplex(1, 2),
-                                         sp.standard_simplex(2, 2)))]
+                                         sp.standard_simplex(2, 2))),
+            ("dd-broken-delta2", dd_broken_delta2())]
     out += [("nerve-%s" % name, nv.nerve_2group(g, 2))
             for name, g in ex.canned_two_groups()]
     return out
@@ -79,6 +90,25 @@ def test_h_boundary_tuples_match_brute_force(name):
 
         assert nv._h_boundary_tuples(ns, p, q) == \
             reference_tuples(ns.level(p - 1, q), face, p - 1)
+
+
+@pytest.mark.parametrize("x,m", list(cases()))
+def test_tuple_counts_match_listings(x, m):
+    cells, faces = x.level(m), x.face_table(m)
+    for skip in [None] + list(range(m + 2)):
+        assert sp.compatible_tuples(cells, faces, m, skip, count=True) == \
+            len(sp.compatible_tuples(cells, faces, m, skip))
+
+
+@pytest.mark.parametrize("name", ["disc-z2", "oneobj-z2"])
+def test_h_boundary_tuple_counts_match_listings(name):
+    ns = nv.segal_nerve(ex.build(name), 2, 3)
+    for (p, q) in sorted(ns.region):
+        if p == 0 or len(ns.level(p - 1, q)) ** (p + 1) > PRODUCT_CAP:
+            continue
+        args = (ns.level(p - 1, q), ns.face_table(p - 1, q, "h"), p - 1)
+        assert sp.compatible_tuples(*args, count=True) == \
+            len(nv._h_boundary_tuples(ns, p, q))
 
 
 # -- the 2-group nerve against the struct-keyed reindexing it replaces --------
@@ -821,23 +851,69 @@ def kan_cases():
     return [pytest.param(x, m, id="%s-m%d" % (name, m)) for name, x, m in out]
 
 
+def reference_minimality_at(x_sset, m):
+    """minimality_at as a pass of its own over each alpha^{m,k}."""
+    x = sp._ensure_depth(x_sset, m + 1)
+    table = x.face_table(m + 1)
+    for k in range(m + 2):
+        seen = {}
+        for t in table.values():
+            missing = t[k]
+            key = t[:k] + (None,) + t[k + 1:]
+            if key in seen and seen[key] != missing:
+                return False
+            seen.setdefault(key, missing)
+    return True
+
+
+def reference_faces_compatible(x_sset, m):
+    """Every face tuple of level m+1 is a boundary tuple of level m."""
+    x = sp._ensure_depth(x_sset, m + 1)
+    return set(sp.boundary_alpha(x, m).values()) <= \
+        set(sp.boundary_tuples(x, m))
+
+
 @pytest.mark.parametrize("x,m", kan_cases())
 def test_kan_status_memo_matches_reference(x, m, monkeypatch):
     want = reference_kan_status(x, m)
-    calls = {"horn_tuples": 0, "coskeletal_extend": 0}
-    for fn in calls:
-        def counted(*args, _fn=fn, _orig=getattr(sp, fn)):
-            calls[_fn] += 1
-            return _orig(*args)
-        monkeypatch.setattr(sp, fn, counted)
+    minimal = reference_minimality_at(x, m)
+    compatible = reference_faces_compatible(x, m)
+    calls = {"count": 0, "list": 0, "coskeletal_extend": 0}
+    tuples, extend = sp.compatible_tuples, sp.coskeletal_extend
+
+    def counted_tuples(*args, count=False, **kwargs):
+        calls["count" if count else "list"] += 1
+        return tuples(*args, count=count, **kwargs)
+
+    def counted_extend(*args):
+        calls["coskeletal_extend"] += 1
+        return extend(*args)
+
+    monkeypatch.setattr(sp, "compatible_tuples", counted_tuples)
+    monkeypatch.setattr(sp, "coskeletal_extend", counted_extend)
     row = sp.kan_status(x, m)
     assert (row.m, row.flags, row.witness) == (m,) + want
-    assert calls["horn_tuples"] == m + 2
-    assert calls["coskeletal_extend"] == (1 if x.dim <= m else 0)
-    # a hit returns the same row and neither enumerates horns nor extends
+    assert row.minimal == minimal
+    # a miss counts the horn tuples of each k, and lists them only to
+    # name the missing horn of a k that is not onto; when a face tuple
+    # of level m+1 is not compatible, it lists them for every k instead;
+    # an extension lists the boundary tuples of each level it adds
+    not_onto = sum(not surj for surj, _ in want[0].values())
+    added = max(m + 1 - x.dim, 0)
+    expect = {"count": m + 2, "list": not_onto + added} if compatible else \
+        {"count": 0, "list": m + 2 + added}
+    expect["coskeletal_extend"] = 1 if added else 0
+    assert calls == expect
+    # a hit returns the same row and neither counts, lists nor extends
     assert sp.kan_status(x, m) is row
-    assert calls["horn_tuples"] == m + 2
-    assert calls["coskeletal_extend"] == (1 if x.dim <= m else 0)
+    assert sp.minimality_at(x, m) is row.minimal
+    assert calls == expect
+
+
+@pytest.mark.parametrize("x,m", kan_cases())
+def test_faces_compatible_matches_reference(x, m):
+    x = sp._ensure_depth(x, m + 1)
+    assert sp.faces_compatible(x, m) == reference_faces_compatible(x, m)
 
 
 def reference_classify(x, n):
@@ -857,7 +933,7 @@ def reference_classify(x, n):
     weak = (n > top or detail[("alpha", n)][1]) and \
         all(s and i for (_, m), (s, i) in detail.items() if m > n)
     for m in range(n, top + 1):
-        detail[("minimal", m)] = sp.minimality_at(x, m)
+        detail[("minimal", m)] = reference_minimality_at(x, m)
     minimal = all(detail[("minimal", m)] for m in range(n, top + 1))
     kan_ok = True
     for m in range(1, min(n + 1, top) + 1):
@@ -1659,6 +1735,20 @@ def test_sset_maps_match_their_definition(x, y):
     assert len(want) > 1 and x.degenerate_ids(1)
     assert len(got) == len(set(got))
     assert set(got) == want
+
+
+@pytest.mark.parametrize("x,y", definitional_sset_cases())
+def test_pins_narrow_the_candidates(x, y):
+    # a pin keeps, in order, the maps whose pinned image it allows: it
+    # narrows the face-keyed candidates and never bypasses their faces
+    maps = sp.enumerate_maps(x, y)
+    for k in range(x.dim + 1):
+        degenerate = x.degenerate_ids(k)
+        for cell in [s for s in x.level(k) if s not in degenerate]:
+            for allowed in (set(y.level(k)), set(y.level(k)[::2])):
+                got = sp.enumerate_maps(x, y, pins={(k, cell): allowed})
+                assert map_keys(got) == \
+                    map_keys([f for f in maps if f(k, cell) in allowed])
 
 
 def definitional_bimap_cases():
