@@ -579,8 +579,8 @@ def segal_det_morphisms(x_bx, g, det1, det2, budget=None):
     pins = {}
 
     def pin(k, e, phi, value):
-        cell = (k, "(%s|%s)" % (e, phi))
-        pins[cell] = {value}.intersection(pins.get(cell, (value,)))
+        key = (k, _pair_id(e, phi))
+        pins[key] = {value}.intersection(pins.get(key, (value,)))
 
     for k in range(top + 1):
         for e in col1_t.level(k):
@@ -595,7 +595,7 @@ def segal_det_morphisms(x_bx, g, det1, det2, budget=None):
 
     def good(h):
         def ev(k, e, phi):
-            return h(k, "(%s|%s)" % (e, phi))
+            return h(k, _pair_id(e, phi))
         # the delta_1 end restricts to det1 and the delta_0 end to det2;
         # the degenerate-base cylinder maps to identity chains
         return (all(ev(k, e, "1" * (k + 1)) == dm1(k, e)

@@ -226,14 +226,11 @@ class TruncatedSSet:
         if self.base is not None and self.base not in self._index[0]:
             errs.append("base %s is not a 0-simplex" % self.base)
         if self.coskeletal_at is not None and not errs:
-            # the identities hold, so every face tuple is a boundary tuple
-            # and alpha^m is onto iff its image is as large as their count
+            # the identities hold, so faces_compatible does and alpha^m
+            # is decided by count
             c = self.coskeletal_at
             for m in range(max(c, 0), self.dim):
-                table = self.face_table(m + 1)
-                image = set(table.values())
-                if len(image) != len(table) or len(image) != compatible_tuples(
-                        self.levels[m], self.face_table(m), m, count=True):
+                if alpha_bijective(self, m) != (True, True):
                     errs.append("coskeletal_at=%d violated: alpha^%d not bijective" % (c, m))
         return ValidationReport(errs, "identities in dims <= %d" % self.dim)
 
@@ -365,13 +362,31 @@ def faces_compatible(x_sset, m):
         # columns of faces of faces
         cols = list(zip(*x_sset.face_table(m + 1).values()))
         ok = all(x_sset._index[m].issuperset(col) for col in cols)
-        if ok and m:
+        # with no cells in level m+1 there is nothing to compare
+        if ok and m and cols:
             faces = x_sset.face_table(m)
             rows = [[faces[a] for a in col] for col in cols]
             ok = all([f[i] for f in rows[j]] == [f[j - 1] for f in rows[i]]
                      for j in range(1, m + 2) for i in range(j))
         x_sset._faces_compatible[m] = ok
     return ok
+
+
+def alpha_bijective(x_sset, m):
+    """(surjective, injective) for alpha^m: x -> (d_0 x, .., d_{m+1} x)
+    on level m+1.  Boundary tuples are distinct, so "onto" is an equal
+    count plus membership; membership holds when faces_compatible does,
+    and only otherwise are the boundary tuples listed."""
+    table = x_sset.face_table(m + 1)
+    image = set(table.values())
+    inj = len(image) == len(table)
+    if faces_compatible(x_sset, m):
+        surj = len(image) == compatible_tuples(
+            x_sset.level(m), x_sset.face_table(m), m, count=True)
+    else:
+        tuples = boundary_tuples(x_sset, m)
+        surj = len(image) == len(tuples) and all(t in image for t in tuples)
+    return surj, inj
 
 
 def kan_status(x_sset, m):
@@ -507,30 +522,15 @@ def classify(x_sset, n):
     detail = {}
     top = x.dim - 1      # largest m with level m+1 stored
 
-    def alpha_bij(m):
-        # alpha^m is x -> (d_0 x, .., d_{m+1} x); boundary tuples are
-        # distinct, so "onto" is an equal count plus membership, and
-        # membership holds when the face tuples are boundary tuples
-        table = x.face_table(m + 1)
-        image = set(table.values())
-        inj = len(image) == len(table)
-        if faces_compatible(x, m):
-            surj = len(image) == compatible_tuples(
-                x.level(m), x.face_table(m), m, count=True)
-        else:
-            tuples = boundary_tuples(x, m)
-            surj = len(image) == len(tuples) and all(t in image for t in tuples)
-        return surj, inj
-
     cosk = True
     for m in range(n, top + 1):
-        s, i = alpha_bij(m)
+        s, i = alpha_bijective(x, m)
         detail[("alpha", m)] = (s, i)
         if not (s and i):
             cosk = False
     weak = True
     if n <= top:
-        s, i = detail.get(("alpha", n)) or alpha_bij(n)
+        s, i = detail.get(("alpha", n)) or alpha_bijective(x, n)
         detail[("alpha", n)] = (s, i)
         if not i:
             weak = False

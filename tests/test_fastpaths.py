@@ -43,6 +43,21 @@ def dd_broken_delta2():
     return sp.TruncatedSSet(x.dim, x.levels, face, x.degen)
 
 
+def empty_complex():
+    """The 2-truncated simplicial set with no cells, which validates."""
+    return sp.TruncatedSSet(
+        2, [[], [], []], {(k, i): {} for k in (1, 2) for i in range(k + 1)},
+        {(k, j): {} for k in (0, 1) for j in range(k + 1)})
+
+
+def topless_delta2():
+    """standard_simplex(2, 2) with level 2 emptied, as a file that skips
+    validation may give it: every horn of level 1 lacks a filler."""
+    x = sp.standard_simplex(2, 2)
+    face = {key: ({} if key[0] == 2 else mp) for key, mp in x.face.items()}
+    return sp.TruncatedSSet(x.dim, x.levels[:2] + [[]], face, x.degen)
+
+
 def complexes():
     out = [("delta%d" % n, sp.standard_simplex(n, 2)) for n in range(4)]
     out += [("delta1-3", sp.standard_simplex(1, 3)),
@@ -54,7 +69,9 @@ def complexes():
                                          sp.standard_simplex(1, 2))),
             ("delta1xdelta2", sp.product(sp.standard_simplex(1, 2),
                                          sp.standard_simplex(2, 2))),
-            ("dd-broken-delta2", dd_broken_delta2())]
+            ("dd-broken-delta2", dd_broken_delta2()),
+            ("empty", empty_complex()),
+            ("topless-delta2", topless_delta2())]
     out += [("nerve-%s" % name, nv.nerve_2group(g, 2))
             for name, g in ex.canned_two_groups()]
     return out

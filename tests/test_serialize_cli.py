@@ -6,6 +6,7 @@ from kanforge import serialize as io
 from kanforge import examples as ex
 from kanforge import cli
 from kanforge import nerves as nv
+from kanforge import simplicial as sp
 
 
 @pytest.mark.parametrize("name", ex.example_ids())
@@ -290,3 +291,22 @@ def test_nerve_of_dimension_zero_validates(tmp_path, capsys):
                      dump(tmp_path, "disc-z2")]) == 0
     assert cli.main(["validate", str(out)]) == 0
     assert capsys.readouterr().out == "valid sset\n"
+
+
+def test_cli_kan_and_classify_on_the_empty_complex(tmp_path, capsys):
+    # no cells at all: every horn map is trivially onto and one-to-one
+    empty = sp.TruncatedSSet(
+        2, [[], [], []], {(k, i): {} for k in (1, 2) for i in range(k + 1)},
+        {(k, j): {} for k in (0, 1) for j in range(k + 1)})
+    path = tmp_path / "empty.json"
+    path.write_text(io.dumps(empty), encoding="utf-8")
+    assert cli.main(["validate", str(path)]) == 0
+    assert cli.main(["kan", "--dim", "1", str(path)]) == 0
+    assert cli.main(["classify", "--n", "0", str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[1:4] == ["horn (2,%d): surjective=True injective=True" % k
+                        for k in range(3)]
+    assert json.loads(out[4]) == {
+        "checked_dims": "alpha on 0..1, kan on 1..1", "n": 0,
+        "n_coskeletal": True, "n_kan_groupoid": True, "n_minimal": True,
+        "weakly_n_coskeletal": True}
