@@ -133,10 +133,6 @@ class FinGroupoid(FinCategory):
         return classes
 
 
-def groupoid_pi0(grpd):
-    return sorted(grpd.iso_classes())
-
-
 def groupoid_pi1(grpd, a):
     """Automorphisms of `a` under composition, as a FiniteGroup."""
     els = grpd.hom(a, a)

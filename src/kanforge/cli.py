@@ -39,8 +39,7 @@ def _load(path, want=None):
 
 def _load_valid_sset(path):
     """A simplicial set document that satisfies the simplicial
-    identities, which the map searches and the constructions of cosq
-    and loop take as given."""
+    identities, which every verb that reads one takes as given."""
     x, _ = _load(path, want={"sset"})
     report = x.validate()
     if not report.ok:
@@ -71,7 +70,7 @@ def cmd_validate(args):
 
 
 def cmd_classify(args):
-    obj, _ = _load(args.file, want={"sset"})
+    obj = _load_valid_sset(args.file)
     rep = sp.classify(obj, args.n)
     print(io.canonical_dumps({
         "n": args.n,
@@ -84,7 +83,7 @@ def cmd_classify(args):
 
 
 def cmd_kan(args):
-    obj, _ = _load(args.file, want={"sset"})
+    obj = _load_valid_sset(args.file)
     try:
         row = sp.kan_status(obj, args.dim)
     except sp.DimensionOutOfRange as exc:
@@ -144,7 +143,7 @@ def cmd_segal_nerve(args):
 
 
 def cmd_pi(args):
-    obj, _ = _load(args.file, want={"sset"})
+    obj = _load_valid_sset(args.file)
     if args.m == 0:
         classes = sp.pi0(obj)
         print(io.canonical_dumps({"m": 0, "components": classes}), end="")

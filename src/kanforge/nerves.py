@@ -459,17 +459,14 @@ def two_group_from_nerve(z):
 
 
 def _is_simplicial_map(x, y, comps, top):
-    for k in range(1, top + 1):
-        for s in x.level(k):
-            for i in range(k + 1):
-                if comps[k - 1][x.d(k, i, s)] != y.d(k, i, comps[k][s]):
-                    return False
-    for k in range(top):
-        for s in x.level(k):
-            for j in range(k + 1):
-                if comps[k + 1][x.s(k, j, s)] != y.s(k, j, comps[k][s]):
-                    return False
-    return True
+    """Whether the levelwise dicts comps[k], k <= top, commute with every
+    face and degeneracy of X and Y within levels 0..top."""
+    return not any(sp.identity_failures(x.level(k), [
+        ((x_ops[k, i], comps[k + step]), (comps[k], y_ops[k, i]), None)
+        for x_ops, y_ops, step in ((x.face, y.face, -1),
+                                   (x.degen, y.degen, 1))
+        if 0 <= k + step <= top for i in range(k + 1)])
+        for k in range(top + 1))
 
 
 # -- groupoid of q-simplices and the Segal nerve ----------------------------
@@ -509,6 +506,11 @@ class BisimplicialTrunc:
     hdegen[(p,q,j)] level (p,q) -> (p+1,q) where the target level exists
     """
 
+    # each operator table and the step from its source level to its target
+    OPERATORS = {"hface": (-1, 0), "vface": (0, -1), "hdegen": (1, 0),
+                 "vdegen": (0, 1)}
+    LABELS = {"hface": "dh", "vface": "dv", "hdegen": "sh", "vdegen": "sv"}
+
     def __init__(self, region, levels, hface, vface, hdegen, vdegen):
         self.region = set(region)
         self.levels = {k: list(v) for k, v in levels.items()}
@@ -527,10 +529,8 @@ class BisimplicialTrunc:
         table = self._face_tables.get(key)
         if table is None:
             n, ops = (p, self.hface) if direction == "h" else (q, self.vface)
-            maps = [ops[(p, q, i)] for i in range(n + 1)] if n else []
-            table = {x: tuple(mp[x] for mp in maps)
-                     for x in self.levels[(p, q)]} if maps else {}
-            self._face_tables[key] = table
+            table = self._face_tables[key] = sp.tabulate_faces(
+                self.levels[(p, q)], [ops[p, q, i] for i in range(n + 1) if n])
         return table
 
     def face_index(self, p, q, has_h, has_v):
@@ -604,90 +604,62 @@ class BisimplicialTrunc:
         return all(len(self.levels[(p, 0)]) == 1
                    for (p, q) in self.region if q == 0)
 
-    def validate(self):
+    def _span(self, name, p, q):
+        """The indices of the `name` operators out of level (p, q)."""
+        return range((q if self.OPERATORS[name][0] == 0 else p) + 1)
+
+    def _commute(self, pairs):
+        """Where a b = b a fails, for each pair (a, b) of operator tables
+        of the two directions, at each level where both sides exist."""
         errs = []
         for p, q in sorted(self.region):
-            here = self.levels.get((p, q))
-            if here is None:
+            for a, b in pairs:
+                (ap, aq), (bp, bq) = self.OPERATORS[a], self.OPERATORS[b]
+                if {(p + ap, q + aq), (p + bp, q + bq),
+                        (p + ap + bp, q + aq + bq)} <= self.region:
+                    opa, opb = getattr(self, a), getattr(self, b)
+                    errs += ["%s %s do not commute at %s" % (
+                        self.LABELS[a], self.LABELS[b], x)
+                        for x, _ in sp.identity_failures(
+                            self.levels[(p, q)],
+                            [((opa[p, q, i], opb[p + ap, q + aq, j]),
+                              (opb[p, q, j], opa[p + bp, q + bq, i]), None)
+                             for i in self._span(a, p, q)
+                             for j in self._span(b, p, q)])]
+        return errs
+
+    def validate(self):
+        """Violations, as a list: totality of each level and operator
+        dict first; then the mixed face identities, each row and column
+        as a simplicial set (at most three violations each, and the only
+        check of the h and v dd identities), the mixed degeneracies."""
+        errs = []
+        index = {pq: set(cells) for pq, cells in self.levels.items()}
+        for p, q in sorted(self.region):
+            cells = self.levels.get((p, q))
+            if cells is None:
                 errs.append("missing level (%d,%d)" % (p, q))
                 continue
-            if p >= 1 and (p - 1, q) in self.region:
-                for i in range(p + 1):
-                    mp = self.hface.get((p, q, i))
-                    if mp is None or any(x not in mp for x in here):
-                        errs.append("hface (%d,%d,%d) incomplete" % (p, q, i))
-            if q >= 1 and (p, q - 1) in self.region:
-                for i in range(q + 1):
-                    mp = self.vface.get((p, q, i))
-                    if mp is None or any(x not in mp for x in here):
-                        errs.append("vface (%d,%d,%d) incomplete" % (p, q, i))
+            for name, (dp, dq) in self.OPERATORS.items():
+                target = (p + dp, q + dq)
+                # a missing target level is reported on its own
+                if target in self.region and target in index:
+                    errs += [e for i in self._span(name, p, q)
+                             for e in sp.totality_failures(
+                                 name, "(%d,%d,%d)" % (p, q, i),
+                                 getattr(self, name).get((p, q, i)), cells,
+                                 index[target], "(%d,%d)" % target)]
         if errs:
             return errs
-        # rows and columns are simplicial; mixed operators commute
-        for p, q in sorted(self.region):
-            for x in self.levels[(p, q)]:
-                if p >= 2 and (p - 2, q) in self.region:
-                    for j in range(1, p + 1):
-                        for i in range(j):
-                            if self.dh(p - 1, q, i, self.dh(p, q, j, x)) != \
-                               self.dh(p - 1, q, j - 1, self.dh(p, q, i, x)):
-                                errs.append("h dd fails at %s" % x)
-                if q >= 2 and (p, q - 2) in self.region:
-                    for j in range(1, q + 1):
-                        for i in range(j):
-                            if self.dv(p, q - 1, i, self.dv(p, q, j, x)) != \
-                               self.dv(p, q - 1, j - 1, self.dv(p, q, i, x)):
-                                errs.append("v dd fails at %s" % x)
-                if p >= 1 and q >= 1 and (p - 1, q - 1) in self.region:
-                    for i in range(p + 1):
-                        for j in range(q + 1):
-                            if self.dv(p - 1, q, j, self.dh(p, q, i, x)) != \
-                               self.dh(p, q - 1, i, self.dv(p, q, j, x)):
-                                errs.append("dh dv do not commute at %s" % x)
-        # degeneracy identities via the rows/columns when in range
-        rows = {}
-        for p, q in sorted(self.region):
-            rows.setdefault(p, []).append(q)
-        for p, qs in rows.items():
-            r = self.row(p)
-            v = r.validate()
-            if not v.ok:
-                errs.extend("row %d: %s" % (p, e) for e in v.violations[:3])
-        cols = {}
-        for p, q in sorted(self.region):
-            cols.setdefault(q, []).append(p)
-        for q in cols:
-            cvr = self.column(q).validate()
-            if not cvr.ok:
-                errs.extend("column %d: %s" % (q, e) for e in cvr.violations[:3])
-        # mixed degeneracies commute (where all four levels exist)
-        for p, q in sorted(self.region):
-            if (p + 1, q + 1) in self.region and (p + 1, q) in self.region \
-                    and (p, q + 1) in self.region:
-                for x in self.levels[(p, q)]:
-                    for i in range(p + 1):
-                        for j in range(q + 1):
-                            if self.sv(p + 1, q, j, self.sh(p, q, i, x)) != \
-                               self.sh(p, q + 1, i, self.sv(p, q, j, x)):
-                                errs.append("sh sv do not commute at %s" % x)
-        for p, q in sorted(self.region):
-            if p >= 1 and (p - 1, q + 1) in self.region and \
-                    (p, q + 1) in self.region and (p - 1, q) in self.region:
-                for x in self.levels[(p, q)]:
-                    for i in range(p + 1):
-                        for j in range(q + 1):
-                            if self.sv(p - 1, q, j, self.dh(p, q, i, x)) != \
-                               self.dh(p, q + 1, i, self.sv(p, q, j, x)):
-                                errs.append("dh sv do not commute at %s" % x)
-            if q >= 1 and (p + 1, q - 1) in self.region and \
-                    (p + 1, q) in self.region and (p, q - 1) in self.region:
-                for x in self.levels[(p, q)]:
-                    for i in range(q + 1):
-                        for j in range(p + 1):
-                            if self.sh(p, q - 1, j, self.dv(p, q, i, x)) != \
-                               self.dv(p + 1, q, i, self.sh(p, q, j, x)):
-                                errs.append("dv sh do not commute at %s" % x)
-        return errs
+        errs = self._commute([("hface", "vface")])
+        for p in sorted({p for p, _ in self.region}):
+            errs += ["row %d: %s" % (p, e)
+                     for e in self.row(p).validate().violations[:3]]
+        for q in sorted({q for _, q in self.region}):
+            errs += ["column %d: %s" % (q, e)
+                     for e in self.column(q).validate().violations[:3]]
+        errs += self._commute([("hdegen", "vdegen")])
+        return errs + self._commute([("hface", "vdegen"), ("vface", "hdegen")])
 
 
 def rectangle(pmax, qmax):

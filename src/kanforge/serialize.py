@@ -42,20 +42,57 @@ def _need_dim(doc, key, where):
     return dim
 
 
+def _need_lists(value, count, what):
+    if not isinstance(value, list) or len(value) != count or \
+            not all(isinstance(v, list) for v in value):
+        raise ParseError("%s is not a list of %d lists" % (what, count))
+    return value
+
+
+def _read_operators(doc, name, levels, step, where):
+    """The operator table doc[name] as {key: {cell: image}}.  Each key
+    spells a level l of `levels` and an index i with dots ("k.i" or
+    "p.q.i"); l + step must be a level too, 0 <= i <= the coordinate of
+    l that step moves, and the array lists the images of the cells of l
+    in their order.  Anything else raises ParseError naming the key."""
+    table = _need(doc, name, where)
+    if not isinstance(table, dict):
+        raise ParseError("%s in %s is not an object" % (name, where))
+    axis = [t != 0 for t in step].index(True)
+    out = {}
+    for key, arr in table.items():
+        try:
+            parts = tuple(int(t) for t in key.split("."))
+        except ValueError:
+            parts = ()
+        if len(parts) != len(step) + 1 or ".".join(map(str, parts)) != key:
+            raise ParseError("%s key %r is not %d dot-separated integers"
+                             % (name, key, len(step) + 1))
+        level, i = parts[:-1], parts[-1]
+        if level not in levels or \
+                tuple(a + b for a, b in zip(level, step)) not in levels:
+            raise ParseError("%s %s maps between levels that are not stored"
+                             % (name, key))
+        if not 0 <= i <= level[axis]:
+            raise ParseError("%s %s: index %d is out of range 0..%d"
+                             % (name, key, i, level[axis]))
+        cells = levels[level]
+        if not isinstance(arr, list) or len(arr) != len(cells):
+            raise ParseError("%s %s misaligned: not a list of %d ids, one per "
+                             "cell of its level" % (name, key, len(cells)))
+        out[parts] = dict(zip(cells, arr))
+    return out
+
+
 # -- truncated simplicial sets ----------------------------------------------
 
 
 def sset_to_doc(x):
     doc = {"format": 1, "kind": "sset", "dim": x.dim,
            "levels": [list(l) for l in x.levels]}
-    face = {}
-    for (k, i), m in sorted(x.face.items()):
-        face["%d.%d" % (k, i)] = [m[s] for s in x.levels[k]]
-    degen = {}
-    for (k, j), m in sorted(x.degen.items()):
-        degen["%d.%d" % (k, j)] = [m[s] for s in x.levels[k]]
-    doc["face"] = face
-    doc["degen"] = degen
+    for name, table in (("face", x.face), ("degen", x.degen)):
+        doc[name] = {"%d.%d" % key: [m[s] for s in x.levels[key[0]]]
+                     for key, m in table.items()}
     if x.coskeletal_at is not None:
         doc["coskeletal_at"] = x.coskeletal_at
     if x.base is not None:
@@ -69,21 +106,10 @@ def sset_from_doc(doc):
     if doc.get("format") != 1 or doc.get("kind") != "sset":
         raise ParseError("not a format-1 sset document")
     dim = _need_dim(doc, "dim", "sset")
-    levels = _need(doc, "levels", "sset")
-    if len(levels) != dim + 1:
-        raise ParseError("levels length disagrees with dim")
-    face = {}
-    for key, arr in _need(doc, "face", "sset").items():
-        k, i = (int(t) for t in key.split("."))
-        if len(arr) != len(levels[k]):
-            raise ParseError("face %s misaligned" % key)
-        face[(k, i)] = dict(zip(levels[k], arr))
-    degen = {}
-    for key, arr in _need(doc, "degen", "sset").items():
-        k, j = (int(t) for t in key.split("."))
-        if len(arr) != len(levels[k]):
-            raise ParseError("degen %s misaligned" % key)
-        degen[(k, j)] = dict(zip(levels[k], arr))
+    levels = _need_lists(_need(doc, "levels", "sset"), dim + 1, "sset levels")
+    by_level = {(k,): cells for k, cells in enumerate(levels)}
+    face = _read_operators(doc, "face", by_level, (-1,), "sset")
+    degen = _read_operators(doc, "degen", by_level, (1,), "sset")
     return sp.TruncatedSSet(dim, levels, face, degen,
                             coskeletal_at=doc.get("coskeletal_at"),
                             base=doc.get("base"))
@@ -209,17 +235,9 @@ def bisimplicial_to_doc(bx):
     doc = {"format": 1, "kind": "bisimplicial", "P": pmax, "Q": qmax,
            "levels": [[list(bx.level(p, q)) for q in range(qmax + 1)]
                       for p in range(pmax + 1)]}
-    hface, vface, hdegen, vdegen = {}, {}, {}, {}
-    for (p, q, i), m in sorted(bx.hface.items()):
-        hface["%d.%d.%d" % (p, q, i)] = [m[s] for s in bx.level(p, q)]
-    for (p, q, i), m in sorted(bx.vface.items()):
-        vface["%d.%d.%d" % (p, q, i)] = [m[s] for s in bx.level(p, q)]
-    for (p, q, j), m in sorted(bx.hdegen.items()):
-        hdegen["%d.%d.%d" % (p, q, j)] = [m[s] for s in bx.level(p, q)]
-    for (p, q, j), m in sorted(bx.vdegen.items()):
-        vdegen["%d.%d.%d" % (p, q, j)] = [m[s] for s in bx.level(p, q)]
-    doc.update({"hface": hface, "vface": vface,
-                "hdegen": hdegen, "vdegen": vdegen})
+    for name in nv.BisimplicialTrunc.OPERATORS:
+        doc[name] = {"%d.%d.%d" % key: [m[s] for s in bx.level(*key[:2])]
+                     for key, m in getattr(bx, name).items()}
     return doc
 
 
@@ -229,24 +247,15 @@ def bisimplicial_from_doc(doc):
     if doc.get("kind") != "bisimplicial":
         raise ParseError("not a bisimplicial document")
     pmax, qmax = _need_dim(doc, "P", "bi"), _need_dim(doc, "Q", "bi")
-    rows = _need(doc, "levels", "bi")
+    rows = _need_lists(_need(doc, "levels", "bi"), pmax + 1,
+                       "bisimplicial levels")
+    for p, row in enumerate(rows):
+        _need_lists(row, qmax + 1, "bisimplicial levels row %d" % p)
     region = nv.rectangle(pmax, qmax)
     levels = {(p, q): rows[p][q] for (p, q) in region}
-
-    def read(table, where):
-        out = {}
-        for key, arr in table.items():
-            p, q, i = (int(t) for t in key.split("."))
-            if len(arr) != len(levels[(p, q)]):
-                raise ParseError("%s %s misaligned" % (where, key))
-            out[(p, q, i)] = dict(zip(levels[(p, q)], arr))
-        return out
-
-    return nv.BisimplicialTrunc(region, levels,
-                                read(_need(doc, "hface", "bi"), "hface"),
-                                read(_need(doc, "vface", "bi"), "vface"),
-                                read(_need(doc, "hdegen", "bi"), "hdegen"),
-                                read(_need(doc, "vdegen", "bi"), "vdegen"))
+    return nv.BisimplicialTrunc(region, levels, *[
+        _read_operators(doc, name, levels, step, "bi")
+        for name, step in nv.BisimplicialTrunc.OPERATORS.items()])
 
 
 # -- front door ----------------------------------------------------------------

@@ -17,6 +17,8 @@ relations of the simplex category):
 """
 
 import os
+from itertools import repeat
+
 from .groups import FiniteGroup
 
 
@@ -131,10 +133,8 @@ class TruncatedSSet:
         object is immutable); empty at level 0, which has no faces."""
         table = self._face_tables.get(k)
         if table is None:
-            maps = [self.face[(k, i)] for i in range(k + 1)] if k else []
-            table = {x: tuple(mp[x] for mp in maps) for x in self.levels[k]} \
-                if maps else {}
-            self._face_tables[k] = table
+            table = self._face_tables[k] = tabulate_faces(
+                self.levels[k], [self.face[k, i] for i in range(k + 1) if k])
         return table
 
     def deg_base(self, n, a=None):
@@ -167,72 +167,105 @@ class TruncatedSSet:
 
     def validate(self):
         errs = []
-        for k in range(1, self.dim + 1):
-            for i in range(k + 1):
-                m = self.face.get((k, i))
-                if m is None:
-                    errs.append("missing face map (%d,%d)" % (k, i))
-                    continue
-                for x in self.levels[k]:
-                    if x not in m:
-                        errs.append("face (%d,%d) undefined on %s" % (k, i, x))
-                    elif m[x] not in self._index[k - 1]:
-                        errs.append("face (%d,%d)(%s) lands outside level %d" % (k, i, x, k - 1))
-        for k in range(self.dim):
-            for j in range(k + 1):
-                m = self.degen.get((k, j))
-                if m is None:
-                    errs.append("missing degeneracy map (%d,%d)" % (k, j))
-                    continue
-                for x in self.levels[k]:
-                    if x not in m:
-                        errs.append("degeneracy (%d,%d) undefined on %s" % (k, j, x))
-                    elif m[x] not in self._index[k + 1]:
-                        errs.append("degeneracy (%d,%d)(%s) lands outside level %d" % (k, j, x, k + 1))
+        for name, ops, step, ks in (
+                ("face", self.face, -1, range(1, self.dim + 1)),
+                ("degeneracy", self.degen, 1, range(self.dim))):
+            for k in ks:
+                for i in range(k + 1):
+                    errs += totality_failures(
+                        name, "(%d,%d)" % (k, i), ops.get((k, i)),
+                        self.levels[k], self._index[k + step], k + step)
         if errs:
             return ValidationReport(errs, "totality only (maps missing)")
-
-        # d_i d_j = d_{j-1} d_i for i < j
-        for k in range(2, self.dim + 1):
-            for x in self.levels[k]:
-                for j in range(1, k + 1):
-                    for i in range(j):
-                        if self.d(k - 1, i, self.d(k, j, x)) != \
-                           self.d(k - 1, j - 1, self.d(k, i, x)):
-                            errs.append("dd identity fails at %s (k=%d,i=%d,j=%d)" % (x, k, i, j))
-        # s_i s_j = s_{j+1} s_i for i <= j
-        for k in range(self.dim - 1):
-            for x in self.levels[k]:
-                for j in range(k + 1):
-                    for i in range(j + 1):
-                        if self.s(k + 1, i, self.s(k, j, x)) != \
-                           self.s(k + 1, j + 1, self.s(k, i, x)):
-                            errs.append("ss identity fails at %s (k=%d,i=%d,j=%d)" % (x, k, i, j))
-        # d_i s_j mixed identities
-        for k in range(self.dim):
-            for x in self.levels[k]:
-                for j in range(k + 1):
-                    sx = self.s(k, j, x)
-                    for i in range(k + 2):
-                        got = self.d(k + 1, i, sx)
-                        if i == j or i == j + 1:
-                            want = x
-                        elif i < j:
-                            want = self.s(k - 1, j - 1, self.d(k, i, x))
-                        else:
-                            want = self.s(k - 1, j, self.d(k, i - 1, x))
-                        if got != want:
-                            errs.append("ds identity fails at %s (k=%d,i=%d,j=%d)" % (x, k, i, j))
+        d, s = self.face, self.degen
+        # (name, level, identities tagged (i, j)) in the order reported,
+        # with the identities of the module docstring
+        checks = [("dd", k, dd_identities(d, k))
+                  for k in range(2, self.dim + 1)]
+        checks += [("ss", k, [((s[k, j], s[k + 1, i]),
+                               (s[k, i], s[k + 1, j + 1]), (i, j))
+                              for j in range(k + 1) for i in range(j + 1)])
+                   for k in range(self.dim - 1)]
+        checks += [("ds", k, [((s[k, j], d[k + 1, i]),
+                               () if j <= i <= j + 1 else
+                               (d[k, i], s[k - 1, j - 1]) if i < j else
+                               (d[k, i - 1], s[k - 1, j]), (i, j))
+                              for j in range(k + 1) for i in range(k + 2)])
+                   for k in range(self.dim)]
+        for name, k, identities in checks:
+            errs += ["%s identity fails at %s (k=%d,i=%d,j=%d)"
+                     % (name, x, k, i, j)
+                     for x, (i, j) in identity_failures(self.levels[k],
+                                                        identities)]
+        if not errs:
+            # faces land in their levels and the dd identities hold
+            self._faces_compatible.update(dict.fromkeys(range(self.dim), True))
         if self.base is not None and self.base not in self._index[0]:
             errs.append("base %s is not a 0-simplex" % self.base)
         if self.coskeletal_at is not None and not errs:
-            # the identities hold, so faces_compatible does and alpha^m
-            # is decided by count
+            # faces_compatible holds, so alpha^m is decided by count
             c = self.coskeletal_at
             for m in range(max(c, 0), self.dim):
                 if alpha_bijective(self, m) != (True, True):
                     errs.append("coskeletal_at=%d violated: alpha^%d not bijective" % (c, m))
         return ValidationReport(errs, "identities in dims <= %d" % self.dim)
+
+
+# -- column-wise checks --------------------------------------------------
+#
+# A whole level goes through the operator dicts at once; the cells are
+# walked one by one only to name a failure.
+
+_UNDEFINED = object()
+
+
+def column(cells, chain):
+    """The images of cells under the dicts of chain, first to last, as
+    one list."""
+    for mp in chain:
+        cells = list(map(mp.__getitem__, cells))
+    return cells
+
+
+def tabulate_faces(cells, maps):
+    """dict cell -> (m_0 cell, .., m_n cell) over cells, zipped from one
+    column per map; empty when there are no maps."""
+    return dict(zip(cells, zip(*[column(cells, (mp,)) for mp in maps])))
+
+
+def totality_failures(name, key, mp, cells, target, level):
+    """The violations of the operator dict mp (the `name` map `key`, or
+    None when missing) on cells: a cell it is undefined on, or one it
+    sends outside the set target of level `level`; in cell order."""
+    if mp is None:
+        return ["missing %s map %s" % (name, key)]
+    images = list(map(mp.get, cells, repeat(_UNDEFINED)))
+    if target.issuperset(images):
+        return []
+    return ["%s %s undefined on %s" % (name, key, x) if y is _UNDEFINED
+            else "%s %s(%s) lands outside level %s" % (name, key, x, level)
+            for x, y in zip(cells, images) if y not in target]
+
+
+def identity_failures(cells, identities):
+    """(cell, tag) for each cell on which an identity (lhs, rhs, tag)
+    fails, the two chains of dicts sending it to different cells; sorted
+    by (cell position, identity index).  Both sides are computed a whole
+    column at a time, and the cells are walked only where they differ."""
+    bad = []
+    for n, (lhs, rhs, _) in enumerate(identities):
+        got, want = column(cells, lhs), column(cells, rhs)
+        if got != want:
+            bad += [(pos, n) for pos, (a, b) in enumerate(zip(got, want))
+                    if a != b]
+    return [(cells[pos], identities[n][2]) for pos, n in sorted(bad)]
+
+
+def dd_identities(face, k):
+    """d_i d_j = d_{j-1} d_i on level k for i < j, tagged (i, j), over
+    face dicts keyed (level, index)."""
+    return [((face[k, j], face[k - 1, i]), (face[k, i], face[k - 1, j - 1]),
+             (i, j)) for j in range(1, k + 1) for i in range(j)]
 
 
 # -- boundary / horn tuples ---------------------------------------------
@@ -358,16 +391,11 @@ def faces_compatible(x_sset, m):
     their count.  Decided once per (immutable) complex and m."""
     ok = x_sset._faces_compatible.get(m)
     if ok is None:
-        # column j holds the j-th faces; each identity compares two
-        # columns of faces of faces
-        cols = list(zip(*x_sset.face_table(m + 1).values()))
-        ok = all(x_sset._index[m].issuperset(col) for col in cols)
-        # with no cells in level m+1 there is nothing to compare
-        if ok and m and cols:
-            faces = x_sset.face_table(m)
-            rows = [[faces[a] for a in col] for col in cols]
-            ok = all([f[i] for f in rows[j]] == [f[j - 1] for f in rows[i]]
-                     for j in range(1, m + 2) for i in range(j))
+        cells, face = x_sset.levels[m + 1], x_sset.face
+        ok = all(x_sset._index[m].issuperset(column(cells, (face[m + 1, j],)))
+                 for j in range(m + 2))
+        if ok and m:
+            ok = not identity_failures(cells, dd_identities(face, m + 1))
         x_sset._faces_compatible[m] = ok
     return ok
 
@@ -992,17 +1020,12 @@ def is_subcomplex(x_sset, ids_per_level):
     while len(sets) < x_sset.dim + 1:
         sets.append(set())
     for k in range(x_sset.dim + 1):
-        for s in sets[k]:
-            if s not in x_sset._index[k]:
-                return False
-            if k >= 1:
-                for i in range(k + 1):
-                    if x_sset.d(k, i, s) not in sets[k - 1]:
-                        return False
-            if k < x_sset.dim:
-                for j in range(k + 1):
-                    if x_sset.s(k, j, s) not in sets[k + 1]:
-                        return False
+        cells = list(sets[k])
+        if not x_sset._index[k].issuperset(cells) or not all(
+                sets[k + step].issuperset(column(cells, (ops[k, i],)))
+                for ops, step in ((x_sset.face, -1), (x_sset.degen, 1))
+                if 0 <= k + step <= x_sset.dim for i in range(k + 1)):
+            return False
     return True
 
 

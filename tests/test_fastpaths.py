@@ -985,6 +985,266 @@ def test_kan_rows_and_classify_on_segal_rows_match_reference(name):
             assert classify_fields(row, n) == reference_classify(row, n)
 
 
+# -- both validators against their per-cell definition ------------------------
+
+
+def reference_validate(x):
+    """TruncatedSSet.validate as one lookup per cell, identity and index;
+    alpha^m bijective read from boundary_alpha and boundary_tuples."""
+    errs = []
+    for k in range(1, x.dim + 1):
+        for i in range(k + 1):
+            m = x.face.get((k, i))
+            if m is None:
+                errs.append("missing face map (%d,%d)" % (k, i))
+                continue
+            for s in x.levels[k]:
+                if s not in m:
+                    errs.append("face (%d,%d) undefined on %s" % (k, i, s))
+                elif m[s] not in x.levels[k - 1]:
+                    errs.append("face (%d,%d)(%s) lands outside level %d"
+                                % (k, i, s, k - 1))
+    for k in range(x.dim):
+        for j in range(k + 1):
+            m = x.degen.get((k, j))
+            if m is None:
+                errs.append("missing degeneracy map (%d,%d)" % (k, j))
+                continue
+            for s in x.levels[k]:
+                if s not in m:
+                    errs.append("degeneracy (%d,%d) undefined on %s"
+                                % (k, j, s))
+                elif m[s] not in x.levels[k + 1]:
+                    errs.append("degeneracy (%d,%d)(%s) lands outside level %d"
+                                % (k, j, s, k + 1))
+    if errs:
+        return errs, "totality only (maps missing)"
+    d, sd = x.d, x.s
+    for k in range(2, x.dim + 1):
+        for s in x.levels[k]:
+            for j in range(1, k + 1):
+                for i in range(j):
+                    if d(k - 1, i, d(k, j, s)) != d(k - 1, j - 1, d(k, i, s)):
+                        errs.append("dd identity fails at %s (k=%d,i=%d,j=%d)"
+                                    % (s, k, i, j))
+    for k in range(x.dim - 1):
+        for s in x.levels[k]:
+            for j in range(k + 1):
+                for i in range(j + 1):
+                    if sd(k + 1, i, sd(k, j, s)) != \
+                            sd(k + 1, j + 1, sd(k, i, s)):
+                        errs.append("ss identity fails at %s (k=%d,i=%d,j=%d)"
+                                    % (s, k, i, j))
+    for k in range(x.dim):
+        for s in x.levels[k]:
+            for j in range(k + 1):
+                for i in range(k + 2):
+                    if i == j or i == j + 1:
+                        want = s
+                    elif i < j:
+                        want = sd(k - 1, j - 1, d(k, i, s))
+                    else:
+                        want = sd(k - 1, j, d(k, i - 1, s))
+                    if d(k + 1, i, sd(k, j, s)) != want:
+                        errs.append("ds identity fails at %s (k=%d,i=%d,j=%d)"
+                                    % (s, k, i, j))
+    if x.base is not None and x.base not in x.levels[0]:
+        errs.append("base %s is not a 0-simplex" % x.base)
+    if x.coskeletal_at is not None and not errs:
+        c = x.coskeletal_at
+        for m in range(max(c, 0), x.dim):
+            image = list(sp.boundary_alpha(x, m).values())
+            if set(image) != set(sp.boundary_tuples(x, m)) or \
+                    len(set(image)) != len(image):
+                errs.append("coskeletal_at=%d violated: alpha^%d not bijective"
+                            % (c, m))
+    return errs, "identities in dims <= %d" % x.dim
+
+
+def reference_bisimplicial_validate(bx):
+    """BisimplicialTrunc.validate as one lookup per cell, identity and
+    index, rows and columns by reference_validate; it checks only that
+    the face dicts are defined before it reads the identities, so an
+    id outside its level makes it raise."""
+    errs = []
+    region = bx.region
+    for p, q in sorted(region):
+        here = bx.levels.get((p, q))
+        if here is None:
+            errs.append("missing level (%d,%d)" % (p, q))
+            continue
+        if p >= 1 and (p - 1, q) in region:
+            for i in range(p + 1):
+                mp = bx.hface.get((p, q, i))
+                if mp is None or any(s not in mp for s in here):
+                    errs.append("hface (%d,%d,%d) incomplete" % (p, q, i))
+        if q >= 1 and (p, q - 1) in region:
+            for i in range(q + 1):
+                mp = bx.vface.get((p, q, i))
+                if mp is None or any(s not in mp for s in here):
+                    errs.append("vface (%d,%d,%d) incomplete" % (p, q, i))
+    if errs:
+        return errs
+    dh, dv, sh, sv = bx.dh, bx.dv, bx.sh, bx.sv
+    for p, q in sorted(region):
+        for s in bx.levels[(p, q)]:
+            if p >= 2 and (p - 2, q) in region:
+                for j in range(1, p + 1):
+                    for i in range(j):
+                        if dh(p - 1, q, i, dh(p, q, j, s)) != \
+                                dh(p - 1, q, j - 1, dh(p, q, i, s)):
+                            errs.append("h dd fails at %s" % s)
+            if q >= 2 and (p, q - 2) in region:
+                for j in range(1, q + 1):
+                    for i in range(j):
+                        if dv(p, q - 1, i, dv(p, q, j, s)) != \
+                                dv(p, q - 1, j - 1, dv(p, q, i, s)):
+                            errs.append("v dd fails at %s" % s)
+            if p >= 1 and q >= 1 and (p - 1, q - 1) in region:
+                for i in range(p + 1):
+                    for j in range(q + 1):
+                        if dv(p - 1, q, j, dh(p, q, i, s)) != \
+                                dh(p, q - 1, i, dv(p, q, j, s)):
+                            errs.append("dh dv do not commute at %s" % s)
+    for p in sorted({p for p, _ in region}):
+        errs += ["row %d: %s" % (p, e)
+                 for e in reference_validate(bx.row(p))[0][:3]]
+    for q in sorted({q for _, q in region}):
+        errs += ["column %d: %s" % (q, e)
+                 for e in reference_validate(bx.column(q))[0][:3]]
+    for p, q in sorted(region):
+        if {(p + 1, q + 1), (p + 1, q), (p, q + 1)} <= region:
+            for s in bx.levels[(p, q)]:
+                for i in range(p + 1):
+                    for j in range(q + 1):
+                        if sv(p + 1, q, j, sh(p, q, i, s)) != \
+                                sh(p, q + 1, i, sv(p, q, j, s)):
+                            errs.append("sh sv do not commute at %s" % s)
+    for p, q in sorted(region):
+        if p >= 1 and {(p - 1, q + 1), (p, q + 1), (p - 1, q)} <= region:
+            for s in bx.levels[(p, q)]:
+                for i in range(p + 1):
+                    for j in range(q + 1):
+                        if sv(p - 1, q, j, dh(p, q, i, s)) != \
+                                dh(p, q + 1, i, sv(p, q, j, s)):
+                            errs.append("dh sv do not commute at %s" % s)
+        if q >= 1 and {(p + 1, q - 1), (p + 1, q), (p, q - 1)} <= region:
+            for s in bx.levels[(p, q)]:
+                for i in range(q + 1):
+                    for j in range(p + 1):
+                        if sh(p, q - 1, j, dv(p, q, i, s)) != \
+                                dv(p + 1, q, i, sh(p, q, j, s)):
+                            errs.append("dv sh do not commute at %s" % s)
+    return errs
+
+
+OUTSIDE = "nowhere"
+
+
+def rewirings(tables, levels):
+    """(name, key, cell, image, in_level) for every single-entry change
+    of the operator dicts tables[name][key], key = (*level, index): the
+    entry of each cell rewired to every other cell of its target level,
+    and to an id outside it.  levels maps (name, level) to the cells of
+    the target level."""
+    for name, table in tables.items():
+        for key, mp in sorted(table.items()):
+            target = levels(name, key[:-1])
+            for cell, old in mp.items():
+                for image in target + [OUTSIDE]:
+                    if image != old:
+                        yield name, key, cell, image, image != OUTSIDE
+
+
+def rewired(tables, name, key, cell, image):
+    out = dict(tables)
+    out[name] = dict(tables[name])
+    out[name][key] = {**tables[name][key], cell: image}
+    return out
+
+
+def sset_mutations(x):
+    tables = {"face": x.face, "degen": x.degen}
+    step = {"face": -1, "degen": 1}
+    for name, key, cell, image, _ in rewirings(
+            tables, lambda name, lvl: x.levels[lvl[0] + step[name]]):
+        t = rewired(tables, name, key, cell, image)
+        yield sp.TruncatedSSet(x.dim, x.levels, t["face"], t["degen"],
+                               coskeletal_at=x.coskeletal_at, base=x.base)
+
+
+@pytest.mark.parametrize("x", [pytest.param(x, id=name)
+                               for name, x in complexes()])
+def test_validate_matches_per_cell_definition(x):
+    rep = x.validate()
+    assert (rep.violations, rep.checked) == reference_validate(x)
+
+
+@pytest.mark.parametrize("x", [
+    pytest.param(sp.standard_simplex(2, 3), id="delta2"),
+    pytest.param(sp.horn_complex(2, 1, 2), id="horn-2-1"),
+    pytest.param(nv.nerve_2group(ex.build("disc-z2"), 3), id="nerve-disc-z2")])
+def test_validate_matches_per_cell_definition_on_every_rewiring(x):
+    kinds = set()
+    for y in sset_mutations(x):
+        rep = y.validate()
+        assert (rep.violations, rep.checked) == reference_validate(y)
+        kinds.update(v.split(" ", 1)[0] for v in rep.violations)
+    # every kind of violation occurs among the rewirings
+    assert {"face", "degeneracy", "dd", "ss", "ds"} <= kinds
+
+
+def bisimplicial_mutations(bx):
+    """(rewired copy, None) for each rewiring within the target level,
+    and (copy, its one totality violation) for each rewiring outside."""
+    tables = {name: getattr(bx, name)
+              for name in nv.BisimplicialTrunc.OPERATORS}
+
+    def target(name, lvl):
+        step = nv.BisimplicialTrunc.OPERATORS[name]
+        return tuple(a + b for a, b in zip(lvl, step))
+
+    for name, key, cell, image, in_level in rewirings(
+            tables, lambda name, lvl: bx.levels[target(name, lvl)]):
+        t = rewired(tables, name, key, cell, image)
+        yield nv.BisimplicialTrunc(bx.region, bx.levels, t["hface"],
+                                   t["vface"], t["hdegen"], t["vdegen"]), \
+            None if in_level else "%s (%d,%d,%d)(%s) lands outside level " \
+            "(%d,%d)" % ((name,) + key + (cell,) + target(name, key[:2]))
+
+
+@pytest.mark.parametrize("bx", [
+    pytest.param(nv.p2_star(sp.sphere(1, 2), 2), id="p2star-s1"),
+    pytest.param(nv.box(sp.standard_simplex(1, 1), sp.standard_simplex(1, 1)),
+                 id="box-delta1-delta1")])
+def test_bisimplicial_validate_matches_per_cell_definition(bx):
+    assert bx.validate() == reference_bisimplicial_validate(bx) == []
+    kinds, raised = set(), 0
+    for y, outside in bisimplicial_mutations(bx):
+        got = y.validate()
+        kinds.update(e.split(" do not ")[0] if " do not " in e
+                     else e.split(" ", 1)[0] for e in got)
+        try:
+            want = reference_bisimplicial_validate(y)
+        except KeyError:
+            want = None
+            raised += 1
+        if outside:
+            # an id outside its level is one totality violation, where
+            # the per-cell definition raises or reports through a row
+            # or column
+            assert got == [outside]
+            assert want is None or want
+        else:
+            # the h and v dd identities are reported once, by the
+            # columns and rows
+            assert got == [e for e in want
+                           if not e.startswith(("h dd", "v dd"))]
+    assert raised
+    assert {"dh dv", "sh sv", "dh sv", "dv sh", "row", "column", "hface",
+            "vface", "hdegen", "vdegen"} <= kinds
+
+
 # -- the Segal checks against references that read every cell -----------------
 
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -310,3 +313,92 @@ def test_cli_kan_and_classify_on_the_empty_complex(tmp_path, capsys):
         "checked_dims": "alpha on 0..1, kan on 1..1", "n": 0,
         "n_coskeletal": True, "n_kan_groupoid": True, "n_minimal": True,
         "weakly_n_coskeletal": True}
+
+
+def topless_delta2(tmp_path):
+    """delta2 with level 2 emptied: the degeneracies of the edges land
+    outside it."""
+    doc = json.loads(io.dumps(sp.standard_simplex(2, 2)))
+    doc["levels"][2] = []
+    doc["face"] = {k: ([] if k.startswith("2.") else v)
+                   for k, v in doc["face"].items()}
+    path = tmp_path / "topless.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("argv", [["kan", "--dim", "1"],
+                                  ["classify", "--n", "1"], ["pi", "--m", "0"],
+                                  ["pi", "--m", "1"]])
+def test_cli_kan_classify_pi_reject_a_file_that_is_not_a_simplicial_set(
+        tmp_path, capsys, argv):
+    for path in (broken_t11(tmp_path), topless_delta2(tmp_path)):
+        want = io.loads(path.read_text(encoding="utf-8"))[0].validate()
+        assert cli.main(argv + [str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: %s: %s\n" % (path, want.violations[0])
+
+
+def malformed_documents():
+    """(name, document) with one malformed operator table or level list
+    each."""
+    def edited(obj, edit):
+        doc = json.loads(io.dumps(obj))
+        edit(doc)
+        return doc
+
+    delta2 = ex.build("delta2")
+    star = nv.p2_star(ex.build("s1"), 2)
+    cases = [
+        ("level-out-of-range", edited(delta2, lambda d: d["face"].update(
+            {"7.0": d["face"]["1.0"]}))),
+        ("negative-level", edited(delta2, lambda d: d["face"].update(
+            {"-2.0": d["face"]["1.0"]}))),
+        ("part-not-an-integer", edited(delta2, lambda d: d["face"].update(
+            {"x.0": d["face"]["1.0"]}))),
+        ("three-parts", edited(delta2, lambda d: d["face"].update(
+            {"1.0.3": d["face"]["1.0"]}))),
+        ("index-out-of-range", edited(delta2, lambda d: d["degen"].update(
+            {"1.2": d["degen"]["1.0"]}))),
+        ("array-not-a-list", edited(delta2, lambda d: d["face"].update(
+            {"1.0": 5}))),
+        ("bisimplicial-rows-short", edited(star, lambda d: d["levels"].pop())),
+        ("hface-level-out-of-range", edited(star, lambda d: d["hface"].update(
+            {"9.9.0": d["hface"]["1.1.0"]}))),
+    ]
+    return [pytest.param(name, doc, id=name) for name, doc in cases]
+
+
+@pytest.mark.parametrize("name,doc", malformed_documents())
+def test_cli_validate_malformed_operator_tables_exit_two(tmp_path, name, doc):
+    # a separate interpreter, so that a traceback would show as one
+    path = tmp_path / ("%s.json" % name)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(io.__file__))] +
+        os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    run = subprocess.run([sys.executable, "-m", "kanforge.cli", "validate",
+                          str(path)], capture_output=True, text=True, env=env)
+    assert run.returncode == 2
+    assert run.stdout == ""
+    assert run.stderr.startswith("error: parse error in %s: " % path)
+    assert "Traceback" not in run.stderr
+
+
+@pytest.mark.parametrize("pmax,edit,violation", [
+    (1, lambda d: d["vdegen"].pop("0.0.0"), "missing vdegen map (0,0,0)"),
+    (2, lambda d: d["hface"]["2.2.2"].__setitem__(-1, "nowhere"),
+     "hface (2,2,2)(%s) lands outside level (1,2)")],
+    ids=["vdegen-missing", "hface-outside"])
+def test_cli_validate_reports_a_broken_bisimplicial_set(tmp_path, capsys, pmax,
+                                                        edit, violation):
+    star = nv.p2_star(ex.build("s1"), pmax)
+    doc = json.loads(io.dumps(star))
+    edit(doc)
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["validate", str(path)]) == 1
+    if "%s" in violation:
+        violation %= star.level(2, 2)[-1]
+    assert capsys.readouterr().out == "violation: %s\n" % violation
