@@ -210,10 +210,7 @@ def check_coskeleton():
     coskeletal complex is an isomorphism."""
     g2 = ca.one_object_groupoid(gr.cyclic(2))
     full = nv.nerve_category(g2, 3)
-    tau2 = sp.TruncatedSSet(2, full.levels[:3],
-                            {k: v for k, v in full.face.items() if k[0] <= 2},
-                            {k: v for k, v in full.degen.items() if k[0] <= 1},
-                            coskeletal_at=2, base=full.base)
+    tau2 = sp.truncate(full, 2)
     ext = sp.coskeletal_extend(tau2, 3)
     count_ok = len(ext.level(3)) == 8 == len(full.level(3))
     iso_ok = sp.find_isomorphism(ext, full) is not None

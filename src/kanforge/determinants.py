@@ -115,20 +115,17 @@ def _transported_hom(maps, pull, prefix):
     levels = [["%s%d_%d" % (prefix, n, i) for i in range(len(maps[n]))]
               for n in range(n_max + 1)]
     ranks = [{_canon(f): i for i, f in enumerate(found)} for found in maps]
-    face = {}
-    degen = {}
-    for n in range(n_max + 1):
-        ops = [(face, i, n - 1, _post_delta) for i in range(n + 1) if n > 0]
-        ops += [(degen, j, n + 1, _post_sigma) for j in range(n + 1)
-                if n < n_max]
-        for table, i, n_to, post in ops:
-            moved = pull(n_to, n, lambda phi: post(i, phi))
-            table[(n, i)] = {
-                levels[n][idx]: levels[n_to][ranks[n_to][_canon(
-                    {lvl: {cell: f[lvl][img] for cell, img in row.items()}
-                     for lvl, row in moved.items()})]]
-                for idx, f in enumerate(maps[n])}
-    return sp.TruncatedSSet(n_max, levels, face, degen)
+
+    def op(name, n, i):
+        n_to = n + sp.STEPS[name]
+        post = _post_delta if name == "face" else _post_sigma
+        moved = pull(n_to, n, lambda phi: post(i, phi))
+        return {levels[n][idx]: levels[n_to][ranks[n_to][_canon(
+            {lvl: {cell: f[lvl][img] for cell, img in row.items()}
+             for lvl, row in moved.items()})]]
+            for idx, f in enumerate(maps[n])}
+
+    return sp.build_sset(n_max, levels, op)
 
 
 def enriched_hom0(x_sset, y_sset, n_max, budget=None):
@@ -512,11 +509,7 @@ def _x12_squares(x_bx):
 def _column1_2trunc(x_bx):
     """The column X_{*,1}, truncated at dimension 2."""
     col1 = x_bx.column(1)
-    top = min(col1.dim, 2)
-    return sp.TruncatedSSet(top, col1.levels[:top + 1],
-                            {k: v for k, v in col1.face.items() if k[0] <= top},
-                            {k: v for k, v in col1.degen.items() if k[0] < top},
-                            base=col1.base)
+    return sp.truncate(col1, min(col1.dim, 2))
 
 
 def segal_determinants_vs_hom(x_bx, g, ns=None, budget=None):
@@ -652,39 +645,17 @@ def hom1_enriched(x_bx, g, n_max=2, ns=None, budget=None):
 
 def _bi_product_p1(x_bx, dn, region):
     """X x p1*(Delta^n) over the region, with a pair decode table."""
-    def bid(x, y):
-        return "(%s|%s)" % (x, y)
+    cols = {(p, q): sp.pair_columns(x_bx.level(p, q), dn.level(p))
+            for (p, q) in region}
+    levels = {pq: list(map(_pair_id, xs, ys)) for pq, (xs, ys) in cols.items()}
+    pairs = {pq + (cell,): xy for pq, (xs, ys) in cols.items()
+             for cell, xy in zip(levels[pq], zip(xs, ys))}
 
-    levels = {}
-    pairs = {}
-    hface, vface, hdegen, vdegen = {}, {}, {}, {}
-    for (p, q) in region:
-        levels[(p, q)] = [bid(x, y) for x in x_bx.level(p, q)
-                          for y in dn.level(p)]
-        for x in x_bx.level(p, q):
-            for y in dn.level(p):
-                pairs[(p, q, bid(x, y))] = (x, y)
-    for (p, q) in region:
-        if p >= 1 and (p - 1, q) in region:
-            for i in range(p + 1):
-                hface[(p, q, i)] = {bid(x, y): bid(x_bx.dh(p, q, i, x),
-                                                   dn.d(p, i, y))
-                                    for x in x_bx.level(p, q)
-                                    for y in dn.level(p)}
-        if q >= 1 and (p, q - 1) in region:
-            for i in range(q + 1):
-                vface[(p, q, i)] = {bid(x, y): bid(x_bx.dv(p, q, i, x), y)
-                                    for x in x_bx.level(p, q)
-                                    for y in dn.level(p)}
-        if (p + 1, q) in region:
-            for j in range(p + 1):
-                hdegen[(p, q, j)] = {bid(x, y): bid(x_bx.sh(p, q, j, x),
-                                                    dn.s(p, j, y))
-                                     for x in x_bx.level(p, q)
-                                     for y in dn.level(p)}
-        if (p, q + 1) in region:
-            for j in range(q + 1):
-                vdegen[(p, q, j)] = {bid(x, y): bid(x_bx.sv(p, q, j, x), y)
-                                     for x in x_bx.level(p, q)
-                                     for y in dn.level(p)}
-    return nv.BisimplicialTrunc(region, levels, hface, vface, hdegen, vdegen), pairs
+    def op(name, p, q, i):
+        xs, ys = cols[p, q]
+        xs = sp.column(xs, (getattr(x_bx, name)[p, q, i],))
+        if name[0] == "h":
+            ys = sp.column(ys, (getattr(dn, name[1:])[p, i],))
+        return dict(zip(levels[p, q], map(_pair_id, xs, ys)))
+
+    return nv.build_bisimplicial(region, levels, op), pairs

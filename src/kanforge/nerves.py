@@ -9,6 +9,7 @@ groupoid of q-simplices: N_S(G)_{p,q} = (p-chains in the groupoid of
 q-simplices of G).
 """
 
+import functools
 import itertools
 import operator
 
@@ -35,60 +36,53 @@ def _chain_id(parts):
     return "[" + ";".join(parts) + "]"
 
 
+def _chain_faces(chains, m, i, comp):
+    """d_i of each chain c of m >= 2 composable arrows, first arrow
+    first: drop the first (i = 0) or last (i = m) arrow, else replace
+    c[i - 1], c[i] by comp(c[i], c[i - 1])."""
+    if i == 0:
+        return [c[1:] for c in chains]
+    if i == m:
+        return [c[:-1] for c in chains]
+    return [c[:i - 1] + (comp(c[i], c[i - 1]),) + c[i + 1:] for c in chains]
+
+
+def _chain_degens(chains, j, src, tgt, ident):
+    """s_j of each chain c of m >= 1 arrows: the identity ident[x] of
+    its j-th object x inserted at place j."""
+    if j == 0:
+        return [(ident[src[c[0]]],) + c for c in chains]
+    return [c[:j] + (ident[tgt[c[j - 1]]],) + c[j:] for c in chains]
+
+
 def nerve_category(cat, to_dim):
     """Level m = composable chains of m morphisms; carries the
     2-coskeletal flag."""
     errs = cat.validate()
     if errs:
         raise NerveError("category does not validate: %s" % errs[0])
-    chains = [[()]]
-    chains.append([(f,) for f in cat.morphisms])
+    # level 0 holds the objects, level m >= 1 the chains of m morphisms
+    chains = [list(cat.objects), [(f,) for f in cat.morphisms]]
     for m in range(2, to_dim + 1):
-        nxt = []
-        for c in chains[m - 1]:
-            for f in cat.morphisms:
-                if cat.src[f] == cat.tgt[c[-1]]:
-                    nxt.append(c + (f,))
-        chains.append(nxt)
+        chains.append([c + (f,) for c in chains[m - 1] for f in cat.morphisms
+                       if cat.src[f] == cat.tgt[c[-1]]])
+    levels = [chains[0]] + [list(map(_chain_id, cs)) for cs in chains[1:]]
 
-    levels = [list(cat.objects)]
-    for m in range(1, to_dim + 1):
-        levels.append([_chain_id(c) for c in chains[m]])
-    face = {}
-    degen = {}
-    for m in range(1, to_dim + 1):
-        for i in range(m + 1):
-            mp = {}
-            for c in chains[m]:
-                if m == 1:
-                    mp[_chain_id(c)] = cat.tgt[c[0]] if i == 0 else cat.src[c[0]]
-                else:
-                    if i == 0:
-                        nc = c[1:]
-                    elif i == m:
-                        nc = c[:-1]
-                    else:
-                        nc = c[:i - 1] + (cat.comp(c[i], c[i - 1]),) + c[i + 1:]
-                    mp[_chain_id(c)] = _chain_id(nc) if m > 1 else nc[0]
-            face[(m, i)] = mp
-    for m in range(to_dim):
-        for j in range(m + 1):
-            mp = {}
-            if m == 0:
-                for x in cat.objects:
-                    mp[x] = _chain_id((cat.id_of(x),))
-            else:
-                for c in chains[m]:
-                    if j == 0:
-                        nc = (cat.id_of(cat.src[c[0]]),) + c
-                    else:
-                        obj = cat.tgt[c[j - 1]]
-                        nc = c[:j] + (cat.id_of(obj),) + c[j:]
-                    mp[_chain_id(c)] = _chain_id(nc)
-            degen[(m, j)] = mp
+    def op(name, m, i):
+        cs = chains[m]
+        if name == "face" and m == 1:
+            images = [(cat.tgt if i == 0 else cat.src)[c[0]] for c in cs]
+        elif name == "face":
+            images = map(_chain_id, _chain_faces(cs, m, i, cat.comp))
+        elif m == 0:
+            images = [_chain_id((cat.ident[x],)) for x in cs]
+        else:
+            images = map(_chain_id, _chain_degens(cs, i, cat.src, cat.tgt,
+                                                  cat.ident))
+        return dict(zip(levels[m], images))
+
     base = cat.objects[0] if len(cat.objects) == 1 else None
-    out = sp.TruncatedSSet(to_dim, levels, face, degen,
-                           coskeletal_at=2, base=base)
+    out = sp.build_sset(to_dim, levels, op, coskeletal_at=2, base=base)
     out._mor1 = {_chain_id((f,)): f for f in cat.morphisms}
     out._chain1 = {f: _chain_id((f,)) for f in cat.morphisms}
     return out
@@ -293,11 +287,12 @@ def nerve_2group(g, to_dim):
         return dict(zip(ids[q], [to[n] for n in _reindex_table(
             ix, index[q], index[q_to], phi, q, q_to)]))
 
-    face = {(q, i): operator_map(q, _delta(i, q), q - 1)
-            for q in range(1, cap + 1) for i in range(q + 1)}
-    degen = {(q, j): operator_map(q, _sigma(j, q), q + 1)
-             for q in range(cap) for j in range(q + 1)}
-    out = sp.TruncatedSSet(cap, ids, face, degen, coskeletal_at=3, base="*")
+    def op(name, q, i):
+        if name == "face":
+            return operator_map(q, _delta(i, q), q - 1)
+        return operator_map(q, _sigma(i, q), q + 1)
+
+    out = sp.build_sset(cap, ids, op, coskeletal_at=3, base="*")
     if to_dim > cap:
         out = sp.coskeletal_extend(out, to_dim)
     out._struct = {q: dict(zip(ids[q], structs[q])) for q in range(cap + 1)}
@@ -579,34 +574,30 @@ class BisimplicialTrunc:
 
     def row(self, p):
         """The vertical simplicial set X_{p,*} within the region."""
-        qs = sorted(q for (pp, q) in self.region if pp == p)
-        dim = max(qs)
-        levels = [self.levels[(p, q)] for q in range(dim + 1)]
-        face = {(q, i): self.vface[(p, q, i)]
-                for q in range(1, dim + 1) for i in range(q + 1)}
-        degen = {(q, j): self.vdegen[(p, q, j)]
-                 for q in range(dim) for j in range(q + 1)}
-        base = self.levels[(p, 0)][0] if len(self.levels[(p, 0)]) == 1 else None
-        return sp.TruncatedSSet(dim, levels, face, degen, base=base)
+        return self._line(lambda k: (p, k), 1, "v")
 
     def column(self, q):
-        ps = sorted(p for (p, qq) in self.region if qq == q)
-        dim = max(ps)
-        levels = [self.levels[(p, q)] for p in range(dim + 1)]
-        face = {(p, i): self.hface[(p, q, i)]
-                for p in range(1, dim + 1) for i in range(p + 1)}
-        degen = {(p, j): self.hdegen[(p, q, j)]
-                 for p in range(dim) for j in range(p + 1)}
-        base = self.levels[(0, q)][0] if len(self.levels[(0, q)]) == 1 else None
-        return sp.TruncatedSSet(dim, levels, face, degen, base=base)
+        """The horizontal simplicial set X_{*,q} within the region."""
+        return self._line(lambda k: (k, q), 0, "h")
+
+    def _line(self, at, axis, direction):
+        """The simplicial set of the levels at(0), at(1), .. of the
+        region (at(k)[axis] == k) with the operators of `direction`."""
+        dim = max(pq[axis] for pq in self.region if at(pq[axis]) == pq)
+        levels = [self.levels[at(k)] for k in range(dim + 1)]
+        return sp.build_sset(
+            dim, levels,
+            lambda name, k, i: getattr(self, direction + name)[at(k) + (i,)],
+            base=levels[0][0] if len(levels[0]) == 1 else None)
 
     def is_pre_monoid(self):
         return all(len(self.levels[(p, 0)]) == 1
                    for (p, q) in self.region if q == 0)
 
-    def _span(self, name, p, q):
+    @classmethod
+    def _span(cls, name, p, q):
         """The indices of the `name` operators out of level (p, q)."""
-        return range((q if self.OPERATORS[name][0] == 0 else p) + 1)
+        return range((q if cls.OPERATORS[name][0] == 0 else p) + 1)
 
     def _commute(self, pairs):
         """Where a b = b a fails, for each pair (a, b) of operator tables
@@ -635,20 +626,20 @@ class BisimplicialTrunc:
         check of the h and v dd identities), the mixed degeneracies."""
         errs = []
         index = {pq: set(cells) for pq, cells in self.levels.items()}
-        for p, q in sorted(self.region):
-            cells = self.levels.get((p, q))
+        for pq in sorted(self.region):
+            cells = self.levels.get(pq)
             if cells is None:
-                errs.append("missing level (%d,%d)" % (p, q))
+                errs.append("missing level (%d,%d)" % pq)
                 continue
-            for name, (dp, dq) in self.OPERATORS.items():
+            for name, p, q, i in bi_operator_keys(self.region, [pq]):
+                dp, dq = self.OPERATORS[name]
                 target = (p + dp, q + dq)
                 # a missing target level is reported on its own
-                if target in self.region and target in index:
-                    errs += [e for i in self._span(name, p, q)
-                             for e in sp.totality_failures(
-                                 name, "(%d,%d,%d)" % (p, q, i),
-                                 getattr(self, name).get((p, q, i)), cells,
-                                 index[target], "(%d,%d)" % target)]
+                if target in index:
+                    errs += sp.totality_failures(
+                        name, "(%d,%d,%d)" % (p, q, i),
+                        getattr(self, name).get((p, q, i)), cells,
+                        index[target], "(%d,%d)" % target)
         if errs:
             return errs
         errs = self._commute([("hface", "vface")])
@@ -660,6 +651,27 @@ class BisimplicialTrunc:
                      for e in self.column(q).validate().violations[:3]]
         errs += self._commute([("hdegen", "vdegen")])
         return errs + self._commute([("hface", "vdegen"), ("vface", "hdegen")])
+
+
+def bi_operator_keys(region, at=None):
+    """(table, p, q, i) for every operator out of the levels `at` (all
+    of region, in its order, by default) whose target level lies in
+    region: level by level, the tables in OPERATORS order, 0 <= i <= the
+    coordinate the table moves."""
+    return [(name, p, q, i) for p, q in (region if at is None else at)
+            for name, (dp, dq) in BisimplicialTrunc.OPERATORS.items()
+            if (p + dp, q + dq) in region
+            for i in BisimplicialTrunc._span(name, p, q)]
+
+
+def build_bisimplicial(region, levels, op):
+    """The BisimplicialTrunc over region whose table `table` holds
+    op(table, p, q, i) at (p, q, i) for each key of
+    bi_operator_keys(region)."""
+    tables = {name: {} for name in BisimplicialTrunc.OPERATORS}
+    for name, p, q, i in bi_operator_keys(region):
+        tables[name][p, q, i] = op(name, p, q, i)
+    return BisimplicialTrunc(region, levels, *tables.values())
 
 
 def rectangle(pmax, qmax):
@@ -679,33 +691,19 @@ def box(a_sset, b_sset, region=None):
     def bid(x, y):
         return "(%s#%s)" % (x, y)
 
-    levels = {}
-    hface, vface, hdegen, vdegen = {}, {}, {}, {}
-    for p, q in region:
-        levels[(p, q)] = [bid(x, y) for x in a_sset.level(p)
-                          for y in b_sset.level(q)]
-    for p, q in region:
-        if p >= 1 and (p - 1, q) in region:
-            for i in range(p + 1):
-                hface[(p, q, i)] = {bid(x, y): bid(a_sset.d(p, i, x), y)
-                                    for x in a_sset.level(p)
-                                    for y in b_sset.level(q)}
-        if q >= 1 and (p, q - 1) in region:
-            for i in range(q + 1):
-                vface[(p, q, i)] = {bid(x, y): bid(x, b_sset.d(q, i, y))
-                                    for x in a_sset.level(p)
-                                    for y in b_sset.level(q)}
-        if (p + 1, q) in region:
-            for j in range(p + 1):
-                hdegen[(p, q, j)] = {bid(x, y): bid(a_sset.s(p, j, x), y)
-                                     for x in a_sset.level(p)
-                                     for y in b_sset.level(q)}
-        if (p, q + 1) in region:
-            for j in range(q + 1):
-                vdegen[(p, q, j)] = {bid(x, y): bid(x, b_sset.s(q, j, y))
-                                     for x in a_sset.level(p)
-                                     for y in b_sset.level(q)}
-    return BisimplicialTrunc(region, levels, hface, vface, hdegen, vdegen)
+    cols = {(p, q): sp.pair_columns(a_sset.level(p), b_sset.level(q))
+            for p, q in region}
+    levels = {pq: list(map(bid, xs, ys)) for pq, (xs, ys) in cols.items()}
+
+    def op(name, p, q, i):
+        xs, ys = cols[p, q]
+        if name[0] == "h":
+            xs = sp.column(xs, (getattr(a_sset, name[1:])[p, i],))
+        else:
+            ys = sp.column(ys, (getattr(b_sset, name[1:])[q, i],))
+        return dict(zip(levels[p, q], map(bid, xs, ys)))
+
+    return build_bisimplicial(region, levels, op)
 
 
 def diag(bx):
@@ -714,55 +712,30 @@ def diag(bx):
     while (n_max + 1, n_max + 1) in bx.region:
         n_max += 1
     levels = [bx.level(n, n) for n in range(n_max + 1)]
-    face = {}
-    degen = {}
-    for n in range(1, n_max + 1):
-        for i in range(n + 1):
-            face[(n, i)] = {x: bx.dv(n - 1, n, i, bx.dh(n, n, i, x))
-                            for x in bx.level(n, n)}
-    for n in range(n_max):
-        for j in range(n + 1):
-            degen[(n, j)] = {x: bx.sv(n + 1, n, j, bx.sh(n, n, j, x))
-                             for x in bx.level(n, n)}
-    return sp.TruncatedSSet(n_max, levels, face, degen)
+    return sp.build_sset(n_max, levels, lambda name, n, i: sp.relabel(
+        levels[n], getattr(bx, "h" + name)[n, n, i],
+        dst=getattr(bx, "v" + name)[n + sp.STEPS[name], n, i]))
 
 
 def restrict_region(bx, region):
     region = {k for k in region if k in bx.region}
-    levels = {k: bx.levels[k] for k in region}
-    hface = {(p, q, i): bx.hface[(p, q, i)] for (p, q) in region if p >= 1
-             and (p - 1, q) in region for i in range(p + 1)}
-    vface = {(p, q, i): bx.vface[(p, q, i)] for (p, q) in region if q >= 1
-             and (p, q - 1) in region for i in range(q + 1)}
-    hdegen = {(p, q, j): bx.hdegen[(p, q, j)] for (p, q) in region
-              if (p + 1, q) in region for j in range(p + 1)}
-    vdegen = {(p, q, j): bx.vdegen[(p, q, j)] for (p, q) in region
-              if (p, q + 1) in region for j in range(q + 1)}
-    return BisimplicialTrunc(region, levels, hface, vface, hdegen, vdegen)
+    return build_bisimplicial(region, {k: bx.levels[k] for k in region},
+                              lambda name, p, q, i: getattr(bx, name)[p, q, i])
 
 
 def p2_star(k_sset, pmax):
     """The pre-monoid with constant rows induced by a reduced complex:
     level (p,q) = K_q."""
     region = rectangle(pmax, k_sset.dim)
-    levels = {}
-    hface, vface, hdegen, vdegen = {}, {}, {}, {}
-    for p, q in region:
-        levels[(p, q)] = list(k_sset.level(q))
-    for p, q in region:
-        if p >= 1:
-            for i in range(p + 1):
-                hface[(p, q, i)] = {x: x for x in levels[(p, q)]}
-        if q >= 1:
-            for i in range(q + 1):
-                vface[(p, q, i)] = {x: k_sset.d(q, i, x) for x in levels[(p, q)]}
-        if p + 1 <= pmax:
-            for j in range(p + 1):
-                hdegen[(p, q, j)] = {x: x for x in levels[(p, q)]}
-        if q + 1 <= k_sset.dim:
-            for j in range(q + 1):
-                vdegen[(p, q, j)] = {x: k_sset.s(q, j, x) for x in levels[(p, q)]}
-    return BisimplicialTrunc(region, levels, hface, vface, hdegen, vdegen)
+    levels = {(p, q): list(k_sset.level(q)) for p, q in region}
+
+    def op(name, p, q, i):
+        cells = levels[p, q]
+        if name[0] == "h":
+            return dict(zip(cells, cells))
+        return sp.relabel(cells, getattr(k_sset, name[1:])[q, i])
+
+    return build_bisimplicial(region, levels, op)
 
 
 # -- the Segal nerve ---------------------------------------------------------
@@ -972,48 +945,26 @@ def segal_nerve(g, pmax, qmax, level_budget=50000):
         return places(p, q_to, [tuple([mors[m] for m in c])
                                 for c in cells[(p, q)]])
 
-    def emit(p, q, dst, targets):
-        to = levels[dst]
+    def op(name, p, q, i):
+        cs, (dp, dq) = cells[(p, q)], BisimplicialTrunc.OPERATORS[name]
+        if name == "vface":
+            targets = vmap(p, q, _delta(i, q), q - 1)
+        elif name == "vdegen":
+            targets = vmap(p, q, _sigma(i, q), q + 1)
+        elif name == "hface" and p == 1:
+            targets = lv.tgt[q] if i == 0 else lv.src[q]
+        elif name == "hface":
+            targets = places(p - 1, q, _chain_faces(
+                cs, p, i, functools.partial(lv.compose, q)))
+        elif p == 0:
+            targets = lv.identity_table(q)
+        else:
+            targets = places(p + 1, q, _chain_degens(
+                cs, i, lv.src[q], lv.tgt[q], lv.identity_table(q)))
+        to = levels[(p + dp, q + dq)]
         return dict(zip(levels[(p, q)], [to[n] for n in targets]))
 
-    hface, vface, hdegen, vdegen = {}, {}, {}, {}
-    for (p, q) in region:
-        cs = cells[(p, q)]
-        if p >= 1 and (p - 1, q) in region:
-            for i in range(p + 1):
-                if p == 1:
-                    targets = lv.tgt[q] if i == 0 else lv.src[q]
-                elif i == 0:
-                    targets = places(p - 1, q, [c[1:] for c in cs])
-                elif i == p:
-                    targets = places(p - 1, q, [c[:-1] for c in cs])
-                else:
-                    targets = places(p - 1, q, [
-                        c[:i - 1] + (lv.compose(q, c[i], c[i - 1]),) + c[i + 1:]
-                        for c in cs])
-                hface[(p, q, i)] = emit(p, q, (p - 1, q), targets)
-        if q >= 1 and (p, q - 1) in region:
-            for i in range(q + 1):
-                vface[(p, q, i)] = emit(p, q, (p, q - 1),
-                                        vmap(p, q, _delta(i, q), q - 1))
-        if (p + 1, q) in region:
-            ident = lv.identity_table(q)
-            for j in range(p + 1):
-                if p == 0:
-                    targets = ident
-                elif j == 0:
-                    targets = places(p + 1, q, [(ident[lv.src[q][c[0]]],) + c
-                                                for c in cs])
-                else:
-                    targets = places(p + 1, q, [
-                        c[:j] + (ident[lv.tgt[q][c[j - 1]]],) + c[j:]
-                        for c in cs])
-                hdegen[(p, q, j)] = emit(p, q, (p + 1, q), targets)
-        if (p, q + 1) in region:
-            for j in range(q + 1):
-                vdegen[(p, q, j)] = emit(p, q, (p, q + 1),
-                                         vmap(p, q, _sigma(j, q), q + 1))
-    out = BisimplicialTrunc(region, levels, hface, vface, hdegen, vdegen)
+    out = build_bisimplicial(region, levels, op)
     out._segal_levels = lv
     return out
 

@@ -49,12 +49,28 @@ def _need_lists(value, count, what):
     return value
 
 
+def _need_cells(cells, what):
+    """cells, a list of string ids none of which repeats; anything else
+    raises ParseError naming `what`."""
+    if not set(map(type, cells)) <= {str}:
+        bad = next(c for c in cells if type(c) is not str)
+        raise ParseError("%s holds a cell id that is not a string: %r"
+                         % (what, bad))
+    if len(set(cells)) != len(cells):
+        seen = set()
+        # the first cell met a second time (set.add returns None)
+        twice = next(c for c in cells if c in seen or seen.add(c))
+        raise ParseError("%s lists the cell id %r twice" % (what, twice))
+    return cells
+
+
 def _read_operators(doc, name, levels, step, where):
     """The operator table doc[name] as {key: {cell: image}}.  Each key
     spells a level l of `levels` and an index i with dots ("k.i" or
     "p.q.i"); l + step must be a level too, 0 <= i <= the coordinate of
     l that step moves, and the array lists the images of the cells of l
-    in their order.  Anything else raises ParseError naming the key."""
+    in their order, each a string.  Anything else raises ParseError
+    naming the key."""
     table = _need(doc, name, where)
     if not isinstance(table, dict):
         raise ParseError("%s in %s is not an object" % (name, where))
@@ -80,6 +96,9 @@ def _read_operators(doc, name, levels, step, where):
         if not isinstance(arr, list) or len(arr) != len(cells):
             raise ParseError("%s %s misaligned: not a list of %d ids, one per "
                              "cell of its level" % (name, key, len(cells)))
+        if not set(map(type, arr)) <= {str}:
+            raise ParseError("%s %s holds an image that is not a string"
+                             % (name, key))
         out[parts] = dict(zip(cells, arr))
     return out
 
@@ -107,12 +126,17 @@ def sset_from_doc(doc):
         raise ParseError("not a format-1 sset document")
     dim = _need_dim(doc, "dim", "sset")
     levels = _need_lists(_need(doc, "levels", "sset"), dim + 1, "sset levels")
-    by_level = {(k,): cells for k, cells in enumerate(levels)}
+    by_level = {(k,): _need_cells(cells, "sset level %d" % k)
+                for k, cells in enumerate(levels)}
     face = _read_operators(doc, "face", by_level, (-1,), "sset")
     degen = _read_operators(doc, "degen", by_level, (1,), "sset")
-    return sp.TruncatedSSet(dim, levels, face, degen,
-                            coskeletal_at=doc.get("coskeletal_at"),
-                            base=doc.get("base"))
+    cosk = _need_dim(doc, "coskeletal_at", "sset") \
+        if "coskeletal_at" in doc else None
+    base = doc.get("base")
+    if "base" in doc and type(base) is not str:
+        raise ParseError("base %r in sset is not a cell id" % (base,))
+    return sp.TruncatedSSet(dim, levels, face, degen, coskeletal_at=cosk,
+                            base=base)
 
 
 # -- groups -------------------------------------------------------------------
@@ -252,7 +276,8 @@ def bisimplicial_from_doc(doc):
     for p, row in enumerate(rows):
         _need_lists(row, qmax + 1, "bisimplicial levels row %d" % p)
     region = nv.rectangle(pmax, qmax)
-    levels = {(p, q): rows[p][q] for (p, q) in region}
+    levels = {(p, q): _need_cells(rows[p][q], "bisimplicial level (%d,%d)"
+                                  % (p, q)) for (p, q) in region}
     return nv.BisimplicialTrunc(region, levels, *[
         _read_operators(doc, name, levels, step, "bi")
         for name, step in nv.BisimplicialTrunc.OPERATORS.items()])

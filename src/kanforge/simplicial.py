@@ -167,14 +167,12 @@ class TruncatedSSet:
 
     def validate(self):
         errs = []
-        for name, ops, step, ks in (
-                ("face", self.face, -1, range(1, self.dim + 1)),
-                ("degeneracy", self.degen, 1, range(self.dim))):
-            for k in ks:
-                for i in range(k + 1):
-                    errs += totality_failures(
-                        name, "(%d,%d)" % (k, i), ops.get((k, i)),
-                        self.levels[k], self._index[k + step], k + step)
+        for name, k, i in operator_keys(self.dim):
+            step = STEPS[name]
+            errs += totality_failures(
+                LABELS[name], "(%d,%d)" % (k, i),
+                getattr(self, name).get((k, i)), self.levels[k],
+                self._index[k + step], k + step)
         if errs:
             return ValidationReport(errs, "totality only (maps missing)")
         d, s = self.face, self.degen
@@ -211,6 +209,47 @@ class TruncatedSSet:
         return ValidationReport(errs, "identities in dims <= %d" % self.dim)
 
 
+# -- operator tables ---------------------------------------------------------
+#
+# Every derived complex is built by build_sset, which fills the tables
+# listed by operator_keys; validate requires the same keys.
+
+# each operator table, the step from its source level to its target
+# level, and its name in reports
+STEPS = {"face": -1, "degen": 1}
+LABELS = {"face": "face", "degen": "degeneracy"}
+
+
+def operator_keys(dim):
+    """(table, k, i) for every operator a dim-truncation carries: faces
+    (k, i) for 1 <= k <= dim, then degeneracies (k, j) for k < dim, each
+    with 0 <= i <= k, in that order."""
+    return [(name, k, i) for name, step in STEPS.items()
+            for k in range(dim + 1) if 0 <= k + step <= dim
+            for i in range(k + 1)]
+
+
+def build_sset(dim, levels, op, coskeletal_at=None, base=None):
+    """The TruncatedSSet whose table `table` holds op(table, k, i) at
+    (k, i) for each key of operator_keys(dim)."""
+    tables = {name: {} for name in STEPS}
+    for name, k, i in operator_keys(dim):
+        tables[name][k, i] = op(name, k, i)
+    return TruncatedSSet(dim, levels, tables["face"], tables["degen"],
+                         coskeletal_at=coskeletal_at, base=base)
+
+
+def truncate(x_sset, dim):
+    """The truncation of X at dim <= X.dim: levels 0..dim and the
+    operators among them, with X's coskeletal flag and base."""
+    if not 0 <= dim <= x_sset.dim:
+        raise DimensionOutOfRange(
+            "cannot truncate a %d-truncation at %d" % (x_sset.dim, dim))
+    return build_sset(dim, x_sset.levels[:dim + 1],
+                      lambda name, k, i: getattr(x_sset, name)[k, i],
+                      x_sset.coskeletal_at, x_sset.base)
+
+
 # -- column-wise checks --------------------------------------------------
 #
 # A whole level goes through the operator dicts at once; the cells are
@@ -225,6 +264,20 @@ def column(cells, chain):
     for mp in chain:
         cells = list(map(mp.__getitem__, cells))
     return cells
+
+
+def relabel(cells, mp, src=None, dst=None):
+    """{src[c]: dst[mp[c]]} over cells, src and dst the identity where
+    None, one column at a time.  Where src sends two cells to one key,
+    the key keeps its first place and takes the last image."""
+    keys = cells if src is None else column(cells, (src,))
+    chain = (mp,) if dst is None else (mp, dst)
+    return dict(zip(keys, column(cells, chain)))
+
+
+def pair_columns(xs, ys):
+    """The pairs of xs x ys in lexicographic order, as two columns."""
+    return [a for a in xs for _ in ys], list(ys) * len(xs)
 
 
 def tabulate_faces(cells, maps):
@@ -557,11 +610,8 @@ def classify(x_sset, n):
         if not (s and i):
             cosk = False
     weak = True
-    if n <= top:
-        s, i = detail.get(("alpha", n)) or alpha_bijective(x, n)
-        detail[("alpha", n)] = (s, i)
-        if not i:
-            weak = False
+    if n <= top and not detail[("alpha", n)][1]:
+        weak = False
     for m in range(n + 1, top + 1):
         s, i = detail[("alpha", m)]
         if not (s and i):
@@ -578,10 +628,7 @@ def classify(x_sset, n):
         detail[("kan", m)] = row.flags
         if not row.kan:
             kan_ok = False
-    min_at_n = detail.get(("minimal", n), None)
-    if min_at_n is None and n <= top:
-        min_at_n = minimality_at(x, n)
-        detail[("minimal", n)] = min_at_n
+    min_at_n = detail.get(("minimal", n))
     groupoid = bool(weak and kan_ok and (min_at_n is not False))
     checked = "alpha on %d..%d, kan on 1..%d" % (n, top, min(n + 1, top))
     return ClassifyReport(n, cosk, weak, minimal, groupoid, checked, detail)
@@ -654,22 +701,18 @@ def csq_prime(x_sset, n):
         r = min(cls)
         for s in cls:
             rep[s] = r
-    levels = [list(x.levels[k]) for k in range(n + 1)]
-    levels.append(sorted(set(rep.values())))
-    face = {}
-    degen = {}
-    for k in range(1, n + 1):
-        for i in range(k + 1):
-            face[(k, i)] = dict(x.face[(k, i)])
-    for k in range(n):
-        for j in range(k + 1):
-            degen[(k, j)] = dict(x.degen[(k, j)])
-    for i in range(n + 2):
-        face[(n + 1, i)] = {rep[s]: x.d(n + 1, i, s) for s in x.level(n + 1)}
-    for j in range(n + 1):
-        degen[(n, j)] = {a: rep[x.s(n, j, a)] for a in x.level(n)}
-    out = TruncatedSSet(n + 1, levels, face, degen,
-                        coskeletal_at=n + 1, base=x.base)
+    levels = x.levels[:n + 1] + [sorted(set(rep.values()))]
+
+    def op(name, k, i):
+        # the operators into and out of level n+1 go through the classes
+        mp = getattr(x, name)[k, i]
+        if k == n + 1:
+            return relabel(x.level(k), mp, src=rep)
+        if name == "degen" and k == n:
+            return relabel(x.level(k), mp, dst=rep)
+        return mp
+
+    out = build_sset(n + 1, levels, op, coskeletal_at=n + 1, base=x.base)
     if x.dim > n + 1:
         out = coskeletal_extend(out, x.dim)
     maps = {k: {s: s for s in x.levels[k]} for k in range(n + 1)}
@@ -685,95 +728,59 @@ def shift(x_sset):
     degeneracies s_0..s_{n-1}."""
     if x_sset.dim < 1:
         raise DimensionOutOfRange("shift needs dim >= 1")
-    dim = x_sset.dim - 1
-    levels = [list(x_sset.levels[k + 1]) for k in range(dim + 1)]
-    face = {}
-    degen = {}
-    for k in range(1, dim + 1):
-        for i in range(k + 1):
-            face[(k, i)] = dict(x_sset.face[(k + 1, i)])
-    for k in range(dim):
-        for j in range(k + 1):
-            degen[(k, j)] = dict(x_sset.degen[(k + 1, j)])
     base = None
     if x_sset.is_reduced():
         base = x_sset.s(0, 0, x_sset.level(0)[0])
-    return TruncatedSSet(dim, levels, face, degen, base=base)
+    return build_sset(x_sset.dim - 1, x_sset.levels[1:],
+                      lambda name, k, i: getattr(x_sset, name)[k + 1, i],
+                      base=base)
 
 
 def shift_retraction_check(x_sset):
     """Verify alpha_X . beta_X = id on the vertex level and that
     H(t)_n = s_n..s_t d_t..d_n is a combinatorial homotopy from
-    beta.alpha to the identity of the shifted complex."""
-    x = x_sset
-    errs = []
-    dim = x.dim - 1
+    beta.alpha to the identity of the shifted complex.  Every map is a
+    chain of face and degeneracy dicts, checked by identity_failures."""
+    dim = x_sset.dim - 1
     if dim < 0:
         return ["shift undefined"]
+    d, s = x_sset.face, x_sset.degen
 
-    def alpha_map(n, a):      # d_0^{n+1} : X_{n+1} -> X_0
-        cur = a
-        for k in range(n + 1, 0, -1):
-            cur = x.d(k, 0, cur)
-        return cur
+    def h(t, n):
+        # H(t)_n on level n of the shift = X_{n+1}; d_n acts first
+        return ([d[i + 1, i] for i in range(n, t - 1, -1)] +
+                [s[i, i] for i in range(t, n + 1)])
 
-    def beta_map(n, v):       # s_0^{n+1} : X_0 -> X_{n+1}
-        cur = v
-        for k in range(n + 1):
-            cur = x.s(k, 0, cur)
-        return cur
+    def alpha(n):       # d_0^{n+1} : X_{n+1} -> X_0
+        return [d[k, 0] for k in range(n + 1, 0, -1)]
 
-    for v in x.level(0):
-        for n in range(dim + 1):
-            if n + 1 > x.dim:
-                break
-            if alpha_map(n, beta_map(n, v)) != v:
-                errs.append("alpha.beta != id at %s (n=%d)" % (v, n))
+    def beta(n):        # s_0^{n+1} : X_0 -> X_{n+1}
+        return [s[k, 0] for k in range(n + 1)]
 
-    def h(t, n, a):
-        # H(t)_n = s_n .. s_t d_t .. d_n on level n of the shift = X_{n+1};
-        # in the composite d_t o ... o d_n the rightmost face acts first
-        cur = a
-        lvl = n + 1
-        for i in range(n, t - 1, -1):
-            cur = x.d(lvl, i, cur)
-            lvl -= 1
-        for i in range(t, n + 1):
-            cur = x.s(lvl, i, cur)
-            lvl += 1
-        return cur
-
-    top = min(dim, x.dim - 1)
-    for n in range(top + 1):
-        for a in x.level(n + 1):
-            if h(n + 1, n, a) != a:
-                errs.append("H(n+1) != id at %s (n=%d)" % (a, n))
-            if h(0, n, a) != beta_map(n, alpha_map(n, a)):
-                errs.append("H(0) != beta.alpha at %s (n=%d)" % (a, n))
-    # homotopy identities of the combinatorial-homotopy lemma
-    for n in range(1, top + 1):
-        for a in x.level(n + 1):
-            for t in range(n + 2):
-                for i in range(n + 1):
-                    got = x.d(n + 1, i, h(t, n, a))
-                    if t <= i:
-                        want = h(t, n - 1, x.d(n + 1, i, a))
-                    else:
-                        want = h(t - 1, n - 1, x.d(n + 1, i, a))
-                    if got != want:
-                        errs.append("homotopy d-identity fails (n=%d,t=%d,i=%d,%s)" % (n, t, i, a))
-    for n in range(top):
-        for a in x.level(n + 1):
-            for t in range(n + 2):
-                for j in range(n + 1):
-                    got = x.s(n + 1, j, h(t, n, a))
-                    if t <= j:
-                        want = h(t, n + 1, x.s(n + 1, j, a))
-                    else:
-                        want = h(t + 1, n + 1, x.s(n + 1, j, a))
-                    if got != want:
-                        errs.append("homotopy s-identity fails (n=%d,t=%d,j=%d,%s)" % (n, t, j, a))
-    return errs
+    # (level, identities) in the order reported; each tag is its
+    # message with {} for the cell
+    checks = [(0, [(beta(n) + alpha(n), (),
+                    "alpha.beta != id at {} (n=%d)" % n)
+                   for n in range(dim + 1)])]
+    checks += [(n + 1, [(h(n + 1, n), (), "H(n+1) != id at {} (n=%d)" % n),
+                        (h(0, n), alpha(n) + beta(n),
+                         "H(0) != beta.alpha at {} (n=%d)" % n)])
+               for n in range(dim + 1)]
+    # the homotopy identities of the combinatorial-homotopy lemma
+    checks += [(n + 1, [(h(t, n) + [d[n + 1, i]],
+                         [d[n + 1, i]] + h(t if t <= i else t - 1, n - 1),
+                         "homotopy d-identity fails (n=%d,t=%d,i=%d,{})"
+                         % (n, t, i))
+                        for t in range(n + 2) for i in range(n + 1)])
+               for n in range(1, dim + 1)]
+    checks += [(n + 1, [(h(t, n) + [s[n + 1, j]],
+                         [s[n + 1, j]] + h(t if t <= j else t + 1, n + 1),
+                         "homotopy s-identity fails (n=%d,t=%d,j=%d,{})"
+                         % (n, t, j))
+                        for t in range(n + 2) for j in range(n + 1)])
+               for n in range(dim)]
+    return [tag.format(x) for k, identities in checks
+            for x, tag in identity_failures(x_sset.level(k), identities)]
 
 
 def loop_space(x_sset, variant="plain", base=None):
@@ -806,37 +813,20 @@ def loop_space(x_sset, variant="plain", base=None):
                 # level 0 of the reduced variant is the degenerate loop only
                 continue
             if variant == "reduced" and n >= 1:
-                ok = True
                 frontier = {s}
-                lvl_k = n + 1
-                while lvl_k > 1 and ok:
-                    nxt = set()
-                    for t in frontier:
-                        for i in range(lvl_k):      # 0 <= i <= lvl_k - 1
-                            nxt.add(x.d(lvl_k, i, t))
-                    frontier = nxt
-                    lvl_k -= 1
-                if any(t != star1 for t in frontier):
-                    ok = False
-                if not ok:
+                for k in range(n + 1, 1, -1):       # d_i, 0 <= i <= k - 1
+                    frontier = {x.d(k, i, t) for t in frontier
+                                for i in range(k)}
+                if frontier != {star1}:
                     continue
             lvl.append(s)
         keep.append(lvl)
-    sets = [set(l) for l in keep]
-    face = {}
-    degen = {}
-    for k in range(1, dim + 1):
-        for i in range(k + 1):
-            face[(k, i)] = {s: x.d(k + 1, i, s) for s in keep[k]}
-    for k in range(dim):
-        for j in range(k + 1):
-            degen[(k, j)] = {s: x.s(k + 1, j, s) for s in keep[k]}
-    for (k, i), m in face.items():
-        for s, t in m.items():
-            if t not in sets[k - 1]:
-                raise SimplicialError("loop space not closed under faces")
-    newbase = x.deg_base(1, a)
-    return TruncatedSSet(dim, keep, face, degen, base=newbase)
+    out = build_sset(dim, keep, lambda name, k, i: relabel(
+        keep[k], getattr(x, name)[k + 1, i]), base=star1)
+    if not all(out._index[k - 1].issuperset(mp.values())
+               for (k, _), mp in out.face.items()):
+        raise SimplicialError("loop space not closed under faces")
+    return out
 
 
 # -- homotopy groups -------------------------------------------------------
@@ -972,18 +962,16 @@ def _mid(t):
 def standard_simplex(n, dim):
     """The n-simplex truncated at `dim`; simplices are digit strings of
     nondecreasing vertex sequences."""
-    levels = [[_mid(t) for t in _monotone_maps(k, n)] for k in range(dim + 1)]
-    face = {}
-    degen = {}
-    for k in range(1, dim + 1):
-        for i in range(k + 1):
-            face[(k, i)] = {_mid(t): _mid(t[:i] + t[i + 1:])
-                            for t in _monotone_maps(k, n)}
-    for k in range(dim):
-        for j in range(k + 1):
-            degen[(k, j)] = {_mid(t): _mid(t[:j + 1] + t[j:])
-                             for t in _monotone_maps(k, n)}
-    return TruncatedSSet(dim, levels, face, degen, coskeletal_at=0 if n == 0 else n)
+    maps = [_monotone_maps(k, n) for k in range(dim + 1)]
+    levels = [[_mid(t) for t in ts] for ts in maps]
+
+    def op(name, k, i):
+        # d_i drops vertex i, s_i repeats it
+        cut = (i, i + 1) if name == "face" else (i + 1, i)
+        return dict(zip(levels[k], [_mid(t[:cut[0]] + t[cut[1]:])
+                                    for t in maps[k]]))
+
+    return build_sset(dim, levels, op, coskeletal_at=0 if n == 0 else n)
 
 
 def generated_subcomplex(x_sset, seeds):
@@ -1057,17 +1045,9 @@ def restrict_to_subcomplex(x_sset, ids_per_level):
     if not is_subcomplex(x_sset, ids_per_level):
         raise NotSubcomplex("ids are not closed under faces/degeneracies")
     levels = [sorted(l) for l in ids_per_level]
-    sets = [set(l) for l in levels]
-    face = {}
-    degen = {}
-    for k in range(1, x_sset.dim + 1):
-        for i in range(k + 1):
-            face[(k, i)] = {s: x_sset.d(k, i, s) for s in levels[k]}
-    for k in range(x_sset.dim):
-        for j in range(k + 1):
-            degen[(k, j)] = {s: x_sset.s(k, j, s) for s in levels[k]}
-    base = x_sset.base if (x_sset.base in sets[0]) else None
-    return TruncatedSSet(x_sset.dim, levels, face, degen, base=base)
+    base = x_sset.base if x_sset.base in set(levels[0]) else None
+    return build_sset(x_sset.dim, levels, lambda name, k, i: relabel(
+        levels[k], getattr(x_sset, name)[k, i]), base=base)
 
 
 def product(x_sset, y_sset):
@@ -1075,46 +1055,34 @@ def product(x_sset, y_sset):
     dim = min(x_sset.dim, y_sset.dim)
     def pid(a, b):
         return "(%s|%s)" % (a, b)
-    levels = [[pid(a, b) for a in x_sset.level(k) for b in y_sset.level(k)]
-              for k in range(dim + 1)]
-    face = {}
-    degen = {}
-    for k in range(1, dim + 1):
-        for i in range(k + 1):
-            face[(k, i)] = {pid(a, b): pid(x_sset.d(k, i, a), y_sset.d(k, i, b))
-                            for a in x_sset.level(k) for b in y_sset.level(k)}
-    for k in range(dim):
-        for j in range(k + 1):
-            degen[(k, j)] = {pid(a, b): pid(x_sset.s(k, j, a), y_sset.s(k, j, b))
-                             for a in x_sset.level(k) for b in y_sset.level(k)}
+    cols = [pair_columns(x_sset.level(k), y_sset.level(k))
+            for k in range(dim + 1)]
+    levels = [list(map(pid, xs, ys)) for xs, ys in cols]
+
+    def op(name, k, i):
+        xs, ys = cols[k]
+        return dict(zip(levels[k], map(
+            pid, column(xs, (getattr(x_sset, name)[k, i],)),
+            column(ys, (getattr(y_sset, name)[k, i],)))))
+
     base = None
     if x_sset.base is not None and y_sset.base is not None:
         base = pid(x_sset.base, y_sset.base)
     cosk = None
     if x_sset.coskeletal_at is not None and y_sset.coskeletal_at is not None:
         cosk = max(x_sset.coskeletal_at, y_sset.coskeletal_at)
-    return TruncatedSSet(dim, levels, face, degen, coskeletal_at=cosk, base=base)
+    return build_sset(dim, levels, op, coskeletal_at=cosk, base=base)
 
 
 def disjoint_union(x_sset, y_sset):
+    def tagged(k, chain):
+        return ["%s:%s" % (tag, s) for tag, z in (("L", x_sset), ("R", y_sset))
+                for s in column(z.level(k), chain(z))]
+
     dim = min(x_sset.dim, y_sset.dim)
-    def lid(tag, s):
-        return "%s:%s" % (tag, s)
-    levels = [[lid("L", s) for s in x_sset.level(k)] +
-              [lid("R", s) for s in y_sset.level(k)] for k in range(dim + 1)]
-    face = {}
-    degen = {}
-    for k in range(1, dim + 1):
-        for i in range(k + 1):
-            m = {lid("L", s): lid("L", x_sset.d(k, i, s)) for s in x_sset.level(k)}
-            m.update({lid("R", s): lid("R", y_sset.d(k, i, s)) for s in y_sset.level(k)})
-            face[(k, i)] = m
-    for k in range(dim):
-        for j in range(k + 1):
-            m = {lid("L", s): lid("L", x_sset.s(k, j, s)) for s in x_sset.level(k)}
-            m.update({lid("R", s): lid("R", y_sset.s(k, j, s)) for s in y_sset.level(k)})
-            degen[(k, j)] = m
-    return TruncatedSSet(dim, levels, face, degen)
+    levels = [tagged(k, lambda z: ()) for k in range(dim + 1)]
+    return build_sset(dim, levels, lambda name, k, i: dict(zip(
+        levels[k], tagged(k, lambda z: (getattr(z, name)[k, i],)))))
 
 
 def quotient_by_subcomplex(x_sset, ids_per_level):
@@ -1127,30 +1095,13 @@ def quotient_by_subcomplex(x_sset, ids_per_level):
         sets.append(set())
     rep = []
     for k in range(x_sset.dim + 1):
-        if sets[k]:
-            r = min(sets[k])
-            rep.append({s: (r if s in sets[k] else s) for s in x_sset.level(k)})
-        else:
-            rep.append({s: s for s in x_sset.level(k)})
+        r = min(sets[k], default=None)
+        rep.append({s: (r if s in sets[k] else s) for s in x_sset.level(k)})
     levels = [sorted(set(rep[k].values())) for k in range(x_sset.dim + 1)]
-    face = {}
-    degen = {}
-    for k in range(1, x_sset.dim + 1):
-        for i in range(k + 1):
-            m = {}
-            for s in x_sset.level(k):
-                m[rep[k][s]] = rep[k - 1][x_sset.d(k, i, s)]
-            face[(k, i)] = m
-    for k in range(x_sset.dim):
-        for j in range(k + 1):
-            m = {}
-            for s in x_sset.level(k):
-                m[rep[k][s]] = rep[k + 1][x_sset.s(k, j, s)]
-            degen[(k, j)] = m
-    base = None
-    if sets[0]:
-        base = rep[0][min(sets[0])]
-    return TruncatedSSet(x_sset.dim, levels, face, degen, base=base)
+    base = min(sets[0], default=None)
+    return build_sset(x_sset.dim, levels, lambda name, k, i: relabel(
+        x_sset.level(k), getattr(x_sset, name)[k, i], rep[k],
+        rep[k + STEPS[name]]), base=base)
 
 
 def sq0_subcomplex(x_sset):
@@ -1174,16 +1125,8 @@ def sphere(m, dim):
 
 
 def constant_sset(points, dim):
-    levels = [list(points) for _ in range(dim + 1)]
-    face = {}
-    degen = {}
-    for k in range(1, dim + 1):
-        for i in range(k + 1):
-            face[(k, i)] = {p: p for p in points}
-    for k in range(dim):
-        for j in range(k + 1):
-            degen[(k, j)] = {p: p for p in points}
-    return TruncatedSSet(dim, levels, face, degen, coskeletal_at=0)
+    return build_sset(dim, [points] * (dim + 1),
+                      lambda *_: dict(zip(points, points)), coskeletal_at=0)
 
 
 # -- simplicial map enumeration -------------------------------------------

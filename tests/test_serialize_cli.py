@@ -341,12 +341,23 @@ def test_cli_kan_classify_pi_reject_a_file_that_is_not_a_simplicial_set(
 
 
 def malformed_documents():
-    """(name, document) with one malformed operator table or level list
-    each."""
+    """(name, document) with one malformed operator table, level list,
+    cell id or flag each."""
     def edited(obj, edit):
         doc = json.loads(io.dumps(obj))
         edit(doc)
         return doc
+
+    def repeat_01(doc):
+        # level 1 lists 01 twice, each array out of it aligned, and no
+        # coskeletal flag: the cells' maps agree, so validation passes
+        level = doc["levels"][1]
+        for table in (doc["face"], doc["degen"]):
+            for key, arr in table.items():
+                if key.startswith("1."):
+                    arr.append(arr[level.index("01")])
+        level.append("01")
+        del doc["coskeletal_at"]
 
     delta2 = ex.build("delta2")
     star = nv.p2_star(ex.build("s1"), 2)
@@ -366,6 +377,16 @@ def malformed_documents():
         ("bisimplicial-rows-short", edited(star, lambda d: d["levels"].pop())),
         ("hface-level-out-of-range", edited(star, lambda d: d["hface"].update(
             {"9.9.0": d["hface"]["1.1.0"]}))),
+        ("image-not-a-string", edited(delta2, lambda d: d["face"]["1.0"]
+                                      .__setitem__(0, [1]))),
+        ("cell-id-not-a-string", edited(delta2, lambda d: d["levels"][0]
+                                        .__setitem__(0, {"a": 1}))),
+        ("repeated-cell-id", edited(ex.build("delta1"), repeat_01)),
+        ("coskeletal-at-not-a-dimension", edited(delta2, lambda d: d.update(
+            coskeletal_at="x"))),
+        ("base-not-a-string", edited(delta2, lambda d: d.update(base=["0"]))),
+        ("bisimplicial-cell-id-not-a-string", edited(
+            star, lambda d: d["levels"][1][1].__setitem__(0, 7))),
     ]
     return [pytest.param(name, doc, id=name) for name, doc in cases]
 

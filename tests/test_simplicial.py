@@ -202,6 +202,31 @@ def test_shift_levels_and_retraction():
     assert sp.shift_retraction_check(n3) == []
 
 
+def test_shift_retraction_names_each_broken_homotopy_identity():
+    # s_1 of the last 1-simplex of the Z/3 nerve rewired to the first
+    # other 2-simplex: the H(t) identities through it fail, 24 times
+    n3 = nv.nerve_category(ca.one_object_groupoid(gr.cyclic(3)), 3)
+    edge = n3.level(1)[-1]
+    other = next(c for c in n3.level(2) if c != n3.degen[1, 1][edge])
+    degen = dict(n3.degen)
+    degen[1, 1] = dict(degen[1, 1], **{edge: other})
+    broken = sp.TruncatedSSet(n3.dim, n3.levels, n3.face, degen)
+    chains1 = ["[m0;m2]", "[m1;m1]", "[m2;m0]"]
+    chains2 = {0: ["[m0;m0;m2]", "[m0;m1;m1]", "[m0;m2;m0]", "[m1;m0;m2]",
+                   "[m1;m1;m1]", "[m1;m2;m0]", "[m2;m0;m2]", "[m2;m1;m1]",
+                   "[m2;m2;m0]"],
+               1: ["[m0;m0;m2]", "[m0;m1;m1]", "[m0;m2;m0]", "[m1;m0;m1]",
+                   "[m1;m1;m0]", "[m1;m2;m2]", "[m2;m0;m0]", "[m2;m1;m2]",
+                   "[m2;m2;m1]"]}
+    want = {"homotopy d-identity fails (n=1,t=1,i=1,%s)" % c for c in chains1}
+    want |= {"homotopy s-identity fails (n=1,t=1,j=0,%s)" % c for c in chains1}
+    want |= {"homotopy d-identity fails (n=2,t=2,i=%d,%s)" % (i, c)
+             for i, cs in chains2.items() for c in cs}
+    got = sp.shift_retraction_check(broken)
+    assert len(got) == len(want) == 24
+    assert set(got) == want
+
+
 def test_shift_of_constant_is_constant():
     c = sp.constant_sset(["a"], 2)
     d = sp.shift(c)
