@@ -62,7 +62,8 @@ class FinCategory:
                     gf = self.comp_table.get((g, f))
                     if gf is None:
                         errs.append("composite %s.%s undefined" % (g, f))
-                    elif self.src[gf] != self.src[f] or self.tgt[gf] != self.tgt[g]:
+                    elif self.src.get(gf) != self.src[f] or \
+                            self.tgt.get(gf) != self.tgt[g]:
                         errs.append("composite %s.%s has wrong endpoints" % (g, f))
         if errs:
             return errs
@@ -106,11 +107,11 @@ class FinGroupoid(FinCategory):
             return errs
         for f in self.morphisms:
             g = self.inv_table.get(f)
-            if g is None:
+            if g not in self.src:
                 errs.append("no inverse for %s" % f)
                 continue
-            if self.comp(g, f) != self.id_of(self.src[f]) or \
-               self.comp(f, g) != self.id_of(self.tgt[f]):
+            if self.comp_table.get((g, f)) != self.id_of(self.src[f]) or \
+               self.comp_table.get((f, g)) != self.id_of(self.tgt[f]):
                 errs.append("inverse law fails at %s" % f)
         return errs
 
@@ -197,6 +198,8 @@ class MonoidalStructure:
             for y in c.objects:
                 if (x, y) not in self.tensor_obj or self.t(x, y) not in c.objects:
                     errs.append("tensor undefined on (%s,%s)" % (x, y))
+        if self.unit not in c.objects:
+            errs.append("unit %s is not an object" % (self.unit,))
         if errs:
             return errs
         for f in c.morphisms:
@@ -204,8 +207,8 @@ class MonoidalStructure:
                 fg = self.tensor_mor.get((f, g))
                 if fg is None:
                     errs.append("tensor undefined on morphisms (%s,%s)" % (f, g))
-                elif c.src[fg] != self.t(c.src[f], c.src[g]) or \
-                        c.tgt[fg] != self.t(c.tgt[f], c.tgt[g]):
+                elif c.src.get(fg) != self.t(c.src[f], c.src[g]) or \
+                        c.tgt.get(fg) != self.t(c.tgt[f], c.tgt[g]):
                     errs.append("tensor of (%s,%s) has wrong endpoints" % (f, g))
         if errs:
             return errs
@@ -231,16 +234,15 @@ class MonoidalStructure:
         for x in c.objects:
             lx = self.lunit.get(x)
             rx = self.runit.get(x)
-            if lx is None or c.src[lx] != x or c.tgt[lx] != self.t(self.unit, x):
+            if c.src.get(lx) != x or c.tgt[lx] != self.t(self.unit, x):
                 errs.append("left unitor of %s malformed" % x)
-            if rx is None or c.src[rx] != x or c.tgt[rx] != self.t(x, self.unit):
+            if c.src.get(rx) != x or c.tgt[rx] != self.t(x, self.unit):
                 errs.append("right unitor of %s malformed" % x)
         for x in c.objects:
             for y in c.objects:
                 for z in c.objects:
                     axyz = self.assoc.get((x, y, z))
-                    if axyz is None or \
-                       c.src[axyz] != self.t(self.t(x, y), z) or \
+                    if c.src.get(axyz) != self.t(self.t(x, y), z) or \
                        c.tgt[axyz] != self.t(x, self.t(y, z)):
                         errs.append("associator of (%s,%s,%s) malformed" % (x, y, z))
         if errs:

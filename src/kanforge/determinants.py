@@ -526,9 +526,10 @@ def segal_determinants_vs_hom(x_bx, g, ns=None, budget=None):
     lv = ns._segal_levels
     structs = {q: dict(zip(ns.level(0, q), lv.structs[q]))
                for q in (1, 2) if (0, q) in mu}
-    chains = {p: dict(zip(ns.level(p, 1),
-                          [tuple(lv.base_mor[lv.fam[1][m][0]] for m in c)
-                           for c in lv.chains(p, 1)]))
+    # a 1-simplex morphism has one component, on the pair (0, 1)
+    base_of = [lv.base_mor[f] for (f,) in lv.fam[1]]
+    chains = {p: dict(zip(ns.level(p, 1), zip(
+        *[map(base_of.__getitem__, col) for col in lv.chain_columns(p, 1)])))
               for p in (1, 2) if (p, 1) in mu}
     # canonical key: the chain assignment on columns p <= 2, then T
     det_keys = [tuple(tuple(sorted(dm.components[p].items()))

@@ -37,14 +37,18 @@ class FiniteGroup:
         return n
 
     def validate(self):
-        errs = []
+        # the laws read the table, so it must be closed first
+        errs = ["table not closed at (%r, %r)" % (a, b)
+                for a in self.elements for b in self.elements
+                if (a, b) not in self.table or
+                self.table[(a, b)] not in self.elements]
+        if self.unit not in self.elements:
+            errs.append("unit %r is not an element" % (self.unit,))
+        if errs:
+            return errs
         for a in self.elements:
             if self.mul(a, self.unit) != a or self.mul(self.unit, a) != a:
                 errs.append("unit law fails at %r" % (a,))
-        for a in self.elements:
-            for b in self.elements:
-                if (a, b) not in self.table or self.table[(a, b)] not in self.elements:
-                    errs.append("table not closed at (%r, %r)" % (a, b))
         for a in self.elements:
             for b in self.elements:
                 for c in self.elements:

@@ -36,23 +36,24 @@ def _chain_id(parts):
     return "[" + ";".join(parts) + "]"
 
 
-def _chain_faces(chains, m, i, comp):
-    """d_i of each chain c of m >= 2 composable arrows, first arrow
-    first: drop the first (i = 0) or last (i = m) arrow, else replace
-    c[i - 1], c[i] by comp(c[i], c[i - 1])."""
+def _chain_face(c, m, i, comp):
+    """d_i of the chain c (a tuple) of m >= 2 composable arrows, first
+    arrow first: drop the first (i = 0) or last (i = m) arrow, else
+    replace c[i - 1], c[i] by comp(c[i], c[i - 1])."""
     if i == 0:
-        return [c[1:] for c in chains]
+        return c[1:]
     if i == m:
-        return [c[:-1] for c in chains]
-    return [c[:i - 1] + (comp(c[i], c[i - 1]),) + c[i + 1:] for c in chains]
+        return c[:-1]
+    return c[:i - 1] + (comp(c[i], c[i - 1]),) + c[i + 1:]
 
 
-def _chain_degens(chains, j, src, tgt, ident):
-    """s_j of each chain c of m >= 1 arrows: the identity ident[x] of
-    its j-th object x inserted at place j."""
+def _chain_degen(c, j, unit_at_src, unit_at_tgt):
+    """s_j of the chain c (a tuple) of m >= 1 arrows: the identity of its
+    j-th object inserted at place j, unit_at_src(c[0]) for j = 0 and
+    unit_at_tgt(c[j - 1]) after."""
     if j == 0:
-        return [(ident[src[c[0]]],) + c for c in chains]
-    return [c[:j] + (ident[tgt[c[j - 1]]],) + c[j:] for c in chains]
+        return (unit_at_src(c[0]),) + c
+    return c[:j] + (unit_at_tgt(c[j - 1]),) + c[j:]
 
 
 def nerve_category(cat, to_dim):
@@ -73,13 +74,19 @@ def nerve_category(cat, to_dim):
         if name == "face" and m == 1:
             images = [(cat.tgt if i == 0 else cat.src)[c[0]] for c in cs]
         elif name == "face":
-            images = map(_chain_id, _chain_faces(cs, m, i, cat.comp))
+            images = [_chain_id(_chain_face(c, m, i, cat.comp)) for c in cs]
         elif m == 0:
             images = [_chain_id((cat.ident[x],)) for x in cs]
         else:
-            images = map(_chain_id, _chain_degens(cs, i, cat.src, cat.tgt,
-                                                  cat.ident))
+            images = [_chain_id(_chain_degen(c, i, unit_at_src, unit_at_tgt))
+                      for c in cs]
         return dict(zip(levels[m], images))
+
+    def unit_at_src(f):
+        return cat.ident[cat.src[f]]
+
+    def unit_at_tgt(f):
+        return cat.ident[cat.tgt[f]]
 
     base = cat.objects[0] if len(cat.objects) == 1 else None
     out = sp.build_sset(to_dim, levels, op, coskeletal_at=2, base=base)
@@ -479,8 +486,10 @@ def q_simplex_groupoid(g, q):
     morphs = [names[m] for m in sorted(range(len(names)),
                                        key=lambda m: (src[m], fam[m]))]
     ident = dict(zip(objects, [names[m] for m in lv.identity_table(q)]))
-    comp = {(names[m2], names[m1]): names[lv.compose(q, m2, m1)]
-            for m1, m2 in lv.chains(2, q)}
+    before, after = lv.chain_columns(2, q)
+    comp = dict(zip(zip(map(names.__getitem__, after),
+                        map(names.__getitem__, before)),
+                    map(names.__getitem__, lv.composite(q, after, before))))
     inv = {names[m]: names[lv.inverse(q, m)] for m in range(len(names))}
     return ca.FinGroupoid(objects, morphs,
                           {names[m]: objects[s] for m, s in enumerate(src)},
@@ -507,12 +516,23 @@ class BisimplicialTrunc:
     LABELS = {"hface": "dh", "vface": "dv", "hdegen": "sh", "vdegen": "sv"}
 
     def __init__(self, region, levels, hface, vface, hdegen, vdegen):
+        self._hold(region, {k: list(v) for k, v in levels.items()},
+                   *[{k: dict(v) for k, v in table.items()}
+                     for table in (hface, vface, hdegen, vdegen)])
+
+    @classmethod
+    def _adopt(cls, region, levels, hface, vface, hdegen, vdegen):
+        """The BisimplicialTrunc that holds these level lists and operator
+        dicts themselves, not copies (see sp.TruncatedSSet._adopt)."""
+        out = cls.__new__(cls)
+        out._hold(region, levels, hface, vface, hdegen, vdegen)
+        return out
+
+    def _hold(self, region, levels, hface, vface, hdegen, vdegen):
         self.region = set(region)
-        self.levels = {k: list(v) for k, v in levels.items()}
-        self.hface = {k: dict(v) for k, v in hface.items()}
-        self.vface = {k: dict(v) for k, v in vface.items()}
-        self.hdegen = {k: dict(v) for k, v in hdegen.items()}
-        self.vdegen = {k: dict(v) for k, v in vdegen.items()}
+        self.levels = levels
+        self.hface, self.vface = hface, vface
+        self.hdegen, self.vdegen = hdegen, vdegen
         self._face_tables = {}
         self._face_indexes = {}
 
@@ -582,7 +602,8 @@ class BisimplicialTrunc:
 
     def _line(self, at, axis, direction):
         """The simplicial set of the levels at(0), at(1), .. of the
-        region (at(k)[axis] == k) with the operators of `direction`."""
+        region (at(k)[axis] == k) with the operators of `direction`; it
+        shares this object's level lists and operator dicts."""
         dim = max(pq[axis] for pq in self.region if at(pq[axis]) == pq)
         levels = [self.levels[at(k)] for k in range(dim + 1)]
         return sp.build_sset(
@@ -667,11 +688,12 @@ def bi_operator_keys(region, at=None):
 def build_bisimplicial(region, levels, op):
     """The BisimplicialTrunc over region whose table `table` holds
     op(table, p, q, i) at (p, q, i) for each key of
-    bi_operator_keys(region)."""
+    bi_operator_keys(region).  It holds the lists of `levels` and the
+    dicts op returns as they are, not copies."""
     tables = {name: {} for name in BisimplicialTrunc.OPERATORS}
     for name, p, q, i in bi_operator_keys(region):
         tables[name][p, q, i] = op(name, p, q, i)
-    return BisimplicialTrunc(region, levels, *tables.values())
+    return BisimplicialTrunc._adopt(region, dict(levels), *tables.values())
 
 
 def rectangle(pmax, qmax):
@@ -718,6 +740,8 @@ def diag(bx):
 
 
 def restrict_region(bx, region):
+    """bx over the levels of region that it stores, sharing their level
+    lists and operator dicts."""
     region = {k for k in region if k in bx.region}
     return build_bisimplicial(region, {k: bx.levels[k] for k in region},
                               lambda name, p, q, i: getattr(bx, name)[p, q, i])
@@ -749,10 +773,17 @@ class _SegalLevels:
     per pair i < j (pairs in sorted order).  Morphisms are numbered in the
     string order of their ids, so the p-chains of morphism ints in
     lexicographic order are level (p, q) of the Segal nerve in level
-    order.  String ids are made once per object and morphism; composition
-    and the operator tables map ints to ints, each table built once per
-    (operator, q).  The base groupoid's ints are the 2-group's shared
-    g.int_index (catalg.IntIndex).
+    order.  A level of p >= 1 is held as p columns of morphism ints, first
+    arrow first (chain_columns).  A chain's place in its level is a sum of
+    one weight per slot (chain_places), read from the counts of chains
+    that start at each object (chain_counts): its first arrow m weighs
+    the number of chains whose first arrow is below m, and each later
+    arrow the number of chains that agree with it up to that slot and
+    take an arrow below it there, out of the same object.  String ids are
+    made once per object and morphism; composition (composite, a column
+    at a time) and the operator tables map ints to ints, each table built
+    once per (operator, q).  The base groupoid's ints are the 2-group's
+    shared g.int_index (catalg.IntIndex).
     """
 
     def __init__(self, g, qmax):
@@ -762,20 +793,25 @@ class _SegalLevels:
         self._ix = g.int_index
         self.base_mor = self._ix.morphisms
         # per q: objects (structs, obj_names, _simplex_keys, _key_index)
-        # and morphisms (src, tgt, fam, mor_names, (src, fam) -> int)
+        # and morphisms (src, tgt, fam, mor_names, (src, *fam) -> int)
         self.structs, self.obj_names = {}, {}
         self._keys, self._key_index = {}, {}
         self.src, self.tgt, self.fam, self.mor_names = {}, {}, {}, {}
         self._mor_of = {}
         for q in range(qmax + 1):
             self._build(q)
+        self._chain_counts, self._chain_weights = {}, {}
         self._identity = {}
         self._vmap_obj = {}
         self._vmap_mor = {}
 
     def _build(self, q):
-        """Objects and morphisms of q: families f_ij with the commuting
-        squares f_ik . al = be . (f_ij (x) f_jk)."""
+        """Objects and morphisms of q.  A morphism is a family f_ij, one
+        arrow out of each object X_ij of its source; its target has the
+        objects tgt f_ij and the pairing morphisms be = f_ik . al .
+        (f_ij (x) f_jk)^-1, the ones that make the squares f_ik . al =
+        be . (f_ij (x) f_jk) commute.  Each be exists and runs between
+        the target's objects, so every family is a morphism."""
         g, ix = self.g, self._ix
         keys = self._keys[q] = _simplex_keys(g, q)
         structs = self.structs[q] = _key_structs(g, q, keys)
@@ -784,27 +820,18 @@ class _SegalLevels:
         squares = [(slot[(i, j)], slot[(j, k)], slot[(i, k)])
                    for (i, j, k) in _triples(q)]
         obj_of_key = self._key_index[q] = _key_index(keys)
-        msrc, mtgt, comp = ix.src, ix.tgt, ix.comp
-        inv, tm, tobj = ix.inv, ix.tm, ix.tobj
+        mtgt, comp, inv, tm = ix.tgt, ix.comp, ix.inv, ix.tm
         out_of = [[] for _ in ix.objects]
-        for f, x in enumerate(msrc):
+        for f, x in enumerate(ix.src):
             out_of[x].append(f)
         src, tgt, fams = [], [], []
         for s, (objs, als) in enumerate(keys):
             for fam in itertools.product(*[out_of[x] for x in objs]):
-                new_objs = tuple([mtgt[f] for f in fam])
-                new_als = []
-                for (ij, jk, ik), al in zip(squares, als):
-                    be = comp[(comp[(fam[ik], al)],
-                               inv[tm[(fam[ij], fam[jk])]])]
-                    if msrc[be] != tobj[(new_objs[ij], new_objs[jk])] or \
-                       mtgt[be] != new_objs[ik]:
-                        break
-                    new_als.append(be)
-                else:
-                    src.append(s)
-                    tgt.append(obj_of_key[new_objs + tuple(new_als)])
-                    fams.append(fam)
+                src.append(s)
+                tgt.append(obj_of_key[tuple([mtgt[f] for f in fam]) + tuple(
+                    [comp[(comp[(fam[ik], al)], inv[tm[(fam[ij], fam[jk])]])]
+                     for (ij, jk, ik), al in zip(squares, als)])])
+                fams.append(fam)
         base_names = ["%s" % (f,) for f in self.base_mor]
         names = ["f(%s|%s)" % (obj_names[s],
                                ",".join([base_names[f] for f in fam]))
@@ -814,50 +841,108 @@ class _SegalLevels:
         self.tgt[q] = [tgt[m] for m in order]
         self.fam[q] = [fams[m] for m in order]
         self.mor_names[q] = [names[m] for m in order]
-        self._mor_of[q] = {key: m for m, key in
+        self._mor_of[q] = {(s,) + fam: m for m, (s, fam) in
                            enumerate(zip(self.src[q], self.fam[q]))}
 
-    def level_size(self, p, q):
-        """|p-chains| via counting, no materialization: c_p(x) = number of
-        p-chains ending at x."""
-        counts = [1] * len(self.structs[q])
-        for _ in range(p):
-            nxt = [0] * len(counts)
+    def chain_counts(self, q, r):
+        """starts[x], the number of r-chains of q that start at object x;
+        built once per (q, r)."""
+        table = self._chain_counts.setdefault(q, [[1] * len(self.structs[q])])
+        while len(table) <= r:
+            prev, starts = table[-1], [0] * len(self.structs[q])
             for s, t in zip(self.src[q], self.tgt[q]):
-                nxt[t] += counts[s]
-            counts = nxt
-        return sum(counts)
+                starts[s] += prev[t]
+            table.append(starts)
+        return table[r]
 
-    def chains(self, p, q):
-        """The p-chains (p >= 1) of the q-simplex groupoid as tuples of
-        morphism ints, in level order."""
+    def chain_weights(self, q, r):
+        """(first, later), the place weights of the arrows of q followed
+        by r more: first[m] is the number of (r + 1)-chains whose first
+        arrow is below m; later[m] the same over the arrows out of m's
+        source only (m's offset in its source's out-list).  Both come
+        from chain_counts(q, r); built once per (q, r)."""
+        key = (q, r)
+        weights = self._chain_weights.get(key)
+        if weights is None:
+            starts = self.chain_counts(q, r)
+            sizes = list(map(starts.__getitem__, self.tgt[q]))
+            first = list(itertools.accumulate(sizes, initial=0))
+            first.pop()
+            later, local = [], [0] * len(starts)
+            for s, n in zip(self.src[q], sizes):
+                later.append(local[s])
+                local[s] += n
+            weights = self._chain_weights[key] = (first, later)
+        return weights
+
+    def level_size(self, p, q):
+        """|p-chains| via counting, no materialization."""
+        return sum(self.chain_counts(q, p))
+
+    def chain_columns(self, p, q):
+        """The p-chains (p >= 1) of the q-simplex groupoid in level order,
+        as a tuple of p columns of morphism ints, first arrow first.  Each
+        step lists, after each chain in order, the arrows out of its
+        end."""
+        tgt = self.tgt[q]
         out_of = [[] for _ in self.structs[q]]
         for m, s in enumerate(self.src[q]):
             out_of[s].append(m)
-        tgt = self.tgt[q]
-        cur = [(m,) for m in range(len(tgt))]
+        cols = [list(range(len(tgt)))]
         for _ in range(p - 1):
-            cur = [c + (m,) for c in cur for m in out_of[tgt[c[-1]]]]
-        return cur
+            nexts = list(map(out_of.__getitem__, map(tgt.__getitem__,
+                                                     cols[-1])))
+            counts = list(map(len, nexts))
+            cols = [list(itertools.chain.from_iterable(
+                map(itertools.repeat, col, counts))) for col in cols]
+            cols.append(list(itertools.chain.from_iterable(nexts)))
+        return tuple(cols)
 
-    def compose(self, q, m2, m1):
-        """m2 after m1, componentwise."""
-        fam = self.fam[q]
-        return self._mor_of[q][(self.src[q][m1],
-                                tuple(map(self._ix.comp.__getitem__,
-                                          zip(fam[m2], fam[m1]))))]
+    def chain_places(self, q, cols):
+        """The place in its level of each chain of q whose arrows are read
+        from cols (p iterables of morphism ints, first arrow first): the
+        first weight of its first arrow plus the later weights of the
+        others.  A 1-chain's place is its arrow."""
+        p = len(cols)
+        if p == 1:
+            return list(cols[0])
+        places = list(map(self.chain_weights(q, p - 1)[0].__getitem__,
+                          cols[0]))
+        for k in range(1, p):
+            later = self.chain_weights(q, p - 1 - k)[1]
+            places = list(map(operator.add, places,
+                              map(later.__getitem__, cols[k])))
+        return places
+
+    def composite(self, q, after, before):
+        """The column of after[n] . before[n], componentwise: one
+        comp_rows gather per slot and one _mor_of lookup per cell."""
+        rows = self._ix.comp_rows
+        # each slot of the families, as a column over the morphisms
+        comps = [map(operator.getitem, map(rows.__getitem__,
+                                           map(fs.__getitem__, after)),
+                     map(fs.__getitem__, before))
+                 for fs in zip(*self.fam[q])]
+        return list(map(self._mor_of[q].__getitem__,
+                        zip(map(self.src[q].__getitem__, before), *comps)))
+
+    def units_at(self, q, ends, col):
+        """The identity of object ends[m] for each arrow m of the column
+        col, as an iterator (ends is src[q] or tgt[q])."""
+        return map(self.identity_table(q).__getitem__,
+                   map(ends.__getitem__, col))
 
     def inverse(self, q, m):
         inv = self._ix.inv
-        return self._mor_of[q][(self.tgt[q][m],
-                                tuple([inv[f] for f in self.fam[q][m]]))]
+        return self._mor_of[q][(self.tgt[q][m],) +
+                               tuple([inv[f] for f in self.fam[q][m]])]
 
     def identity_table(self, q):
         """object int -> int of its identity morphism, in level q."""
         table = self._identity.get(q)
         if table is None:
             ident, mor_of = self._ix.ident, self._mor_of[q]
-            table = [mor_of[(s, tuple([ident[x] for x in objs]))]
+            table = [mor_of[(s,) + tuple([ident[x] for x in objs])]
                      for s, (objs, _) in enumerate(self._keys[q])]
             self._identity[q] = table
         return table
@@ -887,7 +972,7 @@ class _SegalLevels:
             gather = _gather(spec)
             unit = (self._ix.unit_ident,)
             mor_of = self._mor_of[q_to]
-            table = [mor_of[(objs[s], gather(fam + unit))]
+            table = [mor_of[(objs[s],) + gather(fam + unit)]
                      for s, fam in zip(self.src[q_from], self.fam[q_from])]
             self._vmap_mor[key] = table
         return table
@@ -897,8 +982,9 @@ def segal_nerve(g, pmax, qmax, level_budget=50000):
     """Materialize the Segal nerve over the largest downward-closed
     region inside the (pmax, min(qmax, 3)) rectangle whose levels fit
     the budget.  The levels and operators are computed on the int tables
-    of _SegalLevels; string ids are made once per cell, and every face
-    and degeneracy value is the target level's own id object."""
+    of _SegalLevels, a level of p >= 1 as p columns of morphism ints;
+    string ids are made once per cell, and every face and degeneracy
+    value is the target level's own id object."""
     lv = _SegalLevels(g, qmax)
     region = set()
     for q in range(lv.qmax + 1):
@@ -910,43 +996,31 @@ def segal_nerve(g, pmax, qmax, level_budget=50000):
             if not down_ok:
                 break
             region.add((p, q))
-    # the cells of each level in level order: object ints at p = 0,
-    # chains of morphism ints at p >= 1; where[(p, q)] (p >= 2) gives a
-    # chain's place in its level, and at p = 1 the place is the morphism
-    cells, where, levels = {}, {}, {}
+    # the cells of each level in level order: the object ints at p = 0,
+    # whose place is the int, and p columns of morphism ints at p >= 1,
+    # whose places lv.chain_places reads
+    cols, levels = {}, {}
     for (p, q) in region:
         if p == 0:
-            cells[(p, q)] = range(len(lv.structs[q]))
             levels[(p, q)] = lv.obj_names[q]
-        elif p == 1:
-            cells[(p, q)] = lv.chains(p, q)
-            levels[(p, q)] = lv.mor_names[q]
         else:
-            cells[(p, q)] = cs = lv.chains(p, q)
-            where[(p, q)] = {c: n for n, c in enumerate(cs)}
+            cols[(p, q)] = cs = lv.chain_columns(p, q)
             names = lv.mor_names[q]
-            levels[(p, q)] = [_chain_id([names[m] for m in c]) for c in cs]
+            levels[(p, q)] = names if p == 1 else list(map(_chain_id, zip(
+                *[map(names.__getitem__, col) for col in cs])))
         if len(set(levels[(p, q)])) != len(levels[(p, q)]):
             raise NerveError("ids of level (%d,%d) of the Segal nerve clash: "
                              "the 2-group's ids run together" % (p, q))
-
-    def places(p, q, chains):
-        if p == 1:
-            return [c[0] for c in chains]
-        w = where[(p, q)]
-        return [w[c] for c in chains]
 
     def vmap(p, q, phi, q_to):
         if p == 0:
             return lv.vmap_obj_table(phi, q, q_to)
         mors = lv.vmap_mor_table(phi, q, q_to)
-        if p == 1:
-            return mors
-        return places(p, q_to, [tuple([mors[m] for m in c])
-                                for c in cells[(p, q)]])
+        return lv.chain_places(q_to, [map(mors.__getitem__, col)
+                                      for col in cols[(p, q)]])
 
     def op(name, p, q, i):
-        cs, (dp, dq) = cells[(p, q)], BisimplicialTrunc.OPERATORS[name]
+        cs, (dp, dq) = cols.get((p, q)), BisimplicialTrunc.OPERATORS[name]
         if name == "vface":
             targets = vmap(p, q, _delta(i, q), q - 1)
         elif name == "vdegen":
@@ -954,15 +1028,16 @@ def segal_nerve(g, pmax, qmax, level_budget=50000):
         elif name == "hface" and p == 1:
             targets = lv.tgt[q] if i == 0 else lv.src[q]
         elif name == "hface":
-            targets = places(p - 1, q, _chain_faces(
-                cs, p, i, functools.partial(lv.compose, q)))
+            targets = lv.chain_places(q, _chain_face(
+                cs, p, i, functools.partial(lv.composite, q)))
         elif p == 0:
             targets = lv.identity_table(q)
         else:
-            targets = places(p + 1, q, _chain_degens(
-                cs, i, lv.src[q], lv.tgt[q], lv.identity_table(q)))
+            targets = lv.chain_places(q, _chain_degen(
+                cs, i, functools.partial(lv.units_at, q, lv.src[q]),
+                functools.partial(lv.units_at, q, lv.tgt[q])))
         to = levels[(p + dp, q + dq)]
-        return dict(zip(levels[(p, q)], [to[n] for n in targets]))
+        return dict(zip(levels[(p, q)], map(to.__getitem__, targets)))
 
     out = build_bisimplicial(region, levels, op)
     out._segal_levels = lv

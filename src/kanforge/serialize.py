@@ -5,6 +5,7 @@ terminated.  Operator maps are keyed "k.i" (or "p.q.i") with arrays
 aligned to the id order of the source level.  Unknown keys are rejected.
 """
 
+import itertools
 import json
 
 from . import simplicial as sp
@@ -46,6 +47,42 @@ def _need_lists(value, count, what):
     if not isinstance(value, list) or len(value) != count or \
             not all(isinstance(v, list) for v in value):
         raise ParseError("%s is not a list of %d lists" % (what, count))
+    return value
+
+
+# the JSON types that can name an element, object or morphism (a bool
+# is neither: its type is bool)
+_ID_TYPES = {str, int, float}
+
+
+def _need_id(value, what):
+    if type(value) not in _ID_TYPES:
+        raise ParseError("%s is not an id: %r" % (what, value))
+    return value
+
+
+def _need_ids(value, what):
+    """value, a list of ids."""
+    if not isinstance(value, list) or not set(map(type, value)) <= _ID_TYPES:
+        raise ParseError("%s is not a list of ids" % what)
+    return value
+
+
+def _need_rows(value, width, what):
+    """value, a list of rows of `width` ids each."""
+    if not isinstance(value, list) or not set(map(type, value)) <= {list} or \
+            not set(map(len, value)) <= {width} or \
+            not set(map(type, itertools.chain.from_iterable(value))) <= \
+            _ID_TYPES:
+        raise ParseError("%s is not a list of rows of %d ids" % (what, width))
+    return value
+
+
+def _need_id_map(value, what):
+    """value, an object whose values are ids."""
+    if not isinstance(value, dict) or \
+            not set(map(type, value.values())) <= _ID_TYPES:
+        raise ParseError("%s is not an object of ids" % what)
     return value
 
 
@@ -155,9 +192,11 @@ def group_from_doc(doc):
                     "group")
     if doc.get("kind") != "group":
         raise ParseError("not a group document")
-    els = _need(doc, "elements", "group")
-    table = {(a, b): c for a, b, c in _need(doc, "table", "group")}
-    g = FiniteGroup(els, table, _need(doc, "unit", "group"))
+    els = _need_ids(_need(doc, "elements", "group"), "group elements")
+    table = {(a, b): c for a, b, c in
+             _need_rows(_need(doc, "table", "group"), 3, "group table")}
+    g = FiniteGroup(els, table, _need_id(_need(doc, "unit", "group"),
+                                         "group unit"))
     errs = g.validate()
     if errs:
         raise ParseError("group axioms fail: %s" % errs[0])
@@ -186,16 +225,29 @@ def category_from_doc(doc):
     kind = doc.get("kind")
     if kind not in ("category", "groupoid"):
         raise ParseError("not a category document")
-    objects = _need(doc, "objects", "category")
+    objects = _need_ids(_need(doc, "objects", "category"),
+                        "category objects")
     morphs = _need(doc, "morphisms", "category")
+    if not isinstance(morphs, list) or \
+            not all(isinstance(m, dict) for m in morphs):
+        raise ParseError("category morphisms is not a list of objects")
+    for m in morphs:
+        _reject_unknown(m, {"id", "src", "tgt"}, "category morphism")
+        for key in ("id", "src", "tgt"):
+            _need_id(_need(m, key, "category morphism"),
+                     "category morphism %s" % key)
     ids = [m["id"] for m in morphs]
     src = {m["id"]: m["src"] for m in morphs}
     tgt = {m["id"]: m["tgt"] for m in morphs}
-    ident = _need(doc, "identity", "category")
-    comp = {(g, f): gf for g, f, gf in _need(doc, "comp", "category")}
+    ident = _need_id_map(_need(doc, "identity", "category"),
+                         "category identity")
+    comp = {(g, f): gf for g, f, gf in
+            _need_rows(_need(doc, "comp", "category"), 3, "category comp")}
     if kind == "groupoid":
+        inv = doc.get("inv")
         cat = ca.FinGroupoid(objects, ids, src, tgt, ident, comp,
-                             inv=doc.get("inv"))
+                             inv=None if inv is None else
+                             _need_id_map(inv, "groupoid inv"))
     else:
         cat = ca.FinCategory(objects, ids, src, tgt, ident, comp)
     errs = cat.validate()
@@ -227,15 +279,26 @@ def two_group_from_doc(doc):
                           "assoc", "lunit", "runit"}, "two_group")
     if doc.get("kind") not in ("two_group", "monoidal"):
         raise ParseError("not a 2-group document")
-    base = category_from_doc(_need(doc, "base", "two_group"))
+    base = _need(doc, "base", "two_group")
+    if not isinstance(base, dict):
+        raise ParseError("base in two_group is not an object")
+    base = category_from_doc(base)
     tensor = _need(doc, "tensor", "two_group")
-    tobj = {(x, y): t for x, y, t in tensor["objects"]}
-    tmor = {(f, k): t for f, k, t in tensor["morphisms"]}
-    assoc = {(x, y, z): m for x, y, z, m in _need(doc, "assoc", "two_group")}
-    mon = ca.MonoidalStructure(base, tobj, tmor,
-                               _need(doc, "unit_object", "two_group"),
-                               assoc, _need(doc, "lunit", "two_group"),
-                               _need(doc, "runit", "two_group"))
+    if not isinstance(tensor, dict):
+        raise ParseError("tensor in two_group is not an object")
+    _reject_unknown(tensor, {"objects", "morphisms"}, "two_group tensor")
+    tobj = {(x, y): t for x, y, t in _need_rows(
+        _need(tensor, "objects", "two_group tensor"), 3, "tensor objects")}
+    tmor = {(f, k): t for f, k, t in _need_rows(
+        _need(tensor, "morphisms", "two_group tensor"), 3,
+        "tensor morphisms")}
+    assoc = {(x, y, z): m for x, y, z, m in _need_rows(
+        _need(doc, "assoc", "two_group"), 4, "two_group assoc")}
+    mon = ca.MonoidalStructure(
+        base, tobj, tmor,
+        _need_id(_need(doc, "unit_object", "two_group"), "unit_object"),
+        assoc, *[_need_id_map(_need(doc, key, "two_group"), key)
+                 for key in ("lunit", "runit")])
     if doc.get("kind") == "monoidal":
         errs = mon.validate()
         if errs:
@@ -307,7 +370,7 @@ def loads(text):
     if doc.get("format") != 1:
         raise ParseError("unsupported format (want 1)")
     kind = doc.get("kind")
-    if kind not in _KINDS:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise ParseError("unknown kind %r" % kind)
     return _KINDS[kind](doc), kind
 

@@ -99,12 +99,27 @@ class TruncatedSSet:
     """
 
     def __init__(self, dim, levels, face, degen, coskeletal_at=None, base=None):
+        self._hold(dim, [list(l) for l in levels],
+                   {k: dict(v) for k, v in face.items()},
+                   {k: dict(v) for k, v in degen.items()}, coskeletal_at, base)
+
+    @classmethod
+    def _adopt(cls, dim, levels, face, degen, coskeletal_at, base):
+        """The TruncatedSSet that holds these level lists and operator
+        dicts themselves, not copies: for a builder that hands over
+        tables it has just made, or that it shares with an object they
+        came from.  Nothing writes into a table after construction."""
+        out = cls.__new__(cls)
+        out._hold(dim, levels, face, degen, coskeletal_at, base)
+        return out
+
+    def _hold(self, dim, levels, face, degen, coskeletal_at, base):
         if dim < 0:
             raise DimensionOutOfRange("dimension %d is negative" % dim)
         self.dim = dim
-        self.levels = [list(l) for l in levels]
-        self.face = {k: dict(v) for k, v in face.items()}
-        self.degen = {k: dict(v) for k, v in degen.items()}
+        self.levels = levels
+        self.face = face
+        self.degen = degen
         self.coskeletal_at = coskeletal_at
         self.base = base
         self._index = [set(l) for l in self.levels]
@@ -231,17 +246,19 @@ def operator_keys(dim):
 
 def build_sset(dim, levels, op, coskeletal_at=None, base=None):
     """The TruncatedSSet whose table `table` holds op(table, k, i) at
-    (k, i) for each key of operator_keys(dim)."""
+    (k, i) for each key of operator_keys(dim).  It holds the lists of
+    `levels` and the dicts op returns as they are, not copies."""
     tables = {name: {} for name in STEPS}
     for name, k, i in operator_keys(dim):
         tables[name][k, i] = op(name, k, i)
-    return TruncatedSSet(dim, levels, tables["face"], tables["degen"],
-                         coskeletal_at=coskeletal_at, base=base)
+    return TruncatedSSet._adopt(dim, list(levels), tables["face"],
+                                tables["degen"], coskeletal_at, base)
 
 
 def truncate(x_sset, dim):
     """The truncation of X at dim <= X.dim: levels 0..dim and the
-    operators among them, with X's coskeletal flag and base."""
+    operators among them, with X's coskeletal flag and base.  It shares
+    X's level lists and operator dicts."""
     if not 0 <= dim <= x_sset.dim:
         raise DimensionOutOfRange(
             "cannot truncate a %d-truncation at %d" % (x_sset.dim, dim))

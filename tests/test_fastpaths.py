@@ -1,6 +1,7 @@
 """Differential tests: the face-indexed fast paths and the scheduled
 searches against the simple references they replace."""
 
+import functools
 import itertools
 
 import pytest
@@ -558,20 +559,41 @@ def assert_same_bisimplicial(got, want):
             assert list(ops[key].items()) == list(mp.items())
 
 
-SEGAL_CASES = [pytest.param(name, 2, 3, 50000, id="%s-2-3" % name)
+def segal_case(name, pmax, qmax, budget, build=None, id=None):
+    """A Segal nerve to compare with the reference: the 2-group `name`
+    (ex.build(name) unless a builder is given) over (pmax, qmax)."""
+    return pytest.param(build or functools.partial(ex.build, name), pmax, qmax,
+                        budget, id=id or "%s-%d-%d" % (name, pmax, qmax))
+
+
+SEGAL_CASES = [segal_case(name, 2, 3, 50000)
                for name, _ in ex.canned_two_groups()] + [
-    pytest.param("inflated-disc-z2", 2, 2, 50000, id="inflated-disc-z2-2-2"),
+    segal_case("inflated-disc-z2", 2, 2, 50000),
     # level budgets that clip the region
-    pytest.param("oneobj-z2", 2, 3, 5000, id="oneobj-z2-budget-5000"),
-    pytest.param("oneobj-z3", 2, 3, 100, id="oneobj-z3-budget-100"),
-    pytest.param("disc-z2-x-oneobj-z2", 3, 3, 100,
-                 id="disc-z2-x-oneobj-z2-3-3-budget-100"),
-    pytest.param("oneobj-z2", 3, 2, 50000, id="oneobj-z2-3-2")]
+    segal_case("oneobj-z2", 2, 3, 5000, id="oneobj-z2-budget-5000"),
+    segal_case("oneobj-z3", 2, 3, 100, id="oneobj-z3-budget-100"),
+    segal_case("disc-z2-x-oneobj-z2", 3, 3, 100,
+               id="disc-z2-x-oneobj-z2-3-3-budget-100"),
+    segal_case("oneobj-z2", 3, 2, 50000),
+    # chains of 3 and 4 arrows: a chain's place sums a weight per slot
+    segal_case("oneobj-z2", 4, 1, 50000),
+    segal_case("inflated-disc-z2", 4, 1, 50000),
+    segal_case("oneobj-z3", 4, 2, 5000, id="oneobj-z3-4-2-budget-5000"),
+    segal_case("disc-z2-x-oneobj-z2", 4, 2, 5000,
+               id="disc-z2-x-oneobj-z2-4-2-budget-5000"),
+    segal_case("unitor-twisted", 3, 2, 50000, build=unitor_twisted_two_group),
+    segal_case("unitor-twisted", 4, 2, 5000, build=unitor_twisted_two_group,
+               id="unitor-twisted-4-2-budget-5000"),
+    segal_case("disc-s3", 4, 1, 50000,
+               build=lambda: ca.discrete_two_group(gr.symmetric(3))),
+    segal_case("disc-s3", 3, 3, 2000,
+               build=lambda: ca.discrete_two_group(gr.symmetric(3)),
+               id="disc-s3-3-3-budget-2000")]
 
 
-@pytest.mark.parametrize("name,pmax,qmax,budget", SEGAL_CASES)
-def test_segal_nerve_matches_string_keyed_reference(name, pmax, qmax, budget):
-    g = ex.build(name)
+@pytest.mark.parametrize("build,pmax,qmax,budget", SEGAL_CASES)
+def test_segal_nerve_matches_string_keyed_reference(build, pmax, qmax, budget):
+    g = build()
     assert_same_bisimplicial(nv.segal_nerve(g, pmax, qmax, level_budget=budget),
                              reference_segal_nerve(g, pmax, qmax,
                                                    level_budget=budget))

@@ -155,6 +155,43 @@ def test_fibrancy_fails_on_nonfibrant_premonoid():
     assert not rep.ok
 
 
+@pytest.mark.parametrize("name,p,m", [("disc-z3", 1, 1), ("oneobj-z3", 1, 2)])
+def test_pi_iso_under_map_rejects_an_image_on_one_class(name, p, m):
+    # a row's own pi_m (order 3) against itself: the identity image is an
+    # isomorphism, an image that sends every representative to one class
+    # is not
+    pi = sp.pi_with_classes(nv.segal_nerve(ex.build(name), 2, 3).row(p), m)
+    group = pi[0]
+    assert len(group.elements) == 3
+    assert nv._pi_iso_under_map(pi, pi, {s: s for s in group.elements})
+    assert not nv._pi_iso_under_map(
+        pi, pi, dict.fromkeys(group.elements, group.unit))
+
+
+def test_derived_objects_share_their_source_tables():
+    ns = nv.segal_nerve(ex.build("disc-z2-x-oneobj-z2"), 2, 3)
+    for line, at, direction in ((ns.row(1), lambda k: (1, k), "v"),
+                                (ns.column(2), lambda k: (k, 2), "h")):
+        assert all(line.levels[k] is ns.levels[at(k)]
+                   for k in range(line.dim + 1))
+        for name in ("face", "degen"):
+            table = getattr(ns, direction + name)
+            assert getattr(line, name)
+            assert all(mp is table[at(k) + (i,)]
+                       for (k, i), mp in getattr(line, name).items())
+        low = sp.truncate(line, 1)
+        assert all(low.levels[k] is line.levels[k] for k in (0, 1))
+        assert low.face[1, 0] is line.face[1, 0]
+        assert low.degen[0, 0] is line.degen[0, 0]
+    small = nv.restrict_region(ns, nv.mu3_region())
+    assert small.region == nv.mu3_region() & ns.region
+    assert all(small.levels[pq] is ns.levels[pq] for pq in small.region)
+    for name in nv.BisimplicialTrunc.OPERATORS:
+        ops = getattr(small, name)
+        assert ops and all(mp is getattr(ns, name)[key]
+                           for key, mp in ops.items())
+
+
 def test_loop_gamma_all_canned():
     for name, g in ex.canned_two_groups():
         comps, om, nsg = nv.loop_gamma(g)

@@ -342,7 +342,7 @@ def test_cli_kan_classify_pi_reject_a_file_that_is_not_a_simplicial_set(
 
 def malformed_documents():
     """(name, document) with one malformed operator table, level list,
-    cell id or flag each."""
+    cell id, flag, group table, morphism or tensor each."""
     def edited(obj, edit):
         doc = json.loads(io.dumps(obj))
         edit(doc)
@@ -387,6 +387,20 @@ def malformed_documents():
         ("base-not-a-string", edited(delta2, lambda d: d.update(base=["0"]))),
         ("bisimplicial-cell-id-not-a-string", edited(
             star, lambda d: d["levels"][1][1].__setitem__(0, 7))),
+        ("group-table-not-a-list", edited(ex.build("z2"), lambda d: d.update(
+            table=5))),
+        ("groupoid-morphism-without-id", edited(
+            ex.build("groupoid-z2"), lambda d: d["morphisms"][0].pop("id"))),
+        ("two-group-tensor-a-list", edited(
+            ex.build("disc-z2"), lambda d: d.update(tensor=[]))),
+        # well-formed documents whose tables name what is not there
+        ("group-table-missing-a-row", edited(ex.build("z2"), lambda d: d[
+            "table"].pop())),
+        ("groupoid-composite-not-a-morphism", edited(
+            ex.build("groupoid-z2"),
+            lambda d: d["comp"][0].__setitem__(2, "x"))),
+        ("two-group-unit-not-an-object", edited(
+            ex.build("disc-z2"), lambda d: d.update(unit_object="x"))),
     ]
     return [pytest.param(name, doc, id=name) for name, doc in cases]
 
