@@ -215,10 +215,8 @@ def check_coskeleton():
     count_ok = len(ext.level(3)) == 8 == len(full.level(3))
     iso_ok = sp.find_isomorphism(ext, full) is not None
     y, maps = sp.csq_prime(full, 1)
-    prime_ok = all(
-        len(set(maps[k].values())) == len(maps[k]) and
-        set(maps[k].values()) == set(y.level(k))
-        for k in maps) and sp.find_isomorphism(full, y) is not None
+    prime_ok = all(gr.bijective(maps[k].values(), y.level(k))
+                   for k in maps) and sp.find_isomorphism(full, y) is not None
     ok = count_ok and iso_ok and prime_ok
     return ok, [
         "  extension of the 2-truncated nerve has level 3 of size %d (want 8): %s"

@@ -8,7 +8,7 @@ diagrams used throughout: l_X : X -> unit (x) X and r_X : X -> X (x) unit.
 
 import functools
 
-from .groups import FiniteGroup
+from .groups import FiniteGroup, bijective, components
 
 
 class CatError(Exception):
@@ -115,22 +115,17 @@ class FinGroupoid(FinCategory):
                 errs.append("inverse law fails at %s" % f)
         return errs
 
+    def iso_rep(self):
+        """dict object -> the least object isomorphic to it."""
+        return components(self.objects, ((self.src[f], self.tgt[f])
+                                         for f in self.morphisms))
+
     def iso_classes(self):
-        parent = {x: x for x in self.objects}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for f in self.morphisms:
-            a, b = find(self.src[f]), find(self.tgt[f])
-            if a != b:
-                parent[max(a, b)] = min(a, b)
+        """dict least member -> the objects of its iso class, in object
+        order."""
         classes = {}
-        for x in self.objects:
-            classes.setdefault(find(x), []).append(x)
+        for x, r in self.iso_rep().items():
+            classes.setdefault(r, []).append(x)
         return classes
 
 
@@ -483,11 +478,7 @@ def certify_two_group(m):
 
 def pi0_two_group(g):
     """Objects up to isomorphism with the tensor-induced product."""
-    classes = g.base.iso_classes()
-    rep = {}
-    for r, members in classes.items():
-        for x in members:
-            rep[x] = r
+    rep = g.base.iso_rep()
     # well-definedness: isomorphic factors give isomorphic tensors
     for x in g.base.objects:
         for x2 in g.base.objects:
@@ -498,7 +489,7 @@ def pi0_two_group(g):
                     raise CatError("pi0 product ill-defined on the left")
                 if rep[g.t(y, x)] != rep[g.t(y, x2)]:
                     raise CatError("pi0 product ill-defined on the right")
-    reps = sorted(classes)
+    reps = sorted(set(rep.values()))
     table = {(p, q): rep[g.t(p, q)] for p in reps for q in reps}
     grp = FiniteGroup(reps, table, rep[g.unit], name="pi0(%s)" % g.name)
     errs = grp.validate()
@@ -631,14 +622,8 @@ def compose_lax(g_fun, f_fun):
 
 def pi0_map(f_fun):
     g, h = pi0_two_group(f_fun.source), pi0_two_group(f_fun.target)
-    rep_h = {}
-    for r, members in f_fun.target.base.iso_classes().items():
-        for x in members:
-            rep_h[x] = r
-    mapping = {}
-    for r, members in f_fun.source.base.iso_classes().items():
-        mapping[r] = rep_h[f_fun.fo(r)]
-    return g, h, mapping
+    rep_h = f_fun.target.base.iso_rep()
+    return g, h, {r: rep_h[f_fun.fo(r)] for r in g.elements}
 
 
 def pi1_map(f_fun):
@@ -651,20 +636,10 @@ def is_weak_equivalence(f_fun):
     errs = f_fun.validate()
     if errs:
         raise CatError("functor does not validate: %s" % errs[0])
-    g0, h0, m0 = pi0_map(f_fun)
-    if len(set(m0.values())) != len(m0) or set(m0.values()) != set(h0.elements):
-        return False
-    for a in g0.elements:
-        for b in g0.elements:
-            if m0[g0.mul(a, b)] != h0.mul(m0[a], m0[b]):
-                return False
-    g1, h1, m1 = pi1_map(f_fun)
-    if len(set(m1.values())) != len(m1) or set(m1.values()) != set(h1.elements):
-        return False
-    for a in g1.elements:
-        for b in g1.elements:
-            if m1[g1.mul(a, b)] != h1.mul(m1[a], m1[b]):
-                return False
+    for side in (pi0_map, pi1_map):
+        g, h, mapping = side(f_fun)
+        if g.iso_failure(h, mapping):
+            return False
     return True
 
 
@@ -672,20 +647,12 @@ def translation_bijectivity_check(g):
     """For every object X the translations Y -> X(x)Y and Y -> Y(x)X are
     bijections on iso classes and on each hom-set (finite equivalence
     check)."""
-    classes = g.base.iso_classes()
-    rep = {}
-    for r, members in classes.items():
-        for x in members:
-            rep[x] = r
-    reps = sorted(classes)
+    rep = g.base.iso_rep()
+    reps = sorted(set(rep.values()))
     for x in g.base.objects:
-        for side in ("left", "right"):
-            imgs = set()
-            for yrep in reps:
-                t = g.t(x, yrep) if side == "left" else g.t(yrep, x)
-                imgs.add(rep[t])
-            if imgs != set(reps):
-                return False
+        if not (bijective([rep[g.t(x, y)] for y in reps], reps) and
+                bijective([rep[g.t(y, x)] for y in reps], reps)):
+            return False
         for y in g.base.objects:
             for y2 in g.base.objects:
                 homs = g.base.hom(y, y2)

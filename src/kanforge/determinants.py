@@ -10,7 +10,7 @@ constructed explicitly and verified, never assumed.
 from . import simplicial as sp
 from . import catalg as ca
 from . import nerves as nv
-from .groups import FiniteGroup
+from .groups import bijective, equivalence_classes
 
 
 class DeterminantError(Exception):
@@ -174,35 +174,20 @@ def additive_vs_hom(x_sset, group, budget=None):
     adds = enumerate_additive(x_sset, group, budget=budget)
     homs = hom_sset(x_sset, ner, budget=budget)
     star = x_sset.level(0)[0]
-    by_faces = {k: {ner.faces(k, s): s for s in ner.level(k)}
-                for k in range(2, x_sset.dim + 1)}
+    upper = range(2, x_sset.dim + 1)
+    index = {k: sp._candidate_index(ner, k) for k in upper}
 
     def image(d_fun):
         # f^D level by level, as a map key; None if a simplex has no image
         comps = {0: {star: "*"},
                  1: {e: ner._chain1["m%s" % (d_fun[e],)]
                      for e in x_sset.level(1)}}
-        for k in range(2, x_sset.dim + 1):
-            comps[k] = {}
-            for a in x_sset.level(k):
-                img = by_faces[k].get(tuple(
-                    comps[k - 1][x_sset.d(k, i, a)] for i in range(k + 1)))
-                if img is None:
-                    return None
-                comps[k][a] = img
+        if sp.lift_by_faces(x_sset, comps, index, upper) is not None:
+            return None
         return tuple(tuple(sorted(comps[k].items())) for k in sorted(comps))
 
-    return adds, homs, _bijective([image(d) for d in adds],
-                                  [f.key() for f in homs])
-
-
-def _bijective(images, keys):
-    """Whether images, the key of each source element's image (None
-    where none could be built), is a bijection onto the oracle's keys:
-    both lists free of duplicates and equal as sets."""
-    distinct = set(images)
-    return (None not in distinct and len(distinct) == len(images) == len(keys)
-            and distinct == set(keys))
+    return adds, homs, bijective([image(d) for d in adds],
+                                 [f.key() for f in homs])
 
 
 # -- determinants into a 2-group ---------------------------------------------
@@ -340,7 +325,7 @@ def determinants_vs_hom(x_sset, g, budget=None):
     images = [_det_key({e: struct1[f(1, e)][1] for e in x_sset.level(1)},
                        {t: struct2[f(2, t)][3] for t in x_sset.level(2)})
               for f in homs]
-    return dets, homs, _bijective(images, [_det_key(*det) for det in dets])
+    return dets, homs, bijective(images, [_det_key(*det) for det in dets])
 
 
 def det_morphisms(x_sset, g, det1, det2, budget=None):
@@ -388,30 +373,15 @@ def pi0_det(x_sset, g, dets=None, budget=None):
 
 def _relation_classes(n, related, what):
     """The classes of the relation related(i, j) on range(n), each the
-    sorted indices related to its least member, once the relation is
-    verified reflexive, symmetric and transitive (else DeterminantError,
-    naming the relation by `what`)."""
-    rel = [[bool(related(i, j)) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        if not rel[i][i]:
-            raise DeterminantError("%s relation not reflexive" % what)
-        for j in range(n):
-            if rel[i][j] != rel[j][i]:
-                raise DeterminantError("%s relation not symmetric" % what)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if rel[i][j] and rel[j][k] and not rel[i][k]:
-                    raise DeterminantError("%s relation not transitive" % what)
-    classes = []
-    seen = set()
-    for i in range(n):
-        if i in seen:
-            continue
-        cls = [j for j in range(n) if rel[i][j]]
-        seen.update(cls)
-        classes.append(cls)
-    return classes
+    sorted indices of one class, by least member, once the relation is
+    verified an equivalence (else DeterminantError, naming the relation
+    by `what`)."""
+    rep = equivalence_classes(range(n), related, lambda law, _: (
+        DeterminantError("%s relation not %s" % (what, law))))
+    classes = {}
+    for i, r in rep.items():
+        classes.setdefault(r, []).append(i)
+    return list(classes.values())
 
 
 # -- the homotopy group comparison -------------------------------------------
@@ -427,16 +397,9 @@ def grho_check(g, budget=None):
     p1, cls1 = sp.pi_with_classes(ng, 1)
     p0 = ca.pi0_two_group(g)
     obj_id = {x: _obj_simplex_id(x) for x in c.objects}
-    mapping = {r: cls1[obj_id[r]] for r in p0.elements}
-    if len(set(mapping.values())) != len(p1.elements) or \
-            set(mapping.values()) != set(p1.elements):
-        errs.append("pi0 -> pi1(N) is not bijective")
-    else:
-        for a in p0.elements:
-            for b in p0.elements:
-                if mapping[p0.mul(a, b)] != p1.mul(mapping[a], mapping[b]):
-                    errs.append("pi0 -> pi1(N) is not a homomorphism")
-                    break
+    fail = p0.iso_failure(p1, {r: cls1[obj_id[r]] for r in p0.elements})
+    if fail:
+        errs.append("pi0 -> pi1(N) is %s" % fail)
     p2, cls2 = sp.pi_with_classes(ng, 2)
     pi1g = ca.pi1_two_group(g)
     l_inv = g.mor_inverse(g.l(g.unit))
@@ -444,15 +407,11 @@ def grho_check(g, budget=None):
     for phi in pi1g.elements:
         st = nv._q2_struct(g, g.unit, g.unit, c.comp(phi, l_inv))
         amap[phi] = cls2[nv._struct_id(st)]
-    if len(set(amap.values())) != len(p2.elements) or \
-            set(amap.values()) != set(p2.elements):
+    fail = pi1g.iso_failure(p2, amap)
+    if fail == "not bijective":
         errs.append("alpha1 : pi1 -> pi2(N) is not bijective")
-    else:
-        for a in pi1g.elements:
-            for b in pi1g.elements:
-                if amap[pi1g.mul(a, b)] != p2.mul(amap[a], amap[b]):
-                    errs.append("alpha1 is not a homomorphism")
-                    break
+    elif fail:
+        errs.append("alpha1 is not a homomorphism")
     if not p2.is_abelian():
         errs.append("pi2 of a 2-group nerve must be abelian")
     return errs, (p0, p1, p2, pi1g)
@@ -547,7 +506,7 @@ def segal_determinants_vs_hom(x_bx, g, ns=None, budget=None):
         return parts + (tuple(sorted((xi, structs[2][f[(0, 2)][xi]][3])
                                      for xi in x_bx.level(0, 2))),)
 
-    return dets, maps, _bijective([image(f) for f in maps], det_keys)
+    return dets, maps, bijective([image(f) for f in maps], det_keys)
 
 
 def segal_det_morphisms(x_bx, g, det1, det2, budget=None):

@@ -15,6 +15,7 @@ import operator
 
 from . import simplicial as sp
 from . import catalg as ca
+from .groups import bijective
 
 
 class NerveError(Exception):
@@ -442,22 +443,22 @@ def two_group_from_nerve(z):
         lvl2[zeta] = _struct_id(_q2_struct(g, x, y, xi))
     comps[2] = lvl2
     top = min(z.dim, 3)
-    if top >= 3:
-        idx = {rebuilt.faces(3, s): s for s in rebuilt.level(3)}
-        lvl3 = {}
-        for eta in z.level(3):
-            want = tuple(lvl2[z.d(3, i, eta)] for i in range(4))
-            if want not in idx:
-                raise NotTwoKanGroupoid("round trip fails at a 3-simplex")
-            lvl3[eta] = idx[want]
-        comps[3] = lvl3
-    if not _is_simplicial_map(z, rebuilt, comps, top):
-        raise NotTwoKanGroupoid("round trip map is not simplicial")
-    for k in range(top + 1):
-        vals = list(comps[k].values())
-        if len(set(vals)) != len(vals) or set(vals) != set(rebuilt.level(k)):
-            raise NotTwoKanGroupoid("round trip map is not bijective at level %d" % k)
+    if top >= 3 and sp.lift_by_faces(
+            z, comps, {3: sp._candidate_index(rebuilt, 3)}, [3]) is not None:
+        raise NotTwoKanGroupoid("round trip fails at a 3-simplex")
+    _check_levelwise_iso(z, rebuilt, comps, top, NotTwoKanGroupoid,
+                         "round trip map")
     return g
+
+
+def _check_levelwise_iso(x, y, comps, top, error, what):
+    """Raise error unless the levelwise dicts comps[k], k <= top, make a
+    simplicial map X -> Y that is bijective on every level."""
+    if not _is_simplicial_map(x, y, comps, top):
+        raise error("%s is not simplicial" % what)
+    for k in range(top + 1):
+        if not bijective(comps[k].values(), y.level(k)):
+            raise error("%s is not bijective at level %d" % (what, k))
 
 
 def _is_simplicial_map(x, y, comps, top):
@@ -1104,9 +1105,7 @@ def mu3_determined(x_bx, y_bx, budget=None):
     def restrict(m):
         return tuple(sorted((k, tuple(sorted(v.items())))
                             for k, v in m.items() if k in mu))
-    imgs = {restrict(m) for m in full}
-    alls = {restrict(m) for m in small}
-    return len(full) == len(imgs) and imgs == alls
+    return bijective([restrict(m) for m in full], [restrict(m) for m in small])
 
 
 # -- fibrancy of a pre-monoid -------------------------------------------------
@@ -1178,9 +1177,11 @@ def segal_fibrancy_check(x_bx, n=2, budget=None):
                 for m in (1, 2):
                     if pis[k][m] is None or pis[l][m] is None:
                         continue
-                    image = _h_operator_image(x_bx, steps, m,
-                                              pis[k][m][0].elements)
-                    ok = _pi_iso_under_map(pis[k][m], pis[l][m], image)
+                    gk, _ = pis[k][m]
+                    gl, cls_l = pis[l][m]
+                    image = _h_operator_image(x_bx, steps, m, gk.elements)
+                    ok = gk.iso_failure(gl, {s: cls_l[t] for s, t
+                                             in image.items()}) is None
                     rep.add("weq-phi%s-pi%d" % (phi, m), ok)
 
     # (iii) and (iv) via the explicit prism-tuple descriptions of the
@@ -1352,20 +1353,6 @@ def _h_operator_image(x_bx, steps, q, cells):
     return image
 
 
-def _pi_iso_under_map(pik, pil, image):
-    """Given precomputed (group, sphere->class) data on source and target
-    rows and the images of the source representatives under a row map,
-    decide whether the induced map on pi_m is a group isomorphism."""
-    gk, _ = pik
-    gl, cls_l = pil
-    mapping = {s: cls_l[image[s]] for s in gk.elements}
-    if len(set(mapping.values())) != len(gl.elements) or \
-            set(mapping.values()) != set(gl.elements):
-        return False
-    return all(mapping[gk.mul(a, b)] == gl.mul(mapping[a], mapping[b])
-               for a in gk.elements for b in gk.elements)
-
-
 # -- the loop-space comparison ------------------------------------------------
 
 
@@ -1388,22 +1375,10 @@ def loop_gamma(g, to_dim=3):
         comps[1][xi_id] = _chain_id((mor,))
     # extend upward by filling from faces (both sides are weakly
     # 1-coskeletal in range)
-    for k in range(2, om.dim + 1):
-        idx = {}
-        for s in nsg.level(k):
-            idx.setdefault(nsg.faces(k, s), []).append(s)
-        mp = {}
-        for s in om.level(k):
-            want = tuple(comps[k - 1][om.d(k, i, s)] for i in range(k + 1))
-            cands = idx.get(want, [])
-            if len(cands) != 1:
-                raise NerveError("comparison does not extend at level %d" % k)
-            mp[s] = cands[0]
-        comps[k] = mp
-    if not _is_simplicial_map(om, nsg, comps, om.dim):
-        raise NerveError("comparison map is not simplicial")
-    for k in range(om.dim + 1):
-        vals = list(comps[k].values())
-        if len(set(vals)) != len(vals) or set(vals) != set(nsg.level(k)):
-            raise NerveError("comparison map is not bijective at level %d" % k)
+    upper = range(2, om.dim + 1)
+    index = {k: sp._candidate_index(nsg, k) for k in upper}
+    bad = sp.lift_by_faces(om, comps, index, upper)
+    if bad is not None:
+        raise NerveError("comparison does not extend at level %d" % bad)
+    _check_levelwise_iso(om, nsg, comps, om.dim, NerveError, "comparison map")
     return comps, om, nsg

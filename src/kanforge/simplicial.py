@@ -19,7 +19,7 @@ relations of the simplex category):
 import os
 from itertools import repeat
 
-from .groups import FiniteGroup
+from .groups import FiniteGroup, bijective, components, equivalence_classes
 
 
 class SimplicialError(Exception):
@@ -122,7 +122,6 @@ class TruncatedSSet:
         self.degen = degen
         self.coskeletal_at = coskeletal_at
         self.base = base
-        self._index = [set(l) for l in self.levels]
         self._face_tables = {}
         self._faces_compatible = {}
         self._kan_rows = {}
@@ -182,12 +181,13 @@ class TruncatedSSet:
 
     def validate(self):
         errs = []
+        sets = [set(l) for l in self.levels]
         for name, k, i in operator_keys(self.dim):
             step = STEPS[name]
             errs += totality_failures(
                 LABELS[name], "(%d,%d)" % (k, i),
                 getattr(self, name).get((k, i)), self.levels[k],
-                self._index[k + step], k + step)
+                sets[k + step], k + step)
         if errs:
             return ValidationReport(errs, "totality only (maps missing)")
         d, s = self.face, self.degen
@@ -213,7 +213,7 @@ class TruncatedSSet:
         if not errs:
             # faces land in their levels and the dd identities hold
             self._faces_compatible.update(dict.fromkeys(range(self.dim), True))
-        if self.base is not None and self.base not in self._index[0]:
+        if self.base is not None and self.base not in sets[0]:
             errs.append("base %s is not a 0-simplex" % self.base)
         if self.coskeletal_at is not None and not errs:
             # faces_compatible holds, so alpha^m is decided by count
@@ -462,7 +462,8 @@ def faces_compatible(x_sset, m):
     ok = x_sset._faces_compatible.get(m)
     if ok is None:
         cells, face = x_sset.levels[m + 1], x_sset.face
-        ok = all(x_sset._index[m].issuperset(column(cells, (face[m + 1, j],)))
+        below = set(x_sset.levels[m])
+        ok = all(below.issuperset(column(cells, (face[m + 1, j],)))
                  for j in range(m + 2))
         if ok and m:
             ok = not identity_failures(cells, dd_identities(face, m + 1))
@@ -840,7 +841,8 @@ def loop_space(x_sset, variant="plain", base=None):
         keep.append(lvl)
     out = build_sset(dim, keep, lambda name, k, i: relabel(
         keep[k], getattr(x, name)[k + 1, i]), base=star1)
-    if not all(out._index[k - 1].issuperset(mp.values())
+    sets = [set(l) for l in keep]
+    if not all(sets[k - 1].issuperset(mp.values())
                for (k, _), mp in out.face.items()):
         raise SimplicialError("loop space not closed under faces")
     return out
@@ -850,27 +852,10 @@ def loop_space(x_sset, variant="plain", base=None):
 
 
 def pi0(x_sset):
-    """Coequalizer of d_0, d_1 : level 1 -> level 0."""
-    parent = {v: v for v in x_sset.level(0)}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    if x_sset.dim >= 1:
-        for e in x_sset.level(1):
-            union(x_sset.d(1, 0, e), x_sset.d(1, 1, e))
-    classes = {}
-    for v in x_sset.level(0):
-        classes.setdefault(find(v), []).append(v)
-    return sorted(classes)
+    """Coequalizer of d_0, d_1 : level 1 -> level 0, as the sorted least
+    vertex of each component."""
+    edges = x_sset.face_table(1).values() if x_sset.dim >= 1 else ()
+    return sorted(set(components(x_sset.level(0), edges).values()))
 
 
 def pi(x_sset, m, base=None):
@@ -913,19 +898,10 @@ def pi_with_classes(x_sset, m, base=None):
     for fs in upper:
         if all(fs[i] == bm for i in range(m)) and fs[m] in sset and fs[m + 1] in sset:
             rel.add((fs[m + 1], fs[m]))
-    for s in spheres:
-        if (s, s) not in rel:
-            raise NotKan("homotopy relation not reflexive at %s" % s)
-    if any((b2, a2) not in rel for (a2, b2) in rel):
-        raise NotKan("homotopy relation not symmetric")
-    for (p, q) in list(rel):
-        for (q2, r) in list(rel):
-            if q2 == q and (p, r) not in rel:
-                raise NotKan("homotopy relation not transitive")
-    classes = {}
-    for s in spheres:
-        cls = min(t for t in spheres if (s, t) in rel)
-        classes[s] = cls
+    classes = equivalence_classes(
+        spheres, lambda s, t: (s, t) in rel,
+        lambda law, s: NotKan("homotopy relation not %s%s"
+                              % (law, "" if s is None else " at %s" % s)))
     reps = sorted(set(classes.values()))
 
     # product via the filler condition: for z in level m+1 with
@@ -1026,7 +1002,7 @@ def is_subcomplex(x_sset, ids_per_level):
         sets.append(set())
     for k in range(x_sset.dim + 1):
         cells = list(sets[k])
-        if not x_sset._index[k].issuperset(cells) or not all(
+        if not set(x_sset.levels[k]).issuperset(cells) or not all(
                 sets[k + step].issuperset(column(cells, (ops[k, i],)))
                 for ops, step in ((x_sset.face, -1), (x_sset.degen, 1))
                 if 0 <= k + step <= x_sset.dim for i in range(k + 1)):
@@ -1165,13 +1141,8 @@ class SSetMap:
                      for k in sorted(self.components))
 
     def is_iso(self):
-        for k, comp in self.components.items():
-            vals = list(comp.values())
-            if len(set(vals)) != len(vals):
-                return False
-            if set(vals) != set(self.dst.level(k)):
-                return False
-        return True
+        return all(bijective(comp.values(), self.dst.level(k))
+                   for k, comp in self.components.items())
 
 
 def budget_ticker(budget, message):
@@ -1355,6 +1326,24 @@ def _candidate_index(y_sset, k):
     for v in idx.values():
         v.sort()
     return idx
+
+
+def lift_by_faces(x_sset, comps, index, levels):
+    """Extend the levelwise dicts comps upward over `levels`, in order:
+    a cell of X at level k goes to the one cell of index[k] (a
+    _candidate_index of the target) whose faces are the images under
+    comps[k - 1] of its own faces.  Returns the first level where some
+    cell has no such target cell or more than one, or None when every
+    level lifts."""
+    for k in levels:
+        below, idx = comps[k - 1], index[k]
+        comps[k] = lifted = {}
+        for a, faces in x_sset.face_table(k).items():
+            cands = idx.get(tuple([below[f] for f in faces]), ())
+            if len(cands) != 1:
+                return k
+            lifted[a] = cands[0]
+    return None
 
 
 def enumerate_maps(x_sset, y_sset, upto=None, budget=None, pins=None):

@@ -134,3 +134,61 @@ def test_budget_guard():
     s1 = sp.sphere(1, 3)
     with pytest.raises(sp.SearchBudgetExceeded):
         dt.enumerate_additive(s1, gr.symmetric(3), budget=2)
+
+
+def pi_replaced(m, change):
+    """A stand-in for sp.pi_with_classes that hands pi_m through
+    change(group, classes) and every other pi as it is."""
+    real = sp.pi_with_classes
+
+    def fake(x, mm, base=None):
+        group, classes = real(x, mm, base)
+        return change(group, classes) if mm == m else (group, classes)
+    return fake
+
+
+def halved(group, classes):
+    """pi / {1, s}, s the element of order 2, with each sphere sent to
+    its coset's least member: the comparison into it is onto and a
+    homomorphism, but two to one."""
+    s = next(a for a in group.elements if group.order_of(a) == 2)
+    coset = {a: min(a, group.mul(a, s)) for a in group.elements}
+    table = {(coset[a], coset[b]): coset[group.mul(a, b)]
+             for a in group.elements for b in group.elements}
+    quotient = gr.FiniteGroup(sorted(set(coset.values())), table,
+                              coset[group.unit])
+    return quotient, {x: coset[c] for x, c in classes.items()}
+
+
+def unit_moved(group, classes):
+    """The group carried along a transposition of its unit and another
+    element, the classes left as they are: the comparison into it stays
+    bijective and fails to be a homomorphism at several elements."""
+    other = next(a for a in group.elements if a != group.unit)
+    swap = {a: a for a in group.elements}
+    swap[group.unit], swap[other] = other, group.unit
+    table = {(swap[a], swap[b]): swap[group.mul(a, b)]
+             for a in group.elements for b in group.elements}
+    return gr.FiniteGroup(group.elements, table, other), classes
+
+
+@pytest.mark.parametrize("build,m,want", [
+    (ca.discrete_two_group, 1, "pi0 -> pi1(N) is not bijective"),
+    (ca.one_object_two_group, 2, "alpha1 : pi1 -> pi2(N) is not bijective")],
+    ids=["disc-z4", "oneobj-z4"])
+def test_grho_rejects_a_comparison_onto_but_not_one_to_one(
+        monkeypatch, build, m, want):
+    monkeypatch.setattr(sp, "pi_with_classes", pi_replaced(m, halved))
+    errs, (p0, p1, p2, p1g) = dt.grho_check(build(gr.cyclic(4)))
+    assert errs == [want]
+    assert len((p1, p2)[m - 1]) == 2
+
+
+@pytest.mark.parametrize("name,m,want", [
+    ("disc-z3", 1, "pi0 -> pi1(N) is not a homomorphism"),
+    ("oneobj-z3", 2, "alpha1 is not a homomorphism")],
+    ids=["disc-z3", "oneobj-z3"])
+def test_grho_names_a_failed_homomorphism_once(monkeypatch, name, m, want):
+    monkeypatch.setattr(sp, "pi_with_classes", pi_replaced(m, unit_moved))
+    errs, _ = dt.grho_check(ex.build(name))
+    assert errs == [want]

@@ -157,15 +157,17 @@ def test_fibrancy_fails_on_nonfibrant_premonoid():
 
 @pytest.mark.parametrize("name,p,m", [("disc-z3", 1, 1), ("oneobj-z3", 1, 2)])
 def test_pi_iso_under_map_rejects_an_image_on_one_class(name, p, m):
-    # a row's own pi_m (order 3) against itself: the identity image is an
-    # isomorphism, an image that sends every representative to one class
-    # is not
-    pi = sp.pi_with_classes(nv.segal_nerve(ex.build(name), 2, 3).row(p), m)
-    group = pi[0]
+    # a row's own pi_m (order 3) against itself, through the check the
+    # weak-equivalence items of segal_fibrancy_check make: the identity
+    # image is an isomorphism, an image that sends every representative
+    # to one class is not
+    group, classes = sp.pi_with_classes(
+        nv.segal_nerve(ex.build(name), 2, 3).row(p), m)
     assert len(group.elements) == 3
-    assert nv._pi_iso_under_map(pi, pi, {s: s for s in group.elements})
-    assert not nv._pi_iso_under_map(
-        pi, pi, dict.fromkeys(group.elements, group.unit))
+    assert group.iso_failure(
+        group, {s: classes[s] for s in group.elements}) is None
+    assert group.iso_failure(
+        group, dict.fromkeys(group.elements, group.unit)) == "not bijective"
 
 
 def test_derived_objects_share_their_source_tables():

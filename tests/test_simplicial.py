@@ -1,9 +1,13 @@
+import functools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kanforge import simplicial as sp
 from kanforge import catalg as ca
 from kanforge import nerves as nv
 from kanforge import groups as gr
+from kanforge import examples as ex
 
 
 def nerve_z2():
@@ -331,3 +335,68 @@ def test_budget_exceeded_raises():
     n3 = nv.nerve_category(ca.one_object_groupoid(gr.cyclic(3)), 3)
     with pytest.raises(sp.SearchBudgetExceeded):
         sp.enumerate_maps(n3, n3, budget=5)
+
+
+# -- lifting a map along faces ------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def lift_sources():
+    return [sp.sphere(1, 3), ex.build("delta2-reduced"), ex.build("t11"),
+            sp.standard_simplex(2, 3)]
+
+
+@functools.lru_cache(maxsize=None)
+def lift_targets():
+    # group nerves, where a boundary has at most one filler, and 2-group
+    # nerves, where a 2-boundary may have several
+    return [nerve_z2(),
+            nv.nerve_category(ca.one_object_groupoid(gr.cyclic(3)), 3),
+            nv.nerve_2group(ex.build("oneobj-z2"), 3),
+            nv.nerve_2group(ex.build("disc-z2"), 3)]
+
+
+@functools.lru_cache(maxsize=None)
+def low_maps(i, j):
+    return sp.enumerate_maps(lift_sources()[i], lift_targets()[j], upto=1)
+
+
+def lift_by_filter(x, y, comps, levels):
+    """lift_by_faces by definition: each cell's image is sought by a scan
+    of the whole target level for the cells with the wanted faces."""
+    for k in levels:
+        comps[k] = {}
+        for a in x.level(k):
+            want = tuple(comps[k - 1][x.d(k, i, a)] for i in range(k + 1))
+            cands = [b for b in y.level(k)
+                     if tuple(y.d(k, i, b) for i in range(k + 1)) == want]
+            if len(cands) != 1:
+                return k
+            comps[k][a] = cands[0]
+    return None
+
+
+@st.composite
+def low_levels(draw):
+    """A source, a target, and images of the source's levels 0 and 1:
+    those of a map of 1-truncations, or any cells at all."""
+    i = draw(st.integers(0, len(lift_sources()) - 1))
+    j = draw(st.integers(0, len(lift_targets()) - 1))
+    x, y = lift_sources()[i], lift_targets()[j]
+    if draw(st.booleans()):
+        f = draw(st.sampled_from(low_maps(i, j)))
+        return x, y, {k: dict(f.components[k]) for k in (0, 1)}
+    return x, y, {k: {a: draw(st.sampled_from(y.level(k))) for a in x.level(k)}
+                  for k in (0, 1)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(low_levels())
+def test_lift_by_faces_matches_a_filter_over_the_target_level(data):
+    x, y, comps = data
+    levels = range(2, min(x.dim, y.dim) + 1)
+    index = {k: sp._candidate_index(y, k) for k in levels}
+    want = {k: dict(v) for k, v in comps.items()}
+    assert sp.lift_by_faces(x, comps, index, levels) == \
+        lift_by_filter(x, y, want, levels)
+    assert comps == want
