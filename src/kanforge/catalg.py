@@ -8,7 +8,7 @@ diagrams used throughout: l_X : X -> unit (x) X and r_X : X -> X (x) unit.
 
 import functools
 
-from .groups import FiniteGroup, bijective, components
+from .groups import FiniteGroup, components
 
 
 class CatError(Exception):
@@ -119,14 +119,6 @@ class FinGroupoid(FinCategory):
         """dict object -> the least object isomorphic to it."""
         return components(self.objects, ((self.src[f], self.tgt[f])
                                          for f in self.morphisms))
-
-    def iso_classes(self):
-        """dict least member -> the objects of its iso class, in object
-        order."""
-        classes = {}
-        for x, r in self.iso_rep().items():
-            classes.setdefault(r, []).append(x)
-        return classes
 
 
 def groupoid_pi1(grpd, a):
@@ -640,28 +632,6 @@ def is_weak_equivalence(f_fun):
         g, h, mapping = side(f_fun)
         if g.iso_failure(h, mapping):
             return False
-    return True
-
-
-def translation_bijectivity_check(g):
-    """For every object X the translations Y -> X(x)Y and Y -> Y(x)X are
-    bijections on iso classes and on each hom-set (finite equivalence
-    check)."""
-    rep = g.base.iso_rep()
-    reps = sorted(set(rep.values()))
-    for x in g.base.objects:
-        if not (bijective([rep[g.t(x, y)] for y in reps], reps) and
-                bijective([rep[g.t(y, x)] for y in reps], reps)):
-            return False
-        for y in g.base.objects:
-            for y2 in g.base.objects:
-                homs = g.base.hom(y, y2)
-                lt = {g.tm(g.base.id_of(x), f) for f in homs}
-                if len(lt) != len(homs):
-                    return False
-                rt = {g.tm(f, g.base.id_of(x)) for f in homs}
-                if len(rt) != len(homs):
-                    return False
     return True
 
 

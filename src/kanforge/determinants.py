@@ -480,15 +480,14 @@ def segal_determinants_vs_hom(x_bx, g, ns=None, budget=None):
     maps = nv.enumerate_bimaps(x_bx, ns, region=mu, budget=budget)
     dets = enumerate_segal_determinants(x_bx, g, budget=budget)
     # the objects of level (0, q) as structural simplices, and the cells
-    # of level (p, 1), p >= 1, as chains of base-groupoid morphisms, read
-    # from the nerve's int tables (which give its level order)
+    # of level (p, 1), p >= 1, as chains of base-groupoid morphisms, each
+    # listed by place from the nerve's int tables
     lv = ns._segal_levels
-    structs = {q: dict(zip(ns.level(0, q), lv.structs[q]))
-               for q in (1, 2) if (0, q) in mu}
+    structs = lv.structs
     # a 1-simplex morphism has one component, on the pair (0, 1)
     base_of = [lv.base_mor[f] for (f,) in lv.fam[1]]
-    chains = {p: dict(zip(ns.level(p, 1), zip(
-        *[map(base_of.__getitem__, col) for col in lv.chain_columns(p, 1)])))
+    chains = {p: list(zip(*[map(base_of.__getitem__, col)
+                            for col in lv.chain_columns(p, 1)]))
               for p in (1, 2) if (p, 1) in mu}
     # canonical key: the chain assignment on columns p <= 2, then T
     det_keys = [tuple(tuple(sorted(dm.components[p].items()))
@@ -586,8 +585,13 @@ def hom1_enriched(x_bx, g, n_max=2, ns=None, budget=None):
         prod, pairs = _bi_product_p1(x_bx, dn, region)
         prods.append(prod)
         pair_tables.append(pairs)
+    # each level's maps in the order of their images' ids, which the
+    # nerve may hold as places
+    names = {pq: sp.namer(ns.level(*pq)) for pq in region}
     maps = [sorted(nv.enumerate_bimaps(prods[n], ns, region=region,
-                                       budget=budget), key=_canon)
+                                       budget=budget),
+                   key=lambda f: _canon({pq: dict(zip(comp, map(
+                       names[pq], comp.values()))) for pq, comp in f.items()}))
             for n in range(n_max + 1)]
 
     def pull(n_to, n, post):

@@ -509,6 +509,9 @@ class BisimplicialTrunc:
     levels[(p,q)]  list of ids
     hface[(p,q,i)] level (p,q) -> (p-1,q);  vface likewise vertically
     hdegen[(p,q,j)] level (p,q) -> (p+1,q) where the target level exists
+
+    As for sp.TruncatedSSet, a derived object may hold a level as
+    sp.Places and each operator out of it as a list of target places.
     """
 
     # each operator table and the step from its source level to its target
@@ -604,7 +607,7 @@ class BisimplicialTrunc:
     def _line(self, at, axis, direction):
         """The simplicial set of the levels at(0), at(1), .. of the
         region (at(k)[axis] == k) with the operators of `direction`; it
-        shares this object's level lists and operator dicts."""
+        shares this object's level lists and operator tables."""
         dim = max(pq[axis] for pq in self.region if at(pq[axis]) == pq)
         levels = [self.levels[at(k)] for k in range(dim + 1)]
         return sp.build_sset(
@@ -690,7 +693,7 @@ def build_bisimplicial(region, levels, op):
     """The BisimplicialTrunc over region whose table `table` holds
     op(table, p, q, i) at (p, q, i) for each key of
     bi_operator_keys(region).  It holds the lists of `levels` and the
-    dicts op returns as they are, not copies."""
+    tables op returns as they are, not copies."""
     tables = {name: {} for name in BisimplicialTrunc.OPERATORS}
     for name, p, q, i in bi_operator_keys(region):
         tables[name][p, q, i] = op(name, p, q, i)
@@ -742,10 +745,24 @@ def diag(bx):
 
 def restrict_region(bx, region):
     """bx over the levels of region that it stores, sharing their level
-    lists and operator dicts."""
+    lists and operator tables."""
     region = {k for k in region if k in bx.region}
     return build_bisimplicial(region, {k: bx.levels[k] for k in region},
                               lambda name, p, q, i: getattr(bx, name)[p, q, i])
+
+
+def named(bx):
+    """bx with every cell under its string id, in the same level, key
+    and cell order; bx itself when no level is sp.Places."""
+    if not any(isinstance(cells, sp.Places) for cells in bx.levels.values()):
+        return bx
+    ids = {pq: list(map(sp.namer(cells), cells))
+           for pq, cells in bx.levels.items()}
+    tables = [{(p, q, i): dict(zip(ids[p, q], sp.column(
+        bx.levels[p, q], (mp, ids[p + dp, q + dq]))))
+               for (p, q, i), mp in getattr(bx, name).items()}
+              for name, (dp, dq) in BisimplicialTrunc.OPERATORS.items()]
+    return BisimplicialTrunc._adopt(bx.region, ids, *tables)
 
 
 def p2_star(k_sset, pmax):
@@ -781,10 +798,11 @@ class _SegalLevels:
     the number of chains whose first arrow is below m, and each later
     arrow the number of chains that agree with it up to that slot and
     take an arrow below it there, out of the same object.  String ids are
-    made once per object and morphism; composition (composite, a column
-    at a time) and the operator tables map ints to ints, each table built
-    once per (operator, q).  The base groupoid's ints are the 2-group's
-    shared g.int_index (catalg.IntIndex).
+    made once per object and morphism, and for a level only by namer;
+    composition (composite, a column at a time) and the operator tables
+    map ints to ints, each table built once per (operator, q).  The base
+    groupoid's ints are the 2-group's shared g.int_index
+    (catalg.IntIndex).
     """
 
     def __init__(self, g, qmax):
@@ -933,6 +951,19 @@ class _SegalLevels:
         return map(self.identity_table(q).__getitem__,
                    map(ends.__getitem__, col))
 
+    def namer(self, pq):
+        """place -> string id on level pq = (p, q) of the Segal nerve:
+        the object's name at p = 0, the morphism's at p = 1, and above,
+        the chain id of the names of the chain's arrows."""
+        p, q = pq
+        if p == 0:
+            return self.obj_names[q].__getitem__
+        names = self.mor_names[q]
+        if p == 1:
+            return names.__getitem__
+        cols = self.chain_columns(p, q)
+        return lambda c: _chain_id([names[col[c]] for col in cols])
+
     def inverse(self, q, m):
         inv = self._ix.inv
         return self._mor_of[q][(self.tgt[q][m],) +
@@ -982,10 +1013,11 @@ class _SegalLevels:
 def segal_nerve(g, pmax, qmax, level_budget=50000):
     """Materialize the Segal nerve over the largest downward-closed
     region inside the (pmax, min(qmax, 3)) rectangle whose levels fit
-    the budget.  The levels and operators are computed on the int tables
-    of _SegalLevels, a level of p >= 1 as p columns of morphism ints;
-    string ids are made once per cell, and every face and degeneracy
-    value is the target level's own id object."""
+    the budget.  Level (p, q) is sp.Places in level order, and each face
+    and degeneracy the list of its target places, computed on the int
+    tables of _SegalLevels (a level of p >= 1 as p columns of morphism
+    ints).  The string ids of a level are made only by its names
+    (_SegalLevels.namer), for serialize and sp.named."""
     lv = _SegalLevels(g, qmax)
     region = set()
     for q in range(lv.qmax + 1):
@@ -997,21 +1029,21 @@ def segal_nerve(g, pmax, qmax, level_budget=50000):
             if not down_ok:
                 break
             region.add((p, q))
-    # the cells of each level in level order: the object ints at p = 0,
-    # whose place is the int, and p columns of morphism ints at p >= 1,
-    # whose places lv.chain_places reads
+    # the chains of each level p >= 1 in level order, as p columns of
+    # morphism ints, whose places lv.chain_places reads
     cols, levels = {}, {}
     for (p, q) in region:
-        if p == 0:
-            levels[(p, q)] = lv.obj_names[q]
-        else:
-            cols[(p, q)] = cs = lv.chain_columns(p, q)
-            names = lv.mor_names[q]
-            levels[(p, q)] = names if p == 1 else list(map(_chain_id, zip(
-                *[map(names.__getitem__, col) for col in cs])))
-        if len(set(levels[(p, q)])) != len(levels[(p, q)]):
-            raise NerveError("ids of level (%d,%d) of the Segal nerve clash: "
-                             "the 2-group's ids run together" % (p, q))
+        if p:
+            cols[(p, q)] = lv.chain_columns(p, q)
+        levels[(p, q)] = sp.Places(lv.level_size(p, q),
+                                   functools.partial(lv.namer, (p, q)))
+        # distinct names without ';' make distinct chain ids
+        if p < 2 or ";" in "".join(lv.mor_names[q]):
+            ids = list(map(lv.namer((p, q)), levels[(p, q)]))
+            if len(set(ids)) != len(ids):
+                raise NerveError("ids of level (%d,%d) of the Segal nerve "
+                                 "clash: the 2-group's ids run together"
+                                 % (p, q))
 
     def vmap(p, q, phi, q_to):
         if p == 0:
@@ -1021,24 +1053,21 @@ def segal_nerve(g, pmax, qmax, level_budget=50000):
                                       for col in cols[(p, q)]])
 
     def op(name, p, q, i):
-        cs, (dp, dq) = cols.get((p, q)), BisimplicialTrunc.OPERATORS[name]
+        cs = cols.get((p, q))
         if name == "vface":
-            targets = vmap(p, q, _delta(i, q), q - 1)
-        elif name == "vdegen":
-            targets = vmap(p, q, _sigma(i, q), q + 1)
-        elif name == "hface" and p == 1:
-            targets = lv.tgt[q] if i == 0 else lv.src[q]
-        elif name == "hface":
-            targets = lv.chain_places(q, _chain_face(
+            return vmap(p, q, _delta(i, q), q - 1)
+        if name == "vdegen":
+            return vmap(p, q, _sigma(i, q), q + 1)
+        if name == "hface" and p == 1:
+            return lv.tgt[q] if i == 0 else lv.src[q]
+        if name == "hface":
+            return lv.chain_places(q, _chain_face(
                 cs, p, i, functools.partial(lv.composite, q)))
-        elif p == 0:
-            targets = lv.identity_table(q)
-        else:
-            targets = lv.chain_places(q, _chain_degen(
-                cs, i, functools.partial(lv.units_at, q, lv.src[q]),
-                functools.partial(lv.units_at, q, lv.tgt[q])))
-        to = levels[(p + dp, q + dq)]
-        return dict(zip(levels[(p, q)], map(to.__getitem__, targets)))
+        if p == 0:
+            return lv.identity_table(q)
+        return lv.chain_places(q, _chain_degen(
+            cs, i, functools.partial(lv.units_at, q, lv.src[q]),
+            functools.partial(lv.units_at, q, lv.tgt[q])))
 
     out = build_bisimplicial(region, levels, op)
     out._segal_levels = lv
@@ -1083,7 +1112,7 @@ def enumerate_bimaps(x_bx, y_bx, region=None, budget=None):
         for src, n, _, x_deg, y_deg in dirs:
             for j in range(n):
                 y_map = y_deg[src + (j,)]
-                for a, sa in x_deg[src + (j,)].items():
+                for a, sa in sp.items(x_bx.level(*src), x_deg[src + (j,)]):
                     forced.setdefault(sa, (sa, src, a, y_map))
         tables = [(src, x_bx.face_table(p, q, hv)) for src, _, hv, _, _ in dirs]
         cells = x_bx.level(p, q)
@@ -1133,7 +1162,8 @@ def segal_fibrancy_check(x_bx, n=2, budget=None):
 
     (i)   every simplex-map-induced row map is a weak equivalence
           (pi_1 always, pi_2 where rows reach vertical depth 3); the map
-          is applied only to the pi_m representatives of the source row,
+          is applied, a column at a time, only to the pi_m
+          representatives of the source row,
     (ii)  every row is an n-Kan-groupoid (within range),
     (iii) boundary(p) x horn(q) extension at p = q = 2,
     (iv)  relative box-horn surjectivity at p in {1,2}, q = 2.
@@ -1179,9 +1209,11 @@ def segal_fibrancy_check(x_bx, n=2, budget=None):
                         continue
                     gk, _ = pis[k][m]
                     gl, cls_l = pis[l][m]
-                    image = _h_operator_image(x_bx, steps, m, gk.elements)
-                    ok = gk.iso_failure(gl, {s: cls_l[t] for s, t
-                                             in image.items()}) is None
+                    # each representative's class under the operator
+                    chain = [(x_bx.hface if kind == "d" else x_bx.hdegen)[
+                        p, m, i] for kind, p, i in steps] + [cls_l]
+                    ok = gk.iso_failure(gl, dict(zip(gk.elements, sp.column(
+                        gk.elements, chain)))) is None
                     rep.add("weq-phi%s-pi%d" % (phi, m), ok)
 
     # (iii) and (iv) via the explicit prism-tuple descriptions of the
@@ -1266,13 +1298,18 @@ def _relative_horn_tables(x_bx, p, q):
     bidx = {}
     for b, hkey in x_bx.face_table(p, q - 1, "h").items():
         bidx.setdefault(hkey, []).append(b)
-    va = x_bx.face_table(p - 1, q, "v")
-    a_cands = [(a, [bidx.get(tuple(va[ai][j] for ai in a), [])
-                    for j in range(q + 1)])
-               for a in _h_boundary_tuples(x_bx, p, q)]
-    hf = x_bx.face_table(p, q, "h")
-    vf = x_bx.face_table(p, q, "v")
-    horn_keys = [{(hf[x], vf[x][:k] + vf[x][k + 1:]) for x in x_bx.level(p, q)}
+    tuples = _h_boundary_tuples(x_bx, p, q)
+    # slot i of every tuple as one column; per vertical slot j, the keys
+    # (dv_j a_0, .., dv_j a_p) zipped from those columns mapped through dv_j
+    slots = list(zip(*tuples)) or [()] * (p + 1)
+    cands = [list(map(bidx.get, zip(*[
+        sp.column(col, (x_bx.vface[p - 1, q, j],)) for col in slots]),
+        itertools.repeat([]))) for j in range(q + 1)]
+    a_cands = list(zip(tuples, map(list, zip(*cands))))
+    hkeys = list(x_bx.face_table(p, q, "h").values())
+    cells = x_bx.level(p, q)
+    vcols = [sp.column(cells, (x_bx.vface[p, q, j],)) for j in range(q + 1)]
+    horn_keys = [set(zip(hkeys, zip(*(vcols[:k] + vcols[k + 1:]))))
                  for k in range(q + 1)]
     return a_cands, horn_keys
 
@@ -1336,21 +1373,6 @@ def _h_operator_steps(phi, p_from):
             steps.append(("s", p, image.index(phi[i])))
             p += 1
     return steps
-
-
-def _h_operator_image(x_bx, steps, q, cells):
-    """dict cell -> its image under the horizontal operator `steps`
-    (from _h_operator_steps), for the given cells of one level at
-    vertical level q."""
-    ops = [(x_bx.hface if kind == "d" else x_bx.hdegen)[(p, q, i)]
-           for kind, p, i in steps]
-    image = {}
-    for s in cells:
-        t = s
-        for op in ops:
-            t = op[t]
-        image[s] = t
-    return image
 
 
 # -- the loop-space comparison ------------------------------------------------

@@ -144,6 +144,7 @@ def _read_operators(doc, name, levels, step, where):
 
 
 def sset_to_doc(x):
+    x = sp.named(x)
     doc = {"format": 1, "kind": "sset", "dim": x.dim,
            "levels": [list(l) for l in x.levels]}
     for name, table in (("face", x.face), ("degen", x.degen)):
@@ -319,6 +320,7 @@ def bisimplicial_to_doc(bx):
     region = nv.rectangle(pmax, qmax)
     if region - set(bx.region):
         raise ParseError("only rectangular truncations serialize")
+    bx = nv.named(bx)
     doc = {"format": 1, "kind": "bisimplicial", "P": pmax, "Q": qmax,
            "levels": [[list(bx.level(p, q)) for q in range(qmax + 1)]
                       for p in range(pmax + 1)]}

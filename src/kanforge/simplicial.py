@@ -16,8 +16,10 @@ relations of the simplex category):
     d_i s_j = s_j d_{i-1}            i > j + 1
 """
 
+import functools
+import operator
 import os
-from itertools import repeat
+from itertools import compress, repeat
 
 from .groups import FiniteGroup, bijective, components, equivalence_classes
 
@@ -96,6 +98,9 @@ class TruncatedSSet:
     degen[k,j]  dict id -> id, level k -> level k+1, 0 <= k < dim, 0 <= j <= k
     coskeletal_at  optional c asserting the object is c-coskeletal
     base        optional 0-simplex id (pointed variant)
+
+    A derived complex may instead hold a level as Places and each
+    operator out of it as the list of its target places.
     """
 
     def __init__(self, dim, levels, face, degen, coskeletal_at=None, base=None):
@@ -166,12 +171,8 @@ class TruncatedSSet:
 
     def degenerate_ids(self, k):
         """Ids in level k that are in the image of some degeneracy."""
-        if k == 0:
-            return set()
-        out = set()
-        for j in range(k):
-            out.update(self.degen[(k - 1, j)].values())
-        return out
+        return set().union(*[column(self.levels[k - 1], (self.degen[k - 1, j],))
+                             for j in range(k)])
 
     def nondegenerate_counts(self):
         return [len(self.levels[k]) - len(self.degenerate_ids(k))
@@ -258,13 +259,46 @@ def build_sset(dim, levels, op, coskeletal_at=None, base=None):
 def truncate(x_sset, dim):
     """The truncation of X at dim <= X.dim: levels 0..dim and the
     operators among them, with X's coskeletal flag and base.  It shares
-    X's level lists and operator dicts."""
+    X's level lists and operator tables."""
     if not 0 <= dim <= x_sset.dim:
         raise DimensionOutOfRange(
             "cannot truncate a %d-truncation at %d" % (x_sset.dim, dim))
     return build_sset(dim, x_sset.levels[:dim + 1],
                       lambda name, k, i: getattr(x_sset, name)[k, i],
                       x_sset.coskeletal_at, x_sset.base)
+
+
+class Places(list):
+    """A level held as its places 0 .. n - 1, each cell its own place;
+    names() makes the function place -> string id.  Every object that
+    shares the level list shares its names."""
+
+    def __init__(self, n, names):
+        super().__init__(range(n))
+        self.names = names
+
+
+def namer(cells):
+    """cell -> its string id, over the cells of one level: the cell
+    itself, unless the level is Places."""
+    return cells.names() if isinstance(cells, Places) else lambda c: c
+
+
+def named(x_sset):
+    """X with every cell under its string id, in the same level order
+    and operator key order; X itself when no level is Places."""
+    if not any(isinstance(cells, Places) for cells in x_sset.levels):
+        return x_sset
+    ids = [list(map(namer(cells), cells)) for cells in x_sset.levels]
+
+    def table(name):
+        return {(k, i): dict(zip(ids[k], column(
+            x_sset.levels[k], (mp, ids[k + STEPS[name]]))))
+                for (k, i), mp in getattr(x_sset, name).items()}
+
+    base = None if x_sset.base is None else ids[0][x_sset.base]
+    return TruncatedSSet._adopt(x_sset.dim, ids, table("face"),
+                                table("degen"), x_sset.coskeletal_at, base)
 
 
 # -- column-wise checks --------------------------------------------------
@@ -276,11 +310,17 @@ _UNDEFINED = object()
 
 
 def column(cells, chain):
-    """The images of cells under the dicts of chain, first to last, as
-    one list."""
+    """The images of cells under the tables of chain (dicts, or lists
+    over places), first to last, as one list."""
     for mp in chain:
         cells = list(map(mp.__getitem__, cells))
     return cells
+
+
+def items(cells, mp):
+    """The (cell, image) pairs of an operator table out of the level
+    cells: a dict's items, or a list over places paired with cells."""
+    return mp.items() if isinstance(mp, dict) else zip(cells, mp)
 
 
 def relabel(cells, mp, src=None, dst=None):
@@ -309,6 +349,9 @@ def totality_failures(name, key, mp, cells, target, level):
     sends outside the set target of level `level`; in cell order."""
     if mp is None:
         return ["missing %s map %s" % (name, key)]
+    if isinstance(mp, list):
+        # a list table is defined on the places 0 .. len(mp) - 1
+        mp = dict(enumerate(mp))
     images = list(map(mp.get, cells, repeat(_UNDEFINED)))
     if target.issuperset(images):
         return []
@@ -407,13 +450,6 @@ def horn_tuples(x_sset, m, k):
     return compatible_tuples(x_sset.level(m), x_sset.face_table(m), m, skip=k)
 
 
-def boundary_alpha(x_sset, m):
-    """alpha^m: level[m+1] -> boundary tuples, x -> (d_0 x, .., d_{m+1} x)."""
-    if m + 1 > x_sset.dim:
-        raise DimensionOutOfRange("alpha^%d needs level %d" % (m, m + 1))
-    return dict(x_sset.face_table(m + 1))
-
-
 def horn_alpha(x_sset, m, k):
     """alpha^{m,k}: level[m+1] -> horn tuples (None in slot k)."""
     if m + 1 > x_sset.dim:
@@ -442,10 +478,6 @@ class KanRow:
     @property
     def kan(self):
         return all(s for s, _ in self.flags.values())
-
-    @property
-    def strict(self):
-        return all(s and i for s, i in self.flags.values())
 
     @property
     def unique_fillers(self):
@@ -696,7 +728,8 @@ def coskeletal_extend(x_sset, to_dim):
                 fa = faces[a] if m else ()
                 parts = tuple([below[f] for f in fa[:j]]) + (a, a) + \
                     tuple([above[f] for f in fa[j + 1:]])
-                mapping[a] = id_of.get(parts) or _tuple_id(parts)
+                known = id_of.get(parts)
+                mapping[a] = _tuple_id(parts) if known is None else known
             degen[(m, j)] = mapping
         cur = TruncatedSSet(new_dim, levels, face, degen,
                             coskeletal_at=x_sset.coskeletal_at, base=x_sset.base)
@@ -754,53 +787,6 @@ def shift(x_sset):
                       base=base)
 
 
-def shift_retraction_check(x_sset):
-    """Verify alpha_X . beta_X = id on the vertex level and that
-    H(t)_n = s_n..s_t d_t..d_n is a combinatorial homotopy from
-    beta.alpha to the identity of the shifted complex.  Every map is a
-    chain of face and degeneracy dicts, checked by identity_failures."""
-    dim = x_sset.dim - 1
-    if dim < 0:
-        return ["shift undefined"]
-    d, s = x_sset.face, x_sset.degen
-
-    def h(t, n):
-        # H(t)_n on level n of the shift = X_{n+1}; d_n acts first
-        return ([d[i + 1, i] for i in range(n, t - 1, -1)] +
-                [s[i, i] for i in range(t, n + 1)])
-
-    def alpha(n):       # d_0^{n+1} : X_{n+1} -> X_0
-        return [d[k, 0] for k in range(n + 1, 0, -1)]
-
-    def beta(n):        # s_0^{n+1} : X_0 -> X_{n+1}
-        return [s[k, 0] for k in range(n + 1)]
-
-    # (level, identities) in the order reported; each tag is its
-    # message with {} for the cell
-    checks = [(0, [(beta(n) + alpha(n), (),
-                    "alpha.beta != id at {} (n=%d)" % n)
-                   for n in range(dim + 1)])]
-    checks += [(n + 1, [(h(n + 1, n), (), "H(n+1) != id at {} (n=%d)" % n),
-                        (h(0, n), alpha(n) + beta(n),
-                         "H(0) != beta.alpha at {} (n=%d)" % n)])
-               for n in range(dim + 1)]
-    # the homotopy identities of the combinatorial-homotopy lemma
-    checks += [(n + 1, [(h(t, n) + [d[n + 1, i]],
-                         [d[n + 1, i]] + h(t if t <= i else t - 1, n - 1),
-                         "homotopy d-identity fails (n=%d,t=%d,i=%d,{})"
-                         % (n, t, i))
-                        for t in range(n + 2) for i in range(n + 1)])
-               for n in range(1, dim + 1)]
-    checks += [(n + 1, [(h(t, n) + [s[n + 1, j]],
-                         [s[n + 1, j]] + h(t if t <= j else t + 1, n + 1),
-                         "homotopy s-identity fails (n=%d,t=%d,j=%d,{})"
-                         % (n, t, j))
-                        for t in range(n + 2) for j in range(n + 1)])
-               for n in range(dim)]
-    return [tag.format(x) for k, identities in checks
-            for x, tag in identity_failures(x_sset.level(k), identities)]
-
-
 def loop_space(x_sset, variant="plain", base=None):
     """Combinatorial loop space.
 
@@ -815,7 +801,9 @@ def loop_space(x_sset, variant="plain", base=None):
         raise DimensionOutOfRange("loop space needs dim >= 2")
     if variant == "reduced" and not x.is_reduced():
         raise SimplicialError("reduced loop space needs a reduced complex")
-    a = base if base is not None else (x.base or (x.level(0)[0] if x.is_reduced() else None))
+    a = base if base is not None else x.base
+    if a is None and x.is_reduced():
+        a = x.level(0)[0]
     if a is None:
         raise SimplicialError("no base point")
     dim = x.dim - 1
@@ -886,18 +874,9 @@ def pi_with_classes(x_sset, m, base=None):
         raise NotKan("cannot certify Kan up to dimension %d (range stops at %d)"
                      % (m, certified_to))
 
-    bm = x.deg_base(m, a)
-    bm1 = x.deg_base(m - 1, a)
-    spheres = [s for s in x.level(m)
-               if all(x.d(m, i, s) == bm1 for i in range(m + 1))]
-    sset = set(spheres)
-    upper = x.face_table(m + 1).values()
-
-    # identification relation via level m+1
-    rel = set()
-    for fs in upper:
-        if all(fs[i] == bm for i in range(m)) and fs[m] in sset and fs[m + 1] in sset:
-            rel.add((fs[m + 1], fs[m]))
+    spheres, related, products = _pi_cells(x, m, a)
+    d = [x.face[m + 1, i] for i in range(m + 2)]
+    rel = set(zip(column(related, (d[m + 1],)), column(related, (d[m],))))
     classes = equivalence_classes(
         spheres, lambda s, t: (s, t) in rel,
         lambda law, s: NotKan("homotopy relation not %s%s"
@@ -908,25 +887,44 @@ def pi_with_classes(x_sset, m, base=None):
     # d_{m+1} z = x, d_{m-1} z = y and lower faces at the base,
     # x*y = d_m z.
     table = {}
-    for fs in upper:
-        if any(fs[i] != bm for i in range(m - 1)):
-            continue
-        if fs[m + 1] in sset and fs[m - 1] in sset and fs[m] in sset:
-            key = (classes[fs[m + 1]], classes[fs[m - 1]])
-            val = classes[fs[m]]
-            if key in table and table[key] != val:
-                raise NotKan("product not well defined at %r" % (key,))
-            table[key] = val
+    for key, val in zip(zip(column(products, (d[m + 1], classes)),
+                            column(products, (d[m - 1], classes))),
+                        column(products, (d[m], classes))):
+        if table.setdefault(key, val) != val:
+            raise NotKan("product not well defined at %r" % (key,))
     for p in reps:
         for q in reps:
             if (p, q) not in table:
                 raise NotKan("product undefined at (%s, %s)" % (p, q))
-    unit = classes[bm]
+    unit = classes[x.deg_base(m, a)]
     g = FiniteGroup(reps, table, unit, name="pi_%d" % m)
     errs = g.validate()
     if errs:
         raise NotKan("group axioms fail: %s" % errs[0])
     return g, classes
+
+
+def _pi_cells(x, m, a):
+    """What pi_m at the vertex a reads, in level order: the spheres (all
+    faces s_0^{m-1} a), the (m+1)-simplices z relating two spheres (d_i z
+    = s_0^m a for i < m, d_m z and d_{m+1} z spheres) and those
+    multiplying them (d_i z = s_0^m a for i < m - 1, d_{m-1} z, d_m z
+    and d_{m+1} z spheres).  Each test filters a column of faces."""
+    def where(k, cells, tests):
+        for i, test in tests:
+            cells = list(compress(cells, map(test, column(
+                cells, (x.face[k, i],)))))
+        return cells
+
+    bm, bm1 = [functools.partial(operator.eq, x.deg_base(n, a))
+               for n in (m, m - 1)]
+    spheres = where(m, x.level(m), [(i, bm1) for i in range(m + 1)])
+    sphere = set(spheres).__contains__
+    based = where(m + 1, x.level(m + 1), [(i, bm) for i in range(m - 1)])
+    related = where(m + 1, based, [(m - 1, bm), (m, sphere),
+                                   (m + 1, sphere)])
+    products = where(m + 1, based, [(i, sphere) for i in (m + 1, m - 1, m)])
+    return spheres, related, products
 
 
 # -- standard complexes ----------------------------------------------------
@@ -1376,7 +1374,7 @@ def enumerate_maps(x_sset, y_sset, upto=None, budget=None, pins=None):
         forced = {}
         for j in range(k):
             y_deg = y_sset.degen[(k - 1, j)]
-            for a, sa in x_sset.degen[(k - 1, j)].items():
+            for a, sa in items(x_sset.level(k - 1), x_sset.degen[(k - 1, j)]):
                 forced.setdefault(sa, (sa, k - 1, a, y_deg))
         faces = x_sset.face_table(k)
         level = x_sset.level(k)

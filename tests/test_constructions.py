@@ -21,7 +21,12 @@ from kanforge import serialize as io
 def fingerprint(obj):
     """sha1 of serialize.dumps(obj) (where it serializes) and, for a
     simplicial or bisimplicial set, the levels, the flags and each
-    operator dict's items in order."""
+    operator dict's items in order, all of its named rendering (a Segal
+    nerve and the objects derived from it hold their cells as places)."""
+    if isinstance(obj, sp.TruncatedSSet):
+        obj = sp.named(obj)
+    elif isinstance(obj, nv.BisimplicialTrunc):
+        obj = nv.named(obj)
     h = hashlib.sha1()
 
     def put(value):

@@ -14,6 +14,8 @@ from kanforge import examples as ex
 from kanforge import groups as gr
 from kanforge import serialize as io
 
+from reference import boundary_alpha
+
 # brute force walks |level|^(slots) candidates; larger cases are left out
 PRODUCT_CAP = 300000
 
@@ -330,17 +332,14 @@ def test_segal_nerve_levels_and_operators(name):
     assert ns.validate() == []
     lv = ns._segal_levels
     for (p, q) in ns.region:
-        assert len(ns.level(p, q)) == lv.level_size(p, q)
-    own = {pq: {id(x) for x in ids} for pq, ids in ns.levels.items()}
-    for ops, target in [(ns.hface, lambda p, q: (p - 1, q)),
-                        (ns.vface, lambda p, q: (p, q - 1)),
-                        (ns.hdegen, lambda p, q: (p + 1, q)),
-                        (ns.vdegen, lambda p, q: (p, q + 1))]:
-        for (p, q, _), mp in ops.items():
-            dst = target(p, q)
-            assert set(mp) == set(ns.level(p, q))
-            # each value is the target level's own id object
-            assert all(id(v) in own[dst] for v in mp.values())
+        # each level is its places
+        assert ns.level(p, q) == list(range(lv.level_size(p, q)))
+    for name, (dp, dq) in nv.BisimplicialTrunc.OPERATORS.items():
+        for (p, q, _), table in getattr(ns, name).items():
+            # one target place per cell, each within the target level
+            assert type(table) is list
+            assert len(table) == len(ns.level(p, q))
+            assert set(table) <= set(range(len(ns.level(p + dp, q + dq))))
 
 
 # -- the Segal nerve against the string-keyed build it replaces ----------------
@@ -594,9 +593,9 @@ SEGAL_CASES = [segal_case(name, 2, 3, 50000)
 @pytest.mark.parametrize("build,pmax,qmax,budget", SEGAL_CASES)
 def test_segal_nerve_matches_string_keyed_reference(build, pmax, qmax, budget):
     g = build()
-    assert_same_bisimplicial(nv.segal_nerve(g, pmax, qmax, level_budget=budget),
-                             reference_segal_nerve(g, pmax, qmax,
-                                                   level_budget=budget))
+    assert_same_bisimplicial(
+        nv.named(nv.segal_nerve(g, pmax, qmax, level_budget=budget)),
+        reference_segal_nerve(g, pmax, qmax, level_budget=budget))
 
 
 @pytest.mark.parametrize("name", [n for n, _ in ex.canned_two_groups()])
@@ -908,7 +907,7 @@ def reference_minimality_at(x_sset, m):
 def reference_faces_compatible(x_sset, m):
     """Every face tuple of level m+1 is a boundary tuple of level m."""
     x = sp._ensure_depth(x_sset, m + 1)
-    return set(sp.boundary_alpha(x, m).values()) <= \
+    return set(boundary_alpha(x, m).values()) <= \
         set(sp.boundary_tuples(x, m))
 
 
@@ -962,7 +961,7 @@ def reference_classify(x, n):
     top = x.dim - 1
 
     def alpha_bij(m):
-        image = list(sp.boundary_alpha(x, m).values())
+        image = list(boundary_alpha(x, m).values())
         tuples = sp.boundary_tuples(x, m)
         return set(image) == set(tuples), len(set(image)) == len(image)
 
@@ -1075,7 +1074,7 @@ def reference_validate(x):
     if x.coskeletal_at is not None and not errs:
         c = x.coskeletal_at
         for m in range(max(c, 0), x.dim):
-            image = list(sp.boundary_alpha(x, m).values())
+            image = list(boundary_alpha(x, m).values())
             if set(image) != set(sp.boundary_tuples(x, m)) or \
                     len(set(image)) != len(image):
                 errs.append("coskeletal_at=%d violated: alpha^%d not bijective"
@@ -2140,3 +2139,123 @@ def test_determinants_match_their_definition(x, g):
     assert len(want) > 1
     assert len(got) == len(set(got))
     assert set(got) == want
+
+
+# -- the column-wise cell selections against per-cell definitions --------------
+
+
+def reference_pi_cells(x, m, a):
+    """The cells pi_with_classes reads, cell by cell from the face
+    operators: spheres, relating and multiplying (m+1)-simplices."""
+    bm, bm1 = x.deg_base(m, a), x.deg_base(m - 1, a)
+    spheres = [s for s in x.level(m)
+               if all(x.d(m, i, s) == bm1 for i in range(m + 1))]
+    sset = set(spheres)
+    upper = x.level(m + 1)
+    related = [z for z in upper
+               if all(x.d(m + 1, i, z) == bm for i in range(m))
+               and x.d(m + 1, m, z) in sset and x.d(m + 1, m + 1, z) in sset]
+    products = [z for z in upper
+                if all(x.d(m + 1, i, z) == bm for i in range(m - 1))
+                and all(x.d(m + 1, i, z) in sset for i in (m - 1, m, m + 1))]
+    return spheres, related, products
+
+
+def pi_cell_cases():
+    out = [("nerve-%s" % name, lambda g=g: nv.nerve_2group(g, 3))
+           for name, g in ex.canned_two_groups()]
+    out += [("nerve-%s" % name, lambda c=c: nv.nerve_category(c, 3))
+            for name, c in ex.canned_groupoids()]
+    out += [("dd-broken-delta2", dd_broken_delta2),
+            ("segal-row0-disc-z2",
+             lambda: nv.segal_nerve(ex.build("disc-z2"), 2, 3).row(0))]
+    out += [("segal-row%d-%s" % (p, name),
+             lambda p=p, name=name: nv.segal_nerve(ex.build(name), 2,
+                                                   3).row(p))
+            for name in ("oneobj-z2", "oneobj-z3", "disc-z2-x-oneobj-z2")
+            for p in (1, 2)]
+    return [pytest.param(build, id=name) for name, build in out]
+
+
+@pytest.mark.parametrize("build", pi_cell_cases())
+def test_pi_cells_match_per_cell_filters(build):
+    x = build()
+    # m = 2 where level 3 is stored; every vertex as the base
+    for m in [m for m in (1, 2) if m < x.dim]:
+        for a in x.level(0):
+            assert sp._pi_cells(x, m, a) == reference_pi_cells(x, m, a)
+
+
+def test_pi_cells_cases_select_cells():
+    # the filters keep and drop cells on the Segal rows
+    x = nv.segal_nerve(ex.build("oneobj-z3"), 2, 3).row(1)
+    spheres, related, products = sp._pi_cells(x, 2, x.base)
+    assert x.base == 0
+    assert 0 < len(related) < len(products) < len(x.level(3))
+    assert 0 < len(spheres) < len(x.level(2))
+
+
+def reference_relative_horn_tables(x_bx, p, q):
+    """_relative_horn_tables with each boundary tuple's candidate keys
+    read cell by cell, one generator per tuple and slot."""
+    if any(t not in x_bx.region for t in [(p, q), (p - 1, q), (p, q - 1)]):
+        return None
+    bidx = {}
+    for b, hkey in x_bx.face_table(p, q - 1, "h").items():
+        bidx.setdefault(hkey, []).append(b)
+    va = x_bx.face_table(p - 1, q, "v")
+    a_cands = [(a, [bidx.get(tuple(va[ai][j] for ai in a), [])
+                    for j in range(q + 1)])
+               for a in nv._h_boundary_tuples(x_bx, p, q)]
+    hf = x_bx.face_table(p, q, "h")
+    vf = x_bx.face_table(p, q, "v")
+    horn_keys = [{(hf[x], vf[x][:k] + vf[x][k + 1:]) for x in x_bx.level(p, q)}
+                 for k in range(q + 1)]
+    return a_cands, horn_keys
+
+
+@pytest.mark.parametrize("build", fibrancy_cases() + [
+    pytest.param(lambda: nv.p2_star(ex.build("t11"), 2), id="p2-star-t11"),
+    pytest.param(lambda: nv.segal_nerve(ex.build("disc-z3"), 2, 1),
+                 id="disc-z3-outside-the-region")])
+def test_relative_horn_tables_match_per_tuple_keys(build):
+    x_bx = build()
+    for p in (1, 2):
+        got = nv._relative_horn_tables(x_bx, p, 2)
+        want = reference_relative_horn_tables(x_bx, p, 2)
+        # the same tuples, candidate lists and keys, in the same order
+        assert got == want
+        if want is not None:
+            assert all(type(c) is list for _, c in got[0])
+
+
+# -- the Segal nerve on places against its named rendering ---------------------
+
+
+def renamed(x, k, cells):
+    """The cells of level k of x (None kept) under their string ids."""
+    name = sp.namer(x.level(k))
+    return tuple(None if c is None else name(c) for c in cells)
+
+
+@pytest.mark.parametrize("name", [n for n, _ in ex.canned_two_groups()])
+def test_segal_lines_agree_with_their_named_rendering(name):
+    ns = nv.segal_nerve(ex.build(name), 2, 3)
+    named = nv.named(ns)
+    assert all(type(c) is str for cells in named.levels.values() for c in cells)
+    lines = [(ns.row(p), named.row(p)) for p in range(3)]
+    lines += [(ns.column(q), named.column(q)) for q in range(4)]
+    for x, y in lines:
+        assert (x.dim, x.base is None) == (y.dim, y.base is None)
+        assert [len(l) for l in x.levels] == [len(l) for l in y.levels]
+        got, want = x.validate(), y.validate()
+        assert (got.violations, got.checked) == (want.violations, want.checked)
+        for n in (1, 2):
+            a, b = sp.classify(x, n), sp.classify(y, n)
+            assert vars(a) == vars(b)
+        for m in range(x.dim):
+            a, b = sp.kan_status(x, m), sp.kan_status(y, m)
+            assert (a.flags, a.minimal) == (b.flags, b.minimal)
+            # a witness is a horn of level m or a pair of level m + 1
+            assert {key: renamed(x, m + (key[1] == "inj"), cells)
+                    for key, cells in a.witness.items()} == b.witness

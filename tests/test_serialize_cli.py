@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -131,6 +132,43 @@ def test_cli_segal_nerve_clips_qmax_past_three(tmp_path, capsys):
         assert cli.main(["segal-nerve", g, "--qmax", qmax]) == 0
         docs.append(capsys.readouterr().out)
     assert docs[0] and docs[0] == docs[1]
+
+
+# sha1 of `kanforge segal-nerve --pmax P --qmax Q` on each canned 2-group,
+# recorded before the Segal nerve held its cells as places; its standard
+# output and the file `-o` writes are the same bytes
+SEGAL_NERVE_SHA1 = {
+    ("disc-z2", 2, 3): "60055fc497342719e373d0f8be0ffba464f9ae48",
+    ("disc-z2", 3, 2): "aa60ece493cdffe15b88ddae2c21c9969c2f04e5",
+    ("disc-z2", 1, 3): "e5178070efc7c6e9ad45bd69d627afbbc3af9bec",
+    ("disc-z3", 2, 3): "474e356063039561ece31a3519b57f830b393f00",
+    ("disc-z3", 3, 2): "98184ab1ed2149920c82857b822b3ce75a37b4a3",
+    ("disc-z3", 1, 3): "372d2b75e0fc7157d553aa9ce550029ca3a52a99",
+    ("oneobj-z2", 2, 3): "d25d4e451c721c76ac8268fcd83e74f43c581f83",
+    ("oneobj-z2", 3, 2): "4d6fb57960fe715a207ededc6f97447102498199",
+    ("oneobj-z2", 1, 3): "b55a34c2134f1f4453a6dc8b9d73d07a6ba2e7d1",
+    ("oneobj-z3", 2, 3): "f40dabe88fa719f8c0b5cb1414cea73ce0a64602",
+    ("oneobj-z3", 3, 2): "f40dabe88fa719f8c0b5cb1414cea73ce0a64602",
+    ("oneobj-z3", 1, 3): "2a066ddb1830c8a6f4700391b7ec32a519f32c51",
+    ("disc-z2-x-oneobj-z2", 2, 3): "988e3f1010494c609d43df8c422e02a021b0b118",
+    ("disc-z2-x-oneobj-z2", 3, 2): "e68148e8b2fb81dd609d6d83bdb6e8c1fa66fd20",
+    ("disc-z2-x-oneobj-z2", 1, 3): "44be72ef72bb473fcf13b3543cf5584b26e06644",
+}
+
+
+@pytest.mark.parametrize("name,pmax,qmax", list(SEGAL_NERVE_SHA1))
+def test_cli_segal_nerve_output_is_pinned(tmp_path, capsys, name, pmax, qmax):
+    g = dump(tmp_path, name)
+    out = tmp_path / "ns.json"
+    argv = ["segal-nerve", "--pmax", str(pmax), "--qmax", str(qmax)]
+    capsys.readouterr()
+    assert cli.main(argv + [g]) == 0
+    printed = capsys.readouterr()
+    assert cli.main(argv + ["-o", str(out), g]) == 0
+    assert capsys.readouterr().out == printed.err == ""
+    want = SEGAL_NERVE_SHA1[name, pmax, qmax]
+    assert hashlib.sha1(printed.out.encode("utf-8")).hexdigest() == want
+    assert hashlib.sha1(out.read_bytes()).hexdigest() == want
 
 
 def test_cli_examples_list(capsys):
