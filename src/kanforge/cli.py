@@ -7,6 +7,7 @@ overrides the enumeration cap, and a malformed value exits 2.
 """
 
 import argparse
+import functools
 import sys
 
 from . import simplicial as sp
@@ -209,8 +210,10 @@ def cmd_add(args):
 
 
 def cmd_verify(args):
-    names = None if (not args.names or args.names == ["all"]) else args.names
-    if args.file and names and len(names) == 1 and names[0] == "grho":
+    if args.file is not None:
+        if args.names != ["grho"]:
+            raise UsageError("--file applies to 'verify grho' only, not to %s"
+                             % (" ".join(args.names) or "every criterion"))
         g, _ = _load(args.file, want={"two_group"})
         errs, (p0, p1, p2, p1g) = dt.grho_check(g)
         print("pi0(G) order %d ~ pi1(N G) order %d" % (len(p0), len(p1)))
@@ -227,6 +230,7 @@ def cmd_verify(args):
             return 1
         print("PASS grho")
         return 0
+    names = None if (not args.names or args.names == ["all"]) else args.names
     try:
         ok, lines = ac.run(names)
     except KeyError as exc:
@@ -282,7 +286,10 @@ def _dimension(text):
     return value
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on the first call and shared after it:
+    it depends only on this module, and parsing does not change it."""
     p = argparse.ArgumentParser(
         prog="kanforge",
         description="verification toolkit for truncated simplicial sets, "
@@ -349,7 +356,8 @@ def build_parser():
     q = sub.add_parser("verify", help="run the named acceptance checks (or all)")
     q.add_argument("names", nargs="*")
     q.add_argument("--file", default=None,
-                   help="run a single-object variant against this file")
+                   help="run grho on the 2-group in this file "
+                        "(verify grho only)")
     q.set_defaults(fn=cmd_verify)
 
     q = sub.add_parser("examples", help="list or dump the canned corpus")

@@ -1291,8 +1291,10 @@ def _relative_horn_tables(x_bx, p, q):
     """What _relative_horn_extension needs for every horn index k: the
     maps a = (a_0..a_p) from bd Delta^p (x) Delta^q to X, each with, per
     vertical slot j, the cells b of X_{p,q-1} with dh_i b = dv_j a_i for
-    all i; and per k the set of (horizontal faces, vertical faces without
-    slot k) of the cells of X_{p,q}.  None outside the stored region."""
+    all i; per k the set of (horizontal faces, vertical faces without
+    slot k) of the cells of X_{p,q}; and the vertical faces of the cells
+    of X_{p,q-1} (empty where q - 1 == 0).  None outside the stored
+    region."""
     if any(t not in x_bx.region for t in [(p, q), (p - 1, q), (p, q - 1)]):
         return None
     bidx = {}
@@ -1311,7 +1313,7 @@ def _relative_horn_tables(x_bx, p, q):
     vcols = [sp.column(cells, (x_bx.vface[p, q, j],)) for j in range(q + 1)]
     horn_keys = [set(zip(hkeys, zip(*(vcols[:k] + vcols[k + 1:]))))
                  for k in range(q + 1)]
-    return a_cands, horn_keys
+    return a_cands, horn_keys, x_bx.face_table(p, q - 1, "v")
 
 
 def _relative_horn_extension(x_bx, p, q, k, tables, tick):
@@ -1321,12 +1323,13 @@ def _relative_horn_extension(x_bx, p, q, k, tables, tick):
     called once per candidate tried."""
     if tables is None:
         return True     # outside the stored region
-    a_cands, horn_keys = tables
+    a_cands, horn_keys, vfaces = tables
     filled = horn_keys[k]
     slots = [j for j in range(q + 1) if j != k]
     for a_tuple, cands in a_cands:
         # candidate vertical data: b_j in X_{p,q-1} with
         # dh_i b_j = dv_j a_i for all i, plus the vertical horn relations
+        # dv_i b_j = dv_{j-1} b_i (i < j), read from the face table
         cand_lists = [cands[j] for j in slots]
         def rec(m, partial):
             if m == q:
@@ -1336,10 +1339,9 @@ def _relative_horn_extension(x_bx, p, q, k, tables, tick):
                 tick("relative box-horn")
                 ok = True
                 if q - 1 >= 1:
+                    faces = vfaces[cand]
                     for mi in range(m):
-                        i = slots[mi]
-                        if x_bx.dv(p, q - 1, i, cand) != \
-                           x_bx.dv(p, q - 1, j - 1, partial[mi]):
+                        if faces[slots[mi]] != vfaces[partial[mi]][j - 1]:
                             ok = False
                             break
                 if ok:

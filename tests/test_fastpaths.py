@@ -2197,7 +2197,8 @@ def test_pi_cells_cases_select_cells():
 
 def reference_relative_horn_tables(x_bx, p, q):
     """_relative_horn_tables with each boundary tuple's candidate keys
-    read cell by cell, one generator per tuple and slot."""
+    read cell by cell, one generator per tuple and slot, and the vertical
+    faces of level (p, q - 1) one dv call each."""
     if any(t not in x_bx.region for t in [(p, q), (p - 1, q), (p, q - 1)]):
         return None
     bidx = {}
@@ -2211,7 +2212,9 @@ def reference_relative_horn_tables(x_bx, p, q):
     vf = x_bx.face_table(p, q, "v")
     horn_keys = [{(hf[x], vf[x][:k] + vf[x][k + 1:]) for x in x_bx.level(p, q)}
                  for k in range(q + 1)]
-    return a_cands, horn_keys
+    vfaces = {b: tuple(x_bx.dv(p, q - 1, j, b) for j in range(q))
+              for b in x_bx.level(p, q - 1)} if q - 1 >= 1 else {}
+    return a_cands, horn_keys, vfaces
 
 
 @pytest.mark.parametrize("build", fibrancy_cases() + [
@@ -2227,6 +2230,29 @@ def test_relative_horn_tables_match_per_tuple_keys(build):
         assert got == want
         if want is not None:
             assert all(type(c) is list for _, c in got[0])
+
+
+# (iv) candidates tried on segal_nerve(g, 2, 3), per p in (1, 2); every
+# search succeeds and the count is the same for each horn index k
+RELATIVE_HORN_TICKS = {
+    "disc-z2": (12, 8),
+    "disc-z3": (36, 18),
+    "oneobj-z2": (24, 384),
+    "oneobj-z3": (108, 8748),
+    "disc-z2-x-oneobj-z2": (128, 1536),
+}
+
+
+@pytest.mark.parametrize("name", [n for n, _ in ex.canned_two_groups()])
+def test_relative_horn_search_tick_counts(name):
+    ns = nv.segal_nerve(ex.build(name), 2, 3)
+    for p, want in zip((1, 2), RELATIVE_HORN_TICKS[name]):
+        tables = nv._relative_horn_tables(ns, p, 2)
+        for k in range(3):
+            ticks = []
+            assert nv._relative_horn_extension(ns, p, 2, k, tables,
+                                               ticks.append)
+            assert ticks == ["relative box-horn"] * want
 
 
 # -- the Segal nerve on places against its named rendering ---------------------

@@ -198,6 +198,19 @@ def test_cli_verify_grho_with_file(tmp_path, capsys):
     assert "PASS grho" in out and "pi2(N)" in out
 
 
+@pytest.mark.parametrize("names", [["coskeleton"], ["simplex-counts", "grho"],
+                                   []])
+def test_cli_verify_file_is_for_grho_only(tmp_path, capsys, names):
+    # --file names an object for grho alone; any other selection is
+    # refused, not run on the canned corpus
+    g = dump(tmp_path, "oneobj-z2")
+    assert cli.main(["verify", "--file", g] + names) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --file applies to 'verify grho' only, " \
+        "not to %s\n" % (" ".join(names) or "every criterion")
+
+
 def test_cli_bad_input_exit_two(tmp_path, capsys):
     path = tmp_path / "garbage.json"
     path.write_text("{not json", encoding="utf-8")
@@ -284,6 +297,52 @@ def test_cli_main_is_reentrant(tmp_path, capsys):
     # the default --to-dim 3 holds again after --to-dim 4
     assert (len(levels_a), len(levels_b)) == (5, 4)
     assert levels_b == levels_a[:4]
+
+
+# help, usage errors, a verb that refuses its input and a verb that
+# reads none, each with its exit code
+PARSER_ARGVS = [(["--help"], 0), (["bogus"], 2), (["classify", "x"], 2),
+                (["validate", "--help"], 0), (["kan", "--dim", "-1", "f"], 2),
+                (["verify", "nosuch"], 2), ([], 2), (["examples", "list"], 0),
+                (["nerve", "--to-dim", "x", "f"], 2)]
+
+
+def run_cli(argv, capsys):
+    code = cli.main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_cli_parser_is_built_once_and_lazily():
+    assert cli.build_parser() is cli.build_parser()
+    # importing the module builds no parser
+    probe = ("import kanforge.cli as c; "
+             "print(c.build_parser.cache_info().currsize)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(cli.__file__))] + sys.path))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "0\n"
+
+
+def test_cli_shared_parser_matches_a_fresh_one(tmp_path, capsys, monkeypatch):
+    valid = ["classify", "--n", "2", dump(tmp_path, "s1")]
+    for argv, code in PARSER_ARGVS + [(valid, 0)]:
+        first = run_cli(argv, capsys)
+        assert first[0] == code and (first[1] or first[2])
+        assert run_cli(argv, capsys) == first
+        with monkeypatch.context() as m:
+            m.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+            assert run_cli(argv, capsys) == first
+
+
+def test_cli_usage_error_leaves_the_next_call_alone(tmp_path, capsys):
+    valid = ["classify", "--n", "2", dump(tmp_path, "s1")]
+    want = run_cli(valid, capsys)
+    assert want[0] == 0 and want[1]
+    for argv, code in PARSER_ARGVS:
+        assert run_cli(argv, capsys)[0] == code
+        assert run_cli(valid, capsys) == want
 
 
 @pytest.mark.parametrize("argv,option", [
