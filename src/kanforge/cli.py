@@ -231,10 +231,11 @@ def cmd_verify(args):
         print("PASS grho")
         return 0
     names = None if (not args.names or args.names == ["all"]) else args.names
+    for name in names or ():
+        if name not in dict(ac.CRITERIA):
+            raise UsageError("unknown criterion %r" % name)
     try:
         ok, lines = ac.run(names)
-    except KeyError as exc:
-        raise UsageError(str(exc))
     except sp.SearchBudgetExceeded as exc:
         print("budget exceeded: %s" % exc)
         return 2
@@ -250,11 +251,9 @@ def cmd_examples(args):
     if args.action == "dump":
         if not args.id:
             raise UsageError("examples dump needs an id")
-        try:
-            obj = ex.build(args.id)
-        except KeyError as exc:
-            raise UsageError(str(exc))
-        _emit(obj, args.output)
+        if args.id not in ex.example_ids():
+            raise UsageError("unknown example %r" % args.id)
+        _emit(ex.build(args.id), args.output)
         return 0
     raise UsageError("unknown examples action %r" % args.action)
 

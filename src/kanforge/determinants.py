@@ -485,7 +485,7 @@ def segal_determinants_vs_hom(x_bx, g, ns=None, budget=None):
     lv = ns._segal_levels
     structs = lv.structs
     # a 1-simplex morphism has one component, on the pair (0, 1)
-    base_of = [lv.base_mor[f] for (f,) in lv.fam[1]]
+    base_of = [lv.base_mor[f] for f in lv.fam[1][0]]
     chains = {p: list(zip(*[map(base_of.__getitem__, col)
                             for col in lv.chain_columns(p, 1)]))
               for p in (1, 2) if (p, 1) in mu}

@@ -9,6 +9,7 @@ groupoid of q-simplices: N_S(G)_{p,q} = (p-chains in the groupoid of
 q-simplices of G).
 """
 
+import collections.abc
 import functools
 import itertools
 import operator
@@ -482,10 +483,10 @@ def q_simplex_groupoid(g, q):
     if q > lv.qmax:
         raise NerveError("structural simplices stop at dimension 3")
     objects, names = lv.obj_names[q], lv.mor_names[q]
-    src, tgt, fam = lv.src[q], lv.tgt[q], lv.fam[q]
+    src, tgt = lv.src[q], lv.tgt[q]
     # morphisms in the order they are enumerated: by source, then family
-    morphs = [names[m] for m in sorted(range(len(names)),
-                                       key=lambda m: (src[m], fam[m]))]
+    morphs = [names[m] for m in sorted(
+        range(len(names)), key=list(zip(src, *lv.fam[q])).__getitem__)]
     ident = dict(zip(objects, [names[m] for m in lv.identity_table(q)]))
     before, after = lv.chain_columns(2, q)
     comp = dict(zip(zip(map(names.__getitem__, after),
@@ -512,6 +513,8 @@ class BisimplicialTrunc:
 
     As for sp.TruncatedSSet, a derived object may hold a level as
     sp.Places and each operator out of it as a list of target places.
+    A derived object's tables are _OnRead (build_bisimplicial): each
+    operator is made on its first read, and one never read costs nothing.
     """
 
     # each operator table and the step from its source level to its target
@@ -689,15 +692,45 @@ def bi_operator_keys(region, at=None):
             for i in BisimplicialTrunc._span(name, p, q)]
 
 
+class _OnRead(collections.abc.Mapping):
+    """A table over `keys`, in their order, whose value at a key is
+    make(key), made on the key's first read and then kept; `in` and
+    `get` answer from the keys alone."""
+
+    def __init__(self, keys, make):
+        self._keys, self._make, self._made = dict.fromkeys(keys), make, {}
+
+    def __getitem__(self, key):
+        if key not in self._made:
+            if key not in self._keys:
+                raise KeyError(key)
+            self._made[key] = self._make(key)
+        return self._made[key]
+
+    def __iter__(self):
+        return iter(self._keys)
+
+    def __len__(self):
+        return len(self._keys)
+
+    def __contains__(self, key):
+        return key in self._keys
+
+    def get(self, key, default=None):
+        return self[key] if key in self._keys else default
+
+
 def build_bisimplicial(region, levels, op):
     """The BisimplicialTrunc over region whose table `table` holds
     op(table, p, q, i) at (p, q, i) for each key of
-    bi_operator_keys(region).  It holds the lists of `levels` and the
-    tables op returns as they are, not copies."""
-    tables = {name: {} for name in BisimplicialTrunc.OPERATORS}
-    for name, p, q, i in bi_operator_keys(region):
-        tables[name][p, q, i] = op(name, p, q, i)
-    return BisimplicialTrunc._adopt(region, dict(levels), *tables.values())
+    bi_operator_keys(region), made on the key's first read (_OnRead).
+    It holds the lists of `levels` and the tables op returns as they
+    are, not copies."""
+    keys = bi_operator_keys(region)
+    return BisimplicialTrunc._adopt(region, dict(levels), *[
+        _OnRead([key[1:] for key in keys if key[0] == name],
+                lambda key, name=name: op(name, *key))
+        for name in BisimplicialTrunc.OPERATORS])
 
 
 def rectangle(pmax, qmax):
@@ -788,21 +821,22 @@ class _SegalLevels:
 
     Objects of q are numbered in monoidal_simplices order.  A morphism of
     q is its source object and its family, one base-groupoid morphism int
-    per pair i < j (pairs in sorted order).  Morphisms are numbered in the
-    string order of their ids, so the p-chains of morphism ints in
-    lexicographic order are level (p, q) of the Segal nerve in level
-    order.  A level of p >= 1 is held as p columns of morphism ints, first
-    arrow first (chain_columns).  A chain's place in its level is a sum of
-    one weight per slot (chain_places), read from the counts of chains
-    that start at each object (chain_counts): its first arrow m weighs
-    the number of chains whose first arrow is below m, and each later
-    arrow the number of chains that agree with it up to that slot and
-    take an arrow below it there, out of the same object.  String ids are
-    made once per object and morphism, and for a level only by namer;
-    composition (composite, a column at a time) and the operator tables
-    map ints to ints, each table built once per (operator, q).  The base
-    groupoid's ints are the 2-group's shared g.int_index
-    (catalg.IntIndex).
+    per pair i < j (pairs in sorted order); the families of q are held as
+    one column per slot (fam[q][n][m] is the slot-n arrow of morphism m).
+    Morphisms are numbered in the string order of their ids, so the
+    p-chains of morphism ints in lexicographic order are level (p, q) of
+    the Segal nerve in level order.  A level of p >= 1 is held as p
+    columns of morphism ints, first arrow first (chain_columns).  A
+    chain's place in its level is a sum of one weight per slot
+    (chain_places), read from the counts of chains that start at each
+    object (chain_counts): its first arrow m weighs the number of chains
+    whose first arrow is below m, and each later arrow the number of
+    chains that agree with it up to that slot and take an arrow below it
+    there, out of the same object.  String ids are made once per object
+    and morphism, and for a level only by namer; composition (composite, a
+    column at a time) and the operator tables map ints to ints, each table
+    built once per (operator, q).  The base groupoid's ints are the
+    2-group's shared g.int_index (catalg.IntIndex).
     """
 
     def __init__(self, g, qmax):
@@ -830,38 +864,50 @@ class _SegalLevels:
         objects tgt f_ij and the pairing morphisms be = f_ik . al .
         (f_ij (x) f_jk)^-1, the ones that make the squares f_ik . al =
         be . (f_ij (x) f_jk) commute.  Each be exists and runs between
-        the target's objects, so every family is a morphism."""
+        the target's objects, so every family is a morphism.  The
+        families are held as columns and each target slot is a column
+        gather; the ids, which fix the order, are the only strings made
+        per family."""
         g, ix = self.g, self._ix
         keys = self._keys[q] = _simplex_keys(g, q)
         structs = self.structs[q] = _key_structs(g, q, keys)
         obj_names = self.obj_names[q] = [_struct_id(st) for st in structs]
         slot = {pr: n for n, pr in enumerate(_pairs(q))}
-        squares = [(slot[(i, j)], slot[(j, k)], slot[(i, k)])
-                   for (i, j, k) in _triples(q)]
         obj_of_key = self._key_index[q] = _key_index(keys)
-        mtgt, comp, inv, tm = ix.tgt, ix.comp, ix.inv, ix.tm
         out_of = [[] for _ in ix.objects]
         for f, x in enumerate(ix.src):
             out_of[x].append(f)
-        src, tgt, fams = [], [], []
-        for s, (objs, als) in enumerate(keys):
-            for fam in itertools.product(*[out_of[x] for x in objs]):
-                src.append(s)
-                tgt.append(obj_of_key[tuple([mtgt[f] for f in fam]) + tuple(
-                    [comp[(comp[(fam[ik], al)], inv[tm[(fam[ij], fam[jk])]])]
-                     for (ij, jk, ik), al in zip(squares, als)])])
-                fams.append(fam)
+        # the families of each source in product order, a column per slot,
+        # beside the source's pairing morphisms, a column per triple
+        src, fam, als = [], [[] for _ in slot], [[] for _ in _triples(q)]
+        for s, (objs, key_als) in enumerate(keys):
+            fams = list(itertools.product(*map(out_of.__getitem__, objs)))
+            src += [s] * len(fams)
+            for col, part in zip(fam, zip(*fams)):
+                col += part
+            for col, al in zip(als, key_als):
+                col += [al] * len(fams)
+        rows, at, mors = ix.comp_rows, operator.getitem, range(len(ix.src))
+        # the tensor row table, inverted: tinv[f][h] = (f (x) h)^-1
+        tinv = [[ix.inv[ix.tm[(f, h)]] for h in mors] for f in mors]
+        tgt = [list(map(ix.tgt.__getitem__, col)) for col in fam]
+        for (i, j, k), al in zip(_triples(q), als):
+            ij, jk, ik = slot[(i, j)], slot[(j, k)], slot[(i, k)]
+            tgt.append(list(map(at, map(rows.__getitem__, map(
+                at, map(rows.__getitem__, fam[ik]), al)),
+                map(at, map(tinv.__getitem__, fam[ij]), fam[jk]))))
+        # (q = 0 has no columns and one family, the empty one)
+        tgt = list(map(obj_of_key.__getitem__, list(zip(*tgt)) or [()]))
         base_names = ["%s" % (f,) for f in self.base_mor]
-        names = ["f(%s|%s)" % (obj_names[s],
-                               ",".join([base_names[f] for f in fam]))
-                 for s, fam in zip(src, fams)]
+        names = list(map("f(%s|%s)".__mod__, zip(
+            map(obj_names.__getitem__, src), map(",".join, list(zip(*[
+                map(base_names.__getitem__, col) for col in fam])) or [()]))))
         order = sorted(range(len(names)), key=names.__getitem__)
-        self.src[q] = [src[m] for m in order]
-        self.tgt[q] = [tgt[m] for m in order]
-        self.fam[q] = [fams[m] for m in order]
-        self.mor_names[q] = [names[m] for m in order]
-        self._mor_of[q] = {(s,) + fam: m for m, (s, fam) in
-                           enumerate(zip(self.src[q], self.fam[q]))}
+        self.src[q], self.tgt[q], self.mor_names[q], *self.fam[q] = [
+            list(map(col.__getitem__, order))
+            for col in [src, tgt, names] + fam]
+        self._mor_of[q] = dict(zip(zip(self.src[q], *self.fam[q]),
+                                   itertools.count()))
 
     def chain_counts(self, q, r):
         """starts[x], the number of r-chains of q that start at object x;
@@ -937,11 +983,10 @@ class _SegalLevels:
         """The column of after[n] . before[n], componentwise: one
         comp_rows gather per slot and one _mor_of lookup per cell."""
         rows = self._ix.comp_rows
-        # each slot of the families, as a column over the morphisms
         comps = [map(operator.getitem, map(rows.__getitem__,
                                            map(fs.__getitem__, after)),
                      map(fs.__getitem__, before))
-                 for fs in zip(*self.fam[q])]
+                 for fs in self.fam[q]]
         return list(map(self._mor_of[q].__getitem__,
                         zip(map(self.src[q].__getitem__, before), *comps)))
 
@@ -967,7 +1012,7 @@ class _SegalLevels:
     def inverse(self, q, m):
         inv = self._ix.inv
         return self._mor_of[q][(self.tgt[q][m],) +
-                               tuple([inv[f] for f in self.fam[q][m]])]
+                               tuple([inv[fs[m]] for fs in self.fam[q]])]
 
     def identity_table(self, q):
         """object int -> int of its identity morphism, in level q."""
@@ -996,17 +1041,15 @@ class _SegalLevels:
         table = self._vmap_mor.get(key)
         if table is None:
             objs = self.vmap_obj_table(phi, q_from, q_to)
-            # the source slot of each target pair; a collapsed pair reads
-            # the unit's identity from an extra last slot
-            slot = {pr: n for n, pr in enumerate(_pairs(q_from))}
-            spec = [len(slot) if phi[i] == phi[j] else slot[(phi[i], phi[j])]
-                    for (i, j) in _pairs(q_to)]
-            gather = _gather(spec)
-            unit = (self._ix.unit_ident,)
-            mor_of = self._mor_of[q_to]
-            table = [mor_of[(objs[s],) + gather(fam + unit)]
-                     for s, fam in zip(self.src[q_from], self.fam[q_from])]
-            self._vmap_mor[key] = table
+            # the source column of each target pair; a collapsed pair
+            # reads the unit's identity
+            slot, fam = dict(zip(_pairs(q_from), self.fam[q_from])), \
+                itertools.repeat(self._ix.unit_ident)
+            table = self._vmap_mor[key] = list(map(
+                self._mor_of[q_to].__getitem__,
+                zip(map(objs.__getitem__, self.src[q_from]), *[
+                    fam if phi[i] == phi[j] else slot[(phi[i], phi[j])]
+                    for (i, j) in _pairs(q_to)])))
         return table
 
 
@@ -1016,8 +1059,9 @@ def segal_nerve(g, pmax, qmax, level_budget=50000):
     the budget.  Level (p, q) is sp.Places in level order, and each face
     and degeneracy the list of its target places, computed on the int
     tables of _SegalLevels (a level of p >= 1 as p columns of morphism
-    ints).  The string ids of a level are made only by its names
-    (_SegalLevels.namer), for serialize and sp.named."""
+    ints) on its first read (build_bisimplicial).  The string ids of a
+    level are made only by its names (_SegalLevels.namer), for serialize
+    and sp.named."""
     lv = _SegalLevels(g, qmax)
     region = set()
     for q in range(lv.qmax + 1):
@@ -1029,12 +1073,11 @@ def segal_nerve(g, pmax, qmax, level_budget=50000):
             if not down_ok:
                 break
             region.add((p, q))
-    # the chains of each level p >= 1 in level order, as p columns of
-    # morphism ints, whose places lv.chain_places reads
-    cols, levels = {}, {}
+    # the chains of a level p >= 1 in level order, as p columns of
+    # morphism ints whose places lv.chain_places reads; made on the first
+    # read of an operator out of the level
+    cols, levels = functools.cache(lv.chain_columns), {}
     for (p, q) in region:
-        if p:
-            cols[(p, q)] = lv.chain_columns(p, q)
         levels[(p, q)] = sp.Places(lv.level_size(p, q),
                                    functools.partial(lv.namer, (p, q)))
         # distinct names without ';' make distinct chain ids
@@ -1050,10 +1093,10 @@ def segal_nerve(g, pmax, qmax, level_budget=50000):
             return lv.vmap_obj_table(phi, q, q_to)
         mors = lv.vmap_mor_table(phi, q, q_to)
         return lv.chain_places(q_to, [map(mors.__getitem__, col)
-                                      for col in cols[(p, q)]])
+                                      for col in cols(p, q)])
 
     def op(name, p, q, i):
-        cs = cols.get((p, q))
+        cs = cols(p, q) if p else None
         if name == "vface":
             return vmap(p, q, _delta(i, q), q - 1)
         if name == "vdegen":

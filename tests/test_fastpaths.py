@@ -3,6 +3,7 @@ searches against the simple references they replace."""
 
 import functools
 import itertools
+import math
 
 import pytest
 
@@ -303,7 +304,7 @@ def reference_vmap_mor(lv, phi, q_from, q_to, m):
     through _phi_star; its string id."""
     st = lv.structs[q_from][lv.src[q_from][m]]
     fam = dict(zip(nv._pairs(q_from),
-                   [lv.base_mor[f] for f in lv.fam[q_from][m]]))
+                   [lv.base_mor[fs[m]] for fs in lv.fam[q_from]]))
     new_src = reference_phi_star(lv.g, phi, q_from, q_to, st)
     objs, _ = reference_struct_to_dict(lv.g, q_to, new_src)
     unit = lv.g.base.id_of(lv.g.unit)
@@ -312,9 +313,50 @@ def reference_vmap_mor(lv, phi, q_from, q_to, m):
     return reference_fam_id(nv._struct_id(new_src), new_fam)
 
 
-@pytest.mark.parametrize("name", ["oneobj-z2", "disc-z2-x-oneobj-z2"])
-def test_vmap_tables_match_phi_star(name):
-    lv = nv._SegalLevels(ex.build(name), 3)
+def segal_level_two_groups():
+    """Every canned 2-group, the inflated disc and the twisted fixture,
+    each under its own id."""
+    out = [(name, g) for name, g in ex.canned_two_groups()]
+    out += [("inflated-disc-z2", ex.build("inflated-disc-z2")),
+            ("K(Z2,Z2)-dc", unitor_twisted_two_group())]
+    return [pytest.param(g, id=name) for name, g in out]
+
+
+@pytest.mark.parametrize("g", segal_level_two_groups())
+def test_segal_levels_match_their_definition(g):
+    """Each morphism of the q-simplex groupoid (q <= 3) is a family of
+    arrows out of its source's objects; its target has their targets and
+    the pairing morphisms be with f_ik . al = be . (f_ij (x) f_jk); the
+    ids increase strictly, and _mor_of inverts (source, family)."""
+    lv = nv._SegalLevels(g, 3)
+    c, ix = g.base, g.int_index
+    for q in range(4):
+        keys, src, names = lv._keys[q], lv.src[q], lv.mor_names[q]
+        slot = {pr: n for n, pr in enumerate(nv._pairs(q))}
+        fams = list(zip(*lv.fam[q])) if q else [()] * len(src)
+        assert len(src) == sum(
+            math.prod(sum(ix.src[f] == x for f in range(len(ix.src)))
+                      for x in objs) for objs, _ in keys)
+        assert all(a < b for a, b in zip(names, names[1:]))
+        assert lv._mor_of[q] == {(s,) + fam: m
+                                 for m, (s, fam) in enumerate(zip(src, fams))}
+        for m, (s, fam) in enumerate(zip(src, fams)):
+            (objs, als), (t_objs, bes) = keys[s], keys[lv.tgt[q][m]]
+            arrow = [ix.morphisms[f] for f in fam]
+            assert names[m] == "f(%s|%s)" % (lv.obj_names[q][s],
+                                             ",".join(arrow))
+            assert [ix.src[f] for f in fam] == list(objs)
+            assert [ix.tgt[f] for f in fam] == list(t_objs)
+            for (i, j, k), al, be in zip(nv._triples(q), als, bes):
+                f_ij, f_jk, f_ik = [arrow[slot[pr]]
+                                    for pr in ((i, j), (j, k), (i, k))]
+                assert c.comp(f_ik, ix.morphisms[al]) == \
+                    c.comp(ix.morphisms[be], g.tm(f_ij, f_jk))
+
+
+@pytest.mark.parametrize("g", segal_level_two_groups())
+def test_vmap_tables_match_phi_star(g):
+    lv = nv._SegalLevels(g, 3)
     for q in range(1, 4):
         for phi, q_from, q_to in \
                 [(nv._delta(i, q), q, q - 1) for i in range(q + 1)] + \

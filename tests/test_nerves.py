@@ -5,6 +5,7 @@ from kanforge import catalg as ca
 from kanforge import nerves as nv
 from kanforge import groups as gr
 from kanforge import examples as ex
+from kanforge import determinants as dt
 
 
 def test_nerve_of_interval_is_delta1():
@@ -192,6 +193,57 @@ def test_derived_objects_share_their_source_tables():
         ops = getattr(small, name)
         assert ops and all(mp is getattr(ns, name)[key]
                            for key, mp in ops.items())
+
+
+def test_bisimplicial_tables_are_made_on_first_read():
+    region = nv.rectangle(1, 2)
+    keys = nv.bi_operator_keys(region)
+    made = []
+
+    def op(name, p, q, i):
+        made.append((name, p, q, i))
+        return {"x": "x"}
+
+    bx = nv.build_bisimplicial(region, {pq: ["x"] for pq in region}, op)
+    missing = (5, 5, 0)
+    for name in nv.BisimplicialTrunc.OPERATORS:
+        table, want = getattr(bx, name), [k[1:] for k in keys if k[0] == name]
+        # the keys of bi_operator_keys, in order, before any table is made
+        assert list(table) == want and len(table) == len(want)
+        assert all(key in table for key in want) and missing not in table
+        assert table.get(missing) is None and table.get(missing, 0) == 0
+        with pytest.raises(KeyError):
+            table[missing]
+    assert made == []
+    first = bx.hface[1, 0, 0]
+    assert bx.hface[1, 0, 0] is first and bx.hface.get((1, 0, 0)) is first
+    assert made == [("hface", 1, 0, 0)]
+    # validate reads every table; each is made once
+    assert bx.validate() == []
+    assert sorted(made) == sorted(keys)
+
+
+def test_segal_tables_are_made_on_first_read():
+    g = ex.build("oneobj-z2")
+    ns = nv.segal_nerve(g, 2, 3)
+    keys = nv.bi_operator_keys(ns.region)
+    for name in nv.BisimplicialTrunc.OPERATORS:
+        table = getattr(ns, name)
+        assert list(table) == [k[1:] for k in keys if k[0] == name]
+        assert not table._made
+    table = ns.vface[2, 3, 1]
+    assert type(table) is list and ns.vface[2, 3, 1] is table
+    assert list(ns.vface._made) == [(2, 3, 1)]
+    # no check reads the horizontal faces of the 32,768 chains of (2, 3)
+    nv.segal_fibrancy_check(ns)
+    dt.segal_determinants_vs_hom(nv.p2_star(ex.build("s1"), 2), g, ns=ns)
+    assert len(ns.level(2, 3)) == 32768
+    assert not any((2, 3, i) in ns.hface._made for i in range(3))
+    # every construction through build_bisimplicial makes its tables so
+    for bx in (nv.p2_star(ex.build("s1"), 2), nv.restrict_region(ns, {(0, 0)}),
+               nv.box(ex.build("s1"), ex.build("s1"))):
+        assert all(type(getattr(bx, name)) is nv._OnRead
+                   for name in nv.BisimplicialTrunc.OPERATORS)
 
 
 def test_loop_gamma_all_canned():

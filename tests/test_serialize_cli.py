@@ -9,6 +9,7 @@ import pytest
 from kanforge import serialize as io
 from kanforge import examples as ex
 from kanforge import cli
+from kanforge import acceptance as ac
 from kanforge import nerves as nv
 from kanforge import simplicial as sp
 
@@ -343,6 +344,25 @@ def test_cli_usage_error_leaves_the_next_call_alone(tmp_path, capsys):
     for argv, code in PARSER_ARGVS:
         assert run_cli(argv, capsys)[0] == code
         assert run_cli(valid, capsys) == want
+
+
+@pytest.mark.parametrize("argv,line", [
+    (["verify", "nosuch"], "error: unknown criterion 'nosuch'\n"),
+    # every name is checked before any criterion runs
+    (["verify", "fibrancy", "nosuch"], "error: unknown criterion 'nosuch'\n"),
+    (["examples", "dump", "nosuch"], "error: unknown example 'nosuch'\n")],
+    ids=["verify", "verify-after-a-known-name", "examples-dump"])
+def test_cli_unknown_name_exit_two(capsys, argv, line):
+    assert run_cli(argv, capsys) == (2, "", line)
+
+
+def test_cli_verify_lets_a_criterion_key_error_through(monkeypatch):
+    # a KeyError from inside a criterion is a fault, not a usage error
+    def broken():
+        return {}["missing"]
+    monkeypatch.setattr(ac, "CRITERIA", ac.CRITERIA + [("broken", broken)])
+    with pytest.raises(KeyError, match="missing"):
+        cli.main(["verify", "broken"])
 
 
 @pytest.mark.parametrize("argv,option", [
