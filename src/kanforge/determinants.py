@@ -95,11 +95,23 @@ def _pair_id(a, b):
     return "(%s|%s)" % (a, b)
 
 
-def _canon(comps):
-    """A map given as dict level -> dict cell -> image, as a sortable
-    key that does not depend on dict order."""
-    return tuple((lvl, tuple(sorted(cells.items())))
-                 for lvl, cells in sorted(comps.items()))
+def _cell_orders(found):
+    """One fixed cell order per level of the maps of one level of an
+    enriched hom, as (level, sorted cells) pairs in level order; every
+    map of `found` has the levels and cells of the first."""
+    return [(lvl, sorted(cells)) for lvl, cells in sorted(found[0].items())] \
+        if found else []
+
+
+def _image_key(f, orders, names=None):
+    """The images of the map f (dict level -> dict cell -> image) over
+    the cells of orders, each under names[level] when given, one tuple
+    per level."""
+    if names is None:
+        return tuple([tuple(map(f[lvl].__getitem__, cells))
+                      for lvl, cells in orders])
+    return tuple([tuple(map(names[lvl], map(f[lvl].__getitem__, cells)))
+                  for lvl, cells in orders])
 
 
 def _transported_hom(maps, pull, prefix):
@@ -110,20 +122,28 @@ def _transported_hom(maps, pull, prefix):
     level n to the map of level n - 1 (n + 1) that is f precomposed with
     pull(n_to, n, post), post = delta_i (sigma_j) acting on the simplex
     coordinate; pull returns a dict level -> dict cell -> cell.
+
+    Each map of level n is keyed by its images over one fixed (sorted)
+    cell order per level.  The precomposite is keyed without being
+    built: the pull columns send that order of level n_to to cells of
+    level n, and f is read there.
     """
     n_max = len(maps) - 1
     levels = [["%s%d_%d" % (prefix, n, i) for i in range(len(maps[n]))]
               for n in range(n_max + 1)]
-    ranks = [{_canon(f): i for i, f in enumerate(found)} for found in maps]
+    orders = [_cell_orders(found) for found in maps]
+    ranks = [{_image_key(f, order): i for i, f in enumerate(found)}
+             for found, order in zip(maps, orders)]
 
     def op(name, n, i):
         n_to = n + sp.STEPS[name]
         post = _post_delta if name == "face" else _post_sigma
         moved = pull(n_to, n, lambda phi: post(i, phi))
-        return {levels[n][idx]: levels[n_to][ranks[n_to][_canon(
-            {lvl: {cell: f[lvl][img] for cell, img in row.items()}
-             for lvl, row in moved.items()})]]
-            for idx, f in enumerate(maps[n])}
+        read = [(lvl, sp.column(cells, (moved[lvl],)))
+                for lvl, cells in orders[n_to]]
+        rank, names = ranks[n_to], levels[n_to]
+        return {levels[n][idx]: names[rank[_image_key(f, read)]]
+                for idx, f in enumerate(maps[n])}
 
     return sp.build_sset(n_max, levels, op)
 
@@ -577,6 +597,12 @@ def hom1_enriched(x_bx, g, n_max=2, ns=None, budget=None):
     simplicial set: level n = bisimplicial maps X x p1*(Delta^n) -> N_S(G)."""
     if ns is None:
         ns = nv.segal_nerve(g, 2, 3)
+    return _transported_hom(*_hom1_maps(x_bx, ns, n_max, budget), "H")
+
+
+def _hom1_maps(x_bx, ns, n_max, budget):
+    """The maps of each level of hom1_enriched, in order, and the pull
+    that _transported_hom reads its operators from."""
     region = set(x_bx.region) & set(ns.region)
     prods = []
     pair_tables = []
@@ -585,14 +611,16 @@ def hom1_enriched(x_bx, g, n_max=2, ns=None, budget=None):
         prod, pairs = _bi_product_p1(x_bx, dn, region)
         prods.append(prod)
         pair_tables.append(pairs)
-    # each level's maps in the order of their images' ids, which the
-    # nerve may hold as places
+    # each level's maps in the order of their images' ids (over the
+    # sorted cells of each level), which the nerve may hold as places
     names = {pq: sp.namer(ns.level(*pq)) for pq in region}
-    maps = [sorted(nv.enumerate_bimaps(prods[n], ns, region=region,
-                                       budget=budget),
-                   key=lambda f: _canon({pq: dict(zip(comp, map(
-                       names[pq], comp.values()))) for pq, comp in f.items()}))
-            for n in range(n_max + 1)]
+    maps = []
+    for n in range(n_max + 1):
+        found = nv.enumerate_bimaps(prods[n], ns, region=region,
+                                    budget=budget)
+        orders = _cell_orders(found)
+        maps.append(sorted(found,
+                           key=lambda f: _image_key(f, orders, names)))
 
     def pull(n_to, n, post):
         # the cell (x|phi) of the level-n_to source goes to (x|post(phi))
@@ -604,7 +632,7 @@ def hom1_enriched(x_bx, g, n_max=2, ns=None, budget=None):
                 row[cell] = _pair_id(x, post(phi))
         return out
 
-    return _transported_hom(maps, pull, "H")
+    return maps, pull
 
 
 def _bi_product_p1(x_bx, dn, region):

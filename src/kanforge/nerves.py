@@ -1362,41 +1362,60 @@ def _relative_horn_tables(x_bx, p, q):
 def _relative_horn_extension(x_bx, p, q, k, tables, tick):
     """Surjectivity of Hom(Delta^p (x) Delta^q, X) onto the fibre product
     of Hom(bd Delta^p (x) Delta^q, X) and Hom(Delta^p (x) Lambda^{q,k}, X);
-    `tables` is _relative_horn_tables(x_bx, p, q), and tick(search) is
-    called once per candidate tried."""
+    `tables` is _relative_horn_tables(x_bx, p, q), q >= 1.
+
+    One search over every boundary tuple a at once, a slot at a time:
+    the vertical data are b_j in X_{p,q-1} with dh_i b_j = dv_j a_i for
+    all i (the candidate lists of the tables), and the vertical horn
+    relations dv_i b_j = dv_{j-1} b_i (i < j) filter each slot's
+    candidates through one bucket keyed on the tuple and the faces dv_i
+    the relations read.  Once the outcome is known, tick(search) is
+    called once per candidate that a depth-first search over the slots,
+    tuple after tuple, tries up to its first horn without a filler."""
     if tables is None:
         return True     # outside the stored region
     a_cands, horn_keys, vfaces = tables
     filled = horn_keys[k]
     slots = [j for j in range(q + 1) if j != k]
-    for a_tuple, cands in a_cands:
-        # candidate vertical data: b_j in X_{p,q-1} with
-        # dh_i b_j = dv_j a_i for all i, plus the vertical horn relations
-        # dv_i b_j = dv_{j-1} b_i (i < j), read from the face table
-        cand_lists = [cands[j] for j in slots]
-        def rec(m, partial):
-            if m == q:
-                return (a_tuple, tuple(partial)) in filled
-            j = slots[m]
-            for cand in cand_lists[m]:
-                tick("relative box-horn")
-                ok = True
-                if q - 1 >= 1:
-                    faces = vfaces[cand]
-                    for mi in range(m):
-                        if faces[slots[mi]] != vfaces[partial[mi]][j - 1]:
-                            ok = False
-                            break
-                if ok:
-                    partial.append(cand)
-                    good = rec(m + 1, partial)
-                    partial.pop()
-                    if not good:
-                        return False
-            return True
-        if not rec(0, []):
-            return False
-    return True
+    rows = list(map(operator.itemgetter(1), a_cands))
+    cols = [list(map(operator.itemgetter(j), rows)) for j in slots]
+    first = operator.itemgetter(0)
+    # per depth m >= 1, the assignments (t, b_0, .., b_{m-1}) of the
+    # first m slots that keep the relations, t the tuple's place, in the
+    # order a depth-first search meets them
+    col = cols[0]
+    level = [(t, b) for t in itertools.compress(range(len(col)), col)
+             for b in col[t]]
+    depths = [None, level]
+    for m in range(1, q):
+        col, j, earlier = cols[m], slots[m], slots[:m]
+        # the assignments whose tuple has candidates for slot m
+        live = list(itertools.compress(level, map(col.__getitem__,
+                                                  map(first, level))))
+        bucket = {}
+        for t in set(map(first, live)):
+            for b in col[t]:
+                bucket.setdefault((t, tuple(map(vfaces[b].__getitem__,
+                                                earlier))), []).append(b)
+        level = [c + (b,) for c in live for b in bucket.get(
+            (c[0], tuple([vfaces[a][j - 1] for a in c[1:]])), ())]
+        depths.append(level)
+    bad = next((c for c in level if (a_cands[c[0]][0], c[1:]) not in filled),
+               None)
+    # a search that stops at `bad` tries, at each depth, every candidate
+    # below the assignments before bad's, and bad's own up to its choice
+    tried = sum(map(len, cols[0][:None if bad is None else bad[0]]))
+    for m in range(1, q):
+        before = depths[m]
+        if bad is not None:
+            before = before[:before.index(bad[:m + 1])]
+        tried += sum(map(len, map(cols[m].__getitem__, map(first, before))))
+    if bad is not None:
+        tried += sum(cols[m][bad[0]].index(b) + 1
+                     for m, b in enumerate(bad[1:]))
+    for _ in itertools.repeat(None, tried):
+        tick("relative box-horn")
+    return bad is None
 
 
 def _h_operator_steps(phi, p_from):

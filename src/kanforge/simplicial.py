@@ -128,6 +128,7 @@ class TruncatedSSet:
         self.coskeletal_at = coskeletal_at
         self.base = base
         self._face_tables = {}
+        self._face_codes = {}
         self._faces_compatible = {}
         self._kan_rows = {}
 
@@ -484,52 +485,118 @@ class KanRow:
         return all(i for _, i in self.flags.values())
 
 
+class FaceCodes:
+    """Level m+1 of a complex through its faces, as places in level m.
+
+    rank    dict cell of level m -> its place; a face value outside
+            level m takes the next place, in order of first appearance
+    n       the base, len(rank): |level m| when inside holds
+    inside  whether every face of level m+1 lies in level m
+    cols    cols[i][c], the place of d_i of the c-th cell of level m+1
+    codes   codes[c], the face tuple of that cell packed into one int,
+            the sum of cols[i][c] * n ** (m + 1 - i)
+
+    Two cells have the same face tuple iff they have the same code, and
+    the same faces away from slot k iff codes - cols[k] * n ** (m + 1 - k)
+    agree."""
+
+    def __init__(self, rank, inside, cols, codes):
+        self.rank = rank
+        self.n = len(rank)
+        self.inside = inside
+        self.cols = cols
+        self.codes = codes
+
+
+def face_codes(x_sset, m):
+    """The FaceCodes of level m+1 over level m, built once per
+    (immutable) complex and m from one rank dict over level m, so string
+    ids and Places take the same path."""
+    fc = x_sset._face_codes.get(m)
+    if fc is None:
+        below, cells = x_sset.levels[m], x_sset.levels[m + 1]
+        rank = dict(zip(below, range(len(below))))
+        n_below = len(rank)
+        cols = []
+        for i in range(m + 2):
+            faces = column(cells, (x_sset.face[m + 1, i],))
+            try:
+                cols.append(list(map(rank.__getitem__, faces)))
+            except KeyError:
+                for a in faces:
+                    rank.setdefault(a, len(rank))
+                cols.append(list(map(rank.__getitem__, faces)))
+        fc = x_sset._face_codes[m] = FaceCodes(
+            rank, len(rank) == n_below, cols, _pack(cols, len(rank)))
+    return fc
+
+
+def _pack(cols, n):
+    """sum_i cols[i][c] * n ** (len(cols) - 1 - i) for each c, a column
+    at a time."""
+    codes = cols[0]
+    for col in cols[1:]:
+        codes = list(map(operator.add, map(n.__mul__, codes), col))
+    return codes
+
+
+def _tuple_codes(fc, tuples, width, skip):
+    """The codes of width-tuples of level m cells (None at slot skip,
+    read as place 0), packed as fc packs the face tuples of level m+1."""
+    zeros = [0] * len(tuples)
+    return _pack([zeros if i == skip else list(map(fc.rank.__getitem__, col))
+                  for i, col in enumerate(list(zip(*tuples)) or
+                                          [()] * width)], fc.n)
+
+
 def faces_compatible(x_sset, m):
     """Whether every face tuple of level m+1 is a boundary tuple of
     level m: its entries lie in level m and d_i a_j = d_{j-1} a_i for
     i < j (the dd identities on level m+1).  Then the image of alpha^m,
     and with slot k dropped that of alpha^{m,k}, lies among the
     compatible tuples, so alpha is onto iff the image is as large as
-    their count.  Decided once per (immutable) complex and m."""
+    their count.  Read from the face codes of levels m+1 and m: each dd
+    identity is two gathers of one face column of level m through
+    another of level m+1.  Decided once per (immutable) complex and m."""
     ok = x_sset._faces_compatible.get(m)
     if ok is None:
-        cells, face = x_sset.levels[m + 1], x_sset.face
-        below = set(x_sset.levels[m])
-        ok = all(below.issuperset(column(cells, (face[m + 1, j],)))
-                 for j in range(m + 2))
+        fc = face_codes(x_sset, m)
+        cols, ok = fc.cols, fc.inside
         if ok and m:
-            ok = not identity_failures(cells, dd_identities(face, m + 1))
+            below = face_codes(x_sset, m - 1).cols
+            ok = all(list(map(below[i].__getitem__, cols[j])) ==
+                     list(map(below[j - 1].__getitem__, cols[i]))
+                     for j in range(1, m + 2) for i in range(j))
         x_sset._faces_compatible[m] = ok
     return ok
 
 
 def alpha_bijective(x_sset, m):
     """(surjective, injective) for alpha^m: x -> (d_0 x, .., d_{m+1} x)
-    on level m+1.  Boundary tuples are distinct, so "onto" is an equal
-    count plus membership; membership holds when faces_compatible does,
-    and only otherwise are the boundary tuples listed."""
-    table = x_sset.face_table(m + 1)
-    image = set(table.values())
-    inj = len(image) == len(table)
-    if faces_compatible(x_sset, m):
-        surj = len(image) == compatible_tuples(
-            x_sset.level(m), x_sset.face_table(m), m, count=True)
-    else:
-        tuples = boundary_tuples(x_sset, m)
-        surj = len(image) == len(tuples) and all(t in image for t in tuples)
-    return surj, inj
+    on level m+1, whose image is the set of face codes.  When
+    faces_compatible holds the image lies among the boundary tuples,
+    which are distinct, so alpha^m is onto iff the image is as large as
+    their count; otherwise some face tuple is not a boundary tuple, so
+    the image is not the set of boundary tuples, and no tuple is
+    listed."""
+    fc = face_codes(x_sset, m)
+    image = set(fc.codes)
+    surj = faces_compatible(x_sset, m) and len(image) == compatible_tuples(
+        x_sset.level(m), x_sset.face_table(m), m, count=True)
+    return surj, len(image) == len(fc.codes)
 
 
 def kan_status(x_sset, m):
     """Decide surjectivity/injectivity of alpha^{m,k} for 0 <= k <= m+1,
     and minimality in dimension m.
 
-    Per k, the cells of level m+1 are keyed by their horn (faces with
-    None in slot k): a repeated key breaks injectivity, and, if the two
-    cells' k-th faces differ, minimality.  When faces_compatible holds,
-    alpha^{m,k} is onto iff the count of horn tuples equals the number
-    of keys; the horns are listed, to name the first one without a
-    filler, only when the count is larger or the condition fails.
+    Per k, the cells of level m+1 are keyed by their horn, the face code
+    less its slot k, codes - cols[k] * n ** (m + 1 - k): a repeated key
+    breaks injectivity, and, if the two cells' k-th faces differ,
+    minimality.  When faces_compatible holds, alpha^{m,k} is onto iff
+    the count of horn tuples equals the number of keys; the horns are
+    listed, to name the first one without a filler, only when the count
+    is larger or the condition fails.
 
     If level m+1 is not stored but the complex carries a coskeletal flag,
     the complex is extended first.  The row is computed once per (immutable)
@@ -539,35 +606,36 @@ def kan_status(x_sset, m):
     if row is not None:
         return row
     x = _ensure_depth(x_sset, m + 1)
-    table = x.face_table(m + 1)
-    cols = list(zip(*table.values())) or [()] * (m + 2)
-    nones = (None,) * len(table)
+    fc = face_codes(x, m)
     counted = faces_compatible(x, m)
     flags, witness = {}, {}
     minimal = True
     for k in range(m + 2):
-        horns = list(zip(*cols[:k], nones, *cols[k + 1:]))
-        seen = set(horns)
-        inj = len(seen) == len(horns)
+        col = fc.cols[k]
+        keys = list(map(operator.sub, fc.codes,
+                        map((fc.n ** (m + 1 - k)).__mul__, col)))
+        seen = set(keys)
+        inj = len(seen) == len(keys)
         if not inj:
             # each repeat against the first cell with its horn; the
             # witness is the last repeat
             first = {}
-            for (s, t), h in zip(table.items(), horns):
-                f = first.setdefault(h, s)
+            for s, key, a in zip(x.levels[m + 1], keys, col):
+                f, b = first.setdefault(key, (s, a))
                 if f != s:
                     witness[(k, "inj")] = (f, s)
-                    if t[k] != table[f][k]:
+                    if a != b:
                         minimal = False
         surj = counted and len(seen) == compatible_tuples(
             x.level(m), x.face_table(m), m, skip=k, count=True)
         if not surj:
-            surj = True
-            for h in horn_tuples(x, m, k):
-                if h not in seen:
-                    surj = False
-                    witness[(k, "surj")] = h
-                    break
+            horns = horn_tuples(x, m, k)
+            missing = next((h for h, key in zip(
+                horns, _tuple_codes(fc, horns, m + 2, k)) if key not in seen),
+                None)
+            surj = missing is None
+            if not surj:
+                witness[(k, "surj")] = missing
         flags[k] = (surj, inj)
     row = x_sset._kan_rows[m] = KanRow(m, flags, witness, minimal)
     return row

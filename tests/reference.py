@@ -1,7 +1,11 @@
-"""Reference maps that only the tests read: alpha^m as a dict, the
-retraction check of the shift (decalage) and the translation check of a
-2-group."""
+"""Reference maps that only the tests read: alpha^m as a dict, the Kan
+rows by their definition, the enriched-hom builder keyed by sorted map
+items, the retraction check of the shift (decalage) and the translation
+check of a 2-group."""
 
+import itertools
+
+from kanforge import determinants as dt
 from kanforge import groups as gr
 from kanforge import simplicial as sp
 
@@ -11,6 +15,104 @@ def boundary_alpha(x_sset, m):
     if m + 1 > x_sset.dim:
         raise sp.DimensionOutOfRange("alpha^%d needs level %d" % (m, m + 1))
     return dict(x_sset.face_table(m + 1))
+
+
+def definitional_tuples(x_sset, m, skip=None):
+    """The maps from the boundary of the (m+1)-simplex (from its k-horn
+    when skip = k, with None in slot k): the tuples of level m cells with
+    d_i a_j = d_{j-1} a_i for i < j, filtered from itertools.product in
+    level order."""
+    slots = [j for j in range(m + 2) if j != skip]
+    out = []
+    for combo in itertools.product(x_sset.level(m), repeat=len(slots)):
+        t = dict(zip(slots, combo))
+        if m and any(x_sset.d(m, i, t[j]) != x_sset.d(m, j - 1, t[i])
+                     for i in slots for j in slots if i < j):
+            continue
+        out.append(tuple(t.get(j) for j in range(m + 2)))
+    return out
+
+
+def definitional_faces(x_sset, m):
+    """cell of level m+1 -> (d_0 cell, .., d_{m+1} cell), one d call each."""
+    return {c: tuple(x_sset.d(m + 1, i, c) for i in range(m + 2))
+            for c in x_sset.level(m + 1)}
+
+
+def definitional_faces_compatible(x_sset, m):
+    """Every face tuple of level m+1 is a boundary tuple of level m."""
+    return set(definitional_faces(x_sset, m).values()) <= \
+        set(definitional_tuples(x_sset, m))
+
+
+def definitional_alpha_bijective(x_sset, m):
+    """(surjective, injective) of alpha^m: level m+1 -> boundary tuples.
+    Onto means the face tuples are exactly the boundary tuples (a face
+    tuple that is not one leaves alpha^m without a target); one-to-one
+    means no two cells share a face tuple."""
+    image = list(definitional_faces(x_sset, m).values())
+    return (set(image) == set(definitional_tuples(x_sset, m)),
+            len(set(image)) == len(image))
+
+
+def definitional_kan_row(x_sset, m):
+    """(flags, witness, minimal) of the Kan row in dimension m, by
+    definition.  Per k: alpha^{m,k} is onto when every k-horn has a
+    cell of level m+1 with that horn (the witness is the first horn in
+    level order that has none) and one-to-one when no two cells share a
+    horn (the witness is the last cell, in level order, whose horn an
+    earlier cell has, with the first such cell).  Minimal: any two cells
+    that share a k-horn share their k-th face, for every k."""
+    faces = definitional_faces(x_sset, m)
+    cells = list(faces)
+    flags, witness = {}, {}
+    minimal = True
+    for k in range(m + 2):
+        def horn(c):
+            return faces[c][:k] + (None,) + faces[c][k + 1:]
+        inj = True
+        for pos, s in enumerate(cells):
+            same = [f for f in cells[:pos] if horn(f) == horn(s)]
+            if same:
+                inj = False
+                witness[(k, "inj")] = (same[0], s)
+        minimal = minimal and all(
+            faces[a][k] == faces[b][k]
+            for a, b in itertools.combinations(cells, 2) if horn(a) == horn(b))
+        horns = {horn(c) for c in cells}
+        missing = [h for h in definitional_tuples(x_sset, m, skip=k)
+                   if h not in horns]
+        if missing:
+            witness[(k, "surj")] = missing[0]
+        flags[k] = (not missing, inj)
+    return flags, witness, minimal
+
+
+def canon(comps):
+    """A map given as dict level -> dict cell -> image, as a sortable
+    key that does not depend on dict order: its sorted items per level."""
+    return tuple((lvl, tuple(sorted(cells.items())))
+                 for lvl, cells in sorted(comps.items()))
+
+
+def canon_transported_hom(maps, pull, prefix):
+    """determinants._transported_hom with every map keyed by canon, and
+    each precomposite built as a dict before it is keyed."""
+    n_max = len(maps) - 1
+    levels = [["%s%d_%d" % (prefix, n, i) for i in range(len(maps[n]))]
+              for n in range(n_max + 1)]
+    ranks = [{canon(f): i for i, f in enumerate(found)} for found in maps]
+
+    def op(name, n, i):
+        n_to = n + sp.STEPS[name]
+        post = dt._post_delta if name == "face" else dt._post_sigma
+        moved = pull(n_to, n, lambda phi: post(i, phi))
+        return {levels[n][idx]: levels[n_to][ranks[n_to][canon(
+            {lvl: {cell: f[lvl][img] for cell, img in row.items()}
+             for lvl, row in moved.items()})]]
+            for idx, f in enumerate(maps[n])}
+
+    return sp.build_sset(n_max, levels, op)
 
 
 def shift_retraction_check(x_sset):

@@ -1,0 +1,270 @@
+"""The Kan rows, the enriched-hom builder and the relative box-horn search
+against their definitions, on small random complexes and the canned
+corpus."""
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from kanforge import simplicial as sp
+from kanforge import nerves as nv
+from kanforge import determinants as dt
+from kanforge import examples as ex
+
+from reference import (canon, canon_transported_hom, definitional_alpha_bijective,
+                       definitional_faces_compatible, definitional_kan_row)
+
+
+# -- Kan rows on small random complexes ----------------------------------------
+#
+# A spec is (sizes, faces): sizes[k] cells at level k, and faces[k][i][c]
+# the target of d_i on cell c of level k, a place of level k - 1 or, from
+# sizes[k - 1] on, one of two cells outside it.  Degeneracies are left
+# empty: no Kan row reads them.
+
+OUTSIDE = 2
+
+
+def complex_from_spec(spec, places):
+    """The complex of spec, with string ids ("c<k>.<place>", outside
+    cells "z<k>.<n>") or as Places levels with list operators (outside
+    cells at places n and n + 1)."""
+    sizes, faces = spec
+    dim = len(sizes) - 1
+    if places:
+        levels = [sp.Places(n, lambda k=k: lambda c: "c%d.%d" % (k, c))
+                  for k, n in enumerate(sizes)]
+        face = {(k, i): list(col) for k in range(1, dim + 1)
+                for i, col in enumerate(faces[k])}
+        return sp.TruncatedSSet._adopt(dim, levels, face, {}, None, None)
+
+    def cell(k, c):
+        return ("c%d.%d" if c < sizes[k] else "z%d.%d") % (k, c)
+
+    levels = [[cell(k, c) for c in range(n)] for k, n in enumerate(sizes)]
+    face = {(k, i): {cell(k, c): cell(k - 1, t) for c, t in enumerate(col)}
+            for k in range(1, dim + 1) for i, col in enumerate(faces[k])}
+    return sp.TruncatedSSet(dim, levels, face, {})
+
+
+@st.composite
+def specs(draw):
+    dim = draw(st.integers(1, 3))
+    sizes = [draw(st.integers(0, 3 if k < 3 else 4)) for k in range(dim + 1)]
+    faces = [None]
+    for k in range(1, dim + 1):
+        below = sizes[k - 1]
+        # mostly inside level k - 1, so that rows can be onto
+        targets = list(range(below)) * 4 + list(range(below, below + OUTSIDE))
+        faces.append([[draw(st.sampled_from(targets)) for _ in range(sizes[k])]
+                      for _ in range(k + 1)])
+    return sizes, faces
+
+
+def standard_spec(n, dim, rewire=None):
+    """The spec of standard_simplex(n, dim), its levels in order;
+    rewire = (k, i, cell, target) sends d_i of that cell of level k to
+    the target id of level k - 1, or outside it when target is None."""
+    x = sp.standard_simplex(n, dim)
+    place = [{c: p for p, c in enumerate(x.level(k))} for k in range(dim + 1)]
+    sizes = [len(x.level(k)) for k in range(dim + 1)]
+    faces = [None] + [[[place[k - 1][x.d(k, i, c)] for c in x.level(k)]
+                       for i in range(k + 1)] for k in range(1, dim + 1)]
+    if rewire is not None:
+        k, i, cell, target = rewire
+        faces[k][i][place[k][cell]] = \
+            sizes[k - 1] if target is None else place[k - 1][target]
+    return sizes, faces
+
+
+DELTA2 = standard_spec(2, 2)
+FACE_OUTSIDE = standard_spec(2, 2, (2, 0, "012", None))
+# d_0(012) = 01 breaks the dd identities on level 2
+DD_BROKEN = standard_spec(2, 2, (2, 0, "012", "01"))
+# two 2-simplices with one boundary, and two edges with the same ends
+TWO_FILLERS = ([1, 2, 2], [None, [[0, 0], [0, 0]],
+                           [[0, 0], [0, 1], [1, 1]]])
+EMPTY_LEVEL = ([2, 0, 0], [None, [[], []], [[], [], []]])
+EMPTY_BELOW = ([0, 2], [None, [[0, 1], [1, 1]]])
+
+
+def spec_features(spec):
+    """Which of the four shapes the Kan-row oracle must meet spec has."""
+    sizes, faces = spec
+    outside = any(t >= sizes[k - 1] for k in range(1, len(sizes))
+                  for col in faces[k] for t in col)
+    out = {"face outside": outside,
+           "empty level": 0 in sizes}
+    x = complex_from_spec(spec, places=False)
+    out["dd broken"] = any(not definitional_faces_compatible(x, m)
+                           for m in range(1, x.dim) if not outside)
+    out["non-injective horn"] = any(
+        not inj for m in range(x.dim)
+        for _, inj in definitional_kan_row(x, m)[0].values())
+    return out
+
+
+def test_fixed_specs_cover_the_four_shapes():
+    assert spec_features(FACE_OUTSIDE)["face outside"]
+    assert spec_features(DD_BROKEN)["dd broken"]
+    assert spec_features(TWO_FILLERS)["non-injective horn"]
+    assert spec_features(EMPTY_LEVEL)["empty level"]
+    assert spec_features(EMPTY_BELOW)["empty level"]
+    assert spec_features(EMPTY_BELOW)["face outside"]
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(spec=specs(), places=st.booleans())
+@example(spec=DELTA2, places=False)
+@example(spec=DELTA2, places=True)
+@example(spec=FACE_OUTSIDE, places=False)
+@example(spec=FACE_OUTSIDE, places=True)
+@example(spec=DD_BROKEN, places=False)
+@example(spec=DD_BROKEN, places=True)
+@example(spec=TWO_FILLERS, places=False)
+@example(spec=TWO_FILLERS, places=True)
+@example(spec=EMPTY_LEVEL, places=False)
+@example(spec=EMPTY_LEVEL, places=True)
+@example(spec=EMPTY_BELOW, places=False)
+@example(spec=EMPTY_BELOW, places=True)
+def test_kan_rows_match_their_definition(spec, places):
+    x = complex_from_spec(spec, places)
+    for m in range(x.dim):
+        assert sp.faces_compatible(x, m) == definitional_faces_compatible(x, m)
+        assert sp.alpha_bijective(x, m) == definitional_alpha_bijective(x, m)
+        row = sp.kan_status(x, m)
+        assert (row.flags, row.witness, row.minimal) == \
+            definitional_kan_row(x, m)
+
+
+def test_string_and_places_forms_agree():
+    for spec in (DELTA2, FACE_OUTSIDE, DD_BROKEN, TWO_FILLERS):
+        a = complex_from_spec(spec, places=False)
+        b = complex_from_spec(spec, places=True)
+        for m in range(a.dim):
+            ra, rb = sp.kan_status(a, m), sp.kan_status(b, m)
+            assert (ra.flags, ra.minimal) == (rb.flags, rb.minimal)
+            assert sp.alpha_bijective(a, m) == sp.alpha_bijective(b, m)
+
+
+# -- the enriched homs against the builder keyed by sorted map items -----------
+
+
+def assert_same_sset(got, want):
+    assert got.dim == want.dim
+    assert got.levels == want.levels
+    assert got.face == want.face
+    assert got.degen == want.degen
+
+
+ENRICHED_CASES = [(x, g, 1) for x in ("s1", "t11")
+                  for g, _ in ex.canned_two_groups()] + [("s1", "oneobj-z2", 3)]
+
+
+@pytest.mark.parametrize("xname,gname,n_max", ENRICHED_CASES)
+def test_enriched_hom0_matches_canon_keyed_builder(xname, gname, n_max):
+    ng = nv.nerve_2group(ex.build(gname), 3)
+    eh = dt.EnrichedHom(ex.build(xname), ng, n_max)
+    want = canon_transported_hom(
+        [[f.components for f in found] for found in eh.maps], eh._pull, "h")
+    assert_same_sset(eh.sset, want)
+
+
+@pytest.mark.parametrize("gname", [n for n, _ in ex.canned_two_groups()])
+@pytest.mark.parametrize("n_max", [1, 2])
+def test_hom1_enriched_matches_canon_keyed_builder(gname, n_max):
+    x = nv.p2_star(ex.build("s1"), 2)
+    ns = nv.segal_nerve(ex.build(gname), 2, 3)
+    maps, pull = dt._hom1_maps(x, ns, n_max, None)
+    # the maps of each level in the order of the sorted items of their
+    # images' ids
+    for found in maps:
+        key = [canon({pq: dict(zip(comp, map(sp.namer(ns.level(*pq)),
+                                             comp.values())))
+                      for pq, comp in f.items()}) for f in found]
+        assert key == sorted(key)
+    want = canon_transported_hom(maps, pull, "H")
+    assert_same_sset(dt.hom1_enriched(x, None, n_max=n_max, ns=ns), want)
+
+
+# -- the relative box-horn search against a depth-first one ---------------------
+
+
+def depth_first_relative_horn(tables, q, k, tick):
+    """The relative box-horn search over the same tables, one boundary
+    tuple after another, one candidate at a time."""
+    a_cands, horn_keys, vfaces = tables
+    slots = [j for j in range(q + 1) if j != k]
+
+    def rec(a, cands, partial):
+        m = len(partial)
+        if m == q:
+            return (a, tuple(partial)) in horn_keys[k]
+        for b in cands[slots[m]]:
+            tick("relative box-horn")
+            if any(vfaces[b][slots[i]] != vfaces[partial[i]][slots[m] - 1]
+                   for i in range(m)):
+                continue
+            if not rec(a, cands, partial + [b]):
+                return False
+        return True
+
+    return all(rec(a, cands, []) for a, cands in a_cands)
+
+
+def unfilled(tables, k, drop):
+    """tables with the horns at places `drop` of the sorted horn keys of
+    index k left without a filler."""
+    a_cands, horn_keys, vfaces = tables
+    keys = sorted(horn_keys[k], key=repr)
+    lost = {keys[i] for i in drop if i < len(keys)}
+    return a_cands, [keys - lost if j == k else keys
+                     for j, keys in enumerate(horn_keys)], vfaces
+
+
+@pytest.mark.parametrize("name", [n for n, _ in ex.canned_two_groups()])
+def test_relative_horn_search_matches_depth_first_search(name):
+    ns = nv.segal_nerve(ex.build(name), 2, 3)
+    seen = set()
+    for p in (1, 2):
+        tables = nv._relative_horn_tables(ns, p, 2)
+        for k in range(3):
+            n = len(tables[1][k])
+            for drop in ((), (0,), (n // 2,), (n - 1,), tuple(range(0, n, 3))):
+                case = unfilled(tables, k, drop)
+                got, want = [], []
+                ok = nv._relative_horn_extension(ns, p, 2, k, case, got.append)
+                assert ok == depth_first_relative_horn(case, 2, k, want.append)
+                assert got == want
+                seen.add(ok)
+    # the search both succeeds and stops at a horn without a filler
+    assert seen == {True, False}
+
+
+@st.composite
+def horn_tables(draw):
+    """Relative box-horn tables for q = 2 on up to six cells of
+    X_{p,1} with random vertical faces, up to four boundary tuples with
+    random candidate lists, and every horn filled but a few."""
+    cells = list(range(draw(st.integers(1, 6))))
+    vfaces = {b: (draw(st.integers(0, 2)), draw(st.integers(0, 2)))
+              for b in cells}
+    a_cands = [(("a", t), [draw(st.lists(st.sampled_from(cells), unique=True,
+                                         max_size=4)) for _ in range(3)])
+               for t in range(draw(st.integers(0, 4)))]
+    leaves = sorted((a, (b, c)) for a, _ in a_cands for b in cells for c in cells)
+    horn_keys = []
+    for _ in range(3):
+        lost = draw(st.sets(st.sampled_from(leaves), max_size=3)) if leaves \
+            else set()
+        horn_keys.append(set(leaves) - lost)
+    return a_cands, horn_keys, vfaces
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(tables=horn_tables())
+def test_relative_horn_search_matches_depth_first_search_on_random_tables(tables):
+    for k in range(3):
+        got, want = [], []
+        ok = nv._relative_horn_extension(None, None, 2, k, tables, got.append)
+        assert ok == depth_first_relative_horn(tables, 2, k, want.append)
+        assert got == want
