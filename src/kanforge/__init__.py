@@ -3,7 +3,7 @@
 
 from .groups import FiniteGroup, cyclic, symmetric, direct_product, trivial_group
 from .simplicial import (
-    TruncatedSSet, ValidationReport, classify, kan_status, kan_report,
+    TruncatedSSet, ValidationReport, classify, kan_status,
     boundary_tuples,
     horn_tuples, coskeletal_extend, csq_prime, loop_space, shift, pi, pi0,
     standard_simplex, boundary_simplex, horn_complex, sphere, product,
@@ -20,7 +20,7 @@ from .catalg import (
 )
 from .nerves import (
     nerve_category, groupoid_from_nerve, nerve_2group, two_group_from_nerve,
-    q_simplex_groupoid, segal_nerve, BisimplicialTrunc, box, diag,
+    q_simplex_groupoid, segal_nerve, BisimplicialTrunc, box,
     mu3_determined, segal_fibrancy_check, loop_gamma, enumerate_bimaps,
     p2_star, NerveError, NotOneKanGroupoid, NotTwoKanGroupoid,
 )

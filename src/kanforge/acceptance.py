@@ -115,7 +115,7 @@ def check_determinants():
             line = "  %-16s %-22s |det|=%-4d |hom|=%-4d bijection=%s" \
                 % (xname, gname, len(dets), len(homs), good)
             if gname in ("disc-z2", "oneobj-z2"):
-                classes, _ = dt.pi0_det(x, g, dets=dets)
+                classes, _ = dt.pi0_det(x, g, dets)
                 ng = nv.nerve_2group(g, 3)
                 eh = dt.enriched_hom0(x, ng, 1)
                 pieces = len(sp.pi0(eh))
@@ -135,14 +135,14 @@ def check_segal():
     x = nv.p2_star(s1, 2)
     for gname, g in ex.canned_two_groups():
         ns = nv.segal_nerve(g, 2, 3)
-        dets, maps, good = dt.segal_determinants_vs_hom(x, g, ns=ns)
+        dets, maps, good = dt.segal_determinants_vs_hom(x, g, ns)
         mu_ok = nv.mu3_determined(x, ns)
         ok &= good and mu_ok
         lines.append("  %-22s |det|=%-3d |hom_mu3|=%-3d bijection=%s "
                      "mu3-determined=%s" % (gname, len(dets), len(maps),
                                             good, mu_ok))
         classes, _ = dt.segal_pi0(x, g)
-        h1 = dt.hom1_enriched(x, g, n_max=1, ns=ns)
+        h1 = dt.hom1_enriched(x, ns, 1)
         pieces = len(sp.pi0(h1))
         good2 = len(classes) == pieces
         ok &= good2
@@ -181,7 +181,7 @@ def check_negative_fixture():
     neg = sp.classify(eh, 1).n_kan_groupoid
     x = nv.p2_star(s1, 2)
     ns = nv.segal_nerve(g, 2, 3)
-    h1 = dt.hom1_enriched(x, g, n_max=2, ns=ns)
+    h1 = dt.hom1_enriched(x, ns, 2)
     pos = sp.classify(h1, 1).n_kan_groupoid
     ok = (neg is False) and (pos is True)
     return ok, [

@@ -20,10 +20,10 @@ class DeterminantError(Exception):
 # -- simplicial map front ends ----------------------------------------------
 
 
-def hom_sset(x_sset, y_sset, budget=None):
+def hom_sset(x_sset, y_sset):
     """All simplicial maps at d = X.dim (Y extended coskeletally when
     flagged and shallower), in deterministic order."""
-    maps = sp.enumerate_maps(x_sset, y_sset, upto=x_sset.dim, budget=budget)
+    maps = sp.enumerate_maps(x_sset, y_sset, upto=x_sset.dim)
     return sorted(maps, key=lambda f: f.key())
 
 
@@ -42,7 +42,7 @@ class EnrichedHom:
     Materialized as a TruncatedSSet (attribute .sset) whose level-n ids
     index the stored maps (.maps[n])."""
 
-    def __init__(self, x_sset, y_sset, n_max, budget=None):
+    def __init__(self, x_sset, y_sset, n_max):
         if not x_sset.is_reduced():
             raise DeterminantError("enriched hom needs a reduced source")
         self.x = x_sset
@@ -67,8 +67,7 @@ class EnrichedHom:
 
         self.maps = []
         for n in range(n_max + 1):
-            found = sp.enumerate_maps(self.quots[n], y_sset, upto=d,
-                                      budget=budget)
+            found = sp.enumerate_maps(self.quots[n], y_sset, upto=d)
             found.sort(key=lambda f: f.key())
             self.maps.append(found)
         self.sset = _transported_hom(
@@ -148,15 +147,15 @@ def _transported_hom(maps, pull, prefix):
     return sp.build_sset(n_max, levels, op)
 
 
-def enriched_hom0(x_sset, y_sset, n_max, budget=None):
+def enriched_hom0(x_sset, y_sset, n_max):
     """The enriched hom as a truncated simplicial set."""
-    return EnrichedHom(x_sset, y_sset, n_max, budget=budget).sset
+    return EnrichedHom(x_sset, y_sset, n_max).sset
 
 
 # -- additive functions ------------------------------------------------------
 
 
-def enumerate_additive(x_sset, group, budget=None):
+def enumerate_additive(x_sset, group):
     """All D : level 1 -> H with D(degenerate loop) = e and
     D(d1 a) = D(d2 a) * D(d0 a) for every 2-simplex a, by
     sp.scheduled_search over the free edges; each 2-simplex is tested
@@ -170,7 +169,7 @@ def enumerate_additive(x_sset, group, budget=None):
     edges = list(x_sset.level(1))
     cons = [(x_sset.d(2, 1, a), x_sset.d(2, 2, a), x_sset.d(2, 0, a))
             for a in x_sset.level(2)]
-    tick = sp.budget_ticker(budget, "additive enumeration exceeded cap")
+    tick = sp.budget_ticker("additive enumeration exceeded cap")
     out = []
     assign = {loop0: group.unit}
     frees = [e for e in edges if e != loop0]
@@ -186,13 +185,13 @@ def enumerate_additive(x_sset, group, budget=None):
     return out
 
 
-def additive_vs_hom(x_sset, group, budget=None):
+def additive_vs_hom(x_sset, group):
     """The explicit bijection between additive functions and maps into
     the group nerve; returns (adds, homs, ok)."""
     h_grpd = ca.one_object_groupoid(group)
     ner = nv.nerve_category(h_grpd, max(2, x_sset.dim))
-    adds = enumerate_additive(x_sset, group, budget=budget)
-    homs = hom_sset(x_sset, ner, budget=budget)
+    adds = enumerate_additive(x_sset, group)
+    homs = hom_sset(x_sset, ner)
     star = x_sset.level(0)[0]
     upper = range(2, x_sset.dim + 1)
     index = {k: sp._candidate_index(ner, k) for k in upper}
@@ -282,7 +281,7 @@ class _TStage:
                             self.schedule, holds, t, lambda: emit(t), tick)
 
 
-def enumerate_determinants(x_sset, g, budget=None):
+def enumerate_determinants(x_sset, g):
     """All (D, T) on a reduced complex of dim >= 3: D on edges valued in
     objects, T on triangles valued in morphisms, subject to the
     compatibility (T(A) : D(d_2 A) (x) D(d_0 A) -> D(d_1 A)), unit
@@ -306,7 +305,7 @@ def enumerate_determinants(x_sset, g, budget=None):
     stage = _TStage(x_sset, ix)
     loop0 = x_sset.s(0, 0, x_sset.level(0)[0])
     edges = [e for e in x_sset.level(1) if e != loop0]
-    tick = sp.budget_ticker(budget, "determinant enumeration exceeded cap")
+    tick = sp.budget_ticker("determinant enumeration exceeded cap")
     results = []
     d_assign = {loop0: ix.unit}
     tri_checks = sp.completion_schedule(
@@ -335,12 +334,12 @@ def _det_key(d_fun, t_fun):
     return tuple(sorted(d_fun.items())), tuple(sorted(t_fun.items()))
 
 
-def determinants_vs_hom(x_sset, g, budget=None):
+def determinants_vs_hom(x_sset, g):
     """The bijection f -> (f_1, f_2) between maps into the 2-group nerve
     and determinants; returns (dets, homs, ok)."""
     ng = nv.nerve_2group(g, max(3, x_sset.dim))
-    dets = enumerate_determinants(x_sset, g, budget=budget)
-    homs = hom_sset(x_sset, ng, budget=budget)
+    dets = enumerate_determinants(x_sset, g)
+    homs = hom_sset(x_sset, ng)
     struct1, struct2 = ng._struct[1], ng._struct[2]
     images = [_det_key({e: struct1[f(1, e)][1] for e in x_sset.level(1)},
                        {t: struct2[f(2, t)][3] for t in x_sset.level(2)})
@@ -348,7 +347,7 @@ def determinants_vs_hom(x_sset, g, budget=None):
     return dets, homs, bijective(images, [_det_key(*det) for det in dets])
 
 
-def det_morphisms(x_sset, g, det1, det2, budget=None):
+def det_morphisms(x_sset, g, det1, det2):
     """All H : level 1 -> morphisms with H(A) : D(A) -> D'(A),
     H(degenerate loop) = id and the naturality square over every
     triangle, by sp.scheduled_search over the free edges on the ints of
@@ -364,7 +363,7 @@ def det_morphisms(x_sset, g, det1, det2, budget=None):
     edges = [e for e in x_sset.level(1) if e != loop0]
     assign = {loop0: ix.unit_ident}
     out = []
-    tick = sp.budget_ticker(budget, "determinant morphism search exceeded cap")
+    tick = sp.budget_ticker("determinant morphism search exceeded cap")
 
     tri_faces = x_sset.face_table(2)
     tri_checks = sp.completion_schedule(edges, tri_faces.items())
@@ -380,14 +379,13 @@ def det_morphisms(x_sset, g, det1, det2, budget=None):
     return out
 
 
-def pi0_det(x_sset, g, dets=None, budget=None):
-    """Classes of determinants under the exists-a-morphism relation;
-    symmetry and transitivity are verified, not assumed."""
-    if dets is None:
-        dets = enumerate_determinants(x_sset, g, budget=budget)
+def pi0_det(x_sset, g, dets):
+    """Classes of the determinants dets (as enumerate_determinants(x_sset,
+    g) lists them) under the exists-a-morphism relation; symmetry and
+    transitivity are verified, not assumed.  Returns (classes, dets)."""
     classes = _relation_classes(
-        len(dets), lambda i, j: det_morphisms(x_sset, g, dets[i], dets[j],
-                                              budget=budget), "determinant")
+        len(dets), lambda i, j: det_morphisms(x_sset, g, dets[i], dets[j]),
+        "determinant")
     return classes, dets
 
 
@@ -407,7 +405,7 @@ def _relation_classes(n, related, what):
 # -- the homotopy group comparison -------------------------------------------
 
 
-def grho_check(g, budget=None):
+def grho_check(g):
     """pi_0(G) = pi_1(N G) via the identity on objects and
     pi_1(G) = pi_2(N G) via phi -> phi . l_unit^{-1}; both verified as
     group isomorphisms by table comparison."""
@@ -444,7 +442,7 @@ def _obj_simplex_id(x):
 # -- Segal determinants --------------------------------------------------------
 
 
-def enumerate_segal_determinants(x_bx, g, budget=None):
+def enumerate_segal_determinants(x_bx, g):
     """All (D, T): D a simplicial map X_{*,1} -> N(sG) (2-truncated), T on
     X_{0,2} valued in morphisms, with the compatibility, unit,
     naturality and associativity conditions.  D comes from
@@ -455,14 +453,14 @@ def enumerate_segal_determinants(x_bx, g, budget=None):
     oi, mi, mors = ix.obj_int, ix.mor_int, ix.morphisms
     nsg = nv.nerve_category(g.base, 2)
     col1_t = _column1_2trunc(x_bx)
-    d_maps = sp.enumerate_maps(col1_t, nsg, upto=col1_t.dim, budget=budget)
+    d_maps = sp.enumerate_maps(col1_t, nsg, upto=col1_t.dim)
     d_maps.sort(key=lambda f: f.key())
     row = x_bx.row(0)
     squares = _x12_squares(x_bx)
     stage = _TStage(row, ix, squares)
     square_edges = {e for sq in squares for e in sq[2:]}
     v_deg1 = row.s(0, 0, row.level(0)[0])
-    tick = sp.budget_ticker(budget, "segal determinant search exceeded cap")
+    tick = sp.budget_ticker("segal determinant search exceeded cap")
     results = []
     for dm in d_maps:
         if dm(0, v_deg1) != g.unit:
@@ -491,14 +489,13 @@ def _column1_2trunc(x_bx):
     return sp.truncate(col1, min(col1.dim, 2))
 
 
-def segal_determinants_vs_hom(x_bx, g, ns=None, budget=None):
-    """Maps of (p+q <= 3)-truncations against Segal determinants via
-    F -> (F_{*,1}, F_{0,2}); returns (dets, maps, ok)."""
-    if ns is None:
-        ns = nv.segal_nerve(g, 2, 3)
+def segal_determinants_vs_hom(x_bx, g, ns):
+    """Maps of (p+q <= 3)-truncations into ns, the Segal nerve of g,
+    against Segal determinants via F -> (F_{*,1}, F_{0,2}); returns
+    (dets, maps, ok)."""
     mu = nv.mu3_region() & set(x_bx.region) & set(ns.region)
-    maps = nv.enumerate_bimaps(x_bx, ns, region=mu, budget=budget)
-    dets = enumerate_segal_determinants(x_bx, g, budget=budget)
+    maps = nv.enumerate_bimaps(x_bx, ns, region=mu)
+    dets = enumerate_segal_determinants(x_bx, g)
     # the objects of level (0, q) as structural simplices, and the cells
     # of level (p, 1), p >= 1, as chains of base-groupoid morphisms, each
     # listed by place from the nerve's int tables
@@ -528,7 +525,7 @@ def segal_determinants_vs_hom(x_bx, g, ns=None, budget=None):
     return dets, maps, bijective([image(f) for f in maps], det_keys)
 
 
-def segal_det_morphisms(x_bx, g, det1, det2, budget=None):
+def segal_det_morphisms(x_bx, g, det1, det2):
     """Homotopies X_{*,1} x Delta^1 -> N(sG) from det1 to det2, pointed
     and compatible with the T data: the naturality square of each cell
     of X_{1,2}, on the ints of g.int_index.  The map search is pinned at
@@ -560,8 +557,7 @@ def segal_det_morphisms(x_bx, g, det1, det2, budget=None):
             pin(k, e, "0" * (k + 1), dm2(k, e))
         for phi in d1.level(k):
             pin(k, base_cell[k], phi, unit_chain[k])
-    homotopies = sp.enumerate_maps(prod, nsg, upto=top, budget=budget,
-                                   pins=pins)
+    homotopies = sp.enumerate_maps(prod, nsg, upto=top, pins=pins)
     squares = [(mi[t1[top]], mi[t2[bot]], edges)
                for top, bot, *edges in _x12_squares(x_bx)]
 
@@ -582,25 +578,24 @@ def segal_det_morphisms(x_bx, g, det1, det2, budget=None):
     return [h for h in homotopies if good(h)]
 
 
-def segal_pi0(x_bx, g, budget=None):
+def segal_pi0(x_bx, g):
     """Classes of Segal determinants under the exists-a-morphism
     relation, with symmetry/transitivity verified."""
-    dets = enumerate_segal_determinants(x_bx, g, budget=budget)
+    dets = enumerate_segal_determinants(x_bx, g)
     classes = _relation_classes(
         len(dets), lambda i, j: segal_det_morphisms(
-            x_bx, g, dets[i], dets[j], budget=budget), "segal determinant")
+            x_bx, g, dets[i], dets[j]), "segal determinant")
     return classes, dets
 
 
-def hom1_enriched(x_bx, g, n_max=2, ns=None, budget=None):
-    """The direction-1 enriched hom into the Segal nerve, as a truncated
-    simplicial set: level n = bisimplicial maps X x p1*(Delta^n) -> N_S(G)."""
-    if ns is None:
-        ns = nv.segal_nerve(g, 2, 3)
-    return _transported_hom(*_hom1_maps(x_bx, ns, n_max, budget), "H")
+def hom1_enriched(x_bx, ns, n_max):
+    """The direction-1 enriched hom into the Segal nerve ns, as an
+    n_max-truncated simplicial set: level n = bisimplicial maps
+    X x p1*(Delta^n) -> ns over the region the two share."""
+    return _transported_hom(*_hom1_maps(x_bx, ns, n_max), "H")
 
 
-def _hom1_maps(x_bx, ns, n_max, budget):
+def _hom1_maps(x_bx, ns, n_max):
     """The maps of each level of hom1_enriched, in order, and the pull
     that _transported_hom reads its operators from."""
     region = set(x_bx.region) & set(ns.region)
@@ -616,8 +611,7 @@ def _hom1_maps(x_bx, ns, n_max, budget):
     names = {pq: sp.namer(ns.level(*pq)) for pq in region}
     maps = []
     for n in range(n_max + 1):
-        found = nv.enumerate_bimaps(prods[n], ns, region=region,
-                                    budget=budget)
+        found = nv.enumerate_bimaps(prods[n], ns, region=region)
         orders = _cell_orders(found)
         maps.append(sorted(found,
                            key=lambda f: _image_key(f, orders, names)))

@@ -512,9 +512,11 @@ class BisimplicialTrunc:
     hdegen[(p,q,j)] level (p,q) -> (p+1,q) where the target level exists
 
     As for sp.TruncatedSSet, a derived object may hold a level as
-    sp.Places and each operator out of it as a list of target places.
-    A derived object's tables are _OnRead (build_bisimplicial): each
-    operator is made on its first read, and one never read costs nothing.
+    sp.Places and each operator out of it as a list of target places,
+    and the object holds the level dict and operator tables it is given,
+    not copies.  A derived object's tables are _OnRead
+    (build_bisimplicial): each operator is made on its first read, and
+    one never read costs nothing.
     """
 
     # each operator table and the step from its source level to its target
@@ -523,19 +525,6 @@ class BisimplicialTrunc:
     LABELS = {"hface": "dh", "vface": "dv", "hdegen": "sh", "vdegen": "sv"}
 
     def __init__(self, region, levels, hface, vface, hdegen, vdegen):
-        self._hold(region, {k: list(v) for k, v in levels.items()},
-                   *[{k: dict(v) for k, v in table.items()}
-                     for table in (hface, vface, hdegen, vdegen)])
-
-    @classmethod
-    def _adopt(cls, region, levels, hface, vface, hdegen, vdegen):
-        """The BisimplicialTrunc that holds these level lists and operator
-        dicts themselves, not copies (see sp.TruncatedSSet._adopt)."""
-        out = cls.__new__(cls)
-        out._hold(region, levels, hface, vface, hdegen, vdegen)
-        return out
-
-    def _hold(self, region, levels, hface, vface, hdegen, vdegen):
         self.region = set(region)
         self.levels = levels
         self.hface, self.vface = hface, vface
@@ -727,7 +716,7 @@ def build_bisimplicial(region, levels, op):
     It holds the lists of `levels` and the tables op returns as they
     are, not copies."""
     keys = bi_operator_keys(region)
-    return BisimplicialTrunc._adopt(region, dict(levels), *[
+    return BisimplicialTrunc(region, dict(levels), *[
         _OnRead([key[1:] for key in keys if key[0] == name],
                 lambda key, name=name: op(name, *key))
         for name in BisimplicialTrunc.OPERATORS])
@@ -737,8 +726,8 @@ def rectangle(pmax, qmax):
     return {(p, q) for p in range(pmax + 1) for q in range(qmax + 1)}
 
 
-def mu3_region(extra=0):
-    return {(p, q) for p in range(4) for q in range(4) if p + q <= 3 + extra}
+def mu3_region():
+    return {(p, q) for p in range(4) for q in range(4) if p + q <= 3}
 
 
 def box(a_sset, b_sset, region=None):
@@ -765,17 +754,6 @@ def box(a_sset, b_sset, region=None):
     return build_bisimplicial(region, levels, op)
 
 
-def diag(bx):
-    """Diagonal simplicial set: level n = X_{n,n}, d_i = dh_i dv_i."""
-    n_max = 0
-    while (n_max + 1, n_max + 1) in bx.region:
-        n_max += 1
-    levels = [bx.level(n, n) for n in range(n_max + 1)]
-    return sp.build_sset(n_max, levels, lambda name, n, i: sp.relabel(
-        levels[n], getattr(bx, "h" + name)[n, n, i],
-        dst=getattr(bx, "v" + name)[n + sp.STEPS[name], n, i]))
-
-
 def restrict_region(bx, region):
     """bx over the levels of region that it stores, sharing their level
     lists and operator tables."""
@@ -795,7 +773,7 @@ def named(bx):
         bx.levels[p, q], (mp, ids[p + dp, q + dq]))))
                for (p, q, i), mp in getattr(bx, name).items()}
               for name, (dp, dq) in BisimplicialTrunc.OPERATORS.items()]
-    return BisimplicialTrunc._adopt(bx.region, ids, *tables)
+    return BisimplicialTrunc(bx.region, ids, *tables)
 
 
 def p2_star(k_sset, pmax):
@@ -1120,7 +1098,7 @@ def segal_nerve(g, pmax, qmax, level_budget=50000):
 # -- bisimplicial maps --------------------------------------------------------
 
 
-def enumerate_bimaps(x_bx, y_bx, region=None, budget=None):
+def enumerate_bimaps(x_bx, y_bx, region=None):
     """All bisimplicial maps over the region (default: region of X,
     intersected with that of Y), by sp.map_search over the levels in
     (p + q, p) order.
@@ -1138,7 +1116,7 @@ def enumerate_bimaps(x_bx, y_bx, region=None, budget=None):
     region = set(region) if region is not None else set(x_bx.region)
     region &= set(y_bx.region)
     order = sorted(region, key=lambda pq: (pq[0] + pq[1], pq[0]))
-    tick = sp.budget_ticker(budget, "bisimplicial enumeration exceeded cap")
+    tick = sp.budget_ticker("bisimplicial enumeration exceeded cap")
     levels = []
     index = {}
     for (p, q) in order:
@@ -1168,12 +1146,12 @@ def enumerate_bimaps(x_bx, y_bx, region=None, budget=None):
     return sp.map_search(levels, index, tick)
 
 
-def mu3_determined(x_bx, y_bx, budget=None):
+def mu3_determined(x_bx, y_bx):
     """Restriction of maps X -> Y to the (p+q <= 3)-region is bijective
     over the common region."""
-    full = enumerate_bimaps(x_bx, y_bx, budget=budget)
+    full = enumerate_bimaps(x_bx, y_bx)
     mu = mu3_region() & set(x_bx.region) & set(y_bx.region)
-    small = enumerate_bimaps(x_bx, y_bx, region=mu, budget=budget)
+    small = enumerate_bimaps(x_bx, y_bx, region=mu)
     def restrict(m):
         return tuple(sorted((k, tuple(sorted(v.items())))
                             for k, v in m.items() if k in mu))
@@ -1199,7 +1177,7 @@ class FibrancyReport:
             "%s=%s" % (l, o) for l, o, _ in self.items)
 
 
-def segal_fibrancy_check(x_bx, n=2, budget=None):
+def segal_fibrancy_check(x_bx):
     """Evaluate the four fibrancy conditions for pre-monoids within the
     stored region:
 
@@ -1207,13 +1185,13 @@ def segal_fibrancy_check(x_bx, n=2, budget=None):
           (pi_1 always, pi_2 where rows reach vertical depth 3); the map
           is applied, a column at a time, only to the pi_m
           representatives of the source row,
-    (ii)  every row is an n-Kan-groupoid (within range),
+    (ii)  every row is a 2-Kan-groupoid (within range),
     (iii) boundary(p) x horn(q) extension at p = q = 2,
     (iv)  relative box-horn surjectivity at p in {1,2}, q = 2.
 
-    The searches of (iii) and (iv) share one budget (`budget`, else
-    sp.enumeration_budget()), ticked once per candidate tried; past it
-    SearchBudgetExceeded names the search.
+    The searches of (iii) and (iv) share one budget guard, under the one
+    enumeration cap (sp.enumeration_budget()), ticked once per candidate
+    tried; past it SearchBudgetExceeded names the search.
     """
     rep = FibrancyReport()
     if not x_bx.is_pre_monoid():
@@ -1224,9 +1202,9 @@ def segal_fibrancy_check(x_bx, n=2, budget=None):
     for p in range(pmax + 1):
         rows[p] = x_bx.row(p)
 
-    # (ii) rows are n-Kan-groupoids within their stored depth
+    # (ii) rows are 2-Kan-groupoids within their stored depth
     for p, r in rows.items():
-        cls = sp.classify(r, n)
+        cls = sp.classify(r, 2)
         rep.add("row-%d-kan-groupoid" % p, cls.n_kan_groupoid,
                 "dims %s" % cls.checked_dims)
 
@@ -1261,8 +1239,7 @@ def segal_fibrancy_check(x_bx, n=2, budget=None):
 
     # (iii) and (iv) via the explicit prism-tuple descriptions of the
     # corner Hom sets
-    tick = sp.budget_ticker(budget,
-                            "fibrancy {} search exceeded {cap} evaluations")
+    tick = sp.budget_ticker("fibrancy {} search exceeded {cap} evaluations")
     for k in range(3):
         rep.add("(iii)-k%d" % k, _boundary_horn_extension(x_bx, 2, 2, k, tick))
     for p in (1, 2):
@@ -1442,11 +1419,11 @@ def _h_operator_steps(phi, p_from):
 # -- the loop-space comparison ------------------------------------------------
 
 
-def loop_gamma(g, to_dim=3):
+def loop_gamma(g):
     """The natural comparison: loops in the 2-group nerve against the
     nerve of the underlying groupoid.  Returns (map, omega, ngrpd) and
     raises if the comparison fails to be a levelwise bijection."""
-    ng = nerve_2group(g, to_dim + 1)
+    ng = nerve_2group(g, 4)
     om = sp.loop_space(ng, variant="plain", base="*")
     nsg = nerve_category(g.base, om.dim)
     struct = ng._struct

@@ -101,24 +101,14 @@ class TruncatedSSet:
 
     A derived complex may instead hold a level as Places and each
     operator out of it as the list of its target places.
+
+    The complex holds the level lists and operator dicts it is given, not
+    copies: a builder hands over tables it has just made, or shares those
+    of the object they came from.  Nothing writes into a table after
+    construction.
     """
 
     def __init__(self, dim, levels, face, degen, coskeletal_at=None, base=None):
-        self._hold(dim, [list(l) for l in levels],
-                   {k: dict(v) for k, v in face.items()},
-                   {k: dict(v) for k, v in degen.items()}, coskeletal_at, base)
-
-    @classmethod
-    def _adopt(cls, dim, levels, face, degen, coskeletal_at, base):
-        """The TruncatedSSet that holds these level lists and operator
-        dicts themselves, not copies: for a builder that hands over
-        tables it has just made, or that it shares with an object they
-        came from.  Nothing writes into a table after construction."""
-        out = cls.__new__(cls)
-        out._hold(dim, levels, face, degen, coskeletal_at, base)
-        return out
-
-    def _hold(self, dim, levels, face, degen, coskeletal_at, base):
         if dim < 0:
             raise DimensionOutOfRange("dimension %d is negative" % dim)
         self.dim = dim
@@ -157,11 +147,8 @@ class TruncatedSSet:
                 self.levels[k], [self.face[k, i] for i in range(k + 1) if k])
         return table
 
-    def deg_base(self, n, a=None):
+    def deg_base(self, n, a):
         """The totally degenerate n-simplex s_0^n(a)."""
-        a = self.base if a is None else a
-        if a is None:
-            raise SimplicialError("no base simplex chosen")
         x = a
         for k in range(n):
             x = self.s(k, 0, x)
@@ -253,8 +240,8 @@ def build_sset(dim, levels, op, coskeletal_at=None, base=None):
     tables = {name: {} for name in STEPS}
     for name, k, i in operator_keys(dim):
         tables[name][k, i] = op(name, k, i)
-    return TruncatedSSet._adopt(dim, list(levels), tables["face"],
-                                tables["degen"], coskeletal_at, base)
+    return TruncatedSSet(dim, list(levels), tables["face"], tables["degen"],
+                         coskeletal_at, base)
 
 
 def truncate(x_sset, dim):
@@ -298,8 +285,8 @@ def named(x_sset):
                 for (k, i), mp in getattr(x_sset, name).items()}
 
     base = None if x_sset.base is None else ids[0][x_sset.base]
-    return TruncatedSSet._adopt(x_sset.dim, ids, table("face"),
-                                table("degen"), x_sset.coskeletal_at, base)
+    return TruncatedSSet(x_sset.dim, ids, table("face"), table("degen"),
+                         x_sset.coskeletal_at, base)
 
 
 # -- column-wise checks --------------------------------------------------
@@ -641,41 +628,6 @@ def kan_status(x_sset, m):
     return row
 
 
-class KanReport:
-    """Kan rows for every checkable dimension plus the derived flags:
-    the largest m with Kan extension in 1..m, and the least dimension
-    from which fillers are unique through the checked range."""
-
-    def __init__(self, rows):
-        self.rows = rows                   # m -> KanRow
-        top = max(rows) if rows else 0
-        self.is_kan_up_to = 0
-        for m in range(1, top + 1):
-            if m in rows and rows[m].kan:
-                self.is_kan_up_to = m
-            else:
-                break
-        self.strict_from = None
-        for m in sorted(rows, reverse=True):
-            if rows[m].unique_fillers:
-                self.strict_from = m
-            else:
-                break
-
-    def __repr__(self):
-        return "KanReport(kan_up_to=%d, strict_from=%s, dims=%s)" % (
-            self.is_kan_up_to, self.strict_from, sorted(self.rows))
-
-
-def kan_report(x_sset):
-    """Kan status for every dimension the truncation can decide."""
-    top = x_sset.dim - 1
-    if x_sset.coskeletal_at is not None:
-        top = max(top, x_sset.dim)
-    rows = {m: kan_status(x_sset, m) for m in range(top + 1)}
-    return KanReport(rows)
-
-
 def _ensure_depth(x_sset, depth):
     if x_sset.dim >= depth:
         return x_sset
@@ -772,8 +724,8 @@ def coskeletal_extend(x_sset, to_dim):
         raise NotCoskeletal("flag %d exceeds stored dim+1" % x_sset.coskeletal_at)
     if to_dim <= x_sset.dim:
         return x_sset
-    # the constructor copies, so the new levels and maps are added to
-    # shallow copies of the input's
+    # the new levels and maps are added to shallow copies of the
+    # input's, and each complex built on the way holds copies of its own
     levels = list(x_sset.levels)
     face = dict(x_sset.face)
     degen = dict(x_sset.degen)
@@ -799,7 +751,7 @@ def coskeletal_extend(x_sset, to_dim):
                 known = id_of.get(parts)
                 mapping[a] = _tuple_id(parts) if known is None else known
             degen[(m, j)] = mapping
-        cur = TruncatedSSet(new_dim, levels, face, degen,
+        cur = TruncatedSSet(new_dim, list(levels), dict(face), dict(degen),
                             coskeletal_at=x_sset.coskeletal_at, base=x_sset.base)
     return cur
 
@@ -1211,12 +1163,12 @@ class SSetMap:
                    for k, comp in self.components.items())
 
 
-def budget_ticker(budget, message):
+def budget_ticker(message):
     """The budget guard of one search: a tick(*fields) that counts one
     evaluation per call and raises SearchBudgetExceeded once the count
-    passes `budget` (None: enumeration_budget()), with the text
-    message.format(*fields, cap=<the cap>)."""
-    cap = enumeration_budget() if budget is None else budget
+    passes the cap, enumeration_budget() read once when the guard is
+    made, with the text message.format(*fields, cap=<the cap>)."""
+    cap = enumeration_budget()
     count = 0
 
     def tick(*fields):
@@ -1412,7 +1364,7 @@ def lift_by_faces(x_sset, comps, index, levels):
     return None
 
 
-def enumerate_maps(x_sset, y_sset, upto=None, budget=None, pins=None):
+def enumerate_maps(x_sset, y_sset, upto=None, pins=None):
     """All simplicial maps tau_d(X) -> tau_d(Y) at d = min dim (or `upto`),
     in deterministic order, by map_search over the levels 0..d.
 
@@ -1434,7 +1386,7 @@ def enumerate_maps(x_sset, y_sset, upto=None, budget=None, pins=None):
         y_sset = _ensure_depth(y_sset, d)
     if x_sset.dim < d:
         raise DimensionOutOfRange("source truncation too shallow")
-    tick = budget_ticker(budget, "map enumeration exceeded {cap} evaluations")
+    tick = budget_ticker("map enumeration exceeded {cap} evaluations")
     index = {k: _candidate_index(y_sset, k) for k in range(1, d + 1)}
     index[0] = {(): list(y_sset.level(0))}
     levels = []
@@ -1457,13 +1409,13 @@ def enumerate_maps(x_sset, y_sset, upto=None, budget=None, pins=None):
             for comps in map_search(levels, index, tick, pins)]
 
 
-def find_isomorphism(x_sset, y_sset, budget=None):
+def find_isomorphism(x_sset, y_sset):
     """An isomorphism X -> Y of truncations, or None."""
     d = min(x_sset.dim, y_sset.dim)
     for k in range(d + 1):
         if len(x_sset.level(k)) != len(y_sset.level(k)):
             return None
-    for f in enumerate_maps(x_sset, y_sset, upto=d, budget=budget):
+    for f in enumerate_maps(x_sset, y_sset, upto=d):
         if f.is_iso():
             return f
     return None

@@ -1,7 +1,8 @@
 """Reference maps that only the tests read: alpha^m as a dict, the Kan
-rows by their definition, the enriched-hom builder keyed by sorted map
-items, the retraction check of the shift (decalage) and the translation
-check of a 2-group."""
+rows by their definition, the Kan report over every checkable dimension,
+the diagonal of a bisimplicial set, the enriched-hom builder keyed by
+sorted map items, the retraction check of the shift (decalage) and the
+translation check of a 2-group."""
 
 import itertools
 
@@ -86,6 +87,52 @@ def definitional_kan_row(x_sset, m):
             witness[(k, "surj")] = missing[0]
         flags[k] = (not missing, inj)
     return flags, witness, minimal
+
+
+class KanReport:
+    """Kan rows for every checkable dimension plus the derived flags:
+    the largest m with Kan extension in 1..m, and the least dimension
+    from which fillers are unique through the checked range."""
+
+    def __init__(self, rows):
+        self.rows = rows                   # m -> KanRow
+        top = max(rows) if rows else 0
+        self.is_kan_up_to = 0
+        for m in range(1, top + 1):
+            if m in rows and rows[m].kan:
+                self.is_kan_up_to = m
+            else:
+                break
+        self.strict_from = None
+        for m in sorted(rows, reverse=True):
+            if rows[m].unique_fillers:
+                self.strict_from = m
+            else:
+                break
+
+    def __repr__(self):
+        return "KanReport(kan_up_to=%d, strict_from=%s, dims=%s)" % (
+            self.is_kan_up_to, self.strict_from, sorted(self.rows))
+
+
+def kan_report(x_sset):
+    """Kan status for every dimension the truncation can decide."""
+    top = x_sset.dim - 1
+    if x_sset.coskeletal_at is not None:
+        top = max(top, x_sset.dim)
+    rows = {m: sp.kan_status(x_sset, m) for m in range(top + 1)}
+    return KanReport(rows)
+
+
+def diag(bx):
+    """Diagonal simplicial set: level n = X_{n,n}, d_i = dh_i dv_i."""
+    n_max = 0
+    while (n_max + 1, n_max + 1) in bx.region:
+        n_max += 1
+    levels = [bx.level(n, n) for n in range(n_max + 1)]
+    return sp.build_sset(n_max, levels, lambda name, n, i: sp.relabel(
+        levels[n], getattr(bx, "h" + name)[n, n, i],
+        dst=getattr(bx, "v" + name)[n + sp.STEPS[name], n, i]))
 
 
 def canon(comps):

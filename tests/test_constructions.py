@@ -17,6 +17,8 @@ from kanforge import determinants as dt
 from kanforge import examples as ex
 from kanforge import serialize as io
 
+from reference import diag
+
 
 def fingerprint(obj):
     """sha1 of serialize.dumps(obj) (where it serializes) and, for a
@@ -117,7 +119,8 @@ def _derived():
         ("enriched-hom0-delta2-reduced-nerve-z2", lambda: dt.enriched_hom0(
             ex.build("delta2-reduced"), ex.build("nerve-z2"), 2)),
         ("hom1-enriched-s1-oneobj-z2", lambda: dt.hom1_enriched(
-            nv.p2_star(ex.build("s1"), 2), ex.build("oneobj-z2"), n_max=2)),
+            nv.p2_star(ex.build("s1"), 2),
+            nv.segal_nerve(ex.build("oneobj-z2"), 2, 3), 2)),
         ("box-delta1-delta1", lambda: nv.box(sp.standard_simplex(1, 1),
                                              sp.standard_simplex(1, 1))),
         ("box-s1-delta2-mu3", lambda: nv.box(
@@ -125,9 +128,9 @@ def _derived():
         ("box-delta2-s1-cut", lambda: nv.box(
             sp.standard_simplex(2, 2), sp.sphere(1, 3),
             nv.rectangle(2, 3) - {(2, 3)})),
-        ("diag-box-delta2-s1", lambda: nv.diag(nv.box(
+        ("diag-box-delta2-s1", lambda: diag(nv.box(
             sp.standard_simplex(2, 3), sp.sphere(1, 3)))),
-        ("diag-segal", lambda: nv.diag(_segal())),
+        ("diag-segal", lambda: diag(_segal())),
         ("p2star-s1-2", lambda: nv.p2_star(ex.build("s1"), 2)),
         ("p2star-t11-3", lambda: nv.p2_star(ex.build("t11"), 3)),
         ("segal-restrict-mu3", lambda: nv.restrict_region(

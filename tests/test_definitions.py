@@ -35,7 +35,7 @@ def complex_from_spec(spec, places):
                   for k, n in enumerate(sizes)]
         face = {(k, i): list(col) for k in range(1, dim + 1)
                 for i, col in enumerate(faces[k])}
-        return sp.TruncatedSSet._adopt(dim, levels, face, {}, None, None)
+        return sp.TruncatedSSet(dim, levels, face, {})
 
     def cell(k, c):
         return ("c%d.%d" if c < sizes[k] else "z%d.%d") % (k, c)
@@ -174,7 +174,7 @@ def test_enriched_hom0_matches_canon_keyed_builder(xname, gname, n_max):
 def test_hom1_enriched_matches_canon_keyed_builder(gname, n_max):
     x = nv.p2_star(ex.build("s1"), 2)
     ns = nv.segal_nerve(ex.build(gname), 2, 3)
-    maps, pull = dt._hom1_maps(x, ns, n_max, None)
+    maps, pull = dt._hom1_maps(x, ns, n_max)
     # the maps of each level in the order of the sorted items of their
     # images' ids
     for found in maps:
@@ -183,7 +183,7 @@ def test_hom1_enriched_matches_canon_keyed_builder(gname, n_max):
                       for pq, comp in f.items()}) for f in found]
         assert key == sorted(key)
     want = canon_transported_hom(maps, pull, "H")
-    assert_same_sset(dt.hom1_enriched(x, None, n_max=n_max, ns=ns), want)
+    assert_same_sset(dt.hom1_enriched(x, ns, n_max), want)
 
 
 # -- the relative box-horn search against a depth-first one ---------------------

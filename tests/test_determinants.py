@@ -1,5 +1,8 @@
+import inspect
+
 import pytest
 
+import kanforge
 from kanforge import simplicial as sp
 from kanforge import catalg as ca
 from kanforge import nerves as nv
@@ -65,7 +68,7 @@ def test_pi0_det_matches_mapping_object():
     s1 = sp.sphere(1, 3)
     for g in (ca.one_object_two_group(gr.cyclic(2)),
               ca.discrete_two_group(gr.cyclic(2))):
-        classes, dets = dt.pi0_det(s1, g)
+        classes, dets = dt.pi0_det(s1, g, dt.enumerate_determinants(s1, g))
         ng = nv.nerve_2group(g, 3)
         eh = dt.enriched_hom0(s1, ng, 1)
         assert len(classes) == len(sp.pi0(eh))
@@ -106,17 +109,17 @@ def test_segal_determinants_and_pi0():
     x = nv.p2_star(s1, 2)
     g = ca.discrete_two_group(gr.cyclic(3))
     ns = nv.segal_nerve(g, 2, 3)
-    dets, maps, ok = dt.segal_determinants_vs_hom(x, g, ns=ns)
+    dets, maps, ok = dt.segal_determinants_vs_hom(x, g, ns)
     assert len(dets) == 3 and ok
     classes, _ = dt.segal_pi0(x, g)
-    h1 = dt.hom1_enriched(x, g, n_max=1, ns=ns)
+    h1 = dt.hom1_enriched(x, ns, 1)
     assert len(classes) == len(sp.pi0(h1)) == 3
 
 
 def test_segal_identity_determinant_exists():
     g = ca.discrete_two_group(gr.cyclic(2))
     ns = nv.segal_nerve(g, 2, 3)
-    dets, maps, ok = dt.segal_determinants_vs_hom(ns, g, ns=ns)
+    dets, maps, ok = dt.segal_determinants_vs_hom(ns, g, ns)
     assert ok and len(dets) >= 1
 
 
@@ -125,15 +128,61 @@ def test_hom1_is_one_kan_groupoid():
     x = nv.p2_star(s1, 2)
     g = ca.one_object_two_group(gr.cyclic(2))
     ns = nv.segal_nerve(g, 2, 3)
-    h1 = dt.hom1_enriched(x, g, n_max=2, ns=ns)
+    h1 = dt.hom1_enriched(x, ns, 2)
     assert h1.validate().ok
     assert sp.classify(h1, 1).n_kan_groupoid
 
 
-def test_budget_guard():
+def test_budget_guard(monkeypatch):
     s1 = sp.sphere(1, 3)
+    monkeypatch.setenv("KANFORGE_BUDGET", "2")
     with pytest.raises(sp.SearchBudgetExceeded):
-        dt.enumerate_additive(s1, gr.symmetric(3), budget=2)
+        dt.enumerate_additive(s1, gr.symmetric(3))
+
+
+def test_every_search_reads_the_one_cap(monkeypatch):
+    # the front ends that no tick pin reaches: each runs a search under
+    # KANFORGE_BUDGET, and none takes a cap of its own
+    monkeypatch.delenv("KANFORGE_BUDGET", raising=False)
+    s1, g = ex.build("s1"), ex.build("oneobj-z2")
+    x, ns = nv.p2_star(s1, 2), nv.segal_nerve(g, 2, 3)
+    dets = dt.enumerate_determinants(s1, g)
+    (sdet,) = dt.enumerate_segal_determinants(x, g)
+    runs = {
+        "find_isomorphism": lambda: sp.find_isomorphism(s1, s1),
+        "enriched_hom0": lambda: dt.enriched_hom0(
+            s1, nv.nerve_2group(g, 3), 1),
+        "hom1_enriched": lambda: dt.hom1_enriched(x, ns, 1),
+        "mu3_determined": lambda: nv.mu3_determined(x, ns),
+        "segal_det_morphisms": lambda: dt.segal_det_morphisms(
+            x, g, sdet, sdet),
+        "pi0_det": lambda: dt.pi0_det(s1, g, dets),
+        "segal_pi0": lambda: dt.segal_pi0(x, g),
+        "additive_vs_hom": lambda: dt.additive_vs_hom(s1, gr.cyclic(3)),
+        "determinants_vs_hom": lambda: dt.determinants_vs_hom(s1, g),
+        "segal_determinants_vs_hom": lambda: dt.segal_determinants_vs_hom(
+            x, g, ns),
+    }
+    monkeypatch.setenv("KANFORGE_BUDGET", "1")
+    uncapped = []
+    for name, run in runs.items():
+        try:
+            run()
+            uncapped.append(name)
+        except sp.SearchBudgetExceeded:
+            pass
+    assert uncapped == []
+    takes_budget = [name for name, obj in vars(kanforge).items()
+                    if callable(obj) and not name.startswith("_")
+                    and "budget" in _parameters(obj)]
+    assert takes_budget == []
+
+
+def _parameters(obj):
+    try:
+        return inspect.signature(obj).parameters
+    except ValueError:      # the exception classes have no signature
+        return {}
 
 
 def pi_replaced(m, change):

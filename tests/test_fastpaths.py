@@ -4,6 +4,8 @@ searches against the simple references they replace."""
 import functools
 import itertools
 import math
+import os
+from unittest import mock
 
 import pytest
 
@@ -689,8 +691,10 @@ def test_segal_determinants_vs_hom_ids_with_separators(name):
     for x in (nv.p2_star(ex.build("s1"), 2),
               nv.restrict_region(nv.segal_nerve(ex.build("oneobj-z3"), 2, 3),
                                  nv.mu3_region())):
-        dets, maps, ok = dt.segal_determinants_vs_hom(x, g)
-        dets2, maps2, ok2 = dt.segal_determinants_vs_hom(x, h)
+        dets, maps, ok = dt.segal_determinants_vs_hom(
+            x, g, nv.segal_nerve(g, 2, 3))
+        dets2, maps2, ok2 = dt.segal_determinants_vs_hom(
+            x, h, nv.segal_nerve(h, 2, 3))
         assert ok and ok2
         assert (len(dets2), len(maps2)) == (len(dets), len(maps))
 
@@ -841,8 +845,8 @@ def test_bimaps_with_cached_index_match_reference(g):
         # the second call on a region reads the index cached on ns
         for _ in range(2):
             assert nv.enumerate_bimaps(x, ns, region=region) == want
-        assert_ticks(lambda b: nv.enumerate_bimaps(x, ns, region=region,
-                                                   budget=b), ticks)
+        assert_ticks(lambda: nv.enumerate_bimaps(x, ns, region=region),
+                     ticks)
 
 
 def nerve_fixtures():
@@ -1478,7 +1482,7 @@ def test_fibrancy_matches_full_row_map_reference(build):
     rep = nv.segal_fibrancy_check(x_bx)
     assert rep.items == want
     assert ticks > 0
-    assert_ticks(lambda b: nv.segal_fibrancy_check(x_bx, budget=b), ticks)
+    assert_ticks(lambda: nv.segal_fibrancy_check(x_bx), ticks)
 
 
 def test_fibrancy_reference_cases_cover_skips_and_failures():
@@ -1513,8 +1517,8 @@ def test_bimaps_from_p1_products_match_reference(name):
         want, ticks = reference_bimaps(prod, ns, region)
         assert want
         assert nv.enumerate_bimaps(prod, ns, region=region) == want
-        assert_ticks(lambda b: nv.enumerate_bimaps(prod, ns, region=region,
-                                                   budget=b), ticks)
+        assert_ticks(lambda: nv.enumerate_bimaps(prod, ns, region=region),
+                     ticks)
 
 
 # -- the searches against references that recheck every constraint ------------
@@ -1829,11 +1833,18 @@ def reference_segal_det_morphisms(x_bx, g, det1, det2):
     return out
 
 
+def capped(n):
+    """KANFORGE_BUDGET set to n inside a with block, restored after it."""
+    return mock.patch.dict(os.environ, KANFORGE_BUDGET=str(n))
+
+
 def assert_ticks(run, ticks):
-    """run(budget) succeeds with `ticks` evaluations and not with fewer."""
-    run(ticks)
-    with pytest.raises(sp.SearchBudgetExceeded):
-        run(ticks - 1)
+    """run() succeeds under a cap of `ticks` evaluations and not under
+    a cap of one fewer."""
+    with capped(ticks):
+        run()
+    with capped(ticks - 1), pytest.raises(sp.SearchBudgetExceeded):
+        run()
 
 
 def map_keys(maps):
@@ -1858,12 +1869,11 @@ def two_group_cases():
 def test_additive_and_maps_into_group_nerve_match_reference(x, h):
     want, ticks = reference_additive(x, h)
     assert dt.enumerate_additive(x, h) == want
-    assert_ticks(lambda b: dt.enumerate_additive(x, h, budget=b), ticks)
+    assert_ticks(lambda: dt.enumerate_additive(x, h), ticks)
     ner = nv.nerve_category(ca.one_object_groupoid(h), max(2, x.dim))
     want, ticks = reference_maps(x, ner, x.dim)
     assert map_keys(sp.enumerate_maps(x, ner, upto=x.dim)) == map_keys(want)
-    assert_ticks(lambda b: sp.enumerate_maps(x, ner, upto=x.dim, budget=b),
-                 ticks)
+    assert_ticks(lambda: sp.enumerate_maps(x, ner, upto=x.dim), ticks)
 
 
 @pytest.mark.parametrize("x,g", two_group_cases())
@@ -1871,17 +1881,15 @@ def test_determinant_searches_match_reference(x, g):
     ng = nv.nerve_2group(g, 3)
     want, ticks = reference_maps(x, ng, x.dim)
     assert map_keys(sp.enumerate_maps(x, ng, upto=x.dim)) == map_keys(want)
-    assert_ticks(lambda b: sp.enumerate_maps(x, ng, upto=x.dim, budget=b),
-                 ticks)
+    assert_ticks(lambda: sp.enumerate_maps(x, ng, upto=x.dim), ticks)
     dets, ticks = reference_determinants(x, g)
     assert dt.enumerate_determinants(x, g) == dets
-    assert_ticks(lambda b: dt.enumerate_determinants(x, g, budget=b), ticks)
+    assert_ticks(lambda: dt.enumerate_determinants(x, g), ticks)
     for det1 in dets:
         for det2 in dets:
             want, ticks = reference_det_morphisms(x, g, det1, det2)
             assert dt.det_morphisms(x, g, det1, det2) == want
-            assert_ticks(lambda b: dt.det_morphisms(x, g, det1, det2,
-                                                    budget=b), ticks)
+            assert_ticks(lambda: dt.det_morphisms(x, g, det1, det2), ticks)
 
 
 def coskeleton_fixtures():
@@ -1916,7 +1924,8 @@ def test_base_pinned_before_the_map_search():
     want, ticks = reference_maps(x, y, 2)
     assert want and map_keys(sp.enumerate_maps(x, y)) == map_keys(want)
     # the pinned search skips the other images of the base vertex
-    sp.enumerate_maps(x, y, budget=ticks - 1)
+    with capped(ticks - 1):
+        sp.enumerate_maps(x, y)
 
 
 def segal_determinant_cases():
@@ -1940,8 +1949,7 @@ def test_segal_determinants_match_reference(space, g):
     got = dt.enumerate_segal_determinants(x_bx, g)
     assert [(dm.key(), t) for dm, t in got] == \
         [(dm.key(), t) for dm, t in want]
-    assert_ticks(lambda b: dt.enumerate_segal_determinants(x_bx, g, budget=b),
-                 ticks)
+    assert_ticks(lambda: dt.enumerate_segal_determinants(x_bx, g), ticks)
 
 
 def segal_det_morphism_cases():
@@ -1975,9 +1983,9 @@ def test_search_budgets_pinned():
     # the fewest evaluations each search needs, as counted before
     # completion schedules: an unchanged count means an unchanged tree
     t12, g = ex.build("t12"), ex.build("oneobj-z3")
-    assert_ticks(lambda b: dt.enumerate_determinants(t12, g, budget=b), 2210)
+    assert_ticks(lambda: dt.enumerate_determinants(t12, g), 2210)
     ng = nv.nerve_2group(g, 3)
-    assert_ticks(lambda b: dt.hom_sset(t12, ng, budget=b), 3382)
+    assert_ticks(lambda: dt.hom_sset(t12, ng), 3382)
 
 
 # -- both kinds of map against their definition -------------------------------

