@@ -115,7 +115,7 @@ def check_determinants():
             line = "  %-16s %-22s |det|=%-4d |hom|=%-4d bijection=%s" \
                 % (xname, gname, len(dets), len(homs), good)
             if gname in ("disc-z2", "oneobj-z2"):
-                classes, _ = dt.pi0_det(x, g, dets)
+                classes = dt.pi0_det(x, g, dets)
                 ng = nv.nerve_2group(g, 3)
                 eh = dt.enriched_hom0(x, ng, 1)
                 pieces = len(sp.pi0(eh))

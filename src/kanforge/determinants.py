@@ -164,11 +164,9 @@ def enumerate_additive(x_sset, group):
         raise DeterminantError("additive functions need a reduced complex")
     if x_sset.dim < 2:
         raise sp.DimensionOutOfRange("additive functions need dim >= 2")
-    star = x_sset.level(0)[0]
-    loop0 = x_sset.s(0, 0, star)
+    loop0 = x_sset.deg_base(1, x_sset.level(0)[0])
     edges = list(x_sset.level(1))
-    cons = [(x_sset.d(2, 1, a), x_sset.d(2, 2, a), x_sset.d(2, 0, a))
-            for a in x_sset.level(2)]
+    cons = [(d1, d2, d0) for d0, d1, d2 in x_sset.face_table(2).values()]
     tick = sp.budget_ticker("additive enumeration exceeded cap")
     out = []
     assign = {loop0: group.unit}
@@ -188,20 +186,20 @@ def enumerate_additive(x_sset, group):
 def additive_vs_hom(x_sset, group):
     """The explicit bijection between additive functions and maps into
     the group nerve; returns (adds, homs, ok)."""
-    h_grpd = ca.one_object_groupoid(group)
-    ner = nv.nerve_category(h_grpd, max(2, x_sset.dim))
+    ner = nv.nerve_category(ca.one_object_groupoid(group),
+                            max(2, x_sset.dim))
     adds = enumerate_additive(x_sset, group)
     homs = hom_sset(x_sset, ner)
     star = x_sset.level(0)[0]
     upper = range(2, x_sset.dim + 1)
-    index = {k: sp._candidate_index(ner, k) for k in upper}
+    # one_object_groupoid lists one morphism per element, in order
+    cell1 = dict(zip(group.elements, ner.level(1)))
 
     def image(d_fun):
         # f^D level by level, as a map key; None if a simplex has no image
-        comps = {0: {star: "*"},
-                 1: {e: ner._chain1["m%s" % (d_fun[e],)]
-                     for e in x_sset.level(1)}}
-        if sp.lift_by_faces(x_sset, comps, index, upper) is not None:
+        comps = {0: {star: ner.level(0)[0]},
+                 1: {e: cell1[d_fun[e]] for e in x_sset.level(1)}}
+        if sp.lift_by_faces(x_sset, ner, comps, upper) is not None:
             return None
         return tuple(tuple(sorted(comps[k].items())) for k in sorted(comps))
 
@@ -245,12 +243,12 @@ class _TStage:
 
     def __init__(self, row, ix, squares=()):
         self.ix = ix
-        self.forced = row.s(1, 0, row.s(0, 0, row.level(0)[0]))
+        self.forced = row.deg_base(2, row.level(0)[0])
         self.frees = [t for t in row.level(2) if t != self.forced]
         self.faces = faces = row.face_table(2)
         cons = []
-        for h in (row.level(3) if row.dim >= 3 else ()):
-            f0, f1, f2, f3 = row.faces(3, h)
+        for f0, f1, f2, f3 in (row.face_table(3).values()
+                               if row.dim >= 3 else ()):
             cons.append(((False, (f0, f1, f2, f3, faces[f2][2], faces[f3][0],
                                   faces[f1][0])), (f0, f1, f2, f3)))
         cons += [((True, sq), sq[:2]) for sq in squares]
@@ -303,7 +301,7 @@ def enumerate_determinants(x_sset, g):
     ix = g.int_index
     objs, mors = ix.objects, ix.morphisms
     stage = _TStage(x_sset, ix)
-    loop0 = x_sset.s(0, 0, x_sset.level(0)[0])
+    loop0 = x_sset.deg_base(1, x_sset.level(0)[0])
     edges = [e for e in x_sset.level(1) if e != loop0]
     tick = sp.budget_ticker("determinant enumeration exceeded cap")
     results = []
@@ -319,9 +317,10 @@ def enumerate_determinants(x_sset, g):
                         lambda t: stage.hom_set(d_assign, t), d_assign,
                         lambda: stage.run(d_assign, {}, emit, tick), tick)
     # assert the degeneracy forcing on every result
+    s0, s1 = x_sset.degen[1, 0], x_sset.degen[1, 1]
     for d_fun, t_fun in results:
         for e in x_sset.level(1):
-            s0e, s1e = x_sset.s(1, 0, e), x_sset.s(1, 1, e)
+            s0e, s1e = s0[e], s1[e]
             if t_fun[s0e] != g.mor_inverse(g.l(d_fun[e])):
                 raise DeterminantError("degeneracy forcing fails (s0)")
             if t_fun[s1e] != g.mor_inverse(g.r(d_fun[e])):
@@ -336,13 +335,17 @@ def _det_key(d_fun, t_fun):
 
 def determinants_vs_hom(x_sset, g):
     """The bijection f -> (f_1, f_2) between maps into the 2-group nerve
-    and determinants; returns (dets, homs, ok)."""
+    and determinants; returns (dets, homs, ok).  A cell of the nerve's
+    level 1 (2) is read as the object X_01 (the morphism al_012) of its
+    structure, level q listing one cell per monoidal_simplices(g, q)."""
     ng = nv.nerve_2group(g, max(3, x_sset.dim))
     dets = enumerate_determinants(x_sset, g)
     homs = hom_sset(x_sset, ng)
-    struct1, struct2 = ng._struct[1], ng._struct[2]
-    images = [_det_key({e: struct1[f(1, e)][1] for e in x_sset.level(1)},
-                       {t: struct2[f(2, t)][3] for t in x_sset.level(2)})
+    obj, mor = [dict(zip(ng.level(q), [st[pos] for st in
+                                       nv.monoidal_simplices(g, q)]))
+                for q, pos in ((1, 1), (2, 3))]
+    images = [_det_key({e: obj[f(1, e)] for e in x_sset.level(1)},
+                       {t: mor[f(2, t)] for t in x_sset.level(2)})
               for f in homs]
     return dets, homs, bijective(images, [_det_key(*det) for det in dets])
 
@@ -359,7 +362,7 @@ def det_morphisms(x_sset, g, det1, det2):
     (d1, t1), (d2, t2) = det1, det2
     s1 = {t: mi[f] for t, f in t1.items()}
     s2 = {t: mi[f] for t, f in t2.items()}
-    loop0 = x_sset.s(0, 0, x_sset.level(0)[0])
+    loop0 = x_sset.deg_base(1, x_sset.level(0)[0])
     edges = [e for e in x_sset.level(1) if e != loop0]
     assign = {loop0: ix.unit_ident}
     out = []
@@ -382,11 +385,11 @@ def det_morphisms(x_sset, g, det1, det2):
 def pi0_det(x_sset, g, dets):
     """Classes of the determinants dets (as enumerate_determinants(x_sset,
     g) lists them) under the exists-a-morphism relation; symmetry and
-    transitivity are verified, not assumed.  Returns (classes, dets)."""
-    classes = _relation_classes(
+    transitivity are verified, not assumed.  Returns the classes, each
+    the sorted indices into dets of its members."""
+    return _relation_classes(
         len(dets), lambda i, j: det_morphisms(x_sset, g, dets[i], dets[j]),
         "determinant")
-    return classes, dets
 
 
 def _relation_classes(n, related, what):
@@ -412,10 +415,14 @@ def grho_check(g):
     errs = []
     c = g.base
     ng = nv.nerve_2group(g, 4)
+    # the cells of ng's levels 1 and 2 by structure: level q lists one
+    # cell per monoidal_simplices(g, q)
+    cell1 = dict(zip([st[1] for st in nv.monoidal_simplices(g, 1)],
+                     ng.level(1)))
+    cell2 = dict(zip(nv.monoidal_simplices(g, 2), ng.level(2)))
     p1, cls1 = sp.pi_with_classes(ng, 1)
     p0 = ca.pi0_two_group(g)
-    obj_id = {x: _obj_simplex_id(x) for x in c.objects}
-    fail = p0.iso_failure(p1, {r: cls1[obj_id[r]] for r in p0.elements})
+    fail = p0.iso_failure(p1, {r: cls1[cell1[r]] for r in p0.elements})
     if fail:
         errs.append("pi0 -> pi1(N) is %s" % fail)
     p2, cls2 = sp.pi_with_classes(ng, 2)
@@ -423,8 +430,7 @@ def grho_check(g):
     l_inv = g.mor_inverse(g.l(g.unit))
     amap = {}
     for phi in pi1g.elements:
-        st = nv._q2_struct(g, g.unit, g.unit, c.comp(phi, l_inv))
-        amap[phi] = cls2[nv._struct_id(st)]
+        amap[phi] = cls2[cell2["q2", g.unit, g.unit, c.comp(phi, l_inv)]]
     fail = pi1g.iso_failure(p2, amap)
     if fail == "not bijective":
         errs.append("alpha1 : pi1 -> pi2(N) is not bijective")
@@ -433,10 +439,6 @@ def grho_check(g):
     if not p2.is_abelian():
         errs.append("pi2 of a 2-group nerve must be abelian")
     return errs, (p0, p1, p2, pi1g)
-
-
-def _obj_simplex_id(x):
-    return nv._struct_id(("q1", x))
 
 
 # -- Segal determinants --------------------------------------------------------
@@ -459,17 +461,26 @@ def enumerate_segal_determinants(x_bx, g):
     squares = _x12_squares(x_bx)
     stage = _TStage(row, ix, squares)
     square_edges = {e for sq in squares for e in sq[2:]}
-    v_deg1 = row.s(0, 0, row.level(0)[0])
+    v_deg1 = row.deg_base(1, row.level(0)[0])
+    mor_int = _mor_ints(nsg, g)
     tick = sp.budget_ticker("segal determinant search exceeded cap")
     results = []
     for dm in d_maps:
         if dm(0, v_deg1) != g.unit:
             continue
         stage.run({e: oi[dm(0, e)] for e in row.level(1)},
-                  {e: mi[nsg._mor1[dm(1, e)]] for e in square_edges},
+                  {e: mor_int[dm(1, e)] for e in square_edges},
                   lambda t: results.append(
                       (dm, {c: mors[f] for c, f in t.items()})), tick)
     return results
+
+
+def _mor_ints(nsg, g):
+    """dict cell of level 1 of nsg = nerve_category(g.base, ..) -> the
+    g.int_index int of its morphism; the level lists one cell per
+    morphism, in g.base.morphisms order."""
+    return dict(zip(nsg.level(1), map(g.int_index.mor_int.__getitem__,
+                                      g.base.morphisms)))
 
 
 def _x12_squares(x_bx):
@@ -478,9 +489,9 @@ def _x12_squares(x_bx):
     vertical faces e_j = d^v_j z."""
     if (1, 2) not in x_bx.region:
         return []
-    return [(x_bx.dh(1, 2, 1, z), x_bx.dh(1, 2, 0, z))
-            + tuple(x_bx.dv(1, 2, j, z) for j in range(3))
-            for z in x_bx.level(1, 2)]
+    return list(zip(*[sp.column(x_bx.level(1, 2), (table,)) for table in (
+        x_bx.hface[1, 2, 1], x_bx.hface[1, 2, 0],
+        *[x_bx.vface[1, 2, j] for j in range(3)])]))
 
 
 def _column1_2trunc(x_bx):
@@ -534,13 +545,14 @@ def segal_det_morphisms(x_bx, g, det1, det2):
     ix = g.int_index
     mi = ix.mor_int
     nsg = nv.nerve_category(g.base, 2)
+    mor_int = _mor_ints(nsg, g)
     col1_t = _column1_2trunc(x_bx)
     top = col1_t.dim
     d1 = sp.standard_simplex(1, top)
     prod = sp.product(col1_t, d1)
     dm1, t1 = det1
     dm2, t2 = det2
-    base_cell = {k: x_bx.sv(k, 0, 0, x_bx.level(k, 0)[0])
+    base_cell = {k: x_bx.vdegen[k, 0, 0][x_bx.level(k, 0)[0]]
                  for k in range(top + 1)}
     unit_chain = {k: nsg.deg_base(k, g.unit) for k in range(top + 1)}
     # the ends and the base cylinder are pinned to the values `good`
@@ -571,7 +583,7 @@ def segal_det_morphisms(x_bx, g, det1, det2):
                     for k in range(top + 1) for e in col1_t.level(k))
                 and all(ev(k, base_cell[k], phi) == unit_chain[k]
                         for k in range(top + 1) for phi in d1.level(k))
-                and all(_natural(ix, *[mi[nsg._mor1[ev(1, e, "01")]]
+                and all(_natural(ix, *[mor_int[ev(1, e, "01")]
                                        for e in edges], s, t)
                         for s, t, edges in squares))
 

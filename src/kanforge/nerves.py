@@ -60,7 +60,10 @@ def _chain_degen(c, j, unit_at_src, unit_at_tgt):
 
 def nerve_category(cat, to_dim):
     """Level m = composable chains of m morphisms; carries the
-    2-coskeletal flag."""
+    2-coskeletal flag.  Level 0 lists the objects in cat.objects order and
+    level 1 one cell per morphism in cat.morphisms order, with d_0 its
+    target and d_1 its source: a consumer finds the cell of a morphism
+    by zipping the two."""
     errs = cat.validate()
     if errs:
         raise NerveError("category does not validate: %s" % errs[0])
@@ -91,10 +94,7 @@ def nerve_category(cat, to_dim):
         return cat.ident[cat.tgt[f]]
 
     base = cat.objects[0] if len(cat.objects) == 1 else None
-    out = sp.build_sset(to_dim, levels, op, coskeletal_at=2, base=base)
-    out._mor1 = {_chain_id((f,)): f for f in cat.morphisms}
-    out._chain1 = {f: _chain_id((f,)) for f in cat.morphisms}
-    return out
+    return sp.build_sset(to_dim, levels, op, coskeletal_at=2, base=base)
 
 
 def groupoid_from_nerve(w):
@@ -105,12 +105,11 @@ def groupoid_from_nerve(w):
         raise NotOneKanGroupoid("input fails the 1-Kan-groupoid test: %r" % rep)
     objects = list(w.level(0))
     morphs = list(w.level(1))
-    src = {f: w.d(1, 1, f) for f in morphs}
-    tgt = {f: w.d(1, 0, f) for f in morphs}
-    ident = {x: w.s(0, 0, x) for x in objects}
+    src = sp.relabel(morphs, w.face[1, 1])
+    tgt = sp.relabel(morphs, w.face[1, 0])
+    ident = sp.relabel(objects, w.degen[0, 0])
     comp = {}
-    for eta in w.level(2):
-        g, gf, f = w.d(2, 0, eta), w.d(2, 1, eta), w.d(2, 2, eta)
+    for g, gf, f in w.face_table(2).values():
         key = (g, f)
         if key in comp and comp[key] != gf:
             raise NotOneKanGroupoid("non-unique inner-horn fillers")
@@ -127,10 +126,6 @@ def groupoid_from_nerve(w):
 
 
 # -- nerve of a monoidal category / 2-group --------------------------------
-
-
-def _q2_struct(m, x01, x12, xi):
-    return ("q2", x01, x12, xi)
 
 
 def _pairs(q):
@@ -281,9 +276,12 @@ def _struct_id(st):
 
 def nerve_2group(g, to_dim):
     """The reduced nerve of a monoidal groupoid, 3-coskeletal; levels
-    above 3 come from the coskeletal extension.  Up to level 3 each face
-    and degeneracy is one _reindex_table on g.int_index, and every value
-    is the target level's own id object."""
+    above 3 come from the coskeletal extension.  Level q <= 3 lists one
+    cell per structural simplex in monoidal_simplices(g, q) order: a
+    consumer finds the structure of a cell, or the cell of a structure,
+    by zipping the two.  Up to level 3 each face and degeneracy is one
+    _reindex_table on g.int_index, and every value is the target level's
+    own id object."""
     cap = min(to_dim, 3)
     ix = g.int_index
     keys = [_simplex_keys(g, q) for q in range(cap + 1)]
@@ -304,7 +302,6 @@ def nerve_2group(g, to_dim):
     out = sp.build_sset(cap, ids, op, coskeletal_at=3, base="*")
     if to_dim > cap:
         out = sp.coskeletal_extend(out, to_dim)
-    out._struct = {q: dict(zip(ids[q], structs[q])) for q in range(cap + 1)}
     return out
 
 
@@ -312,36 +309,27 @@ def nerve_2group(g, to_dim):
 
 
 class _NerveOps:
-    """Horn-filler helpers on a reduced 2-Kan-groupoid."""
+    """Horn-filler helpers on a reduced 2-Kan-groupoid.  The fillers of a
+    horn (a tuple with None in slot k) are read from the complex's horn
+    index, z.face_index(level, k), built once per level and k."""
 
     def __init__(self, z):
         self.z = z
         self.star = z.level(0)[0]
-        self.unit = z.s(0, 0, self.star)          # unit object = s_0(*)
-        self.unit2 = z.s(1, 0, self.unit)         # s_0 s_0 (*)
-        self._fill2_cache = {}
-        self._fill3_cache = {}
-
-    def fill2(self, k, horn):
-        key = (k, horn)
-        if key not in self._fill2_cache:
-            self._fill2_cache[key] = sp.horn_fillers(self.z, 1, k, horn)
-        return self._fill2_cache[key]
+        self.unit = z.degen[0, 0][self.star]      # unit object = s_0(*)
+        self.unit2 = z.degen[1, 0][self.unit]     # s_0 s_0 (*)
 
     def fill3_unique(self, k, horn):
-        key = (k, horn)
-        if key not in self._fill3_cache:
-            fillers = sp.horn_fillers(self.z, 2, k, horn)
-            if len(fillers) != 1:
-                raise NotTwoKanGroupoid(
-                    "horn at dim 2 has %d fillers" % len(fillers))
-            self._fill3_cache[key] = fillers[0]
-        return self._fill3_cache[key]
+        fillers = self.z.face_index(3, k).get(horn, ())
+        if len(fillers) != 1:
+            raise NotTwoKanGroupoid(
+                "horn at dim 2 has %d fillers" % len(fillers))
+        return fillers[0]
 
     def pairing(self, x, y):
         """Chosen filler of the inner horn (d2, d0) = (x, y): first in id
         order; its middle face is the reconstructed tensor object."""
-        fillers = self.fill2(1, (y, None, x))
+        fillers = self.z.face_index(2, 1).get((y, None, x))
         if not fillers:
             raise NotTwoKanGroupoid("no pairing simplex for (%s,%s)" % (x, y))
         return fillers[0]
@@ -350,15 +338,14 @@ class _NerveOps:
         """For 2-simplices u, v with d2 u = d2 v and d0 u = d0 v, the
         unique comparison 2-simplex in Hom(d1 v, d1 u)."""
         z = self.z
-        b = z.d(2, 0, u)
-        a0 = z.s(1, 1, b)
+        a0 = z.degen[1, 1][z.face[2, 0][u]]
         eta = self.fill3_unique(1, (a0, None, u, v))
-        return z.d(3, 1, eta)
+        return z.face[3, 1][eta]
 
     def compose(self, g2, f2):
         """g after f for arrow 2-simplices (d0 = degenerate unit)."""
         eta = self.fill3_unique(2, (self.unit2, g2, None, f2))
-        return self.z.d(3, 2, eta)
+        return self.z.face[3, 2][eta]
 
 
 def two_group_from_nerve(z):
@@ -377,10 +364,11 @@ def two_group_from_nerve(z):
         raise NotTwoKanGroupoid("input fails the 2-Kan-groupoid test: %r" % rep)
     ops = _NerveOps(z)
     objects = list(z.level(1))
-    morphs = [s for s in z.level(2) if z.d(2, 0, s) == ops.unit]
-    src = {f: z.d(2, 2, f) for f in morphs}
-    tgt = {f: z.d(2, 1, f) for f in morphs}
-    ident = {x: z.s(1, 1, x) for x in objects}
+    d0, d1, d2 = [z.face[2, i] for i in range(3)]
+    morphs = list(itertools.compress(z.level(2), map(functools.partial(
+        operator.eq, ops.unit), sp.column(z.level(2), (d0,)))))
+    src, tgt = sp.relabel(morphs, d2), sp.relabel(morphs, d1)
+    ident = sp.relabel(objects, z.degen[1, 1])
     comp = {}
     for g2 in morphs:
         for f2 in morphs:
@@ -398,19 +386,19 @@ def two_group_from_nerve(z):
         for y in objects:
             p = ops.pairing(x, y)
             pair[(x, y)] = p
-            tobj[(x, y)] = z.d(2, 1, p)
+            tobj[(x, y)] = d1[p]
+    d31 = z.face[3, 1]
 
     def left_whisker(x, g2):
         y, y2 = src[g2], tgt[g2]
         eta = ops.fill3_unique(1, (g2, None, pair[(x, y2)], pair[(x, y)]))
-        return z.d(3, 1, eta)
+        return d31[eta]
 
     def right_whisker(f2, y):
         x, x2 = src[f2], tgt[f2]
-        a0 = z.s(1, 0, y)
+        a0 = z.degen[1, 0][y]
         eta = ops.fill3_unique(1, (a0, None, pair[(x, y)], f2))
-        w = z.d(3, 1, eta)
-        return ops.diff(pair[(x2, y)], w)
+        return ops.diff(pair[(x2, y)], d31[eta])
 
     tmor = {}
     for f2 in morphs:
@@ -425,27 +413,28 @@ def two_group_from_nerve(z):
             for zz in objects:
                 eta = ops.fill3_unique(
                     1, (pair[(y, zz)], None, pair[(x, tobj[(y, zz)])], pair[(x, y)]))
-                raw = z.d(3, 1, eta)
-                assoc[(x, y, zz)] = ops.diff(raw, pair[(tobj[(x, y)], zz)])
-    lunit = {x: ops.diff(pair[(ops.unit, x)], z.s(1, 0, x)) for x in objects}
-    runit = {x: ops.diff(pair[(x, ops.unit)], z.s(1, 1, x)) for x in objects}
+                assoc[(x, y, zz)] = ops.diff(d31[eta],
+                                             pair[(tobj[(x, y)], zz)])
+    lunit = {x: ops.diff(pair[(ops.unit, x)], z.degen[1, 0][x])
+             for x in objects}
+    runit = {x: ops.diff(pair[(x, ops.unit)], ident[x]) for x in objects}
 
     mon = ca.MonoidalStructure(base, tobj, tmor, ops.unit, assoc, lunit, runit,
                                name="duskin")
     g = ca.certify_two_group(mon)
 
-    # round trip: the rebuilt nerve must be isomorphic to the input
-    rebuilt = nerve_2group(g, min(z.dim, 3))
-    comps = {0: {ops.star: "*"}, 1: {x: _struct_id(("q1", x)) for x in objects}}
-    lvl2 = {}
-    for zeta in z.level(2):
-        x, y = z.d(2, 2, zeta), z.d(2, 0, zeta)
-        xi = ops.diff(zeta, pair[(x, y)])
-        lvl2[zeta] = _struct_id(_q2_struct(g, x, y, xi))
-    comps[2] = lvl2
+    # round trip: the rebuilt nerve must be isomorphic to the input; its
+    # cells are found by structure, in monoidal_simplices order
     top = min(z.dim, 3)
-    if top >= 3 and sp.lift_by_faces(
-            z, comps, {3: sp._candidate_index(rebuilt, 3)}, [3]) is not None:
+    rebuilt = nerve_2group(g, top)
+    cell1 = dict(zip([st[1] for st in monoidal_simplices(g, 1)],
+                     rebuilt.level(1)))
+    cell2 = dict(zip(monoidal_simplices(g, 2), rebuilt.level(2)))
+    comps = {0: {ops.star: rebuilt.level(0)[0]},
+             1: {x: cell1[x] for x in objects}}
+    comps[2] = {zeta: cell2["q2", x, y, ops.diff(zeta, pair[(x, y)])]
+                for zeta, (y, _, x) in z.face_table(2).items()}
+    if top >= 3 and sp.lift_by_faces(z, rebuilt, comps, [3]) is not None:
         raise NotTwoKanGroupoid("round trip fails at a 3-simplex")
     _check_levelwise_iso(z, rebuilt, comps, top, NotTwoKanGroupoid,
                          "round trip map")
@@ -516,7 +505,10 @@ class BisimplicialTrunc:
     and the object holds the level dict and operator tables it is given,
     not copies.  A derived object's tables are _OnRead
     (build_bisimplicial): each operator is made on its first read, and
-    one never read costs nothing.
+    one never read costs nothing.  It is read only through its levels,
+    its operator tables (d^h_i of a cell c of level (p, q) is
+    hface[p, q, i][c], and so on) and the caches face_table and
+    face_index.
     """
 
     # each operator table and the step from its source level to its target
@@ -556,13 +548,10 @@ class BisimplicialTrunc:
         if index is None:
             hf = self.face_table(p, q, "h") if has_h else None
             vf = self.face_table(p, q, "v") if has_v else None
-            index = {}
-            for s in self.levels[(p, q)]:
-                faces = (hf[s] if has_h else ()) + (vf[s] if has_v else ())
-                index.setdefault(faces, []).append(s)
-            for cells in index.values():
-                cells.sort()
-            self._face_indexes[key] = index
+            cells = self.levels[(p, q)]
+            index = self._face_indexes[key] = sp.group_cells(cells, [
+                (hf[s] if has_h else ()) + (vf[s] if has_v else ())
+                for s in cells])
         return index
 
     @property
@@ -575,18 +564,6 @@ class BisimplicialTrunc:
 
     def level(self, p, q):
         return self.levels[(p, q)]
-
-    def dh(self, p, q, i, x):
-        return self.hface[(p, q, i)][x]
-
-    def dv(self, p, q, i, x):
-        return self.vface[(p, q, i)][x]
-
-    def sh(self, p, q, j, x):
-        return self.hdegen[(p, q, j)][x]
-
-    def sv(self, p, q, j, x):
-        return self.vdegen[(p, q, j)][x]
 
     def row(self, p):
         """The vertical simplicial set X_{p,*} within the region."""
@@ -1133,7 +1110,9 @@ def enumerate_bimaps(x_bx, y_bx, region=None):
         for src, n, _, x_deg, y_deg in dirs:
             for j in range(n):
                 y_map = y_deg[src + (j,)]
-                for a, sa in sp.items(x_bx.level(*src), x_deg[src + (j,)]):
+                below = x_bx.level(*src)
+                for a, sa in zip(below, sp.column(
+                        below, (x_deg[src + (j,)],))):
                     forced.setdefault(sa, (sa, src, a, y_map))
         tables = [(src, x_bx.face_table(p, q, hv)) for src, _, hv, _, _ in dirs]
         cells = x_bx.level(p, q)
@@ -1424,23 +1403,24 @@ def loop_gamma(g):
     nerve of the underlying groupoid.  Returns (map, omega, ngrpd) and
     raises if the comparison fails to be a levelwise bijection."""
     ng = nerve_2group(g, 4)
-    om = sp.loop_space(ng, variant="plain", base="*")
+    om = sp.loop_space(ng, variant="plain", base=ng.base)
     nsg = nerve_category(g.base, om.dim)
-    struct = ng._struct
     c = g.base
-    comps = {0: {}, 1: {}}
-    for x in om.level(0):
-        comps[0][x] = struct[1][x][1]
+    # the structures of ng's levels 1 and 2, and the cells of nsg's
+    # objects and morphisms, each in its nerve's level order
+    obj = dict(zip(ng.level(1), [st[1] for st in monoidal_simplices(g, 1)]))
+    struct2 = dict(zip(ng.level(2), monoidal_simplices(g, 2)))
+    cell0 = dict(zip(c.objects, nsg.level(0)))
+    cell1 = dict(zip(c.morphisms, nsg.level(1)))
+    comps = {0: {x: cell0[obj[x]] for x in om.level(0)}, 1: {}}
     for xi_id in om.level(1):
-        st = struct[2][xi_id]
-        _, x01, x12, xi = st
+        _, x01, x12, xi = struct2[xi_id]
         mor = c.comp(g.mor_inverse(g.l(x12)), c.inv(xi))
-        comps[1][xi_id] = _chain_id((mor,))
+        comps[1][xi_id] = cell1[mor]
     # extend upward by filling from faces (both sides are weakly
     # 1-coskeletal in range)
     upper = range(2, om.dim + 1)
-    index = {k: sp._candidate_index(nsg, k) for k in upper}
-    bad = sp.lift_by_faces(om, comps, index, upper)
+    bad = sp.lift_by_faces(om, nsg, comps, upper)
     if bad is not None:
         raise NerveError("comparison does not extend at level %d" % bad)
     _check_levelwise_iso(om, nsg, comps, om.dim, NerveError, "comparison map")

@@ -105,7 +105,10 @@ class TruncatedSSet:
     The complex holds the level lists and operator dicts it is given, not
     copies: a builder hands over tables it has just made, or shares those
     of the object they came from.  Nothing writes into a table after
-    construction.
+    construction.  It is read only through its levels, its operator
+    tables (d_i of a cell c of level k is face[k, i][c], s_j of it
+    degen[k, j][c]) and the caches built from them once each:
+    face_table, face_index and face_codes.
     """
 
     def __init__(self, dim, levels, face, degen, coskeletal_at=None, base=None):
@@ -118,6 +121,7 @@ class TruncatedSSet:
         self.coskeletal_at = coskeletal_at
         self.base = base
         self._face_tables = {}
+        self._face_indexes = {}
         self._face_codes = {}
         self._faces_compatible = {}
         self._kan_rows = {}
@@ -129,15 +133,6 @@ class TruncatedSSet:
             raise DimensionOutOfRange("no level %d in a %d-truncation" % (k, self.dim))
         return self.levels[k]
 
-    def d(self, k, i, x):
-        return self.face[(k, i)][x]
-
-    def s(self, k, j, x):
-        return self.degen[(k, j)][x]
-
-    def faces(self, k, x):
-        return self.face_table(k)[x]
-
     def face_table(self, k):
         """dict id -> (d_0 x, .., d_k x) over level k, built once (the
         object is immutable); empty at level 0, which has no faces."""
@@ -147,11 +142,24 @@ class TruncatedSSet:
                 self.levels[k], [self.face[k, i] for i in range(k + 1) if k])
         return table
 
+    def face_index(self, k, skip=None):
+        """dict face tuple -> the cells of level k (1 <= k <= dim) with
+        that tuple, each list sorted.  With skip, the key is the horn
+        horn_alpha(self, k - 1, skip) gives the cell, None in slot skip.
+        Built once per (k, skip) (the object is immutable)."""
+        index = self._face_indexes.get((k, skip))
+        if index is None:
+            faces = self.face_table(k) if skip is None else \
+                horn_alpha(self, k - 1, skip)
+            index = self._face_indexes[k, skip] = group_cells(
+                faces, faces.values())
+        return index
+
     def deg_base(self, n, a):
         """The totally degenerate n-simplex s_0^n(a)."""
         x = a
         for k in range(n):
-            x = self.s(k, 0, x)
+            x = self.degen[k, 0][x]
         return x
 
     def is_reduced(self):
@@ -305,12 +313,6 @@ def column(cells, chain):
     return cells
 
 
-def items(cells, mp):
-    """The (cell, image) pairs of an operator table out of the level
-    cells: a dict's items, or a list over places paired with cells."""
-    return mp.items() if isinstance(mp, dict) else zip(cells, mp)
-
-
 def relabel(cells, mp, src=None, dst=None):
     """{src[c]: dst[mp[c]]} over cells, src and dst the identity where
     None, one column at a time.  Where src sends two cells to one key,
@@ -318,6 +320,17 @@ def relabel(cells, mp, src=None, dst=None):
     keys = cells if src is None else column(cells, (src,))
     chain = (mp,) if dst is None else (mp, dst)
     return dict(zip(keys, column(cells, chain)))
+
+
+def group_cells(cells, keys):
+    """dict key -> the cells with that key, each list sorted; keys are
+    zipped with cells and come in order of first appearance."""
+    index = {}
+    for c, key in zip(cells, keys):
+        index.setdefault(key, []).append(c)
+    for group in index.values():
+        group.sort()
+    return index
 
 
 def pair_columns(xs, ys):
@@ -444,12 +457,6 @@ def horn_alpha(x_sset, m, k):
         raise DimensionOutOfRange("alpha^{%d,%d} needs level %d" % (m, k, m + 1))
     return {x: t[:k] + (None,) + t[k + 1:]
             for x, t in x_sset.face_table(m + 1).items()}
-
-
-def horn_fillers(x_sset, m, k, horn):
-    """All x in level m+1 whose faces match the horn tuple (None at k)."""
-    alpha = horn_alpha(x_sset, m, k)
-    return sorted(x for x, t in alpha.items() if t == horn)
 
 
 class KanRow:
@@ -764,14 +771,10 @@ def csq_prime(x_sset, n):
         raise DimensionOutOfRange("csq' needs level %d" % (n + 1))
     x = x_sset
     # classes of the equal-faces relation on level n+1
-    byfaces = {}
-    for s in x.level(n + 1):
-        byfaces.setdefault(x.faces(n + 1, s), []).append(s)
     rep = {}
-    for cls in byfaces.values():
-        r = min(cls)
+    for cls in x.face_index(n + 1).values():
         for s in cls:
-            rep[s] = r
+            rep[s] = cls[0]
     levels = x.levels[:n + 1] + [sorted(set(rep.values()))]
 
     def op(name, k, i):
@@ -801,7 +804,7 @@ def shift(x_sset):
         raise DimensionOutOfRange("shift needs dim >= 1")
     base = None
     if x_sset.is_reduced():
-        base = x_sset.s(0, 0, x_sset.level(0)[0])
+        base = x_sset.degen[0, 0][x_sset.level(0)[0]]
     return build_sset(x_sset.dim - 1, x_sset.levels[1:],
                       lambda name, k, i: getattr(x_sset, name)[k + 1, i],
                       base=base)
@@ -833,7 +836,7 @@ def loop_space(x_sset, variant="plain", base=None):
         bn = x.deg_base(n, a)
         lvl = []
         for s in x.level(n + 1):
-            if x.d(n + 1, n + 1, s) != bn:
+            if x.face[n + 1, n + 1][s] != bn:
                 continue
             if variant == "reduced" and n == 0 and s != star1:
                 # level 0 of the reduced variant is the degenerate loop only
@@ -841,7 +844,7 @@ def loop_space(x_sset, variant="plain", base=None):
             if variant == "reduced" and n >= 1:
                 frontier = {s}
                 for k in range(n + 1, 1, -1):       # d_i, 0 <= i <= k - 1
-                    frontier = {x.d(k, i, t) for t in frontier
+                    frontier = {x.face[k, i][t] for t in frontier
                                 for i in range(k)}
                 if frontier != {star1}:
                     continue
@@ -1001,13 +1004,13 @@ def generated_subcomplex(x_sset, seeds):
         k, s = stack.pop()
         if k >= 1:
             for i in range(k + 1):
-                t = x_sset.d(k, i, s)
+                t = x_sset.face[k, i][s]
                 if t not in keep[k - 1]:
                     keep[k - 1].add(t)
                     stack.append((k - 1, t))
         if k < x_sset.dim:
             for j in range(k + 1):
-                t = x_sset.s(k, j, s)
+                t = x_sset.degen[k, j][s]
                 if t not in keep[k + 1]:
                     keep[k + 1].add(t)
                     stack.append((k + 1, t))
@@ -1336,25 +1339,14 @@ def map_search(levels, index, tick, pins=None):
     return results
 
 
-def _candidate_index(y_sset, k):
-    """dict full-face-tuple -> sorted ids at level k of Y."""
-    idx = {}
-    for s in y_sset.level(k):
-        idx.setdefault(y_sset.faces(k, s), []).append(s)
-    for v in idx.values():
-        v.sort()
-    return idx
-
-
-def lift_by_faces(x_sset, comps, index, levels):
-    """Extend the levelwise dicts comps upward over `levels`, in order:
-    a cell of X at level k goes to the one cell of index[k] (a
-    _candidate_index of the target) whose faces are the images under
-    comps[k - 1] of its own faces.  Returns the first level where some
-    cell has no such target cell or more than one, or None when every
-    level lifts."""
+def lift_by_faces(x_sset, y_sset, comps, levels):
+    """Extend the levelwise dicts comps, X -> Y, upward over `levels`, in
+    order: a cell of X at level k goes to the one cell of Y's
+    face_index(k) whose faces are the images under comps[k - 1] of its
+    own faces.  Returns the first level where some cell has no such
+    target cell or more than one, or None when every level lifts."""
     for k in levels:
-        below, idx = comps[k - 1], index[k]
+        below, idx = comps[k - 1], y_sset.face_index(k)
         comps[k] = lifted = {}
         for a, faces in x_sset.face_table(k).items():
             cands = idx.get(tuple([below[f] for f in faces]), ())
@@ -1387,14 +1379,15 @@ def enumerate_maps(x_sset, y_sset, upto=None, pins=None):
     if x_sset.dim < d:
         raise DimensionOutOfRange("source truncation too shallow")
     tick = budget_ticker("map enumeration exceeded {cap} evaluations")
-    index = {k: _candidate_index(y_sset, k) for k in range(1, d + 1)}
+    index = {k: y_sset.face_index(k) for k in range(1, d + 1)}
     index[0] = {(): list(y_sset.level(0))}
     levels = []
     for k in range(d + 1):
         forced = {}
         for j in range(k):
             y_deg = y_sset.degen[(k - 1, j)]
-            for a, sa in items(x_sset.level(k - 1), x_sset.degen[(k - 1, j)]):
+            below = x_sset.level(k - 1)
+            for a, sa in zip(below, column(below, (x_sset.degen[k - 1, j],))):
                 forced.setdefault(sa, (sa, k - 1, a, y_deg))
         faces = x_sset.face_table(k)
         level = x_sset.level(k)

@@ -27,7 +27,7 @@ def definitional_tuples(x_sset, m, skip=None):
     out = []
     for combo in itertools.product(x_sset.level(m), repeat=len(slots)):
         t = dict(zip(slots, combo))
-        if m and any(x_sset.d(m, i, t[j]) != x_sset.d(m, j - 1, t[i])
+        if m and any(x_sset.face[m, i][t[j]] != x_sset.face[m, j - 1][t[i]]
                      for i in slots for j in slots if i < j):
             continue
         out.append(tuple(t.get(j) for j in range(m + 2)))
@@ -36,7 +36,7 @@ def definitional_tuples(x_sset, m, skip=None):
 
 def definitional_faces(x_sset, m):
     """cell of level m+1 -> (d_0 cell, .., d_{m+1} cell), one d call each."""
-    return {c: tuple(x_sset.d(m + 1, i, c) for i in range(m + 2))
+    return {c: tuple(x_sset.face[m + 1, i][c] for i in range(m + 2))
             for c in x_sset.level(m + 1)}
 
 

@@ -67,7 +67,7 @@ def standard_spec(n, dim, rewire=None):
     x = sp.standard_simplex(n, dim)
     place = [{c: p for p, c in enumerate(x.level(k))} for k in range(dim + 1)]
     sizes = [len(x.level(k)) for k in range(dim + 1)]
-    faces = [None] + [[[place[k - 1][x.d(k, i, c)] for c in x.level(k)]
+    faces = [None] + [[[place[k - 1][x.face[k, i][c]] for c in x.level(k)]
                        for i in range(k + 1)] for k in range(1, dim + 1)]
     if rewire is not None:
         k, i, cell, target = rewire
@@ -134,6 +134,33 @@ def test_kan_rows_match_their_definition(spec, places):
         row = sp.kan_status(x, m)
         assert (row.flags, row.witness, row.minimal) == \
             definitional_kan_row(x, m)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(spec=specs(), places=st.booleans(), reverse=st.booleans())
+@example(spec=TWO_FILLERS, places=False, reverse=True)
+@example(spec=TWO_FILLERS, places=True, reverse=True)
+@example(spec=FACE_OUTSIDE, places=True, reverse=False)
+def test_face_index_matches_its_definition(spec, places, reverse):
+    """face_index(k) and face_index(k, skip) group level k by its face
+    tuples (with None in slot skip), each list sorted, and are built
+    once.  With reverse, every level lists its cells in descending
+    order, so level order is not sorted order."""
+    x = complex_from_spec(spec, places)
+    if reverse:
+        x = sp.TruncatedSSet(x.dim, [list(cells)[::-1] for cells in x.levels],
+                             x.face, x.degen)
+    for k in range(1, x.dim + 1):
+        cells = x.level(k)
+        faces = [tuple(x.face[k, i][c] for i in range(k + 1)) for c in cells]
+        for skip in [None] + list(range(k + 1)):
+            keys = [f if skip is None else f[:skip] + (None,) + f[skip + 1:]
+                    for f in faces]
+            want = {key: sorted(c for c, other in zip(cells, keys)
+                                if other == key) for key in keys}
+            got = x.face_index(k, skip)
+            assert got == want
+            assert x.face_index(k, skip) is got
 
 
 def test_string_and_places_forms_agree():

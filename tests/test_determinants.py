@@ -46,8 +46,8 @@ def test_determinant_forcing_lemma_asserted():
     dets = dt.enumerate_determinants(s1, g)
     assert len(dets) == 1
     d_fun, t_fun = dets[0]
-    loop = [e for e in s1.level(1) if e != s1.s(0, 0, s1.level(0)[0])][0]
-    assert t_fun[s1.s(1, 0, loop)] == g.mor_inverse(g.l(d_fun[loop]))
+    loop = [e for e in s1.level(1) if e != s1.degen[0, 0][s1.level(0)[0]]][0]
+    assert t_fun[s1.degen[1, 0][loop]] == g.mor_inverse(g.l(d_fun[loop]))
 
 
 def test_det_morphisms_identity_and_disc():
@@ -68,7 +68,12 @@ def test_pi0_det_matches_mapping_object():
     s1 = sp.sphere(1, 3)
     for g in (ca.one_object_two_group(gr.cyclic(2)),
               ca.discrete_two_group(gr.cyclic(2))):
-        classes, dets = dt.pi0_det(s1, g, dt.enumerate_determinants(s1, g))
+        dets = dt.enumerate_determinants(s1, g)
+        classes = dt.pi0_det(s1, g, dets)
+        # the classes alone: sorted indices into dets, each index once
+        assert sorted(i for cls in classes for i in cls) == \
+            list(range(len(dets)))
+        assert all(cls == sorted(cls) for cls in classes)
         ng = nv.nerve_2group(g, 3)
         eh = dt.enriched_hom0(s1, ng, 1)
         assert len(classes) == len(sp.pi0(eh))

@@ -23,6 +23,12 @@ from reference import boundary_alpha
 PRODUCT_CAP = 300000
 
 
+def per_cell(tables):
+    """op(*key, cell) = tables[key][cell]: one operator of a table dict
+    read a cell at a time, as the frozen references below read them."""
+    return lambda *args: tables[args[:-1]][args[-1]]
+
+
 def reference_tuples(cells, face, m, skip=None):
     """Every tuple of cells (None at skip) with d_i a_j = d_{j-1} a_i for
     i < j, by filtering itertools.product in level order."""
@@ -93,7 +99,7 @@ def cases():
 @pytest.mark.parametrize("x,m", list(cases()))
 def test_boundary_and_horn_tuples_match_brute_force(x, m):
     def face(i, a):
-        return x.d(m, i, a)
+        return x.face[m, i][a]
 
     assert sp.boundary_tuples(x, m) == reference_tuples(x.level(m), face, m)
     for k in range(m + 2):
@@ -109,7 +115,7 @@ def test_h_boundary_tuples_match_brute_force(name):
             continue
 
         def face(i, a):
-            return ns.dh(p - 1, q, i, a)
+            return ns.hface[p - 1, q, i][a]
 
         assert nv._h_boundary_tuples(ns, p, q) == \
             reference_tuples(ns.level(p - 1, q), face, p - 1)
@@ -262,8 +268,15 @@ def reference_nerve_2group(g, to_dim):
     out = sp.TruncatedSSet(cap, levels, face, degen, coskeletal_at=3, base="*")
     if to_dim > cap:
         out = sp.coskeletal_extend(out, to_dim)
-    out._struct = {q: dict(zip(ids[q], structs[q])) for q in range(cap + 1)}
     return out
+
+
+def reference_nerve_structs(g, to_dim):
+    """(id, structure) for each cell of reference_nerve_2group's levels
+    q <= 3, in the order of its ids."""
+    return {q: [(nv._struct_id(st), st)
+                for st in reference_monoidal_simplices(g, q)]
+            for q in range(min(to_dim, 3) + 1)}
 
 
 def unitor_twisted_two_group():
@@ -723,9 +736,9 @@ def reference_bimaps(x_bx, y_bx, region=None):
     ticks = [0]
 
     def face_key(bx, p, q, s):
-        hk = tuple(bx.dh(p, q, i, s) for i in range(p + 1)) \
+        hk = tuple(bx.hface[p, q, i][s] for i in range(p + 1)) \
             if (p >= 1 and (p - 1, q) in region) else ()
-        vk = tuple(bx.dv(p, q, i, s) for i in range(q + 1)) \
+        vk = tuple(bx.vface[p, q, i][s] for i in range(q + 1)) \
             if (q >= 1 and (p, q - 1) in region) else ()
         return (hk, vk)
 
@@ -754,9 +767,9 @@ def reference_bimaps(x_bx, y_bx, region=None):
 
     def level_key(pq, s, get=dict.__getitem__):
         p, q = pq
-        hk = tuple(get(comps[(p - 1, q)], x_bx.dh(p, q, i, s))
+        hk = tuple(get(comps[(p - 1, q)], x_bx.hface[p, q, i][s])
                    for i in range(p + 1)) if (p >= 1 and (p - 1, q) in region) else ()
-        vk = tuple(get(comps[(p, q - 1)], x_bx.dv(p, q, i, s))
+        vk = tuple(get(comps[(p, q - 1)], x_bx.vface[p, q, i][s])
                    for i in range(q + 1)) if (q >= 1 and (p, q - 1) in region) else ()
         return (hk, vk)
 
@@ -782,7 +795,7 @@ def reference_bimaps(x_bx, y_bx, region=None):
                 vals = set()
                 for (hv, j, src_pq, a) in pres[pq][s]:
                     img = comps[src_pq][a]
-                    op = y_bx.sh if hv == "h" else y_bx.sv
+                    op = per_cell(y_bx.hdegen if hv == "h" else y_bx.vdegen)
                     vals.add(op(src_pq[0], src_pq[1], j, img))
                 if len(vals) != 1:
                     return
@@ -895,7 +908,10 @@ def test_nerve_2group_matches_phi_star_reference(g, top):
             assert list(getattr(got, ops)) == list(getattr(want, ops))
             for key, mp in getattr(want, ops).items():
                 assert list(getattr(got, ops)[key].items()) == list(mp.items())
-        assert got._struct == want._struct
+        # level q <= 3 lists one cell per monoidal_simplices(g, q)
+        assert {q: list(zip(got.level(q), nv.monoidal_simplices(g, q)))
+                for q in range(min(to_dim, 3) + 1)} == \
+            reference_nerve_structs(g, to_dim)
         assert (got.dim, got.coskeletal_at, got.base) == \
             (want.dim, want.coskeletal_at, want.base)
         assert io.dumps(got) == io.dumps(want)
@@ -1086,7 +1102,7 @@ def reference_validate(x):
                                 % (k, j, s, k + 1))
     if errs:
         return errs, "totality only (maps missing)"
-    d, sd = x.d, x.s
+    d, sd = per_cell(x.face), per_cell(x.degen)
     for k in range(2, x.dim + 1):
         for s in x.levels[k]:
             for j in range(1, k + 1):
@@ -1152,7 +1168,7 @@ def reference_bisimplicial_validate(bx):
                     errs.append("vface (%d,%d,%d) incomplete" % (p, q, i))
     if errs:
         return errs
-    dh, dv, sh, sv = bx.dh, bx.dv, bx.sh, bx.sv
+    dh, dv, sh, sv = map(per_cell, (bx.hface, bx.vface, bx.hdegen, bx.vdegen))
     for p, q in sorted(region):
         for s in bx.levels[(p, q)]:
             if p >= 2 and (p - 2, q) in region:
@@ -1348,13 +1364,13 @@ def reference_boundary_horn_extension(x_bx, p, q, k, tick):
         return True
     idx = {}
     for x in x_bx.level(p - 1, q):
-        fx = tuple(x_bx.dv(p - 1, q, j, x) for j in range(q + 1))
+        fx = tuple(x_bx.vface[p - 1, q, j][x] for j in range(q + 1))
         idx.setdefault(fx[:k] + (None,) + fx[k + 1:], []).append(x)
     horns = sp.compatible_tuples(x_bx.level(p - 1, q - 1),
                                  x_bx.face_table(p - 1, q - 1, "v"), q - 1,
                                  skip=k)
     row_faces = {row: tuple(tuple(None if a is None
-                                  else x_bx.dh(p - 1, q - 1, i, a)
+                                  else x_bx.hface[p - 1, q - 1, i][a]
                                   for a in row) for i in range(p))
                  for row in horns} if p - 1 >= 1 else {}
     targets = sp.compatible_tuples(horns, row_faces, p - 1)
@@ -1365,8 +1381,8 @@ def reference_boundary_horn_extension(x_bx, p, q, k, tick):
         for cand in idx.get(tgt[i], []):
             tick("boundary-horn lift")
             if p - 1 >= 1 and any(
-                    x_bx.dh(p - 1, q, i - 1, partial[a]) !=
-                    x_bx.dh(p - 1, q, a, cand) for a in range(i)):
+                    x_bx.hface[p - 1, q, i - 1][partial[a]] !=
+                    x_bx.hface[p - 1, q, a][cand] for a in range(i)):
                 continue
             if lift(tgt, i + 1, partial + [cand]):
                 return True
@@ -1385,14 +1401,15 @@ def reference_relative_horn_extension(x_bx, p, q, k, tick):
         bidx.setdefault(hkey, []).append(b)
     full_idx = {}
     for x in x_bx.level(p, q):
-        hkey = tuple(x_bx.dh(p, q, i, x) for i in range(p + 1))
-        vkey = tuple(x_bx.dv(p, q, j, x) for j in range(q + 1) if j != k)
+        hkey = tuple(x_bx.hface[p, q, i][x] for i in range(p + 1))
+        vkey = tuple(x_bx.vface[p, q, j][x] for j in range(q + 1) if j != k)
         full_idx.setdefault((hkey, vkey), []).append(x)
     slots = [j for j in range(q + 1) if j != k]
     for a_tuple in nv._h_boundary_tuples(x_bx, p, q):
         cand_lists = []
         for j in slots:
-            want = tuple(x_bx.dv(p - 1, q, j, a_tuple[i]) for i in range(p + 1))
+            want = tuple(x_bx.vface[p - 1, q, j][a_tuple[i]]
+                         for i in range(p + 1))
             cand_lists.append(bidx.get(want, []))
 
         def rec(m, partial):
@@ -1402,8 +1419,8 @@ def reference_relative_horn_extension(x_bx, p, q, k, tick):
             for cand in cand_lists[m]:
                 tick("relative box-horn")
                 if q - 1 >= 1 and any(
-                        x_bx.dv(p, q - 1, slots[mi], cand) !=
-                        x_bx.dv(p, q - 1, j - 1, partial[mi])
+                        x_bx.vface[p, q - 1, slots[mi]][cand] !=
+                        x_bx.vface[p, q - 1, j - 1][partial[mi]]
                         for mi in range(m)):
                     continue
                 partial.append(cand)
@@ -1528,12 +1545,22 @@ def test_bimaps_from_p1_products_match_reference(name):
 # all assigned.  It returns its results and the budget ticks it used.
 
 
+def reference_candidate_index(y_sset, k):
+    """dict full-face-tuple -> sorted ids at level k of Y."""
+    idx = {}
+    for s in y_sset.level(k):
+        idx.setdefault(y_sset.face_table(k)[s], []).append(s)
+    for v in idx.values():
+        v.sort()
+    return idx
+
+
 def reference_maps(x, y, upto):
     d = upto
     if y.dim < d:
         y = sp._ensure_depth(y, d)
     ticks = [0]
-    indices = {k: sp._candidate_index(y, k) for k in range(1, d + 1)}
+    indices = {k: reference_candidate_index(y, k) for k in range(1, d + 1)}
     pres_at = []
     for k in range(d + 1):
         pres = {}
@@ -1544,14 +1571,14 @@ def reference_maps(x, y, upto):
     supports = [dict() for _ in range(d + 1)]
     for k in range(1, d + 1):
         for s in x.level(k):
-            for f in set(x.faces(k, s)):
+            for f in set(x.face_table(k)[s]):
                 supports[k - 1].setdefault(f, []).append((k, s))
     results = []
     comps = [dict() for _ in range(d + 1)]
 
     def forward_ok(k, s):
         for (k2, hi) in supports[k].get(s, ()):
-            want = tuple(comps[k2 - 1].get(f) for f in x.faces(k2, hi))
+            want = tuple(comps[k2 - 1].get(f) for f in x.face_table(k2)[hi])
             if None not in want and want not in indices[k2]:
                 return False
         return True
@@ -1566,12 +1593,14 @@ def reference_maps(x, y, upto):
             if s not in pres_at[k]:
                 frees.append(s)
                 continue
-            vals = {y.s(k - 1, j, comps[k - 1][a]) for (j, a) in pres_at[k][s]}
+            vals = {y.degen[k - 1, j][comps[k - 1][a]]
+                    for (j, a) in pres_at[k][s]}
             if len(vals) != 1:
                 comps[k] = {}
                 return
             v = vals.pop()
-            if y.faces(k, v) != tuple(comps[k - 1][f] for f in x.faces(k, s)):
+            if y.face_table(k)[v] != tuple(comps[k - 1][f]
+                                           for f in x.face_table(k)[s]):
                 comps[k] = {}
                 return
             comps[k][s] = v
@@ -1584,7 +1613,7 @@ def reference_maps(x, y, upto):
             if k == 0:
                 cands = list(y.level(0))
             else:
-                want = tuple(comps[k - 1][f] for f in x.faces(k, s))
+                want = tuple(comps[k - 1][f] for f in x.face_table(k)[s])
                 cands = indices[k].get(want, [])
             if not cands:
                 comps[k] = {}
@@ -1613,8 +1642,9 @@ def reference_maps(x, y, upto):
 
 
 def reference_additive(x, group):
-    loop0 = x.s(0, 0, x.level(0)[0])
-    cons = [x.faces(2, a) for a in x.level(2)]     # D(d1 a) = D(d2 a) D(d0 a)
+    loop0 = x.degen[0, 0][x.level(0)[0]]
+    # D(d1 a) = D(d2 a) D(d0 a)
+    cons = [x.face_table(2)[a] for a in x.level(2)]
     frees = [e for e in x.level(1) if e != loop0]
     assign = {loop0: group.unit}
     out, ticks = [], [0]
@@ -1638,8 +1668,8 @@ def reference_additive(x, group):
 
 def reference_determinants(x, g):
     c = g.base
-    loop0 = x.s(0, 0, x.level(0)[0])
-    loop1 = x.s(1, 0, loop0)
+    loop0 = x.degen[0, 0][x.level(0)[0]]
+    loop1 = x.degen[1, 0][loop0]
     edges = [e for e in x.level(1) if e != loop0]
     tris = [t for t in x.level(2) if t != loop1]
     d_assign = {loop0: g.unit}
@@ -1647,13 +1677,13 @@ def reference_determinants(x, g):
     out, ticks = [], [0]
 
     def assoc_ok(h):
-        fs = x.faces(3, h)
+        fs = x.face_table(3)[h]
         if any(f not in t_assign for f in fs):
             return True
         xi0, xi1, xi2, xi3 = [t_assign[f] for f in fs]
-        x01 = d_assign[x.d(2, 2, fs[2])]
-        x12 = d_assign[x.d(2, 0, fs[3])]
-        x23 = d_assign[x.d(2, 0, fs[1])]
+        x01 = d_assign[x.face[2, 2][fs[2]]]
+        x12 = d_assign[x.face[2, 0][fs[3]]]
+        x23 = d_assign[x.face[2, 0][fs[1]]]
         lhs = c.comp(xi2, c.comp(g.tm(c.id_of(x01), xi0), g.a(x01, x12, x23)))
         return lhs == c.comp(xi1, g.tm(xi3, c.id_of(x23)))
 
@@ -1662,7 +1692,7 @@ def reference_determinants(x, g):
         if i == len(tris):
             out.append((dict(d_assign), dict(t_assign)))
             return
-        f0, f1, f2 = x.faces(2, tris[i])
+        f0, f1, f2 = x.face_table(2)[tris[i]]
         src = g.t(d_assign[f2], d_assign[f0])
         for m in sorted(c.morphisms):
             if c.src[m] != src or c.tgt[m] != d_assign[f1]:
@@ -1676,7 +1706,7 @@ def reference_determinants(x, g):
         # every free triangle whose edges are all assigned has a morphism
         # t(D d2, D d0) -> D d1
         for t in tris:
-            fs = x.faces(2, t)
+            fs = x.face_table(2)[t]
             if all(f in d_assign for f in fs) and not c.hom(
                     g.t(d_assign[fs[2]], d_assign[fs[0]]), d_assign[fs[1]]):
                 return False
@@ -1700,13 +1730,13 @@ def reference_determinants(x, g):
 def reference_det_morphisms(x, g, det1, det2):
     c = g.base
     (d1, t1), (d2, t2) = det1, det2
-    loop0 = x.s(0, 0, x.level(0)[0])
+    loop0 = x.degen[0, 0][x.level(0)[0]]
     edges = [e for e in x.level(1) if e != loop0]
     assign = {loop0: c.id_of(g.unit)}
     out, ticks = [], [0]
 
     def nat_ok(t):
-        fs = x.faces(2, t)
+        fs = x.face_table(2)[t]
         if any(f not in assign for f in fs):
             return True
         h0, h1, h2 = [assign[f] for f in fs]
@@ -1739,6 +1769,7 @@ def reference_column1(x_bx):
 def reference_segal_determinants(x_bx, g):
     c = g.base
     nsg = nv.nerve_category(c, 2)
+    mor1 = dict(zip(nsg.level(1), c.morphisms))
     col1_t = reference_column1(x_bx)
     d_maps, map_ticks = reference_maps(col1_t, nsg, 2)
     d_maps.sort(key=lambda f: f.key())
@@ -1753,27 +1784,28 @@ def reference_segal_determinants(x_bx, g):
         t_assign = {}
 
         def cands(xi):
-            src = g.t(dm(0, x_bx.dv(0, 2, 2, xi)), dm(0, x_bx.dv(0, 2, 0, xi)))
-            tgt = dm(0, x_bx.dv(0, 2, 1, xi))
+            src = g.t(dm(0, x_bx.vface[0, 2, 2][xi]),
+                      dm(0, x_bx.vface[0, 2, 0][xi]))
+            tgt = dm(0, x_bx.vface[0, 2, 1][xi])
             return [m for m in sorted(c.morphisms)
                     if c.src[m] == src and c.tgt[m] == tgt]
 
         def nat_ok(z):
-            top, bot = x_bx.dh(1, 2, 1, z), x_bx.dh(1, 2, 0, z)
+            top, bot = x_bx.hface[1, 2, 1][z], x_bx.hface[1, 2, 0][z]
             if top not in t_assign or bot not in t_assign:
                 return True
-            h0, h1, h2 = [nsg._mor1[dm(1, x_bx.dv(1, 2, i, z))]
+            h0, h1, h2 = [mor1[dm(1, x_bx.vface[1, 2, i][z])]
                           for i in range(3)]
             return c.comp(h1, t_assign[top]) == \
                 c.comp(t_assign[bot], g.tm(h2, h0))
 
         def assoc_ok(h):
-            fs = [x_bx.dv(0, 3, i, h) for i in range(4)]
+            fs = [x_bx.vface[0, 3, i][h] for i in range(4)]
             if any(f not in t_assign for f in fs):
                 return True
-            x01 = dm(0, x_bx.dv(0, 2, 2, fs[3]))
-            x12 = dm(0, x_bx.dv(0, 2, 0, fs[3]))
-            x23 = dm(0, x_bx.dv(0, 2, 0, fs[1]))
+            x01 = dm(0, x_bx.vface[0, 2, 2][fs[3]])
+            x12 = dm(0, x_bx.vface[0, 2, 0][fs[3]])
+            x23 = dm(0, x_bx.vface[0, 2, 0][fs[1]])
             xi0, xi1, xi2, xi3 = [t_assign[f] for f in fs]
             lhs = c.comp(xi2, c.comp(g.tm(c.id_of(x01), xi0),
                                      g.a(x01, x12, x23)))
@@ -1806,6 +1838,7 @@ def reference_segal_det_morphisms(x_bx, g, det1, det2):
     # id-level naturality filters
     c = g.base
     nsg = nv.nerve_category(c, 2)
+    mor1 = dict(zip(nsg.level(1), c.morphisms))
     col1_t = reference_column1(x_bx)
     d1 = sp.standard_simplex(1, 2)
     (dm1, t1), (dm2, t2) = det1, det2
@@ -1817,13 +1850,13 @@ def reference_segal_det_morphisms(x_bx, g, det1, det2):
                ev(k, e, "0" * (k + 1)) != dm2(k, e)
                for k in range(3) for e in col1_t.level(k)):
             continue
-        if any(ev(k, x_bx.sv(k, 0, 0, x_bx.level(k, 0)[0]), phi) !=
+        if any(ev(k, x_bx.vdegen[k, 0, 0][x_bx.level(k, 0)[0]], phi) !=
                nsg.deg_base(k, g.unit) for k in range(3) for phi in d1.level(k)):
             continue
         good = True
         for z in x_bx.level(1, 2):
-            top, bot = x_bx.dh(1, 2, 1, z), x_bx.dh(1, 2, 0, z)
-            h0, h1, h2 = [nsg._mor1[ev(1, x_bx.dv(1, 2, j, z), "01")]
+            top, bot = x_bx.hface[1, 2, 1][z], x_bx.hface[1, 2, 0][z]
+            h0, h1, h2 = [mor1[ev(1, x_bx.vface[1, 2, j][z], "01")]
                           for j in range(3)]
             if c.comp(h1, t1[top]) != c.comp(t2[bot], g.tm(h2, h0)):
                 good = False
@@ -2139,16 +2172,16 @@ def definitional_determinants(x, g):
     itertools.product over D (objects on the free edges) x T (morphisms on
     the free triangles)."""
     c = g.base
-    loop0 = x.s(0, 0, x.level(0)[0])
-    loop1 = x.s(1, 0, loop0)
+    loop0 = x.degen[0, 0][x.level(0)[0]]
+    loop1 = x.degen[1, 0][loop0]
     edges = [e for e in x.level(1) if e != loop0]
     tris = [t for t in x.level(2) if t != loop1]
     size = len(c.objects) ** len(edges) * len(c.morphisms) ** len(tris)
     assert size <= PRODUCT_CAP
     # the edges i -> j of a tetrahedron, read off its last face [0, 1, 2]
     # and its first face [1, 2, 3]
-    corners = [(x.d(2, 2, x.d(3, 3, h)), x.d(2, 0, x.d(3, 3, h)),
-                x.d(2, 0, x.d(3, 0, h)), x.faces(3, h))
+    corners = [(x.face[2, 2][x.face[3, 3][h]], x.face[2, 0][x.face[3, 3][h]],
+                x.face[2, 0][x.face[3, 0][h]], x.face_table(3)[h])
                for h in x.level(3)]
     out = set()
     for d_vals, t_vals in itertools.product(
@@ -2199,15 +2232,17 @@ def reference_pi_cells(x, m, a):
     operators: spheres, relating and multiplying (m+1)-simplices."""
     bm, bm1 = x.deg_base(m, a), x.deg_base(m - 1, a)
     spheres = [s for s in x.level(m)
-               if all(x.d(m, i, s) == bm1 for i in range(m + 1))]
+               if all(x.face[m, i][s] == bm1 for i in range(m + 1))]
     sset = set(spheres)
     upper = x.level(m + 1)
     related = [z for z in upper
-               if all(x.d(m + 1, i, z) == bm for i in range(m))
-               and x.d(m + 1, m, z) in sset and x.d(m + 1, m + 1, z) in sset]
+               if all(x.face[m + 1, i][z] == bm for i in range(m))
+               and x.face[m + 1, m][z] in sset
+               and x.face[m + 1, m + 1][z] in sset]
     products = [z for z in upper
-                if all(x.d(m + 1, i, z) == bm for i in range(m - 1))
-                and all(x.d(m + 1, i, z) in sset for i in (m - 1, m, m + 1))]
+                if all(x.face[m + 1, i][z] == bm for i in range(m - 1))
+                and all(x.face[m + 1, i][z] in sset
+                        for i in (m - 1, m, m + 1))]
     return spheres, related, products
 
 
@@ -2262,7 +2297,7 @@ def reference_relative_horn_tables(x_bx, p, q):
     vf = x_bx.face_table(p, q, "v")
     horn_keys = [{(hf[x], vf[x][:k] + vf[x][k + 1:]) for x in x_bx.level(p, q)}
                  for k in range(q + 1)]
-    vfaces = {b: tuple(x_bx.dv(p, q - 1, j, b) for j in range(q))
+    vfaces = {b: tuple(x_bx.vface[p, q - 1, j][b] for j in range(q))
               for b in x_bx.level(p, q - 1)} if q - 1 >= 1 else {}
     return a_cands, horn_keys, vfaces
 

@@ -41,6 +41,20 @@ def test_groupoid_round_trip():
             again, nv.nerve_category(grpd, 2)) is not None
 
 
+@pytest.mark.parametrize("name", [name for name, _ in ex.canned_groupoids()])
+def test_nerve_category_lists_level_1_in_morphism_order(name):
+    grpd = dict(ex.canned_groupoids())[name]
+    ner = nv.nerve_category(grpd, 2)
+    assert ner.level(0) == list(grpd.objects)
+    assert len(ner.level(1)) == len(grpd.morphisms)
+    cell = dict(zip(grpd.morphisms, ner.level(1)))
+    for f in grpd.morphisms:
+        assert ner.face[1, 0][cell[f]] == grpd.tgt[f]
+        assert ner.face[1, 1][cell[f]] == grpd.src[f]
+    for x in grpd.objects:
+        assert ner.degen[0, 0][x] == cell[grpd.ident[x]]
+
+
 def test_groupoid_from_nerve_rejects_delta1():
     with pytest.raises(nv.NotOneKanGroupoid):
         nv.groupoid_from_nerve(sp.standard_simplex(1, 3))

@@ -399,9 +399,9 @@ def lift_by_filter(x, y, comps, levels):
     for k in levels:
         comps[k] = {}
         for a in x.level(k):
-            want = tuple(comps[k - 1][x.d(k, i, a)] for i in range(k + 1))
+            want = tuple(comps[k - 1][x.face[k, i][a]] for i in range(k + 1))
             cands = [b for b in y.level(k)
-                     if tuple(y.d(k, i, b) for i in range(k + 1)) == want]
+                     if tuple(y.face[k, i][b] for i in range(k + 1)) == want]
             if len(cands) != 1:
                 return k
             comps[k][a] = cands[0]
@@ -427,8 +427,7 @@ def low_levels(draw):
 def test_lift_by_faces_matches_a_filter_over_the_target_level(data):
     x, y, comps = data
     levels = range(2, min(x.dim, y.dim) + 1)
-    index = {k: sp._candidate_index(y, k) for k in levels}
     want = {k: dict(v) for k, v in comps.items()}
-    assert sp.lift_by_faces(x, comps, index, levels) == \
+    assert sp.lift_by_faces(x, y, comps, levels) == \
         lift_by_filter(x, y, want, levels)
     assert comps == want
