@@ -108,8 +108,9 @@ def check_determinants():
     class count against pi0 of the mapping object."""
     lines = []
     ok = True
+    groups = ex.canned_two_groups()
     for xname, x in ex.reduced_test_spaces():
-        for gname, g in ex.canned_two_groups():
+        for gname, g in groups:
             dets, homs, good = dt.determinants_vs_hom(x, g)
             ok &= good
             line = "  %-16s %-22s |det|=%-4d |hom|=%-4d bijection=%s" \
@@ -134,21 +135,26 @@ def check_segal():
     s1 = ex.build("s1")
     x = nv.p2_star(s1, 2)
     for gname, g in ex.canned_two_groups():
-        ns = nv.segal_nerve(g, 2, 3)
-        dets, maps, good = dt.segal_determinants_vs_hom(x, g, ns)
-        mu_ok = nv.mu3_determined(x, ns)
-        ok &= good and mu_ok
-        lines.append("  %-22s |det|=%-3d |hom_mu3|=%-3d bijection=%s "
-                     "mu3-determined=%s" % (gname, len(dets), len(maps),
-                                            good, mu_ok))
-        classes, _ = dt.segal_pi0(x, g)
-        h1 = dt.hom1_enriched(x, ns, 1)
-        pieces = len(sp.pi0(h1))
-        good2 = len(classes) == pieces
-        ok &= good2
-        lines.append("    pi0(det)=%d pi0(Hom1)=%d agree=%s"
-                     % (len(classes), pieces, good2))
+        good, more = _segal_lines(x, gname, g)
+        ok &= good
+        lines += more
     return ok, lines
+
+
+def _segal_lines(x, gname, g):
+    """check_segal on one 2-group; a function of its own, so that one
+    Segal nerve and its maps are freed before the next is built."""
+    ns = nv.segal_nerve(g, 2, 3)
+    dets, maps, good = dt.segal_determinants_vs_hom(x, g, ns)
+    mu_ok = nv.mu3_determined(x, ns)
+    lines = ["  %-22s |det|=%-3d |hom_mu3|=%-3d bijection=%s "
+             "mu3-determined=%s" % (gname, len(dets), len(maps), good, mu_ok)]
+    classes, _ = dt.segal_pi0(x, g)
+    pieces = len(sp.pi0(dt.hom1_enriched(x, ns, 1)))
+    good2 = len(classes) == pieces
+    lines.append("    pi0(det)=%d pi0(Hom1)=%d agree=%s"
+                 % (len(classes), pieces, good2))
+    return good and mu_ok and good2, lines
 
 
 def check_simplex_counts():
@@ -176,13 +182,12 @@ def check_negative_fixture():
     into the Segal nerve is."""
     s1 = ex.build("s1")
     g = ex.build("oneobj-z2")
-    ng = nv.nerve_2group(g, 3)
-    eh = dt.enriched_hom0(s1, ng, 3)
-    neg = sp.classify(eh, 1).n_kan_groupoid
-    x = nv.p2_star(s1, 2)
-    ns = nv.segal_nerve(g, 2, 3)
-    h1 = dt.hom1_enriched(x, ns, 2)
-    pos = sp.classify(h1, 1).n_kan_groupoid
+    # each hom is freed before the next is built
+    neg = sp.classify(dt.enriched_hom0(s1, nv.nerve_2group(g, 3), 3),
+                      1).n_kan_groupoid
+    pos = sp.classify(dt.hom1_enriched(nv.p2_star(s1, 2),
+                                       nv.segal_nerve(g, 2, 3), 2),
+                      1).n_kan_groupoid
     ok = (neg is False) and (pos is True)
     return ok, [
         "  enriched hom into the plain nerve: 1-kan-groupoid=%s (want False)" % neg,
@@ -195,8 +200,8 @@ def check_fibrancy():
     lines = []
     ok = True
     for gname, g in ex.canned_two_groups():
-        ns = nv.segal_nerve(g, 2, 3)
-        rep = nv.segal_fibrancy_check(ns)
+        # the nerve is freed before the next one is built
+        rep = nv.segal_fibrancy_check(nv.segal_nerve(g, 2, 3))
         ok &= rep.ok
         bad = [l for l, o, _ in rep.items if not o]
         lines.append("  %-22s fibrant=%s%s"

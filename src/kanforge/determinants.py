@@ -643,7 +643,7 @@ def _hom1_maps(x_bx, ns, n_max):
 
 def _bi_product_p1(x_bx, dn, region):
     """X x p1*(Delta^n) over the region, with a pair decode table."""
-    cols = {(p, q): sp.pair_columns(x_bx.level(p, q), dn.level(p))
+    cols = {(p, q): sp.product_columns([x_bx.level(p, q), dn.level(p)])
             for (p, q) in region}
     levels = {pq: list(map(_pair_id, xs, ys)) for pq, (xs, ys) in cols.items()}
     pairs = {pq + (cell,): xy for pq, (xs, ys) in cols.items()

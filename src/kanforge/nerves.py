@@ -12,6 +12,7 @@ q-simplices of G).
 import collections.abc
 import functools
 import itertools
+import math
 import operator
 
 from . import simplicial as sp
@@ -474,14 +475,13 @@ def q_simplex_groupoid(g, q):
     objects, names = lv.obj_names[q], lv.mor_names[q]
     src, tgt = lv.src[q], lv.tgt[q]
     # morphisms in the order they are enumerated: by source, then family
-    morphs = [names[m] for m in sorted(
-        range(len(names)), key=list(zip(src, *lv.fam[q])).__getitem__)]
+    morphs = list(map(names.__getitem__, lv._rank[q]))
     ident = dict(zip(objects, [names[m] for m in lv.identity_table(q)]))
     before, after = lv.chain_columns(2, q)
     comp = dict(zip(zip(map(names.__getitem__, after),
                         map(names.__getitem__, before)),
                     map(names.__getitem__, lv.composite(q, after, before))))
-    inv = {names[m]: names[lv.inverse(q, m)] for m in range(len(names))}
+    inv = dict(zip(names, map(names.__getitem__, lv.inverse_table(q))))
     return ca.FinGroupoid(objects, morphs,
                           {names[m]: objects[s] for m, s in enumerate(src)},
                           {names[m]: objects[t] for m, t in enumerate(tgt)},
@@ -716,7 +716,7 @@ def box(a_sset, b_sset, region=None):
     def bid(x, y):
         return "(%s#%s)" % (x, y)
 
-    cols = {(p, q): sp.pair_columns(a_sset.level(p), b_sset.level(q))
+    cols = {(p, q): sp.product_columns([a_sset.level(p), b_sset.level(q)])
             for p, q in region}
     levels = {pq: list(map(bid, xs, ys)) for pq, (xs, ys) in cols.items()}
 
@@ -780,32 +780,48 @@ class _SegalLevels:
     one column per slot (fam[q][n][m] is the slot-n arrow of morphism m).
     Morphisms are numbered in the string order of their ids, so the
     p-chains of morphism ints in lexicographic order are level (p, q) of
-    the Segal nerve in level order.  A level of p >= 1 is held as p
-    columns of morphism ints, first arrow first (chain_columns).  A
-    chain's place in its level is a sum of one weight per slot
-    (chain_places), read from the counts of chains that start at each
-    object (chain_counts): its first arrow m weighs the number of chains
-    whose first arrow is below m, and each later arrow the number of
-    chains that agree with it up to that slot and take an arrow below it
-    there, out of the same object.  String ids are made once per object
-    and morphism, and for a level only by namer; composition (composite, a
-    column at a time) and the operator tables map ints to ints, each table
-    built once per (operator, q).  The base groupoid's ints are the
-    2-group's shared g.int_index (catalg.IntIndex).
+    the Segal nerve in level order.  A (source, family) is found by
+    arithmetic (index): its place in product order, where each source's
+    families run through the arrows out of its objects as
+    itertools.product does, is the source's start plus, per slot, the
+    arrow's offset among the arrows out of its source object times the
+    slot's stride at that source; the rank list of q maps the place to
+    the morphism int.  A level of p >= 1 is held as p columns of morphism
+    ints, first arrow first (chain_columns).  A chain's place in its
+    level is a sum of one weight per slot (chain_places), read from the
+    counts of chains that start at each object (chain_counts): its first
+    arrow m weighs the number of chains whose first arrow is below m,
+    and each later arrow the number of chains that agree with it up to
+    that slot and take an arrow below it there, out of the same object.
+    String ids are made once per object and morphism, and for a level
+    only by namer; composition (composite, a column at a time) and the
+    operator tables map ints to ints, each table built once per
+    (operator, q).  The base groupoid's ints are the 2-group's shared
+    g.int_index (catalg.IntIndex).
     """
 
     def __init__(self, g, qmax):
         self.g = g
         # monoidal_simplices stops at dimension 3
         self.qmax = qmax = min(qmax, 3)
-        self._ix = g.int_index
-        self.base_mor = self._ix.morphisms
-        # per q: objects (structs, obj_names, _simplex_keys, _key_index)
-        # and morphisms (src, tgt, fam, mor_names, (src, *fam) -> int)
+        ix = self._ix = g.int_index
+        self.base_mor = ix.morphisms
+        # the arrows out of each base object, and each arrow's offset
+        # among the arrows out of its source
+        self._out_of = [[] for _ in ix.objects]
+        for f, x in enumerate(ix.src):
+            self._out_of[x].append(f)
+        self._offset = [0] * len(ix.src)
+        for arrows in self._out_of:
+            for n, f in enumerate(arrows):
+                self._offset[f] = n
+        # per q: objects (structs, obj_names, _simplex_keys, _key_index),
+        # morphisms (src, tgt, fam, mor_names) and their index (per source
+        # its start and per slot its stride, and the rank list)
         self.structs, self.obj_names = {}, {}
         self._keys, self._key_index = {}, {}
         self.src, self.tgt, self.fam, self.mor_names = {}, {}, {}, {}
-        self._mor_of = {}
+        self._start, self._strides, self._rank = {}, {}, {}
         for q in range(qmax + 1):
             self._build(q)
         self._chain_counts, self._chain_weights = {}, {}
@@ -821,48 +837,76 @@ class _SegalLevels:
         be . (f_ij (x) f_jk) commute.  Each be exists and runs between
         the target's objects, so every family is a morphism.  The
         families are held as columns and each target slot is a column
-        gather; the ids, which fix the order, are the only strings made
-        per family."""
-        g, ix = self.g, self._ix
+        gather; a target is found by its key packed into one int.  The
+        ids, which fix the order, are the only strings made per family;
+        the joined arrow ids are made once per tuple of objects."""
+        g, ix, out_of = self.g, self._ix, self._out_of
         keys = self._keys[q] = _simplex_keys(g, q)
         structs = self.structs[q] = _key_structs(g, q, keys)
         obj_names = self.obj_names[q] = [_struct_id(st) for st in structs]
         slot = {pr: n for n, pr in enumerate(_pairs(q))}
-        obj_of_key = self._key_index[q] = _key_index(keys)
-        out_of = [[] for _ in ix.objects]
-        for f, x in enumerate(ix.src):
-            out_of[x].append(f)
+        self._key_index[q] = _key_index(keys)
         # the families of each source in product order, a column per slot,
-        # beside the source's pairing morphisms, a column per triple
-        src, fam, als = [], [[] for _ in slot], [[] for _ in _triples(q)]
-        for s, (objs, key_als) in enumerate(keys):
-            fams = list(itertools.product(*map(out_of.__getitem__, objs)))
-            src += [s] * len(fams)
-            for col, part in zip(fam, zip(*fams)):
-                col += part
-            for col, al in zip(als, key_als):
-                col += [al] * len(fams)
+        # and their ids "f(source|arrow,..,arrow)"
+        base_names = ["%s" % (f,) for f in self.base_mor]
+        joined = {}
+        src, fam, names = [], [[] for _ in slot], []
+        starts, sizes, strides = [], [], [[] for _ in slot]
+        for s, (objs, _) in enumerate(keys):
+            arrows = list(map(out_of.__getitem__, objs))
+            starts.append(len(src))
+            for n, col in enumerate(sp.product_columns(arrows)):
+                fam[n] += col
+                strides[n].append(math.prod(map(len, arrows[n + 1:])))
+            sizes.append(math.prod(map(len, arrows)))
+            src += [s] * sizes[-1]
+            if objs not in joined:
+                ids = [list(map(base_names.__getitem__, fs)) for fs in arrows]
+                joined[objs] = [j + ")" for j in map(",".join,
+                                                     itertools.product(*ids))]
+            names += map(("f(" + obj_names[s] + "|").__add__, joined[objs])
         rows, at, mors = ix.comp_rows, operator.getitem, range(len(ix.src))
         # the tensor row table, inverted: tinv[f][h] = (f (x) h)^-1
         tinv = [[ix.inv[ix.tm[(f, h)]] for h in mors] for f in mors]
-        tgt = [list(map(ix.tgt.__getitem__, col)) for col in fam]
-        for (i, j, k), al in zip(_triples(q), als):
+        tgt = [map(ix.tgt.__getitem__, col) for col in fam]
+        for t, (i, j, k) in enumerate(_triples(q)):
             ij, jk, ik = slot[(i, j)], slot[(j, k)], slot[(i, k)]
-            tgt.append(list(map(at, map(rows.__getitem__, map(
+            # the source's pairing morphism al_ijk, repeated per family
+            al = itertools.chain.from_iterable(map(
+                itertools.repeat, [als[t] for _, als in keys], sizes))
+            tgt.append(map(at, map(rows.__getitem__, map(
                 at, map(rows.__getitem__, fam[ik]), al)),
-                map(at, map(tinv.__getitem__, fam[ij]), fam[jk]))))
-        # (q = 0 has no columns and one family, the empty one)
-        tgt = list(map(obj_of_key.__getitem__, list(zip(*tgt)) or [()]))
-        base_names = ["%s" % (f,) for f in self.base_mor]
-        names = list(map("f(%s|%s)".__mod__, zip(
-            map(obj_names.__getitem__, src), map(",".join, list(zip(*[
-                map(base_names.__getitem__, col) for col in fam])) or [()]))))
+                map(at, map(tinv.__getitem__, fam[ij]), fam[jk])))
+        # each key (objects, then pairing morphisms) packed into one int,
+        # its entries as digits of base |morphisms| >= |objects|
+        base = len(mors)
+        codes = itertools.repeat(0, len(src))
+        for col in tgt:
+            codes = map(operator.add, map(base.__mul__, codes), col)
+        obj_of_code = {functools.reduce(lambda c, v: c * base + v,
+                                        objs + key_als, 0): s
+                       for s, (objs, key_als) in enumerate(keys)}
+        tgt = list(map(obj_of_code.__getitem__, codes))
         order = sorted(range(len(names)), key=names.__getitem__)
         self.src[q], self.tgt[q], self.mor_names[q], *self.fam[q] = [
             list(map(col.__getitem__, order))
             for col in [src, tgt, names] + fam]
-        self._mor_of[q] = dict(zip(zip(self.src[q], *self.fam[q]),
-                                   itertools.count()))
+        self._start[q], self._strides[q] = starts, strides
+        rank = self._rank[q] = [0] * len(order)
+        for m, place in enumerate(order):
+            rank[place] = m
+
+    def index(self, q, srcs, fams):
+        """The morphism int of each (source, family) of q, its source
+        object read from srcs and its slot-n arrow from fams[n], each an
+        iterable: the rank of its place in product order."""
+        srcs = list(srcs)
+        places = map(self._start[q].__getitem__, srcs)
+        for strides, col in zip(self._strides[q], fams):
+            places = map(operator.add, places, map(
+                operator.mul, map(strides.__getitem__, srcs),
+                map(self._offset.__getitem__, col)))
+        return list(map(self._rank[q].__getitem__, places))
 
     def chain_counts(self, q, r):
         """starts[x], the number of r-chains of q that start at object x;
@@ -908,7 +952,7 @@ class _SegalLevels:
         out_of = [[] for _ in self.structs[q]]
         for m, s in enumerate(self.src[q]):
             out_of[s].append(m)
-        cols = [list(range(len(tgt)))]
+        cols = [range(len(tgt))]
         for _ in range(p - 1):
             nexts = list(map(out_of.__getitem__, map(tgt.__getitem__,
                                                      cols[-1])))
@@ -926,24 +970,21 @@ class _SegalLevels:
         p = len(cols)
         if p == 1:
             return list(cols[0])
-        places = list(map(self.chain_weights(q, p - 1)[0].__getitem__,
-                          cols[0]))
+        places = map(self.chain_weights(q, p - 1)[0].__getitem__, cols[0])
         for k in range(1, p):
-            later = self.chain_weights(q, p - 1 - k)[1]
-            places = list(map(operator.add, places,
-                              map(later.__getitem__, cols[k])))
-        return places
+            places = map(operator.add, places, map(
+                self.chain_weights(q, p - 1 - k)[1].__getitem__, cols[k]))
+        return list(places)
 
     def composite(self, q, after, before):
         """The column of after[n] . before[n], componentwise: one
-        comp_rows gather per slot and one _mor_of lookup per cell."""
+        comp_rows gather per slot, then index."""
         rows = self._ix.comp_rows
-        comps = [map(operator.getitem, map(rows.__getitem__,
-                                           map(fs.__getitem__, after)),
-                     map(fs.__getitem__, before))
-                 for fs in self.fam[q]]
-        return list(map(self._mor_of[q].__getitem__,
-                        zip(map(self.src[q].__getitem__, before), *comps)))
+        return self.index(q, map(self.src[q].__getitem__, before), [
+            map(operator.getitem, map(rows.__getitem__,
+                                      map(fs.__getitem__, after)),
+                map(fs.__getitem__, before))
+            for fs in self.fam[q]])
 
     def units_at(self, q, ends, col):
         """The identity of object ends[m] for each arrow m of the column
@@ -964,19 +1005,20 @@ class _SegalLevels:
         cols = self.chain_columns(p, q)
         return lambda c: _chain_id([names[col[c]] for col in cols])
 
-    def inverse(self, q, m):
+    def inverse_table(self, q):
+        """morphism int -> int of its inverse, in level q."""
         inv = self._ix.inv
-        return self._mor_of[q][(self.tgt[q][m],) +
-                               tuple([inv[fs[m]] for fs in self.fam[q]])]
+        return self.index(q, self.tgt[q],
+                          [map(inv.__getitem__, fs) for fs in self.fam[q]])
 
     def identity_table(self, q):
         """object int -> int of its identity morphism, in level q."""
         table = self._identity.get(q)
         if table is None:
-            ident, mor_of = self._ix.ident, self._mor_of[q]
-            table = [mor_of[(s,) + tuple([ident[x] for x in objs])]
-                     for s, (objs, _) in enumerate(self._keys[q])]
-            self._identity[q] = table
+            keys = self._keys[q]
+            table = self._identity[q] = self.index(
+                q, range(len(keys)), [map(self._ix.ident.__getitem__, col)
+                                      for col in zip(*[k for k, _ in keys])])
         return table
 
     def vmap_obj_table(self, phi, q_from, q_to):
@@ -1000,11 +1042,10 @@ class _SegalLevels:
             # reads the unit's identity
             slot, fam = dict(zip(_pairs(q_from), self.fam[q_from])), \
                 itertools.repeat(self._ix.unit_ident)
-            table = self._vmap_mor[key] = list(map(
-                self._mor_of[q_to].__getitem__,
-                zip(map(objs.__getitem__, self.src[q_from]), *[
+            table = self._vmap_mor[key] = self.index(
+                q_to, map(objs.__getitem__, self.src[q_from]), [
                     fam if phi[i] == phi[j] else slot[(phi[i], phi[j])]
-                    for (i, j) in _pairs(q_to)])))
+                    for (i, j) in _pairs(q_to)])
         return table
 
 
@@ -1216,6 +1257,9 @@ def segal_fibrancy_check(x_bx):
                         gk.elements, chain)))) is None
                     rep.add("weq-phi%s-pi%d" % (phi, m), ok)
 
+    # the rows and their caches (face codes, Kan rows) are freed before
+    # the searches build their tables
+    del rows, pis
     # (iii) and (iv) via the explicit prism-tuple descriptions of the
     # corner Hom sets
     tick = sp.budget_ticker("fibrancy {} search exceeded {cap} evaluations")
@@ -1287,32 +1331,32 @@ def _boundary_horn_extension(x_bx, p, q, k, tick):
 
 
 def _relative_horn_tables(x_bx, p, q):
-    """What _relative_horn_extension needs for every horn index k: the
-    maps a = (a_0..a_p) from bd Delta^p (x) Delta^q to X, each with, per
-    vertical slot j, the cells b of X_{p,q-1} with dh_i b = dv_j a_i for
-    all i; per k the set of (horizontal faces, vertical faces without
-    slot k) of the cells of X_{p,q}; and the vertical faces of the cells
-    of X_{p,q-1} (empty where q - 1 == 0).  None outside the stored
-    region."""
+    """What _relative_horn_extension needs for every horn index k, as
+    (acols, cands, horn_keys, vfaces): the maps a = (a_0..a_p) from
+    bd Delta^p (x) Delta^q to X, in lexicographic level order, as one
+    column per slot (acols[i][t] is a_i of the t-th map); per vertical
+    slot j, the column cands[j] whose t-th entry lists the cells b of
+    X_{p,q-1} with dh_i b = dv_j a_i for all i, a the t-th map; per k the
+    set of (horizontal faces, vertical faces without slot k) of the cells
+    of X_{p,q}; and the vertical faces of the cells of X_{p,q-1} (empty
+    where q - 1 == 0).  None outside the stored region."""
     if any(t not in x_bx.region for t in [(p, q), (p - 1, q), (p, q - 1)]):
         return None
     bidx = {}
     for b, hkey in x_bx.face_table(p, q - 1, "h").items():
         bidx.setdefault(hkey, []).append(b)
-    tuples = _h_boundary_tuples(x_bx, p, q)
-    # slot i of every tuple as one column; per vertical slot j, the keys
-    # (dv_j a_0, .., dv_j a_p) zipped from those columns mapped through dv_j
-    slots = list(zip(*tuples)) or [()] * (p + 1)
+    acols = list(zip(*_h_boundary_tuples(x_bx, p, q))) or [()] * (p + 1)
+    # per vertical slot j, the keys (dv_j a_0, .., dv_j a_p) zipped from
+    # the columns mapped through dv_j
     cands = [list(map(bidx.get, zip(*[
-        sp.column(col, (x_bx.vface[p - 1, q, j],)) for col in slots]),
+        sp.column(col, (x_bx.vface[p - 1, q, j],)) for col in acols]),
         itertools.repeat([]))) for j in range(q + 1)]
-    a_cands = list(zip(tuples, map(list, zip(*cands))))
     hkeys = list(x_bx.face_table(p, q, "h").values())
     cells = x_bx.level(p, q)
     vcols = [sp.column(cells, (x_bx.vface[p, q, j],)) for j in range(q + 1)]
     horn_keys = [set(zip(hkeys, zip(*(vcols[:k] + vcols[k + 1:]))))
                  for k in range(q + 1)]
-    return a_cands, horn_keys, x_bx.face_table(p, q - 1, "v")
+    return acols, cands, horn_keys, x_bx.face_table(p, q - 1, "v")
 
 
 def _relative_horn_extension(x_bx, p, q, k, tables, tick):
@@ -1322,7 +1366,7 @@ def _relative_horn_extension(x_bx, p, q, k, tables, tick):
 
     One search over every boundary tuple a at once, a slot at a time:
     the vertical data are b_j in X_{p,q-1} with dh_i b_j = dv_j a_i for
-    all i (the candidate lists of the tables), and the vertical horn
+    all i (the candidate columns of the tables), and the vertical horn
     relations dv_i b_j = dv_{j-1} b_i (i < j) filter each slot's
     candidates through one bucket keyed on the tuple and the faces dv_i
     the relations read.  Once the outcome is known, tick(search) is
@@ -1330,11 +1374,10 @@ def _relative_horn_extension(x_bx, p, q, k, tables, tick):
     tuple after tuple, tries up to its first horn without a filler."""
     if tables is None:
         return True     # outside the stored region
-    a_cands, horn_keys, vfaces = tables
+    acols, cands, horn_keys, vfaces = tables
     filled = horn_keys[k]
     slots = [j for j in range(q + 1) if j != k]
-    rows = list(map(operator.itemgetter(1), a_cands))
-    cols = [list(map(operator.itemgetter(j), rows)) for j in slots]
+    cols = [cands[j] for j in slots]
     first = operator.itemgetter(0)
     # per depth m >= 1, the assignments (t, b_0, .., b_{m-1}) of the
     # first m slots that keep the relations, t the tuple's place, in the
@@ -1356,8 +1399,8 @@ def _relative_horn_extension(x_bx, p, q, k, tables, tick):
         level = [c + (b,) for c in live for b in bucket.get(
             (c[0], tuple([vfaces[a][j - 1] for a in c[1:]])), ())]
         depths.append(level)
-    bad = next((c for c in level if (a_cands[c[0]][0], c[1:]) not in filled),
-               None)
+    bad = next((c for c in level if (tuple([a[c[0]] for a in acols]),
+                                     c[1:]) not in filled), None)
     # a search that stops at `bad` tries, at each depth, every candidate
     # below the assignments before bad's, and bad's own up to its choice
     tried = sum(map(len, cols[0][:None if bad is None else bad[0]]))

@@ -16,10 +16,12 @@ relations of the simplex category):
     d_i s_j = s_j d_{i-1}            i > j + 1
 """
 
+import collections
 import functools
+import math
 import operator
 import os
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 
 from .groups import FiniteGroup, bijective, components, equivalence_classes
 
@@ -134,10 +136,14 @@ class TruncatedSSet:
         return self.levels[k]
 
     def face_table(self, k):
-        """dict id -> (d_0 x, .., d_k x) over level k, built once (the
-        object is immutable); empty at level 0, which has no faces."""
+        """dict id -> (d_0 x, .., d_k x) over level k (0 <= k <= dim),
+        built once (the object is immutable); empty at level 0, which
+        has no faces."""
         table = self._face_tables.get(k)
         if table is None:
+            if not (0 <= k <= self.dim):
+                raise DimensionOutOfRange(
+                    "no level %d in a %d-truncation" % (k, self.dim))
             table = self._face_tables[k] = tabulate_faces(
                 self.levels[k], [self.face[k, i] for i in range(k + 1) if k])
         return table
@@ -149,6 +155,9 @@ class TruncatedSSet:
         Built once per (k, skip) (the object is immutable)."""
         index = self._face_indexes.get((k, skip))
         if index is None:
+            if not (1 <= k <= self.dim):
+                raise DimensionOutOfRange(
+                    "no faces of level %d in a %d-truncation" % (k, self.dim))
             faces = self.face_table(k) if skip is None else \
                 horn_alpha(self, k - 1, skip)
             index = self._face_indexes[k, skip] = group_cells(
@@ -333,9 +342,19 @@ def group_cells(cells, keys):
     return index
 
 
-def pair_columns(xs, ys):
-    """The pairs of xs x ys in lexicographic order, as two columns."""
-    return [a for a in xs for _ in ys], list(ys) * len(xs)
+def product_columns(lists):
+    """The elements of itertools.product(*lists), in its order, as one
+    column per factor and no tuple per element: factor n repeats each of
+    its entries by the product of the later sizes, and the whole by that
+    of the earlier ones."""
+    sizes = list(map(len, lists))
+    cols, outer = [], 1
+    for n, xs in enumerate(lists):
+        inner = math.prod(sizes[n + 1:])
+        cols.append(list(chain.from_iterable(map(
+            repeat, xs, repeat(inner, sizes[n])))) * outer)
+        outer *= sizes[n]
+    return cols
 
 
 def tabulate_faces(cells, maps):
@@ -394,14 +413,21 @@ def compatible_tuples(cells, faces, m, skip=None, count=False):
     m == 0, where there are no conditions.  The candidates for slot j
     are bucketed by the faces the earlier slots force on them, each
     bucket in the order of `cells`.  Every prefix is extended one slot
-    at a time, so the tuples come out in lexicographic level order; in
-    count mode the last slot adds up the sizes of the prefixes' buckets.
+    at a time, so the tuples come out in lexicographic level order.  In
+    count mode the prefixes stop two slots short, and the last two slots
+    are counted together: per prefix, the candidates for the next slot,
+    grouped by the face d_{last-1} that the last slot reads off them,
+    each group weighing its size times the size of the last slot's
+    bucket for that face.
     """
     slots = [j for j in range(m + 2) if j != skip]
-    last = slots[-1]
-    cell_faces = [faces[a] for a in cells] if m else []
+    if count and not m:
+        return len(cells) ** len(slots)
+    # the i-th faces of the cells, one column per i
+    fcols = (list(zip(*map(faces.__getitem__, cells))) or
+             [()] * (m + 1)) if m else []
     prefixes = [(None,) if skip == 0 else ()]
-    for pos, j in enumerate(slots):
+    for pos, j in enumerate(slots[:-2] if count else slots):
         if not prefixes:
             break
         prior = slots[:pos] if m else []
@@ -409,24 +435,35 @@ def compatible_tuples(cells, faces, m, skip=None, count=False):
         # slot is the skipped one
         tail = (None,) if j + 1 == skip else ()
         if not prior:
-            if count and j == last:
-                return len(prefixes) * len(cells)
             ext = [(a,) + tail for a in cells]
             prefixes = [p + e for p in prefixes for e in ext]
             continue
-        # keys are zipped from columns, one comprehension per earlier
-        # slot rather than one per cell or prefix
         bucket = {}
-        for key, a in zip(zip(*[[fa[i] for fa in cell_faces] for i in prior]),
-                          cells):
+        for key, a in zip(zip(*[fcols[i] for i in prior]), cells):
             bucket.setdefault(key, []).append((a,) + tail)
         keys = zip(*[[faces[p[i]][j - 1] for p in prefixes] for i in prior])
-        if count and j == last:
-            sizes = {key: len(v) for key, v in bucket.items()}
-            return sum([sizes.get(key, 0) for key in keys])
         prefixes = [p + e for p, key in zip(prefixes, keys)
                     for e in bucket.get(key, ())]
-    return len(prefixes) if count else prefixes
+    if not count:
+        return prefixes
+    nxt, last = slots[-2:]
+    prior = slots[:-2]
+    # the last slot's bucket sizes, keyed by its faces at prior + [nxt]
+    sizes = collections.Counter(zip(*[fcols[i] for i in prior + [nxt]]))
+    # the next slot's candidates by key, grouped by their face d_{last-1}
+    groups = {}
+    for key, n in collections.Counter(zip(*[fcols[i] for i in prior],
+                                          fcols[last - 1])).items():
+        groups.setdefault(key[:-1], []).append((key[-1], n))
+    # each prefix's keys for the next slot and for the last
+    pfaces = [list(map(faces.__getitem__, map(operator.itemgetter(i),
+                                              prefixes))) for i in prior]
+    nxt_keys, last_keys = [
+        list(zip(*[[fa[j - 1] for fa in col] for col in pfaces])) or
+        [()] * len(prefixes) for j in (nxt, last)]
+    return sum([n * sizes.get(key + (face,), 0)
+                for key2, key in zip(nxt_keys, last_keys)
+                for face, n in groups.get(key2, ())])
 
 
 def boundary_tuples(x_sset, m):
@@ -574,10 +611,10 @@ def alpha_bijective(x_sset, m):
     the image is not the set of boundary tuples, and no tuple is
     listed."""
     fc = face_codes(x_sset, m)
-    image = set(fc.codes)
-    surj = faces_compatible(x_sset, m) and len(image) == compatible_tuples(
+    image = len(set(fc.codes))
+    surj = faces_compatible(x_sset, m) and image == compatible_tuples(
         x_sset.level(m), x_sset.face_table(m), m, count=True)
-    return surj, len(image) == len(fc.codes)
+    return surj, image == len(fc.codes)
 
 
 def kan_status(x_sset, m):
@@ -600,39 +637,49 @@ def kan_status(x_sset, m):
     if row is not None:
         return row
     x = _ensure_depth(x_sset, m + 1)
-    fc = face_codes(x, m)
     counted = faces_compatible(x, m)
     flags, witness = {}, {}
     minimal = True
     for k in range(m + 2):
-        col = fc.cols[k]
-        keys = list(map(operator.sub, fc.codes,
-                        map((fc.n ** (m + 1 - k)).__mul__, col)))
-        seen = set(keys)
-        inj = len(seen) == len(keys)
-        if not inj:
-            # each repeat against the first cell with its horn; the
-            # witness is the last repeat
-            first = {}
-            for s, key, a in zip(x.levels[m + 1], keys, col):
-                f, b = first.setdefault(key, (s, a))
-                if f != s:
-                    witness[(k, "inj")] = (f, s)
-                    if a != b:
-                        minimal = False
-        surj = counted and len(seen) == compatible_tuples(
-            x.level(m), x.face_table(m), m, skip=k, count=True)
-        if not surj:
-            horns = horn_tuples(x, m, k)
-            missing = next((h for h, key in zip(
-                horns, _tuple_codes(fc, horns, m + 2, k)) if key not in seen),
-                None)
-            surj = missing is None
-            if not surj:
-                witness[(k, "surj")] = missing
+        surj, inj, minimal_k = _horn_flags(x, m, k, counted, witness)
         flags[k] = (surj, inj)
+        minimal = minimal and minimal_k
     row = x_sset._kan_rows[m] = KanRow(m, flags, witness, minimal)
     return row
+
+
+def _horn_flags(x, m, k, counted, witness):
+    """(surjective, injective, minimal at k) for alpha^{m,k} on level
+    m+1 of x, as kan_status decides them, with a witness of each failure
+    put in `witness`.  The keys of one k are freed before the next k
+    makes its own."""
+    fc = face_codes(x, m)
+    col = fc.cols[k]
+    keys = list(map(operator.sub, fc.codes,
+                    map((fc.n ** (m + 1 - k)).__mul__, col)))
+    seen = set(keys)
+    inj = len(seen) == len(keys)
+    minimal = True
+    if not inj:
+        # each cell against the first cell with its horn, by place; the
+        # witness is the last repeat
+        at = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+        first = list(map(at.__getitem__, keys))
+        rep = next(c for c in range(len(keys) - 1, -1, -1) if first[c] != c)
+        cells = x.levels[m + 1]
+        witness[(k, "inj")] = (cells[first[rep]], cells[rep])
+        minimal = list(map(col.__getitem__, first)) == col
+    surj = counted and len(seen) == compatible_tuples(
+        x.level(m), x.face_table(m), m, skip=k, count=True)
+    if not surj:
+        horns = horn_tuples(x, m, k)
+        missing = next((h for h, key in zip(
+            horns, _tuple_codes(fc, horns, m + 2, k)) if key not in seen),
+            None)
+        surj = missing is None
+        if not surj:
+            witness[(k, "surj")] = missing
+    return surj, inj, minimal
 
 
 def _ensure_depth(x_sset, depth):
@@ -1069,7 +1116,7 @@ def product(x_sset, y_sset):
     dim = min(x_sset.dim, y_sset.dim)
     def pid(a, b):
         return "(%s|%s)" % (a, b)
-    cols = [pair_columns(x_sset.level(k), y_sset.level(k))
+    cols = [product_columns([x_sset.level(k), y_sset.level(k)])
             for k in range(dim + 1)]
     levels = [list(map(pid, xs, ys)) for xs, ys in cols]
 

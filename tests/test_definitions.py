@@ -11,7 +11,8 @@ from kanforge import determinants as dt
 from kanforge import examples as ex
 
 from reference import (canon, canon_transported_hom, definitional_alpha_bijective,
-                       definitional_faces_compatible, definitional_kan_row)
+                       definitional_faces_compatible, definitional_kan_row,
+                       definitional_tuples)
 
 
 # -- Kan rows on small random complexes ----------------------------------------
@@ -136,6 +137,25 @@ def test_kan_rows_match_their_definition(spec, places):
             definitional_kan_row(x, m)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(spec=specs(), places=st.booleans())
+@example(spec=FACE_OUTSIDE, places=False)
+@example(spec=FACE_OUTSIDE, places=True)
+@example(spec=TWO_FILLERS, places=True)
+@example(spec=EMPTY_BELOW, places=True)
+def test_tuple_counts_match_their_definition(spec, places):
+    """compatible_tuples(..., count=True) on every level and for every
+    skip is the number of tuples it lists and of the tuples filtered from
+    the product, faces outside level m included."""
+    x = complex_from_spec(spec, places)
+    for m in range(x.dim + 1):
+        cells, faces = x.level(m), x.face_table(m)
+        for skip in [None] + list(range(m + 2)):
+            count = sp.compatible_tuples(cells, faces, m, skip, count=True)
+            assert count == len(sp.compatible_tuples(cells, faces, m, skip))
+            assert count == len(definitional_tuples(x, m, skip))
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(spec=specs(), places=st.booleans(), reverse=st.booleans())
 @example(spec=TWO_FILLERS, places=False, reverse=True)
@@ -219,33 +239,34 @@ def test_hom1_enriched_matches_canon_keyed_builder(gname, n_max):
 def depth_first_relative_horn(tables, q, k, tick):
     """The relative box-horn search over the same tables, one boundary
     tuple after another, one candidate at a time."""
-    a_cands, horn_keys, vfaces = tables
+    acols, cands, horn_keys, vfaces = tables
     slots = [j for j in range(q + 1) if j != k]
 
-    def rec(a, cands, partial):
+    def rec(t, partial):
         m = len(partial)
         if m == q:
+            a = tuple(col[t] for col in acols)
             return (a, tuple(partial)) in horn_keys[k]
-        for b in cands[slots[m]]:
+        for b in cands[slots[m]][t]:
             tick("relative box-horn")
             if any(vfaces[b][slots[i]] != vfaces[partial[i]][slots[m] - 1]
                    for i in range(m)):
                 continue
-            if not rec(a, cands, partial + [b]):
+            if not rec(t, partial + [b]):
                 return False
         return True
 
-    return all(rec(a, cands, []) for a, cands in a_cands)
+    return all(rec(t, []) for t in range(len(acols[0])))
 
 
 def unfilled(tables, k, drop):
     """tables with the horns at places `drop` of the sorted horn keys of
     index k left without a filler."""
-    a_cands, horn_keys, vfaces = tables
+    acols, cands, horn_keys, vfaces = tables
     keys = sorted(horn_keys[k], key=repr)
     lost = {keys[i] for i in drop if i < len(keys)}
-    return a_cands, [keys - lost if j == k else keys
-                     for j, keys in enumerate(horn_keys)], vfaces
+    return acols, cands, [keys - lost if j == k else keys
+                          for j, keys in enumerate(horn_keys)], vfaces
 
 
 @pytest.mark.parametrize("name", [n for n, _ in ex.canned_two_groups()])
@@ -255,7 +276,7 @@ def test_relative_horn_search_matches_depth_first_search(name):
     for p in (1, 2):
         tables = nv._relative_horn_tables(ns, p, 2)
         for k in range(3):
-            n = len(tables[1][k])
+            n = len(tables[2][k])
             for drop in ((), (0,), (n // 2,), (n - 1,), tuple(range(0, n, 3))):
                 case = unfilled(tables, k, drop)
                 got, want = [], []
@@ -275,16 +296,18 @@ def horn_tables(draw):
     cells = list(range(draw(st.integers(1, 6))))
     vfaces = {b: (draw(st.integers(0, 2)), draw(st.integers(0, 2)))
               for b in cells}
-    a_cands = [(("a", t), [draw(st.lists(st.sampled_from(cells), unique=True,
-                                         max_size=4)) for _ in range(3)])
-               for t in range(draw(st.integers(0, 4)))]
-    leaves = sorted((a, (b, c)) for a, _ in a_cands for b in cells for c in cells)
+    rows = [[draw(st.lists(st.sampled_from(cells), unique=True, max_size=4))
+             for _ in range(3)] for _ in range(draw(st.integers(0, 4)))]
+    acols = [["a"] * len(rows), list(range(len(rows)))]
+    cands = [list(col) for col in zip(*rows)] or [[], [], []]
+    leaves = sorted((a, (b, c)) for a in zip(*acols)
+                    for b in cells for c in cells)
     horn_keys = []
     for _ in range(3):
         lost = draw(st.sets(st.sampled_from(leaves), max_size=3)) if leaves \
             else set()
         horn_keys.append(set(leaves) - lost)
-    return a_cands, horn_keys, vfaces
+    return acols, cands, horn_keys, vfaces
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

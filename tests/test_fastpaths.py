@@ -2,9 +2,11 @@
 searches against the simple references they replace."""
 
 import functools
+import gc
 import itertools
 import math
 import os
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -342,7 +344,9 @@ def test_segal_levels_match_their_definition(g):
     """Each morphism of the q-simplex groupoid (q <= 3) is a family of
     arrows out of its source's objects; its target has their targets and
     the pairing morphisms be with f_ik . al = be . (f_ij (x) f_jk); the
-    ids increase strictly, and _mor_of inverts (source, family)."""
+    ids increase strictly, and index inverts (source, family): every
+    source with every family of arrows out of its objects, listed in
+    product order, goes to the one morphism that has them."""
     lv = nv._SegalLevels(g, 3)
     c, ix = g.base, g.int_index
     for q in range(4):
@@ -353,8 +357,14 @@ def test_segal_levels_match_their_definition(g):
             math.prod(sum(ix.src[f] == x for f in range(len(ix.src)))
                       for x in objs) for objs, _ in keys)
         assert all(a < b for a, b in zip(names, names[1:]))
-        assert lv._mor_of[q] == {(s,) + fam: m
-                                 for m, (s, fam) in enumerate(zip(src, fams))}
+        mor_of = {(s,) + fam: m for m, (s, fam) in enumerate(zip(src, fams))}
+        assert len(mor_of) == len(src)
+        listed = [(s,) + fam for s, (objs, _) in enumerate(keys)
+                  for fam in itertools.product(*[
+                      [f for f in range(len(ix.src)) if ix.src[f] == x]
+                      for x in objs])]
+        srcs, *cols = zip(*listed)
+        assert lv.index(q, srcs, cols) == [mor_of[k] for k in listed]
         for m, (s, fam) in enumerate(zip(src, fams)):
             (objs, als), (t_objs, bes) = keys[s], keys[lv.tgt[q][m]]
             arrow = [ix.morphisms[f] for f in fam]
@@ -367,6 +377,29 @@ def test_segal_levels_match_their_definition(g):
                                     for pr in ((i, j), (j, k), (i, k))]
                 assert c.comp(f_ik, ix.morphisms[al]) == \
                     c.comp(ix.morphisms[be], g.tm(f_ij, f_jk))
+
+
+def test_segal_levels_of_oneobj_z3_retain_under_5_mb():
+    """The bytes that tracemalloc counts as held by _SegalLevels of
+    oneobj-z3 up to q = 3 (19,683 morphisms at q = 3) once it is built;
+    the 2-group's int index is built before counting.  A table keyed by
+    (source, family) tuples raised it to 6.4 MB on CPython 3.11."""
+    g = ex.build("oneobj-z3")
+    assert g.int_index
+    gc.collect()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        lv = nv._SegalLevels(g, 3)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert len(lv.mor_names[3]) == 19683
+    assert held < 5_000_000
 
 
 @pytest.mark.parametrize("g", segal_level_two_groups())
@@ -2290,16 +2323,16 @@ def reference_relative_horn_tables(x_bx, p, q):
     for b, hkey in x_bx.face_table(p, q - 1, "h").items():
         bidx.setdefault(hkey, []).append(b)
     va = x_bx.face_table(p - 1, q, "v")
-    a_cands = [(a, [bidx.get(tuple(va[ai][j] for ai in a), [])
-                    for j in range(q + 1)])
-               for a in nv._h_boundary_tuples(x_bx, p, q)]
+    tuples = nv._h_boundary_tuples(x_bx, p, q)
+    cands = [[bidx.get(tuple(va[ai][j] for ai in a), []) for a in tuples]
+             for j in range(q + 1)]
     hf = x_bx.face_table(p, q, "h")
     vf = x_bx.face_table(p, q, "v")
     horn_keys = [{(hf[x], vf[x][:k] + vf[x][k + 1:]) for x in x_bx.level(p, q)}
                  for k in range(q + 1)]
     vfaces = {b: tuple(x_bx.vface[p, q - 1, j][b] for j in range(q))
               for b in x_bx.level(p, q - 1)} if q - 1 >= 1 else {}
-    return a_cands, horn_keys, vfaces
+    return list(zip(*tuples)) or [()] * (p + 1), cands, horn_keys, vfaces
 
 
 @pytest.mark.parametrize("build", fibrancy_cases() + [
@@ -2314,7 +2347,7 @@ def test_relative_horn_tables_match_per_tuple_keys(build):
         # the same tuples, candidate lists and keys, in the same order
         assert got == want
         if want is not None:
-            assert all(type(c) is list for _, c in got[0])
+            assert all(type(c) is list for col in got[1] for c in col)
 
 
 # (iv) candidates tried on segal_nerve(g, 2, 3), per p in (1, 2); every

@@ -25,6 +25,21 @@ def test_standard_simplex_valid():
     assert [len(l) for l in d2.levels] == [3, 6, 10, 15]
 
 
+def test_face_tables_and_indexes_refuse_levels_out_of_range():
+    x = sp.standard_simplex(2, 2)
+    assert x.face_table(0) == {}
+    assert set(x.face_table(2)) == set(x.level(2))
+    assert set(x.face_index(1)) == set(x.face_table(1).values())
+    for k in (-1, 3):
+        with pytest.raises(sp.DimensionOutOfRange):
+            x.face_table(k)
+    for k in (-1, 0, 3):
+        with pytest.raises(sp.DimensionOutOfRange):
+            x.face_index(k)
+        with pytest.raises(sp.DimensionOutOfRange):
+            x.face_index(k, 0)
+
+
 def test_swapped_face_reports_dd_violation():
     d2 = sp.standard_simplex(2, 3)
     face = {k: dict(v) for k, v in d2.face.items()}
