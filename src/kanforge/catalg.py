@@ -177,6 +177,15 @@ class MonoidalStructure:
         return IntIndex(self)
 
     def validate(self):
+        """Every axiom, as a list of messages in check order; empty when
+        the structure is monoidal.  Totality, the endpoints of the
+        tensor, unitors and associators and the invertibility of the
+        coherence morphisms are checked on the dicts.  The equations
+        (functoriality, naturality, pentagon, triangle and the derived
+        unit triangles) are decided on the rows of int_index, over the
+        composable pairs listed once, and a message is made only for a
+        failure.  A stage that fails returns its messages before the
+        next is tried."""
         c = self.base
         errs = list(c.validate())
         if errs:
@@ -199,24 +208,24 @@ class MonoidalStructure:
                     errs.append("tensor of (%s,%s) has wrong endpoints" % (f, g))
         if errs:
             return errs
+        ix = self.int_index
+        obs, mos = ix.objects, ix.morphisms
+        nob, nmo = range(len(obs)), range(len(mos))
+        comp, tm, tobj, ident = ix.comp_rows, ix.tm, ix.tobj, ix.ident
+        src, tgt = ix.src, ix.tgt
         # functoriality
-        for x in c.objects:
-            for y in c.objects:
-                if self.tm(c.id_of(x), c.id_of(y)) != c.id_of(self.t(x, y)):
-                    errs.append("tensor does not preserve identities at (%s,%s)" % (x, y))
-        for f2 in c.morphisms:
-            for f1 in c.morphisms:
-                if not c.composable(f2, f1):
-                    continue
-                for g2 in c.morphisms:
-                    for g1 in c.morphisms:
-                        if not c.composable(g2, g1):
-                            continue
-                        lhs = self.tm(c.comp(f2, f1), c.comp(g2, g1))
-                        rhs = c.comp(self.tm(f2, g2), self.tm(f1, g1))
-                        if lhs != rhs:
-                            errs.append("tensor not functorial at (%s,%s,%s,%s)"
-                                        % (f2, f1, g2, g1))
+        for x in nob:
+            for y in nob:
+                if tm[ident[x]][ident[y]] != ident[tobj[x][y]]:
+                    errs.append("tensor does not preserve identities at (%s,%s)"
+                                % (obs[x], obs[y]))
+        pairs = [(g, f, comp[g][f]) for g in nmo for f in nmo
+                 if src[g] == tgt[f]]
+        for f2, f1, f21 in pairs:
+            for g2, g1, g21 in pairs:
+                if tm[f21][g21] != comp[tm[f2][g2]][tm[f1][g1]]:
+                    errs.append("tensor not functorial at (%s,%s,%s,%s)"
+                                % (mos[f2], mos[f1], mos[g2], mos[g1]))
         # coherence morphisms endpoints + iso
         for x in c.objects:
             lx = self.lunit.get(x)
@@ -247,73 +256,71 @@ class MonoidalStructure:
                 errs.append("associator at %r not invertible" % (key,))
         if errs:
             return errs
+        a, u, lu, ru = ix.assoc, ix.unit, ix.lunit, ix.runit
+        left, right = ix.left, ix.right
         # naturality of a, l, r
-        for f in c.morphisms:
-            x, x2 = c.src[f], c.tgt[f]
-            if c.comp(self.l(x2), f) != c.comp(self.tm(c.id_of(self.unit), f), self.l(x)):
-                errs.append("left unitor not natural at %s" % f)
-            if c.comp(self.r(x2), f) != c.comp(self.tm(f, c.id_of(self.unit)), self.r(x)):
-                errs.append("right unitor not natural at %s" % f)
-        for f in c.morphisms:
-            for g in c.morphisms:
-                for h in c.morphisms:
-                    x, y, z = c.src[f], c.src[g], c.src[h]
-                    x2, y2, z2 = c.tgt[f], c.tgt[g], c.tgt[h]
-                    lhs = c.comp(self.a(x2, y2, z2), self.tm(self.tm(f, g), h))
-                    rhs = c.comp(self.tm(f, self.tm(g, h)), self.a(x, y, z))
-                    if lhs != rhs:
-                        errs.append("associator not natural at (%s,%s,%s)" % (f, g, h))
+        for f in nmo:
+            x, x2 = src[f], tgt[f]
+            if comp[lu[x2]][f] != comp[left[u][f]][lu[x]]:
+                errs.append("left unitor not natural at %s" % mos[f])
+            if comp[ru[x2]][f] != comp[right[u][f]][ru[x]]:
+                errs.append("right unitor not natural at %s" % mos[f])
+        for f in nmo:
+            for g in nmo:
+                a2, a1 = a[tgt[f]][tgt[g]], a[src[f]][src[g]]
+                for h in nmo:
+                    if comp[a2[tgt[h]]][tm[tm[f][g]][h]] != \
+                            comp[tm[f][tm[g][h]]][a1[src[h]]]:
+                        errs.append("associator not natural at (%s,%s,%s)"
+                                    % (mos[f], mos[g], mos[h]))
         # pentagon
-        for w in c.objects:
-            for x in c.objects:
-                for y in c.objects:
-                    for z in c.objects:
-                        top = c.comp(self.a(w, x, self.t(y, z)),
-                                     self.a(self.t(w, x), y, z))
-                        bottom = c.comp(self.tm(c.id_of(w), self.a(x, y, z)),
-                                        c.comp(self.a(w, self.t(x, y), z),
-                                               self.tm(self.a(w, x, y), c.id_of(z))))
+        for w in nob:
+            for x in nob:
+                for y in nob:
+                    for z in nob:
+                        top = comp[a[w][x][tobj[y][z]]][a[tobj[w][x]][y][z]]
+                        bottom = comp[left[w][a[x][y][z]]][
+                            comp[a[w][tobj[x][y]][z]][right[z][a[w][x][y]]]]
                         if top != bottom:
-                            errs.append("pentagon fails at (%s,%s,%s,%s)" % (w, x, y, z))
+                            errs.append("pentagon fails at (%s,%s,%s,%s)"
+                                        % (obs[w], obs[x], obs[y], obs[z]))
         # triangle
-        for x in c.objects:
-            for y in c.objects:
-                lhs = c.comp(self.a(x, self.unit, y),
-                             self.tm(self.r(x), c.id_of(y)))
-                rhs = self.tm(c.id_of(x), self.l(y))
-                if lhs != rhs:
-                    errs.append("triangle fails at (%s,%s)" % (x, y))
+        for x in nob:
+            for y in nob:
+                if comp[a[x][u][y]][right[y][ru[x]]] != left[x][lu[y]]:
+                    errs.append("triangle fails at (%s,%s)" % (obs[x], obs[y]))
         if errs:
             return errs
         # derived consistency checks (consequences of pentagon+triangle)
-        if self.l(self.unit) != self.r(self.unit):
+        if lu[u] != ru[u]:
             errs.append("derived check failed: l_1 != r_1")
-        for x in c.objects:
-            for y in c.objects:
-                lhs = c.comp(self.a(x, y, self.unit), self.r(self.t(x, y)))
-                if lhs != self.tm(c.id_of(x), self.r(y)):
-                    errs.append("derived right-unit triangle fails at (%s,%s)" % (x, y))
-                lhs = c.comp(self.a(self.unit, x, y),
-                             self.tm(self.l(x), c.id_of(y)))
-                if lhs != self.l(self.t(x, y)):
-                    errs.append("derived left-unit triangle fails at (%s,%s)" % (x, y))
+        for x in nob:
+            for y in nob:
+                if comp[a[x][y][u]][ru[tobj[x][y]]] != left[x][ru[y]]:
+                    errs.append("derived right-unit triangle fails at (%s,%s)"
+                                % (obs[x], obs[y]))
+                if comp[a[u][x][y]][right[y][lu[x]]] != lu[tobj[x][y]]:
+                    errs.append("derived left-unit triangle fails at (%s,%s)"
+                                % (obs[x], obs[y]))
         return errs
 
 
 class IntIndex:
-    """A monoidal groupoid on dense ints.
+    """A monoidal category on dense ints.
 
     Objects are numbered in base.objects order and morphisms in
     base.morphisms order (`objects`, `morphisms` and the inverse maps
-    `obj_int`, `mor_int`).  `src`, `tgt`, `inv` and `ident` (the
-    identity of each object) are lists; `comp` maps (g, f) to g.f for
-    composable pairs, `tm` maps (f, g) to f (x) g and `tobj` (x, y) to
-    x (x) y; `unit` is the unit object and `unit_ident` its identity.
-    Built on first use: the tables of the determinant searches
-    (`comp_rows`, the whiskerings `left` and `right`, `assoc`, `homs`,
-    each hom-set in id order, and `tri_cands`, the hom-sets of triangles)
-    and the inverse unitors of the nerve's reindexing (`lunit_inv`,
-    `runit_inv`).
+    `obj_int`, `mor_int`).  `src`, `tgt` and `ident` (the identity of
+    each object) are lists, and `tm[f][g]` = f (x) g and `tobj[x][y]` =
+    x (x) y are rows; `unit` is the unit object and `unit_ident` its
+    identity.  Only the entries a monoidal category must define are
+    read, so an index can be made once the tensor is total.  Built on
+    first use: `comp_rows`, the whiskerings `left` and `right`, `assoc`,
+    the unitors `lunit` and `runit`, the inverses `inv` (which need
+    every morphism invertible) and the inverse unitors of the nerve's
+    reindexing (`lunit_inv`, `runit_inv`), and the tables of the
+    determinant searches (`homs`, each hom-set in id order, and
+    `tri_cands`, the hom-sets of triangles).
     """
 
     def __init__(self, m):
@@ -324,53 +331,63 @@ class IntIndex:
         mi = self.mor_int = {f: i for i, f in enumerate(self.morphisms)}
         self.src = [oi[c.src[f]] for f in self.morphisms]
         self.tgt = [oi[c.tgt[f]] for f in self.morphisms]
-        self.comp = {(mi[b], mi[a]): mi[ba]
-                     for (b, a), ba in c.comp_table.items()}
-        self.inv = [mi[m.mor_inverse(f)] for f in self.morphisms]
-        self.tm = {(mi[a], mi[b]): mi[ab]
-                   for (a, b), ab in m.tensor_mor.items()}
-        self.tobj = {(oi[x], oi[y]): oi[xy]
-                     for (x, y), xy in m.tensor_obj.items()}
+        self.tm = [[mi[m.tensor_mor[f, g]] for g in self.morphisms]
+                   for f in self.morphisms]
+        self.tobj = [[oi[m.tensor_obj[x, y]] for y in self.objects]
+                     for x in self.objects]
         self.ident = [mi[c.id_of(x)] for x in self.objects]
         self.unit = oi[m.unit]
         self.unit_ident = self.ident[self.unit]
-        self._assoc = m.assoc
-        self._lunit, self._runit = m.lunit, m.runit
+        self._m = m
 
     @functools.cached_property
     def comp_rows(self):
         """comp_rows[h][f] = h.f, None where h and f do not compose."""
-        mors = range(len(self.morphisms))
-        return [[self.comp.get((h, f)) for f in mors] for h in mors]
+        mors, mi, comp = self.morphisms, self.mor_int, self._m.base.comp_table
+        return [[mi[comp[h, f]] if x == y else None
+                 for f, y in zip(mors, self.tgt)]
+                for h, x in zip(mors, self.src)]
+
+    @functools.cached_property
+    def inv(self):
+        """inv[f] = f^-1."""
+        return [self.mor_int[self._m.mor_inverse(f)] for f in self.morphisms]
 
     @functools.cached_property
     def left(self):
         """left[x][f] = id_x (x) f."""
-        return [[self.tm[(i, f)] for f in range(len(self.morphisms))]
-                for i in self.ident]
+        return [self.tm[i] for i in self.ident]
 
     @functools.cached_property
     def right(self):
         """right[x][f] = f (x) id_x."""
-        return [[self.tm[(f, i)] for f in range(len(self.morphisms))]
-                for i in self.ident]
+        return [[row[i] for row in self.tm] for i in self.ident]
 
     @functools.cached_property
     def assoc(self):
         """assoc[x][y][z] = a_{x,y,z} : (x (x) y) (x) z -> x (x) (y (x) z)."""
-        objs, mi = self.objects, self.mor_int
-        return [[[mi[self._assoc[(x, y, z)]] for z in objs] for y in objs]
-                for x in objs]
+        objs, mi, a = self.objects, self.mor_int, self._m.assoc
+        return [[[mi[a[x, y, z]] for z in objs] for y in objs] for x in objs]
+
+    @functools.cached_property
+    def lunit(self):
+        """lunit[x] = l_x : x -> 1 (x) x."""
+        return [self.mor_int[self._m.lunit[x]] for x in self.objects]
+
+    @functools.cached_property
+    def runit(self):
+        """runit[x] = r_x : x -> x (x) 1."""
+        return [self.mor_int[self._m.runit[x]] for x in self.objects]
 
     @functools.cached_property
     def lunit_inv(self):
         """lunit_inv[x] = l_x^-1 : 1 (x) x -> x."""
-        return [self.inv[self.mor_int[self._lunit[x]]] for x in self.objects]
+        return [self.inv[f] for f in self.lunit]
 
     @functools.cached_property
     def runit_inv(self):
         """runit_inv[x] = r_x^-1 : x (x) 1 -> x."""
-        return [self.inv[self.mor_int[self._runit[x]]] for x in self.objects]
+        return [self.inv[f] for f in self.runit]
 
     @functools.cached_property
     def homs(self):
@@ -390,7 +407,7 @@ class IntIndex:
         o1, o2."""
         homs, tobj = self.homs, self.tobj
         objs = range(len(self.objects))
-        return [[[homs[tobj[(o2, o0)]][o1] for o2 in objs] for o1 in objs]
+        return [[[homs[tobj[o2][o0]][o1] for o2 in objs] for o1 in objs]
                 for o0 in objs]
 
 

@@ -182,10 +182,14 @@ def cmd_det(args):
     except sp.SearchBudgetExceeded as exc:
         print("budget exceeded: %s" % exc)
         return 2
-    items = [
-        {"D": dict(sorted(d.items())), "T": dict(sorted(t.items()))}
-        for d, t in sorted(dets, key=lambda p: (sorted(p[0].items()),
-                                                sorted(p[1].items())))]
+    except (dt.DeterminantError, sp.DimensionOutOfRange) as exc:
+        # a space that is not reduced, or too shallow for the search
+        raise UsageError(str(exc))
+    # every determinant is defined on every edge and triangle, so its
+    # values over the sorted cells order it as its sorted items would
+    edges, tris = sorted(x.level(1)), sorted(x.level(2))
+    items = [{"D": d, "T": t} for d, t in sorted(dets, key=lambda p: (
+        list(map(p[0].__getitem__, edges)), list(map(p[1].__getitem__, tris))))]
     print(io.canonical_dumps({"count": len(dets), "items": items,
                               "oracle_count": len(homs),
                               "bijection_verified": ok}), end="")
@@ -200,9 +204,13 @@ def cmd_add(args):
     except sp.SearchBudgetExceeded as exc:
         print("budget exceeded: %s" % exc)
         return 2
-    items = [dict(sorted((k, str(v)) for k, v in d.items()))
-             for d in sorted(adds, key=lambda d: sorted(
-                 (k, str(v)) for k, v in d.items()))]
+    except (dt.DeterminantError, sp.DimensionOutOfRange) as exc:
+        # a space that is not reduced, or too shallow for the search
+        raise UsageError(str(exc))
+    # every additive function is defined on every edge (see cmd_det)
+    edges = sorted(x.level(1))
+    items = sorted([str(d[e]) for e in edges] for d in adds)
+    items = [dict(zip(edges, values)) for values in items]
     print(io.canonical_dumps({"count": len(adds), "items": items,
                               "oracle_count": len(homs),
                               "bijection_verified": ok}), end="")

@@ -22,9 +22,18 @@ class DeterminantError(Exception):
 
 def hom_sset(x_sset, y_sset):
     """All simplicial maps at d = X.dim (Y extended coskeletally when
-    flagged and shallower), in deterministic order."""
-    maps = sp.enumerate_maps(x_sset, y_sset, upto=x_sset.dim)
-    return sorted(maps, key=lambda f: f.key())
+    flagged and shallower), in key order: images over sorted cells,
+    level by level (_key_sorted)."""
+    return _key_sorted(sp.enumerate_maps(x_sset, y_sset, upto=x_sset.dim))
+
+
+def _key_sorted(maps):
+    """The SSetMaps maps, all of one source, sorted by _image_key over
+    one _cell_orders list.  That is the order of their sorted (cell,
+    image) items, level by level, without sorting any map's items."""
+    orders = _cell_orders([f.components for f in maps[:1]])
+    maps.sort(key=lambda f: _image_key(f.components, orders))
+    return maps
 
 
 def _post_delta(i, phi):
@@ -65,11 +74,8 @@ class EnrichedHom:
             self._collapsed.append([dict.fromkeys(l, min(l, default=None))
                                     for l in ids])
 
-        self.maps = []
-        for n in range(n_max + 1):
-            found = sp.enumerate_maps(self.quots[n], y_sset, upto=d)
-            found.sort(key=lambda f: f.key())
-            self.maps.append(found)
+        self.maps = [_key_sorted(sp.enumerate_maps(quot, y_sset, upto=d))
+                     for quot in self.quots]
         self.sset = _transported_hom(
             [[f.components for f in found] for found in self.maps],
             self._pull, "h")
@@ -95,9 +101,11 @@ def _pair_id(a, b):
 
 
 def _cell_orders(found):
-    """One fixed cell order per level of the maps of one level of an
-    enriched hom, as (level, sorted cells) pairs in level order; every
-    map of `found` has the levels and cells of the first."""
+    """One fixed cell order per level of the maps found (each a dict
+    level -> dict cell -> image), as (level, sorted cells) pairs in
+    level order; every map of found has the levels and cells of the
+    first, as the maps of one source do.  Every sort of maps, and every
+    map key, reads images over these orders (_image_key)."""
     return [(lvl, sorted(cells)) for lvl, cells in sorted(found[0].items())] \
         if found else []
 
@@ -105,7 +113,9 @@ def _cell_orders(found):
 def _image_key(f, orders, names=None):
     """The images of the map f (dict level -> dict cell -> image) over
     the cells of orders, each under names[level] when given, one tuple
-    per level."""
+    per level.  Over _cell_orders, maps sorted by this key come in the
+    order of their sorted (cell, image) items, level by level, and two
+    maps have equal keys exactly when they are equal."""
     if names is None:
         return tuple([tuple(map(f[lvl].__getitem__, cells))
                       for lvl, cells in orders])
@@ -192,6 +202,7 @@ def additive_vs_hom(x_sset, group):
     homs = hom_sset(x_sset, ner)
     star = x_sset.level(0)[0]
     upper = range(2, x_sset.dim + 1)
+    orders = [(k, sorted(x_sset.level(k))) for k in range(x_sset.dim + 1)]
     # one_object_groupoid lists one morphism per element, in order
     cell1 = dict(zip(group.elements, ner.level(1)))
 
@@ -201,10 +212,11 @@ def additive_vs_hom(x_sset, group):
                  1: {e: cell1[d_fun[e]] for e in x_sset.level(1)}}
         if sp.lift_by_faces(x_sset, ner, comps, upper) is not None:
             return None
-        return tuple(tuple(sorted(comps[k].items())) for k in sorted(comps))
+        return _image_key(comps, orders)
 
-    return adds, homs, bijective([image(d) for d in adds],
-                                 [f.key() for f in homs])
+    return adds, homs, bijective(
+        [image(d) for d in adds],
+        [_image_key(f.components, orders) for f in homs])
 
 
 # -- determinants into a 2-group ---------------------------------------------
@@ -215,7 +227,7 @@ def _natural(ix, h0, h1, h2, s, t):
     morphisms h_i : D(d_i A) -> D'(d_i A) carry s = T(A) to t = T'(A)
     when h_1 . s = t . (h_2 (x) h_0)."""
     comp = ix.comp_rows
-    return comp[h1][s] == comp[t][ix.tm[(h2, h0)]]
+    return comp[h1][s] == comp[t][ix.tm[h2][h0]]
 
 
 def _associative(ix, x01, x12, x23, t0, t1, t2, t3):
@@ -316,21 +328,18 @@ def enumerate_determinants(x_sset, g):
     sp.scheduled_search(edges, lambda e: range(len(objs)), tri_checks,
                         lambda t: stage.hom_set(d_assign, t), d_assign,
                         lambda: stage.run(d_assign, {}, emit, tick), tick)
-    # assert the degeneracy forcing on every result
+    # assert the degeneracy forcing on every result, the inverse unitors
+    # re-derived from g once per object
     s0, s1 = x_sset.degen[1, 0], x_sset.degen[1, 1]
+    l_inv = {x: g.mor_inverse(g.l(x)) for x in g.base.objects}
+    r_inv = {x: g.mor_inverse(g.r(x)) for x in g.base.objects}
     for d_fun, t_fun in results:
         for e in x_sset.level(1):
-            s0e, s1e = s0[e], s1[e]
-            if t_fun[s0e] != g.mor_inverse(g.l(d_fun[e])):
+            if t_fun[s0[e]] != l_inv[d_fun[e]]:
                 raise DeterminantError("degeneracy forcing fails (s0)")
-            if t_fun[s1e] != g.mor_inverse(g.r(d_fun[e])):
+            if t_fun[s1[e]] != r_inv[d_fun[e]]:
                 raise DeterminantError("degeneracy forcing fails (s1)")
     return results
-
-
-def _det_key(d_fun, t_fun):
-    """A determinant (D, T) as a key that does not depend on dict order."""
-    return tuple(sorted(d_fun.items())), tuple(sorted(t_fun.items()))
 
 
 def determinants_vs_hom(x_sset, g):
@@ -344,10 +353,13 @@ def determinants_vs_hom(x_sset, g):
     obj, mor = [dict(zip(ng.level(q), [st[pos] for st in
                                        nv.monoidal_simplices(g, q)]))
                 for q, pos in ((1, 1), (2, 3))]
-    images = [_det_key({e: obj[f(1, e)] for e in x_sset.level(1)},
-                       {t: mor[f(2, t)] for t in x_sset.level(2)})
-              for f in homs]
-    return dets, homs, bijective(images, [_det_key(*det) for det in dets])
+    # a determinant as {1: D, 2: T}, and a map as its (D, T), keyed by
+    # their values over the sorted edges and triangles
+    orders = [(q, sorted(x_sset.level(q))) for q in (1, 2)]
+    names = {1: obj.__getitem__, 2: mor.__getitem__}
+    return dets, homs, bijective(
+        [_image_key(f.components, orders, names) for f in homs],
+        [_image_key({1: d_fun, 2: t_fun}, orders) for d_fun, t_fun in dets])
 
 
 def det_morphisms(x_sset, g, det1, det2):
@@ -455,8 +467,7 @@ def enumerate_segal_determinants(x_bx, g):
     oi, mi, mors = ix.obj_int, ix.mor_int, ix.morphisms
     nsg = nv.nerve_category(g.base, 2)
     col1_t = _column1_2trunc(x_bx)
-    d_maps = sp.enumerate_maps(col1_t, nsg, upto=col1_t.dim)
-    d_maps.sort(key=lambda f: f.key())
+    d_maps = _key_sorted(sp.enumerate_maps(col1_t, nsg, upto=col1_t.dim))
     row = x_bx.row(0)
     squares = _x12_squares(x_bx)
     stage = _TStage(row, ix, squares)

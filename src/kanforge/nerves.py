@@ -158,27 +158,27 @@ def _simplex_keys(g, q):
     if q == 2:
         return [((x01, tgt[al], x12), (al,))
                 for x01 in objs for x12 in objs
-                for al in out_of[tobj[(x01, x12)]]]
+                for al in out_of[tobj[x01][x12]]]
     if q != 3:
         raise NerveError("structural simplices stop at dimension 3")
-    comp, tm, ident = ix.comp, ix.tm, ix.ident
+    comp, tm, ident = ix.comp_rows, ix.tm, ix.ident
     out = []
     for x01 in objs:
         for x12 in objs:
             for x23 in objs:
                 a = ix.assoc[x01][x12][x23]
-                for al012 in out_of[tobj[(x01, x12)]]:
+                for al012 in out_of[tobj[x01][x12]]:
                     x02 = tgt[al012]
-                    rhs_right = tm[(al012, ident[x23])]
-                    for al123 in out_of[tobj[(x12, x23)]]:
+                    rhs_right = tm[al012][ident[x23]]
+                    for al123 in out_of[tobj[x12][x23]]:
                         x13 = tgt[al123]
-                        lhs_right = comp[(tm[(ident[x01], al123)], a)]
-                        for al023 in out_of[tobj[(x02, x23)]]:
+                        lhs_right = comp[tm[ident[x01]][al123]][a]
+                        for al023 in out_of[tobj[x02][x23]]:
                             x03 = tgt[al023]
-                            rhs = comp[(al023, rhs_right)]
+                            rhs = comp[al023][rhs_right]
                             # equal composites also have equal targets
-                            for al013 in out_of[tobj[(x01, x13)]]:
-                                if comp[(al013, lhs_right)] == rhs:
+                            for al013 in out_of[tobj[x01][x13]]:
+                                if comp[al013][lhs_right] == rhs:
                                     out.append(((x01, x02, x03, x12, x13, x23),
                                                 (al012, al013, al023, al123)))
     return out
@@ -867,7 +867,7 @@ class _SegalLevels:
             names += map(("f(" + obj_names[s] + "|").__add__, joined[objs])
         rows, at, mors = ix.comp_rows, operator.getitem, range(len(ix.src))
         # the tensor row table, inverted: tinv[f][h] = (f (x) h)^-1
-        tinv = [[ix.inv[ix.tm[(f, h)]] for h in mors] for f in mors]
+        tinv = [list(map(ix.inv.__getitem__, row)) for row in ix.tm]
         tgt = [map(ix.tgt.__getitem__, col) for col in fam]
         for t, (i, j, k) in enumerate(_triples(q)):
             ij, jk, ik = slot[(i, j)], slot[(j, k)], slot[(i, k)]

@@ -1204,10 +1204,6 @@ class SSetMap:
     def __call__(self, k, s):
         return self.components[k][s]
 
-    def key(self):
-        return tuple(tuple(sorted(self.components[k].items()))
-                     for k in sorted(self.components))
-
     def is_iso(self):
         return all(bijective(comp.values(), self.dst.level(k))
                    for k, comp in self.components.items())

@@ -1,11 +1,14 @@
 """Reference maps that only the tests read: alpha^m as a dict, the Kan
 rows by their definition, the Kan report over every checkable dimension,
-the diagonal of a bisimplicial set, the enriched-hom builder keyed by
-sorted map items, the retraction check of the shift (decalage) and the
-translation check of a 2-group."""
+the diagonal of a bisimplicial set, the key of a map by its sorted
+items, the enriched-hom builder keyed by sorted map items, the
+retraction check of the shift (decalage), the translation check of a
+2-group, the 2-groups K(Z/2, Z/2) with given coherence data, and the
+string-keyed monoidal validation."""
 
 import itertools
 
+from kanforge import catalg as ca
 from kanforge import determinants as dt
 from kanforge import groups as gr
 from kanforge import simplicial as sp
@@ -135,6 +138,13 @@ def diag(bx):
         dst=getattr(bx, "v" + name)[n + sp.STEPS[name], n, i]))
 
 
+def map_key(f):
+    """The SSetMap f as its sorted (cell, image) items, level by level:
+    the key every sort of maps reproduces without sorting items."""
+    return tuple(tuple(sorted(f.components[k].items()))
+                 for k in sorted(f.components))
+
+
 def canon(comps):
     """A map given as dict level -> dict cell -> image, as a sortable
     key that does not depend on dict order: its sorted items per level."""
@@ -229,3 +239,175 @@ def translation_bijectivity_check(g):
                 if len(rt) != len(homs):
                     return False
     return True
+
+
+def k22_monoidal(w, lunit, runit, name):
+    """The monoidal groupoid K(Z/2, Z/2): objects o0, o1, Aut(x) = Z/2
+    (morphism k<x>_<a>), tensor (x, a) (x) (y, b) = (x + y, a + b), unit
+    o0, with a_{x,y,z} = (x + y + z, w(x, y, z)), l_x = (x, lunit(x))
+    and r_x = (x, runit(x)).  Not validated: a w that is not a
+    normalised 3-cocycle breaks the pentagon or the triangle."""
+    els = (0, 1)
+
+    def mor(x, a):
+        return "k%d_%d" % (x, a)
+
+    objs = ["o%d" % x for x in els]
+    morphs = [mor(x, a) for x in els for a in els]
+    src = {mor(x, a): objs[x] for x in els for a in els}
+    comp = {(mor(x, b), mor(x, a)): mor(x, (a + b) % 2)
+            for x in els for a in els for b in els}
+    base = ca.FinGroupoid(objs, morphs, src, dict(src),
+                          {objs[x]: mor(x, 0) for x in els}, comp,
+                          inv={f: f for f in morphs}, name="K(Z2,Z2)")
+    tobj = {(objs[x], objs[y]): objs[(x + y) % 2] for x in els for y in els}
+    tmor = {(mor(x, a), mor(y, b)): mor((x + y) % 2, (a + b) % 2)
+            for x in els for a in els for y in els for b in els}
+    assoc = {(objs[x], objs[y], objs[z]): mor((x + y + z) % 2, w(x, y, z))
+             for x in els for y in els for z in els}
+    return ca.MonoidalStructure(
+        base, tobj, tmor, objs[0], assoc,
+        {objs[x]: mor(x, lunit(x)) for x in els},
+        {objs[x]: mor(x, runit(x)) for x in els}, name=name)
+
+
+def unitor_twisted_monoidal():
+    """K(Z/2, Z/2) with the coboundary associator w = dc of the 2-cochain
+    c(x, y) = [x != 0 and y == 0]: l_x = c(0, x) = id and r_x = c(x, 0),
+    so r_1 is not an identity while l_1 is."""
+    def c(x, y):
+        return int(x != 0 and y == 0)
+
+    def dc(x, y, z):
+        return (c(y, z) + c((x + y) % 2, z) + c(x, (y + z) % 2) + c(x, y)) % 2
+
+    return k22_monoidal(dc, lambda x: c(0, x), lambda x: c(x, 0),
+                        "K(Z2,Z2)-dc")
+
+
+def monoidal_errors(m):
+    """MonoidalStructure.validate as it was before it ran on int rows: a
+    frozen copy that decides every axiom through the string-keyed
+    shorthands t, tm, a, l, r and mor_inverse, in the same order and
+    with the same messages."""
+    c = m.base
+    errs = list(c.validate())
+    if errs:
+        return errs
+    for x in c.objects:
+        for y in c.objects:
+            if (x, y) not in m.tensor_obj or m.t(x, y) not in c.objects:
+                errs.append("tensor undefined on (%s,%s)" % (x, y))
+    if m.unit not in c.objects:
+        errs.append("unit %s is not an object" % (m.unit,))
+    if errs:
+        return errs
+    for f in c.morphisms:
+        for g in c.morphisms:
+            fg = m.tensor_mor.get((f, g))
+            if fg is None:
+                errs.append("tensor undefined on morphisms (%s,%s)" % (f, g))
+            elif c.src.get(fg) != m.t(c.src[f], c.src[g]) or \
+                    c.tgt.get(fg) != m.t(c.tgt[f], c.tgt[g]):
+                errs.append("tensor of (%s,%s) has wrong endpoints" % (f, g))
+    if errs:
+        return errs
+    # functoriality
+    for x in c.objects:
+        for y in c.objects:
+            if m.tm(c.id_of(x), c.id_of(y)) != c.id_of(m.t(x, y)):
+                errs.append("tensor does not preserve identities at (%s,%s)" % (x, y))
+    for f2 in c.morphisms:
+        for f1 in c.morphisms:
+            if not c.composable(f2, f1):
+                continue
+            for g2 in c.morphisms:
+                for g1 in c.morphisms:
+                    if not c.composable(g2, g1):
+                        continue
+                    lhs = m.tm(c.comp(f2, f1), c.comp(g2, g1))
+                    rhs = c.comp(m.tm(f2, g2), m.tm(f1, g1))
+                    if lhs != rhs:
+                        errs.append("tensor not functorial at (%s,%s,%s,%s)"
+                                    % (f2, f1, g2, g1))
+    # coherence morphisms endpoints + iso
+    for x in c.objects:
+        lx = m.lunit.get(x)
+        rx = m.runit.get(x)
+        if c.src.get(lx) != x or c.tgt[lx] != m.t(m.unit, x):
+            errs.append("left unitor of %s malformed" % x)
+        if c.src.get(rx) != x or c.tgt[rx] != m.t(x, m.unit):
+            errs.append("right unitor of %s malformed" % x)
+    for x in c.objects:
+        for y in c.objects:
+            for z in c.objects:
+                axyz = m.assoc.get((x, y, z))
+                if c.src.get(axyz) != m.t(m.t(x, y), z) or \
+                   c.tgt[axyz] != m.t(x, m.t(y, z)):
+                    errs.append("associator of (%s,%s,%s) malformed" % (x, y, z))
+    if errs:
+        return errs
+    for x in c.objects:
+        try:
+            m.mor_inverse(m.l(x))
+            m.mor_inverse(m.r(x))
+        except ca.CatError:
+            errs.append("unitor at %s not invertible" % x)
+    for key in m.assoc:
+        try:
+            m.mor_inverse(m.assoc[key])
+        except ca.CatError:
+            errs.append("associator at %r not invertible" % (key,))
+    if errs:
+        return errs
+    # naturality of a, l, r
+    for f in c.morphisms:
+        x, x2 = c.src[f], c.tgt[f]
+        if c.comp(m.l(x2), f) != c.comp(m.tm(c.id_of(m.unit), f), m.l(x)):
+            errs.append("left unitor not natural at %s" % f)
+        if c.comp(m.r(x2), f) != c.comp(m.tm(f, c.id_of(m.unit)), m.r(x)):
+            errs.append("right unitor not natural at %s" % f)
+    for f in c.morphisms:
+        for g in c.morphisms:
+            for h in c.morphisms:
+                x, y, z = c.src[f], c.src[g], c.src[h]
+                x2, y2, z2 = c.tgt[f], c.tgt[g], c.tgt[h]
+                lhs = c.comp(m.a(x2, y2, z2), m.tm(m.tm(f, g), h))
+                rhs = c.comp(m.tm(f, m.tm(g, h)), m.a(x, y, z))
+                if lhs != rhs:
+                    errs.append("associator not natural at (%s,%s,%s)" % (f, g, h))
+    # pentagon
+    for w in c.objects:
+        for x in c.objects:
+            for y in c.objects:
+                for z in c.objects:
+                    top = c.comp(m.a(w, x, m.t(y, z)),
+                                 m.a(m.t(w, x), y, z))
+                    bottom = c.comp(m.tm(c.id_of(w), m.a(x, y, z)),
+                                    c.comp(m.a(w, m.t(x, y), z),
+                                           m.tm(m.a(w, x, y), c.id_of(z))))
+                    if top != bottom:
+                        errs.append("pentagon fails at (%s,%s,%s,%s)" % (w, x, y, z))
+    # triangle
+    for x in c.objects:
+        for y in c.objects:
+            lhs = c.comp(m.a(x, m.unit, y),
+                         m.tm(m.r(x), c.id_of(y)))
+            rhs = m.tm(c.id_of(x), m.l(y))
+            if lhs != rhs:
+                errs.append("triangle fails at (%s,%s)" % (x, y))
+    if errs:
+        return errs
+    # derived consistency checks (consequences of pentagon+triangle)
+    if m.l(m.unit) != m.r(m.unit):
+        errs.append("derived check failed: l_1 != r_1")
+    for x in c.objects:
+        for y in c.objects:
+            lhs = c.comp(m.a(x, y, m.unit), m.r(m.t(x, y)))
+            if lhs != m.tm(c.id_of(x), m.r(y)):
+                errs.append("derived right-unit triangle fails at (%s,%s)" % (x, y))
+            lhs = c.comp(m.a(m.unit, x, y),
+                         m.tm(m.l(x), c.id_of(y)))
+            if lhs != m.l(m.t(x, y)):
+                errs.append("derived left-unit triangle fails at (%s,%s)" % (x, y))
+    return errs

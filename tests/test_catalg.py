@@ -3,8 +3,10 @@ import pytest
 from kanforge import catalg as ca
 from kanforge import groups as gr
 from kanforge import examples as ex
+from kanforge import serialize as io
 
-from reference import translation_bijectivity_check
+from reference import (k22_monoidal, monoidal_errors,
+                       translation_bijectivity_check, unitor_twisted_monoidal)
 
 
 def test_one_object_groupoid_valid():
@@ -172,3 +174,192 @@ def test_skeleton_inclusion_is_weak_equivalence():
     incl = ca.LaxUnitaryFunctor(d2, infl, obj, mor, m, name="skeleton")
     assert incl.validate() == []
     assert ca.is_weak_equivalence(incl)
+
+
+# -- monoidal validation on int rows against the string-keyed reference -----
+
+
+def rebuilt(m, **changes):
+    """A fresh MonoidalStructure with m's data, each field of changes
+    (tensor_obj, tensor_mor, assoc, lunit, runit: a dict of entries to
+    set, None to delete; unit, base: a value) applied."""
+    fields = {}
+    for key in ("tensor_obj", "tensor_mor", "assoc", "lunit", "runit"):
+        table = dict(getattr(m, key))
+        for k, v in changes.get(key, {}).items():
+            if v is None:
+                del table[k]
+            else:
+                table[k] = v
+        fields[key] = table
+    return ca.MonoidalStructure(
+        changes.get("base", m.base), fields["tensor_obj"],
+        fields["tensor_mor"], changes.get("unit", m.unit), fields["assoc"],
+        fields["lunit"], fields["runit"], name=m.name)
+
+
+def monoid_category(lunit="1", assoc="1"):
+    """The commutative monoid {1, e}, e e = e, as a one-object category
+    (not a groupoid: e has no inverse), monoidal under its product, with
+    the given unitors and associator."""
+    mul = {("1", "1"): "1", ("1", "e"): "e", ("e", "1"): "e",
+           ("e", "e"): "e"}
+    base = ca.FinCategory(["*"], ["1", "e"], {"1": "*", "e": "*"},
+                          {"1": "*", "e": "*"}, {"*": "1"}, mul)
+    return ca.MonoidalStructure(base, {("*", "*"): "*"}, mul, "*",
+                                {("*", "*", "*"): assoc}, {"*": lunit},
+                                {"*": "1"}, name="M(1,e)")
+
+
+def max_monoid():
+    """The max monoid on {0, 1} as a discrete monoidal groupoid (from
+    test_certify_failure_names_noninvertible_object)."""
+    objs, morphs = ["n0", "n1"], ["e0", "e1"]
+    src = {"e0": "n0", "e1": "n1"}
+    ident = {"n0": "e0", "n1": "e1"}
+    base = ca.FinGroupoid(objs, morphs, src, dict(src), ident,
+                          {(m, m): m for m in morphs},
+                          inv={m: m for m in morphs})
+    mx = {("n0", "n0"): "n0", ("n0", "n1"): "n1",
+          ("n1", "n0"): "n1", ("n1", "n1"): "n1"}
+    return ca.MonoidalStructure(
+        base, mx, {(ident[a], ident[b]): ident[mx[(a, b)]]
+                   for a in objs for b in objs}, "n0",
+        {(a, b, c): ident[mx[(mx[(a, b)], c)]]
+         for a in objs for b in objs for c in objs},
+        {a: ident[a] for a in objs}, {a: ident[a] for a in objs})
+
+
+def oneobj_twisted_tensor(scale_left, scale_right):
+    """OneObj(Z/3) with f (x) g = scale_left f + scale_right g: a functor
+    (a homomorphism Z/3 x Z/3 -> Z/3) whose unit whiskering is not the
+    identity unless its scale is 1."""
+    g = ca.one_object_two_group(gr.cyclic(3))
+    return rebuilt(g, tensor_mor={
+        ("m%d" % a, "m%d" % b): "m%d" % ((scale_left * a + scale_right * b) % 3)
+        for a in range(3) for b in range(3)})
+
+
+def indiscrete_z2():
+    """The indiscrete groupoid on {0, 1} under x (x) y = x + y mod 2: every
+    diagram commutes, as hom-sets are singletons, and the tensor tells
+    isomorphic objects apart."""
+    base = ca.indiscrete_groupoid(["0", "1"])
+
+    def one(x, y):
+        return "<%s<%s>" % (y, x)
+
+    def add(*xs):
+        return str(sum(map(int, xs)) % 2)
+
+    objs = base.objects
+    return ca.MonoidalStructure(
+        base, {(x, y): add(x, y) for x in objs for y in objs},
+        {(f, g): one(add(base.src[f], base.src[g]),
+                     add(base.tgt[f], base.tgt[g]))
+         for f in base.morphisms for g in base.morphisms}, "0",
+        {(x, y, z): one(add(x, y, z), add(x, y, z))
+         for x in objs for y in objs for z in objs},
+        {x: one(x, x) for x in objs}, {x: one(x, x) for x in objs},
+        name="Indisc(Z2)")
+
+
+def monoidal_cases():
+    """(name, structure, the message family its errors must hold; None
+    for a valid structure)."""
+    d2 = ex.build("disc-z2")
+    o2 = ca.one_object_two_group(gr.cyclic(2))
+    o3 = ca.one_object_two_group(gr.cyclic(3))
+    b3 = o3.base
+    broken_base = ca.FinGroupoid(b3.objects, b3.morphisms, b3.src, b3.tgt,
+                                 b3.ident, {**b3.comp_table,
+                                            ("m1", "m1"): "m0"},
+                                 inv=b3.inv_table)
+    out = [(name, ex.build(name), None) for name in ex.example_ids()
+           if isinstance(ex.build(name), ca.MonoidalStructure)]
+    out += [
+        ("disc-s3", ca.discrete_two_group(gr.symmetric(3)), None),
+        ("unitor-twisted", unitor_twisted_monoidal(), None),
+        ("max-monoid", max_monoid(), None),
+        ("monoid-category", monoid_category(), None),
+        ("indiscrete-z2", indiscrete_z2(), None),
+        ("base", rebuilt(o3, base=broken_base), "associativity fails"),
+        ("tensor-obj", rebuilt(d2, tensor_obj={("o0", "o1"): None}),
+         "tensor undefined on ("),
+        ("unit", rebuilt(d2, unit="zz"), "unit zz is not an object"),
+        ("tensor-mor", rebuilt(d2, tensor_mor={("i0", "i1"): None}),
+         "tensor undefined on morphisms"),
+        ("tensor-mor-ends", rebuilt(d2, tensor_mor={("i0", "i1"): "i0"}),
+         "has wrong endpoints"),
+        ("identities", rebuilt(o2, tensor_mor={("m0", "m0"): "m1"}),
+         "tensor does not preserve identities"),
+        ("functorial", rebuilt(o3, tensor_mor={("m1", "m1"): "m0"}),
+         "tensor not functorial"),
+        ("lunit-ends", rebuilt(d2, lunit={"o1": "i0"}),
+         "left unitor of o1 malformed"),
+        ("runit-ends", rebuilt(d2, runit={"o0": None}),
+         "right unitor of o0 malformed"),
+        ("assoc-ends", rebuilt(d2, assoc={("o0", "o0", "o1"): "i0"}),
+         "associator of (o0,o0,o1) malformed"),
+        ("unitor-iso", monoid_category(lunit="e"),
+         "unitor at * not invertible"),
+        ("assoc-iso", monoid_category(assoc="e"),
+         "associator at ('*', '*', '*') not invertible"),
+        ("lunit-natural", oneobj_twisted_tensor(1, 2),
+         "left unitor not natural"),
+        ("runit-natural", oneobj_twisted_tensor(2, 1),
+         "right unitor not natural"),
+        ("assoc-natural", oneobj_twisted_tensor(1, 2),
+         "associator not natural"),
+        ("pentagon", k22_monoidal(lambda x, y, z: x * y, lambda x: 0,
+                                  lambda x: 0, "xy"), "pentagon fails"),
+        ("triangle", rebuilt(o2, lunit={"*": "m1"}), "triangle fails"),
+    ]
+    # The derived checks (l_1 = r_1 and the two unit triangles) follow
+    # from the checks before them (Kelly, J. Algebra 1, 1964), so no
+    # structure that passes those reaches their messages.
+    return out
+
+
+@pytest.mark.parametrize("name,m,family", monoidal_cases(),
+                         ids=[case[0] for case in monoidal_cases()])
+def test_monoidal_validation_matches_string_keyed_reference(name, m, family):
+    want = monoidal_errors(m)
+    assert m.validate() == want
+    if family is None:
+        assert want == []
+        return
+    assert any(family in e for e in want)
+    with pytest.raises(ca.CatError) as exc:
+        ca.certify_two_group(m)
+    assert str(exc.value) == "monoidal validation failed: %s" % want[0]
+
+
+@pytest.mark.parametrize("name,m,family", [
+    case for case in monoidal_cases() if case[2] is not None],
+    ids=[case[0] for case in monoidal_cases() if case[2] is not None])
+def test_two_group_documents_report_the_first_reference_error(name, m,
+                                                              family):
+    # the document is written from m's dicts, so entries a mutation
+    # dropped are missing from it too
+    doc = {"format": 1, "kind": "two_group",
+           "base": io.category_to_doc(m.base), "unit_object": m.unit,
+           "tensor": {"objects": [[*k, v] for k, v in m.tensor_obj.items()],
+                      "morphisms": [[*k, v]
+                                    for k, v in m.tensor_mor.items()]},
+           "assoc": [[*k, v] for k, v in m.assoc.items()],
+           "lunit": m.lunit, "runit": m.runit}
+    first = monoidal_errors(m)[0]
+    if m.base.validate():
+        want = "category axioms fail: %s" % first
+    else:
+        want = "2-group certification fails: monoidal validation failed: " \
+            "%s" % first
+    with pytest.raises(io.ParseError) as exc:
+        io.two_group_from_doc(doc)
+    assert str(exc.value) == want
+    with pytest.raises(io.ParseError) as exc:
+        io.two_group_from_doc({**doc, "kind": "monoidal"})
+    assert str(exc.value) == want.replace(
+        "2-group certification fails: monoidal validation failed",
+        "monoidal axioms fail")

@@ -1,4 +1,5 @@
 import inspect
+import random
 
 import pytest
 
@@ -9,6 +10,10 @@ from kanforge import nerves as nv
 from kanforge import determinants as dt
 from kanforge import groups as gr
 from kanforge import examples as ex
+from kanforge import serialize as io
+from kanforge import cli
+
+from reference import map_key, unitor_twisted_monoidal
 
 
 def test_additive_counts_on_circle():
@@ -48,6 +53,16 @@ def test_determinant_forcing_lemma_asserted():
     d_fun, t_fun = dets[0]
     loop = [e for e in s1.level(1) if e != s1.degen[0, 0][s1.level(0)[0]]][0]
     assert t_fun[s1.degen[1, 0][loop]] == g.mor_inverse(g.l(d_fun[loop]))
+    # in the unitor-twisted 2-group l_o1 != r_o1, so T(s_0 A) and T(s_1 A)
+    # differ where D(A) = o1
+    g = ca.certify_two_group(unitor_twisted_monoidal())
+    s0, s1_ = s1.degen[1, 0][loop], s1.degen[1, 1][loop]
+    twisted = [t_fun for d_fun, t_fun in dt.enumerate_determinants(s1, g)
+               if d_fun[loop] == "o1"]
+    assert twisted and all(
+        (t_fun[s0], t_fun[s1_]) == (g.mor_inverse(g.l("o1")),
+                                    g.mor_inverse(g.r("o1")))
+        and t_fun[s0] != t_fun[s1_] for t_fun in twisted)
 
 
 def test_det_morphisms_identity_and_disc():
@@ -246,3 +261,98 @@ def test_grho_names_a_failed_homomorphism_once(monkeypatch, name, m, want):
     monkeypatch.setattr(sp, "pi_with_classes", pi_replaced(m, unit_moved))
     errs, _ = dt.grho_check(ex.build(name))
     assert errs == [want]
+
+
+# -- map order does not depend on the order of the source's levels -----------
+
+
+def permuted(x, seed):
+    """x with every level list in a seeded order, and the same ids,
+    tables, base and coskeletal flag."""
+    rng = random.Random(seed)
+    levels = [rng.sample(list(cells), len(cells)) for cells in x.levels]
+    return sp.build_sset(x.dim, levels,
+                         lambda name, k, i: getattr(x, name)[k, i],
+                         x.coskeletal_at, x.base)
+
+
+def permuted_spaces():
+    """(name, space, its permuted copy) for the reduced test spaces and
+    t12."""
+    spaces = ex.reduced_test_spaces() + [("t12", ex.build("t12"))]
+    return [(name, x, permuted(x, seed))
+            for seed, (name, x) in enumerate(spaces)]
+
+
+def keys(maps):
+    return [map_key(f) for f in maps]
+
+
+def test_map_order_does_not_depend_on_level_order(monkeypatch):
+    # each sort must equal a sort by the maps' sorted items, on the
+    # permuted copy as on the space; `unsorted` counts the searches
+    # whose own order differs from that, so the test is not vacuous
+    unsorted = {"hom_sset": 0, "enriched_hom0": 0, "segal": 0}
+    groups = [ex.build("disc-z2"), ex.build("oneobj-z2")]
+    quotient = sp.quotient_by_subcomplex
+    for name, x, px in permuted_spaces():
+        for g in groups:
+            ng = nv.nerve_2group(g, 3)
+            searched = keys(sp.enumerate_maps(px, ng, upto=px.dim))
+            assert keys(dt.hom_sset(px, ng)) == sorted(searched) == \
+                keys(dt.hom_sset(x, ng))
+            unsorted["hom_sset"] += searched != sorted(searched)
+            if name == "t12":
+                continue
+            # the quotients an enriched hom searches list their cells
+            # sorted, whatever the order of X, so they are permuted too
+            eh = dt.EnrichedHom(x, ng, 1)
+            monkeypatch.setattr(sp, "quotient_by_subcomplex",
+                                lambda *args: permuted(quotient(*args), 2))
+            peh = dt.EnrichedHom(px, ng, 1)
+            monkeypatch.undo()
+            for n in range(2):
+                searched = keys(sp.enumerate_maps(peh.quots[n], ng,
+                                                  upto=px.dim))
+                assert keys(peh.maps[n]) == sorted(searched) == \
+                    keys(eh.maps[n])
+                unsorted["enriched_hom0"] += searched != sorted(searched)
+            assert (peh.sset.levels, peh.sset.face, peh.sset.degen) == \
+                (eh.sset.levels, eh.sset.face, eh.sset.degen)
+            bx, pbx = nv.p2_star(x, 2), nv.p2_star(px, 2)
+            col = dt._column1_2trunc(pbx)
+            searched = keys(sp.enumerate_maps(col, nv.nerve_category(
+                g.base, 2), upto=col.dim))
+            unsorted["segal"] += searched != sorted(searched)
+            got = [(map_key(dm), sorted(t.items()))
+                   for dm, t in dt.enumerate_segal_determinants(pbx, g)]
+            want = [(map_key(dm), sorted(t.items()))
+                    for dm, t in dt.enumerate_segal_determinants(bx, g)]
+            assert [k for k, _ in got] == sorted(k for k, _ in got)
+            assert sorted(got) == sorted(want)
+    assert all(unsorted.values()), unsorted
+
+
+def test_det_and_add_output_does_not_depend_on_level_order(tmp_path, capsys):
+    def path(name, obj):
+        out = tmp_path / ("%s.json" % name)
+        out.write_text(io.dumps(obj), encoding="utf-8")
+        return str(out)
+
+    unsorted = 0
+    for name, x, px in permuted_spaces():
+        spaces = [path(name, x), path(name + "-permuted", px)]
+        for verb, group in (("det", "disc-z2"), ("det", "oneobj-z2"),
+                            ("add", "z3")):
+            outputs = []
+            for space in spaces:
+                assert cli.main([verb, space, path(group, ex.build(group))]) \
+                    == 0
+                outputs.append(capsys.readouterr().out)
+            assert outputs[0] == outputs[1]
+            if verb == "det":
+                dets = dt.enumerate_determinants(px, ex.build(group))
+                found = [(sorted(d.items()), sorted(t.items()))
+                         for d, t in dets]
+                unsorted += found != sorted(found)
+    assert unsorted

@@ -266,6 +266,30 @@ def test_cli_add_and_det_reject_a_space_that_breaks_the_identities(
         assert_refused(path, capsys)
 
 
+def truncated(tmp_path, name, dim):
+    path = tmp_path / ("%s-%d.json" % (name, dim))
+    path.write_text(io.dumps(sp.truncate(ex.build(name), dim)),
+                    encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("verb,group,space,message", [
+    ("det", "disc-z2", "delta2", "determinants need a reduced complex"),
+    ("add", "z2", "delta2", "additive functions need a reduced complex"),
+    ("det", "disc-z2", ("s1", 2), "determinants need dim >= 3"),
+    ("add", "z2", ("s1", 1), "additive functions need dim >= 2")])
+def test_cli_add_and_det_refuse_a_space_the_search_does_not_fit(
+        tmp_path, capsys, verb, group, space, message):
+    # a simplicial set that is not reduced, or is truncated below the
+    # dimension the search reads, is an input error
+    path = (truncated(tmp_path, *space) if isinstance(space, tuple)
+            else dump(tmp_path, space))
+    assert cli.main([verb, path, dump(tmp_path, group)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s\n" % message
+
+
 def test_cli_cosq_and_loop_reject_a_space_that_breaks_the_identities(
         tmp_path, capsys):
     # both constructions read faces and degeneracies as a simplicial set's,
