@@ -28,6 +28,7 @@ class FinCategory:
         self.ident = dict(ident)
         self.comp_table = dict(comp)    # (g, f) -> g.f for composable pairs
         self.name = name
+        self._violations = None
 
     def comp(self, g, f):
         return self.comp_table[(g, f)]
@@ -43,6 +44,14 @@ class FinCategory:
                       if self.src[f] == x and self.tgt[f] == y)
 
     def validate(self):
+        """The failed axioms, as a list of messages in check order; empty
+        for a category.  A category is never changed once made, so they
+        are found once (_check) and copied on each call."""
+        if self._violations is None:
+            self._violations = tuple(self._check())
+        return list(self._violations)
+
+    def _check(self):
         errs = []
         for x in self.objects:
             e = self.ident.get(x)
@@ -101,8 +110,8 @@ class FinGroupoid(FinCategory):
     def inv(self, f):
         return self.inv_table[f]
 
-    def validate(self):
-        errs = super().validate()
+    def _check(self):
+        errs = super()._check()
         if errs:
             return errs
         for f in self.morphisms:

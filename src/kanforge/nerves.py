@@ -770,6 +770,46 @@ def p2_star(k_sset, pmax):
 
 # -- the Segal nerve ---------------------------------------------------------
 
+# The digits that fix a target q-simplex, grouped by the family slots
+# they read, per group (slots, spine slots, key triple): the targets of
+# the arrows at the spine slots (X_01, X_12, X_23), then the pairing
+# morphism be of the key triple (ij, jk, ik, t), triple t of _triples(q)
+# with its pairs at slots ij, jk and ik (be_012, be_123, be_023).  X_02,
+# X_13 and X_03 are the targets of those be, and be_013 follows from the
+# associativity square.
+_TARGET_DIGITS = {0: [((), (), None)], 1: [((0,), (0,), None)],
+                  2: [((0, 1, 2), (0, 2), (0, 2, 1, 0))],
+                  3: [((0, 1, 3), (0, 3), (0, 3, 1, 0)),
+                      ((3, 4, 5), (5,), (3, 5, 4, 3)),
+                      ((1, 2, 5), (), (1, 5, 2, 2))]}
+
+
+def _pack(d, digits, base):
+    """The code of the digits of group d: read in base `base` (every
+    digit is below it) and shifted past the at most three digits of each
+    earlier group, so that distinct keys sum to distinct codes."""
+    return functools.reduce(lambda c, v: c * base + v, digits, 0) * \
+        base ** (3 * d)
+
+
+def _digit_column(ix, tinv, arrows, groups, d, al):
+    """The code of the digits of group d of groups (_TARGET_DIGITS) for
+    each family of a source whose slot-n arrows run through arrows[n], in
+    product order: a table over the group's slots, expanded to every slot
+    by sp.product_column.  al is the source's pairing morphism of the
+    group's key triple, tinv the tensor row table inverted."""
+    slots, spine, triple = groups[d]
+    rows, table = ix.comp_rows, []
+    for fs in itertools.product(*[arrows[n] for n in slots]):
+        f = dict(zip(slots, fs))
+        digits = [ix.tgt[f[n]] for n in spine]
+        if triple:
+            ij, jk, ik, _ = triple
+            # be = f_ik . al . (f_ij (x) f_jk)^-1
+            digits.append(rows[rows[f[ik]][al]][tinv[f[ij]][f[jk]]])
+        table.append(_pack(d, digits, len(ix.src)))
+    return sp.product_column(table, list(map(len, arrows)), slots)
+
 
 class _SegalLevels:
     """The groupoids of q-simplices of a 2-group (q <= 3) on dense ints.
@@ -780,24 +820,27 @@ class _SegalLevels:
     one column per slot (fam[q][n][m] is the slot-n arrow of morphism m).
     Morphisms are numbered in the string order of their ids, so the
     p-chains of morphism ints in lexicographic order are level (p, q) of
-    the Segal nerve in level order.  A (source, family) is found by
-    arithmetic (index): its place in product order, where each source's
+    the Segal nerve in level order.  In product order, each source's
     families run through the arrows out of its objects as
-    itertools.product does, is the source's start plus, per slot, the
-    arrow's offset among the arrows out of its source object times the
-    slot's stride at that source; the rank list of q maps the place to
-    the morphism int.  A level of p >= 1 is held as p columns of morphism
-    ints, first arrow first (chain_columns).  A chain's place in its
-    level is a sum of one weight per slot (chain_places), read from the
-    counts of chains that start at each object (chain_counts): its first
-    arrow m weighs the number of chains whose first arrow is below m,
-    and each later arrow the number of chains that agree with it up to
-    that slot and take an arrow below it there, out of the same object.
-    String ids are made once per object and morphism, and for a level
-    only by namer; composition (composite, a column at a time) and the
-    operator tables map ints to ints, each table built once per
-    (operator, q).  The base groupoid's ints are the 2-group's shared
-    g.int_index (catalg.IntIndex).
+    itertools.product does, one run of places per source; a quantity
+    that reads a few slots of a family is a small table per source over
+    those slots, expanded to the run by list repetition
+    (sp.product_column), and the rank list of q maps a place to its
+    morphism int.  A (source, family) is found by arithmetic (index): its
+    place is the source's start plus, per slot, the arrow's offset among
+    the arrows out of its source object times the slot's stride at that
+    source.  A level of p >= 1 is held as p columns of morphism ints,
+    first arrow first (chain_columns).  A chain's place in its level is a
+    sum of one weight per slot (chain_places), read from the counts of
+    chains that start at each object (chain_counts): its first arrow m
+    weighs the number of chains whose first arrow is below m, and each
+    later arrow the number of chains that agree with it up to that slot
+    and take an arrow below it there, out of the same object.  String ids
+    are made once per object and morphism, and for a level only by namer;
+    composition (composite, a column at a time) and the operator tables
+    map ints to ints, each table built once per (operator, q).  The base
+    groupoid's ints are the 2-group's shared g.int_index
+    (catalg.IntIndex).
     """
 
     def __init__(self, g, qmax):
@@ -815,13 +858,17 @@ class _SegalLevels:
         for arrows in self._out_of:
             for n, f in enumerate(arrows):
                 self._offset[f] = n
+        # the tensor row table, inverted: _tinv[f][h] = (f (x) h)^-1
+        self._tinv = [list(map(ix.inv.__getitem__, row)) for row in ix.tm]
         # per q: objects (structs, obj_names, _simplex_keys, _key_index),
         # morphisms (src, tgt, fam, mor_names) and their index (per source
-        # its start and per slot its stride, and the rank list)
+        # its start, the number of arrows out of each of its objects and
+        # per slot its stride, and the rank list)
         self.structs, self.obj_names = {}, {}
         self._keys, self._key_index = {}, {}
         self.src, self.tgt, self.fam, self.mor_names = {}, {}, {}, {}
-        self._start, self._strides, self._rank = {}, {}, {}
+        self._start, self._sizes, self._strides = {}, {}, {}
+        self._rank = {}
         for q in range(qmax + 1):
             self._build(q)
         self._chain_counts, self._chain_weights = {}, {}
@@ -835,63 +882,72 @@ class _SegalLevels:
         objects tgt f_ij and the pairing morphisms be = f_ik . al .
         (f_ij (x) f_jk)^-1, the ones that make the squares f_ik . al =
         be . (f_ij (x) f_jk) commute.  Each be exists and runs between
-        the target's objects, so every family is a morphism.  The
-        families are held as columns and each target slot is a column
-        gather; a target is found by its key packed into one int.  The
-        ids, which fix the order, are the only strings made per family;
-        the joined arrow ids are made once per tuple of objects."""
+        the target's objects, so every family is a morphism.  A target is
+        fixed by the objects of the spine pairs and the be of the key
+        triples (_TARGET_DIGITS): per source, each group of digits is a
+        table over the at most three slots it reads, expanded to product
+        order (_digit_column; made once per group, al, objects at the
+        group's slots and numbers of arrows out of the source's objects),
+        and the groups' columns are summed into one code per family and
+        looked up once.  The families are held as columns; the ids, which
+        fix the order, are the only strings made per family, and the
+        joined arrow ids are made once per tuple of objects."""
         g, ix, out_of = self.g, self._ix, self._out_of
         keys = self._keys[q] = _simplex_keys(g, q)
         structs = self.structs[q] = _key_structs(g, q, keys)
         obj_names = self.obj_names[q] = [_struct_id(st) for st in structs]
-        slot = {pr: n for n, pr in enumerate(_pairs(q))}
         self._key_index[q] = _key_index(keys)
-        # the families of each source in product order, a column per slot,
-        # and their ids "f(source|arrow,..,arrow)"
+        npairs, groups = len(_pairs(q)), _TARGET_DIGITS[q]
         base_names = ["%s" % (f,) for f in self.base_mor]
-        joined = {}
-        src, fam, names = [], [[] for _ in slot], []
-        starts, sizes, strides = [], [], [[] for _ in slot]
-        for s, (objs, _) in enumerate(keys):
-            arrows = list(map(out_of.__getitem__, objs))
-            starts.append(len(src))
-            for n, col in enumerate(sp.product_columns(arrows)):
-                fam[n] += col
-                strides[n].append(math.prod(map(len, arrows[n + 1:])))
-            sizes.append(math.prod(map(len, arrows)))
-            src += [s] * sizes[-1]
-            if objs not in joined:
+        # per tuple of objects: the arrows out of each and their numbers
+        # (sizes), the families in product order as a column per slot,
+        # their joined ids "arrow,..,arrow)", the stride of each slot, and
+        # per group the key of its digit columns less al; per group, the
+        # digit column of each source, summed at the end
+        shapes, digits = {}, {}
+        src, names, starts, all_sizes = [], [], [], []
+        fam, strides = [[] for _ in range(npairs)], [[] for _ in range(npairs)]
+        codes = [[] for _ in groups]
+        for s, (objs, als) in enumerate(keys):
+            shape = shapes.get(objs)
+            if shape is None:
+                arrows = list(map(out_of.__getitem__, objs))
                 ids = [list(map(base_names.__getitem__, fs)) for fs in arrows]
-                joined[objs] = [j + ")" for j in map(",".join,
-                                                     itertools.product(*ids))]
-            names += map(("f(" + obj_names[s] + "|").__add__, joined[objs])
-        rows, at, mors = ix.comp_rows, operator.getitem, range(len(ix.src))
-        # the tensor row table, inverted: tinv[f][h] = (f (x) h)^-1
-        tinv = [list(map(ix.inv.__getitem__, row)) for row in ix.tm]
-        tgt = [map(ix.tgt.__getitem__, col) for col in fam]
-        for t, (i, j, k) in enumerate(_triples(q)):
-            ij, jk, ik = slot[(i, j)], slot[(j, k)], slot[(i, k)]
-            # the source's pairing morphism al_ijk, repeated per family
-            al = itertools.chain.from_iterable(map(
-                itertools.repeat, [als[t] for _, als in keys], sizes))
-            tgt.append(map(at, map(rows.__getitem__, map(
-                at, map(rows.__getitem__, fam[ik]), al)),
-                map(at, map(tinv.__getitem__, fam[ij]), fam[jk])))
-        # each key (objects, then pairing morphisms) packed into one int,
-        # its entries as digits of base |morphisms| >= |objects|
-        base = len(mors)
-        codes = itertools.repeat(0, len(src))
-        for col in tgt:
-            codes = map(operator.add, map(base.__mul__, codes), col)
-        obj_of_code = {functools.reduce(lambda c, v: c * base + v,
-                                        objs + key_als, 0): s
-                       for s, (objs, key_als) in enumerate(keys)}
-        tgt = list(map(obj_of_code.__getitem__, codes))
+                sizes = tuple(map(len, arrows))
+                shape = shapes[objs] = (
+                    arrows, sizes, sp.product_columns(arrows),
+                    [j + ")" for j in map(",".join, itertools.product(*ids))],
+                    [math.prod(sizes[n + 1:]) for n in range(npairs)],
+                    [(d, sizes) + tuple(map(objs.__getitem__, slots))
+                     for d, (slots, _, _) in enumerate(groups)])
+            arrows, sizes, cols, joined, sts, digit_keys = shape
+            starts.append(len(src))
+            all_sizes.append(sizes)
+            src += [s] * len(joined)
+            names += map(("f(" + obj_names[s] + "|").__add__, joined)
+            for n in range(npairs):
+                fam[n] += cols[n]
+                strides[n].append(sts[n])
+            for d, (_, _, triple) in enumerate(groups):
+                al = als[triple[3]] if triple else None
+                col = digits.get((digit_keys[d], al))
+                if col is None:
+                    col = digits[digit_keys[d], al] = _digit_column(
+                        ix, self._tinv, arrows, groups, d, al)
+                codes[d].append(col)
+        obj_of_code = {sum(_pack(d, [objs[n] for n in spine] + (
+            [als[triple[3]]] if triple else []), len(ix.src))
+            for d, (_, spine, triple) in enumerate(groups)): s
+            for s, (objs, als) in enumerate(keys)}
+        tgt = list(map(obj_of_code.__getitem__, functools.reduce(
+            functools.partial(map, operator.add),
+            map(itertools.chain.from_iterable, codes))))
         order = sorted(range(len(names)), key=names.__getitem__)
+        reorder = _gather(order)
         self.src[q], self.tgt[q], self.mor_names[q], *self.fam[q] = [
-            list(map(col.__getitem__, order))
-            for col in [src, tgt, names] + fam]
-        self._start[q], self._strides[q] = starts, strides
+            list(reorder(col)) for col in [src, tgt, names] + fam]
+        self._start[q], self._sizes[q], self._strides[q] = \
+            starts, all_sizes, strides
         rank = self._rank[q] = [0] * len(order)
         for m, place in enumerate(order):
             rank[place] = m
@@ -910,13 +966,16 @@ class _SegalLevels:
 
     def chain_counts(self, q, r):
         """starts[x], the number of r-chains of q that start at object x;
-        built once per (q, r)."""
+        built once per (q, r).  A source's families are one run of places
+        in product order, so its count sums the counts at their targets
+        over its run, read in product order (tgt through the rank list)."""
         table = self._chain_counts.setdefault(q, [[1] * len(self.structs[q])])
         while len(table) <= r:
-            prev, starts = table[-1], [0] * len(self.structs[q])
-            for s, t in zip(self.src[q], self.tgt[q]):
-                starts[s] += prev[t]
-            table.append(starts)
+            counts = map(table[-1].__getitem__,
+                         map(self.tgt[q].__getitem__, self._rank[q]))
+            table.append(list(map(sum, map(
+                itertools.islice, itertools.repeat(counts),
+                map(math.prod, self._sizes[q])))))
         return table[r]
 
     def chain_weights(self, q, r):
@@ -1033,19 +1092,38 @@ class _SegalLevels:
 
     def vmap_mor_table(self, phi, q_from, q_to):
         """morphism int -> morphism int under the reindexing along phi:
-        components on collapsed pairs become the unit's identity."""
+        components on collapsed pairs become the unit's identity.  The
+        image of a family lies at its image source's start plus, per
+        target pair, the pair's stride there times the offset of the
+        arrow the pair reads (index): the arrow at the source slot phi
+        sends the pair to, or the unit's identity where phi collapses
+        it.  The arrows out of an object have the offsets 0, 1, .., and
+        the image source's objects are the source's at the slots read and
+        the unit elsewhere, so the places less the start depend only on
+        the numbers of arrows out of the source's objects: one column per
+        tuple of those, over its families in product order."""
         key = (phi, q_from, q_to)
         table = self._vmap_mor.get(key)
         if table is None:
             objs = self.vmap_obj_table(phi, q_from, q_to)
-            # the source column of each target pair; a collapsed pair
-            # reads the unit's identity
-            slot, fam = dict(zip(_pairs(q_from), self.fam[q_from])), \
-                itertools.repeat(self._ix.unit_ident)
-            table = self._vmap_mor[key] = self.index(
-                q_to, map(objs.__getitem__, self.src[q_from]), [
-                    fam if phi[i] == phi[j] else slot[(phi[i], phi[j])]
-                    for (i, j) in _pairs(q_to)])
+            slot = {pr: n for n, pr in enumerate(_pairs(q_from))}
+            # the source slot each target pair reads; None where collapsed
+            reads = [slot.get((phi[i], phi[j])) for (i, j) in _pairs(q_to)]
+            unit = self._offset[self._ix.unit_ident]
+            start, strides = self._start[q_to], self._strides[q_to]
+            sizes, shapes, places = self._sizes[q_from], {}, []
+            for s, t in enumerate(objs):
+                if sizes[s] not in shapes:
+                    shapes[sizes[s]] = [sum(
+                        stride[t] * (unit if k is None else offsets[k])
+                        for stride, k in zip(strides, reads))
+                        for offsets in itertools.product(*map(range,
+                                                              sizes[s]))]
+                places += map(start[t].__add__, shapes[sizes[s]])
+            table = self._vmap_mor[key] = [0] * len(places)
+            for m, image in zip(self._rank[q_from],
+                                map(self._rank[q_to].__getitem__, places)):
+                table[m] = image
         return table
 
 
@@ -1073,16 +1151,23 @@ def segal_nerve(g, pmax, qmax, level_budget=50000):
     # morphism ints whose places lv.chain_places reads; made on the first
     # read of an operator out of the level
     cols, levels = functools.cache(lv.chain_columns), {}
+    # whether a morphism id of q holds ';', scanned once per q
+    semicolon = functools.cache(lambda q: ";" in "".join(lv.mor_names[q]))
     for (p, q) in region:
         levels[(p, q)] = sp.Places(lv.level_size(p, q),
                                    functools.partial(lv.namer, (p, q)))
-        # distinct names without ';' make distinct chain ids
-        if p < 2 or ";" in "".join(lv.mor_names[q]):
-            ids = list(map(lv.namer((p, q)), levels[(p, q)]))
-            if len(set(ids)) != len(ids):
-                raise NerveError("ids of level (%d,%d) of the Segal nerve "
-                                 "clash: the 2-group's ids run together"
-                                 % (p, q))
+        # sorted ids clash where two neighbours are equal; the morphism ids
+        # are sorted, and distinct names without ';' make distinct chain ids
+        if p == 1:
+            ids = lv.mor_names[q]
+        elif p == 0 or semicolon(q):
+            ids = sorted(map(lv.namer((p, q)), levels[(p, q)]))
+        else:
+            ids = []
+        if any(map(operator.eq, ids, itertools.islice(ids, 1, None))):
+            raise NerveError("ids of level (%d,%d) of the Segal nerve "
+                             "clash: the 2-group's ids run together"
+                             % (p, q))
 
     def vmap(p, q, phi, q_to):
         if p == 0:

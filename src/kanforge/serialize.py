@@ -78,6 +78,18 @@ def _need_rows(value, width, what):
     return value
 
 
+def _need_listed(rows, columns, what):
+    """rows, each of whose n-th ids lies in the set columns[n]; the first
+    row that names an id not listed there raises ParseError naming `what`
+    and the row."""
+    if all(set(col) <= ids for col, ids in zip(zip(*rows), columns)):
+        return rows
+    row = next(row for row in rows
+               if any(v not in ids for v, ids in zip(row, columns)))
+    bad = next(v for v, ids in zip(row, columns) if v not in ids)
+    raise ParseError("%s row %r names the unlisted id %r" % (what, row, bad))
+
+
 def _need_id_map(value, what):
     """value, an object whose values are ids."""
     if not isinstance(value, dict) or \
@@ -194,8 +206,9 @@ def group_from_doc(doc):
     if doc.get("kind") != "group":
         raise ParseError("not a group document")
     els = _need_ids(_need(doc, "elements", "group"), "group elements")
-    table = {(a, b): c for a, b, c in
-             _need_rows(_need(doc, "table", "group"), 3, "group table")}
+    table = {(a, b): c for a, b, c in _need_listed(
+        _need_rows(_need(doc, "table", "group"), 3, "group table"),
+        [set(els)] * 3, "group table")}
     g = FiniteGroup(els, table, _need_id(_need(doc, "unit", "group"),
                                          "group unit"))
     errs = g.validate()
@@ -242,8 +255,9 @@ def category_from_doc(doc):
     tgt = {m["id"]: m["tgt"] for m in morphs}
     ident = _need_id_map(_need(doc, "identity", "category"),
                          "category identity")
-    comp = {(g, f): gf for g, f, gf in
-            _need_rows(_need(doc, "comp", "category"), 3, "category comp")}
+    comp = {(g, f): gf for g, f, gf in _need_listed(
+        _need_rows(_need(doc, "comp", "category"), 3, "category comp"),
+        [set(ids)] * 3, "category comp")}
     if kind == "groupoid":
         inv = doc.get("inv")
         cat = ca.FinGroupoid(objects, ids, src, tgt, ident, comp,
@@ -288,13 +302,16 @@ def two_group_from_doc(doc):
     if not isinstance(tensor, dict):
         raise ParseError("tensor in two_group is not an object")
     _reject_unknown(tensor, {"objects", "morphisms"}, "two_group tensor")
-    tobj = {(x, y): t for x, y, t in _need_rows(
-        _need(tensor, "objects", "two_group tensor"), 3, "tensor objects")}
-    tmor = {(f, k): t for f, k, t in _need_rows(
+    objs, mors = set(base.objects), set(base.morphisms)
+    tobj = {(x, y): t for x, y, t in _need_listed(_need_rows(
+        _need(tensor, "objects", "two_group tensor"), 3, "tensor objects"),
+        [objs] * 3, "tensor objects")}
+    tmor = {(f, k): t for f, k, t in _need_listed(_need_rows(
         _need(tensor, "morphisms", "two_group tensor"), 3,
-        "tensor morphisms")}
-    assoc = {(x, y, z): m for x, y, z, m in _need_rows(
-        _need(doc, "assoc", "two_group"), 4, "two_group assoc")}
+        "tensor morphisms"), [mors] * 3, "tensor morphisms")}
+    assoc = {(x, y, z): m for x, y, z, m in _need_listed(_need_rows(
+        _need(doc, "assoc", "two_group"), 4, "two_group assoc"),
+        [objs] * 3 + [mors], "two_group assoc")}
     mon = ca.MonoidalStructure(
         base, tobj, tmor,
         _need_id(_need(doc, "unit_object", "two_group"), "unit_object"),

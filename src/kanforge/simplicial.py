@@ -344,17 +344,37 @@ def group_cells(cells, keys):
 
 def product_columns(lists):
     """The elements of itertools.product(*lists), in its order, as one
-    column per factor and no tuple per element: factor n repeats each of
-    its entries by the product of the later sizes, and the whole by that
-    of the earlier ones."""
+    column per factor and no tuple per element (product_column of each
+    factor on its own slot)."""
     sizes = list(map(len, lists))
-    cols, outer = [], 1
-    for n, xs in enumerate(lists):
-        inner = math.prod(sizes[n + 1:])
-        cols.append(list(chain.from_iterable(map(
-            repeat, xs, repeat(inner, sizes[n])))) * outer)
-        outer *= sizes[n]
-    return cols
+    return [product_column(xs, sizes, (n,)) for n, xs in enumerate(lists)]
+
+
+def product_column(table, sizes, slots):
+    """The column, over itertools.product(*map(range, sizes)) in its
+    order, whose entry at (i_0, .., i_k) is the entry of table at the
+    indexes i_n of the slots n in `slots` (increasing): table lists one
+    value per element of the product of those slots' sizes, in product
+    order.  Built by list repetition from the last slot out: each entry
+    repeats by the product of the sizes after the last slot, each block
+    of a slot's entries by the product of the sizes between it and the
+    next slot, and the whole by the product of the sizes before the
+    first."""
+    if 0 in sizes:
+        return []
+    block = math.prod(sizes[slots[-1] + 1:] if slots else sizes)
+    col = list(chain.from_iterable(map(repeat, table,
+                                       repeat(block, len(table)))))
+    for n in reversed(range(len(slots) - 1)):
+        block *= sizes[slots[n + 1]]
+        gap = math.prod(sizes[slots[n] + 1:slots[n + 1]])
+        if gap > 1:
+            col = list(chain.from_iterable(map(operator.mul, map(
+                col.__getitem__, map(slice, range(0, len(col), block),
+                                     range(block, len(col) + block, block))),
+                repeat(gap))))
+            block *= gap
+    return col * math.prod(sizes[:slots[0]] if slots else ())
 
 
 def tabulate_faces(cells, maps):

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import pytest
 
 from kanforge import catalg as ca
@@ -363,3 +365,17 @@ def test_two_group_documents_report_the_first_reference_error(name, m,
     assert str(exc.value) == want.replace(
         "2-group certification fails: monoidal validation failed",
         "monoidal axioms fail")
+
+
+@pytest.mark.parametrize("name", ["disc-z2", "inflated-disc-z2"])
+def test_a_two_group_load_checks_its_base_category_once(name):
+    # the loader and MonoidalStructure.validate both ask; the category,
+    # never changed once made, answers the second from the first
+    doc = io.two_group_to_doc(ex.build(name))
+    with mock.patch.object(ca.FinGroupoid, "_check", autospec=True,
+                           side_effect=ca.FinGroupoid._check) as check:
+        g = io.two_group_from_doc(doc)
+    assert check.call_count == 1
+    errs = g.base.validate()
+    errs.append("a caller's own list")
+    assert g.base.validate() == []

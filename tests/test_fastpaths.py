@@ -299,12 +299,48 @@ def reference_vmap_mor(lv, phi, q_from, q_to, m):
     return reference_fam_id(nv._struct_id(new_src), new_fam)
 
 
+def lopsided_two_group():
+    """A 2-group whose objects have unequal numbers of arrows out: the
+    classes {a0, a1} and {b}, indiscrete within each (one arrow x>y from
+    x to y in one class), tensored by class sum in Z/2 onto the classes'
+    first objects a0 and b, unit a0.  A hom holds at most one arrow, so
+    every coherence diagram commutes.  Its q-simplex groupoids have
+    1, 5, 76 and 4400 morphisms for q = 0..3, and a source of q = 3 has
+    4, 8 or 64 families, so the strides differ from source to source."""
+    cls = {"a0": 0, "a1": 0, "b": 1}
+    objs, first = list(cls), ["a0", "b"]
+    pairs = [(x, y) for x in objs for y in objs if cls[x] == cls[y]]
+
+    def mor(x, y):
+        return "%s>%s" % (x, y)
+
+    def t(x, y):
+        return first[(cls[x] + cls[y]) % 2]
+
+    morphs = [mor(x, y) for x, y in pairs]
+    base = ca.FinGroupoid(
+        objs, morphs, {mor(x, y): x for x, y in pairs},
+        {mor(x, y): y for x, y in pairs}, {x: mor(x, x) for x in objs},
+        {(mor(y, z), mor(x, y)): mor(x, z)
+         for x, y in pairs for y2, z in pairs if y2 == y},
+        inv={mor(x, y): mor(y, x) for x, y in pairs}, name="lopsided")
+    return ca.certify_two_group(ca.MonoidalStructure(
+        base, {(x, y): t(x, y) for x in objs for y in objs},
+        {(mor(x, y), mor(x2, y2)): mor(t(x, x2), t(y, y2))
+         for x, y in pairs for x2, y2 in pairs}, "a0",
+        {(x, y, z): mor(t(x, t(y, z)), t(x, t(y, z)))
+         for x in objs for y in objs for z in objs},
+        {x: mor(x, t("a0", x)) for x in objs},
+        {x: mor(x, t(x, "a0")) for x in objs}, name="lopsided"))
+
+
 def segal_level_two_groups():
-    """Every canned 2-group, the inflated disc and the twisted fixture,
-    each under its own id."""
+    """Every canned 2-group, the inflated disc, the twisted fixture and
+    the lopsided one, each under its own id."""
     out = [(name, g) for name, g in ex.canned_two_groups()]
     out += [("inflated-disc-z2", ex.build("inflated-disc-z2")),
-            ("K(Z2,Z2)-dc", unitor_twisted_two_group())]
+            ("K(Z2,Z2)-dc", unitor_twisted_two_group()),
+            ("lopsided", lopsided_two_group())]
     return [pytest.param(g, id=name) for name, g in out]
 
 
@@ -646,7 +682,12 @@ SEGAL_CASES = [segal_case(name, 2, 3, 50000)
                build=lambda: ca.discrete_two_group(gr.symmetric(3))),
     segal_case("disc-s3", 3, 3, 2000,
                build=lambda: ca.discrete_two_group(gr.symmetric(3)),
-               id="disc-s3-3-3-budget-2000")]
+               id="disc-s3-3-3-budget-2000"),
+    # sources with 4, 8 and 64 families at q = 3
+    segal_case("lopsided", 2, 3, 5000, build=lopsided_two_group,
+               id="lopsided-budget-5000"),
+    segal_case("lopsided", 3, 2, 5000, build=lopsided_two_group,
+               id="lopsided-3-2-budget-5000")]
 
 
 @pytest.mark.parametrize("build,pmax,qmax,budget", SEGAL_CASES)

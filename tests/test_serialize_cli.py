@@ -220,6 +220,38 @@ def test_cli_bad_input_exit_two(tmp_path, capsys):
     assert cli.main(["classify", "--n", "1", str(tmp_path / "missing.json")]) == 2
 
 
+def rows_of(doc, *path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@pytest.mark.parametrize("name,path,row,bad", [
+    ("z2", ["table"], ["2", "0", "2"], "2"),
+    ("disc-z2", ["base", "comp"], ["zz", "i0", "i0"], "zz"),
+    ("disc-z2", ["tensor", "objects"], ["o0", "zz", "o0"], "zz"),
+    ("disc-z2", ["tensor", "morphisms"], ["zz", "i1", "i1"], "zz"),
+    ("disc-z2", ["assoc"], ["o0", "o1", "zz", "i1"], "zz")],
+    ids=["group-table", "category-comp", "tensor-objects",
+         "tensor-morphisms", "assoc"])
+def test_cli_validate_rejects_a_row_naming_an_unlisted_id(tmp_path, capsys,
+                                                          name, path, row,
+                                                          bad):
+    # the row is the table's only one that names an id the document does
+    # not list; before it was checked, validate passed such a file
+    doc = json.loads(io.dumps(ex.build(name)))
+    rows_of(doc, *path).append(row)
+    where = tmp_path / "unlisted.json"
+    where.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["validate", str(where)]) == 2
+    what = {"table": "group table", "comp": "category comp",
+            "objects": "tensor objects", "morphisms": "tensor morphisms",
+            "assoc": "two_group assoc"}[path[-1]]
+    assert capsys.readouterr().err == \
+        "error: parse error in %s: %s row %r names the unlisted id %r\n" \
+        % (where, what, row, bad)
+
+
 def test_cli_malformed_budget_exit_two(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("KANFORGE_BUDGET", "10k")
     assert cli.main(["add", dump(tmp_path, "s1"), dump(tmp_path, "z2")]) == 2

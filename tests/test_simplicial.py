@@ -1,4 +1,5 @@
 import functools
+import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -446,3 +447,33 @@ def test_lift_by_faces_matches_a_filter_over_the_target_level(data):
     assert sp.lift_by_faces(x, y, comps, levels) == \
         lift_by_filter(x, y, want, levels)
     assert comps == want
+
+
+# -- product columns ----------------------------------------------------------
+
+
+@st.composite
+def sizes_and_slots(draw):
+    """Factor sizes (0 included) and an increasing subset of the slots."""
+    sizes = draw(st.lists(st.integers(0, 4), max_size=6))
+    slots = [n for n in range(len(sizes)) if draw(st.booleans())]
+    return sizes, slots
+
+
+@settings(max_examples=300, deadline=None)
+@given(sizes_and_slots())
+def test_product_column_matches_itertools_product(data):
+    sizes, slots = data
+    # one distinct value per element of the product of the slots' sizes
+    table = ["v%s" % (idx,) for idx in
+             itertools.product(*[range(sizes[n]) for n in slots])]
+    place = {idx: v for idx, v in zip(
+        itertools.product(*[range(sizes[n]) for n in slots]), table)}
+    assert sp.product_column(table, sizes, slots) == [
+        place[tuple(el[n] for n in slots)]
+        for el in itertools.product(*map(range, sizes))]
+    lists = [["x%d.%d" % (n, i) for i in range(size)]
+             for n, size in enumerate(sizes)]
+    elements = list(itertools.product(*lists))
+    assert sp.product_columns(lists) == [[el[n] for el in elements]
+                                         for n in range(len(lists))]
