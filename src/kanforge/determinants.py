@@ -7,6 +7,8 @@ bisimplicial maps through the (p+q <= 3)-truncation.  The bijections are
 constructed explicitly and verified, never assumed.
 """
 
+import operator
+
 from . import simplicial as sp
 from . import catalg as ca
 from . import nerves as nv
@@ -28,28 +30,23 @@ def hom_sset(x_sset, y_sset):
 
 
 def _key_sorted(maps):
-    """The SSetMaps maps, all of one source, sorted by _image_key over
-    one _cell_orders list.  That is the order of their sorted (cell,
-    image) items, level by level, without sorting any map's items."""
-    orders = _cell_orders([f.components for f in maps[:1]])
-    maps.sort(key=lambda f: _image_key(f.components, orders))
+    """The SSetMaps maps, all of one source, in _key_order."""
+    maps[:] = [maps[i] for i in _key_order([f.components for f in maps])]
     return maps
 
 
-def _post_delta(i, phi):
-    """delta_i . phi on digit strings."""
-    return "".join(str(v if v < i else v + 1) for v in (int(c) for c in phi))
-
-
-def _post_sigma(j, phi):
-    return "".join(str(v if v <= j else v - 1) for v in (int(c) for c in phi))
+def _key_order(found, names=None):
+    """The places of the maps of found, all of one source, sorted by
+    their _image_keys over one _cell_orders list."""
+    keys = _image_keys(found, _cell_orders(found[:1]), names)
+    return sorted(range(len(found)), key=keys.__getitem__)
 
 
 class EnrichedHom:
     """The reduced enriched hom: level n = maps (X x Delta^n)/(* x Delta^n) -> Y.
 
     Materialized as a TruncatedSSet (attribute .sset) whose level-n ids
-    index the stored maps (.maps[n])."""
+    index the stored maps (.maps[n]), by _transported_hom through _pull."""
 
     def __init__(self, x_sset, y_sset, n_max):
         if not x_sset.is_reduced():
@@ -80,18 +77,17 @@ class EnrichedHom:
             [[f.components for f in found] for found in self.maps],
             self._pull, "h")
 
-    def _pull(self, n_to, n, post):
+    def _pull(self, n_to, n, vert):
         """dict level -> dict cell of Q_{n_to} -> cell of Q_n: the class
-        of (x, phi) goes to the class of (x, post(phi)), the map
-        Q_{n_to} -> Q_n that X x post induces."""
+        of (x, phi) goes to the class of (x, vert . phi), the map
+        Q_{n_to} -> Q_n that X x vert induces (vert as in _post)."""
         out = {}
         for k in range(self.x.dim + 1):
-            row = out[k] = {}
-            collapsed = self._collapsed[n][k]
-            for qid in self.quots[n_to].level(k):
-                a, b = self._pairs[n_to][qid]
-                pid = _pair_id(a, post(b))
-                row[qid] = collapsed.get(pid, pid)
+            cells = self.quots[n_to].level(k)
+            xs, phis = zip(*sp.column(cells, (self._pairs[n_to],)))
+            pids = list(map(_pair_id, xs, sp.column(
+                phis, (_post(vert, n_to, k),))))
+            out[k] = dict(zip(cells, map(self._collapsed[n][k].get, pids, pids)))
         return out
 
 
@@ -100,27 +96,44 @@ def _pair_id(a, b):
     return "(%s|%s)" % (a, b)
 
 
+def _post(vert, n_to, k):
+    """dict phi -> vert . phi over the k-simplices phi of Delta^{n_to},
+    vert a monotone map [n_to] -> [n] as the list of its values, on the
+    ids of sp.standard_simplex: phi's vertex sequence, relabelled."""
+    return {sp._mid(t): sp._mid([vert[v] for v in t])
+            for t in sp._monotone_maps(k, n_to)}
+
+
 def _cell_orders(found):
     """One fixed cell order per level of the maps found (each a dict
     level -> dict cell -> image), as (level, sorted cells) pairs in
     level order; every map of found has the levels and cells of the
     first, as the maps of one source do.  Every sort of maps, and every
-    map key, reads images over these orders (_image_key)."""
+    map key, reads images over these orders (_image_rows)."""
     return [(lvl, sorted(cells)) for lvl, cells in sorted(found[0].items())] \
         if found else []
 
 
-def _image_key(f, orders, names=None):
-    """The images of the map f (dict level -> dict cell -> image) over
-    the cells of orders, each under names[level] when given, one tuple
-    per level.  Over _cell_orders, maps sorted by this key come in the
-    order of their sorted (cell, image) items, level by level, and two
-    maps have equal keys exactly when they are equal."""
-    if names is None:
-        return tuple([tuple(map(f[lvl].__getitem__, cells))
-                      for lvl, cells in orders])
-    return tuple([tuple(map(names[lvl], map(f[lvl].__getitem__, cells)))
-                  for lvl, cells in orders])
+def _image_rows(found, orders, names=None):
+    """Per (level, cells) of orders, the images of those cells under each
+    map of found (a dict level -> dict cell -> image) as one tuple, each
+    under names[level] when given."""
+    out = []
+    for lvl, cells in orders:
+        dicts = [f[lvl] for f in found]
+        # itemgetter of one item returns it bare, not in a tuple
+        rows = map(operator.itemgetter(*cells), dicts) if len(cells) > 1 \
+            else [tuple(map(d.__getitem__, cells)) for d in dicts]
+        out.append(list(rows) if names is None else
+                   [tuple(map(names[lvl], row)) for row in rows])
+    return out
+
+
+def _image_keys(found, orders, names=None):
+    """One key per map of found, its _image_rows: over _cell_orders,
+    maps sorted by it come in the order of their sorted (cell, image)
+    items, level by level, and equal keys are equal maps."""
+    return list(zip(*_image_rows(found, orders, names)))
 
 
 def _transported_hom(maps, pull, prefix):
@@ -129,30 +142,38 @@ def _transported_hom(maps, pull, prefix):
     Level n names the maps of maps[n] (each a dict level -> dict cell ->
     image) prefix + "n_i", in list order.  d_i (s_j) sends a map f of
     level n to the map of level n - 1 (n + 1) that is f precomposed with
-    pull(n_to, n, post), post = delta_i (sigma_j) acting on the simplex
+    pull(n_to, n, vert), vert the coface delta_i (codegeneracy sigma_j)
+    [n_to] -> [n] as the list of its values, acting on the simplex
     coordinate; pull returns a dict level -> dict cell -> cell.
 
-    Each map of level n is keyed by its images over one fixed (sorted)
-    cell order per level.  The precomposite is keyed without being
-    built: the pull columns send that order of level n_to to cells of
-    level n, and f is read there.
+    Each level's maps are held as one image column per (level, cell)
+    and keyed by one zip of the columns of a fixed (sorted) cell order
+    per level; their precomposites, unbuilt, by one zip of the columns
+    of the cells that the pull sends the order of level n_to to.
     """
     n_max = len(maps) - 1
     levels = [["%s%d_%d" % (prefix, n, i) for i in range(len(maps[n]))]
               for n in range(n_max + 1)]
     orders = [_cell_orders(found) for found in maps]
-    ranks = [{_image_key(f, order): i for i, f in enumerate(found)}
-             for found, order in zip(maps, orders)]
+    cols = [{lvl: dict(zip(cells, zip(*rows)))
+             for (lvl, cells), rows in zip(order, _image_rows(found, order))}
+            for found, order in zip(maps, orders)]
+
+    def keys(n, order):
+        return zip(*[cols[n][lvl][c] for lvl, cells in order for c in cells])
+
+    ranks = [dict(zip(keys(n, orders[n]), levels[n]))
+             for n in range(n_max + 1)]
 
     def op(name, n, i):
         n_to = n + sp.STEPS[name]
-        post = _post_delta if name == "face" else _post_sigma
-        moved = pull(n_to, n, lambda phi: post(i, phi))
-        read = [(lvl, sp.column(cells, (moved[lvl],)))
-                for lvl, cells in orders[n_to]]
-        rank, names = ranks[n_to], levels[n_to]
-        return {levels[n][idx]: names[rank[_image_key(f, read)]]
-                for idx, f in enumerate(maps[n])}
+        # delta_i skips the value i, sigma_i takes it twice
+        vert = [v + (v >= i) if name == "face" else v - (v > i)
+                for v in range(n_to + 1)]
+        moved = pull(n_to, n, vert)
+        return dict(zip(levels[n], map(ranks[n_to].__getitem__, keys(n, [
+            (lvl, sp.column(cells, (moved[lvl],)))
+            for lvl, cells in orders[n_to]]))))
 
     return sp.build_sset(n_max, levels, op)
 
@@ -177,7 +198,7 @@ def enumerate_additive(x_sset, group):
     loop0 = x_sset.deg_base(1, x_sset.level(0)[0])
     edges = list(x_sset.level(1))
     cons = [(d1, d2, d0) for d0, d1, d2 in x_sset.face_table(2).values()]
-    tick = sp.budget_ticker("additive enumeration exceeded cap")
+    tick = sp.budget_ticker("additive enumeration exceeded {cap} evaluations")
     out = []
     assign = {loop0: group.unit}
     frees = [e for e in edges if e != loop0]
@@ -207,16 +228,16 @@ def additive_vs_hom(x_sset, group):
     cell1 = dict(zip(group.elements, ner.level(1)))
 
     def image(d_fun):
-        # f^D level by level, as a map key; None if a simplex has no image
+        # f^D level by level; None if a simplex has no image
         comps = {0: {star: ner.level(0)[0]},
                  1: {e: cell1[d_fun[e]] for e in x_sset.level(1)}}
-        if sp.lift_by_faces(x_sset, ner, comps, upper) is not None:
-            return None
-        return _image_key(comps, orders)
+        return comps if sp.lift_by_faces(x_sset, ner, comps, upper) is None \
+            else None
 
-    return adds, homs, bijective(
-        [image(d) for d in adds],
-        [_image_key(f.components, orders) for f in homs])
+    lifted = [image(d) for d in adds]
+    return adds, homs, None not in lifted and bijective(
+        _image_keys(lifted, orders),
+        _image_keys([f.components for f in homs], orders))
 
 
 # -- determinants into a 2-group ---------------------------------------------
@@ -315,7 +336,7 @@ def enumerate_determinants(x_sset, g):
     stage = _TStage(x_sset, ix)
     loop0 = x_sset.deg_base(1, x_sset.level(0)[0])
     edges = [e for e in x_sset.level(1) if e != loop0]
-    tick = sp.budget_ticker("determinant enumeration exceeded cap")
+    tick = sp.budget_ticker("determinant enumeration exceeded {cap} evaluations")
     results = []
     d_assign = {loop0: ix.unit}
     tri_checks = sp.completion_schedule(
@@ -358,8 +379,8 @@ def determinants_vs_hom(x_sset, g):
     orders = [(q, sorted(x_sset.level(q))) for q in (1, 2)]
     names = {1: obj.__getitem__, 2: mor.__getitem__}
     return dets, homs, bijective(
-        [_image_key(f.components, orders, names) for f in homs],
-        [_image_key({1: d_fun, 2: t_fun}, orders) for d_fun, t_fun in dets])
+        _image_keys([f.components for f in homs], orders, names),
+        _image_keys([{1: d, 2: t} for d, t in dets], orders))
 
 
 def det_morphisms(x_sset, g, det1, det2):
@@ -378,7 +399,7 @@ def det_morphisms(x_sset, g, det1, det2):
     edges = [e for e in x_sset.level(1) if e != loop0]
     assign = {loop0: ix.unit_ident}
     out = []
-    tick = sp.budget_ticker("determinant morphism search exceeded cap")
+    tick = sp.budget_ticker("determinant morphism search exceeded {cap} evaluations")
 
     tri_faces = x_sset.face_table(2)
     tri_checks = sp.completion_schedule(edges, tri_faces.items())
@@ -474,7 +495,7 @@ def enumerate_segal_determinants(x_bx, g):
     square_edges = {e for sq in squares for e in sq[2:]}
     v_deg1 = row.deg_base(1, row.level(0)[0])
     mor_int = _mor_ints(nsg, g)
-    tick = sp.budget_ticker("segal determinant search exceeded cap")
+    tick = sp.budget_ticker("segal determinant search exceeded {cap} evaluations")
     results = []
     for dm in d_maps:
         if dm(0, v_deg1) != g.unit:
@@ -622,43 +643,34 @@ def _hom1_maps(x_bx, ns, n_max):
     """The maps of each level of hom1_enriched, in order, and the pull
     that _transported_hom reads its operators from."""
     region = set(x_bx.region) & set(ns.region)
-    prods = []
-    pair_tables = []
-    for n in range(n_max + 1):
-        dn = sp.standard_simplex(n, max(p for p, q in region))
-        prod, pairs = _bi_product_p1(x_bx, dn, region)
-        prods.append(prod)
-        pair_tables.append(pairs)
+    top = max(p for p, q in region)
+    prods, pair_tables = zip(*[_bi_product_p1(
+        x_bx, sp.standard_simplex(n, top), region) for n in range(n_max + 1)])
     # each level's maps in the order of their images' ids (over the
     # sorted cells of each level), which the nerve may hold as places
     names = {pq: sp.namer(ns.level(*pq)) for pq in region}
-    maps = []
-    for n in range(n_max + 1):
-        found = nv.enumerate_bimaps(prods[n], ns, region=region)
-        orders = _cell_orders(found)
-        maps.append(sorted(found,
-                           key=lambda f: _image_key(f, orders, names)))
+    maps = [[found[i] for i in _key_order(found, names)] for found in (
+        nv.enumerate_bimaps(prod, ns, region=region) for prod in prods)]
 
-    def pull(n_to, n, post):
-        # the cell (x|phi) of the level-n_to source goes to (x|post(phi))
+    def pull(n_to, n, vert):
+        # the cell (x|phi) of the level-n_to source goes to (x|vert . phi)
+        posts = {p: _post(vert, n_to, p) for p in {p for p, _ in region}}
         out = {}
         for (p, q) in sorted(region):
-            row = out[(p, q)] = {}
-            for cell in prods[n_to].level(p, q):
-                x, phi = pair_tables[n_to][(p, q, cell)]
-                row[cell] = _pair_id(x, post(phi))
+            xs, phis = pair_tables[n_to][p, q]
+            out[(p, q)] = dict(zip(prods[n_to].level(p, q), map(
+                _pair_id, xs, sp.column(phis, (posts[p],)))))
         return out
 
     return maps, pull
 
 
 def _bi_product_p1(x_bx, dn, region):
-    """X x p1*(Delta^n) over the region, with a pair decode table."""
+    """X x p1*(Delta^n) over the region, with the columns (x), (phi) of
+    the cells (x|phi) of each level, in level order."""
     cols = {(p, q): sp.product_columns([x_bx.level(p, q), dn.level(p)])
             for (p, q) in region}
     levels = {pq: list(map(_pair_id, xs, ys)) for pq, (xs, ys) in cols.items()}
-    pairs = {pq + (cell,): xy for pq, (xs, ys) in cols.items()
-             for cell, xy in zip(levels[pq], zip(xs, ys))}
 
     def op(name, p, q, i):
         xs, ys = cols[p, q]
@@ -667,4 +679,4 @@ def _bi_product_p1(x_bx, dn, region):
             ys = sp.column(ys, (getattr(dn, name[1:])[p, i],))
         return dict(zip(levels[p, q], map(_pair_id, xs, ys)))
 
-    return nv.build_bisimplicial(region, levels, op), pairs
+    return nv.build_bisimplicial(region, levels, op), cols

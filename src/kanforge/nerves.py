@@ -982,19 +982,24 @@ class _SegalLevels:
         """(first, later), the place weights of the arrows of q followed
         by r more: first[m] is the number of (r + 1)-chains whose first
         arrow is below m; later[m] the same over the arrows out of m's
-        source only (m's offset in its source's out-list).  Both come
-        from chain_counts(q, r); built once per (q, r)."""
+        source only (m's offset in its source's out-list): over each run
+        of consecutive arrows out of one source, first less one number.
+        Both come from chain_counts(q, r); built once per (q, r)."""
         key = (q, r)
         weights = self._chain_weights.get(key)
         if weights is None:
             starts = self.chain_counts(q, r)
-            sizes = list(map(starts.__getitem__, self.tgt[q]))
-            first = list(itertools.accumulate(sizes, initial=0))
+            first = list(itertools.accumulate(
+                map(starts.__getitem__, self.tgt[q]), initial=0))
+            shifts, local, pos = [], [0] * len(starts), 0
+            for s, run in itertools.groupby(self.src[q]):
+                stop = pos + len(list(run))
+                shifts.append(itertools.repeat(first[pos] - local[s], stop - pos))
+                local[s] += first[stop] - first[pos]
+                pos = stop
+            later = list(map(operator.sub, first,
+                             itertools.chain.from_iterable(shifts)))
             first.pop()
-            later, local = [], [0] * len(starts)
-            for s, n in zip(self.src[q], sizes):
-                later.append(local[s])
-                local[s] += n
             weights = self._chain_weights[key] = (first, later)
         return weights
 
@@ -1008,6 +1013,8 @@ class _SegalLevels:
         step lists, after each chain in order, the arrows out of its
         end."""
         tgt = self.tgt[q]
+        if p == 1:
+            return (range(len(tgt)),)
         out_of = [[] for _ in self.structs[q]]
         for m, s in enumerate(self.src[q]):
             out_of[s].append(m)
@@ -1219,7 +1226,7 @@ def enumerate_bimaps(x_bx, y_bx, region=None):
     region = set(region) if region is not None else set(x_bx.region)
     region &= set(y_bx.region)
     order = sorted(region, key=lambda pq: (pq[0] + pq[1], pq[0]))
-    tick = sp.budget_ticker("bisimplicial enumeration exceeded cap")
+    tick = sp.budget_ticker("bisimplicial enumeration exceeded {cap} evaluations")
     levels = []
     index = {}
     for (p, q) in order:

@@ -21,7 +21,7 @@ import functools
 import math
 import operator
 import os
-from itertools import chain, compress, repeat
+from itertools import chain, compress, groupby, repeat
 
 from .groups import FiniteGroup, bijective, components, equivalence_classes
 
@@ -1230,16 +1230,17 @@ class SSetMap:
 
 
 def budget_ticker(message):
-    """The budget guard of one search: a tick(*fields) that counts one
-    evaluation per call and raises SearchBudgetExceeded once the count
-    passes the cap, enumeration_budget() read once when the guard is
-    made, with the text message.format(*fields, cap=<the cap>)."""
+    """The budget guard of one search: a tick(*fields, n=1) that counts
+    n evaluations per call and raises SearchBudgetExceeded once the
+    count passes the cap, enumeration_budget() read once when the guard
+    is made, with the text message.format(*fields, cap=<the cap>).
+    Every message ends "exceeded {cap} evaluations"."""
     cap = enumeration_budget()
     count = 0
 
-    def tick(*fields):
+    def tick(*fields, n=1):
         nonlocal count
-        count += 1
+        count += n
         if count > cap:
             raise SearchBudgetExceeded(message.format(*fields, cap=cap))
     return tick
@@ -1311,9 +1312,9 @@ def map_search(levels, index, tick, pins=None):
     a, degen): one fixed degeneracy presentation of it, from the earlier
     level holding a, and its image is degen[image of a].  A free cell
     comes as (cell, faces), `faces` a tuple of (level, cell) pairs of
-    earlier levels, and takes each cell of index[level][images of its
-    faces] in turn; when it is pinned, only those in the collection
-    pins[(level, cell)], still in index order.
+    at most two earlier levels, one run of two or more per level, and
+    takes each cell of index[level][images of its faces] in turn; when
+    pinned, only those in the collection pins[(level, cell)].
 
     Precondition: source and target satisfy the simplicial identities,
     and the faces of every level lie in levels of the search.  Then every
@@ -1322,13 +1323,13 @@ def map_search(levels, index, tick, pins=None):
     on the level (if s_j a = s_i b with j < i, then a = s_{i-1} d_j b
     and b = s_j d_{i-1} a), so neither is checked.
 
-    Forward checking: the face key of each free cell with faces is a
-    constraint, filed by completion_schedule under the last of its faces
-    in the assignment order, where each level's forced cells come before
-    its free ones.  It is tested once, right after that face is set (a
-    forced face: once its level's forced cells are set).  tick() is
-    called once per free cell as its level's candidate lists are drawn
-    up, and once per candidate tried.
+    Forward checking: the face key of each free cell (an itemgetter per
+    level) is tested right after the last of its faces is set, forced
+    cells first (completion_schedule).  One loop walks the free cells of
+    all levels, each with an iterator over its candidates, forward past
+    a candidate that passes (entering a level draws up its lists), back
+    from an exhausted one.  tick(n=count) counts one evaluation per list
+    drawn up and per candidate of each list opened (run to its end).
 
     Returns the maps in search order, each a dict level -> dict cell ->
     image with the levels in the order given, forced cells first.
@@ -1338,67 +1339,83 @@ def map_search(levels, index, tick, pins=None):
     order = [(lvl, cell[0]) for lvl, forced, free in levels
              for cell in forced + free]
 
-    def key_of(faces):
-        # the faces as (that level's image dict, cell), read at run time
-        return tuple([(comps[lvl], cell) for lvl, cell in faces])
+    def reader(faces):
+        # a function of no arguments: the images of faces, as one tuple
+        parts = [functools.partial(operator.itemgetter(*[c for _, c in run]),
+                                   comps[lvl])
+                 for lvl, run in groupby(faces, operator.itemgetter(0))]
+        if len(parts) < 2:
+            return parts[0] if parts else tuple
+        first, second = parts
+        return lambda: first() + second()
 
+    readers = {(lvl, cell): reader(faces)
+               for lvl, _, free in levels for cell, faces in free}
     schedule = completion_schedule(
-        order, (((index[lvl], key_of(faces)), faces)
-                for lvl, _, free in levels for _, faces in free if faces))
-    plan = []
-    for lvl, forced, free in levels:
-        plan.append((
-            comps[lvl],
-            [(cell, comps[src], a, degen) for cell, src, a, degen in forced],
-            [(cell, pins.get((lvl, cell)), index.get(lvl), key_of(faces))
-             for cell, faces in free],
-            [con for cell, _, _, _ in forced for con in schedule[(lvl, cell)]],
-            [schedule[(lvl, cell)] for cell, _ in free]))
+        order, (((index[lvl], readers[lvl, cell]), faces)
+                for lvl, _, free in levels for cell, faces in free if faces))
+    # per level: image dict, forced cells, their constraints, free cells'
+    # range; per free cell: image dict, cell, constraints, the level to
+    # enter after it (None but for a level's last), how to draw its list
+    plan, frees = [], []
+    for li, (lvl, forced, free) in enumerate(levels):
+        plan.append((comps[lvl], [(c, comps[src], a, degen)
+                                  for c, src, a, degen in forced],
+                     [con for c, *_ in forced for con in schedule[lvl, c]],
+                     len(frees), len(frees) + len(free)))
+        frees += [(comps[lvl], c, schedule[lvl, c],
+                   li + 1 if pos == len(free) else None,
+                   index.get(lvl), readers[lvl, c], pins.get((lvl, c)))
+                  for pos, (c, _) in enumerate(free, 1)]
+    cand_lists = [None] * len(frees)
+    its = [None] * len(frees)
     results = []
-    last = len(plan)
 
-    def holds(checks):
-        return all(tuple([comp[cell] for comp, cell in key]) in idx
-                   for idx, key in checks)
-
-    def enter(li):
-        if li == last:
-            results.append({lvl: dict(comp) for lvl, comp in comps.items()})
-            return
-        comp, forced, free, forced_checks, _ = plan[li]
-        try:
+    def open_from(li):
+        # enter levels li, li + 1, .. up to one with a free cell and open
+        # its first candidates (the cell, or -1 when none is opened)
+        for comp, forced, forced_checks, start, stop in plan[li:]:
             for cell, src, a, degen in forced:
                 comp[cell] = degen[src[a]]
-            if not holds(forced_checks):
-                return
-            cand_lists = []
-            for _, pin, idx, key in free:
-                tick()
-                cands = idx.get(tuple([c[f] for c, f in key]), ())
+            for idx, key in forced_checks:
+                if key() not in idx:
+                    return -1
+            for g in range(start, stop):
+                _, _, _, _, idx, key, pin = frees[g]
+                cands = idx.get(key(), ())
                 if pin is not None:
                     cands = [v for v in cands if v in pin]
                 if not cands:
-                    return
-                cand_lists.append(cands)
-            choose(li, 0, cand_lists)
-        finally:
-            comp.clear()
+                    tick(n=g + 1 - start)
+                    return -1
+                cand_lists[g] = cands
+            if start < stop:
+                tick(n=stop - start + len(cand_lists[start]))
+                its[start] = iter(cand_lists[start])
+                return start
+        results.append({lvl: dict(comp) for lvl, comp in comps.items()})
+        return -1
 
-    def choose(li, pos, cand_lists):
-        comp, _, free, _, free_checks = plan[li]
-        if pos == len(free):
-            enter(li + 1)
-            return
-        cell = free[pos][0]
-        checks = free_checks[pos]
-        for v in cand_lists[pos]:
-            tick()
+    g = open_from(0)
+    while g >= 0:
+        comp, cell, checks, after, _, _, _ = frees[g]
+        for v in its[g]:
             comp[cell] = v
-            if holds(checks):
-                choose(li, pos + 1, cand_lists)
-            del comp[cell]
-
-    enter(0)
+            for idx, key in checks:
+                if key() not in idx:
+                    break
+            else:
+                break
+        else:
+            g -= 1
+            continue
+        if after is not None:
+            # a cell opened lies past g; on -1, g's next candidate is due
+            g = max(g, open_from(after))
+        else:
+            g += 1
+            tick(n=len(cand_lists[g]))
+            its[g] = iter(cand_lists[g])
     return results
 
 
@@ -1430,10 +1447,7 @@ def enumerate_maps(x_sset, y_sset, upto=None, pins=None):
     assigned so far.  `pins` maps (level, simplex of X) to the images
     allowed for it, as in map_search (a degenerate simplex follows its
     presentation and ignores a pin); when both complexes carry a base
-    point, X's base vertex is also pinned to Y's.  Forward checking
-    follows map_search's completion schedule: a free level-(k+1) simplex
-    is tested for a candidate in Y once, right after the last of its
-    faces is assigned.
+    point, X's base vertex is also pinned to Y's.
     Raises SearchBudgetExceeded past the evaluation cap.
     """
     d = min(x_sset.dim, y_sset.dim) if upto is None else upto

@@ -1,15 +1,15 @@
 """Reference maps that only the tests read: alpha^m as a dict, the Kan
 rows by their definition, the Kan report over every checkable dimension,
 the diagonal of a bisimplicial set, the key of a map by its sorted
-items, the enriched-hom builder keyed by sorted map items, the
-retraction check of the shift (decalage), the translation check of a
-2-group, the 2-groups K(Z/2, Z/2) with given coherence data, and the
-string-keyed monoidal validation."""
+items, the enriched-hom builder keyed by sorted map items, the map
+search as a recursion with one tick per evaluation, the retraction
+check of the shift (decalage), the translation check of a 2-group, the
+2-groups K(Z/2, Z/2) with given coherence data, and the string-keyed
+monoidal validation."""
 
 import itertools
 
 from kanforge import catalg as ca
-from kanforge import determinants as dt
 from kanforge import groups as gr
 from kanforge import simplicial as sp
 
@@ -153,8 +153,9 @@ def canon(comps):
 
 
 def canon_transported_hom(maps, pull, prefix):
-    """determinants._transported_hom with every map keyed by canon, and
-    each precomposite built as a dict before it is keyed."""
+    """determinants._transported_hom with every map keyed by canon, each
+    precomposite built as a dict before it is keyed, and each coface and
+    codegeneracy listed by its definition."""
     n_max = len(maps) - 1
     levels = [["%s%d_%d" % (prefix, n, i) for i in range(len(maps[n]))]
               for n in range(n_max + 1)]
@@ -162,14 +163,90 @@ def canon_transported_hom(maps, pull, prefix):
 
     def op(name, n, i):
         n_to = n + sp.STEPS[name]
-        post = dt._post_delta if name == "face" else dt._post_sigma
-        moved = pull(n_to, n, lambda phi: post(i, phi))
+        # delta_i : [n - 1] -> [n] misses i; sigma_i : [n + 1] -> [n]
+        # hits i twice
+        vert = ([v for v in range(n + 1) if v != i] if name == "face"
+                else sorted([*range(n + 1), i]))
+        moved = pull(n_to, n, vert)
         return {levels[n][idx]: levels[n_to][ranks[n_to][canon(
             {lvl: {cell: f[lvl][img] for cell, img in row.items()}
              for lvl, row in moved.items()})]]
             for idx, f in enumerate(maps[n])}
 
     return sp.build_sset(n_max, levels, op)
+
+
+def recursive_map_search(levels, index, tick, pins=None):
+    """simplicial.map_search as a recursion, one call per level entered
+    and per free cell opened, testing every scheduled constraint with
+    holds(); tick() is called once per evaluation."""
+    pins = pins or {}
+    comps = {lvl: {} for lvl, _, _ in levels}
+    order = [(lvl, cell[0]) for lvl, forced, free in levels
+             for cell in forced + free]
+
+    def key_of(faces):
+        # the faces as (that level's image dict, cell), read at run time
+        return tuple([(comps[lvl], cell) for lvl, cell in faces])
+
+    schedule = sp.completion_schedule(
+        order, (((index[lvl], key_of(faces)), faces)
+                for lvl, _, free in levels for _, faces in free if faces))
+    plan = []
+    for lvl, forced, free in levels:
+        plan.append((
+            comps[lvl],
+            [(cell, comps[src], a, degen) for cell, src, a, degen in forced],
+            [(cell, pins.get((lvl, cell)), index.get(lvl), key_of(faces))
+             for cell, faces in free],
+            [con for cell, _, _, _ in forced for con in schedule[(lvl, cell)]],
+            [schedule[(lvl, cell)] for cell, _ in free]))
+    results = []
+    last = len(plan)
+
+    def holds(checks):
+        return all(tuple([comp[cell] for comp, cell in key]) in idx
+                   for idx, key in checks)
+
+    def enter(li):
+        if li == last:
+            results.append({lvl: dict(comp) for lvl, comp in comps.items()})
+            return
+        comp, forced, free, forced_checks, _ = plan[li]
+        try:
+            for cell, src, a, degen in forced:
+                comp[cell] = degen[src[a]]
+            if not holds(forced_checks):
+                return
+            cand_lists = []
+            for _, pin, idx, key in free:
+                tick()
+                cands = idx.get(tuple([c[f] for c, f in key]), ())
+                if pin is not None:
+                    cands = [v for v in cands if v in pin]
+                if not cands:
+                    return
+                cand_lists.append(cands)
+            choose(li, 0, cand_lists)
+        finally:
+            comp.clear()
+
+    def choose(li, pos, cand_lists):
+        comp, _, free, _, free_checks = plan[li]
+        if pos == len(free):
+            enter(li + 1)
+            return
+        cell = free[pos][0]
+        checks = free_checks[pos]
+        for v in cand_lists[pos]:
+            tick()
+            comp[cell] = v
+            if holds(checks):
+                choose(li, pos + 1, cand_lists)
+            del comp[cell]
+
+    enter(0)
+    return results
 
 
 def shift_retraction_check(x_sset):

@@ -2,6 +2,8 @@
 against their definitions, on small random complexes and the canned
 corpus."""
 
+import itertools
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -12,7 +14,7 @@ from kanforge import examples as ex
 
 from reference import (canon, canon_transported_hom, definitional_alpha_bijective,
                        definitional_faces_compatible, definitional_kan_row,
-                       definitional_tuples)
+                       definitional_tuples, recursive_map_search)
 
 
 # -- Kan rows on small random complexes ----------------------------------------
@@ -191,6 +193,123 @@ def test_string_and_places_forms_agree():
             ra, rb = sp.kan_status(a, m), sp.kan_status(b, m)
             assert (ra.flags, ra.minimal) == (rb.flags, rb.minimal)
             assert sp.alpha_bijective(a, m) == sp.alpha_bijective(b, m)
+
+
+# -- the map search against a product brute force and the recursion ----------
+
+
+def inside(spec):
+    """spec with every face outside its level folded into it (t mod the
+    level's size), and a level whose level below is empty emptied: a
+    source whose faces lie in the levels of the search."""
+    sizes, faces = list(spec[0]), [None]
+    for k in range(1, len(sizes)):
+        below = sizes[k - 1]
+        if not below:
+            sizes[k] = 0
+        faces.append([[t % below for t in col[:sizes[k]]]
+                      for col in spec[1][k]])
+    return sizes, faces
+
+
+@st.composite
+def search_cases(draw):
+    """A map_search input: the levels 0..d of a source drawn by specs()
+    (faces kept inside), d the lesser dimension of source and target,
+    in string or Places form.  Some cells of level k >= 1 are forced
+    from a cell of level k - 1 through a drawn table into the target's
+    level k; with pins, some cells are pinned to drawn sets of target
+    cells; with a base point, one vertex is pinned to one target vertex
+    as enumerate_maps pins a base.  Returns (levels, index, pins,
+    x, y)."""
+    places = draw(st.booleans())
+    x = complex_from_spec(inside(draw(specs())), places)
+    y = complex_from_spec(draw(specs()), places)
+    d = min(x.dim, y.dim)
+    index = {k: y.face_index(k) for k in range(1, d + 1)}
+    index[0] = {(): list(y.level(0))}
+    levels = []
+    for k in range(d + 1):
+        forced, free = [], []
+        faces = x.face_table(k)
+        for cell in x.level(k):
+            if k and y.level(k) and draw(st.integers(0, 3)) == 0:
+                a = draw(st.sampled_from(list(x.level(k - 1))))
+                images = [draw(st.sampled_from(list(y.level(k))))
+                          for _ in y.level(k - 1)]
+                degen = images if places else dict(zip(y.level(k - 1), images))
+                forced.append((cell, k - 1, a, degen))
+            else:
+                free.append((cell, tuple((k - 1, f) for f in faces[cell])
+                             if k else ()))
+        levels.append((k, forced, free))
+    pins = {}
+    if draw(st.booleans()):
+        for k, _, free in levels:
+            for cell, _ in free:
+                if draw(st.booleans()):
+                    pins[k, cell] = draw(st.sets(st.sampled_from(
+                        list(y.level(k)) or [None])))
+    if draw(st.booleans()) and x.level(0) and y.level(0):
+        base = (0, draw(st.sampled_from(list(x.level(0)))))
+        yb = draw(st.sampled_from(list(y.level(0))))
+        pins[base] = {yb}.intersection(pins.get(base, (yb,)))
+    return levels, index, pins, x, y
+
+
+def brute_force_maps(levels, pins, x, y):
+    """Every levelwise assignment of the source cells to target cells,
+    level by level an itertools.product over the cells of each level,
+    kept when each forced cell is the image of its presentation, each
+    free cell with faces goes to a cell whose faces are the images of
+    its faces, and each pinned free cell to an allowed cell."""
+    found = [{}]
+    for k, forced, free in levels:
+        cells = [cell for cell, *_ in forced] + [cell for cell, _ in free]
+        faces_of = y.face_table(k)
+        grown = []
+        for f in found:
+            for images in itertools.product(y.level(k), repeat=len(cells)):
+                g = dict(f)
+                g[k] = dict(zip(cells, images))
+                if all(g[k][c] == degen[g[src][a]]
+                       for c, src, a, degen in forced) and all(
+                        faces_of[g[k][c]] == tuple(g[lvl][f_] for lvl, f_ in fs)
+                        for c, fs in free if fs) and all(
+                        g[k][c] in pins[k, c] for c, _ in free
+                        if (k, c) in pins):
+                    grown.append(g)
+        found = grown
+    return found
+
+
+def as_items(maps):
+    """Each map as its levels and their (cell, image) items, in order."""
+    return [[(lvl, list(comp.items())) for lvl, comp in f.items()]
+            for f in maps]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=search_cases())
+def test_map_search_matches_brute_force_and_recursion(case):
+    """map_search gives the maps of an itertools.product brute force, as
+    a set, and the maps of the recursive search in tests/reference.py,
+    in its order (key order within each map included), on the same
+    number of budget ticks."""
+    levels, index, pins, x, y = case
+    counts = {"loop": 0, "recursion": 0}
+
+    def ticker(name):
+        def tick(*fields, n=1):
+            counts[name] += n
+        return tick
+
+    got = sp.map_search(levels, index, ticker("loop"), pins)
+    want = recursive_map_search(levels, index, ticker("recursion"), pins)
+    assert as_items(got) == as_items(want)
+    assert counts["loop"] == counts["recursion"]
+    assert sorted(map(canon, got)) == \
+        sorted(map(canon, brute_force_maps(levels, pins, x, y)))
 
 
 # -- the enriched homs against the builder keyed by sorted map items -----------

@@ -160,9 +160,40 @@ def test_budget_guard(monkeypatch):
         dt.enumerate_additive(s1, gr.symmetric(3))
 
 
+def test_every_budget_message_names_its_cap(monkeypatch):
+    # each of the seven guarded searches under a small cap: 2, or 10 for
+    # the Segal determinant search, whose column-1 map enumeration takes
+    # 4 evaluations on the source here
+    monkeypatch.delenv("KANFORGE_BUDGET", raising=False)
+    s1, g = ex.build("s1"), ex.build("oneobj-z2")
+    x, ns = nv.p2_star(s1, 2), nv.segal_nerve(g, 2, 3)
+    x11 = nv.p2_star(ex.build("t11"), 2)
+    det = dt.enumerate_determinants(s1, g)[0]
+    runs = {
+        "map enumeration": (2, lambda: sp.enumerate_maps(s1, s1)),
+        "bisimplicial enumeration": (2, lambda: nv.enumerate_bimaps(x, ns)),
+        "additive enumeration": (2, lambda: dt.enumerate_additive(
+            s1, gr.cyclic(3))),
+        "determinant enumeration": (2, lambda: dt.enumerate_determinants(
+            s1, g)),
+        "determinant morphism search": (2, lambda: dt.det_morphisms(
+            s1, g, det, det)),
+        "segal determinant search": (
+            10, lambda: dt.enumerate_segal_determinants(x11, g)),
+        "fibrancy boundary-horn lift search": (
+            2, lambda: nv.segal_fibrancy_check(ns)),
+    }
+    for search, (cap, run) in runs.items():
+        monkeypatch.setenv("KANFORGE_BUDGET", str(cap))
+        with pytest.raises(sp.SearchBudgetExceeded) as exc:
+            run()
+        assert str(exc.value) == "%s exceeded %d evaluations" % (search, cap)
+
+
 def test_every_search_reads_the_one_cap(monkeypatch):
-    # the front ends that no tick pin reaches: each runs a search under
-    # KANFORGE_BUDGET, and none takes a cap of its own
+    # the front ends beside the searches' own tick pins (the enriched
+    # homs are also pinned, in tests/test_fastpaths.py): each runs a
+    # search under KANFORGE_BUDGET, and none takes a cap of its own
     monkeypatch.delenv("KANFORGE_BUDGET", raising=False)
     s1, g = ex.build("s1"), ex.build("oneobj-z2")
     x, ns = nv.p2_star(s1, 2), nv.segal_nerve(g, 2, 3)

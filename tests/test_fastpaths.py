@@ -2064,6 +2064,18 @@ def test_search_budgets_pinned():
     assert_ticks(lambda: dt.hom_sset(t12, ng), 3382)
 
 
+def test_enriched_hom_budgets_pinned():
+    # the fewest evaluations of the enriched homs' map searches (the
+    # cap reaches each search on its own), as counted by the recursive
+    # map search of tests/reference.py
+    s1, t11, g = ex.build("s1"), ex.build("t11"), ex.build("oneobj-z2")
+    ng = nv.nerve_2group(g, 3)
+    assert_ticks(lambda: dt.enriched_hom0(s1, ng, 3), 24104)
+    assert_ticks(lambda: dt.enriched_hom0(t11, ng, 1), 5792)
+    x, ns = nv.p2_star(s1, 2), nv.segal_nerve(g, 2, 3)
+    assert_ticks(lambda: dt.hom1_enriched(x, ns, 2), 59)
+
+
 # -- both kinds of map against their definition -------------------------------
 #
 # Independent of map_search and of the references above: every levelwise

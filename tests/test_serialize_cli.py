@@ -261,6 +261,17 @@ def test_cli_malformed_budget_exit_two(tmp_path, capsys, monkeypatch):
     assert cli.main(["validate", dump(tmp_path, "delta1")]) == 2
 
 
+@pytest.mark.parametrize("verb,group,search", [
+    ("det", "oneobj-z2", "determinant enumeration"),
+    ("add", "z2", "additive enumeration")])
+def test_cli_budget_line_names_the_cap(tmp_path, capsys, monkeypatch, verb,
+                                       group, search):
+    monkeypatch.setenv("KANFORGE_BUDGET", "5")
+    assert cli.main([verb, dump(tmp_path, "t11"), dump(tmp_path, group)]) == 2
+    assert capsys.readouterr().out == \
+        "budget exceeded: %s exceeded 5 evaluations\n" % search
+
+
 def test_cli_verify_fibrancy_budget_exit_two(capsys, monkeypatch):
     monkeypatch.setenv("KANFORGE_BUDGET", "10")
     assert cli.main(["verify", "fibrancy"]) == 2
