@@ -1,7 +1,7 @@
 """kanforge: verification toolkit for finite truncated simplicial sets,
 2-groups, their nerves and determinant representability."""
 
-from .groups import FiniteGroup, cyclic, symmetric, direct_product, trivial_group
+from .groups import FiniteGroup, cyclic, symmetric
 from .simplicial import (
     TruncatedSSet, ValidationReport, classify, kan_status,
     boundary_tuples,
@@ -13,14 +13,14 @@ from .simplicial import (
 )
 from .catalg import (
     FinCategory, FinGroupoid, MonoidalStructure, TwoGroup, LaxUnitaryFunctor,
-    certify_two_group, pi0_two_group, pi1_two_group, compose_lax,
-    identity_lax, is_weak_equivalence, one_object_groupoid,
+    certify_two_group, pi0_two_group, pi1_two_group, is_weak_equivalence,
+    one_object_groupoid,
     indiscrete_groupoid, discrete_two_group, one_object_two_group,
     product_two_group, CatError, NotGroupoidBase, CertifyFailure,
 )
 from .nerves import (
     nerve_category, groupoid_from_nerve, nerve_2group, two_group_from_nerve,
-    q_simplex_groupoid, segal_nerve, BisimplicialTrunc, box,
+    segal_nerve, BisimplicialTrunc, box,
     mu3_determined, segal_fibrancy_check, loop_gamma, enumerate_bimaps,
     p2_star, NerveError, NotOneKanGroupoid, NotTwoKanGroupoid,
 )

@@ -432,9 +432,6 @@ class TwoGroup(MonoidalStructure):
         self.alpha_w = alpha
         self.beta_w = beta
 
-    def certified(self):
-        return None not in (self.iota_d, self.iota_g, self.alpha_w, self.beta_w)
-
 
 class CertifyFailure(CatError):
     def __init__(self, obj):
@@ -608,34 +605,6 @@ class LaxUnitaryFunctor:
             if ct.comp(self.m(x, src.unit), tgt.r(self.fo(x))) != self.fm(src.r(x)):
                 errs.append("right unit coherence fails at %s" % x)
         return errs
-
-
-def identity_lax(g):
-    c = g.base
-    return LaxUnitaryFunctor(
-        g, g,
-        {x: x for x in c.objects},
-        {f: f for f in c.morphisms},
-        {(x, y): c.id_of(g.t(x, y)) for x in c.objects for y in c.objects},
-        name="id")
-
-
-def compose_lax(g_fun, f_fun):
-    """Composite g_fun . f_fun with the composed lax components
-    m^{GF}_{X,Y} = G(m^F_{X,Y}) . m^G_{FX,FY}."""
-    if f_fun.target is not g_fun.source:
-        raise CatError("functors not composable")
-    src, mid, tgt = f_fun.source, f_fun.target, g_fun.target
-    obj = {x: g_fun.fo(f_fun.fo(x)) for x in src.base.objects}
-    mor = {f: g_fun.fm(f_fun.fm(f)) for f in src.base.morphisms}
-    m = {}
-    for x in src.base.objects:
-        for y in src.base.objects:
-            m[(x, y)] = tgt.base.comp(
-                g_fun.fm(f_fun.m(x, y)),
-                g_fun.m(f_fun.fo(x), f_fun.fo(y)))
-    return LaxUnitaryFunctor(src, tgt, obj, mor, m,
-                             name="%s.%s" % (g_fun.name, f_fun.name))
 
 
 def pi0_map(f_fun):

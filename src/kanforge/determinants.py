@@ -12,7 +12,7 @@ import operator
 from . import simplicial as sp
 from . import catalg as ca
 from . import nerves as nv
-from .groups import bijective, equivalence_classes
+from .groups import FiniteGroup, bijective, equivalence_classes
 
 
 class DeterminantError(Exception):
@@ -46,13 +46,15 @@ class EnrichedHom:
     """The reduced enriched hom: level n = maps (X x Delta^n)/(* x Delta^n) -> Y.
 
     Materialized as a TruncatedSSet (attribute .sset) whose level-n ids
-    index the stored maps (.maps[n]), by _transported_hom through _pull."""
+    index the stored maps (.maps[n]), by _transported_hom through _pull.
+    The maps are sorted by the ids of their images, so a Y on places is
+    named first (sp.named)."""
 
     def __init__(self, x_sset, y_sset, n_max):
         if not x_sset.is_reduced():
             raise DeterminantError("enriched hom needs a reduced source")
+        y_sset = sp.named(y_sset)
         self.x = x_sset
-        self.y = y_sset
         d = x_sset.dim
         sub = sp.sq0_subcomplex(x_sset)
         self.quots = []
@@ -367,12 +369,11 @@ def determinants_vs_hom(x_sset, g):
     """The bijection f -> (f_1, f_2) between maps into the 2-group nerve
     and determinants; returns (dets, homs, ok).  A cell of the nerve's
     level 1 (2) is read as the object X_01 (the morphism al_012) of its
-    structure, level q listing one cell per monoidal_simplices(g, q)."""
+    structure: level q holds one place per monoidal_simplices(g, q)."""
     ng = nv.nerve_2group(g, max(3, x_sset.dim))
     dets = enumerate_determinants(x_sset, g)
     homs = hom_sset(x_sset, ng)
-    obj, mor = [dict(zip(ng.level(q), [st[pos] for st in
-                                       nv.monoidal_simplices(g, q)]))
+    obj, mor = [[st[pos] for st in nv.monoidal_simplices(g, q)]
                 for q, pos in ((1, 1), (2, 3))]
     # a determinant as {1: D, 2: T}, and a map as its (D, T), keyed by
     # their values over the sorted edges and triangles
@@ -444,7 +445,7 @@ def _relation_classes(n, related, what):
 def grho_check(g):
     """pi_0(G) = pi_1(N G) via the identity on objects and
     pi_1(G) = pi_2(N G) via phi -> phi . l_unit^{-1}; both verified as
-    group isomorphisms by table comparison."""
+    group isomorphisms on the nerve's places, and returned under ids."""
     errs = []
     c = g.base
     ng = nv.nerve_2group(g, 4)
@@ -471,7 +472,20 @@ def grho_check(g):
         errs.append("alpha1 is not a homomorphism")
     if not p2.is_abelian():
         errs.append("pi2 of a 2-group nerve must be abelian")
-    return errs, (p0, p1, p2, pi1g)
+    return errs, (p0, _named_pi(p1, cls1, ng.level(1)),
+                  _named_pi(p2, cls2, ng.level(2)), pi1g)
+
+
+def _named_pi(group, classes, cells):
+    """group, with classes on the level cells, under the ids of its cells
+    as sp.pi_with_classes gives it on the named complex: each class by
+    its least id, the elements sorted."""
+    name, rep = sp.namer(cells), {}
+    for s, r in classes.items():
+        rep[r] = min(rep.get(r, name(s)), name(s))
+    return FiniteGroup(sorted(rep.values()), {
+        (rep[a], rep[b]): rep[c] for (a, b), c in group.table.items()},
+        rep[group.unit], name=group.name)
 
 
 # -- Segal determinants --------------------------------------------------------

@@ -171,15 +171,3 @@ def symmetric(n):
             table[(p, q)] = tuple(p[q[i]] for i in range(n))
     unit = tuple(range(n))
     return FiniteGroup(els, table, unit, name="S%d" % n)
-
-
-def direct_product(g, h):
-    els = [(a, b) for a in g.elements for b in h.elements]
-    table = {((a1, b1), (a2, b2)): (g.mul(a1, a2), h.mul(b1, b2))
-             for (a1, b1) in els for (a2, b2) in els}
-    return FiniteGroup(els, table, (g.unit, h.unit),
-                       name="%sx%s" % (g.name, h.name))
-
-
-def trivial_group():
-    return FiniteGroup(["e"], {("e", "e"): "e"}, "e", name="1")

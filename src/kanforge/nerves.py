@@ -129,14 +129,17 @@ def groupoid_from_nerve(w):
 # -- nerve of a monoidal category / 2-group --------------------------------
 
 
+@functools.cache
 def _pairs(q):
     """The pairs i < j of [q], in sorted order: the slots of a family."""
-    return [(i, j) for i in range(q + 1) for j in range(i + 1, q + 1)]
+    return tuple((i, j) for i in range(q + 1) for j in range(i + 1, q + 1))
 
 
+@functools.cache
 def _triples(q):
     """The triples i < j < k of [q], in sorted order."""
-    return [(i, j, k) for (i, j) in _pairs(q) for k in range(j + 1, q + 1)]
+    return tuple((i, j, k) for (i, j) in _pairs(q)
+                 for k in range(j + 1, q + 1))
 
 
 def _simplex_keys(g, q):
@@ -275,32 +278,32 @@ def _struct_id(st):
     return "%s(%s)" % (st[0], ",".join(map(str, st[1:])))
 
 
+def _level_names(g, q, keys):
+    """place -> the _struct_id of its simplex (of keys) at level q."""
+    return list(map(_struct_id, _key_structs(g, q, keys))).__getitem__
+
+
 def nerve_2group(g, to_dim):
-    """The reduced nerve of a monoidal groupoid, 3-coskeletal; levels
-    above 3 come from the coskeletal extension.  Level q <= 3 lists one
-    cell per structural simplex in monoidal_simplices(g, q) order: a
-    consumer finds the structure of a cell, or the cell of a structure,
-    by zipping the two.  Up to level 3 each face and degeneracy is one
-    _reindex_table on g.int_index, and every value is the target level's
-    own id object."""
+    """The reduced nerve of a monoidal groupoid, 3-coskeletal, on
+    sp.Places; levels above 3 come from the coskeletal extension.  Level
+    q <= 3 has one cell per structural simplex in monoidal_simplices(g,
+    q) order: a consumer finds the structure of a cell, or the cell of a
+    structure, by zipping the two.  Up to level 3 each face and
+    degeneracy is the list _reindex_table gives on g.int_index.  Ids
+    (_struct_id) are made only by a level's names, for output."""
     cap = min(to_dim, 3)
     ix = g.int_index
     keys = [_simplex_keys(g, q) for q in range(cap + 1)]
-    structs = [_key_structs(g, q, keys[q]) for q in range(cap + 1)]
-    ids = [[_struct_id(st) for st in structs[q]] for q in range(cap + 1)]
     index = [_key_index(k) for k in keys]
-
-    def operator_map(q, phi, q_to):
-        to = ids[q_to]
-        return dict(zip(ids[q], [to[n] for n in _reindex_table(
-            ix, index[q], index[q_to], phi, q, q_to)]))
+    levels = [sp.Places(len(keys[q]), functools.partial(
+        _level_names, g, q, keys[q])) for q in range(cap + 1)]
 
     def op(name, q, i):
-        if name == "face":
-            return operator_map(q, _delta(i, q), q - 1)
-        return operator_map(q, _sigma(i, q), q + 1)
+        q_to, phi = (q - 1, _delta(i, q)) if name == "face" else \
+            (q + 1, _sigma(i, q))
+        return _reindex_table(ix, index[q], index[q_to], phi, q, q_to)
 
-    out = sp.build_sset(cap, ids, op, coskeletal_at=3, base="*")
+    out = sp.build_sset(cap, levels, op, coskeletal_at=3, base=0)
     if to_dim > cap:
         out = sp.coskeletal_extend(out, to_dim)
     return out
@@ -356,13 +359,15 @@ def two_group_from_nerve(z):
     faces (unit, Y, X), the tensor is the middle face of a chosen inner
     filler and all coherence cells come from unique dim-2 horn fillers.
     The output is accepted only if it certifies as a 2-group and the
-    rebuilt nerve is isomorphic to the input in the stored range.
+    rebuilt nerve is isomorphic to the input in the stored range.  Its
+    cells are the input's, read through their ids (sp.named) to level 3.
     """
     if not z.is_reduced():
         raise NotTwoKanGroupoid("input is not reduced")
     rep = sp.classify(z, 2)
     if not rep.n_kan_groupoid:
         raise NotTwoKanGroupoid("input fails the 2-Kan-groupoid test: %r" % rep)
+    z = sp.named(sp.truncate(z, min(z.dim, 3)))
     ops = _NerveOps(z)
     objects = list(z.level(1))
     d0, d1, d2 = [z.face[2, i] for i in range(3)]
@@ -461,32 +466,6 @@ def _is_simplicial_map(x, y, comps, top):
                                    (x.degen, y.degen, 1))
         if 0 <= k + step <= top for i in range(k + 1)])
         for k in range(top + 1))
-
-
-# -- groupoid of q-simplices and the Segal nerve ----------------------------
-
-
-def q_simplex_groupoid(g, q):
-    """The groupoid of q-simplices of a 2-group, as a FinCategory table,
-    read off the int tables of _SegalLevels."""
-    lv = _SegalLevels(g, q)
-    if q > lv.qmax:
-        raise NerveError("structural simplices stop at dimension 3")
-    objects, names = lv.obj_names[q], lv.mor_names[q]
-    src, tgt = lv.src[q], lv.tgt[q]
-    # morphisms in the order they are enumerated: by source, then family
-    morphs = list(map(names.__getitem__, lv._rank[q]))
-    ident = dict(zip(objects, [names[m] for m in lv.identity_table(q)]))
-    before, after = lv.chain_columns(2, q)
-    comp = dict(zip(zip(map(names.__getitem__, after),
-                        map(names.__getitem__, before)),
-                    map(names.__getitem__, lv.composite(q, after, before))))
-    inv = dict(zip(names, map(names.__getitem__, lv.inverse_table(q))))
-    return ca.FinGroupoid(objects, morphs,
-                          {names[m]: objects[s] for m, s in enumerate(src)},
-                          {names[m]: objects[t] for m, t in enumerate(tgt)},
-                          ident, comp, inv=inv,
-                          name="simplex-groupoid-%d" % q)
 
 
 # -- bisimplicial sets -------------------------------------------------------
@@ -1071,12 +1050,6 @@ class _SegalLevels:
         cols = self.chain_columns(p, q)
         return lambda c: _chain_id([names[col[c]] for col in cols])
 
-    def inverse_table(self, q):
-        """morphism int -> int of its inverse, in level q."""
-        inv = self._ix.inv
-        return self.index(q, self.tgt[q],
-                          [map(inv.__getitem__, fs) for fs in self.fam[q]])
-
     def identity_table(self, q):
         """object int -> int of its identity morphism, in level q."""
         table = self._identity.get(q)
@@ -1541,10 +1514,12 @@ def loop_gamma(g):
     om = sp.loop_space(ng, variant="plain", base=ng.base)
     nsg = nerve_category(g.base, om.dim)
     c = g.base
-    # the structures of ng's levels 1 and 2, and the cells of nsg's
-    # objects and morphisms, each in its nerve's level order
-    obj = dict(zip(ng.level(1), [st[1] for st in monoidal_simplices(g, 1)]))
-    struct2 = dict(zip(ng.level(2), monoidal_simplices(g, 2)))
+    # om's level n keeps the (n+1)-simplices of ng with last face at the
+    # base in order (all objects; the 2-simplices with X_01 the unit), so
+    # its cells zip with their structures, as nsg's with c's
+    obj = dict(zip(om.level(0), [st[1] for st in monoidal_simplices(g, 1)]))
+    struct2 = dict(zip(om.level(1), [st for st in monoidal_simplices(g, 2)
+                                     if st[1] == g.unit]))
     cell0 = dict(zip(c.objects, nsg.level(0)))
     cell1 = dict(zip(c.morphisms, nsg.level(1)))
     comps = {0: {x: cell0[obj[x]] for x in om.level(0)}, 1: {}}

@@ -156,16 +156,16 @@ def _read_operators(doc, name, levels, step, where):
 
 
 def sset_to_doc(x):
-    x = sp.named(x)
-    doc = {"format": 1, "kind": "sset", "dim": x.dim,
-           "levels": [list(l) for l in x.levels]}
+    """The document of X under its string ids (sp.named_lists: a complex
+    on places is named here, with no dict table built)."""
+    ids, images, base = sp.named_lists(x)
+    doc = {"format": 1, "kind": "sset", "dim": x.dim, "levels": ids}
     for name, table in (("face", x.face), ("degen", x.degen)):
-        doc[name] = {"%d.%d" % key: [m[s] for s in x.levels[key[0]]]
-                     for key, m in table.items()}
+        doc[name] = {"%d.%d" % key: images[(name,) + key] for key in table}
     if x.coskeletal_at is not None:
         doc["coskeletal_at"] = x.coskeletal_at
-    if x.base is not None:
-        doc["base"] = x.base
+    if base is not None:
+        doc["base"] = base
     return doc
 
 

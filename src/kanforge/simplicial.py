@@ -101,8 +101,10 @@ class TruncatedSSet:
     coskeletal_at  optional c asserting the object is c-coskeletal
     base        optional 0-simplex id (pointed variant)
 
-    A derived complex may instead hold a level as Places and each
-    operator out of it as the list of its target places.
+    A derived complex (nerve_2group, segal_nerve's lines, and what
+    coskeletal_extend and loop_space make of them) may instead hold a
+    level as Places and each operator out of it as the list of its target
+    places; ids are made only for output (named_lists).
 
     The complex holds the level lists and operator dicts it is given, not
     copies: a builder hands over tables it has just made, or shares those
@@ -110,7 +112,7 @@ class TruncatedSSet:
     construction.  It is read only through its levels, its operator
     tables (d_i of a cell c of level k is face[k, i][c], s_j of it
     degen[k, j][c]) and the caches built from them once each:
-    face_table, face_index and face_codes.
+    face_table, face_index, face_codes and the memoised Kan rows.
     """
 
     def __init__(self, dim, levels, face, degen, coskeletal_at=None, base=None):
@@ -126,6 +128,7 @@ class TruncatedSSet:
         self._face_indexes = {}
         self._face_codes = {}
         self._faces_compatible = {}
+        self._alpha = {}
         self._kan_rows = {}
 
     # -- basic access ----------------------------------------------------
@@ -289,21 +292,46 @@ def namer(cells):
     return cells.names() if isinstance(cells, Places) else lambda c: c
 
 
+def named_lists(x_sset):
+    """(ids, images, base): the string ids of each level k, of the images
+    of level k under each operator (table name, k, i) and of the base, as
+    lists in level order; a list table is read through the ids of its
+    target level, and no dict table is built."""
+    ids = [list(map(namer(cells), cells)) for cells in x_sset.levels]
+    images = {}
+    for name, step in STEPS.items():
+        for (k, i), mp in getattr(x_sset, name).items():
+            chain = (mp, ids[k + step]) if isinstance(
+                x_sset.levels[k + step], Places) else (mp,)
+            images[name, k, i] = column(x_sset.levels[k], chain)
+    base = None if x_sset.base is None else \
+        namer(x_sset.levels[0])(x_sset.base)
+    return ids, images, base
+
+
 def named(x_sset):
     """X with every cell under its string id, in the same level order
     and operator key order; X itself when no level is Places."""
     if not any(isinstance(cells, Places) for cells in x_sset.levels):
         return x_sset
-    ids = [list(map(namer(cells), cells)) for cells in x_sset.levels]
-
-    def table(name):
-        return {(k, i): dict(zip(ids[k], column(
-            x_sset.levels[k], (mp, ids[k + STEPS[name]]))))
-                for (k, i), mp in getattr(x_sset, name).items()}
-
-    base = None if x_sset.base is None else ids[0][x_sset.base]
-    return TruncatedSSet(x_sset.dim, ids, table("face"), table("degen"),
+    ids, images, base = named_lists(x_sset)
+    tables = {name: {(k, i): dict(zip(ids[k], images[name, k, i]))
+                     for k, i in getattr(x_sset, name)} for name in STEPS}
+    return TruncatedSSet(x_sset.dim, ids, tables["face"], tables["degen"],
                          x_sset.coskeletal_at, base)
+
+
+def tabled(cells, images):
+    """The operator table out of the level cells with these images, in
+    level order: the list itself over Places, else a dict cell -> image."""
+    return images if isinstance(cells, Places) else dict(zip(cells, images))
+
+
+def sublevel(cells, keep):
+    """The cells keep of the level cells, in their order, as a level:
+    Places under their ids when cells is Places, else keep itself."""
+    return keep if not isinstance(cells, Places) else Places(
+        len(keep), lambda: list(map(namer(cells), keep)).__getitem__)
 
 
 # -- column-wise checks --------------------------------------------------
@@ -531,10 +559,6 @@ class KanRow:
     def kan(self):
         return all(s for s, _ in self.flags.values())
 
-    @property
-    def unique_fillers(self):
-        return all(i for _, i in self.flags.values())
-
 
 class FaceCodes:
     """Level m+1 of a complex through its faces, as places in level m.
@@ -629,12 +653,15 @@ def alpha_bijective(x_sset, m):
     which are distinct, so alpha^m is onto iff the image is as large as
     their count; otherwise some face tuple is not a boundary tuple, so
     the image is not the set of boundary tuples, and no tuple is
-    listed."""
-    fc = face_codes(x_sset, m)
-    image = len(set(fc.codes))
-    surj = faces_compatible(x_sset, m) and image == compatible_tuples(
-        x_sset.level(m), x_sset.face_table(m), m, count=True)
-    return surj, image == len(fc.codes)
+    listed.  Decided once per (immutable) complex and m."""
+    flags = x_sset._alpha.get(m)
+    if flags is None:
+        fc = face_codes(x_sset, m)
+        image = len(set(fc.codes))
+        surj = faces_compatible(x_sset, m) and image == compatible_tuples(
+            x_sset.level(m), x_sset.face_table(m), m, count=True)
+        flags = x_sset._alpha[m] = (surj, image == len(fc.codes))
+    return flags
 
 
 def kan_status(x_sset, m):
@@ -705,11 +732,13 @@ def _horn_flags(x, m, k, counted, witness):
 def _ensure_depth(x_sset, depth):
     if x_sset.dim >= depth:
         return x_sset
-    if x_sset.coskeletal_at is not None and x_sset.coskeletal_at <= x_sset.dim + 1:
+    c = x_sset.coskeletal_at
+    if c is not None and c <= x_sset.dim + 1:
         return coskeletal_extend(x_sset, depth)
     raise DimensionOutOfRange(
-        "need level %d but truncation stops at %d (no coskeletal flag)"
-        % (depth, x_sset.dim))
+        "need level %d but truncation stops at %d (%s)" % (
+            depth, x_sset.dim, "no coskeletal flag" if c is None else
+            "coskeletal_at=%d extends only from level %d" % (c, c - 1)))
 
 
 def minimality_at(x_sset, m):
@@ -785,12 +814,22 @@ def _tuple_id(parts):
     return "(" + ",".join(parts) + ")"
 
 
-def coskeletal_extend(x_sset, to_dim):
-    """Extend levels above the stored cutoff with boundary tuples.
+def _tuple_names(below, cols):
+    """place -> _tuple_id of the ids of its faces cols[i][place] below."""
+    name = namer(below)
+    return list(map(_tuple_id, zip(*[map(name, c) for c in cols]))).__getitem__
 
-    New faces are projections; new degeneracies follow
+
+def coskeletal_extend(x_sset, to_dim):
+    """Extend levels above the stored cutoff with boundary tuples, in the
+    order boundary_tuples lists them: a complex on Places stays on Places
+    (list tables, ids made on demand by _tuple_names), one on string ids
+    gets _tuple_id ids and dicts.
+
+    New faces are the tuples' columns; new degeneracies follow
     s_i(a) = (b_0..b_{m+1}) with b_k = s_{i-1} d_k a for k < i,
-    b_k = a for k in {i, i+1} and b_k = s_i d_{k-1} a for k > i+1.
+    b_k = a for k in {i, i+1} and b_k = s_i d_{k-1} a for k > i+1,
+    one lookup of tuples built a column at a time.
     """
     if x_sset.coskeletal_at is None:
         raise NotCoskeletal("complex carries no coskeletal flag")
@@ -807,24 +846,29 @@ def coskeletal_extend(x_sset, to_dim):
     for new_dim in range(x_sset.dim + 1, to_dim + 1):
         m = new_dim - 1
         tuples = boundary_tuples(cur, m)
-        ids = [_tuple_id(t) for t in tuples]
-        levels.append(ids)
-        for i in range(new_dim + 1):
-            face[(new_dim, i)] = {x: t[i] for x, t in zip(ids, tuples)}
+        cols = list(map(list, zip(*tuples))) or [[]] * (new_dim + 1)
+        if isinstance(levels[m], Places):
+            cells = Places(len(tuples), functools.partial(
+                _tuple_names, levels[m], cols))
+        else:
+            cells = list(map(_tuple_id, tuples))
+        levels.append(cells)
+        for i, col in enumerate(cols):
+            face[new_dim, i] = tabled(cells, col)
         # s_j a is a boundary tuple when the identities hold; its id is
         # spelled out only when it is not
-        id_of = dict(zip(tuples, ids))
-        faces = cur.face_table(m)
+        id_of = dict(zip(tuples, cells))
         for j in range(m + 1):
-            below, above = degen.get((m - 1, j - 1)), degen.get((m - 1, j))
-            mapping = {}
-            for a in levels[m]:
-                fa = faces[a] if m else ()
-                parts = tuple([below[f] for f in fa[:j]]) + (a, a) + \
-                    tuple([above[f] for f in fa[j + 1:]])
-                known = id_of.get(parts)
-                mapping[a] = _tuple_id(parts) if known is None else known
-            degen[(m, j)] = mapping
+            parts = list(zip(*[
+                levels[m] if k in (j, j + 1) else column(levels[m], (
+                    face[m, k - (k > j)], degen[m - 1, j - (k < j)]))
+                for k in range(m + 2)]))
+            images = list(map(id_of.get, parts))
+            if None in images:
+                name = namer(levels[m])
+                images = [_tuple_id(map(name, t)) if c is None else c
+                          for t, c in zip(parts, images)]
+            degen[m, j] = tabled(levels[m], images)
         cur = TruncatedSSet(new_dim, list(levels), dict(face), dict(degen),
                             coskeletal_at=x_sset.coskeletal_at, base=x_sset.base)
     return cur
@@ -833,10 +877,10 @@ def coskeletal_extend(x_sset, to_dim):
 def csq_prime(x_sset, n):
     """Quotient level n+1 by the equal-faces relation and rebuild the
     levels above coskeletally.  Returns (Y, level_maps) where level_maps
-    sends old ids to new ids on levels 0..n+1."""
+    sends old ids to new ids on levels 0..n+1 (a class to its least id)."""
     if n + 1 > x_sset.dim:
         raise DimensionOutOfRange("csq' needs level %d" % (n + 1))
-    x = x_sset
+    x = named(x_sset)
     # classes of the equal-faces relation on level n+1
     rep = {}
     for cls in x.face_index(n + 1).values():
@@ -885,6 +929,9 @@ def loop_space(x_sset, variant="plain", base=None):
     reduced: input must be reduced; additionally every iterated face
              d_{i_j} (indices 0 <= i_j <= top-1 at each step) lands on
              the degenerate 1-simplex.
+
+    Level n lists the simplices it keeps in their order in level n+1
+    (sublevel).
     """
     x = x_sset
     if x.dim < 2:
@@ -894,8 +941,9 @@ def loop_space(x_sset, variant="plain", base=None):
     a = base if base is not None else x.base
     if a is None and x.is_reduced():
         a = x.level(0)[0]
-    if a is None:
-        raise SimplicialError("no base point")
+    if a not in x.level(0):
+        raise SimplicialError("no base point" if a is None else
+                              "base %s is not a 0-simplex" % a)
     dim = x.dim - 1
     keep = []
     star1 = x.deg_base(1, a)
@@ -917,13 +965,17 @@ def loop_space(x_sset, variant="plain", base=None):
                     continue
             lvl.append(s)
         keep.append(lvl)
-    out = build_sset(dim, keep, lambda name, k, i: relabel(
-        keep[k], getattr(x, name)[k + 1, i]), base=star1)
     sets = [set(l) for l in keep]
-    if not all(sets[k - 1].issuperset(mp.values())
-               for (k, _), mp in out.face.items()):
+    if not all(sets[n - 1].issuperset(column(keep[n], (x.face[n + 1, i],)))
+               for n in range(1, dim + 1) for i in range(n + 1)):
         raise SimplicialError("loop space not closed under faces")
-    return out
+    levels = [sublevel(x.level(n + 1), keep[n]) for n in range(dim + 1)]
+    # a kept simplex of x -> its cell in the loop space
+    cell = [dict(zip(keep[n], levels[n])) for n in range(dim + 1)]
+    return build_sset(dim, levels, lambda name, k, i: tabled(
+        levels[k], column(keep[k], (getattr(x, name)[k + 1, i],
+                                    cell[k + STEPS[name]]))),
+                      base=cell[0][star1])
 
 
 # -- homotopy groups -------------------------------------------------------
@@ -950,8 +1002,9 @@ def pi_with_classes(x_sset, m, base=None):
     a = base if base is not None else x_sset.base
     if m == 0:
         return pi0(x_sset), {}
-    if a is None:
-        raise SimplicialError("pi_m needs a base 0-simplex")
+    if a not in x_sset.level(0):
+        raise SimplicialError("pi_m needs a base 0-simplex" if a is None
+                              else "base %s is not a 0-simplex" % a)
     x = _ensure_depth(x_sset, m + 2) if (
         x_sset.coskeletal_at is not None and x_sset.dim < m + 2) else x_sset
     if x.dim < m + 1:

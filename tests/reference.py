@@ -4,13 +4,16 @@ the diagonal of a bisimplicial set, the key of a map by its sorted
 items, the enriched-hom builder keyed by sorted map items, the map
 search as a recursion with one tick per evaluation, the retraction
 check of the shift (decalage), the translation check of a 2-group, the
-2-groups K(Z/2, Z/2) with given coherence data, and the string-keyed
-monoidal validation."""
+2-groups K(Z/2, Z/2) with given coherence data, the string-keyed
+monoidal validation, the groupoid of q-simplices of a 2-group read off
+the Segal nerve's int tables, the direct product and trivial group, and
+the identity and composite lax functors."""
 
 import itertools
 
 from kanforge import catalg as ca
 from kanforge import groups as gr
+from kanforge import nerves as nv
 from kanforge import simplicial as sp
 
 
@@ -108,7 +111,7 @@ class KanReport:
                 break
         self.strict_from = None
         for m in sorted(rows, reverse=True):
-            if rows[m].unique_fillers:
+            if all(i for _, i in rows[m].flags.values()):
                 self.strict_from = m
             else:
                 break
@@ -488,3 +491,69 @@ def monoidal_errors(m):
             if lhs != m.l(m.t(x, y)):
                 errs.append("derived left-unit triangle fails at (%s,%s)" % (x, y))
     return errs
+
+
+def q_simplex_groupoid(g, q):
+    """The groupoid of q-simplices of a 2-group, as a FinCategory table,
+    read off the int tables of nerves._SegalLevels."""
+    lv = nv._SegalLevels(g, q)
+    if q > lv.qmax:
+        raise nv.NerveError("structural simplices stop at dimension 3")
+    objects, names = lv.obj_names[q], lv.mor_names[q]
+    src, tgt = lv.src[q], lv.tgt[q]
+    # morphisms in the order they are enumerated: by source, then family
+    morphs = list(map(names.__getitem__, lv._rank[q]))
+    ident = dict(zip(objects, [names[m] for m in lv.identity_table(q)]))
+    before, after = lv.chain_columns(2, q)
+    comp = dict(zip(zip(map(names.__getitem__, after),
+                        map(names.__getitem__, before)),
+                    map(names.__getitem__, lv.composite(q, after, before))))
+    # the inverse of a morphism has the inverse of each family member
+    inverse = lv.index(q, lv.tgt[q], [map(lv._ix.inv.__getitem__, fs)
+                                      for fs in lv.fam[q]])
+    inv = dict(zip(names, map(names.__getitem__, inverse)))
+    return ca.FinGroupoid(objects, morphs,
+                          {names[m]: objects[s] for m, s in enumerate(src)},
+                          {names[m]: objects[t] for m, t in enumerate(tgt)},
+                          ident, comp, inv=inv,
+                          name="simplex-groupoid-%d" % q)
+
+
+def direct_product(g, h):
+    els = [(a, b) for a in g.elements for b in h.elements]
+    table = {((a1, b1), (a2, b2)): (g.mul(a1, a2), h.mul(b1, b2))
+             for (a1, b1) in els for (a2, b2) in els}
+    return gr.FiniteGroup(els, table, (g.unit, h.unit),
+                          name="%sx%s" % (g.name, h.name))
+
+
+def trivial_group():
+    return gr.FiniteGroup(["e"], {("e", "e"): "e"}, "e", name="1")
+
+
+def identity_lax(g):
+    c = g.base
+    return ca.LaxUnitaryFunctor(
+        g, g,
+        {x: x for x in c.objects},
+        {f: f for f in c.morphisms},
+        {(x, y): c.id_of(g.t(x, y)) for x in c.objects for y in c.objects},
+        name="id")
+
+
+def compose_lax(g_fun, f_fun):
+    """Composite g_fun . f_fun with the composed lax components
+    m^{GF}_{X,Y} = G(m^F_{X,Y}) . m^G_{FX,FY}."""
+    if f_fun.target is not g_fun.source:
+        raise ca.CatError("functors not composable")
+    src, mid, tgt = f_fun.source, f_fun.target, g_fun.target
+    obj = {x: g_fun.fo(f_fun.fo(x)) for x in src.base.objects}
+    mor = {f: g_fun.fm(f_fun.fm(f)) for f in src.base.morphisms}
+    m = {}
+    for x in src.base.objects:
+        for y in src.base.objects:
+            m[(x, y)] = tgt.base.comp(
+                g_fun.fm(f_fun.m(x, y)),
+                g_fun.m(f_fun.fo(x), f_fun.fo(y)))
+    return ca.LaxUnitaryFunctor(src, tgt, obj, mor, m,
+                                name="%s.%s" % (g_fun.name, f_fun.name))

@@ -13,7 +13,7 @@ from kanforge import examples as ex
 from kanforge import serialize as io
 from kanforge import cli
 
-from reference import map_key, unitor_twisted_monoidal
+from reference import map_key, trivial_group, unitor_twisted_monoidal
 
 
 def test_additive_counts_on_circle():
@@ -31,7 +31,7 @@ def test_additive_two_free_edges():
 
 def test_additive_trivial_group():
     s1 = sp.sphere(1, 3)
-    adds, _, ok = dt.additive_vs_hom(s1, gr.trivial_group())
+    adds, _, ok = dt.additive_vs_hom(s1, trivial_group())
     assert len(adds) == 1 and ok
 
 
@@ -343,7 +343,9 @@ def test_map_order_does_not_depend_on_level_order(monkeypatch):
             peh = dt.EnrichedHom(px, ng, 1)
             monkeypatch.undo()
             for n in range(2):
-                searched = keys(sp.enumerate_maps(peh.quots[n], ng,
+                # an enriched hom sorts by the ids of the images, so the
+                # search it sorts reads the nerve on its ids
+                searched = keys(sp.enumerate_maps(peh.quots[n], sp.named(ng),
                                                   upto=px.dim))
                 assert keys(peh.maps[n]) == sorted(searched) == \
                     keys(eh.maps[n])

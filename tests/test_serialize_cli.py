@@ -621,3 +621,32 @@ def test_cli_validate_reports_a_broken_bisimplicial_set(tmp_path, capsys, pmax,
     if "%s" in violation:
         violation %= star.level(2, 2)[-1]
     assert capsys.readouterr().out == "violation: %s\n" % violation
+
+
+def test_cli_pi_and_loop_reject_a_base_that_is_not_a_vertex(tmp_path, capsys):
+    # a --base outside level 0 is a usage error, named as validate names
+    # it, not a traceback out of the degeneracy tables
+    npath = str(tmp_path / "n4.json")
+    assert cli.main(["nerve", "--to-dim", "4", "-o", npath,
+                     dump(tmp_path, "oneobj-z2")]) == 0
+    for argv in (["pi", "--m", "1", "--base", "zz", npath],
+                 ["loop", "--base", "zz", dump(tmp_path, "s1")]):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: base zz is not a 0-simplex\n"
+
+
+def test_cli_pi_names_a_coskeletal_flag_too_high_to_extend(tmp_path, capsys):
+    # nerve --to-dim 1 writes coskeletal_at 3 at dim 1: the flag is
+    # there, but level 2 is not, so the complex cannot be extended
+    npath = str(tmp_path / "n1.json")
+    assert cli.main(["nerve", "--to-dim", "1", "-o", npath,
+                     dump(tmp_path, "disc-z2")]) == 0
+    assert json.loads(open(npath, encoding="utf-8").read())[
+        "coskeletal_at"] == 3
+    assert cli.main(["pi", "--m", "1", npath]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: need level 3 but truncation stops at 1 "
+                            "(coskeletal_at=3 extends only from level 2)\n")
