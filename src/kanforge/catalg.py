@@ -97,12 +97,17 @@ class FinGroupoid(FinCategory):
     def __init__(self, objects, morphisms, src, tgt, ident, comp, inv=None, name="G"):
         super().__init__(objects, morphisms, src, tgt, ident, comp, name=name)
         if inv is None:
+            # only from entries that exist, so that validate names a gap
             inv = {}
             for f in self.morphisms:
+                ends = (self.src.get(f), self.tgt.get(f))
+                units = tuple(map(self.ident.get, ends))
+                if None in units:
+                    continue
                 for g in self.morphisms:
-                    if (self.src[g] == self.tgt[f] and self.tgt[g] == self.src[f]
-                            and self.comp_table.get((g, f)) == self.ident[self.src[f]]
-                            and self.comp_table.get((f, g)) == self.ident[self.tgt[f]]):
+                    if (self.tgt.get(g), self.src.get(g)) == ends and (
+                            self.comp_table.get((g, f)),
+                            self.comp_table.get((f, g))) == units:
                         inv[f] = g
                         break
         self.inv_table = dict(inv)

@@ -495,11 +495,12 @@ def enumerate_segal_determinants(x_bx, g):
     """All (D, T): D a simplicial map X_{*,1} -> N(sG) (2-truncated), T on
     X_{0,2} valued in morphisms, with the compatibility, unit,
     naturality and associativity conditions.  D comes from
-    sp.enumerate_maps; for each D with D(s_0 *) = 1 the shared _TStage,
-    planned once on the row X_{0,*} with the naturality square of each
-    cell of X_{1,2} added, searches T on the ints of g.int_index."""
+    sp.enumerate_maps into the nerve of g.base on places, which numbers
+    objects and morphisms as g.int_index does; for each D with D(s_0 *)
+    = 1 the shared _TStage, planned once on the row X_{0,*} with the
+    naturality square of each cell of X_{1,2} added, searches T on those
+    ints."""
     ix = g.int_index
-    oi, mi, mors = ix.obj_int, ix.mor_int, ix.morphisms
     nsg = nv.nerve_category(g.base, 2)
     col1_t = _column1_2trunc(x_bx)
     d_maps = _key_sorted(sp.enumerate_maps(col1_t, nsg, upto=col1_t.dim))
@@ -508,25 +509,15 @@ def enumerate_segal_determinants(x_bx, g):
     stage = _TStage(row, ix, squares)
     square_edges = {e for sq in squares for e in sq[2:]}
     v_deg1 = row.deg_base(1, row.level(0)[0])
-    mor_int = _mor_ints(nsg, g)
     tick = sp.budget_ticker("segal determinant search exceeded {cap} evaluations")
     results = []
     for dm in d_maps:
-        if dm(0, v_deg1) != g.unit:
+        if dm(0, v_deg1) != ix.unit:
             continue
-        stage.run({e: oi[dm(0, e)] for e in row.level(1)},
-                  {e: mor_int[dm(1, e)] for e in square_edges},
+        stage.run(dm.components[0], {e: dm(1, e) for e in square_edges},
                   lambda t: results.append(
-                      (dm, {c: mors[f] for c, f in t.items()})), tick)
+                      (dm, {c: ix.morphisms[f] for c, f in t.items()})), tick)
     return results
-
-
-def _mor_ints(nsg, g):
-    """dict cell of level 1 of nsg = nerve_category(g.base, ..) -> the
-    g.int_index int of its morphism; the level lists one cell per
-    morphism, in g.base.morphisms order."""
-    return dict(zip(nsg.level(1), map(g.int_index.mor_int.__getitem__,
-                                      g.base.morphisms)))
 
 
 def _x12_squares(x_bx):
@@ -553,30 +544,27 @@ def segal_determinants_vs_hom(x_bx, g, ns):
     mu = nv.mu3_region() & set(x_bx.region) & set(ns.region)
     maps = nv.enumerate_bimaps(x_bx, ns, region=mu)
     dets = enumerate_segal_determinants(x_bx, g)
-    # the objects of level (0, q) as structural simplices, and the cells
-    # of level (p, 1), p >= 1, as chains of base-groupoid morphisms, each
-    # listed by place from the nerve's int tables
     lv = ns._segal_levels
-    structs = lv.structs
-    # a 1-simplex morphism has one component, on the pair (0, 1)
-    base_of = [lv.base_mor[f] for f in lv.fam[1][0]]
-    chains = {p: list(zip(*[map(base_of.__getitem__, col)
-                            for col in lv.chain_columns(p, 1)]))
-              for p in (1, 2) if (p, 1) in mu}
+    # a cell of level (p, 1) of ns as a value of D, a cell of the nerve of
+    # g.base on places: the object of a 1-simplex at p = 0, above that the
+    # place of the chain of the base morphisms (a 1-simplex morphism has
+    # one component, on the pair (0, 1))
+    base = nv._category_chains(g.base)
+    values = {p: base.places([map(lv.fam[1][0].__getitem__, col)
+                              for col in lv.chains[1].columns(p)]) if p else
+              [objs[0] for objs, _ in lv._keys[1]]
+              for p in (0, 1, 2) if (p, 1) in mu}
     # canonical key: the chain assignment on columns p <= 2, then T
     det_keys = [tuple(tuple(sorted(dm.components[p].items()))
                       for p in (0, 1, 2) if p in dm.components)
                 + (tuple(sorted(t_fun.items())),) for dm, t_fun in dets]
 
-    def d_value(p, img):
-        # a cell of level (p, 1) of the nerve as a value of D
-        return structs[1][img][1] if p == 0 else nv._chain_id(chains[p][img])
-
     def image(f):
-        parts = tuple(tuple(sorted((e, d_value(p, f[(p, 1)][e]))
+        parts = tuple(tuple(sorted((e, values[p][f[(p, 1)][e]])
                                    for e in x_bx.level(p, 1)))
                       for p in (0, 1, 2) if (p, 1) in mu)
-        return parts + (tuple(sorted((xi, structs[2][f[(0, 2)][xi]][3])
+        # T on a cell of X_{0,2}: the pairing morphism of its image
+        return parts + (tuple(sorted((xi, lv.structs[2][f[(0, 2)][xi]][3])
                                      for xi in x_bx.level(0, 2))),)
 
     return dets, maps, bijective([image(f) for f in maps], det_keys)
@@ -591,7 +579,6 @@ def segal_det_morphisms(x_bx, g, det1, det2):
     ix = g.int_index
     mi = ix.mor_int
     nsg = nv.nerve_category(g.base, 2)
-    mor_int = _mor_ints(nsg, g)
     col1_t = _column1_2trunc(x_bx)
     top = col1_t.dim
     d1 = sp.standard_simplex(1, top)
@@ -600,7 +587,7 @@ def segal_det_morphisms(x_bx, g, det1, det2):
     dm2, t2 = det2
     base_cell = {k: x_bx.vdegen[k, 0, 0][x_bx.level(k, 0)[0]]
                  for k in range(top + 1)}
-    unit_chain = {k: nsg.deg_base(k, g.unit) for k in range(top + 1)}
+    unit_chain = {k: nsg.deg_base(k, ix.unit) for k in range(top + 1)}
     # the ends and the base cylinder are pinned to the values `good`
     # demands, so the search skips the homotopies it would reject
     pins = {}
@@ -629,8 +616,7 @@ def segal_det_morphisms(x_bx, g, det1, det2):
                     for k in range(top + 1) for e in col1_t.level(k))
                 and all(ev(k, base_cell[k], phi) == unit_chain[k]
                         for k in range(top + 1) for phi in d1.level(k))
-                and all(_natural(ix, *[mor_int[ev(1, e, "01")]
-                                       for e in edges], s, t)
+                and all(_natural(ix, *[ev(1, e, "01") for e in edges], s, t)
                         for s, t, edges in squares))
 
     return [h for h in homotopies if good(h)]

@@ -39,82 +39,173 @@ def _chain_id(parts):
     return "[" + ";".join(parts) + "]"
 
 
-def _chain_face(c, m, i, comp):
-    """d_i of the chain c (a tuple) of m >= 2 composable arrows, first
-    arrow first: drop the first (i = 0) or last (i = m) arrow, else
-    replace c[i - 1], c[i] by comp(c[i], c[i - 1])."""
-    if i == 0:
-        return c[1:]
-    if i == m:
-        return c[:-1]
-    return c[:i - 1] + (comp(c[i], c[i - 1]),) + c[i + 1:]
+class _ChainNerve:
+    """The nerve of a category on dense ints: src and tgt list the end
+    objects of the morphisms 0, 1, .., compose(after, before) is the
+    column of after[n] . before[n] and ident lists the identity of each
+    object.  Level 0 is the objects, level p >= 1 the p-chains of
+    composable morphisms in lexicographic order of their morphism ints,
+    first arrow first, held as p columns of morphism ints (columns).  A
+    chain's place is a sum of one weight per arrow (places), from the
+    counts of the chains that start at each object (counts): its first
+    arrow m weighs the number of chains whose first arrow is below m,
+    each later arrow the number of chains that agree with it up to that
+    slot and take an arrow below it there, out of the same object.  Each
+    face and degeneracy is the list of its target places; counts,
+    weights and columns are built once per level."""
+
+    def __init__(self, src, tgt, compose, ident):
+        self.src, self.tgt, self.compose, self.ident = src, tgt, compose, ident
+        # the runs of consecutive morphisms out of one object, in order:
+        # (object, start, stop), a run starting where the source changes
+        starts = list(itertools.compress(range(len(src)), map(
+            operator.ne, src, itertools.chain([None], src))))
+        self._runs = list(zip(map(src.__getitem__, starts), starts,
+                              starts[1:] + [len(src)]))
+        self._counts, self._weights = [[1] * len(ident)], {}
+        self._columns = [(), (range(len(src)),)]
+
+    def counts(self, r):
+        """starts[x], the number of r-chains that start at object x: over
+        the arrows out of x, the (r - 1)-chains at their targets."""
+        while len(self._counts) <= r:
+            prev, starts = self._counts[-1].__getitem__, [0] * len(self.ident)
+            for s, start, stop in self._runs:
+                starts[s] += sum(map(prev, self.tgt[start:stop]))
+            self._counts.append(starts)
+        return self._counts[r]
+
+    def weights(self, r):
+        """(first, later), the place weights of the arrows followed by r
+        more: first[m] counts the (r + 1)-chains whose first arrow is
+        below m, later[m] only those whose first arrow leaves m's source
+        (over each run, first less the chains of its earlier runs)."""
+        if r not in self._weights:
+            first = list(itertools.accumulate(
+                map(self.counts(r).__getitem__, self.tgt), initial=0))
+            shifts, local = [], [0] * len(self.ident)
+            for s, start, stop in self._runs:
+                shifts.append(itertools.repeat(first[start] - local[s],
+                                               stop - start))
+                local[s] += first[stop] - first[start]
+            later = list(map(operator.sub, first,
+                             itertools.chain.from_iterable(shifts)))
+            self._weights[r] = (first[:-1], later)
+        return self._weights[r]
+
+    def size(self, p):
+        return sum(self.counts(p))
+
+    def columns(self, p):
+        """Level p >= 1 as p columns: each step lists, after each chain in
+        order, the arrows out of its end."""
+        if len(self._columns) <= p:
+            out_of = [[] for _ in self.ident]
+            for s, start, stop in self._runs:
+                out_of[s] += range(start, stop)
+        while len(self._columns) <= p:
+            cols = self._columns[-1]
+            nexts = list(map(out_of.__getitem__,
+                             map(self.tgt.__getitem__, cols[-1])))
+            counts = list(map(len, nexts))
+            self._columns.append(tuple(
+                list(itertools.chain.from_iterable(
+                    map(itertools.repeat, col, counts))) for col in cols)
+                + (list(itertools.chain.from_iterable(nexts)),))
+        return self._columns[p]
+
+    def places(self, cols):
+        """The place of each chain whose arrows are read from cols (p >= 1
+        iterables of morphism ints, first arrow first)."""
+        if len(cols) == 1:
+            return list(cols[0])
+        places = map(self.weights(len(cols) - 1)[0].__getitem__, cols[0])
+        for k in range(1, len(cols)):
+            places = map(operator.add, places, map(
+                self.weights(len(cols) - 1 - k)[1].__getitem__, cols[k]))
+        return list(places)
+
+    def namer(self, p, mor_names):
+        """place -> the _chain_id of its chain in level p >= 1, the arrows
+        under mor_names (strings); only the cells named are spelled."""
+        cols = self.columns(p)
+        return lambda c: _chain_id([mor_names[col[c]] for col in cols])
+
+    def face(self, p, i):
+        """d_i out of level p >= 1: the target (i = 0) or source at p = 1;
+        above, the chain less its first (i = 0) or last (i = p) arrow, or
+        with arrows i - 1 and i composed."""
+        if p == 1:
+            return self.tgt if i == 0 else self.src
+        c = self.columns(p)
+        return self.places(c[1:] if i == 0 else c[:-1] if i == p else
+                           c[:i - 1] + (self.compose(c[i], c[i - 1]),)
+                           + c[i + 1:])
+
+    def degen(self, p, j):
+        """s_j out of level p: the identities at p = 0; above, the chain
+        with the identity of its j-th object inserted at place j."""
+        if p == 0:
+            return self.ident
+        c = self.columns(p)
+        ends, col = (self.src, c[0]) if j == 0 else (self.tgt, c[j - 1])
+        return self.places(c[:j] + (map(self.ident.__getitem__, map(
+            ends.__getitem__, col)),) + c[j:])
 
 
-def _chain_degen(c, j, unit_at_src, unit_at_tgt):
-    """s_j of the chain c (a tuple) of m >= 1 arrows: the identity of its
-    j-th object inserted at place j, unit_at_src(c[0]) for j = 0 and
-    unit_at_tgt(c[j - 1]) after."""
-    if j == 0:
-        return (unit_at_src(c[0]),) + c
-    return c[:j] + (unit_at_tgt(c[j - 1]),) + c[j:]
+def _category_chains(cat):
+    """The _ChainNerve of cat, objects and morphisms numbered in the
+    order of cat.objects and cat.morphisms."""
+    oi = {x: n for n, x in enumerate(cat.objects)}
+    mi = {f: n for n, f in enumerate(cat.morphisms)}
+    comp = {(mi[g], mi[f]): mi[gf] for (g, f), gf in cat.comp_table.items()}
+    return _ChainNerve(
+        [oi[cat.src[f]] for f in cat.morphisms],
+        [oi[cat.tgt[f]] for f in cat.morphisms],
+        lambda after, before: list(map(comp.__getitem__, zip(after, before))),
+        [mi[cat.ident[x]] for x in cat.objects])
 
 
 def nerve_category(cat, to_dim):
-    """Level m = composable chains of m morphisms; carries the
-    2-coskeletal flag.  Level 0 lists the objects in cat.objects order and
+    """The nerve of cat up to level to_dim, 2-coskeletal, on sp.Places
+    (_category_chains): level 0 lists the objects in cat.objects order,
     level 1 one cell per morphism in cat.morphisms order, with d_0 its
-    target and d_1 its source: a consumer finds the cell of a morphism
-    by zipping the two."""
+    target and d_1 its source, so a consumer finds the cell of an object
+    or a morphism by zipping the two.  Ids are made only by a level's
+    names, for output: the objects, and above the _chain_id of the
+    morphisms' ids (each spelled by str)."""
     errs = cat.validate()
     if errs:
         raise NerveError("category does not validate: %s" % errs[0])
-    # level 0 holds the objects, level m >= 1 the chains of m morphisms
-    chains = [list(cat.objects), [(f,) for f in cat.morphisms]]
-    for m in range(2, to_dim + 1):
-        chains.append([c + (f,) for c in chains[m - 1] for f in cat.morphisms
-                       if cat.src[f] == cat.tgt[c[-1]]])
-    levels = [chains[0]] + [list(map(_chain_id, cs)) for cs in chains[1:]]
-
-    def op(name, m, i):
-        cs = chains[m]
-        if name == "face" and m == 1:
-            images = [(cat.tgt if i == 0 else cat.src)[c[0]] for c in cs]
-        elif name == "face":
-            images = [_chain_id(_chain_face(c, m, i, cat.comp)) for c in cs]
-        elif m == 0:
-            images = [_chain_id((cat.ident[x],)) for x in cs]
-        else:
-            images = [_chain_id(_chain_degen(c, i, unit_at_src, unit_at_tgt))
-                      for c in cs]
-        return dict(zip(levels[m], images))
-
-    def unit_at_src(f):
-        return cat.ident[cat.src[f]]
-
-    def unit_at_tgt(f):
-        return cat.ident[cat.tgt[f]]
-
-    base = cat.objects[0] if len(cat.objects) == 1 else None
-    return sp.build_sset(to_dim, levels, op, coskeletal_at=2, base=base)
+    chains, mor_names = _category_chains(cat), list(map(str, cat.morphisms))
+    levels = [sp.Places(len(cat.objects), lambda: cat.objects.__getitem__)]
+    levels += [sp.Places(chains.size(m), functools.partial(
+        chains.namer, m, mor_names)) for m in range(1, to_dim + 1)]
+    return sp.build_sset(to_dim, levels, lambda name, m, i: getattr(
+        chains, name)(m, i), coskeletal_at=2,
+        base=0 if len(cat.objects) == 1 else None)
 
 
 def groupoid_from_nerve(w):
     """Rebuild a groupoid from a 1-Kan-groupoid: composition is the
-    middle face of the unique inner-horn filler."""
+    middle face of the unique inner-horn filler.  The groupoid's objects
+    and morphisms are the ids of the cells of levels 0 and 1."""
     rep = sp.classify(w, 1)
     if not rep.n_kan_groupoid:
         raise NotOneKanGroupoid("input fails the 1-Kan-groupoid test: %r" % rep)
-    objects = list(w.level(0))
-    morphs = list(w.level(1))
-    src = sp.relabel(morphs, w.face[1, 1])
-    tgt = sp.relabel(morphs, w.face[1, 0])
-    ident = sp.relabel(objects, w.degen[0, 0])
+    # cell -> id on levels 0 and 1, whether the cells are places or ids
+    obj, mor = [dict(zip(cells, map(sp.namer(cells), cells)))
+                for cells in (w.level(0), w.level(1))]
+    objects, morphs = list(obj.values()), list(mor.values())
+    src = sp.relabel(w.level(1), w.face[1, 1], mor, obj)
+    tgt = sp.relabel(w.level(1), w.face[1, 0], mor, obj)
+    ident = sp.relabel(w.level(0), w.degen[0, 0], obj, mor)
     comp = {}
     for g, gf, f in w.face_table(2).values():
-        key = (g, f)
-        if key in comp and comp[key] != gf:
+        key = (mor[g], mor[f])
+        if key in comp and comp[key] != mor[gf]:
             raise NotOneKanGroupoid("non-unique inner-horn fillers")
-        comp[key] = gf
+        comp[key] = mor[gf]
     for g in morphs:
         for f in morphs:
             if src[g] == tgt[f] and (g, f) not in comp:
@@ -790,6 +881,27 @@ def _digit_column(ix, tinv, arrows, groups, d, al):
     return sp.product_column(table, list(map(len, arrows)), slots)
 
 
+def _family_index(start, strides, offset, rank, srcs, fams):
+    """The morphism int of each (source, family) of a q, its source object
+    read from srcs and its slot-n arrow from fams[n], each an iterable:
+    the rank of its place in product order (see _SegalLevels)."""
+    srcs = list(srcs)
+    places = map(start.__getitem__, srcs)
+    for slot_strides, col in zip(strides, fams):
+        places = map(operator.add, places, map(
+            operator.mul, map(slot_strides.__getitem__, srcs),
+            map(offset.__getitem__, col)))
+    return list(map(rank.__getitem__, places))
+
+
+def _composite(index, src, fam, rows, after, before):
+    """The column of after[n] . before[n] of a q-simplex groupoid,
+    componentwise: one comp_rows gather per slot, then index."""
+    return index(map(src.__getitem__, before), [map(
+        operator.getitem, map(rows.__getitem__, map(fs.__getitem__, after)),
+        map(fs.__getitem__, before)) for fs in fam])
+
+
 class _SegalLevels:
     """The groupoids of q-simplices of a 2-group (q <= 3) on dense ints.
 
@@ -808,18 +920,15 @@ class _SegalLevels:
     morphism int.  A (source, family) is found by arithmetic (index): its
     place is the source's start plus, per slot, the arrow's offset among
     the arrows out of its source object times the slot's stride at that
-    source.  A level of p >= 1 is held as p columns of morphism ints,
-    first arrow first (chain_columns).  A chain's place in its level is a
-    sum of one weight per slot (chain_places), read from the counts of
-    chains that start at each object (chain_counts): its first arrow m
-    weighs the number of chains whose first arrow is below m, and each
-    later arrow the number of chains that agree with it up to that slot
-    and take an arrow below it there, out of the same object.  String ids
-    are made once per object and morphism, and for a level only by namer;
-    composition (composite, a column at a time) and the operator tables
-    map ints to ints, each table built once per (operator, q).  The base
-    groupoid's ints are the 2-group's shared g.int_index
-    (catalg.IntIndex).
+    source.  Column q of the Segal nerve is the nerve of the groupoid of
+    q-simplices, chains[q] (a _ChainNerve on src[q] and tgt[q], with
+    _composite, a column at a time, and the identity of each object):
+    level (p, q) in level order, its size, its columns and the places of
+    its chains, and its horizontal faces and degeneracies.  String ids
+    are made once per object and morphism, and for a level only by
+    namer; the operator tables map ints to ints, each built once per
+    (operator, q).  The base groupoid's ints are the 2-group's shared
+    g.int_index (catalg.IntIndex).
     """
 
     def __init__(self, g, qmax):
@@ -827,7 +936,6 @@ class _SegalLevels:
         # monoidal_simplices stops at dimension 3
         self.qmax = qmax = min(qmax, 3)
         ix = self._ix = g.int_index
-        self.base_mor = ix.morphisms
         # the arrows out of each base object, and each arrow's offset
         # among the arrows out of its source
         self._out_of = [[] for _ in ix.objects]
@@ -848,10 +956,21 @@ class _SegalLevels:
         self.src, self.tgt, self.fam, self.mor_names = {}, {}, {}, {}
         self._start, self._sizes, self._strides = {}, {}, {}
         self._rank = {}
+        self.index, self.chains = {}, {}
         for q in range(qmax + 1):
             self._build(q)
-        self._chain_counts, self._chain_weights = {}, {}
-        self._identity = {}
+            # index[q] and the composite read q's tables, not self: a chain
+            # nerve holding self would make a cycle, kept past its last use
+            index = self.index[q] = functools.partial(
+                _family_index, self._start[q], self._strides[q], self._offset,
+                self._rank[q])
+            objs = [k for k, _ in self._keys[q]]
+            self.chains[q] = _ChainNerve(
+                self.src[q], self.tgt[q], functools.partial(
+                    _composite, index, self.src[q], self.fam[q],
+                    ix.comp_rows),
+                index(range(len(objs)), [map(ix.ident.__getitem__, col)
+                                         for col in zip(*objs)]))
         self._vmap_obj = {}
         self._vmap_mor = {}
 
@@ -877,7 +996,7 @@ class _SegalLevels:
         obj_names = self.obj_names[q] = [_struct_id(st) for st in structs]
         self._key_index[q] = _key_index(keys)
         npairs, groups = len(_pairs(q)), _TARGET_DIGITS[q]
-        base_names = ["%s" % (f,) for f in self.base_mor]
+        base_names = ["%s" % (f,) for f in ix.morphisms]
         # per tuple of objects: the arrows out of each and their numbers
         # (sizes), the families in product order as a column per slot,
         # their joined ids "arrow,..,arrow)", the stride of each slot, and
@@ -931,111 +1050,6 @@ class _SegalLevels:
         for m, place in enumerate(order):
             rank[place] = m
 
-    def index(self, q, srcs, fams):
-        """The morphism int of each (source, family) of q, its source
-        object read from srcs and its slot-n arrow from fams[n], each an
-        iterable: the rank of its place in product order."""
-        srcs = list(srcs)
-        places = map(self._start[q].__getitem__, srcs)
-        for strides, col in zip(self._strides[q], fams):
-            places = map(operator.add, places, map(
-                operator.mul, map(strides.__getitem__, srcs),
-                map(self._offset.__getitem__, col)))
-        return list(map(self._rank[q].__getitem__, places))
-
-    def chain_counts(self, q, r):
-        """starts[x], the number of r-chains of q that start at object x;
-        built once per (q, r).  A source's families are one run of places
-        in product order, so its count sums the counts at their targets
-        over its run, read in product order (tgt through the rank list)."""
-        table = self._chain_counts.setdefault(q, [[1] * len(self.structs[q])])
-        while len(table) <= r:
-            counts = map(table[-1].__getitem__,
-                         map(self.tgt[q].__getitem__, self._rank[q]))
-            table.append(list(map(sum, map(
-                itertools.islice, itertools.repeat(counts),
-                map(math.prod, self._sizes[q])))))
-        return table[r]
-
-    def chain_weights(self, q, r):
-        """(first, later), the place weights of the arrows of q followed
-        by r more: first[m] is the number of (r + 1)-chains whose first
-        arrow is below m; later[m] the same over the arrows out of m's
-        source only (m's offset in its source's out-list): over each run
-        of consecutive arrows out of one source, first less one number.
-        Both come from chain_counts(q, r); built once per (q, r)."""
-        key = (q, r)
-        weights = self._chain_weights.get(key)
-        if weights is None:
-            starts = self.chain_counts(q, r)
-            first = list(itertools.accumulate(
-                map(starts.__getitem__, self.tgt[q]), initial=0))
-            shifts, local, pos = [], [0] * len(starts), 0
-            for s, run in itertools.groupby(self.src[q]):
-                stop = pos + len(list(run))
-                shifts.append(itertools.repeat(first[pos] - local[s], stop - pos))
-                local[s] += first[stop] - first[pos]
-                pos = stop
-            later = list(map(operator.sub, first,
-                             itertools.chain.from_iterable(shifts)))
-            first.pop()
-            weights = self._chain_weights[key] = (first, later)
-        return weights
-
-    def level_size(self, p, q):
-        """|p-chains| via counting, no materialization."""
-        return sum(self.chain_counts(q, p))
-
-    def chain_columns(self, p, q):
-        """The p-chains (p >= 1) of the q-simplex groupoid in level order,
-        as a tuple of p columns of morphism ints, first arrow first.  Each
-        step lists, after each chain in order, the arrows out of its
-        end."""
-        tgt = self.tgt[q]
-        if p == 1:
-            return (range(len(tgt)),)
-        out_of = [[] for _ in self.structs[q]]
-        for m, s in enumerate(self.src[q]):
-            out_of[s].append(m)
-        cols = [range(len(tgt))]
-        for _ in range(p - 1):
-            nexts = list(map(out_of.__getitem__, map(tgt.__getitem__,
-                                                     cols[-1])))
-            counts = list(map(len, nexts))
-            cols = [list(itertools.chain.from_iterable(
-                map(itertools.repeat, col, counts))) for col in cols]
-            cols.append(list(itertools.chain.from_iterable(nexts)))
-        return tuple(cols)
-
-    def chain_places(self, q, cols):
-        """The place in its level of each chain of q whose arrows are read
-        from cols (p iterables of morphism ints, first arrow first): the
-        first weight of its first arrow plus the later weights of the
-        others.  A 1-chain's place is its arrow."""
-        p = len(cols)
-        if p == 1:
-            return list(cols[0])
-        places = map(self.chain_weights(q, p - 1)[0].__getitem__, cols[0])
-        for k in range(1, p):
-            places = map(operator.add, places, map(
-                self.chain_weights(q, p - 1 - k)[1].__getitem__, cols[k]))
-        return list(places)
-
-    def composite(self, q, after, before):
-        """The column of after[n] . before[n], componentwise: one
-        comp_rows gather per slot, then index."""
-        rows = self._ix.comp_rows
-        return self.index(q, map(self.src[q].__getitem__, before), [
-            map(operator.getitem, map(rows.__getitem__,
-                                      map(fs.__getitem__, after)),
-                map(fs.__getitem__, before))
-            for fs in self.fam[q]])
-
-    def units_at(self, q, ends, col):
-        """The identity of object ends[m] for each arrow m of the column
-        col, as an iterator (ends is src[q] or tgt[q])."""
-        return map(self.identity_table(q).__getitem__,
-                   map(ends.__getitem__, col))
 
     def namer(self, pq):
         """place -> string id on level pq = (p, q) of the Segal nerve:
@@ -1047,18 +1061,7 @@ class _SegalLevels:
         names = self.mor_names[q]
         if p == 1:
             return names.__getitem__
-        cols = self.chain_columns(p, q)
-        return lambda c: _chain_id([names[col[c]] for col in cols])
-
-    def identity_table(self, q):
-        """object int -> int of its identity morphism, in level q."""
-        table = self._identity.get(q)
-        if table is None:
-            keys = self._keys[q]
-            table = self._identity[q] = self.index(
-                q, range(len(keys)), [map(self._ix.ident.__getitem__, col)
-                                      for col in zip(*[k for k, _ in keys])])
-        return table
+        return self.chains[q].namer(p, names)
 
     def vmap_obj_table(self, phi, q_from, q_to):
         """object int -> object int under the reindexing along phi."""
@@ -1112,29 +1115,26 @@ def segal_nerve(g, pmax, qmax, level_budget=50000):
     region inside the (pmax, min(qmax, 3)) rectangle whose levels fit
     the budget.  Level (p, q) is sp.Places in level order, and each face
     and degeneracy the list of its target places, computed on the int
-    tables of _SegalLevels (a level of p >= 1 as p columns of morphism
-    ints) on its first read (build_bisimplicial).  The string ids of a
-    level are made only by its names (_SegalLevels.namer), for serialize
-    and sp.named."""
+    tables of _SegalLevels (column q the chain nerve lv.chains[q]) on
+    its first read (build_bisimplicial).  The string ids of a level are
+    made only by its names (_SegalLevels.namer), for serialize and
+    sp.named."""
     lv = _SegalLevels(g, qmax)
     region = set()
     for q in range(lv.qmax + 1):
         for p in range(pmax + 1):
-            if lv.level_size(p, q) > level_budget:
+            if lv.chains[q].size(p) > level_budget:
                 break
             down_ok = (p == 0 or (p - 1, q) in region) and \
                       (q == 0 or (p, q - 1) in region)
             if not down_ok:
                 break
             region.add((p, q))
-    # the chains of a level p >= 1 in level order, as p columns of
-    # morphism ints whose places lv.chain_places reads; made on the first
-    # read of an operator out of the level
-    cols, levels = functools.cache(lv.chain_columns), {}
+    levels = {}
     # whether a morphism id of q holds ';', scanned once per q
     semicolon = functools.cache(lambda q: ";" in "".join(lv.mor_names[q]))
     for (p, q) in region:
-        levels[(p, q)] = sp.Places(lv.level_size(p, q),
+        levels[(p, q)] = sp.Places(lv.chains[q].size(p),
                                    functools.partial(lv.namer, (p, q)))
         # sorted ids clash where two neighbours are equal; the morphism ids
         # are sorted, and distinct names without ';' make distinct chain ids
@@ -1153,25 +1153,15 @@ def segal_nerve(g, pmax, qmax, level_budget=50000):
         if p == 0:
             return lv.vmap_obj_table(phi, q, q_to)
         mors = lv.vmap_mor_table(phi, q, q_to)
-        return lv.chain_places(q_to, [map(mors.__getitem__, col)
-                                      for col in cols(p, q)])
+        return lv.chains[q_to].places([map(mors.__getitem__, col)
+                                       for col in lv.chains[q].columns(p)])
 
     def op(name, p, q, i):
-        cs = cols(p, q) if p else None
         if name == "vface":
             return vmap(p, q, _delta(i, q), q - 1)
         if name == "vdegen":
             return vmap(p, q, _sigma(i, q), q + 1)
-        if name == "hface" and p == 1:
-            return lv.tgt[q] if i == 0 else lv.src[q]
-        if name == "hface":
-            return lv.chain_places(q, _chain_face(
-                cs, p, i, functools.partial(lv.composite, q)))
-        if p == 0:
-            return lv.identity_table(q)
-        return lv.chain_places(q, _chain_degen(
-            cs, i, functools.partial(lv.units_at, q, lv.src[q]),
-            functools.partial(lv.units_at, q, lv.tgt[q])))
+        return getattr(lv.chains[q], name[1:])(p, i)
 
     out = build_bisimplicial(region, levels, op)
     out._segal_levels = lv

@@ -98,6 +98,18 @@ def _need_id_map(value, what):
     return value
 
 
+def _need_once(ids, what):
+    """ids, no two of which are spelled (str) alike, so that 1 and "1"
+    clash as the cells named by them would; else ParseError naming
+    `what` and the first id met a second time."""
+    seen = set()
+    for spelled in map(str, ids):
+        if spelled in seen:
+            raise ParseError("%s %r twice" % (what, spelled))
+        seen.add(spelled)
+    return ids
+
+
 def _need_cells(cells, what):
     """cells, a list of string ids none of which repeats; anything else
     raises ParseError naming `what`."""
@@ -105,11 +117,9 @@ def _need_cells(cells, what):
         bad = next(c for c in cells if type(c) is not str)
         raise ParseError("%s holds a cell id that is not a string: %r"
                          % (what, bad))
+    # the cells are strings, so a repeat shows in their set
     if len(set(cells)) != len(cells):
-        seen = set()
-        # the first cell met a second time (set.add returns None)
-        twice = next(c for c in cells if c in seen or seen.add(c))
-        raise ParseError("%s lists the cell id %r twice" % (what, twice))
+        _need_once(cells, "%s lists the cell id" % what)
     return cells
 
 
@@ -239,8 +249,9 @@ def category_from_doc(doc):
     kind = doc.get("kind")
     if kind not in ("category", "groupoid"):
         raise ParseError("not a category document")
-    objects = _need_ids(_need(doc, "objects", "category"),
-                        "category objects")
+    objects = _need_once(_need_ids(_need(doc, "objects", "category"),
+                                   "category objects"),
+                         "category lists the object id")
     morphs = _need(doc, "morphisms", "category")
     if not isinstance(morphs, list) or \
             not all(isinstance(m, dict) for m in morphs):
@@ -250,7 +261,8 @@ def category_from_doc(doc):
         for key in ("id", "src", "tgt"):
             _need_id(_need(m, key, "category morphism"),
                      "category morphism %s" % key)
-    ids = [m["id"] for m in morphs]
+    ids = _need_once([m["id"] for m in morphs],
+                     "category lists the morphism id")
     src = {m["id"]: m["src"] for m in morphs}
     tgt = {m["id"]: m["tgt"] for m in morphs}
     ident = _need_id_map(_need(doc, "identity", "category"),

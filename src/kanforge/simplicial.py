@@ -1185,7 +1185,8 @@ def restrict_to_subcomplex(x_sset, ids_per_level):
 
 
 def product(x_sset, y_sset):
-    """Levelwise product with pair ids (x|y)."""
+    """Levelwise product with pair ids (x|y) of the (named) cells."""
+    x_sset, y_sset = named(x_sset), named(y_sset)
     dim = min(x_sset.dim, y_sset.dim)
     def pid(a, b):
         return "(%s|%s)" % (a, b)
@@ -1209,6 +1210,9 @@ def product(x_sset, y_sset):
 
 
 def disjoint_union(x_sset, y_sset):
+    """Levelwise union with ids L:x and R:y of the (named) cells."""
+    x_sset, y_sset = named(x_sset), named(y_sset)
+
     def tagged(k, chain):
         return ["%s:%s" % (tag, s) for tag, z in (("L", x_sset), ("R", y_sset))
                 for s in column(z.level(k), chain(z))]

@@ -6,8 +6,9 @@ search as a recursion with one tick per evaluation, the retraction
 check of the shift (decalage), the translation check of a 2-group, the
 2-groups K(Z/2, Z/2) with given coherence data, the string-keyed
 monoidal validation, the groupoid of q-simplices of a 2-group read off
-the Segal nerve's int tables, the direct product and trivial group, and
-the identity and composite lax functors."""
+the Segal nerve's int tables, the nerve of a category built chain by
+chain on string ids, the direct product and trivial group, and the
+identity and composite lax functors."""
 
 import itertools
 
@@ -503,13 +504,14 @@ def q_simplex_groupoid(g, q):
     src, tgt = lv.src[q], lv.tgt[q]
     # morphisms in the order they are enumerated: by source, then family
     morphs = list(map(names.__getitem__, lv._rank[q]))
-    ident = dict(zip(objects, [names[m] for m in lv.identity_table(q)]))
-    before, after = lv.chain_columns(2, q)
+    chains = lv.chains[q]
+    ident = dict(zip(objects, map(names.__getitem__, chains.ident)))
+    before, after = chains.columns(2)
     comp = dict(zip(zip(map(names.__getitem__, after),
                         map(names.__getitem__, before)),
-                    map(names.__getitem__, lv.composite(q, after, before))))
+                    map(names.__getitem__, chains.compose(after, before))))
     # the inverse of a morphism has the inverse of each family member
-    inverse = lv.index(q, lv.tgt[q], [map(lv._ix.inv.__getitem__, fs)
+    inverse = lv.index[q](lv.tgt[q], [map(lv._ix.inv.__getitem__, fs)
                                       for fs in lv.fam[q]])
     inv = dict(zip(names, map(names.__getitem__, inverse)))
     return ca.FinGroupoid(objects, morphs,
@@ -517,6 +519,62 @@ def q_simplex_groupoid(g, q):
                           {names[m]: objects[t] for m, t in enumerate(tgt)},
                           ident, comp, inv=inv,
                           name="simplex-groupoid-%d" % q)
+
+
+def reference_chain_face(c, m, i, comp):
+    """d_i of the chain c (a tuple) of m >= 2 composable arrows, first
+    arrow first: drop the first (i = 0) or last (i = m) arrow, else
+    replace c[i - 1], c[i] by comp(c[i], c[i - 1])."""
+    if i == 0:
+        return c[1:]
+    if i == m:
+        return c[:-1]
+    return c[:i - 1] + (comp(c[i], c[i - 1]),) + c[i + 1:]
+
+
+def reference_chain_degen(c, j, unit_at_src, unit_at_tgt):
+    """s_j of the chain c (a tuple) of m >= 1 arrows: the identity of its
+    j-th object inserted at place j, unit_at_src(c[0]) for j = 0 and
+    unit_at_tgt(c[j - 1]) after."""
+    if j == 0:
+        return (unit_at_src(c[0]),) + c
+    return c[:j] + (unit_at_tgt(c[j - 1]),) + c[j:]
+
+
+def reference_nerve_category(cat, to_dim):
+    """The nerve of cat as built chain by chain on string ids: level m >= 1
+    lists the chains of m morphisms as tuples in lexicographic order of
+    cat.morphisms, first arrow first, each under its _chain_id, and every
+    face and degeneracy is a dict of ids.  (It kept a stray level 1 at
+    to_dim = 0, which a dim-0 document cannot hold; the levels stop at
+    to_dim here.)"""
+    errs = cat.validate()
+    if errs:
+        raise nv.NerveError("category does not validate: %s" % errs[0])
+    chains = [list(cat.objects), [(f,) for f in cat.morphisms]]
+    for m in range(2, to_dim + 1):
+        chains.append([c + (f,) for c in chains[m - 1] for f in cat.morphisms
+                       if cat.src[f] == cat.tgt[c[-1]]])
+    levels = [chains[0]] + [list(map(nv._chain_id, cs)) for cs in chains[1:]]
+
+    def op(name, m, i):
+        cs = chains[m]
+        if name == "face" and m == 1:
+            images = [(cat.tgt if i == 0 else cat.src)[c[0]] for c in cs]
+        elif name == "face":
+            images = [nv._chain_id(reference_chain_face(c, m, i, cat.comp))
+                      for c in cs]
+        elif m == 0:
+            images = [nv._chain_id((cat.ident[x],)) for x in cs]
+        else:
+            images = [nv._chain_id(reference_chain_degen(
+                c, i, lambda f: cat.ident[cat.src[f]],
+                lambda f: cat.ident[cat.tgt[f]])) for c in cs]
+        return dict(zip(levels[m], images))
+
+    base = cat.objects[0] if len(cat.objects) == 1 else None
+    return sp.build_sset(to_dim, levels[:to_dim + 1], op, coskeletal_at=2,
+                         base=base)
 
 
 def direct_product(g, h):

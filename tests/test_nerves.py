@@ -7,7 +7,7 @@ from kanforge import groups as gr
 from kanforge import examples as ex
 from kanforge import determinants as dt
 
-from reference import diag, q_simplex_groupoid
+from reference import diag, q_simplex_groupoid, reference_nerve_category
 
 
 def test_nerve_of_interval_is_delta1():
@@ -44,7 +44,7 @@ def test_groupoid_round_trip():
 @pytest.mark.parametrize("name", [name for name, _ in ex.canned_groupoids()])
 def test_nerve_category_lists_level_1_in_morphism_order(name):
     grpd = dict(ex.canned_groupoids())[name]
-    ner = nv.nerve_category(grpd, 2)
+    ner = sp.named(nv.nerve_category(grpd, 2))
     assert ner.level(0) == list(grpd.objects)
     assert len(ner.level(1)) == len(grpd.morphisms)
     cell = dict(zip(grpd.morphisms, ner.level(1)))
@@ -53,6 +53,36 @@ def test_nerve_category_lists_level_1_in_morphism_order(name):
         assert ner.face[1, 1][cell[f]] == grpd.src[f]
     for x in grpd.objects:
         assert ner.degen[0, 0][x] == cell[grpd.ident[x]]
+
+
+def nerve_category_cases():
+    out = list(ex.canned_groupoids())
+    out += [("poset-interval", ex.build("poset-interval")),
+            ("oneobj-s3", ca.one_object_groupoid(gr.symmetric(3)))]
+    out += [("base-%s" % name, g.base) for name, g in ex.canned_two_groups()]
+    out.append(("base-inflated-disc-z2", ex.build("inflated-disc-z2").base))
+    # the arrows out of one object not next to each other
+    c = ex.build("indiscrete-3")
+    out.append(("indiscrete-3-by-target", ca.FinGroupoid(
+        c.objects, sorted(c.morphisms, key=c.tgt.__getitem__), c.src, c.tgt,
+        c.ident, c.comp_table, c.inv_table)))
+    return [pytest.param(c, id=name) for name, c in out]
+
+
+@pytest.mark.parametrize("dim", range(5))
+@pytest.mark.parametrize("cat", nerve_category_cases())
+def test_nerve_category_matches_the_chain_by_chain_build(cat, dim):
+    # the nerve on places, named, is the nerve built on string ids: the
+    # levels, each table's items in order, the flag and the base
+    got, want = sp.named(nv.nerve_category(cat, dim)), \
+        reference_nerve_category(cat, dim)
+    assert (got.dim, got.levels, got.coskeletal_at, got.base) == \
+        (want.dim, want.levels, want.coskeletal_at, want.base)
+    for name in ("face", "degen"):
+        assert [(key, list(mp.items())) for key, mp in
+                getattr(got, name).items()] == \
+            [(key, list(mp.items())) for key, mp in
+             getattr(want, name).items()]
 
 
 def test_groupoid_from_nerve_rejects_delta1():

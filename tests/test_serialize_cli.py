@@ -473,11 +473,13 @@ def test_loads_rejects_a_negative_dimension(tmp_path, capsys, kind, key,
 
 
 def test_nerve_of_dimension_zero_validates(tmp_path, capsys):
-    out = tmp_path / "n0.json"
-    assert cli.main(["nerve", "--to-dim", "0", "-o", str(out),
-                     dump(tmp_path, "disc-z2")]) == 0
-    assert cli.main(["validate", str(out)]) == 0
-    assert capsys.readouterr().out == "valid sset\n"
+    # the nerve of a category once kept a level 1 beside level 0
+    for name in ("disc-z2", "groupoid-z2"):
+        out = tmp_path / ("n0-%s.json" % name)
+        assert cli.main(["nerve", "--to-dim", "0", "-o", str(out),
+                         dump(tmp_path, name)]) == 0
+        assert cli.main(["validate", str(out)]) == 0
+        assert capsys.readouterr().out == "valid sset\n"
 
 
 def test_cli_kan_and_classify_on_the_empty_complex(tmp_path, capsys):
@@ -650,3 +652,63 @@ def test_cli_pi_names_a_coskeletal_flag_too_high_to_extend(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == ("error: need level 3 but truncation stops at 1 "
                             "(coskeletal_at=3 extends only from level 2)\n")
+
+
+def category_doc(kind, objects, morphisms, identity, comp):
+    return {"format": 1, "kind": kind, "objects": objects,
+            "morphisms": [{"id": f, "src": s, "tgt": t}
+                          for f, s, t in morphisms],
+            "identity": identity, "comp": comp}
+
+
+@pytest.mark.parametrize("kind", ["groupoid", "category"])
+def test_cli_groupoid_without_inv_names_a_missing_identity(tmp_path, capsys,
+                                                            kind):
+    # without inv, the inverses were derived through the identity of y
+    # before validation, and validate and nerve died with a KeyError
+    path = tmp_path / "no-id.json"
+    path.write_text(json.dumps(category_doc(
+        kind, ["x", "y"], [["1", "x", "x"], ["2", "y", "y"]], {"x": "1"},
+        [["1", "1", "1"], ["2", "2", "2"]])), encoding="utf-8")
+    for verb in (["validate"], ["nerve"]):
+        assert cli.main(verb + [str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: parse error in %s: category axioms " \
+            "fail: missing identity at y\n" % path
+
+
+@pytest.mark.parametrize("objects,morphisms,line", [
+    (["x", "x"], [["f", "x", "x"]], "object id 'x'"),
+    (["x"], [["f", "x", "x"], ["f", "x", "x"]], "morphism id 'f'"),
+    (["x"], [[1, "x", "x"], ["1", "x", "x"]], "morphism id '1'")],
+    ids=["object", "morphism", "spelled-alike"])
+def test_cli_category_refuses_a_repeated_id(tmp_path, capsys, objects,
+                                            morphisms, line):
+    # a repeated id once validated, and its nerve was a file that the
+    # loader refused: its cells [f] and [f] (or [1] and [1]) clashed
+    f = morphisms[0][0]
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps(category_doc(
+        "category", objects, morphisms, {"x": f}, [[f, f, f]])),
+        encoding="utf-8")
+    assert cli.main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == "error: parse error in %s: category " \
+        "lists the %s twice\n" % (path, line)
+
+
+def test_cli_nerve_of_numeric_morphism_ids_loads_and_validates(tmp_path,
+                                                               capsys):
+    # each id of a chain is spelled by str; ints once raised a TypeError
+    path, out = tmp_path / "numeric.json", tmp_path / "nerve.json"
+    path.write_text(json.dumps(category_doc(
+        "category", ["x", "y"], [[1, "x", "x"], [2, "y", "y"], [3, "x", "y"]],
+        {"x": 1, "y": 2}, [[1, 1, 1], [2, 2, 2], [3, 1, 3], [2, 3, 3]])),
+        encoding="utf-8")
+    assert cli.main(["validate", str(path)]) == 0
+    assert cli.main(["nerve", "-o", str(out), str(path)]) == 0
+    assert cli.main(["validate", str(out)]) == 0
+    assert capsys.readouterr().out == "valid category\nvalid sset\n"
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert doc["levels"][1] == ["[1]", "[2]", "[3]"]
+    assert doc["levels"][2] == ["[1;1]", "[1;3]", "[2;2]", "[3;2]"]

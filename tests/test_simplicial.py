@@ -228,7 +228,7 @@ def test_shift_levels_and_retraction():
 def test_shift_retraction_names_each_broken_homotopy_identity():
     # s_1 of the last 1-simplex of the Z/3 nerve rewired to the first
     # other 2-simplex: the H(t) identities through it fail, 24 times
-    n3 = nv.nerve_category(ca.one_object_groupoid(gr.cyclic(3)), 3)
+    n3 = sp.named(nv.nerve_category(ca.one_object_groupoid(gr.cyclic(3)), 3))
     edge = n3.level(1)[-1]
     other = next(c for c in n3.level(2) if c != n3.degen[1, 1][edge])
     degen = dict(n3.degen)
@@ -301,7 +301,7 @@ def test_loop_space_at_a_base_numbered_zero():
 
 def test_loop_of_group_nerve_is_discrete_on_elements():
     # loops in a 1-type form a homotopy-discrete complex on the group
-    n3 = nv.nerve_category(ca.one_object_groupoid(gr.cyclic(3)), 3)
+    n3 = sp.named(nv.nerve_category(ca.one_object_groupoid(gr.cyclic(3)), 3))
     om = sp.loop_space(n3, variant="plain", base="*")
     assert [len(l) for l in om.levels] == [3, 3, 3]
     assert sp.classify(om, 0).n_kan_groupoid
@@ -311,7 +311,7 @@ def test_loop_of_group_nerve_is_discrete_on_elements():
 
 
 def test_pi1_of_group_nerve():
-    n3 = nv.nerve_category(ca.one_object_groupoid(gr.cyclic(3)), 3)
+    n3 = sp.named(nv.nerve_category(ca.one_object_groupoid(gr.cyclic(3)), 3))
     g = sp.pi(n3, 1, base="*")
     assert g.is_isomorphic_to(gr.cyclic(3))
 
