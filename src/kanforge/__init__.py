@@ -26,9 +26,9 @@ from .nerves import (
 )
 from .determinants import (
     hom_sset, enriched_hom0, enumerate_additive, additive_vs_hom,
-    enumerate_determinants, determinants_vs_hom, det_morphisms, pi0_det,
+    enumerate_determinants, determinants_vs_hom, pi0_det,
     grho_check, enumerate_segal_determinants, segal_determinants_vs_hom,
-    segal_det_morphisms, segal_pi0, hom1_enriched, DeterminantError,
+    segal_pi0, hom1_enriched, DeterminantError,
 )
 
 __version__ = "0.1.0"

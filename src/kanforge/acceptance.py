@@ -149,7 +149,7 @@ def _segal_lines(x, gname, g):
     mu_ok = nv.mu3_determined(x, ns)
     lines = ["  %-22s |det|=%-3d |hom_mu3|=%-3d bijection=%s "
              "mu3-determined=%s" % (gname, len(dets), len(maps), good, mu_ok)]
-    classes, _ = dt.segal_pi0(x, g)
+    classes = dt.segal_pi0(x, g, dets)
     pieces = len(sp.pi0(dt.hom1_enriched(x, ns, 1)))
     good2 = len(classes) == pieces
     lines.append("    pi0(det)=%d pi0(Hom1)=%d agree=%s"

@@ -7,12 +7,14 @@ bisimplicial maps through the (p+q <= 3)-truncation.  The bijections are
 constructed explicitly and verified, never assumed.
 """
 
+import collections
+import itertools
 import operator
 
 from . import simplicial as sp
 from . import catalg as ca
 from . import nerves as nv
-from .groups import FiniteGroup, bijective, equivalence_classes
+from .groups import FiniteGroup, bijective
 
 
 class DeterminantError(Exception):
@@ -384,59 +386,66 @@ def determinants_vs_hom(x_sset, g):
         _image_keys([{1: d, 2: t} for d, t in dets], orders))
 
 
-def det_morphisms(x_sset, g, det1, det2):
-    """All H : level 1 -> morphisms with H(A) : D(A) -> D'(A),
-    H(degenerate loop) = id and the naturality square over every
-    triangle, by sp.scheduled_search over the free edges on the ints of
-    g.int_index: each edge ranges over its hom-set (IntIndex.homs, id
-    order) and each triangle is tested once, right after its last free
-    edge is set.  Each result is mapped back to ids."""
-    ix = g.int_index
-    oi, mi, mors, homs = ix.obj_int, ix.mor_int, ix.morphisms, ix.homs
-    (d1, t1), (d2, t2) = det1, det2
-    s1 = {t: mi[f] for t, f in t1.items()}
-    s2 = {t: mi[f] for t, f in t2.items()}
-    loop0 = x_sset.deg_base(1, x_sset.level(0)[0])
-    edges = [e for e in x_sset.level(1) if e != loop0]
-    assign = {loop0: ix.unit_ident}
-    out = []
-    tick = sp.budget_ticker("determinant morphism search exceeded {cap} evaluations")
-
-    tri_faces = x_sset.face_table(2)
-    tri_checks = sp.completion_schedule(edges, tri_faces.items())
-
-    def nat_ok(t):
-        h0, h1, h2 = [assign[f] for f in tri_faces[t]]
-        return _natural(ix, h0, h1, h2, s1[t], s2[t])
-
-    sp.scheduled_search(
-        edges, lambda e: homs[oi[d1[e]]][oi[d2[e]]], tri_checks, nat_ok,
-        assign, lambda: out.append({e: mors[h] for e, h in assign.items()}),
-        tick)
-    return out
-
-
 def pi0_det(x_sset, g, dets):
     """Classes of the determinants dets (as enumerate_determinants(x_sset,
-    g) lists them) under the exists-a-morphism relation; symmetry and
-    transitivity are verified, not assumed.  Returns the classes, each
-    the sorted indices into dets of its members."""
-    return _relation_classes(
-        len(dets), lambda i, j: det_morphisms(x_sset, g, dets[i], dets[j]),
-        "determinant")
+    g) lists them) under their morphisms, by _transport_classes on X.
+    Returns the classes, each the sorted indices into dets."""
+    ix = g.int_index
+    return _transport_classes(x_sset, ix, [
+        (tuple([ix.obj_int[d[e]] for e in x_sset.level(1)]),
+         tuple([ix.mor_int[t[c]] for c in x_sset.level(2)]), ())
+        for d, t in dets])
 
 
-def _relation_classes(n, related, what):
-    """The classes of the relation related(i, j) on range(n), each the
-    sorted indices of one class, by least member, once the relation is
-    verified an equivalence (else DeterminantError, naming the relation
-    by `what`)."""
-    rep = equivalence_classes(range(n), related, lambda law, _: (
-        DeterminantError("%s relation not %s" % (what, law))))
-    classes = {}
-    for i, r in rep.items():
-        classes.setdefault(r, []).append(i)
-    return list(classes.values())
+def _transport_classes(row, ix, dets, moved=lambda rest, h: rest):
+    """The classes of dets under their morphisms, each the sorted indices
+    of its members, by least member.  row is X, or the row X_{0,*} of a
+    bisimplicial X, and a determinant is (d, t, rest): its D over
+    row.level(1) and T over row.level(2) on the ints of ix, and the rest.
+    A morphism h out of it picks a morphism out of D(v) on each v of
+    level 1 (the unit's identity on the degenerate loop) and moves it to
+    D'(v) = tgt h_v, T'(A) = h_1 . T(A) . (h_2 (x) h_0)^-1 (h_i on d_i A)
+    and moved(rest, h).  One pass per class lists the morphisms out of
+    its least member D, a tick each, and certifies, else
+    DeterminantError: every target is listed, each Hom(D, D') is an
+    Aut(D)-torsor, Aut(D) closes under composition, no class overlaps."""
+    comp, tm, inv, tgt = ix.comp_rows, ix.tm, ix.inv, ix.tgt
+    outs = [list(itertools.chain(*homs)) for homs in ix.homs]
+    loop0 = row.deg_base(1, row.level(0)[0])
+    at = {v: n for n, v in enumerate(row.level(1))}
+    faces = [tuple(map(at.__getitem__, row.face_table(2)[c]))
+             for c in row.level(2)]
+    index = {det: n for n, det in enumerate(dets)}
+    tick = sp.budget_ticker("determinant transport exceeded {cap} evaluations")
+    classes, seen = [], set()
+    for n, (d, t, rest) in enumerate(dets):
+        if n in seen:
+            continue
+        targets, auts = [], set()
+        for h in itertools.product(*[[ix.unit_ident] if v == loop0
+                                     else outs[x]
+                                     for v, x in zip(row.level(1), d)]):
+            tick()
+            m = index.get((tuple(map(tgt.__getitem__, h)), tuple([
+                comp[comp[h[f1]][s]][inv[tm[h[f2]][h[f0]]]]
+                for (f0, f1, f2), s in zip(faces, t)]), moved(rest, h)))
+            if m is None:
+                raise DeterminantError("transported determinant not listed")
+            targets.append(m)
+            if m == n:
+                auts.add(h)
+        counts = collections.Counter(targets)
+        if set(counts.values()) != {len(auts)}:
+            raise DeterminantError("the morphisms out of a determinant do "
+                                   "not number |class| x |Aut|")
+        if any(tuple(map(operator.getitem, map(comp.__getitem__, a), b))
+               not in auts for a in auts for b in auts):
+            raise DeterminantError("determinant automorphisms do not compose")
+        if seen.intersection(counts):
+            raise DeterminantError("determinant classes overlap")
+        seen.update(counts)
+        classes.append(sorted(counts))
+    return classes
 
 
 # -- the homotopy group comparison -------------------------------------------
@@ -570,66 +579,37 @@ def segal_determinants_vs_hom(x_bx, g, ns):
     return dets, maps, bijective([image(f) for f in maps], det_keys)
 
 
-def segal_det_morphisms(x_bx, g, det1, det2):
-    """Homotopies X_{*,1} x Delta^1 -> N(sG) from det1 to det2, pointed
-    and compatible with the T data: the naturality square of each cell
-    of X_{1,2}, on the ints of g.int_index.  The map search is pinned at
-    the two ends and the base cylinder, and every map it returns is still
-    checked in full."""
+def segal_pi0(x_bx, g, dets):
+    """Classes of the Segal determinants dets (as
+    enumerate_segal_determinants(x_bx, g) lists them) under their
+    morphisms, the homotopies X_{*,1} x Delta^1 -> N(sG) that respect T,
+    by _transport_classes on the row X_{0,*}: H on X_{0,1} moves D on
+    X_{1,1} to H_{d_0 e} . D(e) . H_{d_1 e}^-1, and D on X_{2,1} to the
+    2-chain of its moved faces, from the face index of the nerve D maps
+    into.  Returns the classes, each the sorted indices into dets."""
+    if not dets:
+        return []
     ix = g.int_index
-    mi = ix.mor_int
-    nsg = nv.nerve_category(g.base, 2)
-    col1_t = _column1_2trunc(x_bx)
-    top = col1_t.dim
-    d1 = sp.standard_simplex(1, top)
-    prod = sp.product(col1_t, d1)
-    dm1, t1 = det1
-    dm2, t2 = det2
-    base_cell = {k: x_bx.vdegen[k, 0, 0][x_bx.level(k, 0)[0]]
-                 for k in range(top + 1)}
-    unit_chain = {k: nsg.deg_base(k, ix.unit) for k in range(top + 1)}
-    # the ends and the base cylinder are pinned to the values `good`
-    # demands, so the search skips the homotopies it would reject
-    pins = {}
+    comp, inv = ix.comp_rows, ix.inv
+    col, nsg = dets[0][0].src, dets[0][0].dst
+    row, levels = x_bx.row(0), range(1, col.dim + 1)
+    # the faces of X_{k,1} as places in X_{k-1,1}; X_{0,1} is row.level(1)
+    faces = [[tuple(map({c: n for n, c in enumerate(col.level(k - 1))}
+                        .__getitem__, col.face_table(k)[c]))
+              for c in col.level(k)] for k in levels]
+    chain = {fs: c for c, fs in nsg.face_table(2).items()}
 
-    def pin(k, e, phi, value):
-        key = (k, _pair_id(e, phi))
-        pins[key] = {value}.intersection(pins.get(key, (value,)))
+    def moved(rest, h):
+        d1 = tuple([comp[comp[h[f0]][f]][inv[h[f1]]]
+                    for (f0, f1), f in zip(faces[0], rest[0])])
+        return (d1, *[tuple([chain.get(tuple(map(d1.__getitem__, fs)))
+                             for fs in level]) for level in faces[1:]])
 
-    for k in range(top + 1):
-        for e in col1_t.level(k):
-            pin(k, e, "1" * (k + 1), dm1(k, e))
-            pin(k, e, "0" * (k + 1), dm2(k, e))
-        for phi in d1.level(k):
-            pin(k, base_cell[k], phi, unit_chain[k])
-    homotopies = sp.enumerate_maps(prod, nsg, upto=top, pins=pins)
-    squares = [(mi[t1[top]], mi[t2[bot]], edges)
-               for top, bot, *edges in _x12_squares(x_bx)]
-
-    def good(h):
-        def ev(k, e, phi):
-            return h(k, _pair_id(e, phi))
-        # the delta_1 end restricts to det1 and the delta_0 end to det2;
-        # the degenerate-base cylinder maps to identity chains
-        return (all(ev(k, e, "1" * (k + 1)) == dm1(k, e)
-                    and ev(k, e, "0" * (k + 1)) == dm2(k, e)
-                    for k in range(top + 1) for e in col1_t.level(k))
-                and all(ev(k, base_cell[k], phi) == unit_chain[k]
-                        for k in range(top + 1) for phi in d1.level(k))
-                and all(_natural(ix, *[ev(1, e, "01") for e in edges], s, t)
-                        for s, t, edges in squares))
-
-    return [h for h in homotopies if good(h)]
-
-
-def segal_pi0(x_bx, g):
-    """Classes of Segal determinants under the exists-a-morphism
-    relation, with symmetry/transitivity verified."""
-    dets = enumerate_segal_determinants(x_bx, g)
-    classes = _relation_classes(
-        len(dets), lambda i, j: segal_det_morphisms(
-            x_bx, g, dets[i], dets[j]), "segal determinant")
-    return classes, dets
+    return _transport_classes(row, ix, [
+        (tuple(map(dm.components[0].__getitem__, row.level(1))),
+         tuple([ix.mor_int[t[c]] for c in row.level(2)]),
+         tuple(tuple(map(dm.components[k].__getitem__, col.level(k)))
+               for k in levels)) for dm, t in dets], moved)
 
 
 def hom1_enriched(x_bx, ns, n_max):

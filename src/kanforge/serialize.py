@@ -19,8 +19,25 @@ class ParseError(Exception):
 
 
 def canonical_dumps(obj):
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
-                      ensure_ascii=False) + "\n"
+    try:
+        text = json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                          ensure_ascii=False)
+    except TypeError:   # map keys that mix numbers and strings
+        text = json.dumps(_in_id_order(obj), separators=(",", ":"),
+                          ensure_ascii=False)
+    return text + "\n"
+
+
+def _id_order(x):
+    """Numbers first, then strings; ids of one kind sort as sorted()."""
+    return isinstance(x, str), x
+
+
+def _in_id_order(obj):
+    """obj with the items of every map in _id_order of their keys."""
+    if isinstance(obj, dict):
+        return {k: _in_id_order(obj[k]) for k in sorted(obj, key=_id_order)}
+    return list(map(_in_id_order, obj)) if isinstance(obj, list) else obj
 
 
 def _reject_unknown(doc, allowed, where):
@@ -237,7 +254,8 @@ def category_to_doc(c):
            "morphisms": [{"id": f, "src": c.src[f], "tgt": c.tgt[f]}
                          for f in c.morphisms],
            "identity": {x: c.ident[x] for x in c.objects},
-           "comp": [[g, f, gf] for (g, f), gf in sorted(c.comp_table.items())]}
+           "comp": sorted(([g, f, gf] for (g, f), gf in c.comp_table.items()),
+                          key=lambda row: list(map(_id_order, row[:2])))}
     if isinstance(c, ca.FinGroupoid):
         doc["inv"] = {f: c.inv_table[f] for f in c.morphisms}
     return doc

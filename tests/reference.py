@@ -7,8 +7,10 @@ check of the shift (decalage), the translation check of a 2-group, the
 2-groups K(Z/2, Z/2) with given coherence data, the string-keyed
 monoidal validation, the groupoid of q-simplices of a 2-group read off
 the Segal nerve's int tables, the nerve of a category built chain by
-chain on string ids, the direct product and trivial group, and the
-identity and composite lax functors."""
+chain on string ids, the direct product and trivial group, the
+identity and composite lax functors, and the searches that recheck
+every constraint: the map search with its tick count, and the pairwise
+determinant morphism searches with their closure into classes."""
 
 import itertools
 
@@ -615,3 +617,218 @@ def compose_lax(g_fun, f_fun):
                 g_fun.m(f_fun.fo(x), f_fun.fo(y)))
     return ca.LaxUnitaryFunctor(src, tgt, obj, mor, m,
                                 name="%s.%s" % (g_fun.name, f_fun.name))
+
+
+# -- the searches against references that recheck every constraint ------------
+#
+# Each reference is the search as it stood before completion schedules:
+# after every assignment it retests every constraint whose variables are
+# all assigned.  The map search returns its results and the budget ticks
+# it used.
+
+
+def reference_candidate_index(y_sset, k):
+    """dict full-face-tuple -> sorted ids at level k of Y."""
+    idx = {}
+    for s in y_sset.level(k):
+        idx.setdefault(y_sset.face_table(k)[s], []).append(s)
+    for v in idx.values():
+        v.sort()
+    return idx
+
+
+def reference_maps(x, y, upto):
+    d = upto
+    if y.dim < d:
+        y = sp._ensure_depth(y, d)
+    ticks = [0]
+    indices = {k: reference_candidate_index(y, k) for k in range(1, d + 1)}
+    pres_at = []
+    for k in range(d + 1):
+        pres = {}
+        for j in range(k):
+            for a, sa in x.degen[(k - 1, j)].items():
+                pres.setdefault(sa, []).append((j, a))
+        pres_at.append(pres)
+    supports = [dict() for _ in range(d + 1)]
+    for k in range(1, d + 1):
+        for s in x.level(k):
+            for f in set(x.face_table(k)[s]):
+                supports[k - 1].setdefault(f, []).append((k, s))
+    results = []
+    comps = [dict() for _ in range(d + 1)]
+
+    def forward_ok(k, s):
+        for (k2, hi) in supports[k].get(s, ()):
+            want = tuple(comps[k2 - 1].get(f) for f in x.face_table(k2)[hi])
+            if None not in want and want not in indices[k2]:
+                return False
+        return True
+
+    def assign_level(k):
+        if k > d:
+            results.append(sp.SSetMap(x, y, {kk: dict(comps[kk])
+                                             for kk in range(d + 1)}))
+            return
+        frees = []
+        for s in x.level(k):
+            if s not in pres_at[k]:
+                frees.append(s)
+                continue
+            vals = {y.degen[k - 1, j][comps[k - 1][a]]
+                    for (j, a) in pres_at[k][s]}
+            if len(vals) != 1:
+                comps[k] = {}
+                return
+            v = vals.pop()
+            if y.face_table(k)[v] != tuple(comps[k - 1][f]
+                                           for f in x.face_table(k)[s]):
+                comps[k] = {}
+                return
+            comps[k][s] = v
+        if k < d and not all(forward_ok(k, s) for s in list(comps[k])):
+            comps[k] = {}
+            return
+        cand_lists = []
+        for s in frees:
+            ticks[0] += 1
+            if k == 0:
+                cands = list(y.level(0))
+            else:
+                want = tuple(comps[k - 1][f] for f in x.face_table(k)[s])
+                cands = indices[k].get(want, [])
+            if not cands:
+                comps[k] = {}
+                return
+            cand_lists.append(cands)
+
+        def choose(idx):
+            if idx == len(frees):
+                assign_level(k + 1)
+                return
+            s = frees[idx]
+            for v in cand_lists[idx]:
+                ticks[0] += 1
+                comps[k][s] = v
+                if k >= d or forward_ok(k, s):
+                    choose(idx + 1)
+                del comps[k][s]
+
+        choose(0)
+        comps[k] = {}
+
+    assign_level(0)
+    if x.base is not None and y.base is not None:
+        results = [f for f in results if f(0, x.base) == y.base]
+    return results, ticks[0]
+
+
+def reference_det_morphisms(x, g, det1, det2):
+    c = g.base
+    (d1, t1), (d2, t2) = det1, det2
+    loop0 = x.degen[0, 0][x.level(0)[0]]
+    edges = [e for e in x.level(1) if e != loop0]
+    assign = {loop0: c.id_of(g.unit)}
+    out, ticks = [], [0]
+
+    def nat_ok(t):
+        fs = x.face_table(2)[t]
+        if any(f not in assign for f in fs):
+            return True
+        h0, h1, h2 = [assign[f] for f in fs]
+        return c.comp(h1, t1[t]) == c.comp(t2[t], g.tm(h2, h0))
+
+    def rec(i):
+        ticks[0] += 1
+        if i == len(edges):
+            out.append(dict(assign))
+            return
+        for h in c.hom(d1[edges[i]], d2[edges[i]]):
+            assign[edges[i]] = h
+            if all(nat_ok(t) for t in x.level(2)):
+                rec(i + 1)
+            del assign[edges[i]]
+
+    rec(0)
+    return out, ticks[0]
+
+
+def reference_column1(x_bx):
+    """The column X_{*,1}, truncated at dimension 2."""
+    col1 = x_bx.column(1)
+    return sp.TruncatedSSet(2, [col1.level(k) for k in range(3)],
+                            {k: v for k, v in col1.face.items() if k[0] <= 2},
+                            {k: v for k, v in col1.degen.items() if k[0] <= 1},
+                            base=col1.base)
+
+
+def reference_segal_det_morphisms(x_bx, g):
+    """det_morphisms(det1, det2), the homotopies X_{*,1} x Delta^1 ->
+    N(g.base) of the 2-truncations from det1 to det2: every map of the
+    cylinder, listed once by reference_maps, then the endpoint,
+    pointedness and id-level naturality filters."""
+    c = g.base
+    nsg = nv.nerve_category(c, 2)
+    mor1 = dict(zip(nsg.level(1), c.morphisms))
+    col1_t = reference_column1(x_bx)
+    d1 = sp.standard_simplex(1, 2)
+    homotopies, _ = reference_maps(sp.product(col1_t, d1), nsg, 2)
+    cells = [(k, e) for k in range(3) for e in col1_t.level(k)]
+    # the homotopies by their ends, the delta_1 end (at "11..") first
+    by_ends = {}
+    for h in homotopies:
+        by_ends.setdefault(tuple(h(k, "(%s|%s)" % (e, end * (k + 1)))
+                                 for end in "10" for k, e in cells),
+                           []).append(h)
+
+    def det_morphisms(det1, det2):
+        (dm1, t1), (dm2, t2) = det1, det2
+        out = []
+        for h in by_ends.get(tuple(dm(k, e) for dm in (dm1, dm2)
+                                   for k, e in cells), ()):
+            def ev(k, e, phi):
+                return h(k, "(%s|%s)" % (e, phi))
+            if any(ev(k, x_bx.vdegen[k, 0, 0][x_bx.level(k, 0)[0]], phi) !=
+                   nsg.deg_base(k, c.objects.index(g.unit))
+                   for k in range(3) for phi in d1.level(k)):
+                continue
+            good = True
+            for z in x_bx.level(1, 2):
+                top, bot = x_bx.hface[1, 2, 1][z], x_bx.hface[1, 2, 0][z]
+                h0, h1, h2 = [mor1[ev(1, x_bx.vface[1, 2, j][z], "01")]
+                              for j in range(3)]
+                if c.comp(h1, t1[top]) != c.comp(t2[bot], g.tm(h2, h0)):
+                    good = False
+                    break
+            if good:
+                out.append(h)
+        return out
+
+    return det_morphisms
+
+
+def reference_det_classes(x, g, dets):
+    """The classes of dets under the exists-a-morphism relation: every
+    ordered pair searched by reference_det_morphisms, then closed by
+    gr.equivalence_classes once the relation is verified an
+    equivalence; each class the sorted indices of its members, by least
+    member."""
+    return _closure(len(dets), lambda i, j: bool(
+        reference_det_morphisms(x, g, dets[i], dets[j])[0]))
+
+
+def reference_segal_classes(x_bx, g, dets):
+    """reference_det_classes for the Segal determinants dets, by
+    reference_segal_det_morphisms."""
+    det_morphisms = reference_segal_det_morphisms(x_bx, g)
+    return _closure(len(dets), lambda i, j: bool(
+        det_morphisms(dets[i], dets[j])))
+
+
+def _closure(n, related):
+    def fail(law, _):
+        return AssertionError("relation not %s" % law)
+    classes = {}
+    for i, r in gr.equivalence_classes(range(n), related, fail).items():
+        classes.setdefault(r, []).append(i)
+    return list(classes.values())

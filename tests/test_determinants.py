@@ -65,18 +65,56 @@ def test_determinant_forcing_lemma_asserted():
         and t_fun[s0] != t_fun[s1_] for t_fun in twisted)
 
 
-def test_det_morphisms_identity_and_disc():
+def test_det_classes_identity_and_disc():
+    # one object: the lone determinant is its own class; Disc(Z/3) has
+    # only identities, so each determinant is a class of its own
     s1 = sp.sphere(1, 3)
     g = ca.one_object_two_group(gr.cyclic(2))
     dets = dt.enumerate_determinants(s1, g)
-    ms = dt.det_morphisms(s1, g, dets[0], dets[0])
-    assert len(ms) == 2          # morphism set is the whole group
+    assert dt.pi0_det(s1, g, dets) == [[0]]
     d = ca.discrete_two_group(gr.cyclic(3))
     dd = dt.enumerate_determinants(s1, d)
-    for i in range(len(dd)):
-        for j in range(len(dd)):
-            ms = dt.det_morphisms(s1, d, dd[i], dd[j])
-            assert bool(ms) == (i == j)
+    assert dt.pi0_det(s1, d, dd) == [[0], [1], [2]]
+
+
+def test_transport_certificates_raise_on_tampered_lists():
+    # t11 in oneobj-z2: four determinants in one class, |Aut| = 2
+    t11, g = ex.build("t11"), ex.build("oneobj-z2")
+    dets = dt.enumerate_determinants(t11, g)
+    assert dt.pi0_det(t11, g, dets) == [[0, 1, 2, 3]]
+    # a member left out: the transport reaches it
+    with pytest.raises(dt.DeterminantError, match="not listed"):
+        dt.pi0_det(t11, g, dets[1:])
+    # a member listed twice: the transport reaches its later copy only,
+    # so the earlier copy has no automorphism
+    with pytest.raises(dt.DeterminantError, match="do not number"):
+        dt.pi0_det(t11, g, dets + dets[1:2])
+    # the other two laws hold for every list under a sound transport, so
+    # a rest hook breaks them: on s1 in oneobj-z3 it tags three copies of
+    # the one determinant and moves the tags by the morphism H takes on
+    # the one free edge, from ids = [id, a, a^2]
+    s1, g = ex.build("s1"), ex.build("oneobj-z3")
+    ix = g.int_index
+    (d, t), = dt.enumerate_determinants(s1, g)
+    det = (tuple(ix.obj_int[d[e]] for e in s1.level(1)),
+           tuple(ix.mor_int[t[c]] for c in s1.level(2)))
+    free = [i for i, e in enumerate(s1.level(1))
+            if e != s1.deg_base(1, s1.level(0)[0])]
+    ids = sorted(ix.homs[ix.unit][ix.unit], key=lambda f: f != ix.unit_ident)
+
+    def run(moves):
+        # moves[tag][k]: the tag that H = ids[k] moves tag to
+        return dt._transport_classes(
+            s1, ix, [det + (tag,) for tag in range(3)],
+            lambda tag, h: moves[tag][ids.index(h[free[0]])])
+
+    assert run([[0, 1, 2], [1, 2, 0], [2, 0, 1]]) == [[0, 1, 2]]
+    # Aut of tag 0 is {a}: a torsor count of 1 each, but a . a = a^2
+    with pytest.raises(dt.DeterminantError, match="do not compose"):
+        run([[1, 0, 2], [1, 0, 2], [1, 0, 2]])
+    # tag 0 alone, then tag 1 reaches it
+    with pytest.raises(dt.DeterminantError, match="overlap"):
+        run([[0, 0, 0], [1, 0, 2], [2, 2, 2]])
 
 
 def test_pi0_det_matches_mapping_object():
@@ -131,7 +169,7 @@ def test_segal_determinants_and_pi0():
     ns = nv.segal_nerve(g, 2, 3)
     dets, maps, ok = dt.segal_determinants_vs_hom(x, g, ns)
     assert len(dets) == 3 and ok
-    classes, _ = dt.segal_pi0(x, g)
+    classes = dt.segal_pi0(x, g, dets)
     h1 = dt.hom1_enriched(x, ns, 1)
     assert len(classes) == len(sp.pi0(h1)) == 3
 
@@ -167,8 +205,9 @@ def test_every_budget_message_names_its_cap(monkeypatch):
     monkeypatch.delenv("KANFORGE_BUDGET", raising=False)
     s1, g = ex.build("s1"), ex.build("oneobj-z2")
     x, ns = nv.p2_star(s1, 2), nv.segal_nerve(g, 2, 3)
-    x11 = nv.p2_star(ex.build("t11"), 2)
-    det = dt.enumerate_determinants(s1, g)[0]
+    t11 = ex.build("t11")
+    x11 = nv.p2_star(t11, 2)
+    t11_dets = dt.enumerate_determinants(t11, g)
     runs = {
         "map enumeration": (2, lambda: sp.enumerate_maps(s1, s1)),
         "bisimplicial enumeration": (2, lambda: nv.enumerate_bimaps(x, ns)),
@@ -176,8 +215,7 @@ def test_every_budget_message_names_its_cap(monkeypatch):
             s1, gr.cyclic(3))),
         "determinant enumeration": (2, lambda: dt.enumerate_determinants(
             s1, g)),
-        "determinant morphism search": (2, lambda: dt.det_morphisms(
-            s1, g, det, det)),
+        "determinant transport": (2, lambda: dt.pi0_det(t11, g, t11_dets)),
         "segal determinant search": (
             10, lambda: dt.enumerate_segal_determinants(x11, g)),
         "fibrancy boundary-horn lift search": (
@@ -205,10 +243,8 @@ def test_every_search_reads_the_one_cap(monkeypatch):
             s1, nv.nerve_2group(g, 3), 1),
         "hom1_enriched": lambda: dt.hom1_enriched(x, ns, 1),
         "mu3_determined": lambda: nv.mu3_determined(x, ns),
-        "segal_det_morphisms": lambda: dt.segal_det_morphisms(
-            x, g, sdet, sdet),
         "pi0_det": lambda: dt.pi0_det(s1, g, dets),
-        "segal_pi0": lambda: dt.segal_pi0(x, g),
+        "segal_pi0": lambda: dt.segal_pi0(x, g, [sdet]),
         "additive_vs_hom": lambda: dt.additive_vs_hom(s1, gr.cyclic(3)),
         "determinants_vs_hom": lambda: dt.determinants_vs_hom(s1, g),
         "segal_determinants_vs_hom": lambda: dt.segal_determinants_vs_hom(

@@ -20,6 +20,8 @@ from kanforge import groups as gr
 from kanforge import serialize as io
 
 from reference import (boundary_alpha, map_key, q_simplex_groupoid,
+                       reference_column1, reference_det_classes,
+                       reference_maps, reference_segal_classes,
                        unitor_twisted_monoidal)
 
 # brute force walks |level|^(slots) candidates; larger cases are left out
@@ -1683,102 +1685,6 @@ def test_bimaps_from_p1_products_match_reference(name):
 # all assigned.  It returns its results and the budget ticks it used.
 
 
-def reference_candidate_index(y_sset, k):
-    """dict full-face-tuple -> sorted ids at level k of Y."""
-    idx = {}
-    for s in y_sset.level(k):
-        idx.setdefault(y_sset.face_table(k)[s], []).append(s)
-    for v in idx.values():
-        v.sort()
-    return idx
-
-
-def reference_maps(x, y, upto):
-    d = upto
-    if y.dim < d:
-        y = sp._ensure_depth(y, d)
-    ticks = [0]
-    indices = {k: reference_candidate_index(y, k) for k in range(1, d + 1)}
-    pres_at = []
-    for k in range(d + 1):
-        pres = {}
-        for j in range(k):
-            for a, sa in x.degen[(k - 1, j)].items():
-                pres.setdefault(sa, []).append((j, a))
-        pres_at.append(pres)
-    supports = [dict() for _ in range(d + 1)]
-    for k in range(1, d + 1):
-        for s in x.level(k):
-            for f in set(x.face_table(k)[s]):
-                supports[k - 1].setdefault(f, []).append((k, s))
-    results = []
-    comps = [dict() for _ in range(d + 1)]
-
-    def forward_ok(k, s):
-        for (k2, hi) in supports[k].get(s, ()):
-            want = tuple(comps[k2 - 1].get(f) for f in x.face_table(k2)[hi])
-            if None not in want and want not in indices[k2]:
-                return False
-        return True
-
-    def assign_level(k):
-        if k > d:
-            results.append(sp.SSetMap(x, y, {kk: dict(comps[kk])
-                                             for kk in range(d + 1)}))
-            return
-        frees = []
-        for s in x.level(k):
-            if s not in pres_at[k]:
-                frees.append(s)
-                continue
-            vals = {y.degen[k - 1, j][comps[k - 1][a]]
-                    for (j, a) in pres_at[k][s]}
-            if len(vals) != 1:
-                comps[k] = {}
-                return
-            v = vals.pop()
-            if y.face_table(k)[v] != tuple(comps[k - 1][f]
-                                           for f in x.face_table(k)[s]):
-                comps[k] = {}
-                return
-            comps[k][s] = v
-        if k < d and not all(forward_ok(k, s) for s in list(comps[k])):
-            comps[k] = {}
-            return
-        cand_lists = []
-        for s in frees:
-            ticks[0] += 1
-            if k == 0:
-                cands = list(y.level(0))
-            else:
-                want = tuple(comps[k - 1][f] for f in x.face_table(k)[s])
-                cands = indices[k].get(want, [])
-            if not cands:
-                comps[k] = {}
-                return
-            cand_lists.append(cands)
-
-        def choose(idx):
-            if idx == len(frees):
-                assign_level(k + 1)
-                return
-            s = frees[idx]
-            for v in cand_lists[idx]:
-                ticks[0] += 1
-                comps[k][s] = v
-                if k >= d or forward_ok(k, s):
-                    choose(idx + 1)
-                del comps[k][s]
-
-        choose(0)
-        comps[k] = {}
-
-    assign_level(0)
-    if x.base is not None and y.base is not None:
-        results = [f for f in results if f(0, x.base) == y.base]
-    return results, ticks[0]
-
-
 def reference_additive(x, group):
     loop0 = x.degen[0, 0][x.level(0)[0]]
     # D(d1 a) = D(d2 a) D(d0 a)
@@ -1865,45 +1771,6 @@ def reference_determinants(x, g):
     return out, ticks[0]
 
 
-def reference_det_morphisms(x, g, det1, det2):
-    c = g.base
-    (d1, t1), (d2, t2) = det1, det2
-    loop0 = x.degen[0, 0][x.level(0)[0]]
-    edges = [e for e in x.level(1) if e != loop0]
-    assign = {loop0: c.id_of(g.unit)}
-    out, ticks = [], [0]
-
-    def nat_ok(t):
-        fs = x.face_table(2)[t]
-        if any(f not in assign for f in fs):
-            return True
-        h0, h1, h2 = [assign[f] for f in fs]
-        return c.comp(h1, t1[t]) == c.comp(t2[t], g.tm(h2, h0))
-
-    def rec(i):
-        ticks[0] += 1
-        if i == len(edges):
-            out.append(dict(assign))
-            return
-        for h in c.hom(d1[edges[i]], d2[edges[i]]):
-            assign[edges[i]] = h
-            if all(nat_ok(t) for t in x.level(2)):
-                rec(i + 1)
-            del assign[edges[i]]
-
-    rec(0)
-    return out, ticks[0]
-
-
-def reference_column1(x_bx):
-    """The column X_{*,1}, truncated at dimension 2."""
-    col1 = x_bx.column(1)
-    return sp.TruncatedSSet(2, [col1.level(k) for k in range(3)],
-                            {k: v for k, v in col1.face.items() if k[0] <= 2},
-                            {k: v for k, v in col1.degen.items() if k[0] <= 1},
-                            base=col1.base)
-
-
 def reference_segal_determinants(x_bx, g):
     # D is a map into the nerve on places; its values are read by id
     c = g.base
@@ -1973,40 +1840,6 @@ def reference_segal_determinants(x_bx, g):
     return out, max(ticks[0], map_ticks)
 
 
-def reference_segal_det_morphisms(x_bx, g, det1, det2):
-    # every homotopy of the column, then the endpoint, pointedness and
-    # id-level naturality filters
-    c = g.base
-    nsg = nv.nerve_category(c, 2)
-    mor1 = dict(zip(nsg.level(1), c.morphisms))
-    col1_t = reference_column1(x_bx)
-    d1 = sp.standard_simplex(1, 2)
-    (dm1, t1), (dm2, t2) = det1, det2
-    out = []
-    for h in sp.enumerate_maps(sp.product(col1_t, d1), nsg, upto=2):
-        def ev(k, e, phi):
-            return h(k, "(%s|%s)" % (e, phi))
-        if any(ev(k, e, "1" * (k + 1)) != dm1(k, e) or
-               ev(k, e, "0" * (k + 1)) != dm2(k, e)
-               for k in range(3) for e in col1_t.level(k)):
-            continue
-        if any(ev(k, x_bx.vdegen[k, 0, 0][x_bx.level(k, 0)[0]], phi) !=
-               nsg.deg_base(k, c.objects.index(g.unit))
-               for k in range(3) for phi in d1.level(k)):
-            continue
-        good = True
-        for z in x_bx.level(1, 2):
-            top, bot = x_bx.hface[1, 2, 1][z], x_bx.hface[1, 2, 0][z]
-            h0, h1, h2 = [mor1[ev(1, x_bx.vface[1, 2, j][z], "01")]
-                          for j in range(3)]
-            if c.comp(h1, t1[top]) != c.comp(t2[bot], g.tm(h2, h0)):
-                good = False
-                break
-        if good:
-            out.append(h)
-    return out
-
-
 def capped(n):
     """KANFORGE_BUDGET set to n inside a with block, restored after it."""
     return mock.patch.dict(os.environ, KANFORGE_BUDGET=str(n))
@@ -2059,11 +1892,33 @@ def test_determinant_searches_match_reference(x, g):
     dets, ticks = reference_determinants(x, g)
     assert dt.enumerate_determinants(x, g) == dets
     assert_ticks(lambda: dt.enumerate_determinants(x, g), ticks)
-    for det1 in dets:
-        for det2 in dets:
-            want, ticks = reference_det_morphisms(x, g, det1, det2)
-            assert dt.det_morphisms(x, g, det1, det2) == want
-            assert_ticks(lambda: dt.det_morphisms(x, g, det1, det2), ticks)
+    assert dt.pi0_det(x, g, dets) == reference_det_classes(x, g, dets)
+
+
+def delta4_draw():
+    """The reduced complex of the 2-cells 234, 034, 024 and 013 of
+    Delta^4 (truncated at 3), with 8 nondegenerate edges: its
+    determinants in oneobj-z3 form one class of 81 with |Aut| = 81."""
+    d4 = sp.standard_simplex(4, 3)
+    keep = sp.generated_subcomplex(d4, {2: ["234", "034", "024", "013"]})
+    return sp.reduce_by_vertices(sp.restrict_to_subcomplex(
+        d4, [sorted(cells) for cells in keep]))
+
+
+@pytest.mark.parametrize("x,g", [
+    pytest.param(ex.build("delta2-reduced"), unitor_twisted_two_group(),
+                 id="delta2-reduced-unitor-twisted"),
+    pytest.param(ex.build("t11"), unitor_twisted_two_group(),
+                 id="t11-unitor-twisted"),
+    pytest.param(delta4_draw(), ex.build("oneobj-z2"),
+                 id="delta4-draw-oneobj-z2")])
+def test_det_classes_match_reference(x, g):
+    # the transport classes against the pairwise closure, beyond the
+    # pairs of test_determinant_searches_match_reference
+    dets = dt.enumerate_determinants(x, g)
+    classes = dt.pi0_det(x, g, dets)
+    assert classes == reference_det_classes(x, g, dets)
+    assert len(classes) < len(dets)
 
 
 def coskeleton_fixtures():
@@ -2126,31 +1981,24 @@ def test_segal_determinants_match_reference(space, g):
     assert_ticks(lambda: dt.enumerate_segal_determinants(x_bx, g), ticks)
 
 
-def segal_det_morphism_cases():
-    # Disc(S3): every fourth determinant with itself (from the ninth on,
-    # some have D values that do not commute, so the order of tm's
-    # factors shows) and a few with their neighbour; the unitor-twisted
-    # 2-group has homotopies between distinct determinants
-    return [pytest.param(ca.discrete_two_group(gr.symmetric(3)),
-                         lambda n: [(i, i) for i in range(0, n, 4)]
-                         + [(i, i + 1) for i in range(0, n - 1, 12)],
-                         id="delta2-reduced-disc-s3"),
-            pytest.param(unitor_twisted_two_group(),
-                         lambda n: itertools.product(range(n), repeat=2),
-                         id="delta2-reduced-unitor-twisted")]
+def segal_class_cases():
+    # Disc(S3) has only identities, so every determinant is its own
+    # class; the unitor-twisted 2-group has homotopies between distinct
+    # determinants
+    return [pytest.param(space, g, id="%s-%s" % (space, gn))
+            for space in ("delta2-reduced", "t11")
+            for gn, g in (("disc-s3", ca.discrete_two_group(gr.symmetric(3))),
+                          ("unitor-twisted", unitor_twisted_two_group()))]
 
 
-@pytest.mark.parametrize("g,pairs", segal_det_morphism_cases())
-def test_segal_det_morphisms_match_reference(g, pairs):
-    x_bx = nv.p2_star(ex.build("delta2-reduced"), 2)
-    dets, _ = reference_segal_determinants(x_bx, g)
-    found = 0
-    for i, j in pairs(len(dets)):
-        got = dt.segal_det_morphisms(x_bx, g, dets[i], dets[j])
-        want = reference_segal_det_morphisms(x_bx, g, dets[i], dets[j])
-        assert map_keys(got) == map_keys(want)
-        found += len(got)
-    assert found
+@pytest.mark.parametrize("space,g", segal_class_cases())
+def test_segal_det_morphisms_match_reference(space, g):
+    # the transport classes against the pairwise closure of the
+    # homotopies of the column X_{*,1}
+    x_bx = nv.p2_star(ex.build(space), 2)
+    dets = dt.enumerate_segal_determinants(x_bx, g)
+    assert dt.segal_pi0(x_bx, g, dets) == \
+        reference_segal_classes(x_bx, g, dets)
 
 
 def test_search_budgets_pinned():
@@ -2160,6 +2008,14 @@ def test_search_budgets_pinned():
     assert_ticks(lambda: dt.enumerate_determinants(t12, g), 2210)
     ng = nv.nerve_2group(g, 3)
     assert_ticks(lambda: dt.hom_sset(t12, ng), 3382)
+
+
+def test_transport_budget_pinned():
+    # one tick per morphism out of a class's least member: t12 in
+    # oneobj-z3 has one class of 243 determinants with |Aut| = 3
+    t12, g = ex.build("t12"), ex.build("oneobj-z3")
+    dets = dt.enumerate_determinants(t12, g)
+    assert_ticks(lambda: dt.pi0_det(t12, g, dets), 243 * 3)
 
 
 def test_enriched_hom_budgets_pinned():

@@ -712,3 +712,23 @@ def test_cli_nerve_of_numeric_morphism_ids_loads_and_validates(tmp_path,
     doc = json.loads(out.read_text(encoding="utf-8"))
     assert doc["levels"][1] == ["[1]", "[2]", "[3]"]
     assert doc["levels"][2] == ["[1;1]", "[1;3]", "[2;2]", "[3;2]"]
+
+
+def test_cli_roundtrip_of_mixed_morphism_ids(tmp_path, capsys):
+    # ids that mix numbers and strings once stopped roundtrip with a
+    # TypeError (exit 1) where sorting compared them; numbers sort first
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(category_doc(
+        "category", ["x", "y"],
+        [[1, "x", "x"], ["b", "x", "y"], [3, "y", "y"]], {"x": 1, "y": 3},
+        [[1, 1, 1], ["b", 1, "b"], [3, "b", "b"], [3, 3, 3]])),
+        encoding="utf-8")
+    assert cli.main(["validate", str(path)]) == 0
+    assert cli.main(["roundtrip", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("valid category\n")
+    doc = json.loads(out.split("\n", 1)[1])
+    assert doc["comp"] == [[1, 1, 1], [3, 3, 3], [3, "b", "b"], ["b", 1, "b"]]
+    # a map with keys of both kinds; keys of one kind sort as sort_keys
+    assert io.canonical_dumps({"b": [{3: 0, 1: 1}], 2: {"y": 0, "x": 1}}) \
+        == '{"2":{"x":1,"y":0},"b":[{"1":1,"3":0}]}\n'
