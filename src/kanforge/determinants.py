@@ -44,70 +44,6 @@ def _key_order(found, names=None):
     return sorted(range(len(found)), key=keys.__getitem__)
 
 
-class EnrichedHom:
-    """The reduced enriched hom: level n = maps (X x Delta^n)/(* x Delta^n) -> Y.
-
-    Materialized as a TruncatedSSet (attribute .sset) whose level-n ids
-    index the stored maps (.maps[n]), by _transported_hom through _pull.
-    The maps are sorted by the ids of their images, so a Y on places is
-    named first (sp.named)."""
-
-    def __init__(self, x_sset, y_sset, n_max):
-        if not x_sset.is_reduced():
-            raise DeterminantError("enriched hom needs a reduced source")
-        y_sset = sp.named(y_sset)
-        self.x = x_sset
-        d = x_sset.dim
-        sub = sp.sq0_subcomplex(x_sset)
-        self.quots = []
-        self._pairs = []        # per n: id (a|b) of X x Delta^n -> (a, b)
-        self._collapsed = []    # per n, k: collapsed id -> its class id
-        for n in range(n_max + 1):
-            dn = sp.standard_simplex(n, d)
-            self._pairs.append({_pair_id(a, b): (a, b) for k in range(d + 1)
-                                for a in x_sset.level(k) for b in dn.level(k)})
-            ids = [[_pair_id(a, b) for a in sub[k] for b in dn.level(k)]
-                   for k in range(d + 1)]
-            self.quots.append(sp.quotient_by_subcomplex(
-                sp.product(x_sset, dn), ids))
-            # the quotient relabels every collapsed cell to the least id
-            # of its level
-            self._collapsed.append([dict.fromkeys(l, min(l, default=None))
-                                    for l in ids])
-
-        self.maps = [_key_sorted(sp.enumerate_maps(quot, y_sset, upto=d))
-                     for quot in self.quots]
-        self.sset = _transported_hom(
-            [[f.components for f in found] for found in self.maps],
-            self._pull, "h")
-
-    def _pull(self, n_to, n, vert):
-        """dict level -> dict cell of Q_{n_to} -> cell of Q_n: the class
-        of (x, phi) goes to the class of (x, vert . phi), the map
-        Q_{n_to} -> Q_n that X x vert induces (vert as in _post)."""
-        out = {}
-        for k in range(self.x.dim + 1):
-            cells = self.quots[n_to].level(k)
-            xs, phis = zip(*sp.column(cells, (self._pairs[n_to],)))
-            pids = list(map(_pair_id, xs, sp.column(
-                phis, (_post(vert, n_to, k),))))
-            out[k] = dict(zip(cells, map(self._collapsed[n][k].get, pids, pids)))
-        return out
-
-
-def _pair_id(a, b):
-    """The id of the pair (a, b) in sp.product."""
-    return "(%s|%s)" % (a, b)
-
-
-def _post(vert, n_to, k):
-    """dict phi -> vert . phi over the k-simplices phi of Delta^{n_to},
-    vert a monotone map [n_to] -> [n] as the list of its values, on the
-    ids of sp.standard_simplex: phi's vertex sequence, relabelled."""
-    return {sp._mid(t): sp._mid([vert[v] for v in t])
-            for t in sp._monotone_maps(k, n_to)}
-
-
 def _cell_orders(found):
     """One fixed cell order per level of the maps found (each a dict
     level -> dict cell -> image), as (level, sorted cells) pairs in
@@ -140,51 +76,102 @@ def _image_keys(found, orders, names=None):
     return list(zip(*_image_rows(found, orders, names)))
 
 
-def _transported_hom(maps, pull, prefix):
+def _transported_hom(maps, sources, prefix):
     """An enriched hom as a TruncatedSSet.
 
     Level n names the maps of maps[n] (each a dict level -> dict cell ->
-    image) prefix + "n_i", in list order.  d_i (s_j) sends a map f of
-    level n to the map of level n - 1 (n + 1) that is f precomposed with
-    pull(n_to, n, vert), vert the coface delta_i (codegeneracy sigma_j)
-    [n_to] -> [n] as the list of its values, acting on the simplex
-    coordinate; pull returns a dict level -> dict cell -> cell.
+    image) prefix + "n_i", in list order.  They are maps out of a product
+    X x Delta^n, whose levels sources[n] lists as (level, cells, k): the
+    cells in product order and the dimension k of the Delta coordinate.
+    d_i (s_j) sends a map f of level n to the map of level n - 1 (n + 1)
+    that is f precomposed with X x vert, vert the coface delta_i
+    (codegeneracy sigma_j) [n_to] -> [n] as the list of its values; _pull
+    gives X x vert on the positions of each level.
 
-    Each level's maps are held as one image column per (level, cell)
-    and keyed by one zip of the columns of a fixed (sorted) cell order
-    per level; their precomposites, unbuilt, by one zip of the columns
-    of the cells that the pull sends the order of level n_to to.
+    Each level's maps are held as one image column per position of each
+    source level and keyed by one zip of all the columns; their
+    precomposites, unbuilt, by one zip of the columns at the positions
+    that the pull sends the positions of level n_to to.
     """
     n_max = len(maps) - 1
     levels = [["%s%d_%d" % (prefix, n, i) for i in range(len(maps[n]))]
               for n in range(n_max + 1)]
-    orders = [_cell_orders(found) for found in maps]
-    cols = [{lvl: dict(zip(cells, zip(*rows)))
-             for (lvl, cells), rows in zip(order, _image_rows(found, order))}
-            for found, order in zip(maps, orders)]
-
-    def keys(n, order):
-        return zip(*[cols[n][lvl][c] for lvl, cells in order for c in cells])
-
-    ranks = [dict(zip(keys(n, orders[n]), levels[n]))
+    cols = [[list(zip(*rows)) for rows in _image_rows(
+        found, [(lvl, cells) for lvl, cells, _ in source])]
+        for found, source in zip(maps, sources)]
+    ranks = [dict(zip(zip(*itertools.chain(*cols[n])), levels[n]))
              for n in range(n_max + 1)]
 
     def op(name, n, i):
+        if not maps[n]:
+            return {}
         n_to = n + sp.STEPS[name]
         # delta_i skips the value i, sigma_i takes it twice
         vert = [v + (v >= i) if name == "face" else v - (v > i)
                 for v in range(n_to + 1)]
-        moved = pull(n_to, n, vert)
-        return dict(zip(levels[n], map(ranks[n_to].__getitem__, keys(n, [
-            (lvl, sp.column(cells, (moved[lvl],)))
-            for lvl, cells in orders[n_to]]))))
+        return dict(zip(levels[n], map(ranks[n_to].__getitem__, zip(*[
+            col[p] for col, (_, cells, k) in zip(cols[n], sources[n_to])
+            for p in _pull(len(cells), k, n_to, n, vert)]))))
 
     return sp.build_sset(n_max, levels, op)
 
 
+def _pull(size, k, n_to, n, vert):
+    """The positions that X x vert sends the `size` cells of a level of
+    X x Delta^{n_to} to, in the same level of X x Delta^n: vert is a
+    monotone map [n_to] -> [n] as the list of its values and k the
+    dimension of the level's Delta coordinate.  Both levels list their
+    cells in product order, X major (sp.product, _bi_product_p1), so
+    (x, phi_j) at position i m_to + j goes to (x, vert . phi_j) at
+    i m + post[j]: m_to and m count the k-simplices of Delta^{n_to} and
+    Delta^n, and post[j] is the position of vert . phi_j among those of
+    Delta^n, in the order of sp._monotone_maps, which
+    sp.standard_simplex lists."""
+    at = {t: j for j, t in enumerate(sp._monotone_maps(k, n))}
+    post = [at[tuple(map(vert.__getitem__, t))]
+            for t in sp._monotone_maps(k, n_to)]
+    return [i * len(at) + j for i in range(size // len(post)) for j in post]
+
+
 def enriched_hom0(x_sset, y_sset, n_max):
-    """The enriched hom as a truncated simplicial set."""
-    return EnrichedHom(x_sset, y_sset, n_max).sset
+    """The reduced enriched hom as a truncated simplicial set: level n
+    names the maps (X x Delta^n)/(* x Delta^n) -> Y, built by
+    _transported_hom from _hom0_maps."""
+    return _transported_hom(*_hom0_maps(x_sset, y_sset, n_max), "h")
+
+
+def _hom0_maps(x_sset, y_sset, n_max):
+    """The maps of each level of enriched_hom0, in key order
+    (_key_sorted), and their sources, as _transported_hom reads them.
+
+    Level n's maps are those X x Delta^n -> Y constant on * x Delta^n.
+    In level k of sp.product(X, Delta^n) the cells (s_0^k *, phi) are one
+    run, X major; each is pinned to the s_0^k v, v a vertex of Y (its
+    base, when Y has one).  Delta^n is connected and the search checks
+    faces, so a map sends the whole run to one s_0^k v: the maps found
+    are those out of the quotient by * x Delta^n, with no quotient built.
+    They are sorted by the ids of their images, so a Y on places is
+    named first."""
+    if not x_sset.is_reduced():
+        raise DeterminantError("enriched hom needs a reduced source")
+    d = x_sset.dim
+    y_sset = sp._ensure_depth(sp.named(y_sset), d)
+    star = x_sset.level(0)[0]
+    verts = y_sset.level(0) if y_sset.base is None else [y_sset.base]
+    maps, sources = [], []
+    for n in range(n_max + 1):
+        prod = sp.product(x_sset, sp.standard_simplex(n, d))
+        pins = {}
+        for k in range(d + 1):
+            m = len(prod.level(k)) // len(x_sset.level(k))
+            i = x_sset.level(k).index(x_sset.deg_base(k, star))
+            pins.update(dict.fromkeys(
+                [(k, c) for c in prod.level(k)[i * m:(i + 1) * m]],
+                {y_sset.deg_base(k, v) for v in verts}))
+        maps.append([f.components for f in _key_sorted(
+            sp.enumerate_maps(prod, y_sset, upto=d, pins=pins))])
+        sources.append([(k, prod.level(k), k) for k in range(d + 1)])
+    return maps, sources
 
 
 # -- additive functions ------------------------------------------------------
@@ -563,20 +550,15 @@ def segal_determinants_vs_hom(x_bx, g, ns):
                               for col in lv.chains[1].columns(p)]) if p else
               [objs[0] for objs, _ in lv._keys[1]]
               for p in (0, 1, 2) if (p, 1) in mu}
-    # canonical key: the chain assignment on columns p <= 2, then T
-    det_keys = [tuple(tuple(sorted(dm.components[p].items()))
-                      for p in (0, 1, 2) if p in dm.components)
-                + (tuple(sorted(t_fun.items())),) for dm, t_fun in dets]
-
-    def image(f):
-        parts = tuple(tuple(sorted((e, values[p][f[(p, 1)][e]])
-                                   for e in x_bx.level(p, 1)))
-                      for p in (0, 1, 2) if (p, 1) in mu)
-        # T on a cell of X_{0,2}: the pairing morphism of its image
-        return parts + (tuple(sorted((xi, lv.structs[2][f[(0, 2)][xi]][3])
-                                     for xi in x_bx.level(0, 2))),)
-
-    return dets, maps, bijective([image(f) for f in maps], det_keys)
+    # F as (F_{*,1}, F_{0,2}), its values named as D- and T-values (T on a
+    # cell of X_{0,2}: the pairing morphism of its image), and (D, T),
+    # keyed by their values over the sorted cells of those levels
+    names = {(p, 1): values[p].__getitem__ for p in values}
+    names[0, 2] = lambda c: lv.structs[2][c][3]
+    orders = [(pq, sorted(x_bx.level(*pq))) for pq in names]
+    return dets, maps, bijective(_image_keys(maps, orders, names), _image_keys(
+        [{**{(p, 1): dm.components[p] for p in values}, (0, 2): t}
+         for dm, t in dets], orders))
 
 
 def segal_pi0(x_bx, g, dets):
@@ -620,43 +602,35 @@ def hom1_enriched(x_bx, ns, n_max):
 
 
 def _hom1_maps(x_bx, ns, n_max):
-    """The maps of each level of hom1_enriched, in order, and the pull
-    that _transported_hom reads its operators from."""
+    """The maps of each level of hom1_enriched, in order, and their
+    sources, as _transported_hom reads them."""
     region = set(x_bx.region) & set(ns.region)
     top = max(p for p, q in region)
-    prods, pair_tables = zip(*[_bi_product_p1(
-        x_bx, sp.standard_simplex(n, top), region) for n in range(n_max + 1)])
+    prods = [_bi_product_p1(x_bx, sp.standard_simplex(n, top), region)
+             for n in range(n_max + 1)]
     # each level's maps in the order of their images' ids (over the
     # sorted cells of each level), which the nerve may hold as places
     names = {pq: sp.namer(ns.level(*pq)) for pq in region}
     maps = [[found[i] for i in _key_order(found, names)] for found in (
         nv.enumerate_bimaps(prod, ns, region=region) for prod in prods)]
-
-    def pull(n_to, n, vert):
-        # the cell (x|phi) of the level-n_to source goes to (x|vert . phi)
-        posts = {p: _post(vert, n_to, p) for p in {p for p, _ in region}}
-        out = {}
-        for (p, q) in sorted(region):
-            xs, phis = pair_tables[n_to][p, q]
-            out[(p, q)] = dict(zip(prods[n_to].level(p, q), map(
-                _pair_id, xs, sp.column(phis, (posts[p],)))))
-        return out
-
-    return maps, pull
+    return maps, [[(pq, prod.level(*pq), pq[0]) for pq in sorted(region)]
+                  for prod in prods]
 
 
 def _bi_product_p1(x_bx, dn, region):
-    """X x p1*(Delta^n) over the region, with the columns (x), (phi) of
-    the cells (x|phi) of each level, in level order."""
+    """X x p1*(Delta^n) over the region: level (p, q) holds the cells
+    (x|phi) of X_{p,q} x Delta^n_p in product order, x major, as _pull
+    reads them."""
     cols = {(p, q): sp.product_columns([x_bx.level(p, q), dn.level(p)])
             for (p, q) in region}
-    levels = {pq: list(map(_pair_id, xs, ys)) for pq, (xs, ys) in cols.items()}
+    levels = {pq: list(map(sp.pair_id, xs, ys))
+              for pq, (xs, ys) in cols.items()}
 
     def op(name, p, q, i):
         xs, ys = cols[p, q]
         xs = sp.column(xs, (getattr(x_bx, name)[p, q, i],))
         if name[0] == "h":
             ys = sp.column(ys, (getattr(dn, name[1:])[p, i],))
-        return dict(zip(levels[p, q], map(_pair_id, xs, ys)))
+        return dict(zip(levels[p, q], map(sp.pair_id, xs, ys)))
 
-    return nv.build_bisimplicial(region, levels, op), cols
+    return nv.build_bisimplicial(region, levels, op)

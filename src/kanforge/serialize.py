@@ -107,12 +107,19 @@ def _need_listed(rows, columns, what):
     raise ParseError("%s row %r names the unlisted id %r" % (what, row, bad))
 
 
-def _need_id_map(value, what):
-    """value, an object whose values are ids."""
+def _need_id_map(value, ids, what):
+    """value, an object whose values are ids, keyed by the ids of `ids`:
+    a JSON key is a string, so each key is read as the listed id spelled
+    (str) alike, which _need_once keeps unique; a key that spells none
+    raises ParseError naming `what` and the key."""
     if not isinstance(value, dict) or \
             not set(map(type, value.values())) <= _ID_TYPES:
         raise ParseError("%s is not an object of ids" % what)
-    return value
+    spelled = {str(i): i for i in ids}
+    bad = [key for key in value if str(key) not in spelled]
+    if bad:
+        raise ParseError("%s names the unlisted id %r" % (what, bad[0]))
+    return {spelled[str(key)]: v for key, v in value.items()}
 
 
 def _need_once(ids, what):
@@ -283,7 +290,7 @@ def category_from_doc(doc):
                      "category lists the morphism id")
     src = {m["id"]: m["src"] for m in morphs}
     tgt = {m["id"]: m["tgt"] for m in morphs}
-    ident = _need_id_map(_need(doc, "identity", "category"),
+    ident = _need_id_map(_need(doc, "identity", "category"), objects,
                          "category identity")
     comp = {(g, f): gf for g, f, gf in _need_listed(
         _need_rows(_need(doc, "comp", "category"), 3, "category comp"),
@@ -292,7 +299,7 @@ def category_from_doc(doc):
         inv = doc.get("inv")
         cat = ca.FinGroupoid(objects, ids, src, tgt, ident, comp,
                              inv=None if inv is None else
-                             _need_id_map(inv, "groupoid inv"))
+                             _need_id_map(inv, ids, "groupoid inv"))
     else:
         cat = ca.FinCategory(objects, ids, src, tgt, ident, comp)
     errs = cat.validate()
@@ -345,8 +352,8 @@ def two_group_from_doc(doc):
     mon = ca.MonoidalStructure(
         base, tobj, tmor,
         _need_id(_need(doc, "unit_object", "two_group"), "unit_object"),
-        assoc, *[_need_id_map(_need(doc, key, "two_group"), key)
-                 for key in ("lunit", "runit")])
+        assoc, *[_need_id_map(_need(doc, key, "two_group"), base.objects,
+                              key) for key in ("lunit", "runit")])
     if doc.get("kind") == "monoidal":
         errs = mon.validate()
         if errs:

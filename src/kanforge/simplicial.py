@@ -21,7 +21,8 @@ import functools
 import math
 import operator
 import os
-from itertools import chain, compress, groupby, repeat
+from itertools import (chain, combinations_with_replacement, compress, groupby,
+                       repeat)
 
 from .groups import FiniteGroup, bijective, components, equivalence_classes
 
@@ -1074,19 +1075,9 @@ def _pi_cells(x, m, a):
 
 
 def _monotone_maps(k, n):
-    """Nondecreasing maps [k] -> [n], as tuples."""
-    out = []
-    def rec(prefix):
-        if len(prefix) == k + 1:
-            out.append(tuple(prefix))
-            return
-        lo = prefix[-1] if prefix else 0
-        for v in range(lo, n + 1):
-            prefix.append(v)
-            rec(prefix)
-            prefix.pop()
-    rec([])
-    return out
+    """Nondecreasing maps [k] -> [n], as tuples of their values, in
+    lexicographic order."""
+    return list(combinations_with_replacement(range(n + 1), k + 1))
 
 
 def _mid(t):
@@ -1184,25 +1175,31 @@ def restrict_to_subcomplex(x_sset, ids_per_level):
         levels[k], getattr(x_sset, name)[k, i]), base=base)
 
 
+def pair_id(a, b):
+    """The id (a|b) of the pair of cells a, b in a product."""
+    return "(%s|%s)" % (a, b)
+
+
 def product(x_sset, y_sset):
-    """Levelwise product with pair ids (x|y) of the (named) cells."""
+    """Levelwise product with pair ids (x|y) of the (named) cells, each
+    level in product order, x major (product_columns): the pull of the
+    enriched homs (determinants._pull) reads a cell's pair off its
+    position."""
     x_sset, y_sset = named(x_sset), named(y_sset)
     dim = min(x_sset.dim, y_sset.dim)
-    def pid(a, b):
-        return "(%s|%s)" % (a, b)
     cols = [product_columns([x_sset.level(k), y_sset.level(k)])
             for k in range(dim + 1)]
-    levels = [list(map(pid, xs, ys)) for xs, ys in cols]
+    levels = [list(map(pair_id, xs, ys)) for xs, ys in cols]
 
     def op(name, k, i):
         xs, ys = cols[k]
         return dict(zip(levels[k], map(
-            pid, column(xs, (getattr(x_sset, name)[k, i],)),
+            pair_id, column(xs, (getattr(x_sset, name)[k, i],)),
             column(ys, (getattr(y_sset, name)[k, i],)))))
 
     base = None
     if x_sset.base is not None and y_sset.base is not None:
-        base = pid(x_sset.base, y_sset.base)
+        base = pair_id(x_sset.base, y_sset.base)
     cosk = None
     if x_sset.coskeletal_at is not None and y_sset.coskeletal_at is not None:
         cosk = max(x_sset.coskeletal_at, y_sset.coskeletal_at)

@@ -1,7 +1,8 @@
 """Reference maps that only the tests read: alpha^m as a dict, the Kan
 rows by their definition, the Kan report over every checkable dimension,
 the diagonal of a bisimplicial set, the key of a map by its sorted
-items, the enriched-hom builder keyed by sorted map items, the map
+items, the enriched-hom builder keyed by sorted map items, both
+enriched homs as they were built on quotients and pair ids, the map
 search as a recursion with one tick per evaluation, the retraction
 check of the shift (decalage), the translation check of a 2-group, the
 2-groups K(Z/2, Z/2) with given coherence data, the string-keyed
@@ -15,6 +16,7 @@ determinant morphism searches with their closure into classes."""
 import itertools
 
 from kanforge import catalg as ca
+from kanforge import determinants as dt
 from kanforge import groups as gr
 from kanforge import nerves as nv
 from kanforge import simplicial as sp
@@ -180,6 +182,101 @@ def canon_transported_hom(maps, pull, prefix):
             for idx, f in enumerate(maps[n])}
 
     return sp.build_sset(n_max, levels, op)
+
+
+def position_pull(sources):
+    """determinants._pull over the sources of an enriched hom (as
+    _transported_hom reads them), as the pull canon_transported_hom
+    reads: a dict level -> dict cell -> cell."""
+    def pull(n_to, n, vert):
+        return {lvl: dict(zip(cells, map(
+            sources[n][pos][1].__getitem__,
+            dt._pull(len(cells), k, n_to, n, vert))))
+            for pos, (lvl, cells, k) in enumerate(sources[n_to])}
+    return pull
+
+
+def _pair_id(a, b):
+    return "(%s|%s)" % (a, b)
+
+
+def _post(vert, n_to, k):
+    """dict phi -> vert . phi over the k-simplices phi of Delta^{n_to},
+    on the ids of sp.standard_simplex."""
+    return {sp._mid(t): sp._mid([vert[v] for v in t])
+            for t in sp._monotone_maps(k, n_to)}
+
+
+def reference_enriched_hom0(x_sset, y_sset, n_max):
+    """The reduced enriched hom as it was built on quotients: level n
+    names the maps (X x Delta^n)/(* x Delta^n) -> Y out of
+    sp.quotient_by_subcomplex, sorted by their sorted (cell, image)
+    items over the ids of Y, and the class of (x, phi) goes to the class
+    of (x, vert . phi); built by canon_transported_hom."""
+    y_sset = sp.named(y_sset)
+    d = x_sset.dim
+    sub = sp.sq0_subcomplex(x_sset)
+    quots, pairs, collapsed = [], [], []
+    for n in range(n_max + 1):
+        dn = sp.standard_simplex(n, d)
+        pairs.append({_pair_id(a, b): (a, b) for k in range(d + 1)
+                      for a in x_sset.level(k) for b in dn.level(k)})
+        ids = [[_pair_id(a, b) for a in sub[k] for b in dn.level(k)]
+               for k in range(d + 1)]
+        quots.append(sp.quotient_by_subcomplex(sp.product(x_sset, dn), ids))
+        # the quotient relabels every collapsed cell to the least id of
+        # its level
+        collapsed.append([dict.fromkeys(l, min(l, default=None)) for l in ids])
+
+    def pull(n_to, n, vert):
+        out = {}
+        for k in range(d + 1):
+            post, moved = _post(vert, n_to, k), {}
+            for c in quots[n_to].level(k):
+                a, phi = pairs[n_to][c]
+                pid = _pair_id(a, post[phi])
+                moved[c] = collapsed[n][k].get(pid, pid)
+            out[k] = moved
+        return out
+
+    maps = [[f.components for f in sorted(
+        sp.enumerate_maps(quot, y_sset, upto=d), key=map_key)]
+        for quot in quots]
+    return canon_transported_hom(maps, pull, "h")
+
+
+def reference_hom1_enriched(x_bx, ns, n_max):
+    """The direction-1 enriched hom as it was built on pair tables:
+    level n names the bisimplicial maps X x p1*(Delta^n) -> ns, sorted by
+    the sorted (cell, image) items over the ids of ns, and (x|phi) goes
+    to (x|vert . phi); built by canon_transported_hom."""
+    region = set(x_bx.region) & set(ns.region)
+    top = max(p for p, q in region)
+    prods, pairs = [], []
+    for n in range(n_max + 1):
+        dn = sp.standard_simplex(n, top)
+        prods.append(dt._bi_product_p1(x_bx, dn, region))
+        pairs.append({_pair_id(a, b): (a, b) for p, q in region
+                      for a in x_bx.level(p, q) for b in dn.level(p)})
+    names = {pq: sp.namer(ns.level(*pq)) for pq in region}
+
+    def key(f):
+        return canon({pq: dict(zip(comp, map(names[pq], comp.values())))
+                      for pq, comp in f.items()})
+
+    maps = [sorted(nv.enumerate_bimaps(prod, ns, region=region), key=key)
+            for prod in prods]
+
+    def pull(n_to, n, vert):
+        out = {}
+        for p, q in region:
+            post = _post(vert, n_to, p)
+            out[p, q] = {c: _pair_id(pairs[n_to][c][0],
+                                     post[pairs[n_to][c][1]])
+                         for c in prods[n_to].level(p, q)}
+        return out
+
+    return canon_transported_hom(maps, pull, "H")
 
 
 def recursive_map_search(levels, index, tick, pins=None):

@@ -14,7 +14,9 @@ from kanforge import examples as ex
 
 from reference import (canon, canon_transported_hom, definitional_alpha_bijective,
                        definitional_faces_compatible, definitional_kan_row,
-                       definitional_tuples, recursive_map_search)
+                       definitional_tuples, position_pull,
+                       recursive_map_search, reference_enriched_hom0,
+                       reference_hom1_enriched)
 
 
 # -- Kan rows on small random complexes ----------------------------------------
@@ -328,11 +330,10 @@ ENRICHED_CASES = [(x, g, 1) for x in ("s1", "t11")
 
 @pytest.mark.parametrize("xname,gname,n_max", ENRICHED_CASES)
 def test_enriched_hom0_matches_canon_keyed_builder(xname, gname, n_max):
-    ng = nv.nerve_2group(ex.build(gname), 3)
-    eh = dt.EnrichedHom(ex.build(xname), ng, n_max)
-    want = canon_transported_hom(
-        [[f.components for f in found] for found in eh.maps], eh._pull, "h")
-    assert_same_sset(eh.sset, want)
+    x, ng = ex.build(xname), nv.nerve_2group(ex.build(gname), 3)
+    maps, sources = dt._hom0_maps(x, ng, n_max)
+    want = canon_transported_hom(maps, position_pull(sources), "h")
+    assert_same_sset(dt.enriched_hom0(x, ng, n_max), want)
 
 
 @pytest.mark.parametrize("gname", [n for n, _ in ex.canned_two_groups()])
@@ -340,7 +341,7 @@ def test_enriched_hom0_matches_canon_keyed_builder(xname, gname, n_max):
 def test_hom1_enriched_matches_canon_keyed_builder(gname, n_max):
     x = nv.p2_star(ex.build("s1"), 2)
     ns = nv.segal_nerve(ex.build(gname), 2, 3)
-    maps, pull = dt._hom1_maps(x, ns, n_max)
+    maps, sources = dt._hom1_maps(x, ns, n_max)
     # the maps of each level in the order of the sorted items of their
     # images' ids
     for found in maps:
@@ -348,8 +349,58 @@ def test_hom1_enriched_matches_canon_keyed_builder(gname, n_max):
                                              comp.values())))
                       for pq, comp in f.items()}) for f in found]
         assert key == sorted(key)
-    want = canon_transported_hom(maps, pull, "H")
+    want = canon_transported_hom(maps, position_pull(sources), "H")
     assert_same_sset(dt.hom1_enriched(x, ns, n_max), want)
+
+
+# -- both enriched homs against the builders on quotients and pair ids --------
+
+
+def pointed(y_sset):
+    """Y with its first vertex as base point."""
+    return sp.build_sset(y_sset.dim, y_sset.levels,
+                         lambda name, k, i: getattr(y_sset, name)[k, i],
+                         y_sset.coskeletal_at, y_sset.level(0)[0])
+
+
+def hom0_cases():
+    spaces = ("s1", "t11", "delta2-reduced")
+    cases = [(x, g, lambda g=g: nv.nerve_2group(ex.build(g), 3), 1)
+             for x in spaces for g, _ in ex.canned_two_groups()]
+    cases += [("s1", "oneobj-z2", lambda: nv.nerve_2group(
+        ex.build("oneobj-z2"), 3), n) for n in (2, 3)]
+    cases += [("delta2-reduced", "nerve-z2", lambda: ex.build("nerve-z2"), 2),
+              ("s1", "nerve-z3", lambda: ex.build("nerve-z3"), 2)]
+    # targets with more than one vertex (one of them pointed) or none
+    cases += [(x, c, lambda c=c: nv.nerve_category(ex.build(c), 3), n)
+              for c in ("indiscrete-2", "indiscrete-3", "groupoid-z2",
+                        "poset-interval") for x in spaces for n in (1, 2)]
+    cases += [("s1", "pointed-indiscrete-3", lambda: pointed(
+        nv.nerve_category(ex.build("indiscrete-3"), 3)), 2),
+              ("s1", "empty", lambda: sp.constant_sset([], 3), 2)]
+    return [pytest.param(x, make, n, id="%s-%s-%d" % (x, g, n))
+            for x, g, make, n in cases]
+
+
+@pytest.mark.parametrize("xname,target,n_max", hom0_cases())
+def test_enriched_hom0_matches_the_quotient_builder(xname, target, n_max):
+    x, y = ex.build(xname), target()
+    assert_same_sset(dt.enriched_hom0(x, y, n_max),
+                     reference_enriched_hom0(x, y, n_max))
+
+
+def test_enriched_hom0_refuses_a_source_that_is_not_reduced():
+    with pytest.raises(dt.DeterminantError):
+        dt.enriched_hom0(ex.build("delta1"), ex.build("nerve-z2"), 1)
+
+
+@pytest.mark.parametrize("gname", [n for n, _ in ex.canned_two_groups()])
+@pytest.mark.parametrize("n_max", [1, 2])
+def test_hom1_enriched_matches_the_pair_id_builder(gname, n_max):
+    x = nv.p2_star(ex.build("s1"), 2)
+    ns = nv.segal_nerve(ex.build(gname), 2, 3)
+    assert_same_sset(dt.hom1_enriched(x, ns, n_max),
+                     reference_hom1_enriched(x, ns, n_max))
 
 
 # -- the relative box-horn search against a depth-first one ---------------------

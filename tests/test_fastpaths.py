@@ -1670,7 +1670,7 @@ def test_bimaps_from_p1_products_match_reference(name):
     region = x.region & ns.region
     for n in (1, 2):
         dn = sp.standard_simplex(n, max(p for p, _ in region))
-        prod, _ = dt._bi_product_p1(x, dn, region)
+        prod = dt._bi_product_p1(x, dn, region)
         want, ticks = reference_bimaps(prod, ns, region)
         assert want
         assert nv.enumerate_bimaps(prod, ns, region=region) == want
@@ -2024,8 +2024,8 @@ def test_enriched_hom_budgets_pinned():
     # map search of tests/reference.py
     s1, t11, g = ex.build("s1"), ex.build("t11"), ex.build("oneobj-z2")
     ng = nv.nerve_2group(g, 3)
-    assert_ticks(lambda: dt.enriched_hom0(s1, ng, 3), 24104)
-    assert_ticks(lambda: dt.enriched_hom0(t11, ng, 1), 5792)
+    assert_ticks(lambda: dt.enriched_hom0(s1, ng, 3), 25154)
+    assert_ticks(lambda: dt.enriched_hom0(t11, ng, 1), 5796)
     x, ns = nv.p2_star(s1, 2), nv.segal_nerve(g, 2, 3)
     assert_ticks(lambda: dt.hom1_enriched(x, ns, 2), 59)
 

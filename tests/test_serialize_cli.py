@@ -732,3 +732,63 @@ def test_cli_roundtrip_of_mixed_morphism_ids(tmp_path, capsys):
     # a map with keys of both kinds; keys of one kind sort as sort_keys
     assert io.canonical_dumps({"b": [{3: 0, 1: 1}], 2: {"y": 0, "x": 1}}) \
         == '{"2":{"x":1,"y":0},"b":[{"1":1,"3":0}]}\n'
+
+
+def test_cli_roundtrip_of_a_groupoid_with_numeric_morphism_ids(tmp_path,
+                                                               capsys):
+    # inv is written as a JSON map, whose keys are strings: the inverse
+    # of 1 was once looked up under "1", and the round trip exited 2
+    # with "no inverse for 1"
+    path = tmp_path / "z2.json"
+    doc = category_doc("groupoid", ["x"], [[1, "x", "x"], [2, "x", "x"]],
+                       {"x": 1}, [[1, 1, 1], [1, 2, 2], [2, 1, 2], [2, 2, 1]])
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["validate", str(path)]) == 0
+    assert cli.main(["roundtrip", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("valid groupoid\n")
+    assert json.loads(out.split("\n", 1)[1])["inv"] == {"1": 1, "2": 2}
+
+
+def test_cli_validate_reads_numeric_object_ids_as_map_keys(tmp_path, capsys):
+    # the identity of the object 0 was once looked up under the key "0"
+    # and reported missing
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(category_doc(
+        "category", [0], [["i", 0, 0]], {"0": "i"}, [["i", "i", "i"]])),
+        encoding="utf-8")
+    assert cli.main(["validate", str(path)]) == 0
+    assert capsys.readouterr().out == "valid category\n"
+
+
+def test_cli_two_group_with_numeric_object_ids_round_trips(tmp_path, capsys):
+    # lunit and runit are keyed by the objects 0 and 1, spelled "0", "1"
+    text = json.dumps(io.two_group_to_doc(ex.build("disc-z2")))
+    for obj in ("o0", "o1"):
+        text = text.replace('"%s": ' % obj, '"%s": ' % obj[1:]) \
+            .replace('"%s"' % obj, obj[1:])
+    path = tmp_path / "numeric.json"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(["validate", str(path)]) == 0
+    assert cli.main(["roundtrip", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("valid two_group\n")
+    assert json.loads(out.split("\n", 1)[1])["lunit"] == {"0": "i0",
+                                                          "1": "i1"}
+
+
+@pytest.mark.parametrize("edit,line", [
+    (lambda d: d["identity"].update(z="i0"), "category identity"),
+    (lambda d: d["inv"].update(z="i0"), "groupoid inv"),
+    (lambda d: d["lunit"].update(z="i0"), "lunit")],
+    ids=["identity", "inv", "lunit"])
+def test_cli_validate_names_a_map_key_that_is_no_listed_id(tmp_path, capsys,
+                                                           edit, line):
+    g = io.two_group_to_doc(ex.build("disc-z2"))
+    doc = g if line == "lunit" else g["base"]
+    edit(doc)
+    path = tmp_path / "extra.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == "error: parse error in %s: %s names " \
+        "the unlisted id 'z'\n" % (path, line)
