@@ -85,7 +85,7 @@ def _transported_hom(maps, sources, prefix):
     cells in product order and the dimension k of the Delta coordinate.
     d_i (s_j) sends a map f of level n to the map of level n - 1 (n + 1)
     that is f precomposed with X x vert, vert the coface delta_i
-    (codegeneracy sigma_j) [n_to] -> [n] as the list of its values; _pull
+    (codegeneracy sigma_j) [n_to] -> [n], nv._delta (nv._sigma); _pull
     gives X x vert on the positions of each level.
 
     Each level's maps are held as one image column per position of each
@@ -106,9 +106,7 @@ def _transported_hom(maps, sources, prefix):
         if not maps[n]:
             return {}
         n_to = n + sp.STEPS[name]
-        # delta_i skips the value i, sigma_i takes it twice
-        vert = [v + (v >= i) if name == "face" else v - (v > i)
-                for v in range(n_to + 1)]
+        vert = nv._delta(i, n) if name == "face" else nv._sigma(i, n)
         return dict(zip(levels[n], map(ranks[n_to].__getitem__, zip(*[
             col[p] for col, (_, cells, k) in zip(cols[n], sources[n_to])
             for p in _pull(len(cells), k, n_to, n, vert)]))))
@@ -119,7 +117,7 @@ def _transported_hom(maps, sources, prefix):
 def _pull(size, k, n_to, n, vert):
     """The positions that X x vert sends the `size` cells of a level of
     X x Delta^{n_to} to, in the same level of X x Delta^n: vert is a
-    monotone map [n_to] -> [n] as the list of its values and k the
+    monotone map [n_to] -> [n] as the tuple of its values and k the
     dimension of the level's Delta coordinate.  Both levels list their
     cells in product order, X major (sp.product, _bi_product_p1), so
     (x, phi_j) at position i m_to + j goes to (x, vert . phi_j) at

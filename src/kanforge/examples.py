@@ -7,23 +7,13 @@ from . import nerves as nv
 from . import groups as gr
 
 
-def _t11():
-    d1 = sp.standard_simplex(1, 3)
-    prod = sp.product(d1, d1)
+def _collapsed_cylinder(n, dim):
+    """Delta^1 x Delta^n / sq_0 Delta^1 x Delta^n, truncated at dim."""
+    d1, dn = sp.standard_simplex(1, dim), sp.standard_simplex(n, dim)
     left = sp.sq0_subcomplex(d1)
-    ids = [["(%s|%s)" % (a, b) for a in left[k] for b in d1.level(k)]
-           for k in range(prod.dim + 1)]
-    return sp.quotient_by_subcomplex(prod, ids)
-
-
-def _t12():
-    d1 = sp.standard_simplex(1, 4)
-    d2 = sp.standard_simplex(2, 4)
-    prod = sp.product(d1, d2)
-    left = sp.sq0_subcomplex(d1)
-    ids = [["(%s|%s)" % (a, b) for a in left[k] for b in d2.level(k)]
-           for k in range(prod.dim + 1)]
-    return sp.quotient_by_subcomplex(prod, ids)
+    return sp.quotient_by_subcomplex(sp.product(d1, dn), [
+        [sp.pair_id(a, b) for a in left[k] for b in dn.level(k)]
+        for k in range(dim + 1)])
 
 
 def _inflated_disc_z2():
@@ -85,8 +75,8 @@ _BUILDERS = {
     "horn-2-1": lambda: sp.horn_complex(2, 1, 3),
     "s1": lambda: sp.sphere(1, 3),
     "delta2-reduced": lambda: sp.reduce_by_vertices(sp.standard_simplex(2, 3)),
-    "t11": _t11,
-    "t12": _t12,
+    "t11": lambda: _collapsed_cylinder(1, 3),
+    "t12": lambda: _collapsed_cylinder(2, 4),
     "constant-3": lambda: sp.constant_sset(["a", "b", "c"], 3),
     "nerve-z2": lambda: nv.nerve_category(ca.one_object_groupoid(gr.cyclic(2)), 3),
     "nerve-z3": lambda: nv.nerve_category(ca.one_object_groupoid(gr.cyclic(3)), 3),

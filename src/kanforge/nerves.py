@@ -1110,10 +1110,14 @@ class _SegalLevels:
         return table
 
 
-def segal_nerve(g, pmax, qmax, level_budget=50000):
+# the most cells segal_nerve builds in one level
+LEVEL_BUDGET = 50000
+
+
+def segal_nerve(g, pmax, qmax):
     """Materialize the Segal nerve over the largest downward-closed
     region inside the (pmax, min(qmax, 3)) rectangle whose levels fit
-    the budget.  Level (p, q) is sp.Places in level order, and each face
+    LEVEL_BUDGET.  Level (p, q) is sp.Places in level order, and each face
     and degeneracy the list of its target places, computed on the int
     tables of _SegalLevels (column q the chain nerve lv.chains[q]) on
     its first read (build_bisimplicial).  The string ids of a level are
@@ -1123,7 +1127,7 @@ def segal_nerve(g, pmax, qmax, level_budget=50000):
     region = set()
     for q in range(lv.qmax + 1):
         for p in range(pmax + 1):
-            if lv.chains[q].size(p) > level_budget:
+            if lv.chains[q].size(p) > LEVEL_BUDGET:
                 break
             down_ok = (p == 0 or (p - 1, q) in region) and \
                       (q == 0 or (p, q - 1) in region)
@@ -1329,10 +1333,14 @@ def segal_fibrancy_check(x_bx):
 
 
 def _h_boundary_tuples(x_bx, p, q):
-    """Maps boundary(Delta^p) (box) Delta^q -> X: (p+1)-tuples in
-    X_{p-1,q} with the horizontal compatibility relations."""
-    return sp.compatible_tuples(x_bx.level(p - 1, q),
-                                x_bx.face_table(p - 1, q, "h"), p - 1)
+    """Maps boundary(Delta^p) (box) Delta^q -> X: the (p+1)-tuples in
+    X_{p-1,q} with the horizontal compatibility relations, as
+    sp.compatible_tuples lists them, one column of cells per slot."""
+    cells = x_bx.level(p - 1, q)
+    fcols = [sp.column(cells, (x_bx.hface[p - 1, q, i],))
+             for i in range(p)] if p - 1 else []
+    return [sp.cells_at(cells, col)
+            for col in sp.compatible_tuples(len(cells), fcols, p - 1)]
 
 
 def _boundary_horn_extension(x_bx, p, q, k, tick):
@@ -1341,35 +1349,32 @@ def _boundary_horn_extension(x_bx, p, q, k, tick):
     candidate tried."""
     if (p - 1, q) not in x_bx.region or (p - 1, q - 1) not in x_bx.region:
         return True     # outside the stored region
-    # index level (p-1, q) by vertical horn key (None in slot k)
-    vq = x_bx.face_table(p - 1, q, "v")
-    idx = {}
-    for x in x_bx.level(p - 1, q):
-        fx = vq[x]
-        idx.setdefault(fx[:k] + (None,) + fx[k + 1:], []).append(x)
-    # targets: (p+1)-tuples of vertical horn tuples at (p-1, q-1) with
-    # horizontal compatibility, read componentwise
-    horns = sp.compatible_tuples(x_bx.level(p - 1, q - 1),
-                                 x_bx.face_table(p - 1, q - 1, "v"), q - 1,
-                                 skip=k)
-    row_faces = {}
-    if p - 1 >= 1:
-        hf = x_bx.face_table(p - 1, q - 1, "h")
-        row_faces = {row: tuple(tuple(None if a is None else hf[a][i]
-                                      for a in row) for i in range(p))
-                     for row in horns}
-    targets = sp.compatible_tuples(horns, row_faces, p - 1)
+    # level (p-1, q) by vertical horn key (None in slot k)
+    row = x_bx.row(p - 1)
+    idx = row.face_index(q, k)
+    # the vertical horns at (p-1, q-1), each as its key, and their
+    # horizontal faces, read a column of cells at a time
+    cells = x_bx.level(p - 1, q - 1)
+    hcols = [None if col is None else sp.cells_at(cells, col)
+             for col in sp.horn_tuples(row, q - 1, k)]
+    hkeys = list(zip(*[itertools.repeat(None) if col is None else col
+                       for col in hcols]))
+    row_faces = [list(zip(*[sp.column(col, (x_bx.hface[p - 1, q - 1, i],))
+                            for col in hcols if col is not None]))
+                 for i in range(p)] if p - 1 else []
+    # targets: (p+1)-tuples of horns with horizontal compatibility
+    targets = sp.compatible_tuples(len(hkeys), row_faces, p - 1)
 
     hq = x_bx.face_table(p - 1, q, "h")
-    for tgt in targets:
-        # lift each row to level (p-1, q) with matching horn and keep the
+    for t in range(len(targets[0])):
+        # lift each horn to level (p-1, q) with that horn and keep the
         # horizontal boundary relations
         found = [False]
         def lift(i, partial):
             if i == p + 1:
                 found[0] = True
                 return
-            for cand in idx.get(tgt[i], []):
+            for cand in idx.get(hkeys[targets[i][t]], []):
                 tick("boundary-horn lift")
                 if p - 1 >= 1 and any(hq[cand][a] != hq[partial[a]][i - 1]
                                       for a in range(i)):
@@ -1388,19 +1393,18 @@ def _boundary_horn_extension(x_bx, p, q, k, tick):
 def _relative_horn_tables(x_bx, p, q):
     """What _relative_horn_extension needs for every horn index k, as
     (acols, cands, horn_keys, vfaces): the maps a = (a_0..a_p) from
-    bd Delta^p (x) Delta^q to X, in lexicographic level order, as one
-    column per slot (acols[i][t] is a_i of the t-th map); per vertical
-    slot j, the column cands[j] whose t-th entry lists the cells b of
-    X_{p,q-1} with dh_i b = dv_j a_i for all i, a the t-th map; per k the
-    set of (horizontal faces, vertical faces without slot k) of the cells
-    of X_{p,q}; and the vertical faces of the cells of X_{p,q-1} (empty
-    where q - 1 == 0).  None outside the stored region."""
+    bd Delta^p (x) Delta^q to X, the columns of _h_boundary_tuples
+    (acols[i][t] is a_i of the t-th map); per vertical slot j, the column
+    cands[j] whose t-th entry lists the cells b of X_{p,q-1} with
+    dh_i b = dv_j a_i for all i, a the t-th map, as x_bx.face_index
+    groups them; per k the set of (horizontal faces, vertical faces
+    without slot k) of the cells of X_{p,q}; and the vertical faces of
+    the cells of X_{p,q-1} (empty where q - 1 == 0).  None outside the
+    stored region."""
     if any(t not in x_bx.region for t in [(p, q), (p - 1, q), (p, q - 1)]):
         return None
-    bidx = {}
-    for b, hkey in x_bx.face_table(p, q - 1, "h").items():
-        bidx.setdefault(hkey, []).append(b)
-    acols = list(zip(*_h_boundary_tuples(x_bx, p, q))) or [()] * (p + 1)
+    bidx = x_bx.face_index(p, q - 1, True, False)
+    acols = _h_boundary_tuples(x_bx, p, q)
     # per vertical slot j, the keys (dv_j a_0, .., dv_j a_p) zipped from
     # the columns mapped through dv_j
     cands = [list(map(bidx.get, zip(*[

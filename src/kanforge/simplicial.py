@@ -328,6 +328,12 @@ def tabled(cells, images):
     return images if isinstance(cells, Places) else dict(zip(cells, images))
 
 
+def cells_at(cells, places):
+    """The cells of the level cells at these places, as a list: places
+    itself over Places."""
+    return places if isinstance(cells, Places) else column(places, (cells,))
+
+
 def sublevel(cells, keep):
     """The cells keep of the level cells, in their order, as a level:
     Places under their ids when cells is Places, else keep itself."""
@@ -453,88 +459,95 @@ def dd_identities(face, k):
 # -- boundary / horn tuples ---------------------------------------------
 
 
-def compatible_tuples(cells, faces, m, skip=None, count=False):
-    """All (m+2)-tuples (a_0..a_{m+1}) of cells with d_i a_j = d_{j-1} a_i
-    for i < j, slot `skip` (if given) left out and set to None; with
-    count=True only their number, and no tuple is built.
+def compatible_tuples(n, fcols, m, skip=None, count=False):
+    """All (m+2)-tuples (a_0..a_{m+1}) of places of a level of n cells
+    with d_i a_j = d_{j-1} a_i for i < j, slot `skip` (if given) left
+    out: one column of places per slot, None at skip, the tuples in
+    lexicographic order; with count=True only their number.
 
-    faces maps each cell to (d_0 a, .., d_m a) and is not read when
-    m == 0, where there are no conditions.  The candidates for slot j
-    are bucketed by the faces the earlier slots force on them, each
-    bucket in the order of `cells`.  Every prefix is extended one slot
-    at a time, so the tuples come out in lexicographic level order.  In
-    count mode the prefixes stop two slots short, and the last two slots
-    are counted together: per prefix, the candidates for the next slot,
-    grouped by the face d_{last-1} that the last slot reads off them,
-    each group weighing its size times the size of the last slot's
-    bucket for that face.
+    fcols[i][c] is d_i of place c (0 <= i <= m), any hashable; it is not
+    read when m == 0, where there are no conditions.  The candidates for
+    slot j are bucketed by the faces the earlier slots force on them,
+    each bucket in place order.  Every tuple is extended one slot at a
+    time: a new row keeps the row it extends, and the earlier columns
+    are gathered once through those links.  In count mode the rows stop
+    two slots short, and the last two slots are counted together: per
+    row, the candidates for the next slot, grouped by the face d_{last-1}
+    that the last slot reads off them, each group weighing its size
+    times the size of the last slot's bucket for that face.
     """
     slots = [j for j in range(m + 2) if j != skip]
     if count and not m:
-        return len(cells) ** len(slots)
-    # the i-th faces of the cells, one column per i
-    fcols = (list(zip(*map(faces.__getitem__, cells))) or
-             [()] * (m + 1)) if m else []
-    prefixes = [(None,) if skip == 0 else ()]
-    for pos, j in enumerate(slots[:-2] if count else slots):
-        if not prefixes:
-            break
-        prior = slots[:pos] if m else []
-        # what a cell adds to a prefix: itself, then None when the next
-        # slot is the skipped one
-        tail = (None,) if j + 1 == skip else ()
-        if not prior:
-            ext = [(a,) + tail for a in cells]
-            prefixes = [p + e for p in prefixes for e in ext]
-            continue
+        return n ** len(slots)
+    cols, rows = [], 1
+    for j in slots[:-2] if count else slots:
+        prior = slots[:len(cols)] if m else []
         bucket = {}
-        for key, a in zip(zip(*[fcols[i] for i in prior]), cells):
-            bucket.setdefault(key, []).append((a,) + tail)
-        keys = zip(*[[faces[p[i]][j - 1] for p in prefixes] for i in prior])
-        prefixes = [p + e for p, key in zip(prefixes, keys)
-                    for e in bucket.get(key, ())]
+        for key, a in zip(_zipped([fcols[i] for i in prior], n), range(n)):
+            bucket.setdefault(key, []).append(a)
+        hits = list(map(bucket.get, _row_keys(fcols, cols, prior, j, rows),
+                        repeat(())))
+        link = [r for r, hit in enumerate(hits) for _ in hit]
+        cols = [list(map(col.__getitem__, link)) for col in cols]
+        cols.append(list(chain.from_iterable(hits)))
+        rows = len(link)
     if not count:
-        return prefixes
+        if skip is not None:
+            cols.insert(skip, None)
+        return cols
     nxt, last = slots[-2:]
     prior = slots[:-2]
     # the last slot's bucket sizes, keyed by its faces at prior + [nxt]
     sizes = collections.Counter(zip(*[fcols[i] for i in prior + [nxt]]))
     # the next slot's candidates by key, grouped by their face d_{last-1}
     groups = {}
-    for key, n in collections.Counter(zip(*[fcols[i] for i in prior],
+    for key, c in collections.Counter(zip(*[fcols[i] for i in prior],
                                           fcols[last - 1])).items():
-        groups.setdefault(key[:-1], []).append((key[-1], n))
-    # each prefix's keys for the next slot and for the last
-    pfaces = [list(map(faces.__getitem__, map(operator.itemgetter(i),
-                                              prefixes))) for i in prior]
-    nxt_keys, last_keys = [
-        list(zip(*[[fa[j - 1] for fa in col] for col in pfaces])) or
-        [()] * len(prefixes) for j in (nxt, last)]
-    return sum([n * sizes.get(key + (face,), 0)
-                for key2, key in zip(nxt_keys, last_keys)
-                for face, n in groups.get(key2, ())])
+        groups.setdefault(key[:-1], []).append((key[-1], c))
+    return sum([c * sizes.get(key + (face,), 0)
+                for key2, key in zip(*[_row_keys(fcols, cols, prior, j, rows)
+                                       for j in (nxt, last)])
+                for face, c in groups.get(key2, ())])
+
+
+def _zipped(cols, n):
+    """The tuples across cols, n empty ones when there are no cols."""
+    return zip(*cols) if cols else repeat((), n)
+
+
+def _row_keys(fcols, cols, prior, j, rows):
+    """Per row, the faces d_{j-1} a_i of its places a_i in the prior
+    slots, which slot j's candidates must have as their faces d_i."""
+    return _zipped([map(fcols[j - 1].__getitem__, col)
+                    for col in cols[:len(prior)]], rows)
 
 
 def boundary_tuples(x_sset, m):
-    """All (m+2)-tuples (a_0..a_{m+1}) of m-simplices with
-    d_i a_j = d_{j-1} a_i for i < j; the maps from the boundary of the
-    (m+1)-simplex.  Tuples come out in lexicographic level order; the
-    face table of level m is built once per (immutable) complex."""
+    """The maps from the boundary of the (m+1)-simplex: the (m+2)-tuples
+    (a_0..a_{m+1}) of m-simplices with d_i a_j = d_{j-1} a_i for i < j,
+    as compatible_tuples lists them, one column of places of level m per
+    slot, read off the face codes of level m (face_cols)."""
     if not (0 <= m <= x_sset.dim):
         raise DimensionOutOfRange("boundary tuples need level %d" % m)
-    return compatible_tuples(x_sset.level(m), x_sset.face_table(m), m)
+    return compatible_tuples(len(x_sset.levels[m]), face_cols(x_sset, m), m)
 
 
 def horn_tuples(x_sset, m, k):
-    """Maps out of the k-horn of the (m+1)-simplex, as tuples of length
-    m+2 with None in slot k.  Tuples come out in lexicographic level
-    order; the face table of level m is built once per (immutable)
-    complex."""
+    """The maps out of the k-horn of the (m+1)-simplex, as
+    boundary_tuples lists them with slot k left out (its column None)."""
     if not (0 <= m <= x_sset.dim):
         raise DimensionOutOfRange("horn tuples need level %d" % m)
     if not (0 <= k <= m + 1):
         raise BadHornIndex("horn index %d out of range for m=%d" % (k, m))
-    return compatible_tuples(x_sset.level(m), x_sset.face_table(m), m, skip=k)
+    return compatible_tuples(len(x_sset.levels[m]), face_cols(x_sset, m), m,
+                             skip=k)
+
+
+def face_cols(x_sset, m):
+    """The face columns of level m as compatible_tuples reads them: the
+    columns of the face codes of level m over level m - 1 (none at
+    level 0)."""
+    return face_codes(x_sset, m - 1).cols if m else []
 
 
 def horn_alpha(x_sset, m, k):
@@ -616,15 +629,6 @@ def _pack(cols, n):
     return codes
 
 
-def _tuple_codes(fc, tuples, width, skip):
-    """The codes of width-tuples of level m cells (None at slot skip,
-    read as place 0), packed as fc packs the face tuples of level m+1."""
-    zeros = [0] * len(tuples)
-    return _pack([zeros if i == skip else list(map(fc.rank.__getitem__, col))
-                  for i, col in enumerate(list(zip(*tuples)) or
-                                          [()] * width)], fc.n)
-
-
 def faces_compatible(x_sset, m):
     """Whether every face tuple of level m+1 is a boundary tuple of
     level m: its entries lie in level m and d_i a_j = d_{j-1} a_i for
@@ -660,7 +664,7 @@ def alpha_bijective(x_sset, m):
         fc = face_codes(x_sset, m)
         image = len(set(fc.codes))
         surj = faces_compatible(x_sset, m) and image == compatible_tuples(
-            x_sset.level(m), x_sset.face_table(m), m, count=True)
+            len(x_sset.levels[m]), face_cols(x_sset, m), m, count=True)
         flags = x_sset._alpha[m] = (surj, image == len(fc.codes))
     return flags
 
@@ -718,15 +722,17 @@ def _horn_flags(x, m, k, counted, witness):
         witness[(k, "inj")] = (cells[first[rep]], cells[rep])
         minimal = list(map(col.__getitem__, first)) == col
     surj = counted and len(seen) == compatible_tuples(
-        x.level(m), x.face_table(m), m, skip=k, count=True)
+        len(x.levels[m]), face_cols(x, m), m, skip=k, count=True)
     if not surj:
+        # each horn packed as fc packs the face tuples, place 0 at slot k
         horns = horn_tuples(x, m, k)
-        missing = next((h for h, key in zip(
-            horns, _tuple_codes(fc, horns, m + 2, k)) if key not in seen),
-            None)
-        surj = missing is None
+        zeros = [0] * len(horns[k - 1])     # slot k - 1 is not skipped
+        codes = _pack([zeros if col is None else col for col in horns], fc.n)
+        t = next((t for t, key in enumerate(codes) if key not in seen), None)
+        surj = t is None
         if not surj:
-            witness[(k, "surj")] = missing
+            witness[(k, "surj")] = tuple(
+                None if col is None else x.levels[m][col[t]] for col in horns)
     return surj, inj, minimal
 
 
@@ -827,7 +833,8 @@ def coskeletal_extend(x_sset, to_dim):
     (list tables, ids made on demand by _tuple_names), one on string ids
     gets _tuple_id ids and dicts.
 
-    New faces are the tuples' columns; new degeneracies follow
+    New faces are the columns boundary_tuples gives, mapped through
+    level m when it holds string ids; new degeneracies follow
     s_i(a) = (b_0..b_{m+1}) with b_k = s_{i-1} d_k a for k < i,
     b_k = a for k in {i, i+1} and b_k = s_i d_{k-1} a for k > i+1,
     one lookup of tuples built a column at a time.
@@ -846,19 +853,18 @@ def coskeletal_extend(x_sset, to_dim):
     cur = x_sset
     for new_dim in range(x_sset.dim + 1, to_dim + 1):
         m = new_dim - 1
-        tuples = boundary_tuples(cur, m)
-        cols = list(map(list, zip(*tuples))) or [[]] * (new_dim + 1)
+        cols = [cells_at(levels[m], col) for col in boundary_tuples(cur, m)]
         if isinstance(levels[m], Places):
-            cells = Places(len(tuples), functools.partial(
+            cells = Places(len(cols[0]), functools.partial(
                 _tuple_names, levels[m], cols))
         else:
-            cells = list(map(_tuple_id, tuples))
+            cells = list(map(_tuple_id, zip(*cols)))
         levels.append(cells)
         for i, col in enumerate(cols):
             face[new_dim, i] = tabled(cells, col)
         # s_j a is a boundary tuple when the identities hold; its id is
         # spelled out only when it is not
-        id_of = dict(zip(tuples, cells))
+        id_of = dict(zip(zip(*cols), cells))
         for j in range(m + 1):
             parts = list(zip(*[
                 levels[m] if k in (j, j + 1) else column(levels[m], (

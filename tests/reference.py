@@ -1,6 +1,8 @@
-"""Reference maps that only the tests read: alpha^m as a dict, the Kan
-rows by their definition, the Kan report over every checkable dimension,
-the diagonal of a bisimplicial set, the key of a map by its sorted
+"""Reference maps that only the tests read: the tuples that the place
+columns of compatible_tuples list, a complex with its levels in a
+seeded order, alpha^m as a dict, the Kan rows by their definition, the
+Kan report over every checkable dimension, the diagonal of a
+bisimplicial set, the key of a map by its sorted
 items, the enriched-hom builder keyed by sorted map items, both
 enriched homs as they were built on quotients and pair ids, the map
 search as a recursion with one tick per evaluation, the retraction
@@ -14,12 +16,41 @@ every constraint: the map search with its tick count, and the pairwise
 determinant morphism searches with their closure into classes."""
 
 import itertools
+import random
 
 from kanforge import catalg as ca
 from kanforge import determinants as dt
 from kanforge import groups as gr
 from kanforge import nerves as nv
 from kanforge import simplicial as sp
+
+
+def tuple_rows(cells, cols):
+    """The tuples of cells that the place columns cols of
+    sp.compatible_tuples list (None in a skipped slot's column and
+    entry), in their order."""
+    n = len(next(col for col in cols if col is not None))
+    return list(zip(*[itertools.repeat(None, n) if col is None else
+                      [cells[a] for a in col] for col in cols]))
+
+
+def listed_tuples(cells, faces, m, skip=None, count=False):
+    """sp.compatible_tuples over the cells of a list with the face dict
+    faces (cell -> (d_0 cell, .., d_m cell)), as tuple_rows, or their
+    number."""
+    fcols = [[faces[c][i] for c in cells] for i in range(m + 1)] if m else []
+    got = sp.compatible_tuples(len(cells), fcols, m, skip, count)
+    return got if count else tuple_rows(cells, got)
+
+
+def permuted(x, seed):
+    """x with every level list in a seeded order, and the same ids,
+    tables, base and coskeletal flag."""
+    rng = random.Random(seed)
+    levels = [rng.sample(list(cells), len(cells)) for cells in x.levels]
+    return sp.build_sset(x.dim, levels,
+                         lambda name, k, i: getattr(x, name)[k, i],
+                         x.coskeletal_at, x.base)
 
 
 def boundary_alpha(x_sset, m):

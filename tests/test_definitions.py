@@ -16,7 +16,7 @@ from reference import (canon, canon_transported_hom, definitional_alpha_bijectiv
                        definitional_faces_compatible, definitional_kan_row,
                        definitional_tuples, position_pull,
                        recursive_map_search, reference_enriched_hom0,
-                       reference_hom1_enriched)
+                       reference_hom1_enriched, tuple_rows)
 
 
 # -- Kan rows on small random complexes ----------------------------------------
@@ -153,11 +153,54 @@ def test_tuple_counts_match_their_definition(spec, places):
     the product, faces outside level m included."""
     x = complex_from_spec(spec, places)
     for m in range(x.dim + 1):
-        cells, faces = x.level(m), x.face_table(m)
+        cells, fcols = x.level(m), sp.face_cols(x, m)
         for skip in [None] + list(range(m + 2)):
-            count = sp.compatible_tuples(cells, faces, m, skip, count=True)
-            assert count == len(sp.compatible_tuples(cells, faces, m, skip))
+            count = sp.compatible_tuples(len(cells), fcols, m, skip, count=True)
+            listed = sp.compatible_tuples(len(cells), fcols, m, skip)
+            assert count == len(tuple_rows(cells, listed))
             assert count == len(definitional_tuples(x, m, skip))
+
+
+# face values of every kind compatible_tuples may be handed, none equal
+# to another
+HASHABLES = [0, 1, "0", (0,), (0, "a"), None, 2.5]
+
+
+@st.composite
+def face_columns(draw):
+    """(n, fcols, m): m + 1 face columns over n places, their values
+    drawn from a small pool of mixed hashables, so that faces meet."""
+    m = draw(st.integers(0, 3))
+    n = draw(st.integers(0, 3 if m == 3 else 4))
+    pool = draw(st.lists(st.sampled_from(HASHABLES), min_size=1, max_size=3,
+                         unique=True))
+    fcols = [draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+             for _ in range(m + 1)]
+    return n, fcols, m
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=face_columns())
+def test_compatible_tuples_match_the_product_on_any_face_columns(case):
+    """The columns of compatible_tuples, read as tuples, and its count
+    are the tuples of places filtered from itertools.product, in its
+    order, for every skip."""
+    n, fcols, m = case
+    for skip in [None] + list(range(m + 2)):
+        slots = [j for j in range(m + 2) if j != skip]
+        want = []
+        for combo in itertools.product(range(n), repeat=len(slots)):
+            t = dict(zip(slots, combo))
+            # a level of vertices has no faces, so no conditions
+            if not m or all(fcols[i][t[j]] == fcols[j - 1][t[i]]
+                            for i in slots for j in slots if i < j):
+                want.append(tuple(map(t.get, range(m + 2))))
+        cols = sp.compatible_tuples(n, fcols, m, skip)
+        assert len(cols) == m + 2
+        assert [j for j, col in enumerate(cols) if col is None] == \
+            ([] if skip is None else [skip])
+        assert tuple_rows(range(n), cols) == want
+        assert sp.compatible_tuples(n, fcols, m, skip, count=True) == len(want)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

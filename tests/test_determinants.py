@@ -1,5 +1,4 @@
 import inspect
-import random
 
 import pytest
 
@@ -13,7 +12,8 @@ from kanforge import examples as ex
 from kanforge import serialize as io
 from kanforge import cli
 
-from reference import canon, map_key, trivial_group, unitor_twisted_monoidal
+from reference import (canon, map_key, permuted, trivial_group,
+                       unitor_twisted_monoidal)
 
 
 def test_additive_counts_on_circle():
@@ -331,16 +331,6 @@ def test_grho_names_a_failed_homomorphism_once(monkeypatch, name, m, want):
 
 
 # -- map order does not depend on the order of the source's levels -----------
-
-
-def permuted(x, seed):
-    """x with every level list in a seeded order, and the same ids,
-    tables, base and coskeletal flag."""
-    rng = random.Random(seed)
-    levels = [rng.sample(list(cells), len(cells)) for cells in x.levels]
-    return sp.build_sset(x.dim, levels,
-                         lambda name, k, i: getattr(x, name)[k, i],
-                         x.coskeletal_at, x.base)
 
 
 def permuted_spaces():

@@ -19,9 +19,10 @@ from kanforge import examples as ex
 from kanforge import groups as gr
 from kanforge import serialize as io
 
-from reference import (boundary_alpha, map_key, q_simplex_groupoid,
-                       reference_column1, reference_det_classes,
-                       reference_maps, reference_segal_classes,
+from reference import (boundary_alpha, listed_tuples, map_key, permuted,
+                       q_simplex_groupoid, reference_column1,
+                       reference_det_classes, reference_maps,
+                       reference_segal_classes, tuple_rows,
                        unitor_twisted_monoidal)
 
 # brute force walks |level|^(slots) candidates; larger cases are left out
@@ -106,10 +107,12 @@ def test_boundary_and_horn_tuples_match_brute_force(x, m):
     def face(i, a):
         return x.face[m, i][a]
 
-    assert sp.boundary_tuples(x, m) == reference_tuples(x.level(m), face, m)
+    cells = x.level(m)
+    assert tuple_rows(cells, sp.boundary_tuples(x, m)) == \
+        reference_tuples(cells, face, m)
     for k in range(m + 2):
-        assert sp.horn_tuples(x, m, k) == \
-            reference_tuples(x.level(m), face, m, skip=k)
+        assert tuple_rows(cells, sp.horn_tuples(x, m, k)) == \
+            reference_tuples(cells, face, m, skip=k)
 
 
 @pytest.mark.parametrize("name", ["disc-z2", "oneobj-z2"])
@@ -122,16 +125,17 @@ def test_h_boundary_tuples_match_brute_force(name):
         def face(i, a):
             return ns.hface[p - 1, q, i][a]
 
-        assert nv._h_boundary_tuples(ns, p, q) == \
+        assert list(zip(*nv._h_boundary_tuples(ns, p, q))) == \
             reference_tuples(ns.level(p - 1, q), face, p - 1)
 
 
 @pytest.mark.parametrize("x,m", list(cases()))
 def test_tuple_counts_match_listings(x, m):
-    cells, faces = x.level(m), x.face_table(m)
+    cells, fcols = x.level(m), sp.face_cols(x, m)
     for skip in [None] + list(range(m + 2)):
-        assert sp.compatible_tuples(cells, faces, m, skip, count=True) == \
-            len(sp.compatible_tuples(cells, faces, m, skip))
+        assert sp.compatible_tuples(len(cells), fcols, m, skip, count=True) \
+            == len(tuple_rows(cells, sp.compatible_tuples(len(cells), fcols,
+                                                          m, skip)))
 
 
 @pytest.mark.parametrize("name", ["disc-z2", "oneobj-z2"])
@@ -141,8 +145,8 @@ def test_h_boundary_tuple_counts_match_listings(name):
         if p == 0 or len(ns.level(p - 1, q)) ** (p + 1) > PRODUCT_CAP:
             continue
         args = (ns.level(p - 1, q), ns.face_table(p - 1, q, "h"), p - 1)
-        assert sp.compatible_tuples(*args, count=True) == \
-            len(nv._h_boundary_tuples(ns, p, q))
+        assert listed_tuples(*args, count=True) == \
+            len(list(zip(*nv._h_boundary_tuples(ns, p, q))))
 
 
 # -- the 2-group nerve against the struct-keyed reindexing it replaces --------
@@ -694,10 +698,12 @@ SEGAL_CASES = [segal_case(name, 2, 3, 50000)
 
 
 @pytest.mark.parametrize("build,pmax,qmax,budget", SEGAL_CASES)
-def test_segal_nerve_matches_string_keyed_reference(build, pmax, qmax, budget):
+def test_segal_nerve_matches_string_keyed_reference(build, pmax, qmax, budget,
+                                                   monkeypatch):
     g = build()
+    monkeypatch.setattr(nv, "LEVEL_BUDGET", budget)
     assert_same_bisimplicial(
-        nv.named(nv.segal_nerve(g, pmax, qmax, level_budget=budget)),
+        nv.named(nv.segal_nerve(g, pmax, qmax)),
         reference_segal_nerve(g, pmax, qmax, level_budget=budget))
 
 
@@ -1036,9 +1042,9 @@ def test_alpha_bijective_is_decided_once_per_complex(monkeypatch):
     counted = []
     tuples = sp.compatible_tuples
 
-    def counting(cells, faces, m, skip=None, count=False):
+    def counting(n, fcols, m, skip=None, count=False):
         counted.append((m, skip))
-        return tuples(cells, faces, m, skip=skip, count=count)
+        return tuples(n, fcols, m, skip=skip, count=count)
 
     monkeypatch.setattr(sp, "compatible_tuples", counting)
     assert x.validate().ok
@@ -1069,7 +1075,7 @@ def reference_kan_status(x_sset, m):
             else:
                 seen[t] = s
         surj = True
-        for h in sp.horn_tuples(x, m, k):
+        for h in tuple_rows(x.level(m), sp.horn_tuples(x, m, k)):
             if h not in seen:
                 surj = False
                 witness[(k, "surj")] = h
@@ -1108,7 +1114,7 @@ def reference_faces_compatible(x_sset, m):
     """Every face tuple of level m+1 is a boundary tuple of level m."""
     x = sp._ensure_depth(x_sset, m + 1)
     return set(boundary_alpha(x, m).values()) <= \
-        set(sp.boundary_tuples(x, m))
+        set(tuple_rows(x.level(m), sp.boundary_tuples(x, m)))
 
 
 @pytest.mark.parametrize("x,m", kan_cases())
@@ -1162,7 +1168,7 @@ def reference_classify(x, n):
 
     def alpha_bij(m):
         image = list(boundary_alpha(x, m).values())
-        tuples = sp.boundary_tuples(x, m)
+        tuples = tuple_rows(x.level(m), sp.boundary_tuples(x, m))
         return set(image) == set(tuples), len(set(image)) == len(image)
 
     for m in range(n, top + 1):
@@ -1275,7 +1281,8 @@ def reference_validate(x):
         c = x.coskeletal_at
         for m in range(max(c, 0), x.dim):
             image = list(boundary_alpha(x, m).values())
-            if set(image) != set(sp.boundary_tuples(x, m)) or \
+            if set(image) != set(tuple_rows(x.level(m),
+                                            sp.boundary_tuples(x, m))) or \
                     len(set(image)) != len(image):
                 errs.append("coskeletal_at=%d violated: alpha^%d not bijective"
                             % (c, m))
@@ -1506,14 +1513,13 @@ def reference_boundary_horn_extension(x_bx, p, q, k, tick):
     for x in x_bx.level(p - 1, q):
         fx = tuple(x_bx.vface[p - 1, q, j][x] for j in range(q + 1))
         idx.setdefault(fx[:k] + (None,) + fx[k + 1:], []).append(x)
-    horns = sp.compatible_tuples(x_bx.level(p - 1, q - 1),
-                                 x_bx.face_table(p - 1, q - 1, "v"), q - 1,
-                                 skip=k)
+    horns = listed_tuples(x_bx.level(p - 1, q - 1),
+                          x_bx.face_table(p - 1, q - 1, "v"), q - 1, skip=k)
     row_faces = {row: tuple(tuple(None if a is None
                                   else x_bx.hface[p - 1, q - 1, i][a]
                                   for a in row) for i in range(p))
                  for row in horns} if p - 1 >= 1 else {}
-    targets = sp.compatible_tuples(horns, row_faces, p - 1)
+    targets = listed_tuples(horns, row_faces, p - 1)
 
     def lift(tgt, i, partial):
         if i == p + 1:
@@ -1545,7 +1551,8 @@ def reference_relative_horn_extension(x_bx, p, q, k, tick):
         vkey = tuple(x_bx.vface[p, q, j][x] for j in range(q + 1) if j != k)
         full_idx.setdefault((hkey, vkey), []).append(x)
     slots = [j for j in range(q + 1) if j != k]
-    for a_tuple in nv._h_boundary_tuples(x_bx, p, q):
+    for a_tuple in listed_tuples(x_bx.level(p - 1, q),
+                                 x_bx.face_table(p - 1, q, "h"), p - 1):
         cand_lists = []
         for j in slots:
             want = tuple(x_bx.vface[p - 1, q, j][a_tuple[i]]
@@ -1620,13 +1627,18 @@ def reference_fibrancy(x_bx, n=2):
     return items, ticks[0]
 
 
+def clipped_oneobj_z2():
+    """segal_nerve(oneobj-z2, 2, 3) under a budget of 5000 cells a level:
+    level (2, 3) is dropped."""
+    with mock.patch.object(nv, "LEVEL_BUDGET", 5000):
+        return nv.segal_nerve(ex.build("oneobj-z2"), 2, 3)
+
+
 def fibrancy_cases():
     out = [pytest.param(lambda g=g: nv.segal_nerve(g, 2, 3), id=name)
            for name, g in ex.canned_two_groups()]
     # level (2, 3) dropped: pi_2 of row 2 is not checked
-    out.append(pytest.param(
-        lambda: nv.segal_nerve(ex.build("oneobj-z2"), 2, 3, level_budget=5000),
-        id="oneobj-z2-clipped"))
+    out.append(pytest.param(clipped_oneobj_z2, id="oneobj-z2-clipped"))
     out.append(pytest.param(lambda: nv.p2_star(sp.sphere(1, 3), 2),
                             id="p2-star-s1-not-fibrant"))
     return out
@@ -1643,11 +1655,29 @@ def test_fibrancy_matches_full_row_map_reference(build):
 
 
 def test_fibrancy_reference_cases_cover_skips_and_failures():
-    clipped = nv.segal_nerve(ex.build("oneobj-z2"), 2, 3, level_budget=5000)
-    items, _ = reference_fibrancy(clipped)
+    items, _ = reference_fibrancy(clipped_oneobj_z2())
     assert ("row-2-pi2-available", True, "skipped: pi_2 needs level 3") in items
     items, _ = reference_fibrancy(nv.p2_star(sp.sphere(1, 3), 2))
     assert not all(ok for _, ok, _ in items)
+
+
+@pytest.mark.parametrize("space,seed", [("t11", 0), ("t11", 1), ("s1", 2),
+                                        ("t12", 3)])
+def test_fibrancy_searches_on_permuted_string_ids_match_reference(space, seed):
+    # on string ids out of sorted order, face_index lists each group in
+    # another order than the level's, so only the candidate order moves
+    x_bx = nv.p2_star(permuted(ex.build(space), seed), 2)
+    got, want = [], []
+    for k in range(3):
+        got.append(nv._boundary_horn_extension(x_bx, 2, 2, k, len))
+        want.append(reference_boundary_horn_extension(x_bx, 2, 2, k, len))
+    for p in (1, 2):
+        tables = nv._relative_horn_tables(x_bx, p, 2)
+        for k in range(3):
+            got.append(nv._relative_horn_extension(x_bx, p, 2, k, tables, len))
+            want.append(reference_relative_horn_extension(x_bx, p, 2, k, len))
+    assert got == want
+    assert set(want) == {True, False}
 
 
 def test_bimap_index_skips_levels_without_free_cells():
@@ -2299,7 +2329,8 @@ def reference_relative_horn_tables(x_bx, p, q):
     for b, hkey in x_bx.face_table(p, q - 1, "h").items():
         bidx.setdefault(hkey, []).append(b)
     va = x_bx.face_table(p - 1, q, "v")
-    tuples = nv._h_boundary_tuples(x_bx, p, q)
+    tuples = listed_tuples(x_bx.level(p - 1, q),
+                           x_bx.face_table(p - 1, q, "h"), p - 1)
     cands = [[bidx.get(tuple(va[ai][j] for ai in a), []) for a in tuples]
              for j in range(q + 1)]
     hf = x_bx.face_table(p, q, "h")
@@ -2308,7 +2339,8 @@ def reference_relative_horn_tables(x_bx, p, q):
                  for k in range(q + 1)]
     vfaces = {b: tuple(x_bx.vface[p, q - 1, j][b] for j in range(q))
               for b in x_bx.level(p, q - 1)} if q - 1 >= 1 else {}
-    return list(zip(*tuples)) or [()] * (p + 1), cands, horn_keys, vfaces
+    acols = [list(col) for col in zip(*tuples)] or [[] for _ in range(p + 1)]
+    return acols, cands, horn_keys, vfaces
 
 
 @pytest.mark.parametrize("build", fibrancy_cases() + [
