@@ -19,15 +19,15 @@ def check_groupoid_nerve():
     ok = True
     for name, grpd in ex.canned_groupoids():
         ner = nv.nerve_category(grpd, 3)
-        cls = sp.classify(ner, 1)
-        good = cls.n_kan_groupoid
+        groupoid, _ = sp.kan_groupoid(ner, 1)
+        good = groupoid
         rec = None
         if good:
             rec = nv.groupoid_from_nerve(ner)
             good = _groupoid_isomorphic(rec, grpd)
         ok &= good
         lines.append("  %-14s 1-kan-groupoid=%s round-trip=%s"
-                     % (name, cls.n_kan_groupoid, good))
+                     % (name, groupoid, good))
     return ok, lines
 
 
@@ -44,8 +44,8 @@ def check_two_group_nerve():
     ok = True
     for name, g in ex.canned_two_groups():
         ner = nv.nerve_2group(g, 4)
-        cls = sp.classify(ner, 2)
-        good = cls.n_kan_groupoid
+        groupoid, _ = sp.kan_groupoid(ner, 2)
+        good = groupoid
         if good:
             rec = nv.two_group_from_nerve(ner)
             good = (ca.pi0_two_group(rec).is_isomorphic_to(ca.pi0_two_group(g))
@@ -53,7 +53,7 @@ def check_two_group_nerve():
                         ca.pi1_two_group(g)))
         ok &= good
         lines.append("  %-22s 2-kan-groupoid=%s weak-equivalent=%s"
-                     % (name, cls.n_kan_groupoid, good))
+                     % (name, groupoid, good))
     return ok, lines
 
 
@@ -183,11 +183,10 @@ def check_negative_fixture():
     s1 = ex.build("s1")
     g = ex.build("oneobj-z2")
     # each hom is freed before the next is built
-    neg = sp.classify(dt.enriched_hom0(s1, nv.nerve_2group(g, 3), 3),
-                      1).n_kan_groupoid
-    pos = sp.classify(dt.hom1_enriched(nv.p2_star(s1, 2),
-                                       nv.segal_nerve(g, 2, 3), 2),
-                      1).n_kan_groupoid
+    neg, _ = sp.kan_groupoid(dt.enriched_hom0(s1, nv.nerve_2group(g, 3), 3),
+                             1)
+    pos, _ = sp.kan_groupoid(dt.hom1_enriched(nv.p2_star(s1, 2),
+                                              nv.segal_nerve(g, 2, 3), 2), 1)
     ok = (neg is False) and (pos is True)
     return ok, [
         "  enriched hom into the plain nerve: 1-kan-groupoid=%s (want False)" % neg,

@@ -114,15 +114,22 @@ class _ChainNerve:
                 + (list(itertools.chain.from_iterable(nexts)),))
         return self._columns[p]
 
-    def places(self, cols):
+    def places(self, cols, via=None):
         """The place of each chain whose arrows are read from cols (p >= 1
-        iterables of morphism ints, first arrow first)."""
-        if len(cols) == 1:
-            return list(cols[0])
-        places = map(self.weights(len(cols) - 1)[0].__getitem__, cols[0])
-        for k in range(1, len(cols)):
-            places = map(operator.add, places, map(
-                self.weights(len(cols) - 1 - k)[1].__getitem__, cols[k]))
+        iterables of morphism ints, first arrow first), each arrow taken
+        through the list via first where given: one gather per column,
+        through its slot's weights, composed with via beforehand."""
+        p = len(cols)
+        if p == 1:
+            return list(cols[0] if via is None else map(via.__getitem__,
+                                                        cols[0]))
+        tables = [self.weights(p - 1)[0]] + [self.weights(p - 1 - k)[1]
+                                             for k in range(1, p)]
+        if via is not None:
+            tables = [list(map(table.__getitem__, via)) for table in tables]
+        places = map(tables[0].__getitem__, cols[0])
+        for table, col in zip(tables[1:], cols[1:]):
+            places = map(operator.add, places, map(table.__getitem__, col))
         return list(places)
 
     def namer(self, p, mor_names):
@@ -190,9 +197,9 @@ def groupoid_from_nerve(w):
     """Rebuild a groupoid from a 1-Kan-groupoid: composition is the
     middle face of the unique inner-horn filler.  The groupoid's objects
     and morphisms are the ids of the cells of levels 0 and 1."""
-    rep = sp.classify(w, 1)
-    if not rep.n_kan_groupoid:
-        raise NotOneKanGroupoid("input fails the 1-Kan-groupoid test: %r" % rep)
+    if not sp.kan_groupoid(w, 1)[0]:
+        raise NotOneKanGroupoid("input fails the 1-Kan-groupoid test: %r"
+                                % sp.classify(w, 1))
     # cell -> id on levels 0 and 1, whether the cells are places or ids
     obj, mor = [dict(zip(cells, map(sp.namer(cells), cells)))
                 for cells in (w.level(0), w.level(1))]
@@ -455,9 +462,9 @@ def two_group_from_nerve(z):
     """
     if not z.is_reduced():
         raise NotTwoKanGroupoid("input is not reduced")
-    rep = sp.classify(z, 2)
-    if not rep.n_kan_groupoid:
-        raise NotTwoKanGroupoid("input fails the 2-Kan-groupoid test: %r" % rep)
+    if not sp.kan_groupoid(z, 2)[0]:
+        raise NotTwoKanGroupoid("input fails the 2-Kan-groupoid test: %r"
+                                % sp.classify(z, 2))
     z = sp.named(sp.truncate(z, min(z.dim, 3)))
     ops = _NerveOps(z)
     objects = list(z.level(1))
@@ -1156,9 +1163,8 @@ def segal_nerve(g, pmax, qmax):
     def vmap(p, q, phi, q_to):
         if p == 0:
             return lv.vmap_obj_table(phi, q, q_to)
-        mors = lv.vmap_mor_table(phi, q, q_to)
-        return lv.chains[q_to].places([map(mors.__getitem__, col)
-                                       for col in lv.chains[q].columns(p)])
+        return lv.chains[q_to].places(lv.chains[q].columns(p),
+                                      lv.vmap_mor_table(phi, q, q_to))
 
     def op(name, p, q, i):
         if name == "vface":
@@ -1283,9 +1289,8 @@ def segal_fibrancy_check(x_bx):
 
     # (ii) rows are 2-Kan-groupoids within their stored depth
     for p, r in rows.items():
-        cls = sp.classify(r, 2)
-        rep.add("row-%d-kan-groupoid" % p, cls.n_kan_groupoid,
-                "dims %s" % cls.checked_dims)
+        ok, checked = sp.kan_groupoid(r, 2)
+        rep.add("row-%d-kan-groupoid" % p, ok, "dims %s" % checked)
 
     # (i) structural maps: all monotone phi : [l] -> [k], k,l <= pmax
     pis = {}

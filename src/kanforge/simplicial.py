@@ -472,9 +472,10 @@ def compatible_tuples(n, fcols, m, skip=None, count=False):
     time: a new row keeps the row it extends, and the earlier columns
     are gathered once through those links.  In count mode the rows stop
     two slots short, and the last two slots are counted together: per
-    row, the candidates for the next slot, grouped by the face d_{last-1}
-    that the last slot reads off them, each group weighing its size
-    times the size of the last slot's bucket for that face.
+    distinct pair of a row's keys for the two slots, the candidates for
+    the next slot, grouped by the face d_{last-1} that the last slot
+    reads off them, each group weighing its size times the size of the
+    last slot's bucket for that face, times the rows with that pair.
     """
     slots = [j for j in range(m + 2) if j != skip]
     if count and not m:
@@ -504,9 +505,11 @@ def compatible_tuples(n, fcols, m, skip=None, count=False):
     for key, c in collections.Counter(zip(*[fcols[i] for i in prior],
                                           fcols[last - 1])).items():
         groups.setdefault(key[:-1], []).append((key[-1], c))
-    return sum([c * sizes.get(key + (face,), 0)
-                for key2, key in zip(*[_row_keys(fcols, cols, prior, j, rows)
-                                       for j in (nxt, last)])
+    # rows with the same keys for the next and the last slot count alike
+    pairs = collections.Counter(zip(*[_row_keys(fcols, cols, prior, j, rows)
+                                      for j in (nxt, last)]))
+    return sum([r * c * sizes.get(key + (face,), 0)
+                for (key2, key), r in pairs.items()
                 for face, c in groups.get(key2, ())])
 
 
@@ -577,9 +580,8 @@ class KanRow:
 class FaceCodes:
     """Level m+1 of a complex through its faces, as places in level m.
 
-    rank    dict cell of level m -> its place; a face value outside
-            level m takes the next place, in order of first appearance
-    n       the base, len(rank): |level m| when inside holds
+    n       the base: |level m|, plus one place per face value outside
+            level m (taken in order of first appearance)
     inside  whether every face of level m+1 lies in level m
     cols    cols[i][c], the place of d_i of the c-th cell of level m+1
     codes   codes[c], the face tuple of that cell packed into one int,
@@ -589,9 +591,8 @@ class FaceCodes:
     the same faces away from slot k iff codes - cols[k] * n ** (m + 1 - k)
     agree."""
 
-    def __init__(self, rank, inside, cols, codes):
-        self.rank = rank
-        self.n = len(rank)
+    def __init__(self, n, inside, cols, codes):
+        self.n = n
         self.inside = inside
         self.cols = cols
         self.codes = codes
@@ -599,25 +600,43 @@ class FaceCodes:
 
 def face_codes(x_sset, m):
     """The FaceCodes of level m+1 over level m, built once per
-    (immutable) complex and m from one rank dict over level m, so string
-    ids and Places take the same path."""
+    (immutable) complex and m.  Where both levels are Places and every
+    face table is a list of places of level m, the tables are the
+    columns themselves; otherwise one rank dict over level m gives each
+    face its place."""
     fc = x_sset._face_codes.get(m)
     if fc is None:
         below, cells = x_sset.levels[m], x_sset.levels[m + 1]
-        rank = dict(zip(below, range(len(below))))
-        n_below = len(rank)
-        cols = []
-        for i in range(m + 2):
-            faces = column(cells, (x_sset.face[m + 1, i],))
-            try:
-                cols.append(list(map(rank.__getitem__, faces)))
-            except KeyError:
-                for a in faces:
-                    rank.setdefault(a, len(rank))
-                cols.append(list(map(rank.__getitem__, faces)))
-        fc = x_sset._face_codes[m] = FaceCodes(
-            rank, len(rank) == n_below, cols, _pack(cols, len(rank)))
+        tables = [x_sset.face[m + 1, i] for i in range(m + 2)]
+        n = len(below)
+        inside = isinstance(below, Places) and isinstance(cells, Places) \
+            and all(_holds_places(t, len(cells), n) for t in tables)
+        if inside:
+            cols = tables
+        else:
+            rank = dict(zip(below, range(n)))
+            n, cols = len(rank), []
+            for table in tables:
+                faces = column(cells, (table,))
+                try:
+                    cols.append(list(map(rank.__getitem__, faces)))
+                except KeyError:
+                    for a in faces:
+                        rank.setdefault(a, len(rank))
+                    cols.append(list(map(rank.__getitem__, faces)))
+            n, inside = len(rank), len(rank) == n
+        fc = x_sset._face_codes[m] = FaceCodes(n, inside, cols, _pack(cols, n))
     return fc
+
+
+def _holds_places(table, size, n):
+    """Whether table is a list of size places 0 .. n - 1."""
+    if not isinstance(table, list) or len(table) != size:
+        return False
+    try:
+        return not table or (min(table) >= 0 and max(table) < n)
+    except TypeError:       # an entry that is not a number
+        return False
 
 
 def _pack(cols, n):
@@ -625,7 +644,7 @@ def _pack(cols, n):
     at a time."""
     codes = cols[0]
     for col in cols[1:]:
-        codes = list(map(operator.add, map(n.__mul__, codes), col))
+        codes = [a * n + b for a, b in zip(codes, col)]
     return codes
 
 
@@ -669,6 +688,16 @@ def alpha_bijective(x_sset, m):
     return flags
 
 
+def alpha_injective(x_sset, m):
+    """Whether alpha^m is one-to-one: the face codes of level m+1 are
+    distinct (read from alpha_bijective's flags once decided)."""
+    flags = x_sset._alpha.get(m)
+    if flags is not None:
+        return flags[1]
+    codes = face_codes(x_sset, m).codes
+    return len(set(codes)) == len(codes)
+
+
 def kan_status(x_sset, m):
     """Decide surjectivity/injectivity of alpha^{m,k} for 0 <= k <= m+1,
     and minimality in dimension m.
@@ -707,12 +736,16 @@ def _horn_flags(x, m, k, counted, witness):
     makes its own."""
     fc = face_codes(x, m)
     col = fc.cols[k]
-    keys = list(map(operator.sub, fc.codes,
-                    map((fc.n ** (m + 1 - k)).__mul__, col)))
-    seen = set(keys)
-    inj = len(seen) == len(keys)
+
+    def horn_keys():
+        return map(operator.sub, fc.codes,
+                   map(operator.mul, col, repeat(fc.n ** (m + 1 - k))))
+
+    seen = set(horn_keys())
+    inj = len(seen) == len(col)
     minimal = True
     if not inj:
+        keys = list(horn_keys())
         # each cell against the first cell with its horn, by place; the
         # witness is the last repeat
         at = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
@@ -773,45 +806,42 @@ class ClassifyReport:
 
 
 def classify(x_sset, n):
-    """Coskeletal / weakly coskeletal / minimal / n-Kan-groupoid flags.
-
-    n_kan_groupoid is decided per the characterisation: weakly
-    n-coskeletal, Kan extension in dimensions 1..n+1 and minimality in
-    dimension n.  Checks run over the stored range only.
-    """
+    """Coskeletal / weakly coskeletal / minimal / n-Kan-groupoid flags,
+    over the stored range only; n_kan_groupoid and checked_dims are
+    kan_groupoid's."""
     x = x_sset
-    detail = {}
     top = x.dim - 1      # largest m with level m+1 stored
+    detail = {("alpha", m): alpha_bijective(x, m) for m in range(n, top + 1)}
+    cosk = all(s and i for s, i in detail.values())
+    detail.update((("minimal", m), minimality_at(x, m))
+                  for m in range(n, top + 1))
+    minimal = all(detail["minimal", m] for m in range(n, top + 1))
+    detail.update((("kan", m), kan_status(x, m).flags)
+                  for m in range(1, min(n + 1, top) + 1))
+    groupoid, checked = kan_groupoid(x, n)
+    return ClassifyReport(n, cosk, weakly_coskeletal(x, n), minimal,
+                          groupoid, checked, detail)
 
-    cosk = True
-    for m in range(n, top + 1):
-        s, i = alpha_bijective(x, m)
-        detail[("alpha", m)] = (s, i)
-        if not (s and i):
-            cosk = False
-    weak = True
-    if n <= top and not detail[("alpha", n)][1]:
-        weak = False
-    for m in range(n + 1, top + 1):
-        s, i = detail[("alpha", m)]
-        if not (s and i):
-            weak = False
-    minimal = True
-    for m in range(n, top + 1):
-        ok = minimality_at(x, m)
-        detail[("minimal", m)] = ok
-        if not ok:
-            minimal = False
-    kan_ok = True
-    for m in range(1, min(n + 1, top) + 1):
-        row = kan_status(x, m)
-        detail[("kan", m)] = row.flags
-        if not row.kan:
-            kan_ok = False
-    min_at_n = detail.get(("minimal", n))
-    groupoid = bool(weak and kan_ok and (min_at_n is not False))
-    checked = "alpha on %d..%d, kan on 1..%d" % (n, top, min(n + 1, top))
-    return ClassifyReport(n, cosk, weak, minimal, groupoid, checked, detail)
+
+def weakly_coskeletal(x_sset, n):
+    """Whether alpha^n is one-to-one and alpha^m bijective for every
+    stored n < m (level m+1 stored)."""
+    return (n >= x_sset.dim or alpha_injective(x_sset, n)) and all(
+        alpha_bijective(x_sset, m) == (True, True)
+        for m in range(n + 1, x_sset.dim))
+
+
+def kan_groupoid(x_sset, n):
+    """(n_kan_groupoid, checked_dims) of classify: weakly n-coskeletal,
+    Kan extension in dimensions 1..n+1 and minimality in dimension n,
+    each over the stored range (a minimality past it counts as held).
+    The onto-ness of alpha^n, which only n_coskeletal reads, is not
+    decided."""
+    top = x_sset.dim - 1
+    ok = weakly_coskeletal(x_sset, n) and all(
+        kan_status(x_sset, m).kan for m in range(1, min(n + 1, top) + 1)) \
+        and (n > top or minimality_at(x_sset, n))
+    return ok, "alpha on %d..%d, kan on 1..%d" % (n, top, min(n + 1, top))
 
 
 # -- coskeletal machinery -------------------------------------------------

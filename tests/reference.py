@@ -1,6 +1,6 @@
 """Reference maps that only the tests read: the tuples that the place
 columns of compatible_tuples list, a complex with its levels in a
-seeded order, alpha^m as a dict, the Kan rows by their definition, the
+seeded order, alpha^m as a dict, the face codes by one rank dict, the Kan rows by their definition, the
 Kan report over every checkable dimension, the diagonal of a
 bisimplicial set, the key of a map by its sorted
 items, the enriched-hom builder keyed by sorted map items, both
@@ -58,6 +58,22 @@ def boundary_alpha(x_sset, m):
     if m + 1 > x_sset.dim:
         raise sp.DimensionOutOfRange("alpha^%d needs level %d" % (m, m + 1))
     return dict(x_sset.face_table(m + 1))
+
+
+def rank_face_codes(x_sset, m):
+    """sp.face_codes(x_sset, m) as (n, inside, cols, codes), each face
+    of level m+1 given its place by one rank dict over level m; a face
+    outside level m takes the next place, in order of first appearance
+    (column by column, cell by cell)."""
+    below, cells = x_sset.levels[m], x_sset.levels[m + 1]
+    rank = dict(zip(below, range(len(below))))
+    n_below = len(rank)
+    cols = [[rank.setdefault(x_sset.face[m + 1, i][c], len(rank))
+             for c in cells] for i in range(m + 2)]
+    n = len(rank)
+    codes = [sum(col[c] * n ** (m + 1 - i) for i, col in enumerate(cols))
+             for c in range(len(cells))]
+    return n, n == n_below, cols, codes
 
 
 def definitional_tuples(x_sset, m, skip=None):
