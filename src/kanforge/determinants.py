@@ -544,9 +544,8 @@ def segal_determinants_vs_hom(x_bx, g, ns):
     # place of the chain of the base morphisms (a 1-simplex morphism has
     # one component, on the pair (0, 1))
     base = nv._category_chains(g.base)
-    values = {p: base.places([map(lv.fam[1][0].__getitem__, col)
-                              for col in lv.chains[1].columns(p)]) if p else
-              [objs[0] for objs, _ in lv._keys[1]]
+    values = {p: base.places(lv.chains[1].columns(p), lv.fam[1][0]) if p
+              else [objs[0] for objs, _ in lv._keys[1]]
               for p in (0, 1, 2) if (p, 1) in mu}
     # F as (F_{*,1}, F_{0,2}), its values named as D- and T-values (T on a
     # cell of X_{0,2}: the pairing morphism of its image), and (D, T),

@@ -472,10 +472,9 @@ def compatible_tuples(n, fcols, m, skip=None, count=False):
     time: a new row keeps the row it extends, and the earlier columns
     are gathered once through those links.  In count mode the rows stop
     two slots short, and the last two slots are counted together: per
-    distinct pair of a row's keys for the two slots, the candidates for
-    the next slot, grouped by the face d_{last-1} that the last slot
-    reads off them, each group weighing its size times the size of the
-    last slot's bucket for that face, times the rows with that pair.
+    row, the candidates for the next slot, grouped by the face d_{last-1}
+    that the last slot reads off them, each group weighing its size
+    times the size of the last slot's bucket for that face.
     """
     slots = [j for j in range(m + 2) if j != skip]
     if count and not m:
@@ -505,11 +504,9 @@ def compatible_tuples(n, fcols, m, skip=None, count=False):
     for key, c in collections.Counter(zip(*[fcols[i] for i in prior],
                                           fcols[last - 1])).items():
         groups.setdefault(key[:-1], []).append((key[-1], c))
-    # rows with the same keys for the next and the last slot count alike
-    pairs = collections.Counter(zip(*[_row_keys(fcols, cols, prior, j, rows)
-                                      for j in (nxt, last)]))
-    return sum([r * c * sizes.get(key + (face,), 0)
-                for (key2, key), r in pairs.items()
+    return sum([c * sizes.get(key + (face,), 0)
+                for key2, key in zip(*[_row_keys(fcols, cols, prior, j, rows)
+                                       for j in (nxt, last)])
                 for face, c in groups.get(key2, ())])
 
 
