@@ -118,22 +118,21 @@ def build(name):
     return _BUILDERS[name]()
 
 
+# the canned lists, by name; canned_*() build them
+CANNED_GROUPOIDS = ("groupoid-z2", "groupoid-z3", "indiscrete-2",
+                    "indiscrete-3")
+CANNED_TWO_GROUPS = ("disc-z2", "disc-z3", "oneobj-z2", "oneobj-z3",
+                     "disc-z2-x-oneobj-z2")
+REDUCED_TEST_SPACES = ("s1", "delta2-reduced", "t11")
+
+
 def canned_groupoids():
-    return [("groupoid-z2", build("groupoid-z2")),
-            ("groupoid-z3", build("groupoid-z3")),
-            ("indiscrete-2", build("indiscrete-2")),
-            ("indiscrete-3", build("indiscrete-3"))]
+    return [(name, build(name)) for name in CANNED_GROUPOIDS]
 
 
 def canned_two_groups():
-    return [("disc-z2", build("disc-z2")),
-            ("disc-z3", build("disc-z3")),
-            ("oneobj-z2", build("oneobj-z2")),
-            ("oneobj-z3", build("oneobj-z3")),
-            ("disc-z2-x-oneobj-z2", build("disc-z2-x-oneobj-z2"))]
+    return [(name, build(name)) for name in CANNED_TWO_GROUPS]
 
 
 def reduced_test_spaces():
-    return [("s1", build("s1")),
-            ("delta2-reduced", build("delta2-reduced")),
-            ("t11", build("t11"))]
+    return [(name, build(name)) for name in REDUCED_TEST_SPACES]

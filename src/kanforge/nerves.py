@@ -1274,9 +1274,10 @@ def segal_fibrancy_check(x_bx):
     (iii) boundary(p) x horn(q) extension at p = q = 2,
     (iv)  relative box-horn surjectivity at p in {1,2}, q = 2.
 
-    The searches of (iii) and (iv) share one budget guard, under the one
-    enumeration cap (sp.enumeration_budget()), ticked once per candidate
-    tried; past it SearchBudgetExceeded names the search.
+    (iii) and (iv) are each decided as "every element of an enumerated
+    domain lies in a set of images", under one budget guard (the one
+    enumeration cap, sp.enumeration_budget()) ticked before the work it
+    counts; past the cap SearchBudgetExceeded names the search.
     """
     rep = FibrancyReport()
     if not x_bx.is_pre_monoid():
@@ -1327,13 +1328,13 @@ def segal_fibrancy_check(x_bx):
     # (iii) and (iv) via the explicit prism-tuple descriptions of the
     # corner Hom sets
     tick = sp.budget_ticker("fibrancy {} search exceeded {cap} evaluations")
-    for k in range(3):
-        rep.add("(iii)-k%d" % k, _boundary_horn_extension(x_bx, 2, 2, k, tick))
+    for k, ok in enumerate(_boundary_horn_extension(x_bx, tick)):
+        rep.add("(iii)-k%d" % k, ok)
     for p in (1, 2):
         tables = _relative_horn_tables(x_bx, p, 2)
         for k in range(3):
             rep.add("(iv)-p%d-k%d" % (p, k),
-                    _relative_horn_extension(x_bx, p, 2, k, tables, tick))
+                    _relative_horn_extension(tables, k, tick))
     return rep
 
 
@@ -1348,51 +1349,42 @@ def _h_boundary_tuples(x_bx, p, q):
             for col in sp.compatible_tuples(len(cells), fcols, p - 1)]
 
 
-def _boundary_horn_extension(x_bx, p, q, k, tick):
-    """Surjectivity of Hom(bd Delta^p (x) Delta^q, X) ->
-    Hom(bd Delta^p (x) Lambda^{q,k}, X); tick(search) is called once per
-    candidate tried."""
-    if (p - 1, q) not in x_bx.region or (p - 1, q - 1) not in x_bx.region:
-        return True     # outside the stored region
-    # level (p-1, q) by vertical horn key (None in slot k)
-    row = x_bx.row(p - 1)
-    idx = row.face_index(q, k)
-    # the vertical horns at (p-1, q-1), each as its key, and their
-    # horizontal faces, read a column of cells at a time
-    cells = x_bx.level(p - 1, q - 1)
-    hcols = [None if col is None else sp.cells_at(cells, col)
-             for col in sp.horn_tuples(row, q - 1, k)]
-    hkeys = list(zip(*[itertools.repeat(None) if col is None else col
-                       for col in hcols]))
-    row_faces = [list(zip(*[sp.column(col, (x_bx.hface[p - 1, q - 1, i],))
-                            for col in hcols if col is not None]))
-                 for i in range(p)] if p - 1 else []
-    # targets: (p+1)-tuples of horns with horizontal compatibility
-    targets = sp.compatible_tuples(len(hkeys), row_faces, p - 1)
-
-    hq = x_bx.face_table(p - 1, q, "h")
-    for t in range(len(targets[0])):
-        # lift each horn to level (p-1, q) with that horn and keep the
-        # horizontal boundary relations
-        found = [False]
-        def lift(i, partial):
-            if i == p + 1:
-                found[0] = True
-                return
-            for cand in idx.get(hkeys[targets[i][t]], []):
-                tick("boundary-horn lift")
-                if p - 1 >= 1 and any(hq[cand][a] != hq[partial[a]][i - 1]
-                                      for a in range(i)):
-                    continue
-                partial.append(cand)
-                lift(i + 1, partial)
-                partial.pop()
-                if found[0]:
-                    return
-        lift(0, [])
-        if not found[0]:
-            return False
-    return True
+def _boundary_horn_extension(x_bx, tick):
+    """Per horn index k = 0, 1, 2, whether Hom(bd Delta^2 (x) Delta^2, X)
+    maps onto Hom(bd Delta^2 (x) Lambda^{2,k}, X): every compatible
+    triple of vertical k-horns at (1, 1) is the horn triple of a map
+    _h_boundary_tuples(x_bx, 2, 2).  A horn is its face code in row 1
+    less slot k, packed as sp.face_codes packs face tuples, place 0 at
+    slot k.  tick(search, n=...) counts each k's horn triples before
+    they are tested.  True outside the stored region."""
+    if (1, 2) not in x_bx.region or (1, 1) not in x_bx.region:
+        return [True] * 3
+    row = x_bx.row(1)
+    fc = sp.face_codes(row, 1)
+    acols = _h_boundary_tuples(x_bx, 2, 2)
+    cells = x_bx.level(1, 1)
+    out = []
+    for k in range(3):
+        # the images: the horns of the maps, read off each cell's code
+        horn = sp.tabled(x_bx.level(1, 2), list(map(
+            operator.sub, fc.codes,
+            map(operator.mul, fc.cols[k], itertools.repeat(fc.n ** (2 - k))))))
+        images = set(zip(*[sp.column(col, (horn,)) for col in acols]))
+        # the domain: the vertical k-horns, packed, in the triples their
+        # horizontal faces make compatible
+        hcols = sp.horn_tuples(row, 1, k)
+        zeros = [0] * len(hcols[k - 1])     # slot k - 1 is not skipped
+        codes = sp._pack([zeros if col is None else col for col in hcols],
+                         fc.n)
+        hfaces = [list(zip(*[sp.column(sp.cells_at(cells, col),
+                                       (x_bx.hface[1, 1, i],))
+                             for col in hcols if col is not None]))
+                  for i in range(2)]
+        targets = sp.compatible_tuples(len(codes), hfaces, 1)
+        tick("boundary-horn lift", n=len(targets[0]))
+        out.append(images.issuperset(zip(*[sp.column(col, (codes,))
+                                           for col in targets])))
+    return out
 
 
 def _relative_horn_tables(x_bx, p, q):
@@ -1423,7 +1415,7 @@ def _relative_horn_tables(x_bx, p, q):
     return acols, cands, horn_keys, x_bx.face_table(p, q - 1, "v")
 
 
-def _relative_horn_extension(x_bx, p, q, k, tables, tick):
+def _relative_horn_extension(tables, k, tick):
     """Surjectivity of Hom(Delta^p (x) Delta^q, X) onto the fibre product
     of Hom(bd Delta^p (x) Delta^q, X) and Hom(Delta^p (x) Lambda^{q,k}, X);
     `tables` is _relative_horn_tables(x_bx, p, q), q >= 1.
@@ -1433,28 +1425,28 @@ def _relative_horn_extension(x_bx, p, q, k, tables, tick):
     all i (the candidate columns of the tables), and the vertical horn
     relations dv_i b_j = dv_{j-1} b_i (i < j) filter each slot's
     candidates through one bucket keyed on the tuple and the faces dv_i
-    the relations read.  Once the outcome is known, tick(search) is
-    called once per candidate that a depth-first search over the slots,
-    tuple after tuple, tries up to its first horn without a filler."""
+    the relations read.  Every horn so built must have a filler.  Before
+    each slot is assigned, tick(search, n=...) counts the candidates it
+    considers: those of the slot for every assignment of the slots
+    before it.  True outside the stored region."""
     if tables is None:
         return True     # outside the stored region
     acols, cands, horn_keys, vfaces = tables
-    filled = horn_keys[k]
-    slots = [j for j in range(q + 1) if j != k]
+    slots = [j for j in range(len(cands)) if j != k]
     cols = [cands[j] for j in slots]
     first = operator.itemgetter(0)
     # per depth m >= 1, the assignments (t, b_0, .., b_{m-1}) of the
-    # first m slots that keep the relations, t the tuple's place, in the
-    # order a depth-first search meets them
+    # first m slots that keep the relations, t the tuple's place
     col = cols[0]
+    tick("relative box-horn", n=sum(map(len, col)))
     level = [(t, b) for t in itertools.compress(range(len(col)), col)
              for b in col[t]]
-    depths = [None, level]
-    for m in range(1, q):
+    for m in range(1, len(slots)):
         col, j, earlier = cols[m], slots[m], slots[:m]
+        sizes = list(map(len, map(col.__getitem__, map(first, level))))
+        tick("relative box-horn", n=sum(sizes))
         # the assignments whose tuple has candidates for slot m
-        live = list(itertools.compress(level, map(col.__getitem__,
-                                                  map(first, level))))
+        live = list(itertools.compress(level, sizes))
         bucket = {}
         for t in set(map(first, live)):
             for b in col[t]:
@@ -1462,23 +1454,8 @@ def _relative_horn_extension(x_bx, p, q, k, tables, tick):
                                                 earlier))), []).append(b)
         level = [c + (b,) for c in live for b in bucket.get(
             (c[0], tuple([vfaces[a][j - 1] for a in c[1:]])), ())]
-        depths.append(level)
-    bad = next((c for c in level if (tuple([a[c[0]] for a in acols]),
-                                     c[1:]) not in filled), None)
-    # a search that stops at `bad` tries, at each depth, every candidate
-    # below the assignments before bad's, and bad's own up to its choice
-    tried = sum(map(len, cols[0][:None if bad is None else bad[0]]))
-    for m in range(1, q):
-        before = depths[m]
-        if bad is not None:
-            before = before[:before.index(bad[:m + 1])]
-        tried += sum(map(len, map(cols[m].__getitem__, map(first, before))))
-    if bad is not None:
-        tried += sum(cols[m][bad[0]].index(b) + 1
-                     for m, b in enumerate(bad[1:]))
-    for _ in itertools.repeat(None, tried):
-        tick("relative box-horn")
-    return bad is None
+    return horn_keys[k].issuperset(
+        (tuple([a[c[0]] for a in acols]), c[1:]) for c in level)
 
 
 def _h_operator_steps(phi, p_from):

@@ -6,7 +6,8 @@ bisimplicial set, the key of a map by its sorted
 items, the enriched-hom builder keyed by sorted map items, both
 enriched homs as they were built on quotients and pair ids, the map
 search as a recursion with one tick per evaluation, the retraction
-check of the shift (decalage), the translation check of a 2-group, the
+check of the shift (decalage), the translation check of a 2-group, a
+budget tick that counts n per call by search name, the
 2-groups K(Z/2, Z/2) with given coherence data, the string-keyed
 monoidal validation, the groupoid of q-simplices of a 2-group read off
 the Segal nerve's int tables, the nerve of a category built chain by
@@ -15,6 +16,7 @@ identity and composite lax functors, and the searches that recheck
 every constraint: the map search with its tick count, and the pairwise
 determinant morphism searches with their closure into classes."""
 
+import collections
 import itertools
 import random
 
@@ -41,6 +43,14 @@ def listed_tuples(cells, faces, m, skip=None, count=False):
     fcols = [[faces[c][i] for c in cells] for i in range(m + 1)] if m else []
     got = sp.compatible_tuples(len(cells), fcols, m, skip, count)
     return got if count else tuple_rows(cells, got)
+
+
+class Ticks(collections.Counter):
+    """A tick(search, n=1), as sp.budget_ticker makes them, that adds n
+    to the count of search and never raises."""
+
+    def __call__(self, search, n=1):
+        self[search] += n
 
 
 def permuted(x, seed):

@@ -268,56 +268,77 @@ def indiscrete_z2():
         name="Indisc(Z2)")
 
 
+# the example ids that build a MonoidalStructure, in id order
+MONOIDAL_EXAMPLES = ("disc-z2", "disc-z2-x-oneobj-z2", "disc-z3", "disc-z4",
+                     "inflated-disc-z2", "oneobj-z2", "oneobj-z3")
+
+
+def test_monoidal_examples_are_the_monoidal_example_ids():
+    assert MONOIDAL_EXAMPLES == tuple(
+        name for name in ex.example_ids()
+        if isinstance(ex.build(name), ca.MonoidalStructure))
+
+
 def monoidal_cases():
-    """(name, structure, the message family its errors must hold; None
-    for a valid structure)."""
-    d2 = ex.build("disc-z2")
-    o2 = ca.one_object_two_group(gr.cyclic(2))
-    o3 = ca.one_object_two_group(gr.cyclic(3))
-    b3 = o3.base
-    broken_base = ca.FinGroupoid(b3.objects, b3.morphisms, b3.src, b3.tgt,
-                                 b3.ident, {**b3.comp_table,
-                                            ("m1", "m1"): "m0"},
-                                 inv=b3.inv_table)
-    out = [(name, ex.build(name), None) for name in ex.example_ids()
-           if isinstance(ex.build(name), ca.MonoidalStructure)]
+    """(name, a function that makes the structure, the message family
+    its errors must hold; None for a valid structure)."""
+    def d2():
+        return ex.build("disc-z2")
+
+    def o2():
+        return ca.one_object_two_group(gr.cyclic(2))
+
+    def o3():
+        return ca.one_object_two_group(gr.cyclic(3))
+
+    def broken_o3():
+        g = o3()
+        b3 = g.base
+        return rebuilt(g, base=ca.FinGroupoid(
+            b3.objects, b3.morphisms, b3.src, b3.tgt, b3.ident,
+            {**b3.comp_table, ("m1", "m1"): "m0"}, inv=b3.inv_table))
+
+    out = [(name, lambda name=name: ex.build(name), None)
+           for name in MONOIDAL_EXAMPLES]
     out += [
-        ("disc-s3", ca.discrete_two_group(gr.symmetric(3)), None),
-        ("unitor-twisted", unitor_twisted_monoidal(), None),
-        ("max-monoid", max_monoid(), None),
-        ("monoid-category", monoid_category(), None),
-        ("indiscrete-z2", indiscrete_z2(), None),
-        ("base", rebuilt(o3, base=broken_base), "associativity fails"),
-        ("tensor-obj", rebuilt(d2, tensor_obj={("o0", "o1"): None}),
+        ("disc-s3", lambda: ca.discrete_two_group(gr.symmetric(3)), None),
+        ("unitor-twisted", unitor_twisted_monoidal, None),
+        ("max-monoid", max_monoid, None),
+        ("monoid-category", monoid_category, None),
+        ("indiscrete-z2", indiscrete_z2, None),
+        ("base", broken_o3, "associativity fails"),
+        ("tensor-obj", lambda: rebuilt(d2(), tensor_obj={("o0", "o1"): None}),
          "tensor undefined on ("),
-        ("unit", rebuilt(d2, unit="zz"), "unit zz is not an object"),
-        ("tensor-mor", rebuilt(d2, tensor_mor={("i0", "i1"): None}),
+        ("unit", lambda: rebuilt(d2(), unit="zz"), "unit zz is not an object"),
+        ("tensor-mor", lambda: rebuilt(d2(), tensor_mor={("i0", "i1"): None}),
          "tensor undefined on morphisms"),
-        ("tensor-mor-ends", rebuilt(d2, tensor_mor={("i0", "i1"): "i0"}),
+        ("tensor-mor-ends",
+         lambda: rebuilt(d2(), tensor_mor={("i0", "i1"): "i0"}),
          "has wrong endpoints"),
-        ("identities", rebuilt(o2, tensor_mor={("m0", "m0"): "m1"}),
+        ("identities", lambda: rebuilt(o2(), tensor_mor={("m0", "m0"): "m1"}),
          "tensor does not preserve identities"),
-        ("functorial", rebuilt(o3, tensor_mor={("m1", "m1"): "m0"}),
+        ("functorial", lambda: rebuilt(o3(), tensor_mor={("m1", "m1"): "m0"}),
          "tensor not functorial"),
-        ("lunit-ends", rebuilt(d2, lunit={"o1": "i0"}),
+        ("lunit-ends", lambda: rebuilt(d2(), lunit={"o1": "i0"}),
          "left unitor of o1 malformed"),
-        ("runit-ends", rebuilt(d2, runit={"o0": None}),
+        ("runit-ends", lambda: rebuilt(d2(), runit={"o0": None}),
          "right unitor of o0 malformed"),
-        ("assoc-ends", rebuilt(d2, assoc={("o0", "o0", "o1"): "i0"}),
+        ("assoc-ends", lambda: rebuilt(d2(), assoc={("o0", "o0", "o1"): "i0"}),
          "associator of (o0,o0,o1) malformed"),
-        ("unitor-iso", monoid_category(lunit="e"),
+        ("unitor-iso", lambda: monoid_category(lunit="e"),
          "unitor at * not invertible"),
-        ("assoc-iso", monoid_category(assoc="e"),
+        ("assoc-iso", lambda: monoid_category(assoc="e"),
          "associator at ('*', '*', '*') not invertible"),
-        ("lunit-natural", oneobj_twisted_tensor(1, 2),
+        ("lunit-natural", lambda: oneobj_twisted_tensor(1, 2),
          "left unitor not natural"),
-        ("runit-natural", oneobj_twisted_tensor(2, 1),
+        ("runit-natural", lambda: oneobj_twisted_tensor(2, 1),
          "right unitor not natural"),
-        ("assoc-natural", oneobj_twisted_tensor(1, 2),
+        ("assoc-natural", lambda: oneobj_twisted_tensor(1, 2),
          "associator not natural"),
-        ("pentagon", k22_monoidal(lambda x, y, z: x * y, lambda x: 0,
-                                  lambda x: 0, "xy"), "pentagon fails"),
-        ("triangle", rebuilt(o2, lunit={"*": "m1"}), "triangle fails"),
+        ("pentagon", lambda: k22_monoidal(lambda x, y, z: x * y, lambda x: 0,
+                                          lambda x: 0, "xy"), "pentagon fails"),
+        ("triangle", lambda: rebuilt(o2(), lunit={"*": "m1"}),
+         "triangle fails"),
     ]
     # The derived checks (l_1 = r_1 and the two unit triangles) follow
     # from the checks before them (Kelly, J. Algebra 1, 1964), so no
@@ -325,9 +346,11 @@ def monoidal_cases():
     return out
 
 
-@pytest.mark.parametrize("name,m,family", monoidal_cases(),
+@pytest.mark.parametrize("name,make,family", monoidal_cases(),
                          ids=[case[0] for case in monoidal_cases()])
-def test_monoidal_validation_matches_string_keyed_reference(name, m, family):
+def test_monoidal_validation_matches_string_keyed_reference(name, make,
+                                                            family):
+    m = make()
     want = monoidal_errors(m)
     assert m.validate() == want
     if family is None:
@@ -339,13 +362,14 @@ def test_monoidal_validation_matches_string_keyed_reference(name, m, family):
     assert str(exc.value) == "monoidal validation failed: %s" % want[0]
 
 
-@pytest.mark.parametrize("name,m,family", [
+@pytest.mark.parametrize("name,make,family", [
     case for case in monoidal_cases() if case[2] is not None],
     ids=[case[0] for case in monoidal_cases() if case[2] is not None])
-def test_two_group_documents_report_the_first_reference_error(name, m,
+def test_two_group_documents_report_the_first_reference_error(name, make,
                                                               family):
     # the document is written from m's dicts, so entries a mutation
     # dropped are missing from it too
+    m = make()
     doc = {"format": 1, "kind": "two_group",
            "base": io.category_to_doc(m.base), "unit_object": m.unit,
            "tensor": {"objects": [[*k, v] for k, v in m.tensor_obj.items()],

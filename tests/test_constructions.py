@@ -151,15 +151,16 @@ def _segal():
 
 
 def _nerves():
-    out = [("nerve-category-%s" % name, lambda c=c: nv.nerve_category(c, 3))
-           for name, c in ex.canned_groupoids()]
+    out = [("nerve-category-%s" % name,
+            lambda name=name: nv.nerve_category(ex.build(name), 3))
+           for name in ex.CANNED_GROUPOIDS]
     out.append(("nerve-category-poset-interval", lambda: nv.nerve_category(
         ex.build("poset-interval"), 4)))
-    for name, g in ex.canned_two_groups():
+    for name in ex.CANNED_TWO_GROUPS:
         out.append(("nerve-2group-%s" % name,
-                    lambda g=g: nv.nerve_2group(g, 3)))
+                    lambda name=name: nv.nerve_2group(ex.build(name), 3)))
         out.append(("segal-nerve-%s" % name,
-                    lambda g=g: nv.segal_nerve(g, 2, 3)))
+                    lambda name=name: nv.segal_nerve(ex.build(name), 2, 3)))
     out.append(("nerve-2group-oneobj-z2-4", lambda: nv.nerve_2group(
         ex.build("oneobj-z2"), 4)))
     return out

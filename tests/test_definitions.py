@@ -2,6 +2,7 @@
 against their definitions, on small random complexes and the canned
 corpus."""
 
+import collections.abc
 import itertools
 
 import pytest
@@ -16,7 +17,7 @@ from reference import (canon, canon_transported_hom, definitional_alpha_bijectiv
                        definitional_faces_compatible, definitional_kan_row,
                        definitional_tuples, position_pull,
                        recursive_map_search, reference_enriched_hom0,
-                       reference_hom1_enriched, tuple_rows)
+                       reference_hom1_enriched, Ticks, tuple_rows)
 
 
 # -- Kan rows on small random complexes ----------------------------------------
@@ -368,7 +369,7 @@ def assert_same_sset(got, want):
 
 
 ENRICHED_CASES = [(x, g, 1) for x in ("s1", "t11")
-                  for g, _ in ex.canned_two_groups()] + [("s1", "oneobj-z2", 3)]
+                  for g in ex.CANNED_TWO_GROUPS] + [("s1", "oneobj-z2", 3)]
 
 
 @pytest.mark.parametrize("xname,gname,n_max", ENRICHED_CASES)
@@ -379,7 +380,7 @@ def test_enriched_hom0_matches_canon_keyed_builder(xname, gname, n_max):
     assert_same_sset(dt.enriched_hom0(x, ng, n_max), want)
 
 
-@pytest.mark.parametrize("gname", [n for n, _ in ex.canned_two_groups()])
+@pytest.mark.parametrize("gname", ex.CANNED_TWO_GROUPS)
 @pytest.mark.parametrize("n_max", [1, 2])
 def test_hom1_enriched_matches_canon_keyed_builder(gname, n_max):
     x = nv.p2_star(ex.build("s1"), 2)
@@ -409,7 +410,7 @@ def pointed(y_sset):
 def hom0_cases():
     spaces = ("s1", "t11", "delta2-reduced")
     cases = [(x, g, lambda g=g: nv.nerve_2group(ex.build(g), 3), 1)
-             for x in spaces for g, _ in ex.canned_two_groups()]
+             for x in spaces for g in ex.CANNED_TWO_GROUPS]
     cases += [("s1", "oneobj-z2", lambda: nv.nerve_2group(
         ex.build("oneobj-z2"), 3), n) for n in (2, 3)]
     cases += [("delta2-reduced", "nerve-z2", lambda: ex.build("nerve-z2"), 2),
@@ -437,7 +438,7 @@ def test_enriched_hom0_refuses_a_source_that_is_not_reduced():
         dt.enriched_hom0(ex.build("delta1"), ex.build("nerve-z2"), 1)
 
 
-@pytest.mark.parametrize("gname", [n for n, _ in ex.canned_two_groups()])
+@pytest.mark.parametrize("gname", ex.CANNED_TWO_GROUPS)
 @pytest.mark.parametrize("n_max", [1, 2])
 def test_hom1_enriched_matches_the_pair_id_builder(gname, n_max):
     x = nv.p2_star(ex.build("s1"), 2)
@@ -451,7 +452,9 @@ def test_hom1_enriched_matches_the_pair_id_builder(gname, n_max):
 
 def depth_first_relative_horn(tables, q, k, tick):
     """The relative box-horn search over the same tables, one boundary
-    tuple after another, one candidate at a time."""
+    tuple after another, one candidate at a time, ticking every
+    candidate of every tuple: it does not stop at the first horn without
+    a filler."""
     acols, cands, horn_keys, vfaces = tables
     slots = [j for j in range(q + 1) if j != k]
 
@@ -460,16 +463,16 @@ def depth_first_relative_horn(tables, q, k, tick):
         if m == q:
             a = tuple(col[t] for col in acols)
             return (a, tuple(partial)) in horn_keys[k]
+        good = True
         for b in cands[slots[m]][t]:
             tick("relative box-horn")
             if any(vfaces[b][slots[i]] != vfaces[partial[i]][slots[m] - 1]
                    for i in range(m)):
                 continue
-            if not rec(t, partial + [b]):
-                return False
-        return True
+            good = rec(t, partial + [b]) and good
+        return good
 
-    return all(rec(t, []) for t in range(len(acols[0])))
+    return all([rec(t, []) for t in range(len(acols[0]))])
 
 
 def unfilled(tables, k, drop):
@@ -482,7 +485,7 @@ def unfilled(tables, k, drop):
                           for j, keys in enumerate(horn_keys)], vfaces
 
 
-@pytest.mark.parametrize("name", [n for n, _ in ex.canned_two_groups()])
+@pytest.mark.parametrize("name", ex.CANNED_TWO_GROUPS)
 def test_relative_horn_search_matches_depth_first_search(name):
     ns = nv.segal_nerve(ex.build(name), 2, 3)
     seen = set()
@@ -492,12 +495,12 @@ def test_relative_horn_search_matches_depth_first_search(name):
             n = len(tables[2][k])
             for drop in ((), (0,), (n // 2,), (n - 1,), tuple(range(0, n, 3))):
                 case = unfilled(tables, k, drop)
-                got, want = [], []
-                ok = nv._relative_horn_extension(ns, p, 2, k, case, got.append)
-                assert ok == depth_first_relative_horn(case, 2, k, want.append)
+                got, want = Ticks(), Ticks()
+                ok = nv._relative_horn_extension(case, k, got)
+                assert ok == depth_first_relative_horn(case, 2, k, want)
                 assert got == want
                 seen.add(ok)
-    # the search both succeeds and stops at a horn without a filler
+    # the search both succeeds and finds a horn without a filler
     assert seen == {True, False}
 
 
@@ -527,7 +530,49 @@ def horn_tables(draw):
 @given(tables=horn_tables())
 def test_relative_horn_search_matches_depth_first_search_on_random_tables(tables):
     for k in range(3):
-        got, want = [], []
-        ok = nv._relative_horn_extension(None, None, 2, k, tables, got.append)
-        assert ok == depth_first_relative_horn(tables, 2, k, want.append)
+        got, want = Ticks(), Ticks()
+        ok = nv._relative_horn_extension(tables, k, got)
+        assert ok == depth_first_relative_horn(tables, 2, k, want)
         assert got == want
+
+
+class CountedReads(collections.abc.Mapping):
+    """A read-only view of a table that counts the reads of its values."""
+
+    def __init__(self, table):
+        self.table, self.reads = table, 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return self.table[key]
+
+    def __iter__(self):
+        return iter(self.table)
+
+    def __len__(self):
+        return len(self.table)
+
+
+def test_relative_horn_search_ticks_each_depth_before_building_it():
+    # the second slot's bucket is the only reader of the vertical faces,
+    # so a guard that fires on the second tick stops the search before
+    # it reads one
+    ns = nv.segal_nerve(ex.build("oneobj-z2"), 2, 3)
+    acols, cands, horn_keys, vfaces = nv._relative_horn_tables(ns, 2, 2)
+    for k in range(3):
+        reads = CountedReads(vfaces)
+        calls = []
+
+        def tick(search, n=1):
+            calls.append(n)
+            if len(calls) == 2:
+                raise sp.SearchBudgetExceeded(search)
+
+        with pytest.raises(sp.SearchBudgetExceeded):
+            nv._relative_horn_extension((acols, cands, horn_keys, reads),
+                                        k, tick)
+        assert reads.reads == 0 and calls[0] > 0
+        # unguarded, the second depth reads them
+        assert nv._relative_horn_extension((acols, cands, horn_keys, reads),
+                                           k, Ticks())
+        assert reads.reads > 0

@@ -23,7 +23,7 @@ from reference import (boundary_alpha, listed_tuples, map_key, permuted,
                        q_simplex_groupoid, reference_column1,
                        reference_det_classes, reference_maps,
                        rank_face_codes, reference_segal_classes,
-                       tuple_rows, unitor_twisted_monoidal)
+                       Ticks, tuple_rows, unitor_twisted_monoidal)
 
 # brute force walks |level|^(slots) candidates; larger cases are left out
 PRODUCT_CAP = 300000
@@ -93,8 +93,8 @@ def complexes():
             ("dd-broken-delta2", dd_broken_delta2),
             ("empty", empty_complex),
             ("topless-delta2", topless_delta2)]
-    out += [("nerve-%s" % name, functools.partial(nv.nerve_2group, g, 2))
-            for name, g in ex.canned_two_groups()]
+    out += [("nerve-%s" % name, lambda name=name: nv.nerve_2group(
+        ex.build(name), 2)) for name in ex.CANNED_TWO_GROUPS]
     return out
 
 
@@ -324,6 +324,10 @@ def unitor_twisted_two_group():
     return ca.certify_two_group(unitor_twisted_monoidal())
 
 
+def disc_s3():
+    return ca.discrete_two_group(gr.symmetric(3))
+
+
 def reference_vmap_mor(lv, phi, q_from, q_to, m):
     """Reindex morphism m of the q_from-simplex groupoid directly
     through _phi_star; its string id."""
@@ -374,23 +378,24 @@ def lopsided_two_group():
 
 
 def segal_level_two_groups():
-    """Every canned 2-group, the inflated disc, the twisted fixture and
-    the lopsided one, each under its own id."""
-    out = [(name, g) for name, g in ex.canned_two_groups()]
-    out += [("inflated-disc-z2", ex.build("inflated-disc-z2")),
-            ("K(Z2,Z2)-dc", unitor_twisted_two_group()),
-            ("lopsided", lopsided_two_group())]
-    return [pytest.param(g, id=name) for name, g in out]
+    """Builders of every canned 2-group, the inflated disc, the twisted
+    fixture and the lopsided one, each under its own id."""
+    out = [(name, functools.partial(ex.build, name))
+           for name in ex.CANNED_TWO_GROUPS + ("inflated-disc-z2",)]
+    out += [("K(Z2,Z2)-dc", unitor_twisted_two_group),
+            ("lopsided", lopsided_two_group)]
+    return [pytest.param(build, id=name) for name, build in out]
 
 
-@pytest.mark.parametrize("g", segal_level_two_groups())
-def test_segal_levels_match_their_definition(g):
+@pytest.mark.parametrize("build", segal_level_two_groups())
+def test_segal_levels_match_their_definition(build):
     """Each morphism of the q-simplex groupoid (q <= 3) is a family of
     arrows out of its source's objects; its target has their targets and
     the pairing morphisms be with f_ik . al = be . (f_ij (x) f_jk); the
     ids increase strictly, and index inverts (source, family): every
     source with every family of arrows out of its objects, listed in
     product order, goes to the one morphism that has them."""
+    g = build()
     lv = nv._SegalLevels(g, 3)
     c, ix = g.base, g.int_index
     for q in range(4):
@@ -446,9 +451,9 @@ def test_segal_levels_of_oneobj_z3_retain_under_5_mb():
     assert held < 5_000_000
 
 
-@pytest.mark.parametrize("g", segal_level_two_groups())
-def test_vmap_tables_match_phi_star(g):
-    lv = nv._SegalLevels(g, 3)
+@pytest.mark.parametrize("build", segal_level_two_groups())
+def test_vmap_tables_match_phi_star(build):
+    lv = nv._SegalLevels(build(), 3)
     for q in range(1, 4):
         for phi, q_from, q_to in \
                 [(nv._delta(i, q), q, q - 1) for i in range(q + 1)] + \
@@ -460,7 +465,7 @@ def test_vmap_tables_match_phi_star(g):
                     reference_vmap_mor(lv, phi, q_from, q_to, m)
 
 
-@pytest.mark.parametrize("name", [n for n, _ in ex.canned_two_groups()])
+@pytest.mark.parametrize("name", ex.CANNED_TWO_GROUPS)
 def test_segal_nerve_levels_and_operators(name):
     ns = nv.segal_nerve(ex.build(name), 2, 3)
     assert ns.validate() == []
@@ -700,7 +705,7 @@ def segal_case(name, pmax, qmax, budget, build=None, id=None):
 
 
 SEGAL_CASES = [segal_case(name, 2, 3, 50000)
-               for name, _ in ex.canned_two_groups()] + [
+               for name in ex.CANNED_TWO_GROUPS] + [
     segal_case("inflated-disc-z2", 2, 2, 50000),
     # level budgets that clip the region
     segal_case("oneobj-z2", 2, 3, 5000, id="oneobj-z2-budget-5000"),
@@ -739,7 +744,7 @@ def test_segal_nerve_matches_string_keyed_reference(build, pmax, qmax, budget,
         reference_segal_nerve(g, pmax, qmax, level_budget=budget))
 
 
-@pytest.mark.parametrize("name", [n for n, _ in ex.canned_two_groups()])
+@pytest.mark.parametrize("name", ex.CANNED_TWO_GROUPS)
 def test_q_simplex_groupoid_matches_reference(name):
     g = ex.build(name)
     # q = 3 only where the reference's all-pairs composition loop is small
@@ -927,14 +932,17 @@ def reversed_ids(g):
                                 lambda i: "m%d" % (99 - i))
 
 
-@pytest.mark.parametrize("g", [pytest.param(g, id=n) for n, g in
-                               ex.canned_two_groups()] +
-                         [pytest.param(
-                             reversed_ids(ex.build("disc-z2-x-oneobj-z2")),
-                             id="disc-z2-x-oneobj-z2-reversed-ids")])
-def test_bimaps_with_cached_index_match_reference(g):
+def reversed_product_ids():
+    return reversed_ids(ex.build("disc-z2-x-oneobj-z2"))
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(functools.partial(ex.build, name), id=name)
+    for name in ex.CANNED_TWO_GROUPS] + [pytest.param(
+        reversed_product_ids, id="disc-z2-x-oneobj-z2-reversed-ids")])
+def test_bimaps_with_cached_index_match_reference(build):
     x = nv.p2_star(ex.build("s1"), 2)
-    ns = nv.segal_nerve(g, 2, 3)
+    ns = nv.segal_nerve(build(), 2, 3)
     mu = nv.mu3_region() & x.region & ns.region
     # mu - {(1, 0)} is not downward closed: level (1, 1) loses its
     # vertical faces from the index key
@@ -948,15 +956,16 @@ def test_bimaps_with_cached_index_match_reference(g):
 
 
 def nerve_fixtures():
-    """(name, 2-group, largest to_dim compared)."""
-    out = [(name, g, 4) for name, g in ex.canned_two_groups()]
-    out += [("disc-z4", ex.build("disc-z4"), 4),
-            ("inflated-disc-z2", ex.build("inflated-disc-z2"), 3),
-            ("disc-s3", ca.discrete_two_group(gr.symmetric(3)), 4),
-            ("disc-z2-x-oneobj-z2-reversed-ids",
-             reversed_ids(ex.build("disc-z2-x-oneobj-z2")), 4),
-            ("unitor-twisted", unitor_twisted_two_group(), 4)]
-    return [pytest.param(g, d, id=name) for name, g, d in out]
+    """(builder of a 2-group, largest to_dim compared), under the
+    2-group's name."""
+    out = [(name, functools.partial(ex.build, name), 4)
+           for name in ex.CANNED_TWO_GROUPS + ("disc-z4",)]
+    out += [("inflated-disc-z2", functools.partial(
+                ex.build, "inflated-disc-z2"), 3),
+            ("disc-s3", disc_s3, 4),
+            ("disc-z2-x-oneobj-z2-reversed-ids", reversed_product_ids, 4),
+            ("unitor-twisted", unitor_twisted_two_group, 4)]
+    return [pytest.param(build, d, id=name) for name, build, d in out]
 
 
 def test_unitor_twisted_fixture_tells_l_from_r():
@@ -970,8 +979,9 @@ def test_unitor_twisted_fixture_tells_l_from_r():
     assert sp.classify(ng, 2).n_kan_groupoid
 
 
-@pytest.mark.parametrize("g,top", nerve_fixtures())
-def test_simplex_keys_match_monoidal_simplices_reference(g, top):
+@pytest.mark.parametrize("build,top", nerve_fixtures())
+def test_simplex_keys_match_monoidal_simplices_reference(build, top):
+    g = build()
     ix = g.int_index
     for q in range(4):
         want = reference_monoidal_simplices(g, q)
@@ -984,10 +994,11 @@ def test_simplex_keys_match_monoidal_simplices_reference(g, top):
         assert nv._simplex_keys(g, q) == keys
 
 
-@pytest.mark.parametrize("g,top", nerve_fixtures())
-def test_nerve_2group_matches_phi_star_reference(g, top):
+@pytest.mark.parametrize("build,top", nerve_fixtures())
+def test_nerve_2group_matches_phi_star_reference(build, top):
     # the nerve holds places; it is compared under its ids, and dumped
     # both ways
+    g = build()
     for to_dim in range(1, top + 1):
         nerve = nv.nerve_2group(g, to_dim)
         got, want = sp.named(nerve), reference_nerve_2group(g, to_dim)
@@ -1005,11 +1016,12 @@ def test_nerve_2group_matches_phi_star_reference(g, top):
         assert io.dumps(nerve) == io.dumps(got) == io.dumps(want)
 
 
-@pytest.mark.parametrize("g,top", nerve_fixtures())
-def test_nerve_2group_levels_are_places_with_list_tables(g, top):
+@pytest.mark.parametrize("build,top", nerve_fixtures())
+def test_nerve_2group_levels_are_places_with_list_tables(build, top):
     # every level is Places and every table the list of its target
     # places; level q <= 3 lists one cell per monoidal_simplices(g, q),
     # under the id of its structure
+    g = build()
     ng = nv.nerve_2group(g, top)
     assert all(isinstance(cells, sp.Places) for cells in ng.levels)
     assert all(isinstance(mp, list) and len(mp) == len(ng.level(k))
@@ -1045,17 +1057,16 @@ def coskeletal_cases():
     """(builder of a Places complex, to_dim): the canned 2-group nerves,
     the inflated one, and the csq' quotients of the canned nerves, put on
     places."""
-    def nerve(g):
-        return functools.partial(nv.nerve_2group, g, 3)
+    def nerve(name):
+        return lambda: nv.nerve_2group(ex.build(name), 3)
 
-    out = [("nerve-%s" % name, nerve(g), 4)
-           for name, g in ex.canned_two_groups()]
-    out += [("nerve-disc-z2-5", nerve(ex.build("disc-z2")), 5),
-            ("nerve-inflated-disc-z2", nerve(ex.build("inflated-disc-z2")),
-             4)]
-    out += [("csq-%s-%d" % (name, n), lambda g=g, n=n: on_places(
-        sp.csq_prime(nv.nerve_2group(g, 3), n)[0]), 4)
-        for name, g in ex.canned_two_groups() for n in range(3)]
+    out = [("nerve-%s" % name, nerve(name), 4)
+           for name in ex.CANNED_TWO_GROUPS]
+    out += [("nerve-disc-z2-5", nerve("disc-z2"), 5),
+            ("nerve-inflated-disc-z2", nerve("inflated-disc-z2"), 4)]
+    out += [("csq-%s-%d" % (name, n), lambda name=name, n=n: on_places(
+        sp.csq_prime(nerve(name)(), n)[0]), 4)
+        for name in ex.CANNED_TWO_GROUPS for n in range(3)]
     return [pytest.param(build, d, id=name) for name, build, d in out]
 
 
@@ -1125,8 +1136,9 @@ def kan_cases():
     out = [(name, build, m) for name, build in complexes()
            if not SHAPES[name][1] for m in range(len(SHAPES[name][0]) - 1)]
     # m = dim needs the coskeletal extension
-    out += [("nerve4-%s" % name, functools.partial(nv.nerve_2group, g, 3), m)
-            for name, g in ex.canned_two_groups()[:3] for m in range(4)]
+    out += [("nerve4-%s" % name,
+             lambda name=name: nv.nerve_2group(ex.build(name), 3), m)
+            for name in ex.CANNED_TWO_GROUPS[:3] for m in range(4)]
     out += [("segal-row2-oneobj-z2",
              lambda: nv.segal_nerve(ex.build("oneobj-z2"), 2, 3).row(2), 2)]
     return [pytest.param(build, m, id="%s-m%d" % (name, m))
@@ -1204,11 +1216,12 @@ def face_code_cases():
     level: the 2-group nerves, the rows of their Segal nerves, the
     coskeletal extensions of both kinds of coskeletal_cases, and the
     complexes of complexes(), on string ids and on places."""
-    out = [("nerve3-%s" % name, functools.partial(nv.nerve_2group, g, 3))
-           for name, g in ex.canned_two_groups()]
-    out += [("segal-row%d-%s" % (p, name), lambda g=g, p=p:
-             nv.segal_nerve(g, 2, 3).row(p))
-            for name, g in ex.canned_two_groups() for p in range(3)]
+    out = [("nerve3-%s" % name,
+            lambda name=name: nv.nerve_2group(ex.build(name), 3))
+           for name in ex.CANNED_TWO_GROUPS]
+    out += [("segal-row%d-%s" % (p, name), lambda name=name, p=p:
+             nv.segal_nerve(ex.build(name), 2, 3).row(p))
+            for name in ex.CANNED_TWO_GROUPS for p in range(3)]
     out += [("extended-" + case.id, lambda case=case: sp.coskeletal_extend(
         case.values[0](), case.values[1])) for case in coskeletal_cases()
         if case.id in ("nerve-disc-z2", "csq-oneobj-z2-1")]
@@ -1349,7 +1362,7 @@ def test_kan_groupoid_matches_classify(build, m, monkeypatch):
     assert got == (rep.n_kan_groupoid, rep.checked_dims)
 
 
-@pytest.mark.parametrize("name", [n for n, _ in ex.canned_two_groups()])
+@pytest.mark.parametrize("name", ex.CANNED_TWO_GROUPS)
 def test_kan_rows_and_classify_on_segal_rows_match_reference(name):
     ns = nv.segal_nerve(ex.build(name), 2, 3)
     for p in range(3):
@@ -1657,8 +1670,8 @@ def reference_pi_iso(pik, pil, comp, m):
 
 
 def reference_boundary_horn_extension(x_bx, p, q, k, tick):
-    """The boundary-horn search with per-cell face calls, ticking once
-    per candidate tried."""
+    """The boundary-horn search with per-cell face calls: each listed
+    horn tuple, ticked once, is lifted candidate by candidate."""
     if (p - 1, q) not in x_bx.region or (p - 1, q - 1) not in x_bx.region:
         return True
     idx = {}
@@ -1677,7 +1690,6 @@ def reference_boundary_horn_extension(x_bx, p, q, k, tick):
         if i == p + 1:
             return True
         for cand in idx.get(tgt[i], []):
-            tick("boundary-horn lift")
             if p - 1 >= 1 and any(
                     x_bx.hface[p - 1, q, i - 1][partial[a]] !=
                     x_bx.hface[p - 1, q, a][cand] for a in range(i)):
@@ -1686,12 +1698,16 @@ def reference_boundary_horn_extension(x_bx, p, q, k, tick):
                 return True
         return False
 
+    for _ in targets:
+        tick("boundary-horn lift")
     return all(lift(tgt, 0, []) for tgt in targets)
 
 
 def reference_relative_horn_extension(x_bx, p, q, k, tick):
     """The relative box-horn search with its index of level (p, q) and
-    every a-tuple's candidate lists rebuilt per horn index k."""
+    every a-tuple's candidate lists rebuilt per horn index k, ticking
+    every candidate of every a-tuple: it does not stop at the first horn
+    without a filler."""
     if any(t not in x_bx.region for t in [(p, q), (p - 1, q), (p, q - 1)]):
         return True
     bidx = {}
@@ -1703,6 +1719,7 @@ def reference_relative_horn_extension(x_bx, p, q, k, tick):
         vkey = tuple(x_bx.vface[p, q, j][x] for j in range(q + 1) if j != k)
         full_idx.setdefault((hkey, vkey), []).append(x)
     slots = [j for j in range(q + 1) if j != k]
+    good = True
     for a_tuple in listed_tuples(x_bx.level(p - 1, q),
                                  x_bx.face_table(p - 1, q, "h"), p - 1):
         cand_lists = []
@@ -1715,6 +1732,7 @@ def reference_relative_horn_extension(x_bx, p, q, k, tick):
             if m == q:
                 return bool(full_idx.get((a_tuple, tuple(partial)), []))
             j = slots[m]
+            filled = True
             for cand in cand_lists[m]:
                 tick("relative box-horn")
                 if q - 1 >= 1 and any(
@@ -1723,14 +1741,11 @@ def reference_relative_horn_extension(x_bx, p, q, k, tick):
                         for mi in range(m)):
                     continue
                 partial.append(cand)
-                good = rec(m + 1, partial)
+                filled = rec(m + 1, partial) and filled
                 partial.pop()
-                if not good:
-                    return False
-            return True
-        if not rec(0, []):
-            return False
-    return True
+            return filled
+        good = rec(0, []) and good
+    return good
 
 
 def reference_fibrancy(x_bx, n=2):
@@ -1764,11 +1779,7 @@ def reference_fibrancy(x_bx, n=2):
                         continue
                     ok = reference_pi_iso(pis[k][m], pis[l][m], comp, m)
                     items.append(("weq-phi%s-pi%d" % (phi, m), bool(ok), ""))
-    ticks = [0]
-
-    def tick(search):
-        ticks[0] += 1
-
+    tick = Ticks()
     for k in range(3):
         items.append(("(iii)-k%d" % k, bool(
             reference_boundary_horn_extension(x_bx, 2, 2, k, tick)), ""))
@@ -1776,7 +1787,7 @@ def reference_fibrancy(x_bx, n=2):
         for k in range(3):
             items.append(("(iv)-p%d-k%d" % (p, k), bool(
                 reference_relative_horn_extension(x_bx, p, 2, k, tick)), ""))
-    return items, ticks[0]
+    return items, sum(tick.values())
 
 
 def clipped_oneobj_z2():
@@ -1786,13 +1797,27 @@ def clipped_oneobj_z2():
         return nv.segal_nerve(ex.build("oneobj-z2"), 2, 3)
 
 
+def oneobj_z2_without_2_2():
+    """segal_nerve(oneobj-z2, 2, 3) over rectangle(2, 2) less (2, 2):
+    (iii) reads levels (1, 1) and (1, 2) only, (iv) at p = 2 needs
+    (2, 2)."""
+    return nv.restrict_region(nv.segal_nerve(ex.build("oneobj-z2"), 2, 3),
+                              nv.rectangle(2, 2) - {(2, 2)})
+
+
 def fibrancy_cases():
-    out = [pytest.param(lambda g=g: nv.segal_nerve(g, 2, 3), id=name)
-           for name, g in ex.canned_two_groups()]
+    out = [pytest.param(lambda name=name: nv.segal_nerve(ex.build(name), 2, 3),
+                        id=name) for name in ex.CANNED_TWO_GROUPS]
     # level (2, 3) dropped: pi_2 of row 2 is not checked
     out.append(pytest.param(clipped_oneobj_z2, id="oneobj-z2-clipped"))
     out.append(pytest.param(lambda: nv.p2_star(sp.sphere(1, 3), 2),
                             id="p2-star-s1-not-fibrant"))
+    # (iii) decided, (iv) at p = 2 outside the region
+    out.append(pytest.param(oneobj_z2_without_2_2,
+                            id="oneobj-z2-without-2-2"))
+    # (iii) and (iv) at p = 1 fail
+    out.append(pytest.param(lambda: nv.p2_star(ex.build("t11"), 2),
+                            id="p2-star-t11"))
     return out
 
 
@@ -1811,25 +1836,38 @@ def test_fibrancy_reference_cases_cover_skips_and_failures():
     assert ("row-2-pi2-available", True, "skipped: pi_2 needs level 3") in items
     items, _ = reference_fibrancy(nv.p2_star(sp.sphere(1, 3), 2))
     assert not all(ok for _, ok, _ in items)
+    x_bx = oneobj_z2_without_2_2()
+    ticks = Ticks()
+    assert nv._boundary_horn_extension(x_bx, ticks) == [True] * 3
+    assert ticks["boundary-horn lift"] > 0
+    assert nv._relative_horn_tables(x_bx, 2, 2) is None
+    items, _ = reference_fibrancy(nv.p2_star(ex.build("t11"), 2))
+    failed = {label for label, ok, _ in items if not ok}
+    assert {"(iii)-k0", "(iii)-k1", "(iii)-k2", "(iv)-p1-k0"} <= failed
 
 
 @pytest.mark.parametrize("space,seed", [("t11", 0), ("t11", 1), ("s1", 2),
-                                        ("t12", 3)])
+                                        ("t12", 3), ("nerve-z2", 4),
+                                        ("nerve-z3", 5)])
 def test_fibrancy_searches_on_permuted_string_ids_match_reference(space, seed):
     # on string ids out of sorted order, face_index lists each group in
-    # another order than the level's, so only the candidate order moves
-    x_bx = nv.p2_star(permuted(ex.build(space), seed), 2)
-    got, want = [], []
-    for k in range(3):
-        got.append(nv._boundary_horn_extension(x_bx, 2, 2, k, len))
-        want.append(reference_boundary_horn_extension(x_bx, 2, 2, k, len))
+    # another order than the level's, so only the candidate order moves;
+    # (iii) fails on the collapsed cylinders and the circle, and holds on
+    # the nerves
+    x_bx = nv.p2_star(permuted(sp.named(ex.build(space)), seed), 2)
+    ticks, want_ticks = Ticks(), Ticks()
+    got = nv._boundary_horn_extension(x_bx, ticks)
+    want = [reference_boundary_horn_extension(x_bx, 2, 2, k, want_ticks)
+            for k in range(3)]
+    assert want == [space.startswith("nerve")] * 3
     for p in (1, 2):
         tables = nv._relative_horn_tables(x_bx, p, 2)
         for k in range(3):
-            got.append(nv._relative_horn_extension(x_bx, p, 2, k, tables, len))
-            want.append(reference_relative_horn_extension(x_bx, p, 2, k, len))
+            got.append(nv._relative_horn_extension(tables, k, ticks))
+            want.append(reference_relative_horn_extension(x_bx, p, 2, k,
+                                                          want_ticks))
     assert got == want
-    assert set(want) == {True, False}
+    assert ticks == want_ticks
 
 
 def test_bimap_index_skips_levels_without_free_cells():
@@ -1843,7 +1881,7 @@ def test_bimap_index_skips_levels_without_free_cells():
     assert [key for key in ns._face_indexes if key[:2] == (2, 3)] == []
 
 
-@pytest.mark.parametrize("name", [n for n, _ in ex.canned_two_groups()])
+@pytest.mark.parametrize("name", ex.CANNED_TWO_GROUPS)
 def test_bimaps_from_p1_products_match_reference(name):
     # the sources hom1_enriched builds: X x p1*(Delta^n) has free cells
     # at (n', q) for n' <= n and q <= 1
@@ -2041,21 +2079,22 @@ def map_keys(maps):
 
 
 def group_cases():
-    return [pytest.param(x, ex.build(h), id="%s-%s" % (sn, h))
-            for sn, x in ex.reduced_test_spaces() for h in ("z2", "z3", "s3")]
+    return [pytest.param(sn, h, id="%s-%s" % (sn, h))
+            for sn in ex.REDUCED_TEST_SPACES for h in ("z2", "z3", "s3")]
 
 
 def two_group_cases():
     # the canned 2-groups are all symmetric; in Disc(S3) the order of the
     # factors of a tensor and of the associator's arguments shows
-    groups = ex.canned_two_groups() + [
-        ("disc-s3", ca.discrete_two_group(gr.symmetric(3)))]
-    return [pytest.param(x, g, id="%s-%s" % (sn, gn))
-            for sn, x in ex.reduced_test_spaces() for gn, g in groups]
+    groups = [(gn, functools.partial(ex.build, gn))
+              for gn in ex.CANNED_TWO_GROUPS] + [("disc-s3", disc_s3)]
+    return [pytest.param(sn, build, id="%s-%s" % (sn, gn))
+            for sn in ex.REDUCED_TEST_SPACES for gn, build in groups]
 
 
-@pytest.mark.parametrize("x,h", group_cases())
-def test_additive_and_maps_into_group_nerve_match_reference(x, h):
+@pytest.mark.parametrize("xname,hname", group_cases())
+def test_additive_and_maps_into_group_nerve_match_reference(xname, hname):
+    x, h = ex.build(xname), ex.build(hname)
     want, ticks = reference_additive(x, h)
     assert dt.enumerate_additive(x, h) == want
     assert_ticks(lambda: dt.enumerate_additive(x, h), ticks)
@@ -2065,8 +2104,9 @@ def test_additive_and_maps_into_group_nerve_match_reference(x, h):
     assert_ticks(lambda: sp.enumerate_maps(x, ner, upto=x.dim), ticks)
 
 
-@pytest.mark.parametrize("x,g", two_group_cases())
-def test_determinant_searches_match_reference(x, g):
+@pytest.mark.parametrize("xname,build", two_group_cases())
+def test_determinant_searches_match_reference(xname, build):
+    x, g = ex.build(xname), build()
     ng = nv.nerve_2group(g, 3)
     want, ticks = reference_maps(x, ng, x.dim)
     assert map_keys(sp.enumerate_maps(x, ng, upto=x.dim)) == map_keys(want)
@@ -2087,16 +2127,17 @@ def delta4_draw():
         d4, [sorted(cells) for cells in keep]))
 
 
-@pytest.mark.parametrize("x,g", [
-    pytest.param(ex.build("delta2-reduced"), unitor_twisted_two_group(),
-                 id="delta2-reduced-unitor-twisted"),
-    pytest.param(ex.build("t11"), unitor_twisted_two_group(),
+@pytest.mark.parametrize("build_x,build_g", [
+    pytest.param(functools.partial(ex.build, "delta2-reduced"),
+                 unitor_twisted_two_group, id="delta2-reduced-unitor-twisted"),
+    pytest.param(functools.partial(ex.build, "t11"), unitor_twisted_two_group,
                  id="t11-unitor-twisted"),
-    pytest.param(delta4_draw(), ex.build("oneobj-z2"),
+    pytest.param(delta4_draw, functools.partial(ex.build, "oneobj-z2"),
                  id="delta4-draw-oneobj-z2")])
-def test_det_classes_match_reference(x, g):
+def test_det_classes_match_reference(build_x, build_g):
     # the transport classes against the pairwise closure, beyond the
     # pairs of test_determinant_searches_match_reference
+    x, g = build_x(), build_g()
     dets = dt.enumerate_determinants(x, g)
     classes = dt.pi0_det(x, g, dets)
     assert classes == reference_det_classes(x, g, dets)
@@ -2140,21 +2181,21 @@ def test_base_pinned_before_the_map_search():
 
 
 def segal_determinant_cases():
-    out = [pytest.param("s1", g, id=name)
-           for name, g in ex.canned_two_groups()]
+    out = [pytest.param("s1", functools.partial(ex.build, name), id=name)
+           for name in ex.CANNED_TWO_GROUPS]
     # the reduced 2-simplex has two independent edges, so D takes values
     # that need not commute in Disc(S3) (in s1 and t11 all edges have one
     # D value there); in the unitor-twisted 2-group l and r differ
-    out += [pytest.param("delta2-reduced",
-                         ca.discrete_two_group(gr.symmetric(3)),
+    out += [pytest.param("delta2-reduced", disc_s3,
                          id="delta2-reduced-disc-s3"),
-            pytest.param("delta2-reduced", unitor_twisted_two_group(),
+            pytest.param("delta2-reduced", unitor_twisted_two_group,
                          id="delta2-reduced-unitor-twisted")]
     return out
 
 
-@pytest.mark.parametrize("space,g", segal_determinant_cases())
-def test_segal_determinants_match_reference(space, g):
+@pytest.mark.parametrize("space,build", segal_determinant_cases())
+def test_segal_determinants_match_reference(space, build):
+    g = build()
     x_bx = nv.p2_star(ex.build(space), 2)
     want, ticks = reference_segal_determinants(x_bx, g)
     got = dt.enumerate_segal_determinants(x_bx, g)
@@ -2167,14 +2208,15 @@ def segal_class_cases():
     # Disc(S3) has only identities, so every determinant is its own
     # class; the unitor-twisted 2-group has homotopies between distinct
     # determinants
-    return [pytest.param(space, g, id="%s-%s" % (space, gn))
+    return [pytest.param(space, build, id="%s-%s" % (space, gn))
             for space in ("delta2-reduced", "t11")
-            for gn, g in (("disc-s3", ca.discrete_two_group(gr.symmetric(3))),
-                          ("unitor-twisted", unitor_twisted_two_group()))]
+            for gn, build in (("disc-s3", disc_s3),
+                              ("unitor-twisted", unitor_twisted_two_group))]
 
 
-@pytest.mark.parametrize("space,g", segal_class_cases())
-def test_segal_det_morphisms_match_reference(space, g):
+@pytest.mark.parametrize("space,build", segal_class_cases())
+def test_segal_det_morphisms_match_reference(space, build):
+    g = build()
     # the transport classes against the pairwise closure of the
     # homotopies of the column X_{*,1}
     x_bx = nv.p2_star(ex.build(space), 2)
@@ -2413,13 +2455,14 @@ def det_key(d_fun, t_fun):
     return (tuple(sorted(d_fun.items())), tuple(sorted(t_fun.items())))
 
 
-@pytest.mark.parametrize("x,g", [
-    pytest.param(ex.build(xn), ex.build(gn), id="%s-%s" % (xn, gn))
+@pytest.mark.parametrize("xname,gname", [
+    pytest.param(xn, gn, id="%s-%s" % (xn, gn))
     for xn, gn in (("delta2-reduced", "disc-z3"),
                    ("delta2-reduced", "disc-z2-x-oneobj-z2"),
                    ("t11", "disc-z2"), ("t11", "oneobj-z3"),
                    ("s1", "disc-z2"))])
-def test_determinants_match_their_definition(x, g):
+def test_determinants_match_their_definition(xname, gname):
+    x, g = ex.build(xname), ex.build(gname)
     want = definitional_determinants(x, g)
     got = [det_key(d, t) for d, t in dt.enumerate_determinants(x, g)]
     assert len(want) > 1
@@ -2450,10 +2493,12 @@ def reference_pi_cells(x, m, a):
 
 
 def pi_cell_cases():
-    out = [("nerve-%s" % name, lambda g=g: nv.nerve_2group(g, 3))
-           for name, g in ex.canned_two_groups()]
-    out += [("nerve-%s" % name, lambda c=c: nv.nerve_category(c, 3))
-            for name, c in ex.canned_groupoids()]
+    out = [("nerve-%s" % name,
+            lambda name=name: nv.nerve_2group(ex.build(name), 3))
+           for name in ex.CANNED_TWO_GROUPS]
+    out += [("nerve-%s" % name,
+             lambda name=name: nv.nerve_category(ex.build(name), 3))
+            for name in ex.CANNED_GROUPOIDS]
     out += [("dd-broken-delta2", dd_broken_delta2),
             ("segal-row0-disc-z2",
              lambda: nv.segal_nerve(ex.build("disc-z2"), 2, 3).row(0))]
@@ -2508,7 +2553,6 @@ def reference_relative_horn_tables(x_bx, p, q):
 
 
 @pytest.mark.parametrize("build", fibrancy_cases() + [
-    pytest.param(lambda: nv.p2_star(ex.build("t11"), 2), id="p2-star-t11"),
     pytest.param(lambda: nv.segal_nerve(ex.build("disc-z3"), 2, 1),
                  id="disc-z3-outside-the-region")])
 def test_relative_horn_tables_match_per_tuple_keys(build):
@@ -2522,8 +2566,8 @@ def test_relative_horn_tables_match_per_tuple_keys(build):
             assert all(type(c) is list for col in got[1] for c in col)
 
 
-# (iv) candidates tried on segal_nerve(g, 2, 3), per p in (1, 2); every
-# search succeeds and the count is the same for each horn index k
+# (iv) candidates considered on segal_nerve(g, 2, 3), per p in (1, 2);
+# every search succeeds and the count is the same for each horn index k
 RELATIVE_HORN_TICKS = {
     "disc-z2": (12, 8),
     "disc-z3": (36, 18),
@@ -2533,16 +2577,15 @@ RELATIVE_HORN_TICKS = {
 }
 
 
-@pytest.mark.parametrize("name", [n for n, _ in ex.canned_two_groups()])
+@pytest.mark.parametrize("name", ex.CANNED_TWO_GROUPS)
 def test_relative_horn_search_tick_counts(name):
     ns = nv.segal_nerve(ex.build(name), 2, 3)
     for p, want in zip((1, 2), RELATIVE_HORN_TICKS[name]):
         tables = nv._relative_horn_tables(ns, p, 2)
         for k in range(3):
-            ticks = []
-            assert nv._relative_horn_extension(ns, p, 2, k, tables,
-                                               ticks.append)
-            assert ticks == ["relative box-horn"] * want
+            ticks = Ticks()
+            assert nv._relative_horn_extension(tables, k, ticks)
+            assert dict(ticks) == {"relative box-horn": want}
 
 
 # -- the Segal nerve on places against its named rendering ---------------------
@@ -2554,7 +2597,7 @@ def renamed(x, k, cells):
     return tuple(None if c is None else name(c) for c in cells)
 
 
-@pytest.mark.parametrize("name", [n for n, _ in ex.canned_two_groups()])
+@pytest.mark.parametrize("name", ex.CANNED_TWO_GROUPS)
 def test_segal_lines_agree_with_their_named_rendering(name):
     ns = nv.segal_nerve(ex.build(name), 2, 3)
     named = nv.named(ns)

@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 
 from kanforge import simplicial as sp
@@ -41,7 +43,7 @@ def test_groupoid_round_trip():
             again, nv.nerve_category(grpd, 2)) is not None
 
 
-@pytest.mark.parametrize("name", [name for name, _ in ex.canned_groupoids()])
+@pytest.mark.parametrize("name", ex.CANNED_GROUPOIDS)
 def test_nerve_category_lists_level_1_in_morphism_order(name):
     grpd = dict(ex.canned_groupoids())[name]
     ner = sp.named(nv.nerve_category(grpd, 2))
@@ -55,25 +57,32 @@ def test_nerve_category_lists_level_1_in_morphism_order(name):
         assert ner.degen[0, 0][x] == cell[grpd.ident[x]]
 
 
-def nerve_category_cases():
-    out = list(ex.canned_groupoids())
-    out += [("poset-interval", ex.build("poset-interval")),
-            ("oneobj-s3", ca.one_object_groupoid(gr.symmetric(3)))]
-    out += [("base-%s" % name, g.base) for name, g in ex.canned_two_groups()]
-    out.append(("base-inflated-disc-z2", ex.build("inflated-disc-z2").base))
-    # the arrows out of one object not next to each other
+def indiscrete_3_by_target():
+    """indiscrete-3 with the arrows out of one object not next to each
+    other."""
     c = ex.build("indiscrete-3")
-    out.append(("indiscrete-3-by-target", ca.FinGroupoid(
+    return ca.FinGroupoid(
         c.objects, sorted(c.morphisms, key=c.tgt.__getitem__), c.src, c.tgt,
-        c.ident, c.comp_table, c.inv_table)))
-    return [pytest.param(c, id=name) for name, c in out]
+        c.ident, c.comp_table, c.inv_table)
+
+
+def nerve_category_cases():
+    """Builders of the categories whose nerves are compared, by name."""
+    out = [(name, functools.partial(ex.build, name))
+           for name in ex.CANNED_GROUPOIDS + ("poset-interval",)]
+    out.append(("oneobj-s3", lambda: ca.one_object_groupoid(gr.symmetric(3))))
+    out += [("base-%s" % name, lambda name=name: ex.build(name).base)
+            for name in ex.CANNED_TWO_GROUPS + ("inflated-disc-z2",)]
+    out.append(("indiscrete-3-by-target", indiscrete_3_by_target))
+    return [pytest.param(build, id=name) for name, build in out]
 
 
 @pytest.mark.parametrize("dim", range(5))
-@pytest.mark.parametrize("cat", nerve_category_cases())
-def test_nerve_category_matches_the_chain_by_chain_build(cat, dim):
+@pytest.mark.parametrize("build", nerve_category_cases())
+def test_nerve_category_matches_the_chain_by_chain_build(build, dim):
     # the nerve on places, named, is the nerve built on string ids: the
     # levels, each table's items in order, the flag and the base
+    cat = build()
     got, want = sp.named(nv.nerve_category(cat, dim)), \
         reference_nerve_category(cat, dim)
     assert (got.dim, got.levels, got.coskeletal_at, got.base) == \

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import os
@@ -527,12 +528,18 @@ def test_cli_kan_classify_pi_reject_a_file_that_is_not_a_simplicial_set(
 
 
 def malformed_documents():
-    """(name, document) with one malformed operator table, level list,
-    cell id, flag, group table, morphism or tensor each."""
-    def edited(obj, edit):
-        doc = json.loads(io.dumps(obj))
-        edit(doc)
-        return doc
+    """(name, a function that makes the document) with one malformed
+    operator table, level list, cell id, flag, group table, morphism or
+    tensor each."""
+    def edited(build, edit):
+        def make():
+            doc = json.loads(io.dumps(build()))
+            edit(doc)
+            return doc
+        return make
+
+    def example(name):
+        return functools.partial(ex.build, name)
 
     def repeat_01(doc):
         # level 1 lists 01 twice, each array out of it aligned, and no
@@ -545,8 +552,11 @@ def malformed_documents():
         level.append("01")
         del doc["coskeletal_at"]
 
-    delta2 = ex.build("delta2")
-    star = nv.p2_star(ex.build("s1"), 2)
+    delta2 = example("delta2")
+
+    def star():
+        return nv.p2_star(ex.build("s1"), 2)
+
     cases = [
         ("level-out-of-range", edited(delta2, lambda d: d["face"].update(
             {"7.0": d["face"]["1.0"]}))),
@@ -567,32 +577,33 @@ def malformed_documents():
                                       .__setitem__(0, [1]))),
         ("cell-id-not-a-string", edited(delta2, lambda d: d["levels"][0]
                                         .__setitem__(0, {"a": 1}))),
-        ("repeated-cell-id", edited(ex.build("delta1"), repeat_01)),
+        ("repeated-cell-id", edited(example("delta1"), repeat_01)),
         ("coskeletal-at-not-a-dimension", edited(delta2, lambda d: d.update(
             coskeletal_at="x"))),
         ("base-not-a-string", edited(delta2, lambda d: d.update(base=["0"]))),
         ("bisimplicial-cell-id-not-a-string", edited(
             star, lambda d: d["levels"][1][1].__setitem__(0, 7))),
-        ("group-table-not-a-list", edited(ex.build("z2"), lambda d: d.update(
+        ("group-table-not-a-list", edited(example("z2"), lambda d: d.update(
             table=5))),
         ("groupoid-morphism-without-id", edited(
-            ex.build("groupoid-z2"), lambda d: d["morphisms"][0].pop("id"))),
+            example("groupoid-z2"), lambda d: d["morphisms"][0].pop("id"))),
         ("two-group-tensor-a-list", edited(
-            ex.build("disc-z2"), lambda d: d.update(tensor=[]))),
+            example("disc-z2"), lambda d: d.update(tensor=[]))),
         # well-formed documents whose tables name what is not there
-        ("group-table-missing-a-row", edited(ex.build("z2"), lambda d: d[
+        ("group-table-missing-a-row", edited(example("z2"), lambda d: d[
             "table"].pop())),
         ("groupoid-composite-not-a-morphism", edited(
-            ex.build("groupoid-z2"),
+            example("groupoid-z2"),
             lambda d: d["comp"][0].__setitem__(2, "x"))),
         ("two-group-unit-not-an-object", edited(
-            ex.build("disc-z2"), lambda d: d.update(unit_object="x"))),
+            example("disc-z2"), lambda d: d.update(unit_object="x"))),
     ]
     return [pytest.param(name, doc, id=name) for name, doc in cases]
 
 
-@pytest.mark.parametrize("name,doc", malformed_documents())
-def test_cli_validate_malformed_operator_tables_exit_two(tmp_path, name, doc):
+@pytest.mark.parametrize("name,make", malformed_documents())
+def test_cli_validate_malformed_operator_tables_exit_two(tmp_path, name, make):
+    doc = make()
     # a separate interpreter, so that a traceback would show as one
     path = tmp_path / ("%s.json" % name)
     path.write_text(json.dumps(doc), encoding="utf-8")
