@@ -426,16 +426,8 @@ class IntIndex:
 
 
 class TwoGroup(MonoidalStructure):
-    """A monoidal groupoid with inversion witnesses for every object."""
-
-    def __init__(self, base, tensor_obj, tensor_mor, unit, assoc, lunit, runit,
-                 iota_d=None, iota_g=None, alpha=None, beta=None, name="G"):
-        super().__init__(base, tensor_obj, tensor_mor, unit, assoc, lunit, runit,
-                         name=name)
-        self.iota_d = iota_d    # obj -> obj     with alpha_X : X (x) iota_d X -> 1
-        self.iota_g = iota_g    # obj -> obj     with beta_X : iota_g X (x) X -> 1
-        self.alpha_w = alpha
-        self.beta_w = beta
+    """A monoidal groupoid in which certify_two_group found every object
+    invertible; the witnesses are searched, not stored."""
 
 
 class CertifyFailure(CatError):
@@ -492,8 +484,7 @@ def certify_two_group(m):
         if len(sols) != 1:
             raise CertifyFailure(x)
     return TwoGroup(m.base, m.tensor_obj, m.tensor_mor, m.unit, m.assoc,
-                    m.lunit, m.runit, iota_d=iota_d, iota_g=iota_g,
-                    alpha=alpha, beta=beta, name=m.name)
+                    m.lunit, m.runit, name=m.name)
 
 
 def pi0_two_group(g):
@@ -525,114 +516,6 @@ def pi1_two_group(g):
     if not grp.is_abelian():
         raise CatError("pi1 of a 2-group must be commutative")
     return grp
-
-
-class LaxUnitaryFunctor:
-    """Unit-preserving lax monoidal functor with explicit components."""
-
-    def __init__(self, source, target, obj_map, mor_map, m_comp, name="F"):
-        self.source = source
-        self.target = target
-        self.obj_map = dict(obj_map)
-        self.mor_map = dict(mor_map)
-        self.m_comp = dict(m_comp)      # (X, Y) -> F(X)(x)F(Y) -> F(X(x)Y)
-        self.name = name
-
-    def fo(self, x):
-        return self.obj_map[x]
-
-    def fm(self, f):
-        return self.mor_map[f]
-
-    def m(self, x, y):
-        return self.m_comp[(x, y)]
-
-    def validate(self):
-        src, tgt = self.source, self.target
-        cs, ct = src.base, tgt.base
-        errs = []
-        for x in cs.objects:
-            if self.obj_map.get(x) not in ct.objects:
-                errs.append("object image of %s undefined" % x)
-        for f in cs.morphisms:
-            ff = self.mor_map.get(f)
-            if ff is None or ct.src[ff] != self.fo(cs.src[f]) \
-                    or ct.tgt[ff] != self.fo(cs.tgt[f]):
-                errs.append("morphism image of %s malformed" % f)
-        if errs:
-            return errs
-        for x in cs.objects:
-            if self.fm(cs.id_of(x)) != ct.id_of(self.fo(x)):
-                errs.append("identities not preserved at %s" % x)
-        for g in cs.morphisms:
-            for f in cs.morphisms:
-                if cs.composable(g, f):
-                    if self.fm(cs.comp(g, f)) != ct.comp(self.fm(g), self.fm(f)):
-                        errs.append("composition not preserved at (%s,%s)" % (g, f))
-        if self.fo(src.unit) != tgt.unit:
-            errs.append("unit object not preserved")
-        for x in cs.objects:
-            for y in cs.objects:
-                mc = self.m_comp.get((x, y))
-                if mc is None or \
-                   ct.src[mc] != tgt.t(self.fo(x), self.fo(y)) or \
-                   ct.tgt[mc] != self.fo(src.t(x, y)):
-                    errs.append("lax component at (%s,%s) malformed" % (x, y))
-        if errs:
-            return errs
-        # naturality of m
-        for f in cs.morphisms:
-            for g in cs.morphisms:
-                x, y = cs.src[f], cs.src[g]
-                x2, y2 = cs.tgt[f], cs.tgt[g]
-                lhs = ct.comp(self.fm(src.tm(f, g)), self.m(x, y))
-                rhs = ct.comp(self.m(x2, y2), tgt.tm(self.fm(f), self.fm(g)))
-                if lhs != rhs:
-                    errs.append("m not natural at (%s,%s)" % (f, g))
-        # hexagon
-        for x in cs.objects:
-            for y in cs.objects:
-                for z in cs.objects:
-                    lhs = ct.comp(self.fm(src.a(x, y, z)),
-                                  ct.comp(self.m(src.t(x, y), z),
-                                          tgt.tm(self.m(x, y),
-                                                 ct.id_of(self.fo(z)))))
-                    rhs = ct.comp(self.m(x, src.t(y, z)),
-                                  ct.comp(tgt.tm(ct.id_of(self.fo(x)),
-                                                 self.m(y, z)),
-                                          tgt.a(self.fo(x), self.fo(y), self.fo(z))))
-                    if lhs != rhs:
-                        errs.append("hexagon fails at (%s,%s,%s)" % (x, y, z))
-        # unit coherence
-        for x in cs.objects:
-            if ct.comp(self.m(src.unit, x), tgt.l(self.fo(x))) != self.fm(src.l(x)):
-                errs.append("left unit coherence fails at %s" % x)
-            if ct.comp(self.m(x, src.unit), tgt.r(self.fo(x))) != self.fm(src.r(x)):
-                errs.append("right unit coherence fails at %s" % x)
-        return errs
-
-
-def pi0_map(f_fun):
-    g, h = pi0_two_group(f_fun.source), pi0_two_group(f_fun.target)
-    rep_h = f_fun.target.base.iso_rep()
-    return g, h, {r: rep_h[f_fun.fo(r)] for r in g.elements}
-
-
-def pi1_map(f_fun):
-    g, h = pi1_two_group(f_fun.source), pi1_two_group(f_fun.target)
-    return g, h, {phi: f_fun.fm(phi) for phi in g.elements}
-
-
-def is_weak_equivalence(f_fun):
-    """True iff pi0 F and pi1 F are group isomorphisms."""
-    errs = f_fun.validate()
-    if errs:
-        raise CatError("functor does not validate: %s" % errs[0])
-    for side in (pi0_map, pi1_map):
-        g, h, mapping = side(f_fun)
-        if g.iso_failure(h, mapping):
-            return False
-    return True
 
 
 # -- canned constructions --------------------------------------------------

@@ -784,30 +784,6 @@ def mu3_region():
     return {(p, q) for p in range(4) for q in range(4) if p + q <= 3}
 
 
-def box(a_sset, b_sset, region=None):
-    """Box product: level (p,q) = A_p x B_q with horizontal (resp.
-    vertical) operators from A (resp. B)."""
-    if region is None:
-        region = rectangle(a_sset.dim, b_sset.dim)
-
-    def bid(x, y):
-        return "(%s#%s)" % (x, y)
-
-    cols = {(p, q): sp.product_columns([a_sset.level(p), b_sset.level(q)])
-            for p, q in region}
-    levels = {pq: list(map(bid, xs, ys)) for pq, (xs, ys) in cols.items()}
-
-    def op(name, p, q, i):
-        xs, ys = cols[p, q]
-        if name[0] == "h":
-            xs = sp.column(xs, (getattr(a_sset, name[1:])[p, i],))
-        else:
-            ys = sp.column(ys, (getattr(b_sset, name[1:])[q, i],))
-        return dict(zip(levels[p, q], map(bid, xs, ys)))
-
-    return build_bisimplicial(region, levels, op)
-
-
 def restrict_region(bx, region):
     """bx over the levels of region that it stores, sharing their level
     lists and operator tables."""

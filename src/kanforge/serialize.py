@@ -309,7 +309,10 @@ def category_from_doc(doc):
 
 
 def two_group_to_doc(g):
-    doc = {"format": 1, "kind": "two_group",
+    """The document of a monoidal structure, of kind "two_group" when g
+    is a certified TwoGroup and "monoidal" otherwise."""
+    kind = "two_group" if isinstance(g, ca.TwoGroup) else "monoidal"
+    doc = {"format": 1, "kind": kind,
            "base": category_to_doc(g.base),
            "unit_object": g.unit,
            "tensor": {
@@ -436,7 +439,7 @@ def dumps(obj):
         return canonical_dumps(sset_to_doc(obj))
     if isinstance(obj, FiniteGroup):
         return canonical_dumps(group_to_doc(obj))
-    if isinstance(obj, ca.TwoGroup):
+    if isinstance(obj, ca.MonoidalStructure):
         return canonical_dumps(two_group_to_doc(obj))
     if isinstance(obj, ca.FinCategory):
         return canonical_dumps(category_to_doc(obj))

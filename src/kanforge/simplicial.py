@@ -939,20 +939,7 @@ def csq_prime(x_sset, n):
     return out, maps
 
 
-# -- shift and loop spaces -------------------------------------------------
-
-
-def shift(x_sset):
-    """The decalage: level n = old level n+1 with faces d_0..d_n and
-    degeneracies s_0..s_{n-1}."""
-    if x_sset.dim < 1:
-        raise DimensionOutOfRange("shift needs dim >= 1")
-    base = None
-    if x_sset.is_reduced():
-        base = x_sset.degen[0, 0][x_sset.level(0)[0]]
-    return build_sset(x_sset.dim - 1, x_sset.levels[1:],
-                      lambda name, k, i: getattr(x_sset, name)[k + 1, i],
-                      base=base)
+# -- loop spaces -----------------------------------------------------------
 
 
 def loop_space(x_sset, variant="plain", base=None):
@@ -1237,20 +1224,6 @@ def product(x_sset, y_sset):
     if x_sset.coskeletal_at is not None and y_sset.coskeletal_at is not None:
         cosk = max(x_sset.coskeletal_at, y_sset.coskeletal_at)
     return build_sset(dim, levels, op, coskeletal_at=cosk, base=base)
-
-
-def disjoint_union(x_sset, y_sset):
-    """Levelwise union with ids L:x and R:y of the (named) cells."""
-    x_sset, y_sset = named(x_sset), named(y_sset)
-
-    def tagged(k, chain):
-        return ["%s:%s" % (tag, s) for tag, z in (("L", x_sset), ("R", y_sset))
-                for s in column(z.level(k), chain(z))]
-
-    dim = min(x_sset.dim, y_sset.dim)
-    levels = [tagged(k, lambda z: ()) for k in range(dim + 1)]
-    return build_sset(dim, levels, lambda name, k, i: dict(zip(
-        levels[k], tagged(k, lambda z: (getattr(z, name)[k, i],)))))
 
 
 def quotient_by_subcomplex(x_sset, ids_per_level):

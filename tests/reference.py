@@ -1,20 +1,23 @@
 """Reference maps that only the tests read: the tuples that the place
 columns of compatible_tuples list, a complex with its levels in a
-seeded order, alpha^m as a dict, the face codes by one rank dict, the Kan rows by their definition, the
-Kan report over every checkable dimension, the diagonal of a
-bisimplicial set, the key of a map by its sorted
-items, the enriched-hom builder keyed by sorted map items, both
-enriched homs as they were built on quotients and pair ids, the map
-search as a recursion with one tick per evaluation, the retraction
-check of the shift (decalage), the translation check of a 2-group, a
-budget tick that counts n per call by search name, the
-2-groups K(Z/2, Z/2) with given coherence data, the string-keyed
-monoidal validation, the groupoid of q-simplices of a 2-group read off
-the Segal nerve's int tables, the nerve of a category built chain by
-chain on string ids, the direct product and trivial group, the
-identity and composite lax functors, and the searches that recheck
-every constraint: the map search with its tick count, and the pairwise
-determinant morphism searches with their closure into classes."""
+seeded order, alpha^m as a dict, the face codes by one rank dict, the
+Kan rows by their definition, the Kan report over every checkable
+dimension, the box product of two complexes and the diagonal of a
+bisimplicial set, the key of a map by its sorted items, the
+enriched-hom builder keyed by sorted map items, both enriched homs as
+they were built on quotients and pair ids, the map search as a
+recursion with one tick per evaluation, the shift (decalage), the
+disjoint union, the retraction check of the shift, the translation
+check of a 2-group, a budget tick that counts n per call by search
+name, the 2-groups K(Z/2, Z/2) with given coherence data, the
+string-keyed monoidal validation, the groupoid of q-simplices of a
+2-group read off the Segal nerve's int tables, the nerve of a category
+built chain by chain on string ids, the direct product and trivial
+group, lax unitary functors with the weak-equivalence test on their
+pi_0 and pi_1 maps, the identity and composite lax functors, and the
+searches that recheck every constraint: the map search with its tick
+count, and the pairwise determinant morphism searches with their
+closure into classes."""
 
 import collections
 import itertools
@@ -190,6 +193,30 @@ def kan_report(x_sset):
         top = max(top, x_sset.dim)
     rows = {m: sp.kan_status(x_sset, m) for m in range(top + 1)}
     return KanReport(rows)
+
+
+def box(a_sset, b_sset, region=None):
+    """Box product: level (p,q) = A_p x B_q with horizontal (resp.
+    vertical) operators from A (resp. B)."""
+    if region is None:
+        region = nv.rectangle(a_sset.dim, b_sset.dim)
+
+    def bid(x, y):
+        return "(%s#%s)" % (x, y)
+
+    cols = {(p, q): sp.product_columns([a_sset.level(p), b_sset.level(q)])
+            for p, q in region}
+    levels = {pq: list(map(bid, xs, ys)) for pq, (xs, ys) in cols.items()}
+
+    def op(name, p, q, i):
+        xs, ys = cols[p, q]
+        if name[0] == "h":
+            xs = sp.column(xs, (getattr(a_sset, name[1:])[p, i],))
+        else:
+            ys = sp.column(ys, (getattr(b_sset, name[1:])[q, i],))
+        return dict(zip(levels[p, q], map(bid, xs, ys)))
+
+    return nv.build_bisimplicial(region, levels, op)
 
 
 def diag(bx):
@@ -407,6 +434,33 @@ def recursive_map_search(levels, index, tick, pins=None):
 
     enter(0)
     return results
+
+
+def shift(x_sset):
+    """The decalage: level n = old level n+1 with faces d_0..d_n and
+    degeneracies s_0..s_{n-1}."""
+    if x_sset.dim < 1:
+        raise sp.DimensionOutOfRange("shift needs dim >= 1")
+    base = None
+    if x_sset.is_reduced():
+        base = x_sset.degen[0, 0][x_sset.level(0)[0]]
+    return sp.build_sset(x_sset.dim - 1, x_sset.levels[1:],
+                      lambda name, k, i: getattr(x_sset, name)[k + 1, i],
+                      base=base)
+
+
+def disjoint_union(x_sset, y_sset):
+    """Levelwise union with ids L:x and R:y of the (named) cells."""
+    x_sset, y_sset = sp.named(x_sset), sp.named(y_sset)
+
+    def tagged(k, chain):
+        return ["%s:%s" % (tag, s) for tag, z in (("L", x_sset), ("R", y_sset))
+                for s in sp.column(z.level(k), chain(z))]
+
+    dim = min(x_sset.dim, y_sset.dim)
+    levels = [tagged(k, lambda z: ()) for k in range(dim + 1)]
+    return sp.build_sset(dim, levels, lambda name, k, i: dict(zip(
+        levels[k], tagged(k, lambda z: (getattr(z, name)[k, i],)))))
 
 
 def shift_retraction_check(x_sset):
@@ -745,9 +799,117 @@ def trivial_group():
     return gr.FiniteGroup(["e"], {("e", "e"): "e"}, "e", name="1")
 
 
+class LaxUnitaryFunctor:
+    """Unit-preserving lax monoidal functor with explicit components."""
+
+    def __init__(self, source, target, obj_map, mor_map, m_comp, name="F"):
+        self.source = source
+        self.target = target
+        self.obj_map = dict(obj_map)
+        self.mor_map = dict(mor_map)
+        self.m_comp = dict(m_comp)      # (X, Y) -> F(X)(x)F(Y) -> F(X(x)Y)
+        self.name = name
+
+    def fo(self, x):
+        return self.obj_map[x]
+
+    def fm(self, f):
+        return self.mor_map[f]
+
+    def m(self, x, y):
+        return self.m_comp[(x, y)]
+
+    def validate(self):
+        src, tgt = self.source, self.target
+        cs, ct = src.base, tgt.base
+        errs = []
+        for x in cs.objects:
+            if self.obj_map.get(x) not in ct.objects:
+                errs.append("object image of %s undefined" % x)
+        for f in cs.morphisms:
+            ff = self.mor_map.get(f)
+            if ff is None or ct.src[ff] != self.fo(cs.src[f]) \
+                    or ct.tgt[ff] != self.fo(cs.tgt[f]):
+                errs.append("morphism image of %s malformed" % f)
+        if errs:
+            return errs
+        for x in cs.objects:
+            if self.fm(cs.id_of(x)) != ct.id_of(self.fo(x)):
+                errs.append("identities not preserved at %s" % x)
+        for g in cs.morphisms:
+            for f in cs.morphisms:
+                if cs.composable(g, f):
+                    if self.fm(cs.comp(g, f)) != ct.comp(self.fm(g), self.fm(f)):
+                        errs.append("composition not preserved at (%s,%s)" % (g, f))
+        if self.fo(src.unit) != tgt.unit:
+            errs.append("unit object not preserved")
+        for x in cs.objects:
+            for y in cs.objects:
+                mc = self.m_comp.get((x, y))
+                if mc is None or \
+                   ct.src[mc] != tgt.t(self.fo(x), self.fo(y)) or \
+                   ct.tgt[mc] != self.fo(src.t(x, y)):
+                    errs.append("lax component at (%s,%s) malformed" % (x, y))
+        if errs:
+            return errs
+        # naturality of m
+        for f in cs.morphisms:
+            for g in cs.morphisms:
+                x, y = cs.src[f], cs.src[g]
+                x2, y2 = cs.tgt[f], cs.tgt[g]
+                lhs = ct.comp(self.fm(src.tm(f, g)), self.m(x, y))
+                rhs = ct.comp(self.m(x2, y2), tgt.tm(self.fm(f), self.fm(g)))
+                if lhs != rhs:
+                    errs.append("m not natural at (%s,%s)" % (f, g))
+        # hexagon
+        for x in cs.objects:
+            for y in cs.objects:
+                for z in cs.objects:
+                    lhs = ct.comp(self.fm(src.a(x, y, z)),
+                                  ct.comp(self.m(src.t(x, y), z),
+                                          tgt.tm(self.m(x, y),
+                                                 ct.id_of(self.fo(z)))))
+                    rhs = ct.comp(self.m(x, src.t(y, z)),
+                                  ct.comp(tgt.tm(ct.id_of(self.fo(x)),
+                                                 self.m(y, z)),
+                                          tgt.a(self.fo(x), self.fo(y), self.fo(z))))
+                    if lhs != rhs:
+                        errs.append("hexagon fails at (%s,%s,%s)" % (x, y, z))
+        # unit coherence
+        for x in cs.objects:
+            if ct.comp(self.m(src.unit, x), tgt.l(self.fo(x))) != self.fm(src.l(x)):
+                errs.append("left unit coherence fails at %s" % x)
+            if ct.comp(self.m(x, src.unit), tgt.r(self.fo(x))) != self.fm(src.r(x)):
+                errs.append("right unit coherence fails at %s" % x)
+        return errs
+
+
+def pi0_map(f_fun):
+    g, h = ca.pi0_two_group(f_fun.source), ca.pi0_two_group(f_fun.target)
+    rep_h = f_fun.target.base.iso_rep()
+    return g, h, {r: rep_h[f_fun.fo(r)] for r in g.elements}
+
+
+def pi1_map(f_fun):
+    g, h = ca.pi1_two_group(f_fun.source), ca.pi1_two_group(f_fun.target)
+    return g, h, {phi: f_fun.fm(phi) for phi in g.elements}
+
+
+def is_weak_equivalence(f_fun):
+    """True iff pi0 F and pi1 F are group isomorphisms."""
+    errs = f_fun.validate()
+    if errs:
+        raise ca.CatError("functor does not validate: %s" % errs[0])
+    for side in (pi0_map, pi1_map):
+        g, h, mapping = side(f_fun)
+        if g.iso_failure(h, mapping):
+            return False
+    return True
+
+
 def identity_lax(g):
     c = g.base
-    return ca.LaxUnitaryFunctor(
+    return LaxUnitaryFunctor(
         g, g,
         {x: x for x in c.objects},
         {f: f for f in c.morphisms},
@@ -769,8 +931,8 @@ def compose_lax(g_fun, f_fun):
             m[(x, y)] = tgt.base.comp(
                 g_fun.fm(f_fun.m(x, y)),
                 g_fun.m(f_fun.fo(x), f_fun.fo(y)))
-    return ca.LaxUnitaryFunctor(src, tgt, obj, mor, m,
-                                name="%s.%s" % (g_fun.name, f_fun.name))
+    return LaxUnitaryFunctor(src, tgt, obj, mor, m,
+                             name="%s.%s" % (g_fun.name, f_fun.name))
 
 
 # -- the searches against references that recheck every constraint ------------

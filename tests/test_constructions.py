@@ -17,7 +17,7 @@ from kanforge import determinants as dt
 from kanforge import examples as ex
 from kanforge import serialize as io
 
-from reference import diag
+from reference import box, diag, disjoint_union, shift
 
 
 def fingerprint(obj):
@@ -98,10 +98,10 @@ def _derived():
         out.append(("product-%s-%s" % (a, b), lambda a=a, b=b: sp.product(
             ex.build(a), ex.build(b))))
         out.append(("union-%s-%s" % (a, b), lambda a=a, b=b:
-                    sp.disjoint_union(ex.build(a), ex.build(b))))
+                    disjoint_union(ex.build(a), ex.build(b))))
     for name, dim in SPACES:
-        out.append(("shift-%s" % name, lambda name=name: sp.shift(
-            _space(name))))
+        out.append(("shift-%s" % name,
+                    lambda name=name: shift(_space(name))))
         for m in range(dim):
             out.append(("csq-%s-%d" % (name, m),
                         lambda name=name, m=m: _csq(name, m)))
@@ -121,14 +121,14 @@ def _derived():
         ("hom1-enriched-s1-oneobj-z2", lambda: dt.hom1_enriched(
             nv.p2_star(ex.build("s1"), 2),
             nv.segal_nerve(ex.build("oneobj-z2"), 2, 3), 2)),
-        ("box-delta1-delta1", lambda: nv.box(sp.standard_simplex(1, 1),
-                                             sp.standard_simplex(1, 1))),
-        ("box-s1-delta2-mu3", lambda: nv.box(
+        ("box-delta1-delta1", lambda: box(sp.standard_simplex(1, 1),
+                                          sp.standard_simplex(1, 1))),
+        ("box-s1-delta2-mu3", lambda: box(
             ex.build("s1"), ex.build("delta2"), nv.mu3_region())),
-        ("box-delta2-s1-cut", lambda: nv.box(
+        ("box-delta2-s1-cut", lambda: box(
             sp.standard_simplex(2, 2), sp.sphere(1, 3),
             nv.rectangle(2, 3) - {(2, 3)})),
-        ("diag-box-delta2-s1", lambda: diag(nv.box(
+        ("diag-box-delta2-s1", lambda: diag(box(
             sp.standard_simplex(2, 3), sp.sphere(1, 3)))),
         ("diag-segal", lambda: diag(_segal())),
         ("p2star-s1-2", lambda: nv.p2_star(ex.build("s1"), 2)),

@@ -1,4 +1,6 @@
+import importlib
 import inspect
+import pkgutil
 
 import pytest
 
@@ -259,10 +261,19 @@ def test_every_search_reads_the_one_cap(monkeypatch):
         except sp.SearchBudgetExceeded:
             pass
     assert uncapped == []
-    takes_budget = [name for name, obj in vars(kanforge).items()
-                    if callable(obj) and not name.startswith("_")
-                    and "budget" in _parameters(obj)]
+    public = [(name, obj) for mod in kanforge_modules()
+              for name, obj in vars(mod).items()
+              if callable(obj) and not name.startswith("_")
+              and getattr(obj, "__module__", None) == mod.__name__]
+    assert len(public) > 77
+    takes_budget = [name for name, obj in public
+                    if "budget" in _parameters(obj)]
     assert takes_budget == []
+
+
+def kanforge_modules():
+    return [importlib.import_module("kanforge." + info.name)
+            for info in pkgutil.iter_modules(kanforge.__path__)]
 
 
 def _parameters(obj):

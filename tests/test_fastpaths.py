@@ -19,8 +19,9 @@ from kanforge import examples as ex
 from kanforge import groups as gr
 from kanforge import serialize as io
 
-from reference import (boundary_alpha, listed_tuples, map_key, permuted,
-                       q_simplex_groupoid, reference_column1,
+from reference import (boundary_alpha, box, disjoint_union, listed_tuples,
+                       map_key, permuted, q_simplex_groupoid,
+                       reference_column1,
                        reference_det_classes, reference_maps,
                        rank_face_codes, reference_segal_classes,
                        Ticks, tuple_rows, unitor_twisted_monoidal)
@@ -1608,8 +1609,8 @@ def bisimplicial_mutations(bx):
 
 @pytest.mark.parametrize("build", [
     pytest.param(lambda: nv.p2_star(sp.sphere(1, 2), 2), id="p2star-s1"),
-    pytest.param(lambda: nv.box(sp.standard_simplex(1, 1),
-                                sp.standard_simplex(1, 1)),
+    pytest.param(lambda: box(sp.standard_simplex(1, 1),
+                             sp.standard_simplex(1, 1)),
                  id="box-delta1-delta1")])
 def test_bisimplicial_validate_matches_per_cell_definition(build):
     bx = build()
@@ -2327,7 +2328,7 @@ def group_nerve(n, dim):
 
 def two_nz2():
     """Two copies of N(Z/2), based at the second copy's vertex."""
-    two = sp.disjoint_union(group_nerve(2, 2), group_nerve(2, 2))
+    two = disjoint_union(group_nerve(2, 2), group_nerve(2, 2))
     return sp.TruncatedSSet(two.dim, two.levels, two.face, two.degen,
                             base="R:*")
 
@@ -2377,15 +2378,15 @@ def test_pins_narrow_the_candidates(build):
 def definitional_bimap_cases():
     """Builders of (source, target)."""
     return [
-        pytest.param(lambda: (nv.box(sp.standard_simplex(1, 1),
-                                     sp.standard_simplex(0, 1)),
-                              nv.box(*[group_nerve(2, 1)] * 2)),
+        pytest.param(lambda: (box(sp.standard_simplex(1, 1),
+                                  sp.standard_simplex(0, 1)),
+                              box(*[group_nerve(2, 1)] * 2)),
                      id="box-delta1-delta0"),
         pytest.param(lambda: (nv.p2_star(sp.sphere(1, 2), 1),
                               nv.segal_nerve(ex.build("disc-z2"), 1, 2)),
                      id="p2star-s1-segal-disc-z2"),
-        pytest.param(lambda: (nv.box(sp.sphere(1, 1), sp.sphere(1, 1)),
-                              nv.box(group_nerve(2, 1), group_nerve(3, 1))),
+        pytest.param(lambda: (box(sp.sphere(1, 1), sp.sphere(1, 1)),
+                              box(group_nerve(2, 1), group_nerve(3, 1))),
                      id="box-s1-s1"),
     ]
 

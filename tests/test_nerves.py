@@ -9,7 +9,8 @@ from kanforge import groups as gr
 from kanforge import examples as ex
 from kanforge import determinants as dt
 
-from reference import diag, q_simplex_groupoid, reference_nerve_category
+from reference import (box, diag, q_simplex_groupoid,
+                       reference_nerve_category)
 
 
 def test_nerve_of_interval_is_delta1():
@@ -163,7 +164,7 @@ def test_segal_nerve_structure():
 
 def test_box_and_diag():
     d1 = sp.standard_simplex(1, 2)
-    bx = nv.box(d1, d1)
+    bx = box(d1, d1)
     assert bx.validate() == []
     dg = diag(bx)
     assert sp.find_isomorphism(dg, sp.product(d1, d1)) is not None
@@ -297,7 +298,7 @@ def test_segal_tables_are_made_on_first_read():
     assert not any((2, 3, i) in ns.hface._made for i in range(3))
     # every construction through build_bisimplicial makes its tables so
     for bx in (nv.p2_star(ex.build("s1"), 2), nv.restrict_region(ns, {(0, 0)}),
-               nv.box(ex.build("s1"), ex.build("s1"))):
+               box(ex.build("s1"), ex.build("s1"))):
         assert all(type(getattr(bx, name)) is nv._OnRead
                    for name in nv.BisimplicialTrunc.OPERATORS)
 

